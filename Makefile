@@ -28,7 +28,7 @@ BENCH_BATCH_MIN_RATIO ?= BenchmarkDetectBatch/BenchmarkDetectPerPair:pairs/s:2
 
 # The steady-state tick benchmarks: a 10k-pair standing population with 1%
 # dirtied per tick, incremental vs. full-recompute. One full-recompute
-# iteration is ~0.1s, so this pass also runs few and short. (The cached
+# iteration is ~0.5s, so this pass also runs few and short. (The cached
 # query-path benchmark is a microbenchmark and rides the 300x pass via
 # BENCH_PATTERN.)
 BENCH_TICK_FLAGS ?= -run='^$$' -bench='TickSteadyState$$|TickFullRecompute$$' -benchmem -count=5 -benchtime=3x -timeout=20m
@@ -36,8 +36,9 @@ BENCH_TICK_FLAGS ?= -run='^$$' -bench='TickSteadyState$$|TickFullRecompute$$' -b
 # The dirty-only tick path must stay at least this many times faster
 # (median ticks/s) than a full recompute of the same population IN THE
 # SAME RUN — the sub-linear steady-state contract itself, machine speed
-# cancelled out.
-BENCH_TICK_MIN_RATIO ?= BenchmarkTickSteadyState/BenchmarkTickFullRecompute:ticks/s:5
+# cancelled out. The full recompute is the test-only reference (a fresh
+# pipeline over every pair, detection included).
+BENCH_TICK_MIN_RATIO ?= BenchmarkTickSteadyState/BenchmarkTickFullRecompute:ticks/s:25
 
 # The two batch macro benchmarks run seconds per iteration, long enough to
 # integrate co-tenant CI load; their medians drift past the default 10%
@@ -48,7 +49,7 @@ BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch
 	-noise 'BenchmarkTickSteadyState:0.35' -noise 'BenchmarkTickFullRecompute:0.25' \
 	-noise 'BenchmarkQueryRankedCached:0.35'
 
-.PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check soak soak-smoke
+.PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke
 
 # check is the CI entry point: vet, build, and the full test suite under
 # the race detector (the fault-injection and crash-recovery tests exercise
@@ -131,6 +132,15 @@ soak:
 # restarts, replays, commit retries and retention eviction on every push.
 soak-smoke:
 	$(GO) test ./internal/source -run='^TestDaemonSoak' -count=1 -soak=3s -timeout=5m
+
+# bench-smoke vets and tests the repository benchmark (bench/, see
+# BENCHMARK.json): a nested module with its own go.mod that imports
+# baywatch/internal/..., so the root `go build ./... && go test ./...`
+# never compiles it and a deleted or renamed internal API would only
+# surface when the benchmark is next run. Its tests include a 1/50-scale
+# smoke of all five workloads (~16 s).
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-check runs the benchmarks and fails on >10% median ns/op growth,
 # any allocs/op growth, a >10% drop in any rate metric (pairs/s), or the

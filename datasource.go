@@ -23,7 +23,8 @@ type FlowRecord = netflow.Record
 // ExtractFromEvents runs the data-extraction MapReduce job over
 // source-agnostic pair events.
 func ExtractFromEvents(ctx context.Context, events []PairEvent, scale int64) ([]*ActivitySummary, error) {
-	return pipeline.ExtractSummariesFromEvents(ctx, events, scale, mapreduce.JobConfig{})
+	sums, _, _, err := pipeline.ExtractSummaries(ctx, events, scale, 0, mapreduce.JobConfig{})
+	return sums, err
 }
 
 // DNSFromProxyTrace derives the query log an internal resolver would see

@@ -103,7 +103,7 @@ func TestBeaconDetectableThroughDNSView(t *testing.T) {
 	if len(qs) != 100 {
 		t.Fatalf("queries = %d", len(qs))
 	}
-	sums, err := pipeline.ExtractSummariesFromEvents(context.Background(), ToPairEvents(qs, nil), 1, mapreduce.JobConfig{})
+	sums, _, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(qs, nil), 1, 0, mapreduce.JobConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestFastBeaconAliasedByCache(t *testing.T) {
 		recs = append(recs, &proxylog.Record{Timestamp: int64(i * 10), ClientIP: "10.0.0.1", Host: "cc.evil"})
 	}
 	qs := FromProxyTrace(recs, 300)
-	sums, err := pipeline.ExtractSummariesFromEvents(context.Background(), ToPairEvents(qs, nil), 1, mapreduce.JobConfig{})
+	sums, _, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(qs, nil), 1, 0, mapreduce.JobConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

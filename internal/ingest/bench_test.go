@@ -128,7 +128,7 @@ func BenchmarkBatchToSummaries(b *testing.B) {
 		if len(records) != n {
 			b.Fatalf("read %d records, want %d", len(records), n)
 		}
-		sums, _, err := pipeline.ExtractSummariesCapped(ctx, records, nil, 1, 0, pipeline.Config{}.MapReduce)
+		sums, _, _, err := pipeline.ExtractSummaries(ctx, pipeline.RecordEvents(records, nil), 1, 0, pipeline.Config{}.MapReduce)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func TestBeaconDetectableThroughFlowView(t *testing.T) {
 		recs = append(recs, &proxylog.Record{Timestamp: int64(i * 120), ClientIP: "10.0.0.1", Host: "cc.evil", Scheme: "http"})
 	}
 	flows := FromProxyTrace(recs)
-	sums, err := pipeline.ExtractSummariesFromEvents(context.Background(), ToPairEvents(flows, nil), 1, mapreduce.JobConfig{})
+	sums, _, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(flows, nil), 1, 0, mapreduce.JobConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

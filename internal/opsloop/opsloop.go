@@ -161,31 +161,17 @@ func (l *Loop) ingestDay(ctx context.Context, records []*proxylog.Record) (*Repo
 	cfg := l.cfg.Pipeline
 	cfg.Novelty = l.store
 
-	daily, err := pipeline.Run(ctx, records, l.corr, cfg)
+	daily, sums, err := pipeline.RunWithSummaries(ctx, records, l.corr, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("opsloop: daily run: %w", err)
-	}
-
-	// Accumulate the day's summaries (at daily scale) in the history,
-	// under the same per-pair admission cap as the daily run so one
-	// pathological pair cannot bloat the history store either.
-	sums, truncated, err := pipeline.ExtractSummariesCapped(
-		ctx, records, l.corr, cfg.Scale, cfg.Guard.MaxEventsPerPair, cfg.MapReduce)
-	if err != nil {
-		return nil, fmt.Errorf("opsloop: extract: %w", err)
-	}
-	if len(truncated) > 0 && l.cfg.Logf != nil {
-		l.cfg.Logf("opsloop: day %d: %d pair(s) truncated to the per-pair event cap in history", day, len(truncated))
 	}
 	return l.finishDay(ctx, day, daily, sums)
 }
 
 // IngestDayShards is IngestDay over sharded log sources: the day's
 // records are scanned by the streaming ingest layer (pipeline.RunStream)
-// instead of a materialized record slice, and the day's history
-// summaries come from the same single extraction pass — the batch path's
-// second ExtractSummariesCapped scan disappears. Rollback, coarse-pass
-// and commit semantics are identical to IngestDay.
+// instead of a materialized record slice. Rollback, coarse-pass and
+// commit semantics are identical to IngestDay.
 func (l *Loop) IngestDayShards(ctx context.Context, shards []proxylog.Split, opt pipeline.StreamOptions) (*Report, error) {
 	snap := l.store.Clone()
 	prevHist := len(l.history)
@@ -210,17 +196,18 @@ func (l *Loop) ingestDayShards(ctx context.Context, shards []proxylog.Split, opt
 	if err != nil {
 		return nil, fmt.Errorf("opsloop: daily run: %w", err)
 	}
-	// The history store inherits the run's own truncation: summaries come
-	// from the same capped extraction pass.
-	if len(daily.Truncated) > 0 && l.cfg.Logf != nil {
-		l.cfg.Logf("opsloop: day %d: %d pair(s) truncated to the per-pair event cap in history", day, len(daily.Truncated))
-	}
 	return l.finishDay(ctx, day, daily, sums)
 }
 
 // finishDay is the shared back half of a day's ingest: history
-// accumulation, any due coarse passes, and the durable commit.
+// accumulation, any due coarse passes, and the durable commit. sums are
+// the summaries the daily run itself extracted, so the history inherits
+// the run's per-pair event cap: one pathological pair cannot bloat the
+// history store either.
 func (l *Loop) finishDay(ctx context.Context, day int, daily *pipeline.Result, sums []*timeseries.ActivitySummary) (*Report, error) {
+	if len(daily.Truncated) > 0 && l.cfg.Logf != nil {
+		l.cfg.Logf("opsloop: day %d: %d pair(s) truncated to the per-pair event cap in history", day, len(daily.Truncated))
+	}
 	l.history = append(l.history, sums...)
 
 	var err error

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"baywatch/internal/synthetic"
@@ -13,11 +14,10 @@ import (
 
 func TestDetectPanicIsolatedAsDegraded(t *testing.T) {
 	env := newTestEnv(t, nil)
-	var hit int
+	var hit atomic.Int64 // reducers detect in parallel
 	SetFaultHook(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
-			hit++
-			if hit == 1 {
+			if hit.Add(1) == 1 {
 				panic("injected detector blow-up")
 			}
 		}
@@ -64,11 +64,10 @@ func TestDetectPanicIsolatedAsDegraded(t *testing.T) {
 func TestDetectErrorIsolatedAsDegraded(t *testing.T) {
 	env := newTestEnv(t, nil)
 	injected := errors.New("injected detect failure")
-	var hit int
+	var hit atomic.Int64
 	SetFaultHook(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
-			hit++
-			if hit <= 2 {
+			if hit.Add(1) <= 2 {
 				return injected
 			}
 		}
@@ -92,11 +91,10 @@ func TestDetectErrorIsolatedAsDegraded(t *testing.T) {
 
 func TestIndicationPanicIsolated(t *testing.T) {
 	env := newTestEnv(t, nil)
-	var hit int
+	var hit atomic.Int64
 	SetFaultHook(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineIndication)+":") {
-			hit++
-			if hit == 1 {
+			if hit.Add(1) == 1 {
 				panic("indication exploded")
 			}
 		}
@@ -145,11 +143,10 @@ func TestDegradedRunStillDetectsInfection(t *testing.T) {
 		t.Fatal("synthetic trace has no malicious domain")
 	}
 
-	var failed int
+	var failed atomic.Int64
 	SetFaultHook(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") && !strings.Contains(point, malDomain) {
-			failed++
-			if failed <= 5 {
+			if failed.Add(1) <= 5 {
 				return errors.New("injected benign-pair failure")
 			}
 		}

@@ -112,7 +112,7 @@ func buildDetectJob(params []byte) (*mapreduce.Job[*timeseries.ActivitySummary, 
 	// worker-local (a memo hit is bit-identical to a cold computation, so
 	// per-worker caches never diverge from the in-process run).
 	ctx := context.Background() //bw:guarded worker-process root; cancellation is the coordinator killing the process
-	return detectJob(ctx, core.NewDetector(p.Detector), p.MR.jobConfig(), p.CandidateTimeout, p.MaxInFlight, nil, core.NewThresholdMemo(0)), nil
+	return detectJob(ctx, core.NewDetector(p.Detector), p.MR.jobConfig(), p.CandidateTimeout, p.MaxInFlight, core.NewThresholdMemo(0)), nil
 }
 
 // detectionWire is Detection's gob shape. Err is an interface value the

@@ -1,39 +1,41 @@
-// Incremental analysis: a standing instance of the filter-1..8 pipeline
-// that re-analyzes only pairs whose inputs changed. The streaming
-// daemon's steady state has thousands of known pairs and a handful of
-// dirty ones per tick; re-running RunSummaries over everything makes
-// tick cost O(total pairs). Incremental keeps the per-pair intermediate
-// state of every stage — summary, detection, indication outcome — plus
-// the popularity aggregates the whitelist derives from, and on each Tick
-// recomputes exactly the pairs whose stage inputs changed:
+// The analysis core: Incremental is the one implementation of filters
+// 1-8. It holds the per-pair state of every stage — summary, detection,
+// indication outcome — plus the destination and source counts the local
+// whitelist derives from, and each Tick applies a delta of changed and
+// removed pairs and recomputes exactly the pairs whose stage inputs
+// changed:
 //
-//   - a changed (dirty) pair re-runs detection and indication;
+//   - a changed pair re-runs detection and indication;
 //   - a pair whose destination gained or lost pairs — or any pair, when
 //     the distinct-source population changed — re-evaluates the local
 //     whitelist and indication (its popularity inputs moved);
 //   - a pair reported last tick, and every pair sharing its destination,
 //     re-runs indication (the novelty store recorded the report, which
 //     can flip verdicts from NewDestination to NewSource or Duplicate);
-//   - a pair whose detection or indication errored retries every tick,
-//     exactly as the full pipeline re-attempts it on every run.
+//   - a pair whose detection or indication errored retries every tick.
 //
-// The per-tick Result is then materialized from cached state in one
+// The per-tick Result is then materialized from the standing state in one
 // cheap O(total) pass (fresh Candidate values, funnel counters, the
-// percentile ranking). Output is bit-identical to RunSummaries over the
-// same summaries with the same novelty-store history — pinned by
-// TestIncrementalMatchesFullRecompute — because every stage runs the
-// same shared code (runIndication, bookFunnel, rankAndReport,
-// detectBeacons) on the same inputs; only the skipping logic is new.
+// percentile ranking). The streaming daemon keeps one Incremental alive
+// and ticks it with each interval's dirty pairs; a batch run (Run,
+// RunStream, RunSummaries) is a fresh Incremental ticked once with every
+// pair changed. Destination popularity (the paper's Sect. VII-C job) is
+// therefore a set of maintained counts, not a per-run MapReduce job. A
+// standing tick must equal a from-empty tick over the same summaries with
+// the same novelty-store history; the package's differential test pins
+// that after every kind of delta.
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"baywatch/internal/core"
 	"baywatch/internal/guard"
+	"baywatch/internal/mapreduce"
 	"baywatch/internal/timeseries"
 	"baywatch/internal/whitelist"
 )
@@ -46,50 +48,63 @@ type PairRef struct {
 	Destination string `json:"dst"`
 }
 
-// incPair is one pair's cached stage outputs.
+// incPair is one pair's standing state: its summary (which names the
+// pair) and the cached outputs of every stage.
 type incPair struct {
 	summary *timeseries.ActivitySummary
-	events  int
+	// seen is the tick that last delivered a summary of the pair: a second
+	// summary inside one delta merges into the first instead of replacing
+	// it.
+	seen int64
+	// det/detErr cache the detect stage (filters 3-5). A nil det with nil
+	// detErr means detection has not run for the current summary; detErr
+	// non-nil means the last attempt failed and is retried every tick —
+	// unless parked: then the delta's summaries of the pair could not be
+	// merged, detErr says why, and detection waits for the next delta.
+	det    *core.Result
+	detErr error
+	// ind/indErr cache the indication stage (filters 6-7 plus the ranking
+	// score). ind is nil whenever an indication input changed or the last
+	// attempt failed (indErr says why; it retries every tick).
+	ind    *indication
+	indErr error
+	parked bool
+	// gone marks a dropped pair until the tick compacts it out of order.
+	gone bool
 	// globalListed is filter 1's verdict — static per destination.
 	globalListed bool
 	// localListed is filter 2's current verdict; re-evaluated when the
 	// destination's popularity inputs change.
 	localListed bool
-	// det/detErr cache the detect stage (filters 3-5). A nil det with nil
-	// detErr means detection has not run for the current summary; detErr
-	// non-nil means the last attempt failed and is retried every tick.
-	det    *core.Result
-	detErr error
-	// ind/indErr/hasInd cache the indication stage (filters 6-7 plus the
-	// ranking score). hasInd is false whenever any indication input
-	// changed; indErr non-nil retries every tick.
-	ind    indication
-	indErr error
-	hasInd bool
+	// noveltyDirty marks a pair whose novelty verdict may have changed
+	// because last tick's report mutated the store.
+	noveltyDirty bool
 }
 
 // Incremental maintains the pipeline's standing state across ticks. It
 // is not safe for concurrent use: the streaming engine serializes ticks.
 type Incremental struct {
 	cfg    Config
+	tick   int64
 	states map[pairKey]*incPair
-	// keys is every known pair sorted by (source, destination) — the
-	// canonical candidate order — maintained by binary insertion so
-	// steady-state ticks never re-sort.
-	keys []pairKey
-	// destPairs counts distinct sources per destination (== pairs per
-	// destination, since pairs are unique); byDest indexes the pairs of
-	// each destination; srcPairs counts pairs per source, so the
-	// distinct-source population is len(srcPairs). Together these replace
-	// the per-run popularity MapReduce job.
-	destPairs map[string]int
-	byDest    map[string]map[pairKey]struct{}
+	// order is every known pair sorted by (source, destination) — the
+	// canonical candidate order. A tick appends its new pairs, sorts them
+	// and merges them in with one pass, and compacts removals in one pass,
+	// so no delta size costs a slice shift per pair.
+	order []*incPair
+	// The popularity counts of Sect. VII-C, maintained instead of computed
+	// per run: srcPairs counts pairs per source, so the distinct-source
+	// population is len(srcPairs); destPairs counts distinct sources per
+	// destination (== pairs per destination, since pairs are unique) and
+	// byDest indexes those pairs. Filter 1's verdict is a function of the
+	// destination alone and comes first, so a globally whitelisted
+	// destination's popularity is never read and only the other
+	// destinations are counted and indexed.
 	srcPairs  map[string]int
+	destPairs map[string]int
+	byDest    map[string][]*incPair
 	// inputEvents is the running event total across cached summaries.
 	inputEvents int
-	// noveltyDirty marks pairs whose novelty verdict may have changed
-	// because last tick's report mutated the store.
-	noveltyDirty map[pairKey]struct{}
 }
 
 // NewIncremental creates an empty standing pipeline with the given
@@ -100,200 +115,248 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 	if cfg.LM == nil {
 		return nil, fmt.Errorf("pipeline: language model is required")
 	}
+	if cfg.Thresholds == nil {
+		// Threshold memo entries are pure functions of (seed, series
+		// multiset) — never of a pair's identity — so they outlive a
+		// pair's invalidation and warm every later tick's detection.
+		cfg.Thresholds = core.NewThresholdMemo(0)
+	}
 	return &Incremental{
-		cfg:          cfg,
-		states:       make(map[pairKey]*incPair),
-		destPairs:    make(map[string]int),
-		byDest:       make(map[string]map[pairKey]struct{}),
-		srcPairs:     make(map[string]int),
-		noveltyDirty: make(map[pairKey]struct{}),
+		cfg:       cfg,
+		states:    make(map[pairKey]*incPair),
+		destPairs: make(map[string]int),
+		byDest:    make(map[string][]*incPair),
+		srcPairs:  make(map[string]int),
 	}, nil
 }
 
 // Pairs reports the number of pairs currently held.
-func (i *Incremental) Pairs() int { return len(i.keys) }
+func (i *Incremental) Pairs() int { return len(i.order) }
 
-func (i *Incremental) insertKey(k pairKey) {
-	n := sort.Search(len(i.keys), func(j int) bool { return !pairKeyLess(i.keys[j], k) })
-	i.keys = append(i.keys, pairKey{})
-	copy(i.keys[n+1:], i.keys[n:])
-	i.keys[n] = k
-}
-
-func (i *Incremental) removeKey(k pairKey) {
-	n := sort.Search(len(i.keys), func(j int) bool { return !pairKeyLess(i.keys[j], k) })
-	if n < len(i.keys) && i.keys[n] == k {
-		i.keys = append(i.keys[:n], i.keys[n+1:]...)
+func comparePairs(a, b *incPair) int {
+	if c := strings.Compare(a.summary.Source, b.summary.Source); c != 0 {
+		return c
 	}
+	return strings.Compare(a.summary.Destination, b.summary.Destination)
 }
 
-func pairKeyLess(a, b pairKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
+// admit puts the pairs a tick appended to order[n:] in their canonical
+// places.
+func (i *Incremental) admit(n int) {
+	old, fresh := i.order[:n], i.order[n:]
+	if len(fresh) == 0 {
+		return
 	}
-	return a.Dst < b.Dst
+	if !slices.IsSortedFunc(fresh, comparePairs) {
+		slices.SortFunc(fresh, comparePairs)
+	}
+	if n == 0 || comparePairs(old[n-1], fresh[0]) < 0 {
+		return
+	}
+	merged := make([]*incPair, 0, len(i.order))
+	for len(old) > 0 && len(fresh) > 0 {
+		if comparePairs(fresh[0], old[0]) < 0 {
+			merged, fresh = append(merged, fresh[0]), fresh[1:]
+		} else {
+			merged, old = append(merged, old[0]), old[1:]
+		}
+	}
+	i.order = append(append(merged, old...), fresh...)
 }
 
-// dropPair forgets one pair and unwinds its aggregate contributions.
+// dropPair forgets one pair and unwinds its aggregate contributions; the
+// caller compacts order afterwards.
 func (i *Incremental) dropPair(k pairKey, impacted map[string]struct{}) {
 	st := i.states[k]
 	if st == nil {
 		return
 	}
 	delete(i.states, k)
-	i.removeKey(k)
-	i.inputEvents -= st.events
-	if n := i.destPairs[k.Dst] - 1; n <= 0 {
-		delete(i.destPairs, k.Dst)
-	} else {
-		i.destPairs[k.Dst] = n
-	}
-	if set := i.byDest[k.Dst]; set != nil {
-		delete(set, k)
-		if len(set) == 0 {
-			delete(i.byDest, k.Dst)
-		}
-	}
+	st.gone = true
+	i.inputEvents -= st.summary.EventCount()
 	if n := i.srcPairs[k.Src] - 1; n <= 0 {
 		delete(i.srcPairs, k.Src)
 	} else {
 		i.srcPairs[k.Src] = n
 	}
-	delete(i.noveltyDirty, k)
+	if st.globalListed {
+		return
+	}
+	if n := i.destPairs[k.Dst] - 1; n <= 0 {
+		delete(i.destPairs, k.Dst)
+		delete(i.byDest, k.Dst)
+	} else {
+		i.destPairs[k.Dst] = n
+		peers := i.byDest[k.Dst]
+		at := slices.Index(peers, st)
+		peers[at] = peers[n]
+		peers[n] = nil
+		i.byDest[k.Dst] = peers[:n]
+	}
 	impacted[k.Dst] = struct{}{}
 }
 
 // Tick applies one delta — changed holds the fresh summary of every pair
 // whose history changed (new or updated), removed the pairs evicted by
-// retention — and returns the full standing Result, identical to
-// RunSummaries over all current summaries. changed must hold at most one
-// summary per pair; summaries must never be mutated after being passed
-// in (the engine builds a fresh one per dirty pair).
+// retention — and returns the full standing Result. changed may be in any
+// order; several summaries of one pair in the same delta are merged (a
+// pair whose summaries cannot merge is isolated under StageError).
+// Summaries must never be mutated after being passed in.
 func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySummary, removed []PairRef) (*Result, error) {
 	env, cleanup := newGuardEnv(ctx, i.cfg)
 	defer cleanup()
+	i.tick++
 
 	// ---- Apply the delta to the standing aggregates ---------------------
 	popStart := time.Now()
 	impacted := make(map[string]struct{})
 	prevTotal := len(i.srcPairs)
+	held := len(i.states)
 	for _, r := range removed {
 		i.dropPair(pairKey{Src: r.Source, Dst: r.Destination}, impacted)
 	}
+	if len(i.states) < held {
+		i.order = slices.DeleteFunc(i.order, func(st *incPair) bool { return st.gone })
+	}
+	if len(i.states) == 0 && len(changed) > 0 {
+		// Loading from empty: size the containers once.
+		i.states = make(map[pairKey]*incPair, len(changed))
+		i.order = make([]*incPair, 0, len(changed))
+	}
+	known := len(i.order)
 	for _, as := range changed {
 		k := pairKey{Src: as.Source, Dst: as.Destination}
 		st := i.states[k]
-		if st == nil {
-			st = &incPair{globalListed: i.cfg.Global != nil && i.cfg.Global.Contains(as.Destination)}
-			i.states[k] = st
-			i.insertKey(k)
-			i.destPairs[k.Dst]++
-			set := i.byDest[k.Dst]
-			if set == nil {
-				set = make(map[pairKey]struct{})
-				i.byDest[k.Dst] = set
+		if st != nil && st.seen == i.tick {
+			if st.parked {
+				continue
 			}
-			set[k] = struct{}{}
-			i.srcPairs[k.Src]++
-			impacted[k.Dst] = struct{}{}
+			m, err := safeMerge(st.summary, as)
+			if err != nil {
+				st.detErr, st.parked = err, true
+				continue
+			}
+			as = m
 		}
-		i.inputEvents += as.EventCount() - st.events
-		st.summary = as
-		st.events = as.EventCount()
-		st.det, st.detErr = nil, nil
-		st.ind, st.indErr, st.hasInd = indication{}, nil, false
+		if st == nil {
+			st = &incPair{globalListed: i.cfg.Global != nil && i.cfg.Global.Contains(k.Dst)}
+			i.states[k] = st
+			i.order = append(i.order, st)
+			i.srcPairs[k.Src]++
+			if !st.globalListed {
+				i.destPairs[k.Dst]++
+				i.byDest[k.Dst] = append(i.byDest[k.Dst], st)
+			}
+		} else {
+			i.inputEvents -= st.summary.EventCount()
+		}
+		i.inputEvents += as.EventCount()
+		st.summary, st.seen = as, i.tick
+		st.det, st.detErr, st.parked = nil, nil, false
+		st.ind, st.indErr = nil, nil
 	}
+	fresh := i.order[known:]
 	totalSources := len(i.srcPairs)
+	if totalSources == prevTotal {
+		for _, st := range fresh {
+			if !st.globalListed {
+				impacted[st.summary.Destination] = struct{}{}
+			}
+		}
+	}
+	i.admit(known)
 
 	// The local whitelist is rebuilt from the maintained counts each tick
-	// (Build copies the map — O(destinations), no event work). Its
-	// contents equal the popularity job's output over all summaries.
+	// (Build copies the map — O(destinations), no event work).
 	local := whitelist.NewLocal(i.cfg.LocalTau)
 	local.Build(i.destPairs, totalSources)
 
 	// ---- Filter 2 re-evaluation for popularity-impacted pairs -----------
-	reEval := func(k pairKey) {
-		st := i.states[k]
+	// A globally whitelisted pair never reads filter 2's verdict or the
+	// popularity inputs, so it has nothing to re-evaluate.
+	reEval := func(st *incPair) {
+		if st.globalListed {
+			return
+		}
 		st.localListed = local.Contains(st.summary.Destination)
 		// Popularity and similar-sources feed the indication outcome.
-		st.hasInd = false
+		st.ind = nil
 	}
 	if totalSources != prevTotal {
 		// The whitelist denominator moved: every pair's popularity did too.
-		for k := range i.states {
-			reEval(k)
+		for _, st := range i.order {
+			reEval(st)
 		}
 	} else {
 		for d := range impacted {
-			for k := range i.byDest[d] {
-				reEval(k)
+			for _, st := range i.byDest[d] {
+				reEval(st)
 			}
 		}
 	}
 	popTime := time.Since(popStart)
 
 	// ---- Filters 3-5 over the pairs that need detection -----------------
-	// Dirty pairs (det cleared above), pairs that just crossed out of a
+	// Changed pairs (det cleared above), pairs that just crossed out of a
 	// whitelist with no cached result, and pairs whose last detection
-	// errored (the full pipeline retries those every run; the memo only
-	// ever holds successes). Runs through the same guarded MapReduce job
-	// as the batch path, so memoization, bucket scheduling, fault points
-	// and timeout semantics are identical.
+	// errored or was dropped to a failure budget.
 	detStart := time.Now()
 	var detList []*timeseries.ActivitySummary
-	for _, k := range i.keys {
-		st := i.states[k]
-		if st.globalListed || st.localListed {
+	for _, st := range i.order {
+		if st.globalListed || st.localListed || st.det != nil || st.parked {
 			continue
 		}
-		if st.det == nil {
-			detList = append(detList, st.summary)
-		}
+		detList = append(detList, st.summary)
 	}
-	var detCounters mapreduceCounters
+	var detCounters mapreduce.Counters
 	if len(detList) > 0 {
 		detCtx, detDone := env.stageCtx("detect")
 		detections, counters, err := detectBeacons(
 			detCtx, detList, i.cfg.Detector, env.mrCfg, i.cfg.Exec,
-			env.g.CandidateTimeout, env.g.MaxInFlight, i.cfg.DetectMemo, i.cfg.Thresholds)
+			env.g.CandidateTimeout, env.g.MaxInFlight, i.cfg.Thresholds)
 		detDone()
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: detect: %w", err)
 		}
-		detCounters = mapreduceCounters{FailedInputs: counters.FailedInputs, FailedKeys: counters.FailedKeys}
+		detCounters = counters
 		for _, d := range detections {
 			st := i.states[pairKey{Src: d.Summary.Source, Dst: d.Summary.Destination}]
 			st.det, st.detErr = d.Result, d.Err
-			st.hasInd = false
+			st.ind = nil
 		}
 	}
 	detTime := time.Since(detStart)
 
 	// ---- Filters 6-8 over the pairs whose indication inputs changed -----
+	// Each candidate is analyzed in isolation: an error, panic, timeout or
+	// watchdog stall marks that candidate StageError and degrades the run
+	// instead of killing it. The analysis returns its outcome by value so
+	// a deadline can abandon an overrunning candidate without it racing on
+	// shared state (see guard.BoundWork).
 	rankStart := time.Now()
 	indWorker := env.wd.Worker("pipeline/indication")
 	defer indWorker.Done()
-	for _, k := range i.keys {
-		st := i.states[k]
+	for _, st := range i.order {
+		nd := st.noveltyDirty
+		st.noveltyDirty = false
 		if st.globalListed || st.localListed || st.det == nil {
 			continue
 		}
-		_, nd := i.noveltyDirty[k]
-		if st.hasInd && st.indErr == nil && !nd {
+		if st.ind != nil && !nd {
 			continue
 		}
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("pipeline: indication: %w", guardCause(ctx))
 		}
-		cand := &Candidate{Source: k.Src, Destination: k.Dst, Summary: st.summary, Detection: st.det}
+		cand := &Candidate{Source: st.summary.Source, Destination: st.summary.Destination, Summary: st.summary, Detection: st.det}
 		d := Detection{Summary: st.summary, Result: st.det}
 		out, err := guard.BoundWork(ctx, indWorker, env.g.CandidateTimeout, func() (indication, error) {
 			return runIndication(i.cfg, local, i.destPairs, cand, d)
 		})
-		st.ind, st.indErr, st.hasInd = out, err, true
-	}
-	if len(i.noveltyDirty) > 0 {
-		i.noveltyDirty = make(map[pairKey]struct{})
+		st.ind, st.indErr = nil, err
+		if err == nil {
+			st.ind = &out
+		}
 	}
 
 	// ---- Materialize the standing result --------------------------------
@@ -302,11 +365,10 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 	// mutate SuppressedBy, so cached state is never aliased into a Result.
 	res := &Result{}
 	res.Stats.InputEvents = i.inputEvents
-	res.Stats.Pairs = len(i.keys)
+	res.Stats.Pairs = len(i.order)
 	res.Stats.PopularityTime = popTime
 	res.Stats.DetectTime = detTime
-	for _, k := range i.keys {
-		st := i.states[k]
+	for _, st := range i.order {
 		if st.globalListed {
 			continue
 		}
@@ -315,26 +377,34 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 			continue
 		}
 		res.Stats.AfterLocalWhitelist++
-		cand := &Candidate{Source: k.Src, Destination: k.Dst, Summary: st.summary, Detection: st.det}
+		if st.det == nil && st.detErr == nil {
+			// The detect job dropped the pair to its failure budget: no
+			// verdict this tick (the counters below degrade the run), and
+			// the next tick detects it again.
+			continue
+		}
+		cand := &Candidate{Source: st.summary.Source, Destination: st.summary.Destination, Summary: st.summary, Detection: st.det}
 		res.Candidates = append(res.Candidates, cand)
 		if st.detErr != nil {
 			cand.SuppressedBy = StageError
 			res.Errors = append(res.Errors, CandidateError{
-				Source: k.Src, Destination: k.Dst, Stage: "detect", Err: st.detErr.Error(),
+				Source: cand.Source, Destination: cand.Destination, Stage: "detect", Err: st.detErr.Error(),
 			})
 			continue
 		}
 		if st.indErr != nil {
 			cand.SuppressedBy = StageError
 			res.Errors = append(res.Errors, CandidateError{
-				Source: k.Src, Destination: k.Dst, Stage: "indication", Err: st.indErr.Error(),
+				Source: cand.Source, Destination: cand.Destination, Stage: "indication", Err: st.indErr.Error(),
 			})
 			continue
 		}
-		out := st.ind
+		out := *st.ind
 		cand.LMScore, cand.Popularity, cand.SimilarSources = out.lmScore, out.popularity, out.similar
 		cand.Token, cand.Novelty, cand.Score = out.token, out.novelty, out.score
 		cand.SuppressedBy = out.suppressed
+		// Funnel accounting derives from where the candidate stopped, so
+		// abandoned analyses never double-count.
 		bookFunnel(&res.Stats, out.suppressed)
 	}
 	res.Stats.Errored = len(res.Errors)
@@ -343,8 +413,7 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 	if env.wd != nil {
 		res.Stats.Stalls = len(env.wd.Stalls())
 	}
-	res.Degraded = len(res.Errors) > 0 || len(res.Truncated) > 0 ||
-		res.Stats.FailedInputs > 0 || res.Stats.FailedKeys > 0
+	res.Degraded = len(res.Errors) > 0 || res.Stats.FailedInputs > 0 || res.Stats.FailedKeys > 0
 
 	rankAndReport(res, i.cfg)
 	res.Stats.RankTime = time.Since(rankStart)
@@ -355,16 +424,10 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 	// NewSource. Mark them all for re-indication.
 	if i.cfg.Novelty != nil {
 		for _, c := range res.Reported {
-			for k := range i.byDest[c.Destination] {
-				i.noveltyDirty[k] = struct{}{}
+			for _, st := range i.byDest[c.Destination] {
+				st.noveltyDirty = true
 			}
 		}
 	}
 	return res, nil
-}
-
-// mapreduceCounters mirrors mapreduce.Counters' failure-budget fields
-// without holding the full struct across the materialize pass.
-type mapreduceCounters struct {
-	FailedInputs, FailedKeys int64
 }

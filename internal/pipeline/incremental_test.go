@@ -2,27 +2,33 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"baywatch/internal/core"
 	"baywatch/internal/corpus"
 	"baywatch/internal/faultinject"
 	"baywatch/internal/langmodel"
+	"baywatch/internal/mapreduce"
 	"baywatch/internal/novelty"
+	"baywatch/internal/synthetic"
 	"baywatch/internal/timeseries"
 	"baywatch/internal/whitelist"
 )
 
-// incHarness drives an Incremental instance and, after every tick,
-// replays a full RunSummaries over the complete current pair set with an
+// incHarness drives a standing Incremental and, after every tick, runs
+// the full-recompute reference — RunSummaries, i.e. a fresh Incremental
+// ticked once from empty — over the complete current pair set with an
 // identically-historied novelty store, then asserts the two results are
-// bit-identical — candidates, detections, errors, reported ranking and
-// the whole funnel. This is the differential test that pins the
-// dirty-only tick contract.
+// bit-identical: candidates, detections, errors, reported ranking and the
+// whole funnel. This is the differential test that pins the dirty-only
+// tick contract.
 type incHarness struct {
 	t     *testing.T
 	cfg   Config
@@ -315,5 +321,191 @@ func TestIncrementalRetriesErroredPairs(t *testing.T) {
 func TestIncrementalRejectsMissingLM(t *testing.T) {
 	if _, err := NewIncremental(Config{}); err == nil || !strings.Contains(err.Error(), "language model") {
 		t.Fatalf("err = %v, want language-model requirement", err)
+	}
+}
+
+// TestIncrementalIdleTickRunsNoDetection pins the one per-pair detection
+// cache: after a tick has analyzed every pair, a tick with an empty delta
+// answers every unchanged pair from the standing state — zero detection
+// runs — and returns the identical result.
+func TestIncrementalIdleTickRunsNoDetection(t *testing.T) {
+	env := newTestEnv(t, []synthetic.Infection{zbotInfection(2)})
+	want, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.Reported == 0 {
+		t.Fatal("nothing reported; the comparison would be vacuous")
+	}
+	sums, _, _, err := ExtractSummaries(context.Background(), RecordEvents(env.trace.Records, env.corr), 1, 0, env.cfg.MapReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var detections atomic.Int64
+	SetFaultHook(func(point string) error {
+		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
+			detections.Add(1)
+		}
+		return nil
+	})
+	t.Cleanup(func() { SetFaultHook(nil) })
+
+	inc, err := NewIncremental(env.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := inc.Tick(context.Background(), sums, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFunnel(t, "loading tick", funnelOf(cold), funnelOf(want))
+	if n := detections.Load(); n != int64(want.Stats.AfterLocalWhitelist) {
+		t.Fatalf("loading tick ran %d detections, want one per pair past the whitelists (%d)", n, want.Stats.AfterLocalWhitelist)
+	}
+
+	detections.Store(0)
+	idle, err := inc.Tick(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := detections.Load(); n != 0 {
+		t.Fatalf("idle tick ran %d detection(s); every unchanged pair must answer from the standing state", n)
+	}
+	sameFunnel(t, "idle tick", funnelOf(idle), funnelOf(want))
+}
+
+// TestIncrementalBulkDeltasScale loads 200k pairs in reverse pair order,
+// evicts half of them in one tick and loads them again interleaved with
+// the survivors: each of these is O(n log n). An implementation that
+// shifts the canonical order once per inserted or removed pair moves on
+// the order of 10^10 slice elements here and does not finish inside the
+// package's test timeout.
+func TestIncrementalBulkDeltasScale(t *testing.T) {
+	const n = 200000
+	sums := make([]*timeseries.ActivitySummary, n)
+	var evict []PairRef
+	var reload []*timeseries.ActivitySummary
+	for j := range sums {
+		src := fmt.Sprintf("h%06d", n-1-j)
+		as, err := timeseries.FromTimestamps(src, "allowed.example", []int64{1, 2}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[j] = as
+		if j%2 == 0 {
+			evict = append(evict, PairRef{Source: src, Destination: "allowed.example"})
+			reload = append(reload, as)
+		}
+	}
+	h := newIncHarness(t)
+	tick := func(changed []*timeseries.ActivitySummary, removed []PairRef, wantPairs int) {
+		t.Helper()
+		res, err := h.inc.Tick(context.Background(), changed, removed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Pairs != wantPairs || h.inc.Pairs() != wantPairs || res.Stats.InputEvents != 2*wantPairs {
+			t.Fatalf("pairs = %d (standing %d), events = %d, want %d pairs", res.Stats.Pairs, h.inc.Pairs(), res.Stats.InputEvents, wantPairs)
+		}
+		if !slices.IsSortedFunc(h.inc.order, comparePairs) {
+			t.Fatal("standing order is not in pair order")
+		}
+	}
+	tick(sums, nil, n)
+	tick(nil, evict, n/2)
+	tick(reload, nil, n)
+}
+
+// TestDetectBudgetDropsPairWithoutVerdict: a pair the detect job sheds to
+// its failure budget has no detection result, so it must not surface as
+// a candidate (let alone a reported one) — the run is Degraded through
+// FailedInputs, and a standing pipeline detects the pair at the next tick.
+func TestDetectBudgetDropsPairWithoutVerdict(t *testing.T) {
+	h := newIncHarness(t)
+	cfg := h.cfg
+	cfg.MapReduce.Mappers = 1 // one mapper: the first map task is the first pair
+	cfg.Guard.FailureBudget = 1
+	inc, err := NewIncremental(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := int64(1_700_000_000)
+	sums := []*timeseries.ActivitySummary{
+		beaconSummary(t, "hostA", "beacon-dst.example", base, 60, 64, "/gate.php"),
+		sparseSummary(t, "hostC", "bg.example", base, 5),
+	}
+	sched := faultinject.New(0)
+	sched.FailAt(faultinject.PointMapreduceMapTask, 1, errors.New("injected map failure"))
+	mapreduce.SetFaultHook(sched.Hook())
+	t.Cleanup(func() { mapreduce.SetFaultHook(nil) })
+
+	res, err := inc.Tick(context.Background(), sums, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.Stats.FailedInputs != 1 {
+		t.Fatalf("degraded=%v failed inputs=%d, want the shed pair accounted", res.Degraded, res.Stats.FailedInputs)
+	}
+	if res.Stats.AfterLocalWhitelist != 2 || len(res.Candidates) != 1 || len(res.Errors) != 0 {
+		t.Fatalf("after whitelists %d, candidates %d, errors %d: want 2 pairs, 1 with a verdict",
+			res.Stats.AfterLocalWhitelist, len(res.Candidates), len(res.Errors))
+	}
+	for _, c := range res.Candidates {
+		if c.Detection == nil {
+			t.Fatalf("candidate %s->%s carries no detection", c.Source, c.Destination)
+		}
+	}
+
+	mapreduce.SetFaultHook(nil)
+	res, err = inc.Tick(context.Background(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded || len(res.Candidates) != 2 {
+		t.Fatalf("next tick: degraded=%v candidates=%d, want the shed pair detected", res.Degraded, len(res.Candidates))
+	}
+}
+
+// TestTickParksUnmergeablePair: summaries of one pair that cannot merge
+// (scale mismatch) isolate that pair under StageError on its first
+// summary — as DetectBeacons parks it — while other pairs are analyzed
+// normally; the pair stays parked, not re-detected on a partial history,
+// until its next delta.
+func TestTickParksUnmergeablePair(t *testing.T) {
+	h := newIncHarness(t)
+	base := int64(1_700_000_000)
+	good := beaconSummary(t, "h1", "ok.example", base, 60, 64, "/gate.php")
+	badA := beaconSummary(t, "h2", "bad.example", base, 60, 64, "/gate.php")
+	badB, err := timeseries.FromTimestamps("h2", "bad.example", []int64{0, 600}, 60) // scale mismatch
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick, delta := range [][]*timeseries.ActivitySummary{{badA, good, badB}, nil} {
+		res, err := h.inc.Tick(context.Background(), delta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Pairs != 2 || len(res.Candidates) != 2 || len(res.Errors) != 1 || !res.Degraded {
+			t.Fatalf("tick %d: pairs=%d candidates=%d errors=%+v degraded=%v", tick, res.Stats.Pairs, len(res.Candidates), res.Errors, res.Degraded)
+		}
+		if e := res.Errors[0]; e.Source != "h2" || e.Stage != "detect" || !strings.Contains(e.Err, "scale") {
+			t.Fatalf("tick %d: error record %+v, want the scale mismatch on h2", tick, e)
+		}
+		bad := res.Candidates[1]
+		if bad.Summary != badA || bad.Detection != nil || bad.SuppressedBy != StageError {
+			t.Fatalf("tick %d: parked candidate %+v, want the first summary under StageError", tick, bad)
+		}
+		if ok := res.Candidates[0]; ok.Source != "h1" || ok.Detection == nil || ok.SuppressedBy == StageError {
+			t.Fatalf("tick %d: healthy pair mishandled: %+v", tick, ok)
+		}
+	}
+	// A fresh delta un-parks the pair.
+	res, err := h.inc.Tick(context.Background(), []*timeseries.ActivitySummary{badA}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Errors) != 0 || res.Candidates[1].Detection == nil {
+		t.Fatalf("fresh delta left the pair parked: %+v", res.Errors)
 	}
 }

@@ -182,9 +182,11 @@ func collectExtraction(res *mapreduce.Result[extractOut]) ([]*timeseries.Activit
 	return summaries, truncated
 }
 
-// extractSummaries runs the data-extraction job over a materialized event
-// slice; see extractionJob.
-func extractSummaries(ctx context.Context, events []PairEvent, scale int64, maxEvents int, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, []TruncatedPair, mapreduce.Counters, error) {
+// ExtractSummaries runs the data-extraction job over a materialized event
+// slice (see extractionJob) and returns the summaries and truncation
+// records sorted by pair, plus the job's counters so callers can account
+// for failure budgets spent. maxEvents <= 0 means uncapped.
+func ExtractSummaries(ctx context.Context, events []PairEvent, scale int64, maxEvents int, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, []TruncatedPair, mapreduce.Counters, error) {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -196,42 +198,10 @@ func extractSummaries(ctx context.Context, events []PairEvent, scale int64, maxE
 	return summaries, truncated, res.Counters, nil
 }
 
-// ExtractSummariesStream runs the data-extraction job over a pull
-// iterator of pair events: map workers draw events from next (called
-// under a lock) as they go, so event streams too large to materialize —
-// or produced incrementally by a log scanner — flow through the job
-// without a []PairEvent ever existing. Semantics match
-// ExtractSummariesFromEventsCapped.
-func ExtractSummariesStream(ctx context.Context, next func() (PairEvent, bool), scale int64, maxEvents int, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, []TruncatedPair, error) {
-	if scale <= 0 {
-		scale = 1
-	}
-	res, err := extractionJob(ingest.NewSymbolTable(), scale, maxEvents, mrCfg).RunStream(ctx, next)
-	if err != nil {
-		return nil, nil, err
-	}
-	summaries, truncated := collectExtraction(res)
-	return summaries, truncated, nil
-}
-
-// ExtractSummariesFromEvents is the uncapped data-extraction job; see
-// extractSummaries.
-func ExtractSummariesFromEvents(ctx context.Context, events []PairEvent, scale int64, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, error) {
-	summaries, _, _, err := extractSummaries(ctx, events, scale, 0, mrCfg)
-	return summaries, err
-}
-
-// ExtractSummariesFromEventsCapped is the data-extraction job with the
-// per-pair admission cap: pairs over maxEvents events are truncated to
-// their earliest maxEvents and reported. maxEvents <= 0 means uncapped.
-func ExtractSummariesFromEventsCapped(ctx context.Context, events []PairEvent, scale int64, maxEvents int, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, []TruncatedPair, error) {
-	summaries, truncated, _, err := extractSummaries(ctx, events, scale, maxEvents, mrCfg)
-	return summaries, truncated, err
-}
-
-// recordEvents converts proxy records to pair events, resolving sources
-// through the DHCP correlation when corr is non-nil.
-func recordEvents(records []*proxylog.Record, corr *proxylog.Correlator) []PairEvent {
+// RecordEvents converts proxy records to pair events, resolving sources
+// through the DHCP correlation when corr is non-nil (device MACs) and
+// using raw client IPs otherwise.
+func RecordEvents(records []*proxylog.Record, corr *proxylog.Correlator) []PairEvent {
 	events := make([]PairEvent, len(records))
 	for i, r := range records {
 		src := r.ClientIP
@@ -241,71 +211,6 @@ func recordEvents(records []*proxylog.Record, corr *proxylog.Correlator) []PairE
 		events[i] = PairEvent{Source: src, Destination: r.Host, Timestamp: r.Timestamp, Path: r.Path}
 	}
 	return events
-}
-
-// ExtractSummaries runs the data-extraction job over web-proxy records.
-// When corr is non-nil, sources are device MACs resolved through the DHCP
-// correlation; otherwise raw client IPs.
-func ExtractSummaries(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correlator, scale int64, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, error) {
-	return ExtractSummariesFromEvents(ctx, recordEvents(records, corr), scale, mrCfg)
-}
-
-// ExtractSummariesCapped runs the data-extraction job over web-proxy
-// records with the per-pair admission cap (see
-// ExtractSummariesFromEventsCapped).
-func ExtractSummariesCapped(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correlator, scale int64, maxEvents int, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, []TruncatedPair, error) {
-	return ExtractSummariesFromEventsCapped(ctx, recordEvents(records, corr), scale, maxEvents, mrCfg)
-}
-
-// destCount is the popularity job's output: destination and its distinct
-// source count.
-type destCount struct {
-	dest    string
-	sources int
-}
-
-// PopularityStats is the destination-popularity MapReduce job
-// (Sect. VII-C): MAP emits (destination, source) per summary; REDUCE
-// counts distinct sources per destination. It also returns the total
-// number of distinct sources, the denominator of the local-whitelist
-// ratio.
-func PopularityStats(ctx context.Context, summaries []*timeseries.ActivitySummary, mrCfg mapreduce.JobConfig) (map[string]int, int, error) {
-	dest, total, _, err := popularityStats(ctx, summaries, mrCfg)
-	return dest, total, err
-}
-
-// popularityStats is PopularityStats returning the job counters too, so
-// the pipeline can account for failure budgets spent in this stage.
-func popularityStats(ctx context.Context, summaries []*timeseries.ActivitySummary, mrCfg mapreduce.JobConfig) (map[string]int, int, mapreduce.Counters, error) {
-	mrCfg.Name = "destination-popularity"
-	job := mapreduce.NewJob[*timeseries.ActivitySummary, string, string, destCount](
-		mrCfg,
-		func(as *timeseries.ActivitySummary, emit mapreduce.Emitter[string, string]) error {
-			emit(as.Destination, as.Source)
-			return nil
-		},
-		func(dest string, sources []string, emit func(destCount)) error {
-			distinct := make(map[string]struct{}, len(sources))
-			for _, s := range sources {
-				distinct[s] = struct{}{}
-			}
-			emit(destCount{dest: dest, sources: len(distinct)})
-			return nil
-		},
-	)
-	res, err := job.Run(ctx, summaries)
-	if err != nil {
-		return nil, 0, mapreduce.Counters{}, err
-	}
-	out := make(map[string]int, len(res.Outputs))
-	for _, dc := range res.Outputs {
-		out[dc.dest] = dc.sources
-	}
-	totalSources := make(map[string]struct{})
-	for _, as := range summaries {
-		totalSources[as.Source] = struct{}{}
-	}
-	return out, len(totalSources), res.Counters, nil
 }
 
 // Detection pairs a summary with its periodicity result. When Err is
@@ -429,9 +334,7 @@ func safeDetectOne(det *core.Detector, thrMemo *core.ThresholdMemo, as *timeseri
 }
 
 // sortDetections orders detections canonically by (source, destination),
-// so every execution mode — in-process, streaming, multi-process exec, and
-// daemon ticks — hands downstream stages the identical order regardless of
-// how the bucket scheduling distributed the work.
+// whatever way the bucket scheduling distributed the work.
 func sortDetections(ds []Detection) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i].Summary, ds[j].Summary
@@ -452,7 +355,7 @@ func sortDetections(ds []Detection) {
 // set rather than failing the job.
 func DetectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, det *core.Detector, mrCfg mapreduce.JobConfig) ([]Detection, error) {
 	merged, failed := premergePairs(summaries)
-	res, err := detectJob(ctx, det, mrCfg, 0, 0, nil, core.NewThresholdMemo(0)).Run(ctx, merged)
+	res, err := detectJob(ctx, det, mrCfg, 0, 0, core.NewThresholdMemo(0)).Run(ctx, merged)
 	if err != nil {
 		return nil, err
 	}
@@ -461,22 +364,20 @@ func DetectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary,
 	return out, nil
 }
 
-// detectBeacons is the guarded beaconing-detection job: candidateTimeout
-// > 0 bounds each pair's detection in wall-clock time (an overrun parks
-// the pair as a Detection with Err wrapping guard.ErrTimeout instead of
-// wedging the reducer), and maxInFlight > 0 bounds the number of pairs
-// admitted to detection concurrently. When ec enables the multi-process
-// executor, the job runs distributed across exec'd workers (see exec.go)
-// and takes the detector's Config rather than a live Detector so workers
-// can rebuild it; each worker keeps its own threshold memo, which is
-// harmless for identity (a memo hit equals a cold computation bit for
-// bit) and still captures the bucket locality of its task's partition.
-func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, mrCfg mapreduce.JobConfig, ec mapreduce.ExecConfig, candidateTimeout time.Duration, maxInFlight int, memo DetectMemo, thrMemo *core.ThresholdMemo) ([]Detection, mapreduce.Counters, error) {
-	merged, failed := premergePairs(summaries)
-	if thrMemo == nil {
-		thrMemo = core.NewThresholdMemo(0)
-	}
-	job := detectJob(ctx, core.NewDetector(detCfg), mrCfg, candidateTimeout, maxInFlight, memo, thrMemo)
+// detectBeacons is the guarded beaconing-detection job the analysis core
+// runs over the pairs that need detection (one summary per pair, results
+// in no particular order): candidateTimeout > 0 bounds each pair's
+// detection in wall-clock time (an overrun parks the pair as a Detection
+// with Err wrapping guard.ErrTimeout instead of wedging the reducer), and
+// maxInFlight > 0 bounds the number of pairs admitted to detection
+// concurrently. When ec enables the multi-process executor, the job runs
+// distributed across exec'd workers (see exec.go) and takes the
+// detector's Config rather than a live Detector so workers can rebuild
+// it; each worker keeps its own threshold memo, which is harmless for
+// identity (a memo hit equals a cold computation bit for bit) and still
+// captures the bucket locality of its task's partition.
+func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, mrCfg mapreduce.JobConfig, ec mapreduce.ExecConfig, candidateTimeout time.Duration, maxInFlight int, thrMemo *core.ThresholdMemo) ([]Detection, mapreduce.Counters, error) {
+	job := detectJob(ctx, core.NewDetector(detCfg), mrCfg, candidateTimeout, maxInFlight, thrMemo)
 	var res *mapreduce.Result[Detection]
 	var err error
 	if ec.Enabled() {
@@ -489,30 +390,23 @@ func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary,
 		if perr != nil {
 			return nil, mapreduce.Counters{}, perr
 		}
-		res, err = job.RunExec(ctx, detectJobName, params, ec, merged)
+		res, err = job.RunExec(ctx, detectJobName, params, ec, summaries)
 	} else {
-		res, err = job.Run(ctx, merged)
+		res, err = job.Run(ctx, summaries)
 	}
 	if err != nil {
 		return nil, mapreduce.Counters{}, err
 	}
-	out := append(res.Outputs, failed...)
-	sortDetections(out)
-	return out, res.Counters, nil
+	return res.Outputs, res.Counters, nil
 }
 
 // detectJob builds the beaconing-detection MapReduce job around a live
 // detector. Both execution paths share it: the in-process engine runs it
 // directly, and worker processes rebuild it from detectParams (exec.go,
-// always with a nil DetectMemo — that cache cannot cross the process
-// boundary — and a fresh worker-local threshold memo). A non-nil memo
-// short-circuits detection for pairs whose result is cached; the caller
-// guarantees cached entries match the pair's current summary (see
-// Config.DetectMemo). Inputs must be pre-merged to one summary per pair
-// (premergePairs); the reduce group is a bucket of same-shape pairs, run
-// in pair order with per-pair admission, timeout and fault isolation
-// exactly as the pair-keyed job applied.
-func detectJob(ctx context.Context, det *core.Detector, mrCfg mapreduce.JobConfig, candidateTimeout time.Duration, maxInFlight int, memo DetectMemo, thrMemo *core.ThresholdMemo) *mapreduce.Job[*timeseries.ActivitySummary, detectKey, *timeseries.ActivitySummary, Detection] {
+// with a fresh worker-local threshold memo). Inputs must hold one summary
+// per pair; the reduce group is a bucket of same-shape pairs, run in pair
+// order with per-pair admission, timeout and fault isolation.
+func detectJob(ctx context.Context, det *core.Detector, mrCfg mapreduce.JobConfig, candidateTimeout time.Duration, maxInFlight int, thrMemo *core.ThresholdMemo) *mapreduce.Job[*timeseries.ActivitySummary, detectKey, *timeseries.ActivitySummary, Detection] {
 	mrCfg.Name = "beaconing-detection"
 	sem := guard.NewSemaphore(maxInFlight)
 	detectOne := func(as *timeseries.ActivitySummary, emit func(Detection)) error {
@@ -520,20 +414,8 @@ func detectJob(ctx context.Context, det *core.Detector, mrCfg mapreduce.JobConfi
 			return err
 		}
 		defer sem.Release()
-		if memo != nil {
-			if r, ok := memo.Get(as.Source, as.Destination); ok {
-				emit(Detection{Summary: as, Result: r})
-				return nil
-			}
-		}
-		record := func(d Detection) Detection {
-			if memo != nil && d.Err == nil && d.Result != nil {
-				memo.Put(as.Source, as.Destination, d.Result)
-			}
-			return d
-		}
 		if candidateTimeout <= 0 {
-			emit(record(safeDetectOne(det, thrMemo, as)))
+			emit(safeDetectOne(det, thrMemo, as))
 			return nil
 		}
 		// The detection runs on its own goroutine so an overrun can be
@@ -552,7 +434,7 @@ func detectJob(ctx context.Context, det *core.Detector, mrCfg mapreduce.JobConfi
 			}
 			return err
 		}
-		emit(record(d))
+		emit(d)
 		return nil
 	}
 	return mapreduce.NewJob[*timeseries.ActivitySummary, detectKey, *timeseries.ActivitySummary, Detection](

@@ -14,9 +14,15 @@
 //	  8. weighted ranking (language model, popularity, periodicity)
 //	Phase D — investigation (see package triage)
 //
-// The data-extraction, popularity-statistics and beaconing-detection
-// phases run as MapReduce jobs, mirroring the paper's modular Hadoop
-// implementation; the cheap per-candidate filters run map-side.
+// Every mode is a front half that produces per-pair activity summaries —
+// the data-extraction MapReduce job over a record slice (Run), the sharded
+// streaming ingest (RunStream), the daemon's event store (internal/source)
+// — feeding the one back half that runs filters 1-8: Incremental (see
+// incremental.go). The one-shot entry points tick a fresh Incremental
+// once with every pair changed; the daemon keeps one standing and ticks
+// it with deltas. Beaconing detection runs as a MapReduce job, mirroring
+// the paper's modular Hadoop implementation; destination popularity is a
+// set of counts the core maintains.
 package pipeline
 
 import (
@@ -77,34 +83,13 @@ type Config struct {
 	// deadlines, watchdog stall detection, in-flight admission control and
 	// the per-pair event cap. The zero value disables every bound.
 	Guard guard.Config
-	// DetectMemo, when non-nil, caches per-pair periodicity results across
-	// runs: the detect stage consults it before running detection on a
-	// pair and stores every successful result back. Detection is
-	// deterministic for a given summary (core.Config.Seed), so a cached
-	// result is valid exactly as long as the pair's merged summary is
-	// unchanged — the CALLER must invalidate entries whose input changed
-	// (the streaming daemon drops dirty pairs before every incremental
-	// tick). Only the in-process execution path consults the memo; exec'd
-	// workers always recompute. Nil disables memoization.
-	DetectMemo DetectMemo
 	// Thresholds, when non-nil, carries memoized permutation thresholds
 	// across runs: same-shape series share one cached null distribution
 	// (see core.ThresholdMemo — hits are bit-identical to recomputation,
-	// so sharing never changes verdicts). The streaming daemon passes a
-	// long-lived memo so incremental ticks detect dirty pairs against
-	// thresholds warmed by earlier ticks. Nil gives each run a private
-	// memo; bucket-level sharing within the run still applies.
+	// so sharing never changes verdicts). Nil gives each Incremental a
+	// private memo, which a standing one keeps warm from tick to tick;
+	// bucket-level sharing within a tick applies either way.
 	Thresholds *core.ThresholdMemo
-}
-
-// DetectMemo caches detection results across pipeline runs, keyed by the
-// (source, destination) pair. Implementations must be safe for concurrent
-// use: the detect stage calls Get and Put from parallel reduce workers.
-type DetectMemo interface {
-	// Get returns the cached result for the pair, if any.
-	Get(source, destination string) (*core.Result, bool)
-	// Put stores a successful detection result for the pair.
-	Put(source, destination string, r *core.Result)
 }
 
 func (c Config) withDefaults() Config {
@@ -285,11 +270,9 @@ type IngestStats struct {
 	FirstSkipped string
 }
 
-// guardEnv is the resilience environment one run executes under: the
-// guard bounds threaded into MapReduce configs, the shared watchdog, and
-// the per-stage deadline factory. Both entry points (batch Run and the
-// sharded RunStream) build one with newGuardEnv so the streaming path
-// inherits every guard/degraded semantic of the batch path.
+// guardEnv is the resilience environment a front half or a tick executes
+// under: the guard bounds threaded into MapReduce configs, a watchdog,
+// and the per-stage deadline factory.
 type guardEnv struct {
 	g        guard.Config
 	mrCfg    mapreduce.JobConfig
@@ -331,182 +314,100 @@ func newGuardEnv(ctx context.Context, cfg Config) (*guardEnv, func()) {
 	return env, cleanup
 }
 
-// recordTruncation books the extraction phase's truncation output into
-// the result.
-func recordTruncation(res *Result, truncated []TruncatedPair) {
-	res.Truncated = truncated
-	res.Stats.TruncatedPairs = len(truncated)
-	for _, tp := range truncated {
+// extraction is what a front half hands the analysis core: the per-pair
+// summaries (at most one per pair is usual; duplicates merge), plus the
+// accounting only the front half can know.
+type extraction struct {
+	summaries []*timeseries.ActivitySummary
+	truncated []TruncatedPair
+	// inputEvents is the number of events read, before any truncation.
+	inputEvents int
+	// counters carries the extraction job's failure-budget spend (zero for
+	// the streaming scan, which aborts on errors instead of budgeting them).
+	counters mapreduce.Counters
+	// ingest is the streaming scan's accounting; nil for record slices.
+	ingest *IngestStats
+}
+
+// runExtracted is every one-shot mode: run the front half under the
+// extract stage's guard bounds, tick a fresh Incremental once with every
+// summary changed, and book the front half's accounting into the Result.
+// The summaries come back too, for callers that keep them.
+func runExtracted(ctx context.Context, cfg Config, extract func(context.Context, Config, *guardEnv) (extraction, error)) (*Result, []*timeseries.ActivitySummary, error) {
+	inc, err := NewIncremental(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg = inc.cfg
+
+	start := time.Now()
+	env, cleanup := newGuardEnv(ctx, cfg)
+	extCtx, extDone := env.stageCtx("extract")
+	ext, err := extract(extCtx, cfg, env)
+	extDone()
+	stalls := 0
+	if env.wd != nil {
+		stalls = len(env.wd.Stalls())
+	}
+	cleanup()
+	if err != nil {
+		return nil, nil, err
+	}
+	extractTime := time.Since(start)
+
+	res, err := inc.Tick(ctx, ext.summaries, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Stats.InputEvents = ext.inputEvents
+	res.Stats.ExtractTime = extractTime
+	res.Truncated = ext.truncated
+	res.Stats.TruncatedPairs = len(ext.truncated)
+	for _, tp := range ext.truncated {
 		res.Stats.DroppedEvents += tp.Dropped
 	}
+	res.Stats.FailedInputs += ext.counters.FailedInputs
+	res.Stats.FailedKeys += ext.counters.FailedKeys
+	res.Stats.Stalls += stalls
+	res.Ingest = ext.ingest
+	res.Degraded = res.Degraded || len(ext.truncated) > 0 ||
+		ext.counters.FailedInputs > 0 || ext.counters.FailedKeys > 0
+	return res, ext.summaries, nil
 }
 
 // Run executes the full pipeline over proxy log records. corr may be nil,
 // in which case raw client IPs identify sources.
 func Run(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correlator, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.LM == nil {
-		return nil, fmt.Errorf("pipeline: language model is required")
-	}
-	res := &Result{}
-	res.Stats.InputEvents = len(records)
+	res, _, err := RunWithSummaries(ctx, records, corr, cfg)
+	return res, err
+}
 
-	env, cleanup := newGuardEnv(ctx, cfg)
-	defer cleanup()
-
-	// ---- Phase: data extraction (MapReduce job 1) -----------------------
-	start := time.Now()
-	extCtx, extDone := env.stageCtx("extract")
-	summaries, truncated, extCounters, err := extractSummaries(
-		extCtx, recordEvents(records, corr), cfg.Scale, env.g.MaxEventsPerPair, env.mrCfg)
-	extDone()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: extract: %w", err)
-	}
-	recordTruncation(res, truncated)
-	res.Stats.ExtractTime = time.Since(start)
-
-	return analyze(ctx, res, summaries, extCounters, cfg, env)
+// RunWithSummaries is Run, additionally returning the extracted per-pair
+// summaries (sorted by source, destination), so a caller that keeps them
+// — the ops loop persists them as the day's history — does not pay a
+// second extraction pass.
+func RunWithSummaries(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correlator, cfg Config) (*Result, []*timeseries.ActivitySummary, error) {
+	return runExtracted(ctx, cfg, func(ctx context.Context, cfg Config, env *guardEnv) (extraction, error) {
+		// Data extraction is MapReduce job 1 (Sect. VII-A).
+		summaries, truncated, counters, err := ExtractSummaries(
+			ctx, RecordEvents(records, corr), cfg.Scale, env.g.MaxEventsPerPair, env.mrCfg)
+		if err != nil {
+			return extraction{}, fmt.Errorf("pipeline: extract: %w", err)
+		}
+		return extraction{summaries: summaries, truncated: truncated, inputEvents: len(records), counters: counters}, nil
+	})
 }
 
 // RunSummaries executes filters 1-8 over already-extracted activity
-// summaries, skipping the extraction phase entirely. It is the entry
-// point for callers that maintain their own per-pair event store — the
-// streaming daemon (internal/source) rebuilds summaries incrementally
-// and re-analyzes them every tick, with Config.DetectMemo skipping
-// detection for pairs whose history is unchanged. summaries must be in a
-// deterministic order (sort by source, destination) for reproducible
-// report ordering, and must hold at most one summary per pair unless the
-// caller intends the detect stage to merge duplicates.
+// summaries: one tick of a fresh Incremental. The summaries may be in any
+// order and may hold several summaries of one pair, which merge before
+// analysis; candidates and the report come out in pair order regardless.
 func RunSummaries(ctx context.Context, summaries []*timeseries.ActivitySummary, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.LM == nil {
-		return nil, fmt.Errorf("pipeline: language model is required")
-	}
-	res := &Result{}
-	for _, as := range summaries {
-		res.Stats.InputEvents += as.EventCount()
-	}
-
-	env, cleanup := newGuardEnv(ctx, cfg)
-	defer cleanup()
-	return analyze(ctx, res, summaries, mapreduce.Counters{}, cfg, env)
-}
-
-// analyze runs filters 1-8 over the extracted summaries: the shared tail
-// of the batch (Run) and sharded streaming (RunStream) entry points.
-// res arrives with the extraction phase already booked (truncation,
-// input counts, extract timing); extCounters carries the extraction
-// job's failure-budget spend (zero for the streaming path, which aborts
-// on scan errors instead of budgeting them). summaries must be in a
-// deterministic order — both extraction paths sort by (source,
-// destination) — so candidate and report ordering is reproducible and
-// path-independent.
-func analyze(ctx context.Context, res *Result, summaries []*timeseries.ActivitySummary, extCounters mapreduce.Counters, cfg Config, env *guardEnv) (*Result, error) {
-	g, mrCfg, wd, stageCtx := env.g, env.mrCfg, env.wd, env.stageCtx
-	res.Stats.Pairs = len(summaries)
-
-	// ---- Phase: destination popularity (MapReduce job 2) ----------------
-	start := time.Now()
-	popCtx, popDone := stageCtx("popularity")
-	destSources, totalSources, popCounters, err := popularityStats(popCtx, summaries, mrCfg)
-	popDone()
+	inc, err := NewIncremental(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: popularity: %w", err)
+		return nil, err
 	}
-	local := whitelist.NewLocal(cfg.LocalTau)
-	local.Build(destSources, totalSources)
-	res.Stats.PopularityTime = time.Since(start)
-
-	// ---- Filters 1-2: whitelists ----------------------------------------
-	var analyzable []*timeseries.ActivitySummary
-	afterGlobal := 0
-	for _, as := range summaries {
-		if cfg.Global != nil && cfg.Global.Contains(as.Destination) {
-			continue
-		}
-		afterGlobal++
-		if local.Contains(as.Destination) {
-			continue
-		}
-		analyzable = append(analyzable, as)
-	}
-	res.Stats.AfterGlobalWhitelist = afterGlobal
-	res.Stats.AfterLocalWhitelist = len(analyzable)
-
-	// ---- Filters 3-5: beaconing detection (MapReduce job 3) -------------
-	start = time.Now()
-	detCtx, detDone := stageCtx("detect")
-	detections, detCounters, err := detectBeacons(
-		detCtx, analyzable, cfg.Detector, mrCfg, cfg.Exec, g.CandidateTimeout, g.MaxInFlight, cfg.DetectMemo, cfg.Thresholds)
-	detDone()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: detect: %w", err)
-	}
-	res.Stats.DetectTime = time.Since(start)
-
-	// ---- Filters 6-8: suspicious indication analysis ---------------------
-	// Each candidate is analyzed in isolation: an error, panic, timeout or
-	// watchdog stall marks that candidate StageError and degrades the run
-	// instead of killing it (a single dirty history must not abort a day
-	// of detection). The analysis returns an outcome by value so a
-	// deadline can abandon an overrunning candidate without it racing on
-	// the shared candidate or stats (see guard.RunBounded).
-	start = time.Now()
-	indicate := func(cand *Candidate, d Detection) (indication, error) {
-		return runIndication(cfg, local, destSources, cand, d)
-	}
-	indWorker := wd.Worker("pipeline/indication")
-	defer indWorker.Done()
-	for _, d := range detections {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("pipeline: indication: %w", guardCause(ctx))
-		}
-		cand := &Candidate{
-			Source:      d.Summary.Source,
-			Destination: d.Summary.Destination,
-			Summary:     d.Summary,
-			Detection:   d.Result,
-		}
-		res.Candidates = append(res.Candidates, cand)
-		if d.Err != nil {
-			cand.SuppressedBy = StageError
-			res.Errors = append(res.Errors, CandidateError{
-				Source: cand.Source, Destination: cand.Destination,
-				Stage: "detect", Err: d.Err.Error(),
-			})
-			continue
-		}
-		out, err := guard.BoundWork(ctx, indWorker, g.CandidateTimeout, func() (indication, error) {
-			return indicate(cand, d)
-		})
-		if err != nil {
-			cand.SuppressedBy = StageError
-			res.Errors = append(res.Errors, CandidateError{
-				Source: cand.Source, Destination: cand.Destination,
-				Stage: "indication", Err: err.Error(),
-			})
-			continue
-		}
-		cand.LMScore, cand.Popularity, cand.SimilarSources = out.lmScore, out.popularity, out.similar
-		cand.Token, cand.Novelty, cand.Score = out.token, out.novelty, out.score
-		cand.SuppressedBy = out.suppressed
-		// Funnel accounting derives from where the candidate stopped, so
-		// abandoned analyses never double-count.
-		bookFunnel(&res.Stats, out.suppressed)
-	}
-	res.Stats.Errored = len(res.Errors)
-	res.Stats.FailedInputs = extCounters.FailedInputs + popCounters.FailedInputs + detCounters.FailedInputs
-	res.Stats.FailedKeys = extCounters.FailedKeys + popCounters.FailedKeys + detCounters.FailedKeys
-	if wd != nil {
-		res.Stats.Stalls = len(wd.Stalls())
-	}
-	res.Degraded = len(res.Errors) > 0 || len(res.Truncated) > 0 ||
-		res.Stats.FailedInputs > 0 || res.Stats.FailedKeys > 0
-
-	rankAndReport(res, cfg)
-	res.Stats.RankTime = time.Since(start)
-	return res, nil
+	return inc.Tick(ctx, summaries, nil)
 }
 
 // indication is the outcome of filters 6-8 for one candidate, computed by
@@ -523,9 +424,7 @@ type indication struct {
 }
 
 // runIndication executes the suspicious-indication analysis (filters 6-8
-// minus the final percentile cut) for one detected candidate. It is the
-// single implementation both the batch path (analyze) and the incremental
-// path (Incremental.Tick) run, so the two stay bit-identical: language
+// minus the final percentile cut) for one detected candidate: language
 // model score, local popularity, periodicity gate, token filter, novelty
 // check and the weighted ranking score.
 func runIndication(cfg Config, local *whitelist.Local, destSources map[string]int, cand *Candidate, d Detection) (out indication, err error) {
@@ -568,7 +467,7 @@ func runIndication(cfg Config, local *whitelist.Local, destSources map[string]in
 }
 
 // bookFunnel accounts one candidate's pre-ranking outcome into the
-// filtering funnel, shared by the batch and incremental paths.
+// filtering funnel.
 func bookFunnel(stats *Stats, suppressed FilterStage) {
 	switch suppressed {
 	case StageNotPeriodic:
@@ -586,8 +485,7 @@ func bookFunnel(stats *Stats, suppressed FilterStage) {
 
 // rankAndReport is filter 8: rank the surviving candidates, apply the
 // percentile threshold, record reported pairs in the novelty store, and
-// mark the rest StageRankThreshold. Shared by the batch and incremental
-// paths so the report tail cannot drift between them.
+// mark the rest StageRankThreshold.
 func rankAndReport(res *Result, cfg Config) {
 	var rankable []ranking.Case
 	byKey := make(map[pairKey]*Candidate)

@@ -196,7 +196,7 @@ func TestExtractSummaries(t *testing.T) {
 		{Timestamp: 220, ClientIP: "10.0.0.1", Host: "a.com", Path: "/x"},
 		{Timestamp: 100, ClientIP: "10.0.0.2", Host: "b.com", Path: "/z"},
 	}
-	sums, err := ExtractSummaries(context.Background(), recs, nil, 1, defaultMRCfg())
+	sums, _, _, err := ExtractSummaries(context.Background(), RecordEvents(recs, nil), 1, 0, defaultMRCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestExtractSummariesWithCorrelator(t *testing.T) {
 		{Timestamp: 100, ClientIP: "10.0.0.1", Host: "a.com", Path: "/x"},
 		{Timestamp: 200, ClientIP: "10.0.0.1", Host: "a.com", Path: "/x"},
 	}
-	sums, err := ExtractSummaries(context.Background(), recs, corr, 1, defaultMRCfg())
+	sums, _, _, err := ExtractSummaries(context.Background(), RecordEvents(recs, corr), 1, 0, defaultMRCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,10 @@ func TestExtractSummariesWithCorrelator(t *testing.T) {
 	}
 }
 
-func TestPopularityStats(t *testing.T) {
+// TestPopularityCounts pins the destination-popularity counts the core
+// maintains (Sect. VII-C): distinct sources per destination over the
+// distinct-source population.
+func TestPopularityCounts(t *testing.T) {
 	mk := func(src, dst string) *timeseries.ActivitySummary {
 		as, err := timeseries.FromTimestamps(src, dst, []int64{1, 2}, 1)
 		if err != nil {
@@ -252,20 +255,26 @@ func TestPopularityStats(t *testing.T) {
 		return as
 	}
 	sums := []*timeseries.ActivitySummary{
-		mk("s1", "popular.com"), mk("s2", "popular.com"), mk("s3", "popular.com"),
-		mk("s1", "rare.com"),
+		mk("s1", "popular.example"), mk("s2", "popular.example"), mk("s3", "popular.example"),
+		mk("s1", "rare.example"),
 		// Same pair twice (two files) must not double-count the source.
-		mk("s2", "rare2.com"), mk("s2", "rare2.com"),
+		mk("s2", "rare2.example"), mk("s2", "rare2.example"),
 	}
-	counts, total, err := PopularityStats(context.Background(), sums, defaultMRCfg())
+	res, err := RunSummaries(context.Background(), sums, smallConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 3 {
-		t.Errorf("total sources = %d, want 3", total)
+	if res.Stats.Pairs != 5 || len(res.Candidates) != 5 {
+		t.Fatalf("pairs = %d, candidates = %d, want 5 distinct pairs", res.Stats.Pairs, len(res.Candidates))
 	}
-	if counts["popular.com"] != 3 || counts["rare.com"] != 1 || counts["rare2.com"] != 1 {
-		t.Errorf("counts = %v", counts)
+	want := map[string]int{"popular.example": 3, "rare.example": 1, "rare2.example": 1}
+	for _, c := range res.Candidates {
+		if c.SimilarSources != want[c.Destination] {
+			t.Errorf("%s: similar sources = %d, want %d", c.Destination, c.SimilarSources, want[c.Destination])
+		}
+		if p := float64(want[c.Destination]) / 3; c.Popularity != p {
+			t.Errorf("%s: popularity = %v, want %v (3 distinct sources)", c.Destination, c.Popularity, p)
+		}
 	}
 }
 

@@ -3,10 +3,8 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"baywatch/internal/ingest"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/proxylog"
 	"baywatch/internal/timeseries"
 )
@@ -25,69 +23,50 @@ type StreamOptions struct {
 }
 
 // RunStream executes the full pipeline over sharded log sources: the
-// extraction phase is the streaming ingest layer (parallel zero-copy
-// shard scan, interned pair IDs, direct-to-summary aggregation) instead
-// of the batch record slice + MapReduce extraction job. Everything
-// downstream — whitelists, detection, indication, ranking, guard
-// bounds, degraded-mode accounting — is the exact same code path as
-// Run, and the two produce identical Results on identical input (the
-// package's differential tests pin this equivalence). corr may be nil,
-// in which case raw client IPs identify sources.
+// front half is the streaming ingest layer (parallel zero-copy shard
+// scan, interned pair IDs, direct-to-summary aggregation) instead of the
+// record slice + MapReduce extraction job of Run. The back half is the
+// same Incremental tick, and the two produce identical Results on
+// identical input (the package's differential tests pin this). corr may
+// be nil, in which case raw client IPs identify sources.
 func RunStream(ctx context.Context, shards []proxylog.Split, corr *proxylog.Correlator, cfg Config, opt StreamOptions) (*Result, error) {
 	res, _, err := RunStreamSummaries(ctx, shards, corr, cfg, opt)
 	return res, err
 }
 
 // RunStreamSummaries is RunStream, additionally returning the extracted
-// per-pair summaries (sorted by source, destination). Callers that need
-// the summaries as well as the run result — the ops loop persists them
-// as the day's history — take them from here instead of paying a second
-// extraction pass over the logs.
+// per-pair summaries (sorted by source, destination); see
+// RunWithSummaries.
 func RunStreamSummaries(ctx context.Context, shards []proxylog.Split, corr *proxylog.Correlator, cfg Config, opt StreamOptions) (*Result, []*timeseries.ActivitySummary, error) {
-	cfg = cfg.withDefaults()
-	if cfg.LM == nil {
-		return nil, nil, fmt.Errorf("pipeline: language model is required")
-	}
-	res := &Result{}
-
-	env, cleanup := newGuardEnv(ctx, cfg)
-	defer cleanup()
-
-	// ---- Phase: streaming data extraction -------------------------------
-	// The stage deadline and the per-pair event cap apply exactly as in
-	// the batch extraction job; scan errors abort the run like a failed
-	// extraction job would.
-	start := time.Now()
-	extCtx, extDone := env.stageCtx("extract")
-	ires, err := ingest.Ingest(extCtx, shards, ingest.Config{
-		Workers:          opt.Workers,
-		Scale:            cfg.Scale,
-		MaxBadLines:      opt.MaxBadLines,
-		MaxEventsPerPair: env.g.MaxEventsPerPair,
-		Correlator:       corr,
-		Symbols:          opt.Symbols,
+	return runExtracted(ctx, cfg, func(ctx context.Context, cfg Config, env *guardEnv) (extraction, error) {
+		// The stage deadline and the per-pair event cap apply exactly as in
+		// the extraction job; scan errors abort the run like a failed
+		// extraction job would.
+		ires, err := ingest.Ingest(ctx, shards, ingest.Config{
+			Workers:          opt.Workers,
+			Scale:            cfg.Scale,
+			MaxBadLines:      opt.MaxBadLines,
+			MaxEventsPerPair: env.g.MaxEventsPerPair,
+			Correlator:       corr,
+			Symbols:          opt.Symbols,
+		})
+		if err != nil {
+			return extraction{}, fmt.Errorf("pipeline: ingest: %w", err)
+		}
+		truncated := make([]TruncatedPair, len(ires.Truncated))
+		for i, tr := range ires.Truncated {
+			truncated[i] = TruncatedPair{Source: tr.Source, Destination: tr.Destination, Kept: tr.Kept, Dropped: tr.Dropped}
+		}
+		return extraction{
+			summaries:   ires.Summaries,
+			truncated:   truncated,
+			inputEvents: ires.Stats.Records,
+			ingest: &IngestStats{
+				Shards:       len(ires.Stats.Shards),
+				Records:      ires.Stats.Records,
+				SkippedLines: ires.Stats.SkippedLines,
+				FirstSkipped: ires.Stats.FirstSkipped,
+			},
+		}, nil
 	})
-	extDone()
-	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline: ingest: %w", err)
-	}
-	res.Stats.InputEvents = ires.Stats.Records
-	res.Ingest = &IngestStats{
-		Shards:       len(ires.Stats.Shards),
-		Records:      ires.Stats.Records,
-		SkippedLines: ires.Stats.SkippedLines,
-		FirstSkipped: ires.Stats.FirstSkipped,
-	}
-	truncated := make([]TruncatedPair, len(ires.Truncated))
-	for i, tr := range ires.Truncated {
-		truncated[i] = TruncatedPair{Source: tr.Source, Destination: tr.Destination, Kept: tr.Kept, Dropped: tr.Dropped}
-	}
-	recordTruncation(res, truncated)
-	res.Stats.ExtractTime = time.Since(start)
-
-	out, err := analyze(ctx, res, ires.Summaries, mapreduce.Counters{}, cfg, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, ires.Summaries, nil
 }

@@ -210,6 +210,13 @@ func (d *Daemon) Run(ctx context.Context) error {
 		}()
 	}
 
+	// After a restart every recovered pair is dirty: analyze them now
+	// instead of idling a full TickInterval before the first ranking.
+	if d.eng.Stats().Pairs > 0 {
+		d.commit()
+		d.runTick(ctx)
+	}
+
 	tick := time.NewTicker(d.cfg.TickInterval)
 	defer tick.Stop()
 	var commitC <-chan time.Time

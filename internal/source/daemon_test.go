@@ -269,3 +269,54 @@ func TestDaemonSoak(t *testing.T) {
 			hits, d.sups[0].status().Restarts, st.Ticks, d.Degraded())
 	}
 }
+
+// TestDaemonTicksOnRestart pins the restart path: a daemon started on a
+// committed state analyzes the recovered pairs on entry to Run instead of
+// idling a TickInterval first — here an hour, so only the entry tick can
+// produce the ranking.
+func TestDaemonTicksOnRestart(t *testing.T) {
+	tr := smallTrace(t)
+	cfg := testPipelineCfg(t, tr.Catalog[:50])
+	want, err := pipeline.Run(context.Background(), tr.Records, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := t.TempDir()
+	eng, err := OpenEngine(Config{StateDir: state, Pipeline: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAll(eng, "proxy", recordsToEvents(tr.Records), 500)
+	if err := eng.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := NewDaemon(DaemonConfig{
+		Engine: Config{StateDir: state, Pipeline: cfg},
+		Connectors: []Connector{
+			&FileFollower{Path: filepath.Join(t.TempDir(), "absent.log"), SourceName: "proxy", PollInterval: time.Millisecond},
+		},
+		TickInterval: time.Hour,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	// bounded goroutine: daemon run under test, cancelled by the test and awaited on done
+	go func() { done <- d.Run(ctx) }()
+	deadline := time.Now().Add(30 * time.Second)
+	for d.Snapshot() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	snap := d.Snapshot()
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("daemon run: %v", err)
+	}
+	if snap == nil {
+		t.Fatal("no tick ran on restart; the recovered pairs waited for the first TickInterval")
+	}
+	sameResult(t, snap.Result, want)
+}

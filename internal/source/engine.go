@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"baywatch/internal/core"
 	"baywatch/internal/faultinject"
 	"baywatch/internal/pipeline"
 	"baywatch/internal/timeseries"
@@ -26,26 +25,19 @@ type Config struct {
 	// replay). 0 disables the watermark entirely — late events merge into
 	// their pair, which simply becomes dirty and is re-detected.
 	Lateness int64
-	// Pipeline is the detection configuration each tick runs under. Its
-	// DetectMemo field is managed by the engine (the incremental-detection
-	// cache) and must be left nil.
+	// Pipeline is the detection configuration each tick runs under.
 	Pipeline pipeline.Config
 	// RetainWindows bounds pair retention: at each commit, pairs whose
 	// newest event is older than RetainWindows*Lateness behind the stream's
-	// high-water mark are evicted — dropped from the store, the memo and
-	// the checkpoint (which compacts as a side effect). 0 retains forever.
+	// high-water mark are evicted — dropped from the store, the standing
+	// analysis and the checkpoint (which compacts as a side effect). 0
+	// retains forever.
 	// Requires Lateness > 0: the eviction cutoff always trails the
 	// committed watermark, so an evicted pair's events would be dropped as
 	// late on replay anyway — eviction never changes what a recovering
 	// engine computes. A pair seen again *after* the watermark restarts
 	// with a fresh history (the trade retention makes by design).
 	RetainWindows int
-	// FullRecompute forces every tick to rebuild all summaries and re-run
-	// the whole pipeline instead of the dirty-only incremental path. The
-	// output is identical (the incremental path is pinned bit-identical to
-	// a full recompute); this exists as the comparison baseline for the
-	// differential tests and the tick benchmarks.
-	FullRecompute bool
 	// Logf receives recovery and degradation notes; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -88,43 +80,6 @@ func (h *pairHistory) observe(ts int64) {
 	}
 }
 
-// detectMemo caches per-pair detection results across ticks; it
-// implements pipeline.DetectMemo. Entries are invalidated by the engine
-// the moment a pair's history changes.
-type detectMemo struct {
-	mu sync.Mutex
-	m  map[pairKey]*core.Result
-}
-
-func newDetectMemo() *detectMemo { return &detectMemo{m: make(map[pairKey]*core.Result)} }
-
-// Get implements pipeline.DetectMemo.
-func (d *detectMemo) Get(source, destination string) (*core.Result, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok := d.m[pairKey{Src: source, Dst: destination}]
-	return r, ok
-}
-
-// Put implements pipeline.DetectMemo.
-func (d *detectMemo) Put(source, destination string, r *core.Result) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.m[pairKey{Src: source, Dst: destination}] = r
-}
-
-func (d *detectMemo) drop(k pairKey) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.m, k)
-}
-
-func (d *detectMemo) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.m)
-}
-
 // Engine owns the daemon's detection state: the per-pair event store fed
 // by connectors (Apply), the committed checkpoint (Commit), and
 // incremental detection over dirty pairs (Tick). All methods are safe for
@@ -137,24 +92,22 @@ type Engine struct {
 	dirty    map[pairKey]struct{}
 	pos      map[string]Position
 	health   map[string]bool // false = circuit open / flapping
-	memo     *detectMemo
-	thrMemo  *core.ThresholdMemo // permutation thresholds shared across ticks
 	rec      Recovery
 	ticks    int64
 	applied  int64 // events applied since open (not persisted)
 	uncommit int64 // events applied since the last successful commit
 
-	// tickMu serializes tick bodies: the incremental pipeline state is
+	// tickMu serializes tick bodies: the standing pipeline state is
 	// single-writer. e.mu is still released around the pipeline run so
 	// Apply/Commit proceed concurrently; tickMu is always acquired first.
 	tickMu sync.Mutex
-	// inc is the standing incremental pipeline, created lazily on the
-	// first incremental tick. It caches each clean pair's built summary
-	// and analysis, so a tick rebuilds only dirty pairs' summaries.
+	// inc is the standing analysis, created on the first tick. It caches
+	// each clean pair's built summary, detection and indication, so a tick
+	// rebuilds only dirty pairs' summaries and re-analyzes only what they
+	// invalidate.
 	inc *pipeline.Incremental
-	// evicted buffers retention removals for the next incremental tick to
-	// consume (unused when FullRecompute — the full path has no standing
-	// state to unwind). evictedCount is the lifetime total, persisted.
+	// evicted buffers retention removals for the next tick to consume.
+	// evictedCount is the lifetime total, persisted.
 	evicted      []pipeline.PairRef
 	evictedCount int64
 
@@ -177,9 +130,6 @@ func OpenEngine(cfg Config) (*Engine, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
-	if cfg.Pipeline.DetectMemo != nil {
-		return nil, fmt.Errorf("source: Pipeline.DetectMemo is managed by the engine; leave it nil")
-	}
 	if cfg.RetainWindows < 0 {
 		return nil, fmt.Errorf("source: RetainWindows must be >= 0")
 	}
@@ -195,12 +145,6 @@ func OpenEngine(cfg Config) (*Engine, error) {
 		dirty:  make(map[pairKey]struct{}),
 		pos:    make(map[string]Position),
 		health: make(map[string]bool),
-		memo:   newDetectMemo(),
-		// Threshold memo entries are pure functions of (seed, series
-		// multiset) — never of a pair's identity — so unlike the detect
-		// memo they survive dirty-pair invalidation and warm every
-		// subsequent tick's batch detection.
-		thrMemo: core.NewThresholdMemo(0),
 	}
 	removeTempFiles(cfg.StateDir)
 	cp, ok, err := loadCheckpoint(cfg.StateDir)
@@ -232,8 +176,8 @@ func OpenEngine(cfg Config) (*Engine, error) {
 				}
 			}
 			e.pairs[k] = h
-			// Every restored pair is dirty: the memo starts empty, and the
-			// first tick re-detects the full committed history.
+			// Every restored pair is dirty: the standing analysis starts
+			// empty, and the first tick detects the full committed history.
 			e.dirty[k] = struct{}{}
 		}
 	}
@@ -316,7 +260,6 @@ func (e *Engine) Apply(b Batch) int {
 			e.maxTS = ev.TS
 		}
 		e.dirty[k] = struct{}{}
-		e.memo.drop(k)
 		applied++
 	}
 	if b.Pos.Records >= cur.Records {
@@ -339,7 +282,7 @@ func (e *Engine) Apply(b Batch) int {
 // whose newest event trails the stream's high-water mark by more than
 // RetainWindows lateness windows is dropped from the checkpoint being
 // written (compaction) and, once the write commits, from the in-memory
-// store and memo. The eviction set is a pure function of the committed
+// store and (at the next tick) the standing analysis. The eviction set is a pure function of the committed
 // maxTS, so every recovery replays the same evictions at the same
 // commits; and the cutoff never exceeds the new watermark, so an evicted
 // pair's events would be dropped as late on replay anyway.
@@ -402,10 +345,7 @@ func (e *Engine) Commit() error {
 	for _, k := range evict {
 		delete(e.pairs, k)
 		delete(e.dirty, k)
-		e.memo.drop(k)
-		if !e.cfg.FullRecompute {
-			e.evicted = append(e.evicted, pipeline.PairRef{Source: k.Src, Destination: k.Dst})
-		}
+		e.evicted = append(e.evicted, pipeline.PairRef{Source: k.Src, Destination: k.Dst})
 	}
 	e.evictedCount += int64(len(evict))
 	if len(evict) > 0 {
@@ -450,61 +390,16 @@ type TickResult struct {
 	Tick int64
 }
 
-// Tick runs one detection pass. The default path is incremental: only
-// pairs whose history changed since the last tick (plus pairs whose
-// whitelist/novelty inputs moved) are re-summarized and re-analyzed by
-// the standing pipeline, making steady-state cost O(dirty pairs) rather
-// than O(total pairs). The result is bit-identical to a from-scratch
-// batch run over the same events — pinned by the pipeline's differential
-// test and by TestStreamingMatchesBatchPipeline — because every stage
-// runs the same code over the same inputs; incrementality only changes
-// which pairs are recomputed. Config.FullRecompute selects the
-// rebuild-everything path (same output, used as the benchmark baseline).
+// Tick runs one detection pass: pairs whose history changed since the
+// last tick are re-summarized and handed, with retention's evictions, to
+// the standing pipeline, which re-analyzes only what the delta
+// invalidates — steady-state cost is O(dirty pairs), not O(total pairs).
+// The result is bit-identical to a from-scratch batch run over the same
+// events (TestStreamingMatchesBatchPipeline), because a batch run is the
+// same pipeline ticked once from empty.
 func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	if e.cfg.FullRecompute {
-		return e.tickFull(ctx)
-	}
-	return e.tickIncremental(ctx)
-}
-
-// staleLocked lists pairs fed by an unhealthy source; e.mu must be held.
-func (e *Engine) staleLocked() []pipeline.PairRef {
-	var stale []pipeline.PairRef
-	for k, h := range e.pairs {
-		for name := range h.srcs {
-			if healthy, tracked := e.health[name]; tracked && !healthy {
-				stale = append(stale, pipeline.PairRef{Source: k.Src, Destination: k.Dst})
-				break
-			}
-		}
-	}
-	sort.Slice(stale, func(i, j int) bool {
-		if stale[i].Source != stale[j].Source {
-			return stale[i].Source < stale[j].Source
-		}
-		return stale[i].Destination < stale[j].Destination
-	})
-	return stale
-}
-
-// buildSummary materializes one pair's ActivitySummary; e.mu must be held.
-func (e *Engine) buildSummary(k pairKey, h *pairHistory) (*timeseries.ActivitySummary, error) {
-	as, err := timeseries.FromTimestamps(k.Src, k.Dst, h.ts, e.cfg.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("source: summarize %s: %w", k, err)
-	}
-	for _, p := range h.paths {
-		as.AddURLPath(p)
-	}
-	return as, nil
-}
-
-// tickIncremental is the dirty-only tick: rebuild summaries for dirty
-// pairs, hand the delta (plus retention evictions) to the standing
-// incremental pipeline, and return its updated result.
-func (e *Engine) tickIncremental(ctx context.Context) (*TickResult, error) {
 	e.mu.Lock()
 	if err := faultCheck(faultinject.PointSourceDetectTick, "tick"); err != nil {
 		e.mu.Unlock()
@@ -513,8 +408,6 @@ func (e *Engine) tickIncremental(ctx context.Context) (*TickResult, error) {
 	if e.inc == nil {
 		cfg := e.cfg.Pipeline
 		cfg.Scale = e.cfg.Scale
-		cfg.DetectMemo = e.memo
-		cfg.Thresholds = e.thrMemo
 		inc, err := pipeline.NewIncremental(cfg)
 		if err != nil {
 			e.mu.Unlock()
@@ -547,17 +440,10 @@ func (e *Engine) tickIncremental(ctx context.Context) (*TickResult, error) {
 			return nil, err
 		}
 		changed = append(changed, as)
-		e.memo.drop(k) // Apply already dropped these; kept as a cheap invariant
 		delete(e.dirty, k)
 	}
 	removed := e.evicted
 	e.evicted = nil
-	for _, r := range removed {
-		// A commit can race an in-flight tick whose detection re-Put an
-		// evicted pair's memo entry after the eviction dropped it; re-drop
-		// here, where tickMu guarantees no tick is in flight.
-		e.memo.drop(pairKey{Src: r.Source, Dst: r.Destination})
-	}
 	dirty := len(changed)
 	stale := e.staleLocked()
 	tick := e.ticks + 1
@@ -585,47 +471,36 @@ func (e *Engine) tickIncremental(ctx context.Context) (*TickResult, error) {
 	return &TickResult{Result: res, Dirty: dirty, Stale: stale, Tick: tick}, nil
 }
 
-// tickFull re-runs the whole pipeline over every pair: summaries are
-// rebuilt for every pair, and the detect stage consults the engine's memo
-// so periodicity analysis still runs only for pairs whose history
-// changed.
-func (e *Engine) tickFull(ctx context.Context) (*TickResult, error) {
-	e.mu.Lock()
-	if err := faultCheck(faultinject.PointSourceDetectTick, "tick"); err != nil {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("source: tick: %w", err)
-	}
-	keys := e.sortedPairKeys()
-	summaries := make([]*timeseries.ActivitySummary, 0, len(keys))
-	for _, k := range keys {
-		as, err := e.buildSummary(k, e.pairs[k])
-		if err != nil {
-			e.mu.Unlock()
-			return nil, err
+// staleLocked lists pairs fed by an unhealthy source; e.mu must be held.
+func (e *Engine) staleLocked() []pipeline.PairRef {
+	var stale []pipeline.PairRef
+	for k, h := range e.pairs {
+		for name := range h.srcs {
+			if healthy, tracked := e.health[name]; tracked && !healthy {
+				stale = append(stale, pipeline.PairRef{Source: k.Src, Destination: k.Dst})
+				break
+			}
 		}
-		summaries = append(summaries, as)
 	}
-	stale := e.staleLocked()
-	dirty := len(e.dirty)
-	for k := range e.dirty {
-		e.memo.drop(k) // Apply already dropped these; kept as a cheap invariant
-		delete(e.dirty, k)
-	}
-	cfg := e.cfg.Pipeline
-	cfg.Scale = e.cfg.Scale
-	cfg.DetectMemo = e.memo
-	cfg.Thresholds = e.thrMemo
-	tick := e.ticks + 1
-	e.mu.Unlock()
+	sort.Slice(stale, func(i, j int) bool {
+		if stale[i].Source != stale[j].Source {
+			return stale[i].Source < stale[j].Source
+		}
+		return stale[i].Destination < stale[j].Destination
+	})
+	return stale
+}
 
-	res, err := pipeline.RunSummaries(ctx, summaries, cfg)
+// buildSummary materializes one pair's ActivitySummary; e.mu must be held.
+func (e *Engine) buildSummary(k pairKey, h *pairHistory) (*timeseries.ActivitySummary, error) {
+	as, err := timeseries.FromTimestamps(k.Src, k.Dst, h.ts, e.cfg.Scale)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("source: summarize %s: %w", k, err)
 	}
-	e.mu.Lock()
-	e.ticks = tick
-	e.mu.Unlock()
-	return &TickResult{Result: res, Dirty: dirty, Stale: stale, Tick: tick}, nil
+	for _, p := range h.paths {
+		as.AddURLPath(p)
+	}
+	return as, nil
 }
 
 // SetSourceHealth records a source's supervision verdict; unhealthy
@@ -670,8 +545,6 @@ type Stats struct {
 	LateDropped int64
 	// Ticks counts completed detection passes.
 	Ticks int64
-	// MemoPairs counts pairs with a cached detection result.
-	MemoPairs int
 	// Evicted counts pairs aged out by retention over the engine's
 	// lifetime (persisted across restarts).
 	Evicted int64
@@ -692,7 +565,6 @@ func (e *Engine) Stats() Stats {
 		Watermark:   e.watermark,
 		LateDropped: e.lateDropped,
 		Ticks:       e.ticks,
-		MemoPairs:   e.memo.size(),
 		Evicted:     e.evictedCount,
 	}
 }

@@ -3,19 +3,17 @@ package source
 import (
 	"context"
 	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"baywatch/internal/faultinject"
 	"baywatch/internal/pipeline"
 )
 
 func TestOpenEngineValidation(t *testing.T) {
 	if _, err := OpenEngine(Config{}); err == nil {
 		t.Error("expected error for missing StateDir")
-	}
-	cfg := Config{StateDir: t.TempDir()}
-	cfg.Pipeline.DetectMemo = newDetectMemo()
-	if _, err := OpenEngine(cfg); err == nil {
-		t.Error("expected error for caller-supplied DetectMemo")
 	}
 }
 
@@ -224,8 +222,16 @@ func TestStreamingMatchesBatchPipeline(t *testing.T) {
 		t.Fatal("trace reported nothing; differential is vacuous")
 	}
 
-	// Second tick with nothing new: everything answers from the memo and
-	// the result is identical.
+	// Second tick with nothing new: everything answers from the standing
+	// state — no detection runs — and the result is identical.
+	var detections atomic.Int64
+	pipeline.SetFaultHook(func(point string) error {
+		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
+			detections.Add(1)
+		}
+		return nil
+	})
+	t.Cleanup(func() { pipeline.SetFaultHook(nil) })
 	again, err := eng.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +240,11 @@ func TestStreamingMatchesBatchPipeline(t *testing.T) {
 		t.Fatalf("second tick dirty = %d, want 0", again.Dirty)
 	}
 	sameResult(t, again.Result, want)
-	if mp := eng.Stats().MemoPairs; mp == 0 {
-		t.Error("memo empty after a tick; incremental detection is not caching")
+	if n := detections.Load(); n != 0 {
+		t.Errorf("idle tick ran %d detection(s); unchanged pairs must answer from the standing state", n)
+	}
+	if got := eng.inc.Pairs(); got != want.Stats.Pairs {
+		t.Errorf("standing analysis holds %d pairs, want %d", got, want.Stats.Pairs)
 	}
 
 	// New events for one pair dirty exactly that pair.

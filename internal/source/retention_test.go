@@ -47,9 +47,9 @@ func retentionEvents(oldPairs, oldEvents int, oldGap int64, beaconEvents int) []
 }
 
 // TestRetentionEvictsIdlePairs pins the basic retention contract: a pair
-// idle past RetainWindows lateness windows is dropped from the store,
-// the memo, the standing incremental state and the checkpoint at the
-// next commit; a restarted engine loads only live pairs; and a pair seen
+// idle past RetainWindows lateness windows is dropped from the store and
+// the checkpoint at the next commit and from the standing analysis at
+// the next tick; a restarted engine loads only live pairs; and a pair seen
 // again after eviction restarts with a fresh history.
 func TestRetentionEvictsIdlePairs(t *testing.T) {
 	dir := t.TempDir()
@@ -84,9 +84,6 @@ func TestRetentionEvictsIdlePairs(t *testing.T) {
 	if st.Pairs != 1 || st.Evicted != 3 {
 		t.Fatalf("post-commit stats = %+v, want 1 pair / 3 evicted", st)
 	}
-	if st.MemoPairs > 1 {
-		t.Fatalf("memo retains %d pairs after eviction, want <= 1", st.MemoPairs)
-	}
 
 	// The next tick consumes the evictions: the standing result shrinks to
 	// the surviving pair, identically to a recompute over it.
@@ -99,6 +96,9 @@ func TestRetentionEvictsIdlePairs(t *testing.T) {
 	}
 	if res.Result.Stats.InputEvents != 101 {
 		t.Fatalf("post-eviction InputEvents = %d, want 101", res.Result.Stats.InputEvents)
+	}
+	if got := eng.inc.Pairs(); got != 1 {
+		t.Fatalf("standing analysis retains %d pairs after eviction, want 1", got)
 	}
 
 	// A restarted engine loads only live state.

@@ -12,9 +12,9 @@
 //     Position;
 //   - the Engine owns the per-pair event store, applies batches with
 //     sequence-based deduplication, checkpoints durable state through an
-//     fsynced atomic write (the opsloop journal conventions), and re-runs
-//     detection on dirty pairs only (pipeline.RunSummaries plus a
-//     DetectMemo for the clean ones);
+//     fsynced atomic write (the opsloop journal conventions), and each
+//     tick hands the dirty pairs' fresh summaries to its standing
+//     pipeline.Incremental, which re-analyzes only what they invalidate;
 //   - the supervisor wraps every connector in capped-exponential
 //     retry/backoff with deterministic jitter, watchdog stall detection
 //     and a per-source circuit breaker, so a flapping source degrades to

@@ -9,16 +9,18 @@ import (
 	"time"
 
 	"baywatch/internal/core"
+	"baywatch/internal/pipeline"
+	"baywatch/internal/timeseries"
 )
 
 // The steady-state tick benchmarks model the daemon at scale: a large
 // standing pair population of which only a small fraction changed since
-// the last tick. BenchmarkTickSteadyState runs the dirty-only incremental
-// path; BenchmarkTickFullRecompute runs the identical workload with
-// Config.FullRecompute, the rebuild-everything baseline. The benchgate
-// min-ratio contract (Makefile BENCH_TICK_MIN_RATIO) holds the
-// incremental path to a floor multiple of the baseline's ticks/s in the
-// same run, cancelling machine speed out.
+// the last tick. BenchmarkTickSteadyState runs Engine.Tick;
+// BenchmarkTickFullRecompute runs the identical workload through
+// fullRecompute, the rebuild-everything reference. The benchgate
+// min-ratio contract (Makefile BENCH_TICK_MIN_RATIO) holds the tick to a
+// floor multiple of the reference's ticks/s in the same run, cancelling
+// machine speed out.
 const (
 	benchTickPairs = 10000
 	benchTickDirty = 100 // 1% of the population changes per tick
@@ -44,16 +46,38 @@ func benchTickEvents() []Event {
 	return events
 }
 
+// fullRecompute is the reference a standing tick is measured against:
+// every pair's summary rebuilt from the engine's store and analyzed by a
+// fresh pipeline — one tick from empty, nothing carried over but the
+// configuration (and with it the shared threshold memo).
+func fullRecompute(ctx context.Context, e *Engine) (*pipeline.Result, error) {
+	e.mu.Lock()
+	keys := e.sortedPairKeys()
+	summaries := make([]*timeseries.ActivitySummary, 0, len(keys))
+	for _, k := range keys {
+		as, err := e.buildSummary(k, e.pairs[k])
+		if err != nil {
+			e.mu.Unlock()
+			return nil, err
+		}
+		summaries = append(summaries, as)
+	}
+	cfg := e.cfg.Pipeline
+	cfg.Scale = e.cfg.Scale
+	e.mu.Unlock()
+	return pipeline.RunSummaries(ctx, summaries, cfg)
+}
+
 func benchTick(b *testing.B, full bool) {
 	pcfg := testPipelineCfg(b, nil)
 	det := core.DefaultConfig()
 	det.Permutations = 5
 	pcfg.Detector = det
+	pcfg.Thresholds = core.NewThresholdMemo(0)
 	eng, err := OpenEngine(Config{
-		StateDir:      b.TempDir(),
-		Scale:         60,
-		Pipeline:      pcfg,
-		FullRecompute: full,
+		StateDir: b.TempDir(),
+		Scale:    60,
+		Pipeline: pcfg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -62,7 +86,7 @@ func benchTick(b *testing.B, full bool) {
 	records := int64(len(events))
 	eng.Apply(Batch{Source: "s", Events: events, Pos: Position{Records: records}})
 	// Warm tick: pays the one-time full detection of the standing
-	// population (memoized afterwards in both modes).
+	// population and fills the threshold memo both modes share.
 	if _, err := eng.Tick(context.Background()); err != nil {
 		b.Fatal(err)
 	}
@@ -81,7 +105,12 @@ func benchTick(b *testing.B, full bool) {
 		records += int64(len(delta))
 		eng.Apply(Batch{Source: "s", Events: delta, Pos: Position{Records: records}})
 		b.StartTimer()
-		if _, err := eng.Tick(context.Background()); err != nil {
+		if full {
+			_, err = fullRecompute(context.Background(), eng)
+		} else {
+			_, err = eng.Tick(context.Background())
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -126,7 +126,7 @@ func ReadProxyLogLenient(path string, maxBad int) ([]*Record, ReadStats, error) 
 // at the given time scale (seconds per bucket). corr may be nil to use raw
 // client IPs as source identities.
 func ExtractActivitySummaries(ctx context.Context, records []*Record, corr *Correlator, scale int64) ([]*ActivitySummary, error) {
-	return pipeline.ExtractSummaries(ctx, records, corr, scale, mapreduce.JobConfig{})
+	return ExtractFromEvents(ctx, pipeline.RecordEvents(records, corr), scale)
 }
 
 // RescaleAndMerge runs the rescaling/merging MapReduce job: summaries are
