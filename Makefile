@@ -1,9 +1,10 @@
 GO ?= go
 
 # The benchmarks the perf gate watches: the periodicity hot path (dsp),
-# the detector built on it (core), the sharded streaming ingest (parse,
-# direct-to-summary aggregation, and the batch comparison point), and the
-# daemon's file-follow tail path (source).
+# the detector built on it (core), the ingest layer (parse,
+# direct-to-summary aggregation through the shard adapter, and the same
+# aggregation fed a materialized record slice through the event adapter),
+# and the daemon's file-follow tail path (source).
 # -benchtime is kept short so ten repetitions stay affordable in CI; the
 # gate compares medians, which tolerates short per-repetition runs.
 BENCH_PATTERN ?= Periodogram|Autocorrelation|Detector|IngestParse|IngestToSummaries|BatchToSummaries|FollowTail|QueryRankedCached
@@ -107,9 +108,9 @@ bench:
 	$(GO) test $(BENCH_TICK_FLAGS) ./internal/source
 
 # bench-ingest runs the sharded-ingest benchmark suite by itself — the
-# zero-copy parse pass, the direct-to-summary aggregation, the batch
-# comparison point, and the full-pipeline run — for local inspection of
-# ingest changes.
+# zero-copy parse pass, the direct-to-summary aggregation, the
+# record-slice route to the same aggregation, and the full-pipeline run —
+# for local inspection of ingest changes.
 bench-ingest:
 	$(GO) test -run='^$$' -bench='IngestParse|IngestToSummaries|BatchToSummaries' -benchmem -count=3 -benchtime=300x ./internal/ingest
 	$(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest

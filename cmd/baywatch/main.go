@@ -7,11 +7,12 @@
 //	baywatch -logs traces/demo [-state state/novelty.json] [-top 25]
 //	         [-scale 1] [-tau 0.01] [-percentile 90]
 //
-// -shards N switches ingestion from the batch reader to the sharded
-// streaming front end (internal/ingest): each log file is divided into up
-// to N byte-range splits scanned by -ingest-workers parallel workers,
-// with identical pipeline results (gzip files always scan as one shard;
-// with -lenient the malformed-line budget applies per shard):
+// Log files are never materialized as records: every run plans scan shards
+// and streams them through internal/ingest on -ingest-workers parallel
+// workers. By default each file is one shard; -shards N divides each file
+// into up to N byte-range splits, with identical pipeline results (gzip
+// files always scan as one shard; the -lenient malformed-line budget
+// applies per shard, so per file by default):
 //
 //	baywatch -logs traces/demo -shards 4 -ingest-workers 4
 //
@@ -116,19 +117,19 @@ func run() error {
 	percentile := flag.Float64("percentile", 90, "ranking score percentile threshold")
 	whitelistSize := flag.Int("whitelist", 1000, "global whitelist size (top popular domains)")
 	casesOut := flag.String("cases", "", "export candidate cases (with features) as JSON for bwtriage")
-	lenient := flag.Int("lenient", 0, "skip up to N malformed log lines per file instead of aborting (0 = strict)")
+	lenient := flag.Int("lenient", 0, "skip up to N malformed log lines per shard (per file unless -shards splits it) instead of aborting (0 = strict)")
 	allowDegraded := flag.Bool("allow-degraded", false, "exit 0 even when the run completes degraded")
 	stageTimeout := flag.Duration("stage-timeout", 0, "wall-clock bound per pipeline stage (0 = unbounded)")
 	candidateTimeout := flag.Duration("candidate-timeout", 0, "wall-clock bound per candidate's detection/indication; overruns are parked as errors (0 = unbounded)")
-	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per MapReduce task (0 = unbounded)")
-	stallTimeout := flag.Duration("stall-timeout", 0, "watchdog bound: a worker silent this long has its task cancelled (0 = no watchdog)")
+	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per MapReduce task of the detect and rescale-merge jobs; log ingest is bounded by -stage-timeout (0 = unbounded)")
+	stallTimeout := flag.Duration("stall-timeout", 0, "watchdog bound on the detect and rescale-merge jobs and the indication analysis: a worker silent this long has its task cancelled (0 = no watchdog)")
 	maxEventsPerPair := flag.Int("max-events-per-pair", 0, "truncate pairs above this many events to their earliest events (0 = uncapped)")
 	maxInFlight := flag.Int("max-inflight", 0, "bound on candidates admitted to detection concurrently (0 = unlimited)")
-	failureBudget := flag.Int("failure-budget", 0, "MapReduce poisoned-input/key budget before a job aborts (0 = abort on first)")
+	failureBudget := flag.Int("failure-budget", 0, "poisoned-input/key budget of the detect and rescale-merge jobs before a job aborts; log ingest sheds only through -max-events-per-pair (0 = abort on first)")
 	mrWorkers := flag.Int("mr-workers", 0, "run the detect stage's MapReduce job across this many exec'd worker processes (0 = in-process)")
 	mrExec := flag.Bool("mr-exec", false, "require multi-process execution: fail instead of falling back in-process when workers cannot be spawned (implies -mr-workers GOMAXPROCS when unset)")
-	shards := flag.Int("shards", 0, "sharded streaming ingest: byte-range splits per log file (0 = batch reader; gzip files always scan as one shard)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "parallel shard-scan workers for -shards (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "byte-range splits per log file (0 or 1 = one whole-file shard per file; gzip files always scan as one shard)")
+	ingestWorkers := flag.Int("ingest-workers", 0, "parallel shard-scan and summary-aggregation workers (0 = GOMAXPROCS)")
 	serve := flag.Bool("serve", false, "run as an always-on streaming daemon; sources come from -follow/-listen/-http-ingest instead of -logs")
 	var follow, listen, httpIngest stringList
 	flag.Var(&follow, "follow", "serve mode: tail this log file, surviving rotation and truncation (repeatable)")
@@ -232,10 +233,9 @@ func run() error {
 	return runOnce(entries, corr, cfg, *statePath, ing, *top, *allowDegraded, *casesOut)
 }
 
-// ingestOpts selects and parameterizes the ingest path: shards == 0 is
-// the batch reader (materialize all records, batch pipeline); shards >= 1
-// is the sharded streaming ingest (each log file scanned as up to
-// `shards` byte-range splits by parallel workers).
+// ingestOpts parameterizes the shard plan and scan: each log file scans
+// as up to `shards` byte-range splits (<= 1: one whole-file split) on
+// `workers` parallel workers.
 type ingestOpts struct {
 	shards  int
 	workers int
@@ -247,31 +247,13 @@ func (o ingestOpts) streamOptions() pipeline.StreamOptions {
 	return pipeline.StreamOptions{Workers: o.workers, MaxBadLines: o.lenient}
 }
 
-// reportIngest prints the streaming scan accounting, mirroring the batch
-// path's "loaded N events" line and lenient-skip warnings.
+// reportIngest prints the scan accounting and lenient-skip warnings.
 func reportIngest(ing *pipeline.IngestStats) {
-	if ing == nil {
-		return
-	}
 	if ing.SkippedLines > 0 {
 		fmt.Fprintf(os.Stderr, "warning: skipped %d malformed line(s) across shards (first: %s)\n",
 			ing.SkippedLines, ing.FirstSkipped)
 	}
 	fmt.Printf("scanned %d events from %d shard(s)\n", ing.Records, ing.Shards)
-}
-
-// readLogFile loads one proxy log file, optionally skipping up to lenient
-// malformed lines.
-func readLogFile(path string, lenient int) ([]*proxylog.Record, error) {
-	if lenient > 0 {
-		recs, stats, err := proxylog.ReadAllLenient(path, lenient)
-		if stats.SkippedLines > 0 {
-			fmt.Fprintf(os.Stderr, "warning: %s: skipped %d malformed line(s) (first: %s)\n",
-				path, stats.SkippedLines, stats.FirstSkipped)
-		}
-		return recs, err
-	}
-	return proxylog.ReadAll(path)
 }
 
 // runOnce is the single-shot mode: one pipeline run over every log file,
@@ -290,44 +272,21 @@ func runOnce(entries []string, corr *proxylog.Correlator, cfg pipeline.Config, s
 	}
 	cfg.Novelty = store
 
-	var res *pipeline.Result
-	if ing.shards > 0 {
-		// Sharded streaming path: plan byte-range splits and let the
-		// ingest layer scan them in parallel; records are never
-		// materialized.
-		shards, err := ingest.PlanShards(entries, ing.shards)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("streaming %d file(s) as %d shard(s)\n", len(entries), len(shards))
-		res, err = pipeline.RunStream(ctx, shards, corr, cfg, ing.streamOptions())
-		if err != nil {
-			if ctx.Err() != nil {
-				return fmt.Errorf("%w: %v", errInterrupted, err)
-			}
-			return err
-		}
-		reportIngest(res.Ingest)
-	} else {
-		var records []*proxylog.Record
-		for _, path := range entries {
-			recs, err := readLogFile(path, ing.lenient)
-			if err != nil {
-				return fmt.Errorf("read %s: %w", path, err)
-			}
-			records = append(records, recs...)
-		}
-		fmt.Printf("loaded %d events from %d file(s)\n", len(records), len(entries))
-
-		var err error
-		res, err = pipeline.Run(ctx, records, corr, cfg)
-		if err != nil {
-			if ctx.Err() != nil {
-				return fmt.Errorf("%w: %v", errInterrupted, err)
-			}
-			return err
-		}
+	// Plan the scan units and let the ingest layer scan them in parallel;
+	// records are never materialized.
+	shards, err := ingest.PlanShards(entries, ing.shards)
+	if err != nil {
+		return err
 	}
+	fmt.Printf("streaming %d file(s) as %d shard(s)\n", len(entries), len(shards))
+	res, err := pipeline.RunStream(ctx, shards, corr, cfg, ing.streamOptions())
+	if err != nil {
+		if ctx.Err() != nil {
+			return fmt.Errorf("%w: %v", errInterrupted, err)
+		}
+		return err
+	}
+	reportIngest(res.Ingest)
 	printReport(res, top)
 
 	if store != nil {
@@ -402,25 +361,13 @@ func runOps(stateDir string, entries []string, corr *proxylog.Correlator, cfg pi
 			return fmt.Errorf("%w: stopped after day %d (state committed; rerun to continue)",
 				errInterrupted, loop.DaysIngested())
 		}
-		var rep *opsloop.Report
-		var err error
-		if ing.shards > 0 {
-			// Streaming day: the file scans as byte-range shards and the
-			// day's history summaries come from the same pass.
-			var shards []proxylog.Split
-			shards, err = ingest.PlanShards([]string{path}, ing.shards)
-			if err != nil {
-				return fmt.Errorf("plan %s: %w", path, err)
-			}
-			rep, err = loop.IngestDayShards(ctx, shards, ing.streamOptions())
-		} else {
-			var recs []*proxylog.Record
-			recs, err = readLogFile(path, ing.lenient)
-			if err != nil {
-				return fmt.Errorf("read %s: %w", path, err)
-			}
-			rep, err = loop.IngestDay(ctx, recs)
+		// The file scans as shards and the day's history summaries come
+		// from the same pass.
+		shards, err := ingest.PlanShards([]string{path}, ing.shards)
+		if err != nil {
+			return fmt.Errorf("plan %s: %w", path, err)
 		}
+		rep, err := loop.IngestDayShards(ctx, shards, ing.streamOptions())
 		if err != nil {
 			if errors.Is(err, errInterrupted) || errors.Is(err, context.Canceled) {
 				return fmt.Errorf("%w: day %d rolled back; %d day(s) committed (rerun to continue)",

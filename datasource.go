@@ -4,12 +4,11 @@ import (
 	"context"
 
 	"baywatch/internal/dnslog"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/netflow"
 	"baywatch/internal/pipeline"
 )
 
-// PairEvent is the source-agnostic observation the extraction job
+// PairEvent is the source-agnostic observation data extraction
 // consumes: one interaction of one (source, destination) pair. Web-proxy,
 // DNS and NetFlow sources all reduce to this shape.
 type PairEvent = pipeline.PairEvent
@@ -20,10 +19,10 @@ type DNSRecord = dnslog.Record
 // FlowRecord is one NetFlow-style flow record (perimeter view).
 type FlowRecord = netflow.Record
 
-// ExtractFromEvents runs the data-extraction MapReduce job over
-// source-agnostic pair events.
+// ExtractFromEvents runs data extraction over source-agnostic pair
+// events.
 func ExtractFromEvents(ctx context.Context, events []PairEvent, scale int64) ([]*ActivitySummary, error) {
-	sums, _, _, err := pipeline.ExtractSummaries(ctx, events, scale, 0, mapreduce.JobConfig{})
+	sums, _, err := pipeline.ExtractSummaries(ctx, events, scale, 0)
 	return sums, err
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"baywatch/internal/core"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/pipeline"
 	"baywatch/internal/proxylog"
 )
@@ -103,7 +102,7 @@ func TestBeaconDetectableThroughDNSView(t *testing.T) {
 	if len(qs) != 100 {
 		t.Fatalf("queries = %d", len(qs))
 	}
-	sums, _, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(qs, nil), 1, 0, mapreduce.JobConfig{})
+	sums, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(qs, nil), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestFastBeaconAliasedByCache(t *testing.T) {
 		recs = append(recs, &proxylog.Record{Timestamp: int64(i * 10), ClientIP: "10.0.0.1", Host: "cc.evil"})
 	}
 	qs := FromProxyTrace(recs, 300)
-	sums, _, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(qs, nil), 1, 0, mapreduce.JobConfig{})
+	sums, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(qs, nil), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

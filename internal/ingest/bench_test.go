@@ -112,9 +112,11 @@ func BenchmarkIngestToSummaries(b *testing.B) {
 	b.ReportMetric(float64(n), "records/op")
 }
 
-// BenchmarkBatchToSummaries is the sequential baseline the streaming
-// path replaces: materialize every record (proxylog.ReadAll), convert to
-// pair events, and run the batch MapReduce extraction job.
+// BenchmarkBatchToSummaries is the record-slice route to the same
+// summaries: materialize every record (proxylog.ReadAll), convert to pair
+// events, and extract through the event adapter. Against
+// IngestToSummaries it prices record materialization, not a second
+// aggregator.
 func BenchmarkBatchToSummaries(b *testing.B) {
 	path, n := benchCorpus(b)
 	ctx := context.Background()
@@ -128,7 +130,7 @@ func BenchmarkBatchToSummaries(b *testing.B) {
 		if len(records) != n {
 			b.Fatalf("read %d records, want %d", len(records), n)
 		}
-		sums, _, _, err := pipeline.ExtractSummaries(ctx, pipeline.RecordEvents(records, nil), 1, 0, pipeline.Config{}.MapReduce)
+		sums, _, err := pipeline.ExtractSummaries(ctx, pipeline.RecordEvents(records, nil), 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,18 +17,17 @@ import (
 
 // Config parameterizes a sharded streaming ingest.
 type Config struct {
-	// Workers is the number of parallel scan (and aggregation) workers.
-	// <= 0 means GOMAXPROCS.
+	// Workers is the number of parallel scan workers (capped at the number
+	// of scan units) and aggregation workers (capped at Partitions). <= 0
+	// means GOMAXPROCS.
 	Workers int
-	// Scale is the activity-summary time scale in seconds; <= 0 means 1,
-	// matching the batch extraction default.
+	// Scale is the activity-summary time scale in seconds; <= 0 means 1.
 	Scale int64
 	// MaxBadLines is the per-shard lenient budget: up to MaxBadLines
 	// malformed lines per shard are skipped and counted. 0 is strict mode —
-	// the first malformed line aborts the ingest. (The batch reader's
-	// budget is per file; the streaming deviation is per shard, so a file
-	// split four ways tolerates up to 4× the budget. Documented in
-	// DESIGN.md §5f.)
+	// the first malformed line aborts the ingest. (Per shard, so a file
+	// split four ways tolerates up to 4× the budget; a whole-file split
+	// makes it a per-file budget. Documented in DESIGN.md §5f.)
 	MaxBadLines int
 	// MaxEventsPerPair, when > 0, truncates each pair to its earliest
 	// MaxEventsPerPair events with explicit Truncation accounting, the
@@ -130,18 +129,83 @@ func borrowEventBufs(parts int) *eventBufs {
 // phase.
 var flatPool = sync.Pool{New: func() any { return new([]pairEvent) }}
 
+// Event is the source-agnostic input of data extraction: one observed
+// interaction of one communication pair. Web-proxy, DNS and NetFlow
+// sources all reduce to this shape (the paper notes the methodology only
+// needs the activity summary of a communication pair, Sect. X).
+type Event struct {
+	// Source identifies the internal endpoint (MAC or IP), already
+	// resolved: IngestEvents applies no correlator.
+	Source string
+	// Destination identifies the external endpoint (domain, IP, or
+	// IP:port).
+	Destination string
+	// Timestamp is the event time in Unix seconds.
+	Timestamp int64
+	// Path is optional side-channel information for the token filter
+	// (URL path for web traffic; empty for DNS/NetFlow).
+	Path string
+}
+
+// workers resolves the configured worker count.
+func (c Config) workers() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Ingest scans the shards in parallel, parses lines zero-copy, interns
 // endpoint strings, and hash-partitions events by pair into per-partition
 // accumulators that build timeseries.ActivitySummary values directly —
-// no intermediate record or event materialization. The result is
-// equivalent to reading all records and running the batch extraction
-// job (see pipeline.RunStream's differential tests for the pinned
-// contract).
+// no intermediate record or event materialization.
 func Ingest(ctx context.Context, shards []proxylog.Split, cfg Config) (*Result, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	shardStats := make([]proxylog.ReadStats, len(shards))
+	res, err := scatterGather(ctx, len(shards), cfg, func(sw *scanWorker, i int) (err error) {
+		shardStats[i], err = sw.runShard(shards[i], cfg.MaxBadLines)
+		if err != nil {
+			err = fmt.Errorf("ingest: shard %s: %w", shards[i], err)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	for i, st := range shardStats {
+		res.Stats.Shards = append(res.Stats.Shards, ShardStats{Split: shards[i], ReadStats: st})
+		res.Stats.Records += st.Records
+		res.Stats.SkippedLines += st.SkippedLines
+		if res.Stats.FirstSkipped == "" && st.FirstSkipped != "" {
+			res.Stats.FirstSkipped = fmt.Sprintf("%s: %s", shards[i], st.FirstSkipped)
+		}
+	}
+	return res, nil
+}
+
+// IngestEvents is Ingest for input that is already parsed — a record
+// slice, DNS queries, flow records: at(i) delivers event i of n. The
+// index range is cut into one contiguous chunk per worker, scanned the
+// way shards are, and everything past the scan (partition buffers,
+// aggregation, truncation, output order) is Ingest's. at is called from
+// the workers concurrently, each index exactly once. MaxBadLines and
+// Correlator do not apply (there are no lines, and Event.Source is
+// resolved); Stats stays zero.
+func IngestEvents(ctx context.Context, n int, at func(i int) Event, cfg Config) (*Result, error) {
+	chunks := cfg.workers()
+	return scatterGather(ctx, chunks, cfg, func(sw *scanWorker, c int) error {
+		return sw.scatterEvents(c*n/chunks, (c+1)*n/chunks, at)
+	})
+}
+
+// scatterGather is the engine under both adapters. Scan phase: workers
+// pull unit indices (shards, event chunks) off a channel and scan fills
+// the worker's private per-partition event buffers, so the hot path takes
+// no locks beyond the symbol table's sharded read locks. Aggregation
+// phase: each partition gathers its slice of every worker's buffers and
+// builds its pairs' summaries. The first failing unit (in unit order)
+// fails the run.
+func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *scanWorker, unit int) error) (*Result, error) {
+	workers := cfg.workers()
 	scale := cfg.Scale
 	if scale <= 0 {
 		scale = 1
@@ -155,53 +219,42 @@ func Ingest(ctx context.Context, shards []proxylog.Split, cfg Config) (*Result, 
 		syms = NewSymbolTable()
 	}
 	res := &Result{Symbols: syms}
-	if len(shards) == 0 {
+	if units == 0 {
 		return res, nil
 	}
-	if len(shards) < workers {
-		workers = len(shards)
-	}
+	// Fewer units than workers idles scan workers only: aggregation below
+	// still spreads the partitions over the configured count.
+	scanWorkers := min(workers, units)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Scan phase: workers pull shards off a channel; each owns private
-	// per-partition event buffers, so the scan hot path takes no locks
-	// beyond the symbol table's sharded read locks.
-	type indexedSplit struct {
-		idx   int
-		split proxylog.Split
-	}
-	shardCh := make(chan indexedSplit)
+	unitCh := make(chan int)
 	go func() {
-		defer close(shardCh)
-		for i, sp := range shards {
+		defer close(unitCh)
+		for u := 0; u < units; u++ {
 			select {
-			case shardCh <- indexedSplit{idx: i, split: sp}:
+			case unitCh <- u:
 			case <-ctx.Done():
 				return
 			}
 		}
 	}()
 
-	scanErrs := make([]error, len(shards))
-	shardStats := make([]proxylog.ReadStats, len(shards))
-	workerSets := make([]*eventBufs, workers)
-	workerBufs := make([][][]pairEvent, workers)
+	scanErrs := make([]error, units)
+	workerBufs := make([]*eventBufs, scanWorkers)
 	defer func() {
 		// The event buffers go back to the pool only after aggregation has
 		// read them (or the run aborted) — this deferred return covers
 		// every exit path.
-		for _, eb := range workerSets {
+		for _, eb := range workerBufs {
 			eventBufPool.Put(eb)
 		}
 	}()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < scanWorkers; w++ {
 		set := borrowEventBufs(parts)
-		workerSets[w] = set
-		bufs := set.bufs
-		workerBufs[w] = bufs
+		workerBufs[w] = set
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -212,13 +265,11 @@ func Ingest(ctx context.Context, shards []proxylog.Split, cfg Config) (*Result, 
 				syms:  syms,
 				cache: cache,
 				corr:  cfg.Correlator,
-				parts: bufs,
+				parts: set.bufs,
 			}
-			for sh := range shardCh {
-				stats, err := sw.runShard(sh.split, cfg.MaxBadLines)
-				shardStats[sh.idx] = stats
-				if err != nil {
-					scanErrs[sh.idx] = err
+			for u := range unitCh {
+				if err := scan(&sw, u); err != nil {
+					scanErrs[u] = err
 					cancel()
 					return
 				}
@@ -227,35 +278,22 @@ func Ingest(ctx context.Context, shards []proxylog.Split, cfg Config) (*Result, 
 	}
 	wg.Wait()
 
-	for i, err := range scanErrs {
+	for _, err := range scanErrs {
 		if err != nil {
-			return nil, fmt.Errorf("ingest: shard %s: %w", shards[i], err)
+			return nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	for i, st := range shardStats {
-		res.Stats.Shards = append(res.Stats.Shards, ShardStats{Split: shards[i], ReadStats: st})
-		res.Stats.Records += st.Records
-		res.Stats.SkippedLines += st.SkippedLines
-		if res.Stats.FirstSkipped == "" && st.FirstSkipped != "" {
-			res.Stats.FirstSkipped = fmt.Sprintf("%s: %s", shards[i], st.FirstSkipped)
-		}
+	type partResult struct {
+		sums   []*timeseries.ActivitySummary
+		truncs []Truncation
+		err    error
 	}
-
-	// Aggregation phase: each partition gathers its slice of every
-	// worker's buffers, sorts by (pair, timestamp), and builds summaries
-	// run by run. Partitions are independent, so they stride across the
-	// same worker count.
-	partSums := make([][]*timeseries.ActivitySummary, parts)
-	partTruncs := make([][]Truncation, parts)
-	aggErrs := make([]error, parts)
-	aggWorkers := workers
-	if parts < aggWorkers {
-		aggWorkers = parts
-	}
+	partRes := make([]partResult, parts)
+	aggWorkers := min(workers, parts)
 	wg = sync.WaitGroup{}
 	for w := 0; w < aggWorkers; w++ {
 		wg.Add(1)
@@ -265,30 +303,29 @@ func Ingest(ctx context.Context, shards []proxylog.Split, cfg Config) (*Result, 
 				if err := ctx.Err(); err != nil {
 					return
 				}
-				sums, truncs, err := aggregatePartition(p, workerBufs, syms, scale, cfg.MaxEventsPerPair)
-				if err != nil {
-					aggErrs[p] = err
+				r := &partRes[p]
+				r.sums, r.truncs, r.err = aggregatePartition(p, workerBufs, syms, scale, cfg.MaxEventsPerPair)
+				if r.err != nil {
 					cancel()
 					return
 				}
-				partSums[p], partTruncs[p] = sums, truncs
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	for p, err := range aggErrs {
-		if err != nil {
-			return nil, fmt.Errorf("ingest: partition %d: %w", p, err)
+	for p, r := range partRes {
+		if r.err != nil {
+			return nil, fmt.Errorf("ingest: partition %d: %w", p, r.err)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	for p := 0; p < parts; p++ {
-		res.Summaries = append(res.Summaries, partSums[p]...)
-		res.Truncated = append(res.Truncated, partTruncs[p]...)
+	for _, r := range partRes {
+		res.Summaries = append(res.Summaries, r.sums...)
+		res.Truncated = append(res.Truncated, r.truncs...)
 	}
 	sort.Slice(res.Summaries, func(i, j int) bool {
 		a, b := res.Summaries[i], res.Summaries[j]
@@ -338,22 +375,55 @@ func (sw *scanWorker) runShard(sp proxylog.Split, maxBad int) (stats proxylog.Re
 // hash, append the 20-byte event tuple. No per-record heap allocation in
 // the steady state (symbols warm).
 //
-//bw:noalloc per-record scan hot path; buffer growth is amortized
+//bw:noalloc per-record scan hot path; buffer growth is amortized in emit
 func (sw *scanWorker) handle(v *proxylog.RecordView) error {
-	sw.n++
-	if sw.n >= ctxCheckStride {
-		sw.n = 0
-		if err := sw.ctx.Err(); err != nil {
-			return err
-		}
+	if err := sw.poll(); err != nil {
+		return err
 	}
-	pair := PairID{Src: sw.sourceID(v), Dst: sw.cache.id(v.Host)}
 	path := pathNone
 	if len(v.Path) != 0 {
 		path = sw.cache.id(v.Path)
 	}
-	e := pairEvent{pair: pair, ts: v.Timestamp, path: path}
-	p := PairHash(pair) % uint64(len(sw.parts))
+	sw.emit(pairEvent{pair: PairID{Src: sw.sourceID(v), Dst: sw.cache.id(v.Host)}, ts: v.Timestamp, path: path})
+	return nil
+}
+
+// scatterEvents is handle for already-parsed input: events [lo, hi) of the
+// accessor go into the same partition buffers, interned through the same
+// cache, so aggregation cannot tell the two adapters apart.
+//
+//bw:noalloc per-event adapter hot path; buffer growth is amortized in emit
+func (sw *scanWorker) scatterEvents(lo, hi int, at func(i int) Event) error {
+	for i := lo; i < hi; i++ {
+		if err := sw.poll(); err != nil {
+			return err
+		}
+		e := at(i)
+		path := pathNone
+		if e.Path != "" {
+			path = sw.cache.idString(e.Path)
+		}
+		sw.emit(pairEvent{
+			pair: PairID{Src: sw.cache.idString(e.Source), Dst: sw.cache.idString(e.Destination)},
+			ts:   e.Timestamp, path: path,
+		})
+	}
+	return nil
+}
+
+// poll checks for cancellation every ctxCheckStride records.
+func (sw *scanWorker) poll() error {
+	sw.n++
+	if sw.n < ctxCheckStride {
+		return nil
+	}
+	sw.n = 0
+	return sw.ctx.Err()
+}
+
+// emit appends one event tuple to its pair's partition buffer.
+func (sw *scanWorker) emit(e pairEvent) {
+	p := PairHash(e.pair) % uint64(len(sw.parts))
 	buf := sw.parts[p]
 	if len(buf) == cap(buf) {
 		// Amortized growth; every other event is written in place below.
@@ -363,7 +433,6 @@ func (sw *scanWorker) handle(v *proxylog.RecordView) error {
 		buf[len(buf)-1] = e
 	}
 	sw.parts[p] = buf
-	return nil
 }
 
 // sourceID interns the record's source identity: the raw client IP
@@ -387,8 +456,8 @@ func (sw *scanWorker) sourceID(v *proxylog.RecordView) uint32 {
 // every worker's buffer for it, sort by (pair, timestamp), and walk the
 // runs, feeding each pair's ordered timestamps straight into a summary
 // builder. Truncation keeps the earliest maxEvents events (the beaconing
-// onset) with explicit accounting, matching the batch extraction job.
-func aggregatePartition(p int, workerBufs [][][]pairEvent, syms *SymbolTable, scale int64, maxEvents int) (sums []*timeseries.ActivitySummary, truncs []Truncation, err error) {
+// onset) with explicit accounting.
+func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale int64, maxEvents int) (sums []*timeseries.ActivitySummary, truncs []Truncation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("aggregate panic: %v", r)
@@ -398,8 +467,8 @@ func aggregatePartition(p int, workerBufs [][][]pairEvent, syms *SymbolTable, sc
 		return nil, nil, ferr
 	}
 	total := 0
-	for _, bufs := range workerBufs {
-		total += len(bufs[p])
+	for _, eb := range workerBufs {
+		total += len(eb.bufs[p])
 	}
 	if total == 0 {
 		return nil, nil, nil
@@ -410,8 +479,8 @@ func aggregatePartition(p int, workerBufs [][][]pairEvent, syms *SymbolTable, sc
 	// place, then sort each (much smaller) segment by timestamp alone.
 	idx := make(map[PairID]int, 64)
 	var counts []int
-	for _, bufs := range workerBufs {
-		for _, e := range bufs[p] {
+	for _, eb := range workerBufs {
+		for _, e := range eb.bufs[p] {
 			gi, ok := idx[e.pair]
 			if !ok {
 				gi = len(counts)
@@ -433,8 +502,8 @@ func aggregatePartition(p int, workerBufs [][][]pairEvent, syms *SymbolTable, sc
 	flat := (*fp)[:total]
 	cursor := make([]int, len(counts))
 	copy(cursor, starts)
-	for _, bufs := range workerBufs {
-		for _, e := range bufs[p] {
+	for _, eb := range workerBufs {
+		for _, e := range eb.bufs[p] {
 			gi := idx[e.pair]
 			flat[cursor[gi]] = e
 			cursor[gi]++

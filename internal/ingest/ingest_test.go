@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"baywatch/internal/faultinject"
 	"baywatch/internal/proxylog"
@@ -43,6 +45,14 @@ func writeShard(t *testing.T, dir, name string, lines []string) string {
 type refEvent struct {
 	src, dst, path string
 	ts             int64
+}
+
+// eventAt adapts the reference events to IngestEvents' accessor.
+func eventAt(events []refEvent) func(int) Event {
+	return func(i int) Event {
+		e := events[i]
+		return Event{Source: e.src, Destination: e.dst, Timestamp: e.ts, Path: e.path}
+	}
 }
 
 // refSummaries is the straight-line reference implementation the sharded
@@ -196,11 +206,17 @@ func TestIngestMatchesReference(t *testing.T) {
 		if res.Symbols == nil {
 			t.Error("Result.Symbols is nil")
 		}
+		// The same events through the already-parsed adapter.
+		res, err = IngestEvents(context.Background(), len(events), eventAt(events), Config{Workers: workers, Partitions: 3})
+		if err != nil {
+			t.Fatalf("events, workers=%d: %v", workers, err)
+		}
+		assertSummariesEqual(t, res.Summaries, want)
 	}
 }
 
 // TestIngestTruncation: a pair over the per-pair cap keeps its earliest
-// events with explicit accounting, exactly like the batch extraction job.
+// events with explicit accounting, through either adapter.
 func TestIngestTruncation(t *testing.T) {
 	dir := t.TempDir()
 	var lines []string
@@ -231,6 +247,14 @@ func TestIngestTruncation(t *testing.T) {
 	}
 	if res.Truncated[0].Kept != 4 || res.Truncated[0].Dropped != 6 {
 		t.Fatalf("Truncated accounting = %+v", res.Truncated[0])
+	}
+	evRes, err := IngestEvents(context.Background(), len(events), eventAt(events), Config{Workers: 4, MaxEventsPerPair: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSummariesEqual(t, evRes.Summaries, want)
+	if len(evRes.Truncated) != 1 || evRes.Truncated[0] != wantTruncs[0] {
+		t.Fatalf("events: Truncated = %+v, want %+v", evRes.Truncated, wantTruncs)
 	}
 }
 
@@ -309,6 +333,13 @@ func TestIngestEmptyAndSymbolReuse(t *testing.T) {
 	}
 	if len(res.Summaries) != 0 || res.Symbols == nil {
 		t.Fatalf("empty ingest: %d summaries, symbols=%v", len(res.Summaries), res.Symbols)
+	}
+	res, err = IngestEvents(context.Background(), 0, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Summaries) != 0 || res.Symbols == nil {
+		t.Fatalf("empty event ingest: %d summaries, symbols=%v", len(res.Summaries), res.Symbols)
 	}
 
 	dir := t.TempDir()
@@ -468,6 +499,64 @@ func TestIngestAggregateFaultCrash(t *testing.T) {
 	}
 }
 
+// TestAggregationNotClampedByShardCount: one scan unit (a gzip file, a
+// whole-file split) must still aggregate its partitions on the configured
+// worker count. The hook holds each partition at the aggregate fault point
+// until all four are there; serialized aggregation never gets past one.
+func TestAggregationNotClampedByShardCount(t *testing.T) {
+	dir := t.TempDir()
+	paths, _ := testCorpus(t, dir, 1)
+	one, err := PlanShards(paths, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := PlanShards(paths, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 || len(four) != 4 {
+		t.Fatalf("planned %d and %d shards, want 1 and 4", len(one), len(four))
+	}
+	cfg := Config{Workers: 4}
+	want, err := Ingest(context.Background(), four, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	waiting, peak := 0, 0
+	all := make(chan struct{})
+	SetFaultHook(func(point string) error {
+		if !strings.HasPrefix(point, string(faultinject.PointIngestAggregate)+":") {
+			return nil
+		}
+		mu.Lock()
+		waiting++
+		peak = max(peak, waiting)
+		if waiting == 4 {
+			close(all)
+		}
+		mu.Unlock()
+		select {
+		case <-all:
+		case <-time.After(time.Second):
+		}
+		mu.Lock()
+		waiting--
+		mu.Unlock()
+		return nil
+	})
+	t.Cleanup(func() { SetFaultHook(nil) })
+	got, err := Ingest(context.Background(), one, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak != 4 {
+		t.Errorf("at most %d partition(s) aggregated concurrently, want 4", peak)
+	}
+	assertSummariesEqual(t, got.Summaries, want.Summaries)
+}
+
 // TestHandleNoAlloc is the proof behind the //bw:noalloc annotation on
 // the scan worker's handle: with warm symbols and pre-grown partition
 // buffers, appending a record allocates nothing.
@@ -494,6 +583,32 @@ func TestHandleNoAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("handle allocates %.1f/op steady-state, want 0", allocs)
+	}
+
+	// The event adapter's loop over the same (warm) symbols, through
+	// idString and internStringHash.
+	events := []Event{
+		{Source: "10.0.0.1", Destination: "warm.example", Timestamp: 1425300000, Path: "/w"},
+		{Source: "10.0.0.1", Destination: "warm.example", Timestamp: 1425300060},
+	}
+	at := func(i int) Event { return events[i] }
+	if err := sw.scatterEvents(0, len(events), at); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := sw.scatterEvents(0, len(events), at); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("scatterEvents allocates %.1f/op steady-state, want 0", allocs)
+	}
+	h := hashString("warm.example")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if cache.idString("warm.example") != syms.internStringHash("warm.example", h) {
+			t.Fatal("cache and table disagree on a warm symbol")
+		}
+	}); allocs != 0 {
+		t.Errorf("idString/internStringHash allocate %.1f/op warm, want 0", allocs)
 	}
 }
 

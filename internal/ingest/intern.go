@@ -12,9 +12,12 @@
 // the full corpus is never materialized as records or events — the only
 // per-record state that crosses the scan/aggregate boundary is a 20-byte
 // (pairID, timestamp, pathID) tuple — so ingest saturates all cores on
-// multi-GB corpora instead of serializing on a single parse loop. The
-// result is equivalent to the batch proxylog.ReadAll + pipeline extraction
-// path; pipeline.RunStream's differential tests pin the contract.
+// multi-GB corpora instead of serializing on a single parse loop.
+//
+// Already-parsed input (a record slice, DNS or NetFlow events) enters
+// through a second adapter, IngestEvents, that fills the same partition
+// buffers; the aggregation that builds summaries is the only one in the
+// repository.
 package ingest
 
 import (
@@ -79,7 +82,14 @@ func (t *SymbolTable) internHash(b []byte, h uint64) uint32 {
 // InternString is Intern for an already-materialized string (resolved
 // correlator identities, API boundaries).
 func (t *SymbolTable) InternString(s string) uint32 {
-	shard := uint32(hashString(s) & (1<<symShardBits - 1))
+	return t.internStringHash(s, hashString(s))
+}
+
+// internStringHash is internHash for an already-materialized string.
+//
+//bw:noalloc per-event hot path; the insert slow path is in symShard.intern
+func (t *SymbolTable) internStringHash(s string, h uint64) uint32 {
+	shard := uint32(h & (1<<symShardBits - 1))
 	sh := &t.shards[shard]
 	sh.mu.RLock()
 	id, ok := sh.ids[s]
@@ -201,6 +211,23 @@ func (c *symCache) id(b []byte) uint32 {
 	return id
 }
 
+// idString is id for an already-materialized string (the event adapter);
+// the hash of a string equals the hash of its bytes, so both spellings of
+// a symbol share one cache slot and one ID.
+//
+//bw:noalloc per-event hot path
+func (c *symCache) idString(s string) uint32 {
+	h := hashString(s)
+	e := &c.entries[h>>(64-symCacheBits)]
+	key := h | 1
+	if e.hash == key && e.s == s {
+		return e.id
+	}
+	id := c.tab.internStringHash(s, h)
+	*e = symCacheEntry{hash: key, id: id, s: c.tab.Lookup(id)}
+	return id
+}
+
 // PairID identifies a communication pair by its interned source and
 // destination symbols. It replaces the "src|dst" concatenated string as
 // the pipeline's hot-path pair identity: 8 bytes, comparable, and immune
@@ -211,8 +238,8 @@ type PairID struct {
 }
 
 // PairHash mixes a PairID into a well-distributed 64-bit hash
-// (splitmix64 finalizer), used for shuffle partitioning in both the
-// ingest accumulators and the mapreduce extraction job.
+// (splitmix64 finalizer), used to partition events over the aggregation
+// accumulators.
 func PairHash(p PairID) uint64 {
 	x := uint64(p.Src)<<32 | uint64(p.Dst)
 	x ^= x >> 30

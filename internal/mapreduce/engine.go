@@ -61,9 +61,6 @@ type JobConfig struct {
 	// (2^PartitionBits), mirroring the paper's hash function H: "a 5-bit
 	// hash results in 32 REDUCE tasks". Defaults to 5.
 	PartitionBits int
-	// KeyHash overrides the partition hash. The default hashes the key's
-	// string form with FNV-1a.
-	KeyHash func(any) uint64
 	// SpillDir enables map-side disk spilling: when set, each map worker
 	// flushes its buffered groups to gob files under a temporary directory
 	// inside SpillDir whenever the buffer exceeds SpillThreshold pairs.
@@ -120,9 +117,6 @@ func (c JobConfig) withDefaults() JobConfig {
 	}
 	if c.PartitionBits > 16 {
 		c.PartitionBits = 16
-	}
-	if c.KeyHash == nil {
-		c.KeyHash = defaultKeyHash
 	}
 	if c.SpillThreshold <= 0 {
 		c.SpillThreshold = 1 << 20
@@ -183,7 +177,8 @@ func finalFailure(err error) bool {
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func defaultKeyHash(key any) uint64 {
+// keyHash is the partition hash: FNV-1a of the key's %v form.
+func keyHash(key any) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v", key)
 	return h.Sum64()
@@ -380,7 +375,7 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, sourceFor func(w int) func() 
 	// double-counted against the job's budgets).
 	runShard := func(shardCtx context.Context, w int, shard *mapShard, label string, retries, failed *atomic.Int64) error {
 		emit := func(key K, value V) {
-			p := int(j.cfg.KeyHash(key) % uint64(nParts))
+			p := int(keyHash(key) % uint64(nParts))
 			g := shard.groups[p]
 			if _, seen := g[key]; !seen {
 				shard.order[p] = append(shard.order[p], key)

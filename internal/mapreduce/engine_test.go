@@ -237,17 +237,6 @@ func TestPartitionBitsControlFanout(t *testing.T) {
 	}
 }
 
-func TestCustomKeyHash(t *testing.T) {
-	// A constant hash forces every key into one partition; results must
-	// still be correct.
-	cfg := JobConfig{KeyHash: func(any) uint64 { return 42 }}
-	got := runWordCount(t, cfg, []string{"x y z", "x"})
-	want := map[string]int{"x": 2, "y": 1, "z": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
 func TestReduceSeesAllValuesOfKey(t *testing.T) {
 	job := NewJob[int, string, int, []int](JobConfig{Mappers: 7},
 		func(in int, emit Emitter[string, int]) error {

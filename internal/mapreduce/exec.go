@@ -251,7 +251,7 @@ func (r *execRunner[I, K, V, O]) mapTask(spec mrx.TaskSpec) (mrx.TaskResult, err
 	var c Counters
 	var buffered int64
 	emit := func(key K, value V) {
-		p := int(cfg.KeyHash(key) % uint64(nParts))
+		p := int(keyHash(key) % uint64(nParts))
 		if _, seen := groups[p][key]; !seen {
 			order[p] = append(order[p], key)
 		}

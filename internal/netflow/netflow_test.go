@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"baywatch/internal/core"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/pipeline"
 	"baywatch/internal/proxylog"
 )
@@ -111,7 +110,7 @@ func TestBeaconDetectableThroughFlowView(t *testing.T) {
 		recs = append(recs, &proxylog.Record{Timestamp: int64(i * 120), ClientIP: "10.0.0.1", Host: "cc.evil", Scheme: "http"})
 	}
 	flows := FromProxyTrace(recs)
-	sums, _, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(flows, nil), 1, 0, mapreduce.JobConfig{})
+	sums, _, err := pipeline.ExtractSummaries(context.Background(), ToPairEvents(flows, nil), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,24 +269,7 @@ func (l *Loop) coarsePass(ctx context.Context, scale int64) (*pipeline.Result, e
 	cfg := l.cfg.Pipeline
 	cfg.Novelty = l.store
 	cfg.Scale = scale
-	return runOverEvents(ctx, events, cfg)
-}
-
-// runOverEvents adapts pipeline.Run to pre-extracted events by converting
-// them into minimal records (the pipeline only reads source/destination/
-// timestamp/path).
-func runOverEvents(ctx context.Context, events []pipeline.PairEvent, cfg pipeline.Config) (*pipeline.Result, error) {
-	records := make([]*proxylog.Record, len(events))
-	for i, e := range events {
-		records[i] = &proxylog.Record{
-			Timestamp: e.Timestamp,
-			ClientIP:  e.Source,
-			Host:      e.Destination,
-			Path:      e.Path,
-		}
-	}
-	// Sources are already resolved identities; no correlator.
-	return pipeline.Run(ctx, records, nil, cfg)
+	return pipeline.RunEvents(ctx, events, cfg)
 }
 
 // HistoryPairs reports how many summaries are currently held.

@@ -35,9 +35,8 @@ func init() {
 }
 
 // wireConfig is the gob-transportable subset of mapreduce.JobConfig.
-// KeyHash (a func), SpillDir and Watchdog are coordinator-side concerns
-// that must not leak into workers: the detect job uses the default key
-// hash, and workers always spill into the coordinator's scratch.
+// SpillDir and Watchdog are coordinator-side concerns that must not leak
+// into workers: workers always spill into the coordinator's scratch.
 type wireConfig struct {
 	Name            string
 	Mappers         int

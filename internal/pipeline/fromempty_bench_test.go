@@ -48,7 +48,7 @@ func scanShape(tb testing.TB) ([]*timeseries.ActivitySummary, Config) {
 		tb.Fatal(err)
 	}
 	cfg := Config{Global: whitelist.NewGlobal(tr.Catalog), LM: lm}
-	sums, _, _, err := ExtractSummaries(context.Background(), RecordEvents(tr.Records, nil), 1, 0, cfg.MapReduce)
+	sums, _, err := ExtractSummaries(context.Background(), RecordEvents(tr.Records, nil), 1, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

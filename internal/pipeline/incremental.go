@@ -203,7 +203,7 @@ func (i *Incremental) dropPair(k pairKey, impacted map[string]struct{}) {
 // pair whose summaries cannot merge is isolated under StageError).
 // Summaries must never be mutated after being passed in.
 func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySummary, removed []PairRef) (*Result, error) {
-	env, cleanup := newGuardEnv(ctx, i.cfg)
+	env, cleanup := newGuardEnv(i.cfg)
 	defer cleanup()
 	i.tick++
 
@@ -310,7 +310,7 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 	}
 	var detCounters mapreduce.Counters
 	if len(detList) > 0 {
-		detCtx, detDone := env.stageCtx("detect")
+		detCtx, detDone := stageCtx(ctx, env.g, "detect")
 		detections, counters, err := detectBeacons(
 			detCtx, detList, i.cfg.Detector, env.mrCfg, i.cfg.Exec,
 			env.g.CandidateTimeout, env.g.MaxInFlight, i.cfg.Thresholds)

@@ -337,7 +337,7 @@ func TestIncrementalIdleTickRunsNoDetection(t *testing.T) {
 	if want.Stats.Reported == 0 {
 		t.Fatal("nothing reported; the comparison would be vacuous")
 	}
-	sums, _, _, err := ExtractSummaries(context.Background(), RecordEvents(env.trace.Records, env.corr), 1, 0, env.cfg.MapReduce)
+	sums, _, err := ExtractSummaries(context.Background(), RecordEvents(env.trace.Records, env.corr), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

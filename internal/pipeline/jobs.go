@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"baywatch/internal/core"
@@ -18,47 +17,26 @@ import (
 	"baywatch/internal/timeseries"
 )
 
-// PairEvent is the source-agnostic input of the data-extraction job: one
-// observed interaction of one communication pair. Web-proxy, DNS and
-// NetFlow sources all reduce to this shape (the paper notes the
-// methodology only needs the activity summary of a communication pair,
-// Sect. X).
-type PairEvent struct {
-	// Source identifies the internal endpoint (MAC or IP).
-	Source string
-	// Destination identifies the external endpoint (domain, IP, or
-	// IP:port).
-	Destination string
-	// Timestamp is the event time in Unix seconds.
-	Timestamp int64
-	// Path is optional side-channel information for the token filter
-	// (URL path for web traffic; empty for DNS/NetFlow).
-	Path string
-}
+// PairEvent is the source-agnostic input of data extraction: one observed
+// interaction of one communication pair (see ingest.Event).
+type PairEvent = ingest.Event
 
 // TruncatedPair records one communication pair whose event volume
 // exceeded the admission cap (guard.Config.MaxEventsPerPair) and was
 // truncated to its earliest Kept events. Truncation is load shedding with
 // explicit accounting: the pair still flows through the pipeline on the
 // kept prefix, and the run is marked Degraded.
-type TruncatedPair struct {
-	// Source and Destination identify the pair.
-	Source, Destination string
-	// Kept is the number of events analyzed (the cap).
-	Kept int
-	// Dropped is the number of events shed beyond the cap.
-	Dropped int
-}
+type TruncatedPair = ingest.Truncation
 
 // pairKey is the shuffle key of the summary-level jobs (detection,
 // rescale/merge): a comparable struct, not the concatenated "src|dst"
 // string, so endpoints containing the separator byte can never collide
-// into one group. (The event-level extraction job goes further and uses
-// interned ingest.PairID keys; summary-level jobs group far fewer items,
-// so the plain strings are fine there.) The fields are exported because
-// the distributed detect job gob-encodes keys into spill files; the
-// default KeyHash renders the key through fmt's %v, which prints values
-// only, so the rename left every partition assignment unchanged.
+// into one group. (Event-level extraction goes further and uses interned
+// ingest.PairID keys; summary-level jobs group far fewer items, so the
+// plain strings are fine there.) The fields are exported because the
+// distributed detect job gob-encodes keys into spill files; the partition
+// hash renders the key through fmt's %v, which prints values only, so
+// field names never move a partition assignment.
 type pairKey struct {
 	Src, Dst string
 }
@@ -67,148 +45,35 @@ type pairKey struct {
 // points and error messages use.
 func (k pairKey) faultKey() string { return k.Src + "|" + k.Dst }
 
-// tsPath is the extraction job's intermediate value: one event's timestamp
-// plus the optional URL path for the token filter.
-type tsPath struct {
-	ts   int64
-	path string
-}
-
-// tsBufPool recycles the per-pair timestamp buffers of the extraction
-// reducer. Reduce calls for different keys run concurrently, so the buffers
-// are pooled rather than shared.
-var tsBufPool = sync.Pool{New: func() any { return new([]int64) }}
-
-// extractOut is the extraction reduce output: the pair's summary plus a
-// truncation record when the admission cap fired.
-type extractOut struct {
-	as        *timeseries.ActivitySummary
-	truncated *TruncatedPair
-}
-
-// extractionJob builds the data-extraction MapReduce job (Sect. VII-A)
-// over source-agnostic pair events: MAP interns the pair's endpoints and
-// keys the event by its (src, dst) symbol-ID pair — never by a
-// concatenated "src|dst" string, whose separator a hostile source or
-// destination value could spoof — and REDUCE resolves the IDs back to
-// strings only at the summary boundary, sorts the timestamps and builds
-// the ActivitySummary at the given scale, carrying a bounded path sample
-// for the token filter. maxEvents > 0 caps each pair at its earliest
-// maxEvents events, recording a TruncatedPair for every pair shed.
-func extractionJob(syms *ingest.SymbolTable, scale int64, maxEvents int, mrCfg mapreduce.JobConfig) *mapreduce.Job[PairEvent, ingest.PairID, tsPath, extractOut] {
-	mrCfg.Name = "data-extraction"
-	if mrCfg.KeyHash == nil {
-		// The default key hash renders the key through fmt; pair IDs mix
-		// directly.
-		mrCfg.KeyHash = func(key any) uint64 {
-			p, ok := key.(ingest.PairID)
-			if !ok {
-				return 0
-			}
-			return ingest.PairHash(p)
-		}
-	}
-	return mapreduce.NewJob[PairEvent, ingest.PairID, tsPath, extractOut](
-		mrCfg,
-		func(e PairEvent, emit mapreduce.Emitter[ingest.PairID, tsPath]) error {
-			pair := ingest.PairID{Src: syms.InternString(e.Source), Dst: syms.InternString(e.Destination)}
-			emit(pair, tsPath{ts: e.Timestamp, path: e.Path})
-			return nil
-		},
-		func(key ingest.PairID, events []tsPath, emit func(extractOut)) error {
-			src, dst := syms.Lookup(key.Src), syms.Lookup(key.Dst)
-			var trunc *TruncatedPair
-			if maxEvents > 0 && len(events) > maxEvents {
-				// Shed load deterministically: keep the earliest events
-				// (the beaconing onset), drop the tail, and account for it.
-				sorted := append([]tsPath(nil), events...)
-				sort.Slice(sorted, func(i, j int) bool { return sorted[i].ts < sorted[j].ts })
-				trunc = &TruncatedPair{
-					Source: src, Destination: dst,
-					Kept: maxEvents, Dropped: len(events) - maxEvents,
-				}
-				events = sorted[:maxEvents]
-			}
-			// FromTimestamps copies the timestamp list, so a pooled buffer
-			// amortizes the per-pair allocation across reduce calls. The
-			// deferred Put returns it even when the summary build fails.
-			bufp := tsBufPool.Get().(*[]int64)
-			ts := (*bufp)[:0]
-			defer func() {
-				*bufp = ts
-				tsBufPool.Put(bufp)
-			}()
-			for _, e := range events {
-				ts = append(ts, e.ts)
-			}
-			as, err := timeseries.FromTimestamps(src, dst, ts, scale)
-			if err != nil {
-				return err
-			}
-			for _, e := range events {
-				as.AddURLPath(e.path)
-			}
-			emit(extractOut{as: as, truncated: trunc})
-			return nil
-		},
-	)
-}
-
-// collectExtraction unpacks a finished extraction run into sorted
-// summaries and truncation records. Sorting by pair gives both extraction
-// entry points (batch and streaming) one deterministic output order, so
-// their results are directly comparable.
-func collectExtraction(res *mapreduce.Result[extractOut]) ([]*timeseries.ActivitySummary, []TruncatedPair) {
-	summaries := make([]*timeseries.ActivitySummary, 0, len(res.Outputs))
-	var truncated []TruncatedPair
-	for _, o := range res.Outputs {
-		summaries = append(summaries, o.as)
-		if o.truncated != nil {
-			truncated = append(truncated, *o.truncated)
-		}
-	}
-	sort.Slice(summaries, func(i, j int) bool {
-		if summaries[i].Source != summaries[j].Source {
-			return summaries[i].Source < summaries[j].Source
-		}
-		return summaries[i].Destination < summaries[j].Destination
-	})
-	sort.Slice(truncated, func(i, j int) bool {
-		if truncated[i].Source != truncated[j].Source {
-			return truncated[i].Source < truncated[j].Source
-		}
-		return truncated[i].Destination < truncated[j].Destination
-	})
-	return summaries, truncated
-}
-
-// ExtractSummaries runs the data-extraction job over a materialized event
-// slice (see extractionJob) and returns the summaries and truncation
-// records sorted by pair, plus the job's counters so callers can account
-// for failure budgets spent. maxEvents <= 0 means uncapped.
-func ExtractSummaries(ctx context.Context, events []PairEvent, scale int64, maxEvents int, mrCfg mapreduce.JobConfig) ([]*timeseries.ActivitySummary, []TruncatedPair, mapreduce.Counters, error) {
-	if scale <= 0 {
-		scale = 1
-	}
-	res, err := extractionJob(ingest.NewSymbolTable(), scale, maxEvents, mrCfg).Run(ctx, events)
+// ExtractSummaries is data extraction (Sect. VII-A) over a materialized
+// event slice: the summaries and truncation records, sorted by pair, that
+// Run's front half would hand the analysis core. maxEvents > 0 caps each
+// pair at its earliest maxEvents events; <= 0 means uncapped.
+func ExtractSummaries(ctx context.Context, events []PairEvent, scale int64, maxEvents int) ([]*timeseries.ActivitySummary, []TruncatedPair, error) {
+	ext, err := ingest.IngestEvents(ctx, len(events), func(i int) PairEvent { return events[i] },
+		ingest.Config{Scale: scale, MaxEventsPerPair: maxEvents})
 	if err != nil {
-		return nil, nil, mapreduce.Counters{}, err
+		return nil, nil, err
 	}
-	summaries, truncated := collectExtraction(res)
-	return summaries, truncated, res.Counters, nil
+	return ext.Summaries, ext.Truncated, nil
 }
 
-// RecordEvents converts proxy records to pair events, resolving sources
-// through the DHCP correlation when corr is non-nil (device MACs) and
-// using raw client IPs otherwise.
+// recordEvent converts one proxy record to a pair event, resolving the
+// source through the DHCP correlation when corr is non-nil (device MAC,
+// "ip:<addr>" fallback) and using the raw client IP otherwise.
+func recordEvent(r *proxylog.Record, corr *proxylog.Correlator) PairEvent {
+	src := r.ClientIP
+	if corr != nil {
+		src = corr.SourceID(r)
+	}
+	return PairEvent{Source: src, Destination: r.Host, Timestamp: r.Timestamp, Path: r.Path}
+}
+
+// RecordEvents converts proxy records to pair events (see recordEvent).
 func RecordEvents(records []*proxylog.Record, corr *proxylog.Correlator) []PairEvent {
 	events := make([]PairEvent, len(records))
 	for i, r := range records {
-		src := r.ClientIP
-		if corr != nil {
-			src = corr.SourceID(r)
-		}
-		events[i] = PairEvent{Source: src, Destination: r.Host, Timestamp: r.Timestamp, Path: r.Path}
+		events[i] = recordEvent(r, corr)
 	}
 	return events
 }

@@ -14,14 +14,17 @@
 //	  8. weighted ranking (language model, popularity, periodicity)
 //	Phase D — investigation (see package triage)
 //
-// Every mode is a front half that produces per-pair activity summaries —
-// the data-extraction MapReduce job over a record slice (Run), the sharded
-// streaming ingest (RunStream), the daemon's event store (internal/source)
-// — feeding the one back half that runs filters 1-8: Incremental (see
-// incremental.go). The one-shot entry points tick a fresh Incremental
-// once with every pair changed; the daemon keeps one standing and ticks
-// it with deltas. Beaconing detection runs as a MapReduce job, mirroring
-// the paper's modular Hadoop implementation; destination popularity is a
+// Every mode is a front half that produces per-pair activity summaries
+// feeding the one back half that runs filters 1-8: Incremental (see
+// incremental.go). There is one batch front half, internal/ingest's
+// scatter/aggregate, entered through two adapters — record slices and
+// pair events (Run, ExtractSummaries) and sharded log files (RunStream) —
+// and the daemon's event store (internal/source). The one-shot entry
+// points tick a fresh Incremental once with every pair changed; the daemon
+// keeps one standing and ticks it with deltas. Beaconing detection and
+// rescale/merge run as MapReduce jobs, mirroring the paper's modular
+// Hadoop implementation; data extraction is not one (log reduction has no
+// fallible per-record work to budget), and destination popularity is a
 // set of counts the core maintains.
 package pipeline
 
@@ -36,6 +39,7 @@ import (
 	"baywatch/internal/core"
 	"baywatch/internal/features"
 	"baywatch/internal/guard"
+	"baywatch/internal/ingest"
 	"baywatch/internal/langmodel"
 	"baywatch/internal/mapreduce"
 	"baywatch/internal/novelty"
@@ -82,6 +86,9 @@ type Config struct {
 	// Guard bounds the run in time and memory: stage and per-candidate
 	// deadlines, watchdog stall detection, in-flight admission control and
 	// the per-pair event cap. The zero value disables every bound.
+	// TaskTimeout, StallTimeout and FailureBudget bound the MapReduce jobs
+	// (detect, rescale-merge) only; the front half is bounded by the
+	// extract stage deadline and ctx, and sheds through MaxEventsPerPair.
 	Guard guard.Config
 	// Thresholds, when non-nil, carries memoized permutation thresholds
 	// across runs: same-shape series share one cached null distribution
@@ -250,11 +257,9 @@ type Result struct {
 	Degraded bool
 	// Stats is the filtering funnel.
 	Stats Stats
-	// Ingest reports the streaming scan accounting when the run ingested
-	// shards (RunStream); nil for batch runs over a record slice. Lenient
-	// skips do not mark the run Degraded — the same contract as the batch
-	// path, where the lenient reader drops lines before Run ever sees
-	// them.
+	// Ingest reports the scan accounting when the run ingested shards
+	// (RunStream); nil for runs over a record slice. Lenient skips do not
+	// mark the run Degraded: a skipped line was never an event.
 	Ingest *IngestStats
 }
 
@@ -270,21 +275,19 @@ type IngestStats struct {
 	FirstSkipped string
 }
 
-// guardEnv is the resilience environment a front half or a tick executes
-// under: the guard bounds threaded into MapReduce configs, a watchdog,
-// and the per-stage deadline factory.
+// guardEnv is the resilience environment a tick executes under: the guard
+// bounds threaded into the MapReduce config, and a watchdog.
 type guardEnv struct {
-	g        guard.Config
-	mrCfg    mapreduce.JobConfig
-	wd       *guard.Watchdog
-	stageCtx func(stage string) (context.Context, context.CancelFunc)
+	g     guard.Config
+	mrCfg mapreduce.JobConfig
+	wd    *guard.Watchdog
 }
 
 // newGuardEnv threads the guard config's deadlines, watchdog and failure
-// budgets into the run's job config; a zero config leaves the run
-// unbounded. The returned cleanup stops the watchdog (if one was
-// created) and must be deferred by the caller.
-func newGuardEnv(ctx context.Context, cfg Config) (*guardEnv, func()) {
+// budgets into the tick's job config; a zero config leaves it unbounded.
+// The returned cleanup stops the watchdog (if one was created) and must be
+// deferred by the caller.
+func newGuardEnv(cfg Config) (*guardEnv, func()) {
 	env := &guardEnv{g: cfg.Guard, mrCfg: cfg.MapReduce}
 	g := env.g
 	if g.TaskTimeout > 0 && env.mrCfg.TaskTimeout == 0 {
@@ -304,36 +307,25 @@ func newGuardEnv(ctx context.Context, cfg Config) (*guardEnv, func()) {
 		cleanup = env.wd.Stop
 		env.mrCfg.Watchdog = env.wd
 	}
-	env.stageCtx = func(stage string) (context.Context, context.CancelFunc) {
-		if g.StageTimeout <= 0 {
-			return ctx, func() {}
-		}
-		return context.WithTimeoutCause(ctx, g.StageTimeout,
-			fmt.Errorf("%w: stage %s exceeded %v", guard.ErrTimeout, stage, g.StageTimeout))
-	}
 	return env, cleanup
 }
 
-// extraction is what a front half hands the analysis core: the per-pair
-// summaries (at most one per pair is usual; duplicates merge), plus the
-// accounting only the front half can know.
-type extraction struct {
-	summaries []*timeseries.ActivitySummary
-	truncated []TruncatedPair
-	// inputEvents is the number of events read, before any truncation.
-	inputEvents int
-	// counters carries the extraction job's failure-budget spend (zero for
-	// the streaming scan, which aborts on errors instead of budgeting them).
-	counters mapreduce.Counters
-	// ingest is the streaming scan's accounting; nil for record slices.
-	ingest *IngestStats
+// stageCtx bounds one pipeline stage by the guard's StageTimeout; a zero
+// timeout returns ctx unbounded.
+func stageCtx(ctx context.Context, g guard.Config, stage string) (context.Context, context.CancelFunc) {
+	if g.StageTimeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeoutCause(ctx, g.StageTimeout,
+		fmt.Errorf("%w: stage %s exceeded %v", guard.ErrTimeout, stage, g.StageTimeout))
 }
 
-// runExtracted is every one-shot mode: run the front half under the
-// extract stage's guard bounds, tick a fresh Incremental once with every
-// summary changed, and book the front half's accounting into the Result.
-// The summaries come back too, for callers that keep them.
-func runExtracted(ctx context.Context, cfg Config, extract func(context.Context, Config, *guardEnv) (extraction, error)) (*Result, []*timeseries.ActivitySummary, error) {
+// runExtracted is every one-shot mode: run the front half — one of the
+// ingest adapters, under the extract stage deadline and the per-pair
+// event cap — tick a fresh Incremental once with every summary changed,
+// and book the truncation into the Result. The front half's result comes
+// back too, for callers that keep its summaries or scan stats.
+func runExtracted(ctx context.Context, cfg Config, front func(context.Context, ingest.Config) (*ingest.Result, error)) (*Result, *ingest.Result, error) {
 	inc, err := NewIncremental(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -341,38 +333,29 @@ func runExtracted(ctx context.Context, cfg Config, extract func(context.Context,
 	cfg = inc.cfg
 
 	start := time.Now()
-	env, cleanup := newGuardEnv(ctx, cfg)
-	extCtx, extDone := env.stageCtx("extract")
-	ext, err := extract(extCtx, cfg, env)
+	extCtx, extDone := stageCtx(ctx, cfg.Guard, "extract")
+	ext, err := front(extCtx, ingest.Config{Scale: cfg.Scale, MaxEventsPerPair: cfg.Guard.MaxEventsPerPair})
 	extDone()
-	stalls := 0
-	if env.wd != nil {
-		stalls = len(env.wd.Stalls())
-	}
-	cleanup()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("pipeline: ingest: %w", err)
 	}
 	extractTime := time.Since(start)
 
-	res, err := inc.Tick(ctx, ext.summaries, nil)
+	res, err := inc.Tick(ctx, ext.Summaries, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.Stats.InputEvents = ext.inputEvents
 	res.Stats.ExtractTime = extractTime
-	res.Truncated = ext.truncated
-	res.Stats.TruncatedPairs = len(ext.truncated)
-	for _, tp := range ext.truncated {
+	res.Truncated = ext.Truncated
+	res.Stats.TruncatedPairs = len(ext.Truncated)
+	for _, tp := range ext.Truncated {
 		res.Stats.DroppedEvents += tp.Dropped
 	}
-	res.Stats.FailedInputs += ext.counters.FailedInputs
-	res.Stats.FailedKeys += ext.counters.FailedKeys
-	res.Stats.Stalls += stalls
-	res.Ingest = ext.ingest
-	res.Degraded = res.Degraded || len(ext.truncated) > 0 ||
-		ext.counters.FailedInputs > 0 || ext.counters.FailedKeys > 0
-	return res, ext.summaries, nil
+	// The tick counted the events the summaries kept; the events read are
+	// those plus the ones the cap shed.
+	res.Stats.InputEvents += res.Stats.DroppedEvents
+	res.Degraded = res.Degraded || len(ext.Truncated) > 0
+	return res, ext, nil
 }
 
 // Run executes the full pipeline over proxy log records. corr may be nil,
@@ -387,15 +370,24 @@ func Run(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correla
 // — the ops loop persists them as the day's history — does not pay a
 // second extraction pass.
 func RunWithSummaries(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correlator, cfg Config) (*Result, []*timeseries.ActivitySummary, error) {
-	return runExtracted(ctx, cfg, func(ctx context.Context, cfg Config, env *guardEnv) (extraction, error) {
-		// Data extraction is MapReduce job 1 (Sect. VII-A).
-		summaries, truncated, counters, err := ExtractSummaries(
-			ctx, RecordEvents(records, corr), cfg.Scale, env.g.MaxEventsPerPair, env.mrCfg)
-		if err != nil {
-			return extraction{}, fmt.Errorf("pipeline: extract: %w", err)
-		}
-		return extraction{summaries: summaries, truncated: truncated, inputEvents: len(records), counters: counters}, nil
+	return runEvents(ctx, len(records), func(i int) PairEvent { return recordEvent(records[i], corr) }, cfg)
+}
+
+// RunEvents is Run over source-agnostic pair events (sources already
+// resolved); the ops loop's coarse passes enter here.
+func RunEvents(ctx context.Context, events []PairEvent, cfg Config) (*Result, error) {
+	res, _, err := runEvents(ctx, len(events), func(i int) PairEvent { return events[i] }, cfg)
+	return res, err
+}
+
+func runEvents(ctx context.Context, n int, at func(i int) PairEvent, cfg Config) (*Result, []*timeseries.ActivitySummary, error) {
+	res, ext, err := runExtracted(ctx, cfg, func(ctx context.Context, icfg ingest.Config) (*ingest.Result, error) {
+		return ingest.IngestEvents(ctx, n, at, icfg)
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, ext.Summaries, nil
 }
 
 // RunSummaries executes filters 1-8 over already-extracted activity

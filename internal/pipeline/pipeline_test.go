@@ -196,7 +196,7 @@ func TestExtractSummaries(t *testing.T) {
 		{Timestamp: 220, ClientIP: "10.0.0.1", Host: "a.com", Path: "/x"},
 		{Timestamp: 100, ClientIP: "10.0.0.2", Host: "b.com", Path: "/z"},
 	}
-	sums, _, _, err := ExtractSummaries(context.Background(), RecordEvents(recs, nil), 1, 0, defaultMRCfg())
+	sums, _, err := ExtractSummaries(context.Background(), RecordEvents(recs, nil), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestExtractSummariesWithCorrelator(t *testing.T) {
 		{Timestamp: 100, ClientIP: "10.0.0.1", Host: "a.com", Path: "/x"},
 		{Timestamp: 200, ClientIP: "10.0.0.1", Host: "a.com", Path: "/x"},
 	}
-	sums, _, _, err := ExtractSummaries(context.Background(), RecordEvents(recs, corr), 1, 0, defaultMRCfg())
+	sums, _, err := ExtractSummaries(context.Background(), RecordEvents(recs, corr), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

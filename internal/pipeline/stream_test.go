@@ -100,11 +100,11 @@ func summariesDiff(a, b *timeseries.ActivitySummary) string {
 	return ""
 }
 
-// TestRunStreamMatchesRun is the package's central differential test: the
-// streaming (sharded scan + interned pairs + direct-to-summary) front end
-// must produce a Result identical to the batch record-slice path over the
-// same input — same funnel stats, same candidates in the same order with
-// the same summaries, detections, scores and verdicts, same reported set.
+// TestRunStreamMatchesRun is the differential test of the two adapters:
+// the shard scan (parse, correlate, intern bytes) and the record-slice
+// adapter (Correlator.SourceID, intern strings) must hand the shared
+// aggregator the same events, so the Results are identical. The
+// aggregator itself is pinned independently by TestGoldenSummaries.
 func TestRunStreamMatchesRun(t *testing.T) {
 	env := newTestEnv(t, []synthetic.Infection{zbotInfection(3)})
 	batch, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
@@ -133,6 +133,14 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		t.Error("batch run unexpectedly carries ingest stats")
 	}
 
+	sameResult(t, batch, stream)
+}
+
+// sameResult asserts that a record-slice run and a streaming run produced
+// one Result: same funnel stats, same candidates in the same order with
+// the same summaries, detections, scores and verdicts, same reported set.
+func sameResult(t *testing.T, batch, stream *Result) {
+	t.Helper()
 	normalizeResult(batch)
 	normalizeResult(stream)
 
@@ -186,6 +194,122 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				batch.Reported[i].Source, batch.Reported[i].Destination,
 				stream.Reported[i].Source, stream.Reported[i].Destination)
 		}
+	}
+}
+
+// TestAdaptersAgreeOnEdgeCases runs the same events through the
+// record-slice adapter and, written to a log file, through the shard
+// adapter, over the inputs where the two could part ways.
+func TestAdaptersAgreeOnEdgeCases(t *testing.T) {
+	const base = int64(1425300000)
+	rec := func(ts int64, src, host, path string) *proxylog.Record {
+		return &proxylog.Record{Timestamp: ts, ClientIP: src, Method: "GET", Scheme: "http",
+			Host: host, Path: path, Status: 200, BytesOut: 1, BytesIn: 1, UserAgent: "ua"}
+	}
+	series := func(n int, src, host string) []*proxylog.Record {
+		var out []*proxylog.Record
+		for i := 0; i < n; i++ {
+			out = append(out, rec(base+int64(i)*60, src, host, "/p"))
+		}
+		return out
+	}
+	corr, err := proxylog.NewCorrelator([]proxylog.Lease{
+		{IP: "10.0.0.1", MAC: "aa:bb:cc:00:00:01", Start: base - 100, End: base + 100000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		records   []*proxylog.Record
+		corr      *proxylog.Correlator
+		maxEvents int
+		pairs     int
+		truncated []TruncatedPair
+		sources   []string // expected candidate sources, in pair order
+	}{
+		{name: "empty input"},
+		{
+			name: "unsorted and duplicate timestamps",
+			records: []*proxylog.Record{
+				rec(base+300, "10.0.0.1", "a.example", "/late"), rec(base, "10.0.0.1", "a.example", "/early"),
+				rec(base+300, "10.0.0.1", "a.example", "/dup"), rec(base+60, "10.0.0.1", "a.example", "/early"),
+			},
+			pairs: 1,
+		},
+		{
+			name:    "empty path",
+			records: []*proxylog.Record{rec(base, "10.0.0.1", "a.example", ""), rec(base+60, "10.0.0.1", "a.example", "")},
+			pairs:   1,
+		},
+		{
+			name: "separator in endpoints",
+			records: append(series(3, "a|b", "evil.example"),
+				rec(base+7, "a", "b|evil.example", "/p"), rec(base+67, "a", "b|evil.example", "/p")),
+			pairs:   2,
+			sources: []string{"a", "a|b"},
+		},
+		{
+			name:    "correlator hit and ip fallback",
+			records: append(series(3, "10.0.0.1", "a.example"), series(3, "10.0.0.2", "a.example")...),
+			corr:    corr,
+			pairs:   2,
+			sources: []string{"aa:bb:cc:00:00:01", "ip:10.0.0.2"},
+		},
+		{
+			name:      "at and over the per-pair cap",
+			records:   append(series(5, "10.0.0.1", "at.example"), series(6, "10.0.0.1", "over.example")...),
+			maxEvents: 5,
+			pairs:     2,
+			truncated: []TruncatedPair{{Source: "10.0.0.1", Destination: "over.example", Kept: 5, Dropped: 1}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig(t)
+			cfg.Guard.MaxEventsPerPair = tc.maxEvents
+			batch, err := Run(context.Background(), tc.records, tc.corr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			for _, r := range tc.records {
+				sb.WriteString(r.Format())
+				sb.WriteByte('\n')
+			}
+			path := filepath.Join(t.TempDir(), "edge.log")
+			if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			shards, err := ingest.PlanShards([]string{path}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := RunStream(context.Background(), shards, tc.corr, cfg, StreamOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, batch, stream)
+
+			if batch.Stats.Pairs != tc.pairs || batch.Stats.InputEvents != len(tc.records) {
+				t.Errorf("pairs = %d, events = %d, want %d and %d", batch.Stats.Pairs, batch.Stats.InputEvents, tc.pairs, len(tc.records))
+			}
+			if !reflect.DeepEqual(batch.Truncated, tc.truncated) {
+				t.Errorf("truncated = %+v, want %+v", batch.Truncated, tc.truncated)
+			}
+			if batch.Degraded != (len(tc.truncated) > 0) {
+				t.Errorf("degraded = %v with %d truncated pair(s)", batch.Degraded, len(tc.truncated))
+			}
+			if tc.sources != nil {
+				var got []string
+				for _, c := range batch.Candidates {
+					got = append(got, c.Source)
+				}
+				if !reflect.DeepEqual(got, tc.sources) {
+					t.Errorf("candidate sources = %v, want %v", got, tc.sources)
+				}
+			}
+		})
 	}
 }
 
@@ -262,7 +386,7 @@ func TestRunStreamLenientBudget(t *testing.T) {
 }
 
 // TestRunStreamScanFault: an injected shard-scan failure aborts the run
-// through the same error path as a failed batch extraction job.
+// with its cause and the "pipeline: ingest" wrapping intact.
 func TestRunStreamScanFault(t *testing.T) {
 	env := newTestEnv(t, nil)
 	shards := writeShardedLogs(t, env.trace.Records, 2, 1)

@@ -92,11 +92,11 @@ func ForEachSplit(sp Split, maxBad int, fn func(*RecordView) error) (ReadStats, 
 	err := scanSplitLines(sp, func(line []byte, lineNo int64) error {
 		if perr := ParseRecordView(line, &view); perr != nil {
 			if maxBad == 0 {
-				return fmt.Errorf("proxylog: %s line %d: %w", sp, lineNo, perr)
+				return fmt.Errorf("proxylog: %s line %d: %w", sp, lineNo, badRecordDetail(line, perr))
 			}
 			stats.SkippedLines++
 			if stats.FirstSkipped == "" {
-				stats.FirstSkipped = fmt.Sprintf("line %d: %v", lineNo, perr)
+				stats.FirstSkipped = fmt.Sprintf("line %d: %v", lineNo, badRecordDetail(line, perr))
 			}
 			if stats.SkippedLines > maxBad {
 				return fmt.Errorf("proxylog: %s: more than %d malformed lines (first: %s)", sp, maxBad, stats.FirstSkipped)
@@ -107,6 +107,18 @@ func ForEachSplit(sp Split, maxBad int, fn func(*RecordView) error) (ReadStats, 
 		return fn(&view)
 	})
 	return stats, err
+}
+
+// badRecordDetail re-parses a line the view parser rejected with
+// ParseRecord, whose error names the offending field ("epoch: ...",
+// "status: ..."). Only the error path — a strict abort or the first
+// skipped line — pays for it; the view parser's bare sentinel keeps the
+// scan allocation-free.
+func badRecordDetail(line []byte, bare error) error {
+	if _, err := ParseRecord(string(line)); err != nil {
+		return err
+	}
+	return bare // unreachable while the two parsers agree (FuzzParseRecordView)
 }
 
 // scanSplitLines delivers the raw lines owned by sp (newline and trailing

@@ -2,6 +2,7 @@ package proxylog
 
 import (
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -166,6 +167,43 @@ func TestForEachSplitLenient(t *testing.T) {
 	// Strict mode aborts on the first malformed line.
 	if _, err := ForEachSplit(sp, 0, func(v *RecordView) error { return nil }); err == nil {
 		t.Fatal("strict mode did not abort")
+	}
+}
+
+// TestForEachSplitNamesBadField: the zero-copy parser only says "malformed
+// record"; a line the scan reports — the strict abort, the first lenient
+// skip — must name the offending field the way ForEach's errors do.
+func TestForEachSplitNamesBadField(t *testing.T) {
+	good := sampleRecord().Format()
+	badEpoch := strings.Replace(good, " 1425303901 ", " 14253o3901 ", 1)
+	badStatus := strings.Replace(good, " 200 ", " 2OO ", 1)
+	if badEpoch == good || badStatus == good {
+		t.Fatalf("fixture lines were not corrupted: %q", good)
+	}
+	path := writeLines(t, "fields.log", good+"\n"+badStatus+"\n"+badEpoch+"\n")
+	sp := Split{Path: path, Offset: 0, Length: -1}
+	nop := func(*RecordView) error { return nil }
+
+	_, err := ForEachSplit(sp, 0, nop)
+	if err == nil || !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("strict err = %v, want ErrBadRecord", err)
+	}
+	if !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "status:") {
+		t.Errorf("strict err = %q, want line 2 and the status field named", err)
+	}
+
+	stats, err := ForEachSplit(sp, 5, nop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SkippedLines != 2 || !strings.Contains(stats.FirstSkipped, "line 2: ") || !strings.Contains(stats.FirstSkipped, "status:") {
+		t.Errorf("stats = %+v, want 2 skipped and FirstSkipped naming line 2's status field", stats)
+	}
+
+	// Over budget, the abort quotes the first skip's detail.
+	_, err = ForEachSplit(sp, 1, nop)
+	if err == nil || !strings.Contains(err.Error(), "status:") {
+		t.Errorf("over-budget err = %v, want the first skip's field detail", err)
 	}
 }
 

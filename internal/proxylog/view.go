@@ -40,7 +40,8 @@ func (v *RecordView) Record() *Record {
 // alias line's bytes. It accepts and rejects exactly the same lines as
 // ParseRecord (FuzzParseRecordView asserts the equivalence); only the
 // error detail differs — the view parser returns the bare ErrBadRecord
-// sentinel so the hot path stays allocation-free on malformed input too.
+// sentinel so the hot path stays allocation-free on malformed input too
+// (ForEachSplit re-parses a line it reports for the field-level detail).
 //
 //bw:noalloc per-line streaming-ingest hot path; fields alias the line buffer
 func ParseRecordView(line []byte, v *RecordView) error {

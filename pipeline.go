@@ -121,7 +121,7 @@ func ReadProxyLogLenient(path string, maxBad int) ([]*Record, ReadStats, error) 
 	return proxylog.ReadAllLenient(path, maxBad)
 }
 
-// ExtractActivitySummaries runs the data-extraction MapReduce job: it
+// ExtractActivitySummaries runs data extraction (Sect. VII-A): it
 // groups proxy-log records into per-communication-pair request histories
 // at the given time scale (seconds per bucket). corr may be nil to use raw
 // client IPs as source identities.
