@@ -41,6 +41,22 @@ BENCH_TICK_FLAGS ?= -run='^$$' -bench='TickSteadyState$$|TickFullRecompute$$' -b
 # pipeline over every pair, detection included).
 BENCH_TICK_MIN_RATIO ?= BenchmarkTickSteadyState/BenchmarkTickFullRecompute:ticks/s:25
 
+# The commit benchmarks: a 100k-pair x 64-event standing store taking
+# CommitEvery-sized deltas. The two run in separate invocations because
+# they need different lengths: CommitDelta must run long enough to cross
+# the compactions its own appends trigger (the first after ~530 commits
+# at this size), so their cost is amortized into its commits/s, while one
+# CommitFull iteration rewrites the whole ~9 MB state.
+BENCH_COMMIT_FLAGS ?= -run='^$$' -benchmem -count=5 -timeout=20m
+BENCH_COMMIT = $(GO) test $(BENCH_COMMIT_FLAGS) -bench='CommitDelta$$' -benchtime=1200x ./internal/source && \
+	$(GO) test $(BENCH_COMMIT_FLAGS) -bench='CommitFull$$' -benchtime=5x ./internal/source
+
+# A delta commit must stay at least this many times faster (median
+# commits/s, compactions included) than rewriting the whole state IN THE
+# SAME RUN — the O(new events) commit contract itself, machine speed
+# cancelled out.
+BENCH_COMMIT_MIN_RATIO ?= BenchmarkCommitDelta/BenchmarkCommitFull:commits/s:10
+
 # The two batch macro benchmarks run seconds per iteration, long enough to
 # integrate co-tenant CI load; their medians drift past the default 10%
 # band run-to-run even with no code change. They get a wider absolute band
@@ -48,7 +64,8 @@ BENCH_TICK_MIN_RATIO ?= BenchmarkTickSteadyState/BenchmarkTickFullRecompute:tick
 # machine speed out.
 BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch:0.25' \
 	-noise 'BenchmarkTickSteadyState:0.35' -noise 'BenchmarkTickFullRecompute:0.25' \
-	-noise 'BenchmarkQueryRankedCached:0.35'
+	-noise 'BenchmarkQueryRankedCached:0.35' \
+	-noise 'BenchmarkCommitDelta:0.35' -noise 'BenchmarkCommitFull:0.35'
 
 .PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke
 
@@ -74,14 +91,16 @@ test-race:
 
 # A few seconds of coverage-guided fuzzing over each untrusted decoder —
 # the batch record parser, the zero-copy view parser, the sharded-ingest
-# line path built on it, and the mrx frame decoder that coordinator and
-# workers speak over pipes — cheap enough to run routinely. The patterns
-# are anchored: -fuzz errors out when it matches more than one target.
+# line path built on it, the mrx frame decoder that coordinator and
+# workers speak over pipes, and the daemon's checkpoint-log replay — cheap
+# enough to run routinely. The patterns are anchored: -fuzz errors out
+# when it matches more than one target.
 fuzz-smoke:
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecord$$' -fuzztime=5s
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecordView$$' -fuzztime=5s
 	$(GO) test ./internal/ingest -run='^$$' -fuzz='FuzzIngestLine$$' -fuzztime=5s
 	$(GO) test ./internal/mrx -run='^$$' -fuzz='FuzzFrameDecode$$' -fuzztime=5s
+	$(GO) test ./internal/source -run='^$$' -fuzz='FuzzCheckpointReplay$$' -fuzztime=5s
 
 tidy:
 	$(GO) mod tidy
@@ -106,6 +125,7 @@ bench:
 	$(GO) test $(BENCH_FLAGS) $(BENCH_PKGS)
 	$(GO) test $(BENCH_BATCH_FLAGS) ./internal/core
 	$(GO) test $(BENCH_TICK_FLAGS) ./internal/source
+	$(BENCH_COMMIT)
 
 # bench-ingest runs the sharded-ingest benchmark suite by itself — the
 # zero-copy parse pass, the direct-to-summary aggregation, the
@@ -118,7 +138,7 @@ bench-ingest:
 # bench-baseline regenerates the committed baseline. Run it on a quiet
 # machine after an intended performance change and commit the result.
 bench-baseline:
-	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source) | tee BENCH_BASELINE.txt
+	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source && $(BENCH_COMMIT)) | tee BENCH_BASELINE.txt
 
 # soak keeps the streaming daemon under randomized fault injection for
 # ~30s and checks the drained state matches a clean batch run exactly.
@@ -145,12 +165,14 @@ bench-smoke:
 
 # bench-check runs the benchmarks and fails on >10% median ns/op growth,
 # any allocs/op growth, a >10% drop in any rate metric (pairs/s), or the
-# batch path falling under its in-run speedup floor (see cmd/benchgate).
+# batch path, the dirty-only tick or the delta commit falling under its
+# in-run speedup floor (see cmd/benchgate).
 # The report is tee'd to /tmp/benchgate-report.txt so CI can upload it as
 # an artifact even on failure; the pipe preserves benchgate's exit status
 # because the tee sits inside the same invocation via a shell group.
 bench-check:
-	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source) > /tmp/bench-current.txt || (cat /tmp/bench-current.txt; exit 1)
+	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source && $(BENCH_COMMIT)) > /tmp/bench-current.txt || (cat /tmp/bench-current.txt; exit 1)
 	$(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.txt -current /tmp/bench-current.txt \
-		-min-ratio '$(BENCH_BATCH_MIN_RATIO)' -min-ratio '$(BENCH_TICK_MIN_RATIO)' $(BENCH_NOISE) > /tmp/benchgate-report.txt; \
+		-min-ratio '$(BENCH_BATCH_MIN_RATIO)' -min-ratio '$(BENCH_TICK_MIN_RATIO)' \
+		-min-ratio '$(BENCH_COMMIT_MIN_RATIO)' $(BENCH_NOISE) > /tmp/benchgate-report.txt; \
 	status=$$?; cat /tmp/benchgate-report.txt; exit $$status

@@ -92,20 +92,25 @@ const (
 	PointSourceSocketRead     Point = "source.socket.read"
 	PointSourceHTTPIngest     Point = "source.http.ingest"
 
-	// source daemon checkpoint: the atomic state-snapshot write (create
-	// temp, write, fsync, rename, fsync dir), the post-commit gap, and
-	// the incremental detection tick.
-	PointSourceCheckpointCreate  Point = "source.checkpoint.create"
-	PointSourceCheckpointWrite   Point = "source.checkpoint.write"
-	PointSourceCheckpointSync    Point = "source.checkpoint.sync"
-	PointSourceCheckpointRename  Point = "source.checkpoint.rename"
-	PointSourceCheckpointDirsync Point = "source.checkpoint.dirsync"
-	PointSourceCommitDone        Point = "source.commit.done"
-	PointSourceDetectTick        Point = "source.detect.tick"
+	// source daemon checkpoint log: the atomic snapshot write a
+	// compaction makes (create temp, write, fsync, rename, fsync dir),
+	// the delta-frame append every other commit makes (append fires
+	// before the write, appendsync before the fsync), the post-commit
+	// gap, and the incremental detection tick.
+	PointSourceCheckpointCreate     Point = "source.checkpoint.create"
+	PointSourceCheckpointWrite      Point = "source.checkpoint.write"
+	PointSourceCheckpointSync       Point = "source.checkpoint.sync"
+	PointSourceCheckpointRename     Point = "source.checkpoint.rename"
+	PointSourceCheckpointDirsync    Point = "source.checkpoint.dirsync"
+	PointSourceCheckpointAppend     Point = "source.checkpoint.append"
+	PointSourceCheckpointAppendsync Point = "source.checkpoint.appendsync"
+	PointSourceCommitDone           Point = "source.commit.done"
+	PointSourceDetectTick           Point = "source.detect.tick"
 	// Retention points: compact.plan fires before the eviction set is
 	// computed (an error aborts the commit untouched); evict.apply fires
-	// after the compacted checkpoint committed and the in-memory store
-	// dropped the evicted pairs (a pure crash point, like commit.done).
+	// after the frame carrying the evictions committed and the in-memory
+	// store dropped the evicted pairs (a pure crash point, like
+	// commit.done).
 	PointSourceCompactPlan Point = "source.compact.plan"
 	PointSourceEvictApply  Point = "source.evict.apply"
 )
@@ -155,6 +160,8 @@ func Points() []Point {
 		PointSourceCheckpointSync,
 		PointSourceCheckpointRename,
 		PointSourceCheckpointDirsync,
+		PointSourceCheckpointAppend,
+		PointSourceCheckpointAppendsync,
 		PointSourceCommitDone,
 		PointSourceDetectTick,
 		PointSourceCompactPlan,

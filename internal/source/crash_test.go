@@ -36,6 +36,36 @@ func requirePoints(t *testing.T, seen map[string]bool, points ...faultinject.Poi
 	}
 }
 
+// checkpointWritePoints is both of a commit's write paths: the rename
+// chain of a compaction and the two steps of a delta append.
+var checkpointWritePoints = []faultinject.Point{
+	faultinject.PointSourceCheckpointCreate,
+	faultinject.PointSourceCheckpointWrite,
+	faultinject.PointSourceCheckpointSync,
+	faultinject.PointSourceCheckpointRename,
+	faultinject.PointSourceCheckpointDirsync,
+	faultinject.PointSourceCheckpointAppend,
+	faultinject.PointSourceCheckpointAppendsync,
+}
+
+// requireBothWritePaths asserts the traced workload appended at least one
+// delta frame and compacted at least once after its first commit (whose
+// rename merely creates the file), so a crash enumeration over the trace
+// covers both write paths.
+func requireBothWritePaths(t *testing.T, trace []faultinject.Hit) {
+	t.Helper()
+	requirePoints(t, pointsIn(trace), checkpointWritePoints...)
+	renames := 0
+	for _, h := range trace {
+		if strings.HasPrefix(h.Point, string(faultinject.PointSourceCheckpointRename)+":") {
+			renames++
+		}
+	}
+	if renames < 2 {
+		t.Errorf("workload renamed the checkpoint %d time(s); it never compacted after its first commit", renames)
+	}
+}
+
 // restartUntilDone runs workload under the scheduler's crash conversion,
 // "rebooting" after each simulated death, until a run completes without
 // crashing. Returns the last run's error.
@@ -85,13 +115,15 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 	// workload opens (or reopens) the engine at dir, replays the source
 	// from its committed position in fixed batches with a commit every
 	// other batch and a mid-stream tick, and finishes with a final commit.
+	// Five commits land: the file's creation, two appends, the compaction
+	// the doubled log triggers, and an append onto the compacted file.
 	workload := func(dir string) func() error {
 		return func() error {
 			eng, err := OpenEngine(ecfg(dir))
 			if err != nil {
 				return err
 			}
-			const batch = 256
+			const batch = 128
 			n := 0
 			pos := eng.Position("s")
 			for int(pos.Records) < len(events) {
@@ -140,13 +172,8 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantStats := finalState(cleanDir)
-	seen := pointsIn(clean.Trace())
-	requirePoints(t, seen,
-		faultinject.PointSourceCheckpointCreate,
-		faultinject.PointSourceCheckpointWrite,
-		faultinject.PointSourceCheckpointSync,
-		faultinject.PointSourceCheckpointRename,
-		faultinject.PointSourceCheckpointDirsync,
+	requireBothWritePaths(t, clean.Trace())
+	requirePoints(t, pointsIn(clean.Trace()),
 		faultinject.PointSourceCommitDone,
 		faultinject.PointSourceDetectTick,
 	)
@@ -187,8 +214,8 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 	tr := smallTrace(t)
 	recs := tr.Records
-	if len(recs) > 900 {
-		recs = recs[:900]
+	if len(recs) > 2400 {
+		recs = recs[:2400]
 	}
 	pcfg := testPipelineCfg(t, tr.Catalog[:50])
 	want, err := pipeline.Run(context.Background(), recs, nil, pcfg)
@@ -274,8 +301,8 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, finalReport(cleanState), want)
-	seen := pointsIn(clean.Trace())
-	requirePoints(t, seen,
+	requireBothWritePaths(t, clean.Trace())
+	requirePoints(t, pointsIn(clean.Trace()),
 		faultinject.PointSourceFollowOpen,
 		faultinject.PointSourceFollowRead,
 		faultinject.PointSourceFollowRotate,
@@ -308,19 +335,17 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 }
 
 // crashWorthyHits picks, from a trace, the global hit numbers worth
-// crashing at: every hit of the checkpoint chain, the rotation and
-// truncation windows, plus the first, a middle, and the last traversal of
-// each other point.
+// crashing at: every hit of the checkpoint's two write paths, the rotation
+// and truncation windows, plus the first, a middle, and the last traversal
+// of each other point.
 func crashWorthyHits(trace []faultinject.Hit) []int {
 	everyHit := map[string]bool{
-		string(faultinject.PointSourceCheckpointCreate):  true,
-		string(faultinject.PointSourceCheckpointWrite):   true,
-		string(faultinject.PointSourceCheckpointSync):    true,
-		string(faultinject.PointSourceCheckpointRename):  true,
-		string(faultinject.PointSourceCheckpointDirsync): true,
-		string(faultinject.PointSourceCommitDone):        true,
-		string(faultinject.PointSourceFollowRotate):      true,
-		string(faultinject.PointSourceFollowTruncate):    true,
+		string(faultinject.PointSourceCommitDone):     true,
+		string(faultinject.PointSourceFollowRotate):   true,
+		string(faultinject.PointSourceFollowTruncate): true,
+	}
+	for _, p := range checkpointWritePoints {
+		everyHit[string(p)] = true
 	}
 	perPoint := make(map[string][]int)
 	for i, h := range trace {

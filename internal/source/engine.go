@@ -3,6 +3,7 @@ package source
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -29,8 +30,9 @@ type Config struct {
 	Pipeline pipeline.Config
 	// RetainWindows bounds pair retention: at each commit, pairs whose
 	// newest event is older than RetainWindows*Lateness behind the stream's
-	// high-water mark are evicted — dropped from the store, the standing
-	// analysis and the checkpoint (which compacts as a side effect). 0
+	// high-water mark are evicted — dropped from the store and the standing
+	// analysis, and named in that commit's checkpoint frame so a replay
+	// drops them too (their bytes leave the file at the next compaction). 0
 	// retains forever.
 	// Requires Lateness > 0: the eviction cutoff always trails the
 	// committed watermark, so an evicted pair's events would be dropped as
@@ -69,14 +71,27 @@ type pairHistory struct {
 	srcs  map[string]struct{}
 	minTS int64
 	maxTS int64
+	// committed counts the leading events a checkpoint frame already
+	// holds; ts[committed:] is what the next commit must write.
+	committed int
 }
 
-func (h *pairHistory) observe(ts int64) {
+// add appends one event in arrival order, keeping paths parallel to ts
+// (the first path-carrying event backfills empties) and the bounds
+// current. Apply and checkpoint replay both build histories through it.
+func (h *pairHistory) add(ts int64, path string) {
+	if path != "" && h.paths == nil && len(h.ts) > 0 {
+		h.paths = make([]string, len(h.ts))
+	}
 	if len(h.ts) == 0 || ts < h.minTS {
 		h.minTS = ts
 	}
 	if len(h.ts) == 0 || ts > h.maxTS {
 		h.maxTS = ts
+	}
+	h.ts = append(h.ts, ts)
+	if h.paths != nil || path != "" {
+		h.paths = append(h.paths, path)
 	}
 }
 
@@ -94,8 +109,26 @@ type Engine struct {
 	health   map[string]bool // false = circuit open / flapping
 	rec      Recovery
 	ticks    int64
+	events   int64 // events in the store: the sum of len(ts) over pairs
 	applied  int64 // events applied since open (not persisted)
 	uncommit int64 // events applied since the last successful commit
+
+	// Checkpoint log state. touched lists the pairs holding events no
+	// frame has yet (len(ts) > committed), each once; unlike dirty, which
+	// ticks clear, only a successful commit clears it. durable is the
+	// header of the last frame committed: a commit with no touched pair
+	// and an unchanged header has nothing to write. logLen is the byte
+	// length of the valid frames on disk — where the next frame goes — and
+	// firstLen that of the first; suspect is set when a write failed part
+	// way, so the next commit rewrites the file instead of appending
+	// after a tail of unknown content.
+	touched  []pairKey
+	durable  durableHeader
+	logLen   int64
+	firstLen int64
+	suspect  bool
+	// Commit accounting since open, for Stats.
+	commits, commitBytes, compactions int64
 
 	// tickMu serializes tick bodies: the standing pipeline state is
 	// single-writer. e.mu is still released around the pipeline run so
@@ -119,10 +152,20 @@ type Engine struct {
 	lateDropped int64
 }
 
-// OpenEngine opens (or creates) the state directory, recovers the last
-// committed checkpoint, and returns the engine ready for Apply. A corrupt
-// checkpoint is quarantined — the engine then starts empty and relies on
-// the sources replaying — with the repair recorded in Recovery.
+// durableHeader is the part of the engine's accounting a frame header
+// records, as of the last frame committed. The watermark and the eviction
+// total only change inside a commit, so they need no copy.
+type durableHeader struct {
+	pos         map[string]Position
+	maxTS       int64
+	lateDropped int64
+}
+
+// OpenEngine opens (or creates) the state directory, replays the
+// checkpoint log, and returns the engine ready for Apply. A torn last
+// frame is cut off and the engine resumes from the commit before it; a
+// corrupt log is quarantined — the engine then starts empty and relies on
+// the sources replaying. Either repair is recorded in Recovery.
 func OpenEngine(cfg Config) (*Engine, error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("source: StateDir is required")
@@ -139,49 +182,50 @@ func OpenEngine(cfg Config) (*Engine, error) {
 	if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("source: create state dir: %w", err)
 	}
-	e := &Engine{
-		cfg:    cfg,
-		pairs:  make(map[pairKey]*pairHistory),
-		dirty:  make(map[pairKey]struct{}),
-		pos:    make(map[string]Position),
-		health: make(map[string]bool),
-	}
+	e := newEngine(cfg)
 	removeTempFiles(cfg.StateDir)
-	cp, ok, err := loadCheckpoint(cfg.StateDir)
+	data, err := os.ReadFile(checkpointPath(cfg.StateDir))
+	if os.IsNotExist(err) {
+		return e, nil
+	}
 	if err != nil {
+		return nil, fmt.Errorf("source: read checkpoint: %w", err)
+	}
+	good, first, err := replayLog(data, e.replayFrame)
+	if err != nil {
+		e = newEngine(cfg) // discard whatever the frames before the bad one built
 		if dst := quarantine(cfg.StateDir, checkpointPath(cfg.StateDir)); dst != "" {
 			e.rec.Quarantined = append(e.rec.Quarantined, dst)
 		}
 		e.warnf("checkpoint unreadable (%v); starting from empty state", err)
-		ok = false
+		return e, nil
 	}
-	if ok {
-		for name, p := range cp.Sources {
-			e.pos[name] = p
+	e.logLen, e.firstLen = good, first
+	if torn := int64(len(data)) - good; torn > 0 {
+		e.warnf("checkpoint ends in a torn frame (%d byte(s) after byte %d); resuming from the last complete commit", torn, good)
+		if err := truncateCheckpoint(cfg.StateDir, good); err != nil {
+			e.warnf("cannot truncate the torn frame (%v); the next commit rewrites the checkpoint", err)
+			e.suspect = true
 		}
-		e.watermark, e.maxTS, e.lateDropped = cp.Watermark, cp.MaxTS, cp.LateDropped
-		e.evictedCount = cp.Evicted
-		for _, ps := range cp.Pairs {
-			k := pairKey{Src: ps.Src, Dst: ps.Dst}
-			h := &pairHistory{ts: ps.TS, paths: ps.Paths, srcs: make(map[string]struct{})}
-			if len(h.ts) > 0 {
-				h.minTS, h.maxTS = h.ts[0], h.ts[0]
-				for _, ts := range h.ts[1:] {
-					if ts < h.minTS {
-						h.minTS = ts
-					}
-					if ts > h.maxTS {
-						h.maxTS = ts
-					}
-				}
-			}
-			e.pairs[k] = h
-			// Every restored pair is dirty: the standing analysis starts
-			// empty, and the first tick detects the full committed history.
-			e.dirty[k] = struct{}{}
-		}
+	}
+	e.rememberDurable()
+	// Every restored pair is dirty: the standing analysis starts empty,
+	// and the first tick detects the full committed history.
+	for k := range e.pairs {
+		e.dirty[k] = struct{}{}
 	}
 	return e, nil
+}
+
+func newEngine(cfg Config) *Engine {
+	return &Engine{
+		cfg:     cfg,
+		pairs:   make(map[pairKey]*pairHistory),
+		dirty:   make(map[pairKey]struct{}),
+		pos:     make(map[string]Position),
+		health:  make(map[string]bool),
+		durable: durableHeader{pos: make(map[string]Position)},
+	}
 }
 
 // Recovery reports what OpenEngine repaired.
@@ -244,17 +288,10 @@ func (e *Engine) Apply(b Batch) int {
 			h = &pairHistory{srcs: make(map[string]struct{})}
 			e.pairs[k] = h
 		}
-		if ev.Path != "" && h.paths == nil && len(h.ts) > 0 {
-			h.paths = make([]string, len(h.ts))
+		if len(h.ts) == h.committed {
+			e.touched = append(e.touched, k)
 		}
-		h.observe(ev.TS)
-		h.ts = append(h.ts, ev.TS)
-		if h.paths != nil || ev.Path != "" {
-			if h.paths == nil {
-				h.paths = make([]string, 0, 1)
-			}
-			h.paths = append(h.paths, ev.Path)
-		}
+		h.add(ev.TS, ev.Path)
 		h.srcs[b.Source] = struct{}{}
 		if ev.TS > e.maxTS {
 			e.maxTS = ev.TS
@@ -267,33 +304,48 @@ func (e *Engine) Apply(b Batch) int {
 		// without delivering events, and that progress must still persist.
 		e.pos[b.Source] = b.Pos
 	}
+	e.events += int64(applied)
 	e.applied += int64(applied)
 	e.uncommit += int64(applied)
 	return applied
 }
 
-// Commit makes the current state durable: positions, watermark and the
-// pair store are written as one atomic checkpoint. The watermark advance
-// (maxTS - Lateness) is computed into the checkpoint and installed in
-// memory only after the write commits, so drop decisions always reflect
-// durable state and replay after a crash reproduces them exactly.
+// Commit makes the current state durable by writing one checkpoint frame
+// (see checkpoint.go): normally the events applied since the last commit,
+// appended and fsynced — O(new events) under e.mu; when the log has
+// doubled since its first frame, the whole state rewritten through the
+// atomic rename chain — O(state). A commit with nothing new to record
+// returns without touching the disk. The watermark advance (maxTS -
+// Lateness) is computed into the frame and installed in memory only after
+// the write commits, so drop decisions always reflect durable state and
+// replay after a crash reproduces them exactly. A failed write changes
+// nothing in memory but marks the log suspect, which makes the next
+// commit a full rewrite.
 //
 // When RetainWindows is set, Commit also evicts idle pairs: any pair
 // whose newest event trails the stream's high-water mark by more than
-// RetainWindows lateness windows is dropped from the checkpoint being
-// written (compaction) and, once the write commits, from the in-memory
-// store and (at the next tick) the standing analysis. The eviction set is a pure function of the committed
-// maxTS, so every recovery replays the same evictions at the same
-// commits; and the cutoff never exceeds the new watermark, so an evicted
-// pair's events would be dropped as late on replay anyway.
+// RetainWindows lateness windows is named in the frame being written
+// and, once the write commits, dropped from the in-memory store and (at
+// the next tick) the standing analysis. The eviction set is a pure
+// function of the committed maxTS, so every recovery replays the same
+// evictions at the same commits; and the cutoff never exceeds the new
+// watermark, so an evicted pair's events would be dropped as late on
+// replay anyway.
 func (e *Engine) Commit() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if len(e.touched) == 0 && e.maxTS == e.durable.maxTS && e.lateDropped == e.durable.lateDropped &&
+		maps.Equal(e.pos, e.durable.pos) {
+		// No new event and no header movement. That also rules out a new
+		// eviction: the cutoff moves only with maxTS.
+		return nil
+	}
 	wm := e.watermark
 	if e.cfg.Lateness > 0 && e.maxTS-e.cfg.Lateness > wm {
 		wm = e.maxTS - e.cfg.Lateness
 	}
 	var evict []pairKey
+	evictable := func(*pairHistory) bool { return false }
 	if e.cfg.RetainWindows > 0 {
 		// Pre-plan crash point: dying here loses nothing (no state has
 		// changed, the commit just fails).
@@ -301,56 +353,61 @@ func (e *Engine) Commit() error {
 			return fmt.Errorf("source: compact: %w", err)
 		}
 		cutoff := e.maxTS - int64(e.cfg.RetainWindows)*e.cfg.Lateness
+		evictable = func(h *pairHistory) bool { return h.maxTS <= cutoff }
 		for k, h := range e.pairs {
-			if h.maxTS <= cutoff {
+			if evictable(h) {
 				evict = append(evict, k)
 			}
 		}
-		sort.Slice(evict, func(i, j int) bool {
-			if evict[i].Src != evict[j].Src {
-				return evict[i].Src < evict[j].Src
-			}
-			return evict[i].Dst < evict[j].Dst
-		})
+		sortPairKeys(evict)
 	}
-	cp := &checkpoint{
-		Version:     checkpointVersion,
-		Sources:     make(map[string]Position, len(e.pos)),
-		Watermark:   wm,
-		MaxTS:       e.maxTS,
-		LateDropped: e.lateDropped,
-		Evicted:     e.evictedCount + int64(len(evict)),
+
+	compact := e.logLen == 0 || e.suspect || e.logLen-e.firstLen >= e.firstLen
+	evictedCount := e.evictedCount + int64(len(evict))
+	var frame []byte
+	var err error
+	if compact {
+		// A snapshot is a delta from empty: every surviving pair in full,
+		// and no eviction list, since the evicted pairs are simply absent.
+		// It merges the log with what is uncommitted, so it is about their
+		// size.
+		frame = e.encodeFrame(wm, evictedCount, nil, e.sortedPairKeys(), evictable, true, e.logLen+16*e.uncommit)
+		err = writeCheckpoint(e.cfg.StateDir, frame)
+	} else {
+		sortPairKeys(e.touched)
+		frame = e.encodeFrame(wm, evictedCount, evict, e.touched, evictable, false, 64*int64(len(e.touched))+16*e.uncommit)
+		err = appendCheckpoint(e.cfg.StateDir, frame, e.logLen)
 	}
-	for name, p := range e.pos {
-		cp.Sources[name] = p
-	}
-	evicting := make(map[pairKey]struct{}, len(evict))
-	for _, k := range evict {
-		evicting[k] = struct{}{}
-	}
-	keys := e.sortedPairKeys()
-	cp.Pairs = make([]pairState, 0, len(keys)-len(evict))
-	for _, k := range keys {
-		if _, gone := evicting[k]; gone {
-			continue
-		}
-		h := e.pairs[k]
-		cp.Pairs = append(cp.Pairs, pairState{Src: k.Src, Dst: k.Dst, TS: h.ts, Paths: h.paths})
-	}
-	if err := writeCheckpoint(e.cfg.StateDir, cp); err != nil {
+	if err != nil {
+		e.suspect = true
 		return err
 	}
+	if compact {
+		e.logLen, e.firstLen, e.suspect = int64(len(frame)), int64(len(frame)), false
+		e.compactions++
+	} else {
+		e.logLen += int64(len(frame))
+	}
+	e.commits++
+	e.commitBytes += int64(len(frame))
+	for _, k := range e.touched {
+		h := e.pairs[k]
+		h.committed = len(h.ts)
+	}
+	e.touched = e.touched[:0]
+	e.rememberDurable()
 	e.watermark = wm
 	e.uncommit = 0
 	for _, k := range evict {
+		e.events -= int64(len(e.pairs[k].ts))
 		delete(e.pairs, k)
 		delete(e.dirty, k)
 		e.evicted = append(e.evicted, pipeline.PairRef{Source: k.Src, Destination: k.Dst})
 	}
-	e.evictedCount += int64(len(evict))
+	e.evictedCount = evictedCount
 	if len(evict) > 0 {
-		// Post-eviction crash point: the compacted checkpoint is durable
-		// and the in-memory store already dropped the evicted pairs.
+		// Post-eviction crash point: the frame naming the evictions is
+		// durable and the in-memory store already dropped the pairs.
 		_ = faultCheck(faultinject.PointSourceEvictApply, "evict")
 	}
 	// Post-commit crash point: everything after this line is observable
@@ -359,17 +416,29 @@ func (e *Engine) Commit() error {
 	return nil
 }
 
-func (e *Engine) sortedPairKeys() []pairKey {
-	keys := make([]pairKey, 0, len(e.pairs))
-	for k := range e.pairs {
-		keys = append(keys, k)
-	}
+// rememberDurable records the current header as committed; e.mu must be
+// held.
+func (e *Engine) rememberDurable() {
+	clear(e.durable.pos)
+	maps.Copy(e.durable.pos, e.pos)
+	e.durable.maxTS, e.durable.lateDropped = e.maxTS, e.lateDropped
+}
+
+func sortPairKeys(keys []pairKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Src != keys[j].Src {
 			return keys[i].Src < keys[j].Src
 		}
 		return keys[i].Dst < keys[j].Dst
 	})
+}
+
+func (e *Engine) sortedPairKeys() []pairKey {
+	keys := make([]pairKey, 0, len(e.pairs))
+	for k := range e.pairs {
+		keys = append(keys, k)
+	}
+	sortPairKeys(keys)
 	return keys
 }
 
@@ -419,12 +488,7 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 	for k := range e.dirty {
 		dirtyKeys = append(dirtyKeys, k)
 	}
-	sort.Slice(dirtyKeys, func(i, j int) bool {
-		if dirtyKeys[i].Src != dirtyKeys[j].Src {
-			return dirtyKeys[i].Src < dirtyKeys[j].Src
-		}
-		return dirtyKeys[i].Dst < dirtyKeys[j].Dst
-	})
+	sortPairKeys(dirtyKeys)
 	changed := make([]*timeseries.ActivitySummary, 0, len(dirtyKeys))
 	for _, k := range dirtyKeys {
 		h := e.pairs[k]
@@ -548,24 +612,29 @@ type Stats struct {
 	// Evicted counts pairs aged out by retention over the engine's
 	// lifetime (persisted across restarts).
 	Evicted int64
+	// Commits counts checkpoint frames written since the engine opened,
+	// CommitBytes their total size, and Compactions how many of them
+	// rewrote the whole state instead of appending a delta.
+	Commits     int64
+	CommitBytes int64
+	Compactions int64
 }
 
 // Stats returns the engine's current accounting.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var events int64
-	for _, h := range e.pairs {
-		events += int64(len(h.ts))
-	}
 	return Stats{
 		Pairs:       len(e.pairs),
-		Events:      events,
+		Events:      e.events,
 		Uncommitted: e.uncommit,
 		Watermark:   e.watermark,
 		LateDropped: e.lateDropped,
 		Ticks:       e.ticks,
 		Evicted:     e.evictedCount,
+		Commits:     e.commits,
+		CommitBytes: e.commitBytes,
+		Compactions: e.compactions,
 	}
 }
 

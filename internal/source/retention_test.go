@@ -1,11 +1,9 @@
 package source
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -47,10 +45,11 @@ func retentionEvents(oldPairs, oldEvents int, oldGap int64, beaconEvents int) []
 }
 
 // TestRetentionEvictsIdlePairs pins the basic retention contract: a pair
-// idle past RetainWindows lateness windows is dropped from the store and
-// the checkpoint at the next commit and from the standing analysis at
-// the next tick; a restarted engine loads only live pairs; and a pair seen
-// again after eviction restarts with a fresh history.
+// idle past RetainWindows lateness windows is dropped from the store at
+// the next commit, whose checkpoint frame records the eviction, and from
+// the standing analysis at the next tick; a restarted engine loads only
+// live pairs; and a pair seen again after eviction restarts with a fresh
+// history.
 func TestRetentionEvictsIdlePairs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -76,7 +75,7 @@ func TestRetentionEvictsIdlePairs(t *testing.T) {
 	}
 
 	// Commit: maxTS=4000, cutoff=3700 — the old pairs (idle since ~1914)
-	// are evicted and the checkpoint compacts to the beacon alone.
+	// are evicted and the checkpoint holds the beacon alone.
 	if err := eng.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +136,11 @@ func TestRetentionRejectsMisconfiguration(t *testing.T) {
 // TestCrashAtEveryRetentionPointConverges extends the crash-convergence
 // anchor across retention: the workload commits (and therefore evicts)
 // repeatedly, dies once at every traversed injection point — including
-// the new faultinject.PointSourceCompactPlan and
-// faultinject.PointSourceEvictApply — reopens from the compacted
-// checkpoint, and must converge to the never-crashed run's final report,
-// pair store and eviction accounting.
+// faultinject.PointSourceCompactPlan, faultinject.PointSourceEvictApply
+// and both checkpoint write paths (the evictions here ride a delta frame
+// and are then compacted away) — reopens from the log, and must converge
+// to the never-crashed run's final report, pair store and eviction
+// accounting.
 func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 	events := retentionEvents(3, 4, 300, 101)
 	pcfg := testPipelineCfg(t, nil)
@@ -204,8 +204,8 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantStats := finalState(cleanDir)
-	seen := pointsIn(clean.Trace())
-	requirePoints(t, seen,
+	requireBothWritePaths(t, clean.Trace())
+	requirePoints(t, pointsIn(clean.Trace()),
 		faultinject.PointSourceCompactPlan,
 		faultinject.PointSourceEvictApply,
 		faultinject.PointSourceCommitDone,
@@ -238,43 +238,6 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 			gotStats.Pairs != wantStats.Pairs || gotStats.Evicted != wantStats.Evicted {
 			t.Fatalf("crash at hit %d: state diverged:\n got %+v\nwant %+v", n, gotStats, wantStats)
 		}
-	}
-}
-
-// TestRetentionBoundsCheckpoint pins compaction: after churn, the
-// checkpoint on disk holds only live pairs — no trace of evicted ones —
-// so its size tracks active traffic, not lifetime traffic.
-func TestRetentionBoundsCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := OpenEngine(Config{
-		StateDir:      dir,
-		Lateness:      100,
-		RetainWindows: 2,
-		Pipeline:      testPipelineCfg(t, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := retentionEvents(6, 4, 200, 151) // horizon 200s; beacon to 5500
-	applyAll(eng, "s", events, len(events))
-	if err := eng.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(checkpointPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		needle := fmt.Sprintf("old%d.example", i)
-		if bytes.Contains(data, []byte(needle)) {
-			t.Errorf("compacted checkpoint still mentions evicted pair %s", needle)
-		}
-	}
-	if !bytes.Contains(data, []byte("beacon.example")) {
-		t.Error("compacted checkpoint lost the live pair")
-	}
-	if st := eng.Stats(); st.Pairs != 1 || st.Evicted != 6 {
-		t.Errorf("stats = %+v, want 1 pair / 6 evicted", st)
 	}
 }
 
@@ -316,8 +279,9 @@ func churnRecords(churnPairs int) (all, persistent []*proxylog.Record) {
 // randomized transient faults while lifetime-unique pairs churn through
 // it, then checks (a) the standing result converges to a clean batch run
 // over the persistent traffic alone, (b) the pair store and checkpoint
-// are bounded by active traffic — every churn pair evicted, no trace
-// left on disk — and (c) the eviction accounting is exact.
+// are bounded by active traffic — every churn pair evicted, the log within
+// its size contract, none of them back after a restart — and (c) the
+// eviction accounting is exact.
 func TestDaemonSoakRetention(t *testing.T) {
 	const churnPairs = 40
 	all, persistent := churnRecords(churnPairs)
@@ -395,13 +359,11 @@ func TestDaemonSoakRetention(t *testing.T) {
 		t.Fatalf("bounded-state stats = %+v, want 3 pairs / %d evicted / %d events",
 			st, churnPairs, len(persistent))
 	}
-	data, err := os.ReadFile(checkpointPath(state))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(data, []byte("churn-")) {
-		t.Error("compacted checkpoint still holds churn pairs")
-	}
+	// The file obeys the log's size contract (and names no churn pair if
+	// the last commit happened to compact it), and a restart from it holds
+	// exactly the live engine's state: no evicted pair comes back.
+	requireLogBounded(t, state, "churn-")
+	requireSameState(t, "restart after the soak", stateOf(t, reopenCopy(t, d.Engine().cfg)), stateOf(t, d.Engine()))
 	if hits := sched.TotalHits(); hits == 0 {
 		t.Error("soak exercised no fault points")
 	} else {
