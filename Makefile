@@ -57,6 +57,18 @@ BENCH_COMMIT = $(GO) test $(BENCH_COMMIT_FLAGS) -bench='CommitDelta$$' -benchtim
 # cancelled out.
 BENCH_COMMIT_MIN_RATIO ?= BenchmarkCommitDelta/BenchmarkCommitFull:commits/s:10
 
+# The restart benchmark: a 10k-pair committed store of which 300 planted
+# beacons reach detection; one iteration is OpenEngine plus the first tick,
+# warm (the log's detections are this configuration's) and cold (they are
+# another's, so the tick detects everything). A cold iteration is ~0.6s, so
+# like the tick pass it runs few and short.
+BENCH_RESTART_FLAGS ?= -run='^$$' -bench='RestartFirstTick$$' -benchmem -count=5 -benchtime=3x -timeout=20m
+
+# A warm restart must stay at least this many times faster (median
+# restarts/s) than a cold one of the same store IN THE SAME RUN — the
+# detected-once-per-history contract itself, machine speed cancelled out.
+BENCH_RESTART_MIN_RATIO ?= BenchmarkRestartFirstTick/warm/BenchmarkRestartFirstTick/cold:restarts/s:2
+
 # The two batch macro benchmarks run seconds per iteration, long enough to
 # integrate co-tenant CI load; their medians drift past the default 10%
 # band run-to-run even with no code change. They get a wider absolute band
@@ -65,14 +77,16 @@ BENCH_COMMIT_MIN_RATIO ?= BenchmarkCommitDelta/BenchmarkCommitFull:commits/s:10
 BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch:0.25' \
 	-noise 'BenchmarkTickSteadyState:0.35' -noise 'BenchmarkTickFullRecompute:0.25' \
 	-noise 'BenchmarkQueryRankedCached:0.35' \
-	-noise 'BenchmarkCommitDelta:0.35' -noise 'BenchmarkCommitFull:0.35'
+	-noise 'BenchmarkCommitDelta:0.35' -noise 'BenchmarkCommitFull:0.35' \
+	-noise 'BenchmarkRestartFirstTick/warm:0.35' -noise 'BenchmarkRestartFirstTick/cold:0.25'
 
 .PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke
 
-# check is the CI entry point: vet, build, and the full test suite under
-# the race detector (the fault-injection and crash-recovery tests exercise
-# real concurrency).
-check: vet build test-race
+# check is the CI entry point: vet, build, the full test suite under the
+# race detector (the fault-injection and crash-recovery tests exercise real
+# concurrency), and the repository benchmark's own module, which the root
+# build never compiles.
+check: vet build test-race bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -92,15 +106,18 @@ test-race:
 # A few seconds of coverage-guided fuzzing over each untrusted decoder —
 # the batch record parser, the zero-copy view parser, the sharded-ingest
 # line path built on it, the mrx frame decoder that coordinator and
-# workers speak over pipes, and the daemon's checkpoint-log replay — cheap
-# enough to run routinely. The patterns are anchored: -fuzz errors out
-# when it matches more than one target.
+# workers speak over pipes, the detection-result codec, and the daemon's
+# checkpoint-log replay that embeds it — cheap enough to run routinely.
+# The patterns are anchored: -fuzz errors out when it matches more than
+# one target. The replay target's workers each build and tick a log before
+# their first input (~3s), so it runs twice as long as the others.
 fuzz-smoke:
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecord$$' -fuzztime=5s
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecordView$$' -fuzztime=5s
 	$(GO) test ./internal/ingest -run='^$$' -fuzz='FuzzIngestLine$$' -fuzztime=5s
 	$(GO) test ./internal/mrx -run='^$$' -fuzz='FuzzFrameDecode$$' -fuzztime=5s
-	$(GO) test ./internal/source -run='^$$' -fuzz='FuzzCheckpointReplay$$' -fuzztime=5s
+	$(GO) test ./internal/core -run='^$$' -fuzz='FuzzResultCodec$$' -fuzztime=5s
+	$(GO) test ./internal/source -run='^$$' -fuzz='FuzzCheckpointReplay$$' -fuzztime=10s
 
 tidy:
 	$(GO) mod tidy
@@ -126,6 +143,7 @@ bench:
 	$(GO) test $(BENCH_BATCH_FLAGS) ./internal/core
 	$(GO) test $(BENCH_TICK_FLAGS) ./internal/source
 	$(BENCH_COMMIT)
+	$(GO) test $(BENCH_RESTART_FLAGS) ./internal/source
 
 # bench-ingest runs the sharded-ingest benchmark suite by itself — the
 # zero-copy parse pass, the direct-to-summary aggregation, the
@@ -138,7 +156,7 @@ bench-ingest:
 # bench-baseline regenerates the committed baseline. Run it on a quiet
 # machine after an intended performance change and commit the result.
 bench-baseline:
-	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source && $(BENCH_COMMIT)) | tee BENCH_BASELINE.txt
+	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source && $(BENCH_COMMIT) && $(GO) test $(BENCH_RESTART_FLAGS) ./internal/source) | tee BENCH_BASELINE.txt
 
 # soak keeps the streaming daemon under randomized fault injection for
 # ~30s and checks the drained state matches a clean batch run exactly.
@@ -165,14 +183,15 @@ bench-smoke:
 
 # bench-check runs the benchmarks and fails on >10% median ns/op growth,
 # any allocs/op growth, a >10% drop in any rate metric (pairs/s), or the
-# batch path, the dirty-only tick or the delta commit falling under its
-# in-run speedup floor (see cmd/benchgate).
+# batch path, the dirty-only tick, the delta commit or the warm restart
+# falling under its in-run speedup floor (see cmd/benchgate).
 # The report is tee'd to /tmp/benchgate-report.txt so CI can upload it as
 # an artifact even on failure; the pipe preserves benchgate's exit status
 # because the tee sits inside the same invocation via a shell group.
 bench-check:
-	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source && $(BENCH_COMMIT)) > /tmp/bench-current.txt || (cat /tmp/bench-current.txt; exit 1)
+	($(GO) test $(BENCH_FLAGS) $(BENCH_PKGS) && $(GO) test $(BENCH_E2E_FLAGS) ./internal/ingest && $(GO) test $(BENCH_BATCH_FLAGS) ./internal/core && $(GO) test $(BENCH_TICK_FLAGS) ./internal/source && $(BENCH_COMMIT) && $(GO) test $(BENCH_RESTART_FLAGS) ./internal/source) > /tmp/bench-current.txt || (cat /tmp/bench-current.txt; exit 1)
 	$(GO) run ./cmd/benchgate -baseline BENCH_BASELINE.txt -current /tmp/bench-current.txt \
 		-min-ratio '$(BENCH_BATCH_MIN_RATIO)' -min-ratio '$(BENCH_TICK_MIN_RATIO)' \
-		-min-ratio '$(BENCH_COMMIT_MIN_RATIO)' $(BENCH_NOISE) > /tmp/benchgate-report.txt; \
+		-min-ratio '$(BENCH_COMMIT_MIN_RATIO)' -min-ratio '$(BENCH_RESTART_MIN_RATIO)' \
+		$(BENCH_NOISE) > /tmp/benchgate-report.txt; \
 	status=$$?; cat /tmp/benchgate-report.txt; exit $$status

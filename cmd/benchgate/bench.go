@@ -226,7 +226,9 @@ func parseNoiseSpec(s string) (name string, threshold float64, err error) {
 // median of numerator's unit metric must be at least factor times the
 // median of denominator's. The spec text is
 // "<numerator>/<denominator>:<unit>:<factor>", e.g.
-// "BenchmarkDetectBatch/BenchmarkDetectPerPair:pairs/s:2". Comparing
+// "BenchmarkDetectBatch/BenchmarkDetectPerPair:pairs/s:2". The pair
+// divides at its last "/Benchmark", so either side may name a
+// sub-benchmark ("BenchmarkX/warm/BenchmarkX/cold"). Comparing
 // within one run (not against the baseline) makes the gate insensitive to
 // the machine: a slow runner scales both sides equally, but a change that
 // erodes the batch speedup trips it anywhere.
@@ -241,10 +243,11 @@ func parseRatioSpec(s string) (ratioSpec, error) {
 	if len(parts) != 3 {
 		return ratioSpec{}, fmt.Errorf("min-ratio %q: want <num>/<den>:<unit>:<factor>", s)
 	}
-	names := strings.SplitN(parts[0], "/", 2)
-	if len(names) != 2 || names[0] == "" || names[1] == "" {
+	cut := strings.LastIndex(parts[0], "/Benchmark")
+	if cut <= 0 {
 		return ratioSpec{}, fmt.Errorf("min-ratio %q: benchmark pair must be <num>/<den>", s)
 	}
+	names := [2]string{parts[0][:cut], parts[0][cut+1:]}
 	factor, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil || factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return ratioSpec{}, fmt.Errorf("min-ratio %q: bad factor %q", s, parts[2])

@@ -259,7 +259,12 @@ func TestParseRatioSpec(t *testing.T) {
 	if spec != want {
 		t.Errorf("spec = %+v, want %+v", spec, want)
 	}
-	for _, bad := range []string{"", "A/B:pairs/s", "A:pairs/s:2", "/B:pairs/s:2", "A/:pairs/s:2", "A/B:pairs/s:0", "A/B:pairs/s:-1", "A/B:pairs/s:NaN"} {
+	sub, err := parseRatioSpec("BenchmarkRestart/warm/BenchmarkRestart/cold:restarts/s:2")
+	if want := (ratioSpec{num: "BenchmarkRestart/warm", den: "BenchmarkRestart/cold", unit: "restarts/s", factor: 2}); err != nil || sub != want {
+		t.Errorf("sub-benchmark spec = %+v (err %v), want %+v", sub, err, want)
+	}
+	for _, bad := range []string{"", "BenchmarkA/BenchmarkB:pairs/s", "BenchmarkA:pairs/s:2", "/BenchmarkB:pairs/s:2", "BenchmarkA/:pairs/s:2", "BenchmarkA/warm:pairs/s:2",
+		"BenchmarkA/BenchmarkB:pairs/s:0", "BenchmarkA/BenchmarkB:pairs/s:-1", "BenchmarkA/BenchmarkB:pairs/s:NaN"} {
 		if _, err := parseRatioSpec(bad); err == nil {
 			t.Errorf("spec %q must be rejected", bad)
 		}
@@ -278,6 +283,17 @@ func TestCheckRatiosPassAndFail(t *testing.T) {
 	report, failed = checkRatios(curr, []ratioSpec{spec})
 	if !failed || !strings.Contains(report, "FAIL") {
 		t.Errorf("3x speedup under a 4x requirement must fail:\n%s", report)
+	}
+
+	// Sub-benchmarks are series of their own, named as `go test` prints them.
+	curr, _ = parseBench("BenchmarkRestart/warm-2 3 1000 ns/op 9 restarts/s\n" +
+		"BenchmarkRestart/cold-2 3 1000 ns/op 3 restarts/s\n")
+	sub, err := parseRatioSpec("BenchmarkRestart/warm/BenchmarkRestart/cold:restarts/s:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report, failed = checkRatios(curr, []ratioSpec{sub}); failed {
+		t.Errorf("3x between sub-benchmarks under a 2x requirement must pass:\n%s", report)
 	}
 }
 

@@ -5,7 +5,9 @@
 // removed pairs and recomputes exactly the pairs whose stage inputs
 // changed:
 //
-//   - a changed pair re-runs detection and indication;
+//   - a changed pair re-runs detection — unless the caller already holds
+//     the detection of exactly that history (TickWithDetections) — and
+//     indication;
 //   - a pair whose destination gained or lost pairs — or any pair, when
 //     the distinct-source population changed — re-evaluates the local
 //     whitelist and indication (its popularity inputs moved);
@@ -203,6 +205,18 @@ func (i *Incremental) dropPair(k pairKey, impacted map[string]struct{}) {
 // pair whose summaries cannot merge is isolated under StageError).
 // Summaries must never be mutated after being passed in.
 func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySummary, removed []PairRef) (*Result, error) {
+	return i.TickWithDetections(ctx, changed, nil, removed)
+}
+
+// TickWithDetections is Tick for a caller that kept detections from an
+// earlier run: known, when non-nil, is parallel to changed, and a non-nil
+// known[j] is the detector's result for exactly the history changed[j]
+// summarizes, under this pipeline's detector configuration and scale. Such
+// a pair skips the detect job — detection is a pure function of (history,
+// configuration), so the Result is the one a plain Tick returns — and
+// everything else about the delta runs as usual. A pair with several
+// summaries in the delta is merged and detected afresh.
+func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeseries.ActivitySummary, known []*core.Result, removed []PairRef) (*Result, error) {
 	env, cleanup := newGuardEnv(i.cfg)
 	defer cleanup()
 	i.tick++
@@ -223,11 +237,16 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 		i.states = make(map[pairKey]*incPair, len(changed))
 		i.order = make([]*incPair, 0, len(changed))
 	}
-	known := len(i.order)
-	for _, as := range changed {
+	standing := len(i.order)
+	for j, as := range changed {
 		k := pairKey{Src: as.Source, Dst: as.Destination}
 		st := i.states[k]
+		var det *core.Result
+		if known != nil {
+			det = known[j]
+		}
 		if st != nil && st.seen == i.tick {
+			det = nil // the merged history is not the one known[j] covers
 			if st.parked {
 				continue
 			}
@@ -252,10 +271,10 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 		}
 		i.inputEvents += as.EventCount()
 		st.summary, st.seen = as, i.tick
-		st.det, st.detErr, st.parked = nil, nil, false
+		st.det, st.detErr, st.parked = det, nil, false
 		st.ind, st.indErr = nil, nil
 	}
-	fresh := i.order[known:]
+	fresh := i.order[standing:]
 	totalSources := len(i.srcPairs)
 	if totalSources == prevTotal {
 		for _, st := range fresh {
@@ -264,7 +283,7 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 			}
 		}
 	}
-	i.admit(known)
+	i.admit(standing)
 
 	// The local whitelist is rebuilt from the maintained counts each tick
 	// (Build copies the map — O(destinations), no event work).
@@ -297,9 +316,10 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 	popTime := time.Since(popStart)
 
 	// ---- Filters 3-5 over the pairs that need detection -----------------
-	// Changed pairs (det cleared above), pairs that just crossed out of a
-	// whitelist with no cached result, and pairs whose last detection
-	// errored or was dropped to a failure budget.
+	// Changed pairs whose detection is not already known (det cleared
+	// above), pairs that just crossed out of a whitelist with no cached
+	// result, and pairs whose last detection errored or was dropped to a
+	// failure budget.
 	detStart := time.Now()
 	var detList []*timeseries.ActivitySummary
 	for _, st := range i.order {
@@ -363,7 +383,7 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 	// Fresh Candidate values every tick: published results are read
 	// concurrently by query handlers while the next tick's ranking would
 	// mutate SuppressedBy, so cached state is never aliased into a Result.
-	res := &Result{}
+	res := &Result{Detected: len(detList)}
 	res.Stats.InputEvents = i.inputEvents
 	res.Stats.Pairs = len(i.order)
 	res.Stats.PopularityTime = popTime

@@ -257,6 +257,12 @@ type Result struct {
 	Degraded bool
 	// Stats is the filtering funnel.
 	Stats Stats
+	// Detected is the number of pairs this tick sent through the detect
+	// job; every other candidate's Detection stood from an earlier tick or
+	// came in with the delta. It is bookkeeping about the run, not part of
+	// the funnel, so Stats stays comparable across runs that reached the
+	// same state by different routes.
+	Detected int
 	// Ingest reports the scan accounting when the run ingested shards
 	// (RunStream); nil for runs over a record slice. Lenient skips do not
 	// mark the run Degraded: a skipped line was never an event.

@@ -1,6 +1,6 @@
 // Checkpointed daemon state. The engine's durable state — per-source
-// positions, the late-event watermark, and the per-pair event store — is
-// one append-only log of delta frames:
+// positions, the late-event watermark, the per-pair event store, and each
+// pair's standing detection — is one append-only log of delta frames:
 //
 //	<dir>/checkpoint.bin — frame, frame, frame, ...
 //
@@ -18,10 +18,28 @@
 //	                  events × (ts delta [, path if hasPaths]))
 //	             in (src, dst) order; only the events the pair gained
 //	             since the previous frame, ts deltas restarting from 0
+//	detections   fingerprint u64 LE,
+//	             n × (src, dst, events covered, core.AppendResult bytes)
+//	             in (src, dst) order; the pairs a tick detected since the
+//	             previous frame
 //
 // so a commit costs what arrived since the last one, not what is stored.
 // A full snapshot is the same frame taken from empty — every live pair
-// from its first event, no evictions — and there is no other frame type.
+// from its first event with the detection that covers it, no evictions —
+// and there is no other frame type.
+//
+// A detection is a pure function of the pair's history and of what the
+// fingerprint hashes: every field of the detector configuration as the
+// detector runs it, the series scale, and the result codec's revision. A
+// record is therefore good for as long as its pair holds exactly the
+// events it covered. Recovery keeps each pair's last record and, once the
+// whole log is replayed, hands it to the first tick if the fingerprint is
+// the running engine's and the counts match, so that tick detects only the
+// pairs with no such record; anything else — the pair gained events or was
+// evicted after the record, the configuration changed — is dropped and the
+// pair detected afresh. A foreign fingerprint is not damage: the records
+// are decoded, for the frame's integrity, and ignored. Superseded records
+// are dead bytes until the next compaction, like evicted pairs' events.
 //
 // Commit appends one frame at the end of the valid log and fsyncs
 // (source.checkpoint.append, .appendsync). Once the bytes appended after
@@ -45,9 +63,12 @@
 //     leaves. The file is truncated to the last good frame and the
 //     engine resumes from that commit; connectors replay the gap and the
 //     sequence-deduplicating Apply makes the replay exactly-once.
-//   - a bad frame with bytes after it, a bad first frame, or a valid
-//     frame of another version (a version-1 JSON checkpoint reads as a
-//     bad first frame) is corruption. The file is quarantined to
+//   - a bad frame with bytes after it, a bad first frame, a frame whose
+//     checksum holds around a payload no commit writes (a pair entry
+//     without events, a detection of events its pair does not hold), or
+//     a valid frame of another version (version 2 had no detections
+//     section; a version-1 JSON checkpoint reads as a bad first frame)
+//     is corruption. The file is quarantined to
 //     <dir>/quarantine/, never deleted, and the engine starts empty and
 //     re-ingests what the sources can still replay.
 //
@@ -67,12 +88,13 @@ import (
 	"strings"
 	"syscall"
 
+	"baywatch/internal/core"
 	"baywatch/internal/faultinject"
 )
 
 // checkpointVersion is the on-disk format version; a checkpoint with a
 // different version is quarantined like a corrupt one.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 const (
 	frameMagic  = "BWCL"
@@ -82,12 +104,19 @@ const (
 
 func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.bin") }
 
+// detectionSizeHint is about what one detection record takes in a frame:
+// a dozen candidates at candidate size plus the mixture model.
+const detectionSizeHint = 1024
+
 // encodeFrame renders one sealed frame: the engine's positions, maxTS and
 // late-drop count with the watermark and eviction total this commit will
-// install, the keys it evicts, and for each of keys (sorted; pairs that
-// skip reports are left out) the events not yet durable — or, with full,
-// every event. sizeHint presizes the buffer. e.mu must be held.
-func (e *Engine) encodeFrame(watermark, evictedCount int64, evicted, keys []pairKey, skip func(*pairHistory) bool, full bool, sizeHint int64) []byte {
+// install, the keys it evicts, for each of keys the events not yet durable
+// and for each of detected the pair's detection, if it still covers the
+// pair's history — or, with full, every event of keys and every such
+// detection among them (detected is then not consulted). keys and detected
+// are sorted; pairs that skip reports are left out of both. sizeHint
+// presizes the buffer. e.mu must be held.
+func (e *Engine) encodeFrame(watermark, evictedCount int64, evicted, keys, detected []pairKey, skip func(*pairHistory) bool, full bool, sizeHint int64) ([]byte, error) {
 	buf := make([]byte, frameHdrLen, frameHdrLen+256+int(sizeHint))
 	names := make([]string, 0, len(e.pos))
 	for name := range e.pos {
@@ -115,6 +144,16 @@ func (e *Engine) encodeFrame(watermark, evictedCount int64, evicted, keys []pair
 		buf = appendString(buf, k.Dst)
 	}
 
+	// carried lists the pairs whose detection this frame holds: of a full
+	// frame, gathered while its pairs are written below.
+	var carried []pairKey
+	if !full {
+		for _, k := range detected {
+			if h := e.pairs[k]; h.detection() != nil && !skip(h) {
+				carried = append(carried, k)
+			}
+		}
+	}
 	live := 0
 	for _, k := range keys {
 		if !skip(e.pairs[k]) {
@@ -156,9 +195,28 @@ func (e *Engine) encodeFrame(watermark, evictedCount int64, evicted, keys []pair
 				buf = appendString(buf, h.paths[i])
 			}
 		}
+		if full && h.detection() != nil {
+			carried = append(carried, k)
+		}
 	}
 
-	return sealFrame(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, e.detFP)
+	buf = binary.AppendUvarint(buf, uint64(len(carried)))
+	for _, k := range carried {
+		h := e.pairs[k]
+		buf = appendString(buf, k.Src)
+		buf = appendString(buf, k.Dst)
+		buf = binary.AppendUvarint(buf, uint64(h.detN))
+		var err error
+		if buf, err = core.AppendResult(buf, h.det); err != nil {
+			// Only a Result no detector builds; forget it so the commit
+			// after this one goes through, and the pair is detected afresh.
+			h.det, h.detN = nil, 0
+			return nil, fmt.Errorf("source: checkpoint: detection of %s: %w", k, err)
+		}
+	}
+
+	return sealFrame(buf), nil
 }
 
 // sealFrame turns frameHdrLen reserved bytes followed by a payload into a
@@ -233,6 +291,16 @@ func (r *frameReader) str() string {
 	return s
 }
 
+func (r *frameReader) u64() uint64 {
+	if len(r.buf) < 8 {
+		r.fail("truncated fingerprint")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return v
+}
+
 func (r *frameReader) flag() byte {
 	if len(r.buf) == 0 {
 		r.fail("truncated flag")
@@ -276,6 +344,11 @@ func (e *Engine) replayFrame(payload []byte) error {
 		k := pairKey{Src: r.str(), Dst: r.str()}
 		events := r.count()
 		hasPaths := r.flag() == 1
+		if r.err == nil && events == 0 {
+			// No commit writes a pair it has no event for, and an empty
+			// history could never be summarized.
+			r.fail("pair entry without events")
+		}
 		if r.err != nil {
 			break
 		}
@@ -298,8 +371,36 @@ func (e *Engine) replayFrame(payload []byte) error {
 		}
 		h.committed = len(h.ts)
 	}
+
+	// A detection stands for its pair while the history holds exactly the
+	// events it covered; OpenEngine judges that once the whole log is in.
+	// Under another fingerprint the records are still decoded, for the
+	// frame's integrity, and only their extent is kept.
+	ours := r.u64() == e.detFP
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		k := pairKey{Src: r.str(), Dst: r.str()}
+		covered := r.uvarint() // an event count, not a count of things in the frame
+		if r.err != nil {
+			break
+		}
+		det, used, err := core.DecodeResult(r.buf)
+		if err != nil {
+			r.fail(err.Error())
+			break
+		}
+		r.buf = r.buf[used:]
+		h := e.pairs[k]
+		if h == nil || covered == 0 || covered > uint64(len(h.ts)) {
+			r.fail("detection of events the pair does not hold")
+			break
+		}
+		if !ours {
+			det = nil
+		}
+		h.det, h.detN = det, int(covered)
+	}
 	if r.err == nil && len(r.buf) != 0 {
-		r.fail("bytes after the last pair")
+		r.fail("bytes after the last detection")
 	}
 	if r.err != nil {
 		return r.err

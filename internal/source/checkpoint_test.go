@@ -7,17 +7,21 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"baywatch/internal/core"
 	"baywatch/internal/faultinject"
+	"baywatch/internal/stats"
 )
 
 // pairEvents is one pair's history as a test compares it: the events in
@@ -28,9 +32,19 @@ type pairEvents struct {
 	Paths []string
 }
 
+// storedDetection is a pair's standing detection as a test compares it:
+// the result and how many of the pair's events it covers.
+type storedDetection struct {
+	Covered int
+	Result  *core.Result
+}
+
 // engineState is everything a checkpoint must carry across a restart.
+// Detections holds only the detections that answer for their pair's whole
+// history — the ones a commit writes and a restart hands to its first tick.
 type engineState struct {
 	Pairs                                  map[pairKey]pairEvents
+	Detections                             map[pairKey]storedDetection
 	Pos                                    map[string]Position
 	Watermark, MaxTS, LateDropped, Evicted int64
 	Events                                 int64
@@ -44,9 +58,10 @@ func stateOf(t testing.TB, e *Engine) engineState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := engineState{
-		Pairs:     make(map[pairKey]pairEvents, len(e.pairs)),
-		Pos:       make(map[string]Position, len(e.pos)),
-		Watermark: e.watermark, MaxTS: e.maxTS, LateDropped: e.lateDropped, Evicted: e.evictedCount,
+		Pairs:      make(map[pairKey]pairEvents, len(e.pairs)),
+		Detections: make(map[pairKey]storedDetection),
+		Pos:        make(map[string]Position, len(e.pos)),
+		Watermark:  e.watermark, MaxTS: e.maxTS, LateDropped: e.lateDropped, Evicted: e.evictedCount,
 		Events: e.events,
 	}
 	var walked int64
@@ -56,6 +71,9 @@ func stateOf(t testing.TB, e *Engine) engineState {
 		}
 		walked += int64(len(h.ts))
 		st.Pairs[k] = pairEvents{TS: append([]int64(nil), h.ts...), Paths: append([]string(nil), h.paths...)}
+		if det := h.detection(); det != nil {
+			st.Detections[k] = storedDetection{Covered: h.detN, Result: det}
+		}
 	}
 	if walked != e.events {
 		t.Fatalf("maintained event total %d, store walk %d", e.events, walked)
@@ -83,7 +101,19 @@ func requireSameState(t *testing.T, what string, got, want engineState) {
 			t.Errorf("%s: unexpected pair %s", what, k)
 		}
 	}
-	got.Pairs, want.Pairs = nil, nil
+	for k, w := range want.Detections {
+		if g, ok := got.Detections[k]; !ok {
+			t.Errorf("%s: detection of %s missing", what, k)
+		} else if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: detection of %s = %d events %+v, want %d events %+v", what, k, g.Covered, g.Result, w.Covered, w.Result)
+		}
+	}
+	for k := range got.Detections {
+		if _, ok := want.Detections[k]; !ok {
+			t.Errorf("%s: unexpected detection of %s", what, k)
+		}
+	}
+	got.Pairs, want.Pairs, got.Detections, want.Detections = nil, nil, nil, nil
 	t.Fatalf("%s: state diverged:\n got %+v\nwant %+v", what, got, want)
 }
 
@@ -151,22 +181,26 @@ func requireLogBounded(t *testing.T, dir string, dead ...string) {
 	}
 }
 
-// TestDeltaLogMatchesCompaction is the log ≡ snapshot differential. Two
-// engines take the same seeded random sequence of batches (path-less pairs
-// that later gain a path, duplicate and out-of-order timestamps, endpoints
-// containing the key separator, all-skipped batches, resends), commits and
-// retention evictions; one writes delta frames and compacts when its log
-// doubles, the other is forced through a compaction at every commit, which
-// is the whole-state snapshot this format replaced. After every step the
-// two live engines agree; after every commit so do a restart from the
-// delta log, a restart from the snapshot, and the live engine — on each
-// pair's events and paths in arrival order, positions, watermark, maxTS,
-// late-drop and eviction counts, the O(1) event total, and on the report a
-// tick produces.
+// TestDeltaLogMatchesCompaction is the log ≡ snapshot and adopt ≡ recompute
+// differential. Two engines take the same seeded random sequence of batches
+// (path-less pairs that later gain a path, duplicate and out-of-order
+// timestamps, endpoints containing the key separator, all-skipped batches,
+// resends), ticks, commits and retention evictions; one writes delta frames
+// and compacts when its log doubles, the other is forced through a
+// compaction at every commit, which is the whole-state snapshot this format
+// replaced. After every step the two live engines agree; after every commit
+// so do a restart from the delta log, a restart from the snapshot, and the
+// live engine — on each pair's events and paths in arrival order, its
+// stored detection, positions, watermark, maxTS, late-drop and eviction
+// counts, the O(1) event total — and a tick of each of the three returns
+// the analysis one batch run over the stored events returns, detections
+// compared deeply, having sent the same number of pairs through the detect
+// job: what the log hands a restart is what the engine that never stopped
+// still holds, no more and no less.
 func TestDeltaLogMatchesCompaction(t *testing.T) {
 	pcfg := testPipelineCfg(t, nil)
 	det := core.DefaultConfig()
-	det.Permutations = 5 // three ticks per commit step; the verdicts only need to agree
+	det.Permutations = 5 // four analyses per commit step; the verdicts only need to agree
 	pcfg.Detector = det
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -191,10 +225,10 @@ func TestDeltaLogMatchesCompaction(t *testing.T) {
 			pos := map[string]Position{}
 			last := map[string]Batch{}
 			clock := int64(100000)
-			commits := 0
-			for step := 0; step < 60; step++ {
+			commits, restored, redetected, periodic := 0, int64(0), 0, 0
+			for step := 0; step < 70; step++ {
 				name := []string{"s1", "s2"}[rng.Intn(2)]
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(12); {
 				case op < 5:
 					// A batch over a window of pairs that drifts with time, so
 					// early pairs go idle and retention evicts them; paths only
@@ -208,6 +242,11 @@ func TestDeltaLogMatchesCompaction(t *testing.T) {
 							Source:      hosts[pair%len(hosts)],
 							Destination: dests[pair%len(dests)],
 							TS:          clock - int64(rng.Intn(5))*int64(rng.Intn(400)),
+						}
+						if pair%5 == 0 {
+							// One pair in five beacons on a 60 s grid, so some
+							// stored detections carry kept candidates and a GMM.
+							ev.TS = clock - clock%60
 						}
 						if step > 15 && rng.Intn(3) == 0 {
 							ev.Path = paths[rng.Intn(len(paths))]
@@ -234,6 +273,15 @@ func TestDeltaLogMatchesCompaction(t *testing.T) {
 							}
 						})
 					}
+				case op < 9:
+					// A tick between commits: its detections are unsaved until
+					// the next commit, and stale by then if the pair moved on.
+					if logEng.Stats().Pairs == 0 {
+						break
+					}
+					a, b := mustTick(t, logEng), mustTick(t, snapEng)
+					sameAnalysis(t, fmt.Sprintf("step %d: live ticks", step), b.Result, a.Result)
+					sameAnalysis(t, fmt.Sprintf("step %d: live tick vs batch", step), a.Result, batchOver(t, logEng))
 				default:
 					snapEng.suspect = true // every snapshot-side commit rewrites the state
 					both(func(e *Engine) {
@@ -250,35 +298,61 @@ func TestDeltaLogMatchesCompaction(t *testing.T) {
 					fromLog, fromSnap := reopenCopy(t, logCfg), reopenCopy(t, snapCfg)
 					requireSameState(t, fmt.Sprintf("step %d: restart from the log", step), stateOf(t, fromLog), want)
 					requireSameState(t, fmt.Sprintf("step %d: restart from the snapshot", step), stateOf(t, fromSnap), want)
+					if got := fromLog.Stats().DetectionsRestored; got != int64(len(want.Detections)) {
+						t.Fatalf("step %d: restart reports %d detections restored, the live engine holds %d", step, got, len(want.Detections))
+					}
+					if fromSnap.Stats().DetectionsStale != 0 {
+						t.Fatalf("step %d: a snapshot carried %d stale detection(s)", step, fromSnap.Stats().DetectionsStale)
+					}
+					restored += fromLog.Stats().DetectionsRestored
 					if len(want.Pairs) > 0 {
-						ctx := context.Background()
-						live, err := logEng.Tick(ctx)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, e := range []*Engine{fromLog, fromSnap} {
-							got, err := e.Tick(ctx)
-							if err != nil {
-								t.Fatal(err)
+						batch := batchOver(t, logEng)
+						live := mustTick(t, logEng)
+						mustTick(t, snapEng) // keep the two live engines in step
+						sameAnalysis(t, fmt.Sprintf("step %d: live engine vs batch", step), live.Result, batch)
+						for what, e := range map[string]*Engine{"the log": fromLog, "the snapshot": fromSnap} {
+							got := mustTick(t, e)
+							sameAnalysis(t, fmt.Sprintf("step %d: restart from %s vs batch", step, what), got.Result, batch)
+							if got.Detected != live.Detected {
+								t.Fatalf("step %d: restart from %s detected %d pair(s), the live engine %d",
+									step, what, got.Detected, live.Detected)
 							}
-							sameResult(t, got.Result, live.Result)
 						}
+						redetected += live.Detected
+						periodic += batch.Stats.Periodic
 					}
 				}
 				requireSameState(t, fmt.Sprintf("step %d: live engines", step), stateOf(t, snapEng), stateOf(t, logEng))
 			}
 			st := logEng.Stats()
-			if commits < 5 || st.Compactions < 2 || st.Compactions >= st.Commits || st.Evicted == 0 || st.LateDropped == 0 {
-				t.Fatalf("sequence too tame to mean anything: %d commit steps, stats %+v", commits, st)
+			if commits < 5 || st.Compactions < 2 || st.Compactions >= st.Commits || st.Evicted == 0 || st.LateDropped == 0 ||
+				restored == 0 || redetected == 0 || periodic == 0 {
+				t.Fatalf("sequence too tame to mean anything: %d commit steps, %d detections restored, %d re-detected after a commit, %d periodic verdicts, stats %+v",
+					commits, restored, redetected, periodic, st)
 			}
 		})
 	}
 }
 
-// threeFrameLog commits three batches — a large one that creates the file
-// and two small ones that append — and returns the log's bytes, its frame
-// boundaries (0, end of frame 1, 2, 3), the state a restart must show
-// after each frame, and the third batch for finishing a recovery.
+// tornCfg is the engine configuration of the torn-tail tests and the replay
+// fuzzer: a coarse scale and few permutations keep the tick each of their
+// many recoveries ends with cheap.
+func tornCfg(t testing.TB) Config {
+	pcfg := testPipelineCfg(t, nil)
+	pcfg.Detector = core.DefaultConfig()
+	pcfg.Detector.Permutations = 3
+	return Config{Lateness: 100000, Scale: 60, Pipeline: pcfg}
+}
+
+// threeFrameLog commits three batches, each after a tick — a large one that
+// creates the file with every pair's detection in the snapshot frame, and
+// two small ones that append the touched pairs' new events and new
+// detections — and returns the log's bytes, its frame boundaries (0, end of
+// frame 1, 2, 3), the state a restart must show after each frame, and the
+// third batch for finishing a recovery. Every fourth event belongs to one
+// beaconing pair, whose detection carries candidates, a kept period and a
+// mixture model; the other pairs stay under the sampling floor, so the log
+// is small enough to damage at every byte.
 func threeFrameLog(t testing.TB, cfg Config) (data []byte, bounds [4]int, states [3]engineState, lastBatch Batch) {
 	t.Helper()
 	cfg.StateDir = t.TempDir()
@@ -295,6 +369,9 @@ func threeFrameLog(t testing.TB, cfg Config) (data []byte, bounds [4]int, states
 				Destination: fmt.Sprintf("d%d.example", i%5),
 				TS:          base + int64(i)*30,
 			}
+			if i%4 == 0 {
+				events[i].Source, events[i].Destination = "hb", "beacon.example"
+			}
 			if i%3 == 0 {
 				events[i].Path = "/gate.php"
 			}
@@ -303,12 +380,24 @@ func threeFrameLog(t testing.TB, cfg Config) (data []byte, bounds [4]int, states
 		pos.Offset += int64(n) * 100
 		return Batch{Source: "s", Events: events, Pos: pos}
 	}
-	for i, b := range []Batch{batch(200, 1000), batch(12, 8000), batch(9, 9000)} {
+	for i, b := range []Batch{batch(120, 1000), batch(12, 8000), batch(9, 9000)} {
 		eng.Apply(b)
+		tr, err := eng.Tick(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{36, 10, 7}[i]; tr.Detected != want {
+			t.Fatalf("tick %d detected %d pair(s), want %d", i+1, tr.Detected, want)
+		}
 		if err := eng.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		states[i] = stateOf(t, eng)
+		beacon := states[i].Detections[pairKey{Src: "hb", Dst: "beacon.example"}].Result
+		if len(states[i].Detections) != 36 || beacon == nil || !beacon.Periodic || beacon.GMM == nil {
+			t.Fatalf("commit %d leaves %d detections stored and %+v for the beacon, want every pair's 36 and a periodic verdict with its mixture",
+				i+1, len(states[i].Detections), beacon)
+		}
 		lastBatch = b
 	}
 	data, err = os.ReadFile(checkpointPath(cfg.StateDir))
@@ -338,9 +427,10 @@ func threeFrameLog(t testing.TB, cfg Config) (data []byte, bounds [4]int, states
 // decoder to exactly that rule, so no damage ever yields a state that was
 // never committed.
 func TestTornTailTruncatedCorruptionQuarantined(t *testing.T) {
-	cfg := Config{Lateness: 100000}
+	cfg := tornCfg(t)
 	data, bounds, states, lastBatch := threeFrameLog(t, cfg)
-	empty := engineState{Pairs: map[pairKey]pairEvents{}, Pos: map[string]Position{}}
+	t.Logf("frames end at %v", bounds)
+	empty := engineState{Pairs: map[pairKey]pairEvents{}, Detections: map[pairKey]storedDetection{}, Pos: map[string]Position{}}
 
 	// requireTorn checks a restart on damaged came back at the commit that
 	// wrote frame `frames` (1-based) with the tail cut off.
@@ -373,11 +463,19 @@ func TestTornTailTruncatedCorruptionQuarantined(t *testing.T) {
 			t.Fatalf("%s: checkpoint still in place after quarantine (%v)", what, err)
 		}
 	}
-	// finish replays the gap a torn third frame leaves and checks the next
-	// commit and restart hold everything.
+	// finish replays the gap a torn third frame leaves — the tick detects
+	// again exactly the pairs whose detections the frame held — and checks
+	// the next commit and restart hold everything.
 	finish := func(what string, e *Engine) {
 		t.Helper()
 		e.Apply(lastBatch)
+		tr, err := e.Tick(context.Background())
+		if err != nil {
+			t.Fatalf("%s: tick after recovery: %v", what, err)
+		}
+		if tr.Detected != 7 {
+			t.Fatalf("%s: tick after recovery detected %d pair(s), want the 7 the lost frame held detections of", what, tr.Detected)
+		}
 		if err := e.Commit(); err != nil {
 			t.Fatalf("%s: commit after recovery: %v", what, err)
 		}
@@ -425,6 +523,38 @@ func TestTornTailTruncatedCorruptionQuarantined(t *testing.T) {
 	requireQuarantined("unknown version", other)
 	requireQuarantined("version-1 JSON checkpoint", []byte(`{"version":1,"sources":{"s":{"records":3}}}`))
 	requireQuarantined("empty file", nil)
+
+	// A frame whose checksum holds around content no commit writes is
+	// damage too — it must not come up as a store that can never tick.
+	fp := detectionFingerprint(cfg)
+	sparse := mustEncodeResult(t, &core.Result{SeriesLen: 1, EventCount: 1, Undersampled: true})
+	onePair := handPairs(handPair("h", "d", 1000))
+	for what, payload := range map[string][]byte{
+		"pair entry without events":              append(handPairs(handPair("h", "d")), handDetections(fp)...),
+		"detection of an absent pair":            append(onePair, handDetections(fp, handDetection("h", "other", 1, sparse))...),
+		"detection of more events than held":     append(onePair, handDetections(fp, handDetection("h", "d", 2, sparse))...),
+		"detection of no events":                 append(onePair, handDetections(fp, handDetection("h", "d", 0, sparse))...),
+		"detection with a lying candidate count": append(onePair, handDetections(fp, handDetection("h", "d", 1, hostileDetections(t)["2^60 candidates"]))...),
+		"no detections section":                  onePair,
+	} {
+		requireQuarantined(what, testFrame(payload))
+	}
+	// The same shapes, well-formed: a detection under this engine's
+	// fingerprint is restored, one under another is dropped without a word.
+	for what, tc := range map[string]struct {
+		fp              uint64
+		restored, stale int64
+	}{"own fingerprint": {fp, 1, 0}, "foreign fingerprint": {fp + 1, 0, 1}} {
+		e := openOn(t, cfg, testFrame(append(onePair, handDetections(tc.fp, handDetection("h", "d", 1, sparse))...)))
+		st, rec := e.Stats(), e.Recovery()
+		if st.DetectionsRestored != tc.restored || st.DetectionsStale != tc.stale || len(rec.Warnings)+len(rec.Quarantined) != 0 {
+			t.Fatalf("%s: restored %d, stale %d, recovery %+v; want %d, %d and nothing to repair",
+				what, st.DetectionsRestored, st.DetectionsStale, rec, tc.restored, tc.stale)
+		}
+		if tr, err := e.Tick(context.Background()); err != nil || tr.Detected != int(tc.stale) {
+			t.Fatalf("%s: first tick detected %d pair(s), err %v; want %d", what, tr.Detected, err, tc.stale)
+		}
+	}
 }
 
 // TestCommitWriteErrorForcesCompaction injects an error (not a crash) at
@@ -648,14 +778,83 @@ func testFrame(payload []byte) []byte {
 	return sealFrame(append(make([]byte, frameHdrLen), payload...))
 }
 
+// The hand* helpers assemble frame payloads no engine would write.
+// handPairs starts one: no sources, a zero header, no evictions, then the
+// given pair entries. handDetections is the section that ends it; the
+// result is clipped, so appending two different endings to one start never
+// shares a backing array.
+func handPairs(entries ...[]byte) []byte {
+	out := binary.AppendUvarint([]byte{0, 0, 0, 0, 0, 0}, uint64(len(entries)))
+	for _, e := range entries {
+		out = append(out, e...)
+	}
+	return slices.Clip(out)
+}
+
+// handPair is a path-less pair entry with the given timestamps.
+func handPair(src, dst string, ts ...int64) []byte {
+	out := appendString(appendString(nil, src), dst)
+	out = append(binary.AppendUvarint(out, uint64(len(ts))), 0)
+	prev := int64(0)
+	for _, v := range ts {
+		out = binary.AppendVarint(out, v-prev)
+		prev = v
+	}
+	return out
+}
+
+func handDetections(fingerprint uint64, records ...[]byte) []byte {
+	out := binary.AppendUvarint(binary.LittleEndian.AppendUint64(nil, fingerprint), uint64(len(records)))
+	for _, r := range records {
+		out = append(out, r...)
+	}
+	return out
+}
+
+func handDetection(src, dst string, covered uint64, result []byte) []byte {
+	out := appendString(appendString(nil, src), dst)
+	return append(binary.AppendUvarint(out, covered), result...)
+}
+
+func mustEncodeResult(t testing.TB, r *core.Result) []byte {
+	t.Helper()
+	enc, err := core.AppendResult(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// hostileDetections are encoded results that lie about their counts or
+// point outside themselves, plus two honest ones full of non-finite floats.
+func hostileDetections(t testing.TB) map[string][]byte {
+	head := append([]byte{0, 2, 2}, make([]byte, 8)...) // flags, SeriesLen, EventCount, PowerThreshold
+	cand := core.Candidate{Origin: core.OriginGMM, Period: 60, PValue: math.NaN(), Power: math.Inf(1), ACFScore: math.Inf(-1)}
+	kept := mustEncodeResult(t, &core.Result{Periodic: true, Candidates: []core.Candidate{cand}, Kept: []core.Candidate{cand}, PowerThreshold: math.Inf(1)})
+	outOfRange := append([]byte(nil), kept...)
+	outOfRange[len(outOfRange)-1] = 1 // the single Kept index, last byte of a GMM-less result
+	model := &core.Result{GMM: &stats.GMMSelection{K: 1, BICs: []float64{math.NaN()}, Best: &stats.GMM{
+		Weights: []float64{1}, Means: []float64{math.Inf(1)}, StdDevs: []float64{0}, LogLikelihood: math.Inf(-1),
+	}}}
+	return map[string][]byte{
+		"2^60 candidates":         binary.AppendUvarint(append([]byte(nil), head...), 1<<60),
+		"2^40 kept":               binary.AppendUvarint(append(append([]byte(nil), head...), 0), 1<<40),
+		"kept index out of range": outOfRange,
+		"2^50 mixture weights":    binary.AppendUvarint(append(append([]byte(nil), head...), 0, 0, 2, 0), 1<<50),
+		"non-finite candidate":    kept,
+		"non-finite mixture":      mustEncodeResult(t, model),
+	}
+}
+
 // FuzzCheckpointReplay feeds arbitrary bytes to recovery's decoder, both
 // as a whole log and — since a random input almost never carries a valid
 // CRC — as one frame's payload. Replay must not panic, must not allocate
 // more than a small multiple of its input (every count is checked against
 // the bytes present before anything is sized from it), and whatever it
-// accepts must be a coherent store.
+// accepts must be a coherent store that a tick can analyze.
 func FuzzCheckpointReplay(f *testing.F) {
-	data, bounds, _, _ := threeFrameLog(f, Config{Lateness: 100000})
+	cfg := tornCfg(f)
+	data, bounds, _, _ := threeFrameLog(f, cfg)
 	f.Add(data)
 	f.Add(data[:bounds[3]-7])                        // torn tail
 	f.Add(data[:bounds[1]])                          // one compacted frame
@@ -667,9 +866,25 @@ func FuzzCheckpointReplay(f *testing.F) {
 	hostile = append(binary.AppendUvarint(hostile, 1<<40), 0) // 2^40 events
 	f.Add(testFrame(hostile))
 	f.Add([]byte(`{"version":1}`))
+	fp := detectionFingerprint(cfg)
+	f.Add(testFrame(append(handPairs(handPair("h", "d")), handDetections(fp)...))) // a pair entry without events
+	beacon := handPairs(handPair("h", "d", 1000, 1060, 1120, 1180, 1240, 1300, 1360, 1420, 1480))
+	hostileResults := hostileDetections(f)
+	names := make([]string, 0, len(hostileResults))
+	for name := range hostileResults {
+		names = append(names, name)
+	}
+	sort.Strings(names) // seed#N names the same input in every run
+	for _, name := range names {
+		result := hostileResults[name]
+		f.Add(append(beacon, handDetections(fp, handDetection("h", "d", 9, result))...))
+		f.Add(append(beacon, handDetections(fp+1, handDetection("h", "d", 9, result))...)) // a fingerprint that does not match
+	}
+	f.Add(append(beacon, handDetections(fp, handDetection("h", "d", 1<<40, nil))...))                // covers 2^40 events
+	f.Add(append(beacon, binary.AppendUvarint(binary.LittleEndian.AppendUint64(nil, fp), 1<<60)...)) // 2^60 detections
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		asLog, asPayload := newEngine(Config{}), newEngine(Config{})
+		asLog, asPayload := newEngine(cfg), newEngine(cfg)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		good, first, logErr := replayLog(in, asLog.replayFrame)
@@ -692,8 +907,17 @@ func FuzzCheckpointReplay(f *testing.F) {
 				if h.committed != len(h.ts) {
 					t.Fatalf("pair %s: %d of %d replayed events marked durable", k, h.committed, len(h.ts))
 				}
+				if h.detN < 0 || h.detN > len(h.ts) {
+					t.Fatalf("pair %s: detection covers %d of %d events", k, h.detN, len(h.ts))
+				}
 			}
 			stateOf(t, e)
+			e.replayed()
+			if len(e.pairs) > 0 {
+				if _, err := e.Tick(context.Background()); err != nil {
+					t.Fatalf("a store that replayed cleanly does not tick: %v", err)
+				}
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package source
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,6 +67,40 @@ func requireBothWritePaths(t *testing.T, trace []faultinject.Hit) {
 	}
 }
 
+// detectionWrites notes which of a commit's two write paths carried
+// detection records in a workload's fault-free run.
+type detectionWrites struct{ appended, compacted bool }
+
+// commit commits e, noting the write path taken when a tick's detections
+// were waiting to be saved. A nil receiver just commits.
+func (w *detectionWrites) commit(e *Engine) error {
+	e.mu.Lock()
+	waiting := len(e.unsaved) > 0
+	e.mu.Unlock()
+	before := e.Stats().Compactions
+	if err := e.Commit(); err != nil {
+		return err
+	}
+	if w != nil && waiting {
+		if e.Stats().Compactions > before {
+			w.compacted = true
+		} else {
+			w.appended = true
+		}
+	}
+	return nil
+}
+
+// requireBoth asserts the workload both appended and compacted frames that
+// carry detections, so its crash enumeration covers the new section on
+// both write paths.
+func (w *detectionWrites) requireBoth(t *testing.T) {
+	t.Helper()
+	if !w.appended || !w.compacted {
+		t.Errorf("workload wrote detections by append: %v, by compaction: %v; want both", w.appended, w.compacted)
+	}
+}
+
 // restartUntilDone runs workload under the scheduler's crash conversion,
 // "rebooting" after each simulated death, until a run completes without
 // crashing. Returns the last run's error.
@@ -113,11 +148,12 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 	}
 
 	// workload opens (or reopens) the engine at dir, replays the source
-	// from its committed position in fixed batches with a commit every
-	// other batch and a mid-stream tick, and finishes with a final commit.
-	// Five commits land: the file's creation, two appends, the compaction
-	// the doubled log triggers, and an append onto the compacted file.
-	workload := func(dir string) func() error {
+	// from its committed position in fixed batches with a commit after
+	// every odd batch and a tick after every even one, and finishes with a
+	// final commit. The file's creation aside, every commit has a tick's
+	// detections to save, and they land by append and by the compaction the
+	// doubled log triggers.
+	workload := func(dir string, noted *detectionWrites) func() error {
 		return func() error {
 			eng, err := OpenEngine(ecfg(dir))
 			if err != nil {
@@ -135,17 +171,14 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 				pos.Records = int64(end)
 				eng.Apply(Batch{Source: "s", Events: chunk, Pos: pos})
 				if n++; n%2 == 1 {
-					if err := eng.Commit(); err != nil {
+					if err := noted.commit(eng); err != nil {
 						return err
 					}
-				}
-				if n == 2 {
-					if _, err := eng.Tick(context.Background()); err != nil {
-						return err
-					}
+				} else if _, err := eng.Tick(context.Background()); err != nil {
+					return err
 				}
 			}
-			return eng.Commit()
+			return noted.commit(eng)
 		}
 	}
 	finalState := func(dir string) (*pipeline.Result, Stats) {
@@ -168,11 +201,13 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 	SetFaultHook(clean.Hook())
 	defer SetFaultHook(nil)
 	cleanDir := t.TempDir()
-	if err := workload(cleanDir)(); err != nil {
+	var noted detectionWrites
+	if err := workload(cleanDir, &noted)(); err != nil {
 		t.Fatal(err)
 	}
 	want, wantStats := finalState(cleanDir)
 	requireBothWritePaths(t, clean.Trace())
+	noted.requireBoth(t)
 	requirePoints(t, pointsIn(clean.Trace()),
 		faultinject.PointSourceCommitDone,
 		faultinject.PointSourceDetectTick,
@@ -184,6 +219,9 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 	if wantStats.LateDropped == 0 {
 		t.Fatal("workload dropped no late events; watermark replay is unexercised")
 	}
+	if wantStats.DetectionsRestored == 0 {
+		t.Fatal("the converged log restored no detection; the final tick adopts nothing")
+	}
 
 	// One run per traversal, dying exactly there.
 	for n := 1; n <= total; n++ {
@@ -191,14 +229,14 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 		sched.CrashAtGlobalHit(n)
 		SetFaultHook(sched.Hook())
 		dir := t.TempDir()
-		if err := restartUntilDone(t, workload(dir)); err != nil {
+		if err := restartUntilDone(t, workload(dir, nil)); err != nil {
 			t.Fatalf("crash at hit %d: workload failed after restart: %v", n, err)
 		}
 		// Verification reopens and ticks outside the fault schedule: the
 		// enumerated crash already fired (or the workload finished first).
 		SetFaultHook(nil)
 		got, gotStats := finalState(dir)
-		sameResult(t, got, want)
+		sameAnalysis(t, fmt.Sprintf("crash at hit %d", n), got, want)
 		if gotStats.Events != wantStats.Events || gotStats.Watermark != wantStats.Watermark ||
 			gotStats.LateDropped != wantStats.LateDropped {
 			t.Fatalf("crash at hit %d: state diverged:\n got %+v\nwant %+v", n, gotStats, wantStats)
@@ -227,7 +265,7 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 	part1, part2 := recordLines(recs[:half]), recordLines(recs[half:])
 	total := int64(len(recs))
 
-	workload := func(stateDir, logDir string) func() error {
+	workload := func(stateDir, logDir string, noted *detectionWrites) func() error {
 		logPath := filepath.Join(logDir, "proxy.log")
 		rotated := false
 		return func() error {
@@ -268,8 +306,10 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 			// Committing on every delivery pins the invariant the rotation
 			// script relies on: the rotation only happens after the whole
 			// first half is durable, so a crash after it never strands
-			// committed-but-unread tail in the rotated-away file.
-			sink := &engineSink{eng: eng, commitEvery: 1, stopAt: total, script: rotate}
+			// committed-but-unread tail in the rotated-away file. The
+			// tick after each delivery gives the next commit detections to
+			// save.
+			sink := &engineSink{eng: eng, commitEvery: 1, tickEvery: 1, stopAt: total, script: rotate, noted: noted}
 			err = fol.Run(context.Background(), eng.Position("proxy"), sink)
 			if errors.Is(err, sinkStop{}) {
 				return eng.Commit()
@@ -297,11 +337,13 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 	SetFaultHook(clean.Hook())
 	defer SetFaultHook(nil)
 	cleanState := t.TempDir()
-	if err := workload(cleanState, t.TempDir())(); err != nil {
+	var noted detectionWrites
+	if err := workload(cleanState, t.TempDir(), &noted)(); err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, finalReport(cleanState), want)
+	sameAnalysis(t, "uncrashed run", finalReport(cleanState), want)
 	requireBothWritePaths(t, clean.Trace())
+	noted.requireBoth(t)
 	requirePoints(t, pointsIn(clean.Trace()),
 		faultinject.PointSourceFollowOpen,
 		faultinject.PointSourceFollowRead,
@@ -326,11 +368,11 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 		sched.CrashAtGlobalHit(n)
 		SetFaultHook(sched.Hook())
 		stateDir := t.TempDir()
-		if err := restartUntilDone(t, workload(stateDir, t.TempDir())); err != nil {
+		if err := restartUntilDone(t, workload(stateDir, t.TempDir(), nil)); err != nil {
 			t.Fatalf("crash at hit %d: workload failed after restart: %v", n, err)
 		}
 		SetFaultHook(nil)
-		sameResult(t, finalReport(stateDir), want)
+		sameAnalysis(t, fmt.Sprintf("crash at hit %d", n), finalReport(stateDir), want)
 	}
 }
 
@@ -367,20 +409,28 @@ func crashWorthyHits(trace []faultinject.Hit) []int {
 }
 
 // engineSink applies follower batches straight into an engine, committing
-// every commitEvery batches, running the test's mutation script after the
-// commit, and ending the run with sinkStop once stopAt events are in.
+// every commitEvery batches and then ticking every tickEvery, running the
+// test's mutation script after that, and ending the run with sinkStop once
+// stopAt events are in.
 type engineSink struct {
 	eng         *Engine
 	commitEvery int
+	tickEvery   int
 	stopAt      int64
 	n           int
 	script      func(applied int64) error
+	noted       *detectionWrites
 }
 
 func (s *engineSink) Deliver(b Batch) error {
 	s.eng.Apply(b)
 	if s.n++; s.commitEvery > 0 && s.n%s.commitEvery == 0 {
-		if err := s.eng.Commit(); err != nil {
+		if err := s.noted.commit(s.eng); err != nil {
+			return err
+		}
+	}
+	if s.tickEvery > 0 && s.n%s.tickEvery == 0 {
+		if _, err := s.eng.Tick(context.Background()); err != nil {
 			return err
 		}
 	}

@@ -167,6 +167,9 @@ func TestDaemonEndToEndQueryAndRestart(t *testing.T) {
 	if p.Stats.Events != total {
 		t.Fatalf("events after restart = %d, want %d (no double-count)", p.Stats.Events, total)
 	}
+	if p.Stats.DetectionsRestored == 0 {
+		t.Fatalf("restart reused no stored detection: %+v", p.Stats)
+	}
 	checkRanked(base2)
 
 	// New lines appended while running land incrementally — and only once.
@@ -273,7 +276,9 @@ func TestDaemonSoak(t *testing.T) {
 // TestDaemonTicksOnRestart pins the restart path: a daemon started on a
 // committed state analyzes the recovered pairs on entry to Run instead of
 // idling a TickInterval first — here an hour, so only the entry tick can
-// produce the ranking.
+// produce the ranking. The first start finds events but no detections and
+// detects every unlisted pair; its shutdown commit saves them, so the
+// second start's entry tick detects none, and /status says so.
 func TestDaemonTicksOnRestart(t *testing.T) {
 	tr := smallTrace(t)
 	cfg := testPipelineCfg(t, tr.Catalog[:50])
@@ -291,32 +296,55 @@ func TestDaemonTicksOnRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err := NewDaemon(DaemonConfig{
-		Engine: Config{StateDir: state, Pipeline: cfg},
-		Connectors: []Connector{
-			&FileFollower{Path: filepath.Join(t.TempDir(), "absent.log"), SourceName: "proxy", PollInterval: time.Millisecond},
-		},
-		TickInterval: time.Hour,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, start := range []struct {
+		what                       string
+		detected, restored, commit int
+	}{
+		{"cold start", want.Stats.AfterLocalWhitelist, 0, 1},
+		{"warm start", 0, want.Stats.AfterLocalWhitelist, 0},
+	} {
+		d, err := NewDaemon(DaemonConfig{
+			Engine: Config{StateDir: state, Pipeline: cfg},
+			Connectors: []Connector{
+				&FileFollower{Path: filepath.Join(t.TempDir(), "absent.log"), SourceName: "proxy", PollInterval: time.Millisecond},
+			},
+			TickInterval: time.Hour,
+			Logf:         t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		// bounded goroutine: daemon run under test, cancelled by the test and awaited on done
+		go func() { done <- d.Run(ctx) }()
+		deadline := time.Now().Add(30 * time.Second)
+		for d.Snapshot() == nil && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		snap := d.Snapshot()
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("%s: daemon run: %v", start.what, err)
+		}
+		if snap == nil {
+			t.Fatalf("%s: no tick ran on restart; the recovered pairs waited for the first TickInterval", start.what)
+		}
+		sameAnalysis(t, start.what, snap.Result, want)
+		var status statusPayload
+		rec := queryGet(t, d.QueryHandler(), "/status", "")
+		if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
+			t.Fatalf("%s: /status: %v", start.what, err)
+		}
+		if snap.Detected != start.detected || status.DetectedPairs != start.detected ||
+			status.Stats.DetectionsRestored != int64(start.restored) || status.Stats.DetectionsStale != 0 {
+			t.Fatalf("%s: entry tick detected %d pair(s); /status says %d detected, %d restored, %d stale; want %d detected and %d restored",
+				start.what, snap.Detected, status.DetectedPairs, status.Stats.DetectionsRestored, status.Stats.DetectionsStale,
+				start.detected, start.restored)
+		}
+		// Only the cold start has anything to save at shutdown.
+		if got := d.Engine().Stats().Commits; got != int64(start.commit) {
+			t.Fatalf("%s: %d commit(s) wrote a frame, want %d", start.what, got, start.commit)
+		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	// bounded goroutine: daemon run under test, cancelled by the test and awaited on done
-	go func() { done <- d.Run(ctx) }()
-	deadline := time.Now().Add(30 * time.Second)
-	for d.Snapshot() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	snap := d.Snapshot()
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("daemon run: %v", err)
-	}
-	if snap == nil {
-		t.Fatal("no tick ran on restart; the recovered pairs waited for the first TickInterval")
-	}
-	sameResult(t, snap.Result, want)
 }

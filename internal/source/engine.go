@@ -3,11 +3,13 @@ package source
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"os"
 	"sort"
 	"sync"
 
+	"baywatch/internal/core"
 	"baywatch/internal/faultinject"
 	"baywatch/internal/pipeline"
 	"baywatch/internal/timeseries"
@@ -74,6 +76,20 @@ type pairHistory struct {
 	// committed counts the leading events a checkpoint frame already
 	// holds; ts[committed:] is what the next commit must write.
 	committed int
+	// det is the pair's standing detection as the last tick (or the
+	// checkpoint log) reported it, computed over ts[:detN] — the same
+	// Result the standing analysis holds, not a copy. It answers for the
+	// pair only while detN == len(ts).
+	det  *core.Result
+	detN int
+}
+
+// detection returns the stored detection if it covers the whole history.
+func (h *pairHistory) detection() *core.Result {
+	if h.detN != len(h.ts) {
+		return nil
+	}
+	return h.det
 }
 
 // add appends one event in arrival order, keeping paths parallel to ts
@@ -122,13 +138,20 @@ type Engine struct {
 	// firstLen that of the first; suspect is set when a write failed part
 	// way, so the next commit rewrites the file instead of appending
 	// after a tail of unknown content.
-	touched  []pairKey
+	touched []pairKey
+	// unsaved holds the pairs whose current detection no frame has yet.
+	unsaved  map[pairKey]struct{}
 	durable  durableHeader
 	logLen   int64
 	firstLen int64
 	suspect  bool
 	// Commit accounting since open, for Stats.
 	commits, commitBytes, compactions int64
+	// detFP keys the detections this engine writes and accepts (see
+	// detectionFingerprint); detRestored and detStale count what the log
+	// held at open.
+	detFP                 uint64
+	detRestored, detStale int64
 
 	// tickMu serializes tick bodies: the standing pipeline state is
 	// single-writer. e.mu is still released around the pipeline run so
@@ -208,13 +231,34 @@ func OpenEngine(cfg Config) (*Engine, error) {
 			e.suspect = true
 		}
 	}
-	e.rememberDurable()
-	// Every restored pair is dirty: the standing analysis starts empty,
-	// and the first tick detects the full committed history.
-	for k := range e.pairs {
-		e.dirty[k] = struct{}{}
-	}
+	e.replayed()
 	return e, nil
+}
+
+// replayed readies an engine whose checkpoint log has just been replayed:
+// the header the last frame left is the durable one, and every restored
+// pair is dirty — the standing analysis starts empty and the first tick
+// rebuilds it over the full committed history. A pair whose last stored
+// detection still covers that history under this configuration brings it
+// along, so the tick does not detect it again; any other stored detection
+// is dropped here.
+func (e *Engine) replayed() {
+	e.rememberDurable()
+	for k, h := range e.pairs {
+		e.dirty[k] = struct{}{}
+		switch {
+		case h.detN == 0:
+		case h.detection() != nil:
+			e.detRestored++
+		default:
+			e.detStale++
+			h.det, h.detN = nil, 0
+		}
+	}
+	if e.detRestored+e.detStale > 0 && e.cfg.Logf != nil {
+		e.cfg.Logf("source: restart reuses %d stored detection(s); %d more are stale (history or detector configuration moved on) and will be computed again",
+			e.detRestored, e.detStale)
+	}
 }
 
 func newEngine(cfg Config) *Engine {
@@ -222,10 +266,24 @@ func newEngine(cfg Config) *Engine {
 		cfg:     cfg,
 		pairs:   make(map[pairKey]*pairHistory),
 		dirty:   make(map[pairKey]struct{}),
+		unsaved: make(map[pairKey]struct{}),
 		pos:     make(map[string]Position),
 		health:  make(map[string]bool),
 		durable: durableHeader{pos: make(map[string]Position)},
+		detFP:   detectionFingerprint(cfg),
 	}
+}
+
+// detectionFingerprint hashes everything besides a pair's history that
+// decides its detection: every field of the detector configuration as the
+// detector will run it, the series scale, and the layout the result is
+// stored in. %+v prints each field by name, so a field added to
+// core.Config is covered without a change here.
+func detectionFingerprint(cfg Config) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "codec=%d scale=%d %+v", core.ResultCodecRevision, cfg.Scale,
+		core.NewDetector(cfg.Pipeline.Detector).Config())
+	return h.Sum64()
 }
 
 // Recovery reports what OpenEngine repaired.
@@ -314,8 +372,11 @@ func (e *Engine) Apply(b Batch) int {
 // (see checkpoint.go): normally the events applied since the last commit,
 // appended and fsynced — O(new events) under e.mu; when the log has
 // doubled since its first frame, the whole state rewritten through the
-// atomic rename chain — O(state). A commit with nothing new to record
-// returns without touching the disk. The watermark advance (maxTS -
+// atomic rename chain — O(state). Either write also carries the
+// detections ticks produced since the last commit (a rewrite, every
+// detection that still covers its pair's history), so a restart need not
+// compute them again. A commit with nothing new to record returns without
+// touching the disk. The watermark advance (maxTS -
 // Lateness) is computed into the frame and installed in memory only after
 // the write commits, so drop decisions always reflect durable state and
 // replay after a crash reproduces them exactly. A failed write changes
@@ -334,10 +395,10 @@ func (e *Engine) Apply(b Batch) int {
 func (e *Engine) Commit() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.touched) == 0 && e.maxTS == e.durable.maxTS && e.lateDropped == e.durable.lateDropped &&
-		maps.Equal(e.pos, e.durable.pos) {
-		// No new event and no header movement. That also rules out a new
-		// eviction: the cutoff moves only with maxTS.
+	if len(e.touched) == 0 && len(e.unsaved) == 0 && e.maxTS == e.durable.maxTS &&
+		e.lateDropped == e.durable.lateDropped && maps.Equal(e.pos, e.durable.pos) {
+		// No new event or detection and no header movement. That also rules
+		// out a new eviction: the cutoff moves only with maxTS.
 		return nil
 	}
 	wm := e.watermark
@@ -364,18 +425,33 @@ func (e *Engine) Commit() error {
 
 	compact := e.logLen == 0 || e.suspect || e.logLen-e.firstLen >= e.firstLen
 	evictedCount := e.evictedCount + int64(len(evict))
-	var frame []byte
-	var err error
+	// A delta frame holds the touched pairs' new events, the evictions and
+	// the unsaved detections. A snapshot is a delta from empty: every
+	// surviving pair in full with its detection, and no eviction list,
+	// since the evicted pairs are simply absent. It merges the log with
+	// what is uncommitted, so it is about their size.
+	named, keys, sizeHint := evict, e.touched, 64*int64(len(e.touched))+16*e.uncommit
+	var detected []pairKey
 	if compact {
-		// A snapshot is a delta from empty: every surviving pair in full,
-		// and no eviction list, since the evicted pairs are simply absent.
-		// It merges the log with what is uncommitted, so it is about their
-		// size.
-		frame = e.encodeFrame(wm, evictedCount, nil, e.sortedPairKeys(), evictable, true, e.logLen+16*e.uncommit)
+		named, keys, sizeHint = nil, e.sortedPairKeys(), e.logLen+16*e.uncommit
+	} else {
+		sortPairKeys(keys)
+		if len(e.unsaved) > 0 {
+			detected = make([]pairKey, 0, len(e.unsaved))
+			for k := range e.unsaved {
+				detected = append(detected, k)
+			}
+			sortPairKeys(detected)
+			sizeHint += detectionSizeHint * int64(len(detected))
+		}
+	}
+	frame, err := e.encodeFrame(wm, evictedCount, named, keys, detected, evictable, compact, sizeHint)
+	if err != nil {
+		return err
+	}
+	if compact {
 		err = writeCheckpoint(e.cfg.StateDir, frame)
 	} else {
-		sortPairKeys(e.touched)
-		frame = e.encodeFrame(wm, evictedCount, evict, e.touched, evictable, false, 64*int64(len(e.touched))+16*e.uncommit)
 		err = appendCheckpoint(e.cfg.StateDir, frame, e.logLen)
 	}
 	if err != nil {
@@ -395,6 +471,7 @@ func (e *Engine) Commit() error {
 		h.committed = len(h.ts)
 	}
 	e.touched = e.touched[:0]
+	clear(e.unsaved)
 	e.rememberDurable()
 	e.watermark = wm
 	e.uncommit = 0
@@ -450,6 +527,10 @@ type TickResult struct {
 	// Dirty is the number of pairs whose history changed since the
 	// previous tick (the re-analyzed set).
 	Dirty int
+	// Detected is how many pairs this tick sent through the detect job. A
+	// dirty pair whose stored detection still covers its history — every
+	// unchanged pair after a restart — is not among them.
+	Detected int
 	// Stale lists pairs fed by at least one currently-unhealthy source:
 	// their histories may be missing recent events, so their verdicts
 	// should be read as stale until the source recovers. Sorted by
@@ -463,6 +544,10 @@ type TickResult struct {
 // last tick are re-summarized and handed, with retention's evictions, to
 // the standing pipeline, which re-analyzes only what the delta
 // invalidates — steady-state cost is O(dirty pairs), not O(total pairs).
+// A pair is detected once per distinct history: a dirty pair whose
+// recorded detection already covers its whole history hands it over
+// instead of being detected again, which is what a restart's first tick
+// finds for every pair the log held a detection of.
 // The result is bit-identical to a from-scratch batch run over the same
 // events (TestStreamingMatchesBatchPipeline), because a batch run is the
 // same pipeline ticked once from empty.
@@ -490,35 +575,37 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 	}
 	sortPairKeys(dirtyKeys)
 	changed := make([]*timeseries.ActivitySummary, 0, len(dirtyKeys))
+	known := make([]*core.Result, 0, len(dirtyKeys))
 	for _, k := range dirtyKeys {
 		h := e.pairs[k]
 		if h == nil {
 			// Dirty mark survived the pair's eviction; the removal below
 			// already unwinds it.
-			delete(e.dirty, k)
 			continue
 		}
 		as, err := e.buildSummary(k, h)
 		if err != nil {
+			// No mark is consumed: the pairs before this one stay dirty.
 			e.mu.Unlock()
 			return nil, err
 		}
 		changed = append(changed, as)
-		delete(e.dirty, k)
+		known = append(known, h.detection())
 	}
+	clear(e.dirty)
 	removed := e.evicted
 	e.evicted = nil
-	dirty := len(changed)
 	stale := e.staleLocked()
 	tick := e.ticks + 1
 	e.mu.Unlock()
 
-	res, err := e.inc.Tick(ctx, changed, removed)
+	res, err := e.inc.TickWithDetections(ctx, changed, known, removed)
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err != nil {
 		// The delta was consumed even though the tick failed; re-dirty the
 		// changed pairs and re-queue the removals so the next tick retries
 		// the same delta instead of silently dropping it.
-		e.mu.Lock()
 		for _, as := range changed {
 			k := pairKey{Src: as.Source, Dst: as.Destination}
 			if _, live := e.pairs[k]; live {
@@ -526,13 +613,42 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 			}
 		}
 		e.evicted = append(removed, e.evicted...)
-		e.mu.Unlock()
 		return nil, err
 	}
-	e.mu.Lock()
 	e.ticks = tick
-	e.mu.Unlock()
-	return &TickResult{Result: res, Dirty: dirty, Stale: stale, Tick: tick}, nil
+	e.recordDetections(res)
+	return &TickResult{Result: res, Dirty: len(changed), Detected: res.Detected, Stale: stale, Tick: tick}, nil
+}
+
+// recordDetections notes, for every candidate whose standing detection is
+// not the one its pair's history already records, the result and the event
+// count it covers, and marks the pair for the next commit to save. Pairs
+// the tick produced no result for (errored, parked, timed out, dropped to a
+// failure budget) record nothing. e.mu must be held.
+func (e *Engine) recordDetections(res *pipeline.Result) {
+	// A pair evicted while the tick ran may be back under the same key with
+	// a new history; the tick's result is not about that one.
+	var gone map[pairKey]struct{}
+	if len(e.evicted) > 0 {
+		gone = make(map[pairKey]struct{}, len(e.evicted))
+		for _, r := range e.evicted {
+			gone[pairKey{Src: r.Source, Dst: r.Destination}] = struct{}{}
+		}
+	}
+	for _, c := range res.Candidates {
+		k := pairKey{Src: c.Source, Dst: c.Destination}
+		h := e.pairs[k]
+		if c.Detection == nil || h == nil || h.det == c.Detection {
+			continue
+		}
+		if _, evicted := gone[k]; evicted {
+			continue
+		}
+		h.det, h.detN = c.Detection, c.Summary.EventCount()
+		if h.detection() != nil {
+			e.unsaved[k] = struct{}{}
+		}
+	}
 }
 
 // staleLocked lists pairs fed by an unhealthy source; e.mu must be held.
@@ -618,6 +734,12 @@ type Stats struct {
 	Commits     int64
 	CommitBytes int64
 	Compactions int64
+	// DetectionsRestored counts the pairs whose standing detection the
+	// checkpoint log held at open and a tick can reuse; DetectionsStale
+	// those whose stored detection was dropped instead, because the pair's
+	// history or the detector configuration had moved on since.
+	DetectionsRestored int64
+	DetectionsStale    int64
 }
 
 // Stats returns the engine's current accounting.
@@ -635,6 +757,9 @@ func (e *Engine) Stats() Stats {
 		Commits:     e.commits,
 		CommitBytes: e.commitBytes,
 		Compactions: e.compactions,
+
+		DetectionsRestored: e.detRestored,
+		DetectionsStale:    e.detStale,
 	}
 }
 

@@ -263,6 +263,48 @@ func TestStreamingMatchesBatchPipeline(t *testing.T) {
 	}
 }
 
+// TestTickSummarizeFailureKeepsDirtyMarks: a pair whose summary cannot be
+// built fails the tick without costing the pairs sorted before it their
+// dirty marks — once the bad pair is gone, the next tick analyzes both of
+// its neighbours.
+func TestTickSummarizeFailureKeepsDirtyMarks(t *testing.T) {
+	eng, err := OpenEngine(Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []Event
+	for i := int64(0); i < 10; i++ {
+		events = append(events,
+			Event{Source: "a", Destination: "a.example", TS: 1000 + i*60},
+			Event{Source: "z", Destination: "z.example", TS: 1000 + i*45})
+	}
+	eng.Apply(Batch{Source: "s", Events: events, Pos: Position{Records: int64(len(events))}})
+	bad := pairKey{Src: "m", Dst: "m.example"} // sorts between the two; no event, so no summary
+	eng.mu.Lock()
+	eng.pairs[bad] = &pairHistory{srcs: map[string]struct{}{}}
+	eng.dirty[bad] = struct{}{}
+	eng.mu.Unlock()
+
+	if _, err := eng.Tick(context.Background()); err == nil {
+		t.Fatal("tick over an unsummarizable pair succeeded")
+	}
+	eng.mu.Lock()
+	marks := len(eng.dirty)
+	delete(eng.pairs, bad)
+	eng.mu.Unlock()
+	if marks != 3 {
+		t.Fatalf("%d dirty mark(s) left after the failed tick, want all 3", marks)
+	}
+	got, err := eng.Tick(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Dirty != 2 || got.Detected != 2 {
+		t.Fatalf("tick after the failure analyzed %d pair(s) and detected %d, want both good pairs", got.Dirty, got.Detected)
+	}
+	sameAnalysis(t, "tick after the failure vs batch", got.Result, batchOver(t, eng))
+}
+
 func TestHostTimelineAndStaleMarking(t *testing.T) {
 	eng, err := OpenEngine(Config{StateDir: t.TempDir()})
 	if err != nil {

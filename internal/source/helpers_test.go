@@ -1,7 +1,9 @@
 package source
 
 import (
+	"context"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,6 +109,72 @@ func sameResult(t *testing.T, got, want *pipeline.Result) {
 				w.Source, w.Destination, w.Score, w.LMScore)
 		}
 	}
+}
+
+// sameAnalysis is sameResult held to the pipeline's own differential
+// standard: the whole funnel and failure accounting, and every candidate in
+// order with a deeply equal Detection, the same indication outcome and the
+// same verdict — so a detection that reached the result by a different
+// route (computed this tick, standing from an earlier one, restored from
+// the checkpoint log) has to be the same detection bit for bit.
+func sameAnalysis(t *testing.T, what string, got, want *pipeline.Result) {
+	t.Helper()
+	gs, ws := got.Stats, want.Stats
+	for _, s := range []*pipeline.Stats{&gs, &ws} {
+		s.ExtractTime, s.PopularityTime, s.DetectTime, s.RankTime = 0, 0, 0, 0
+	}
+	if gs != ws || got.Degraded != want.Degraded || !reflect.DeepEqual(got.Errors, want.Errors) {
+		t.Fatalf("%s: run accounting diverged:\n got %+v degraded=%v errors=%v\nwant %+v degraded=%v errors=%v",
+			what, gs, got.Degraded, got.Errors, ws, want.Degraded, want.Errors)
+	}
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%s: %d candidates, want %d", what, len(got.Candidates), len(want.Candidates))
+	}
+	for i, w := range want.Candidates {
+		g := got.Candidates[i]
+		if g.Source != w.Source || g.Destination != w.Destination {
+			t.Fatalf("%s: candidate %d is %s->%s, want %s->%s", what, i, g.Source, g.Destination, w.Source, w.Destination)
+		}
+		if g.Summary.EventCount() != w.Summary.EventCount() || g.Summary.First != w.Summary.First {
+			t.Fatalf("%s: %s->%s: summary of %d events from %d, want %d from %d", what, g.Source, g.Destination,
+				g.Summary.EventCount(), g.Summary.First, w.Summary.EventCount(), w.Summary.First)
+		}
+		if !reflect.DeepEqual(g.Detection, w.Detection) {
+			t.Fatalf("%s: %s->%s: detection diverged:\n got %+v\nwant %+v", what, g.Source, g.Destination, g.Detection, w.Detection)
+		}
+		if g.LMScore != w.LMScore || g.Popularity != w.Popularity || g.SimilarSources != w.SimilarSources ||
+			g.Token != w.Token || g.Novelty != w.Novelty || g.Score != w.Score || g.SuppressedBy != w.SuppressedBy {
+			t.Fatalf("%s: %s->%s: indication diverged:\n got %+v\nwant %+v", what, g.Source, g.Destination, *g, *w)
+		}
+	}
+	sameResult(t, got, want)
+}
+
+// batchOver is the from-scratch reference for an engine's store: one batch
+// pipeline run over exactly the events it holds, entering through the
+// ingest layer like any other batch run.
+func batchOver(t *testing.T, e *Engine) *pipeline.Result {
+	t.Helper()
+	e.mu.Lock()
+	var events []pipeline.PairEvent
+	for _, k := range e.sortedPairKeys() {
+		h := e.pairs[k]
+		for i, ts := range h.ts {
+			ev := pipeline.PairEvent{Source: k.Src, Destination: k.Dst, Timestamp: ts}
+			if h.paths != nil {
+				ev.Path = h.paths[i]
+			}
+			events = append(events, ev)
+		}
+	}
+	cfg := e.cfg.Pipeline
+	cfg.Scale = e.cfg.Scale
+	e.mu.Unlock()
+	res, err := pipeline.RunEvents(context.Background(), events, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // writeFile writes (or overwrites) a file, failing the test on error.

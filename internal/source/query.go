@@ -53,9 +53,11 @@ type statusPayload struct {
 	// (the value inside the endpoint's ETag).
 	Generation int64 `json:"generation"`
 	// LastTick is the sequence number of the published snapshot (0 before
-	// the first tick); DirtyPairs how many pairs it re-analyzed.
-	LastTick   int64 `json:"last_tick"`
-	DirtyPairs int   `json:"dirty_pairs"`
+	// the first tick); DirtyPairs how many pairs it re-analyzed and
+	// DetectedPairs how many of those it had to run detection for.
+	LastTick      int64 `json:"last_tick"`
+	DirtyPairs    int   `json:"dirty_pairs"`
+	DetectedPairs int   `json:"detected_pairs"`
 }
 
 // querySnapshot is one generation's immutable query state: everything
@@ -184,6 +186,7 @@ func (d *Daemon) publishQuerySnapshot() {
 	if snap != nil {
 		st.LastTick = snap.Tick
 		st.DirtyPairs = snap.Dirty
+		st.DetectedPairs = snap.Detected
 	}
 	qs.status = st
 

@@ -147,7 +147,7 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 	ecfg := func(dir string) Config {
 		return Config{StateDir: dir, Lateness: 100, RetainWindows: 3, Pipeline: pcfg}
 	}
-	workload := func(dir string) func() error {
+	workload := func(dir string, noted *detectionWrites) func() error {
 		return func() error {
 			eng, err := OpenEngine(ecfg(dir))
 			if err != nil {
@@ -164,20 +164,18 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 				chunk := events[pos.Records:end]
 				pos.Records = int64(end)
 				eng.Apply(Batch{Source: "s", Events: chunk, Pos: pos})
-				if n++; n%2 == 1 {
-					if err := eng.Commit(); err != nil {
-						return err
-					}
-				}
 				// Ticks both before and after the evicting commits, so the
-				// standing state's removal path is itself crash-covered.
-				if n == 2 || n == 4 {
-					if _, err := eng.Tick(context.Background()); err != nil {
+				// standing state's removal path is itself crash-covered and
+				// every later commit has detections to save.
+				if n++; n%2 == 1 {
+					if err := noted.commit(eng); err != nil {
 						return err
 					}
+				} else if _, err := eng.Tick(context.Background()); err != nil {
+					return err
 				}
 			}
-			return eng.Commit()
+			return noted.commit(eng)
 		}
 	}
 	finalState := func(dir string) (*pipeline.Result, Stats) {
@@ -200,11 +198,13 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 	SetFaultHook(clean.Hook())
 	defer SetFaultHook(nil)
 	cleanDir := t.TempDir()
-	if err := workload(cleanDir)(); err != nil {
+	var noted detectionWrites
+	if err := workload(cleanDir, &noted)(); err != nil {
 		t.Fatal(err)
 	}
 	want, wantStats := finalState(cleanDir)
 	requireBothWritePaths(t, clean.Trace())
+	noted.requireBoth(t)
 	requirePoints(t, pointsIn(clean.Trace()),
 		faultinject.PointSourceCompactPlan,
 		faultinject.PointSourceEvictApply,
@@ -228,12 +228,12 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 		sched.CrashAtGlobalHit(n)
 		SetFaultHook(sched.Hook())
 		dir := t.TempDir()
-		if err := restartUntilDone(t, workload(dir)); err != nil {
+		if err := restartUntilDone(t, workload(dir, nil)); err != nil {
 			t.Fatalf("crash at hit %d: workload failed after restart: %v", n, err)
 		}
 		SetFaultHook(nil)
 		got, gotStats := finalState(dir)
-		sameResult(t, got, want)
+		sameAnalysis(t, fmt.Sprintf("crash at hit %d", n), got, want)
 		if gotStats.Events != wantStats.Events || gotStats.Watermark != wantStats.Watermark ||
 			gotStats.Pairs != wantStats.Pairs || gotStats.Evicted != wantStats.Evicted {
 			t.Fatalf("crash at hit %d: state diverged:\n got %+v\nwant %+v", n, gotStats, wantStats)
