@@ -1,14 +1,15 @@
 GO ?= go
 
 # The benchmarks the perf gate watches: the periodicity hot path (dsp),
-# the detector built on it (core), the ingest layer (parse,
+# the interval mixture fit (stats), the detector built on both (core),
+# the ingest layer (parse,
 # direct-to-summary aggregation through the shard adapter, and the same
 # aggregation fed a materialized record slice through the event adapter),
 # and the daemon's file-follow tail path (source).
 # -benchtime is kept short so ten repetitions stay affordable in CI; the
 # gate compares medians, which tolerates short per-repetition runs.
-BENCH_PATTERN ?= Periodogram|Autocorrelation|Detector|IngestParse|IngestToSummaries|BatchToSummaries|FollowTail|QueryRankedCached
-BENCH_PKGS    ?= ./internal/dsp ./internal/core ./internal/ingest ./internal/source
+BENCH_PATTERN ?= Periodogram|Autocorrelation|FitGMM|Detector|IngestParse|IngestToSummaries|BatchToSummaries|FollowTail|QueryRankedCached
+BENCH_PKGS    ?= ./internal/dsp ./internal/stats ./internal/core ./internal/ingest ./internal/source
 BENCH_FLAGS   ?= -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=10 -benchtime=300x -timeout=20m
 
 # The full-pipeline benchmark runs the detector over every pair, so one
@@ -38,8 +39,12 @@ BENCH_TICK_FLAGS ?= -run='^$$' -bench='TickSteadyState$$|TickFullRecompute$$' -b
 # (median ticks/s) than a full recompute of the same population IN THE
 # SAME RUN — the sub-linear steady-state contract itself, machine speed
 # cancelled out. The full recompute is the test-only reference (a fresh
-# pipeline over every pair, detection included).
-BENCH_TICK_MIN_RATIO ?= BenchmarkTickSteadyState/BenchmarkTickFullRecompute:ticks/s:25
+# pipeline over every pair, detection included), so a cheaper detector
+# shrinks the ratio without the tick changing: it read 66-116x while the
+# detector ran Bluestein spectra and reads 25-29x on the power-of-two grid
+# (the 1%-dirty tick is now mostly its O(total) rank/materialize tail).
+# The floor sits at a third of the measured ratio, as it did before.
+BENCH_TICK_MIN_RATIO ?= BenchmarkTickSteadyState/BenchmarkTickFullRecompute:ticks/s:9
 
 # The commit benchmarks: a 100k-pair x 64-event standing store taking
 # CommitEvery-sized deltas. The two run in separate invocations because

@@ -9,10 +9,16 @@ import (
 	"baywatch/internal/stats"
 )
 
-// ResultCodecRevision names the byte layout AppendResult writes. Anything
-// that stores encoded results keys them on it, so a layout change makes
-// old bytes unusable rather than misread.
-const ResultCodecRevision = 1
+// ResultCodecRevision versions what a stored Result means: the byte layout
+// AppendResult writes AND the detector arithmetic that produced the
+// values in it. Anything that stores encoded results keys them on it (the
+// daemon's detection fingerprint), so bumping it makes old bytes unusable
+// rather than misread — and makes results computed by an older detector be
+// re-derived rather than adopted. Bump it whenever either changes.
+//
+// Revision 2: every spectrum is taken on the zero-padded power-of-two
+// grid, and the GMM E-step is reassociated (last-bit differences).
+const ResultCodecRevision = 2
 
 // ErrResultCorrupt is wrapped by every DecodeResult failure.
 var ErrResultCorrupt = errors.New("core: malformed encoded result")

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"baywatch/internal/timeseries"
@@ -64,6 +65,45 @@ func TestDetectCleanBeacon(t *testing.T) {
 	}
 	if res.Score() <= 0.3 {
 		t.Errorf("score = %v, want strong (> 0.3)", res.Score())
+	}
+}
+
+// TestDetectDecimatedDay is the regression for the zero-padded spectrum:
+// an 86,400-bin day of 300 s beacons (jittered ±2 s) decimates by 11 to
+// 7,855 bins — not a power of two, so its spectra are taken on the padded
+// 8,192-point grid — and the periodogram must still report the beacon at
+// 300 s within one bin spacing of the analysed series, P²/(n·Δt) ≈ 1.04 s.
+// Batch detection of the same summary stays bit-identical.
+func TestDetectDecimatedDay(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ts := []int64{0}
+	for i := 1; i < 288; i++ {
+		ts = append(ts, int64(300*i)+rng.Int63n(5)-2)
+	}
+	ts = append(ts, 86399)
+	as, err := timeseries.FromTimestamps("src", "dst", ts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := NewDetector(DefaultConfig())
+	bucket := det.BucketOf(as)
+	if bucket.SeriesLen != 7855 {
+		t.Fatalf("analysed length %d, want 7855 (86,400 bins decimated by 11)", bucket.SeriesLen)
+	}
+	res, err := det.Detect(as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SeriesLen != 86400 || !res.Periodic {
+		t.Fatalf("SeriesLen %d periodic %v, want a periodic 86400-bin result: %+v", res.SeriesLen, res.Periodic, res)
+	}
+	spacing := 300.0 * 300 / (float64(bucket.SeriesLen) * 11)
+	if top := res.Kept[0]; top.Origin != OriginPeriodogram || math.Abs(top.BestPeriod()-300) > spacing {
+		t.Errorf("strongest kept candidate %+v, want a periodogram period within %.2f s of 300 s", top, spacing)
+	}
+	batch := det.DetectBatch([]*timeseries.ActivitySummary{as}, nil)
+	if batch[0].Err != nil || !reflect.DeepEqual(batch[0].Result, res) {
+		t.Errorf("DetectBatch diverges from Detect: %+v vs %+v", batch[0].Result, res)
 	}
 }
 

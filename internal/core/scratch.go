@@ -101,8 +101,9 @@ func subsampleInto(dst, xs []float64, max int) []float64 {
 }
 
 // rebinInto sums consecutive groups of factor bins into dst's backing
-// array. For factor <= 1 the input is returned unchanged (no copy), so the
-// result must be treated as read-only when it may alias series.
+// array (the last group may be short). For factor <= 1 the input is
+// returned unchanged (no copy), so the result must be treated as read-only
+// when it may alias series.
 func rebinInto(dst, series []float64, factor int) []float64 {
 	if factor <= 1 {
 		return series
@@ -112,9 +113,12 @@ func rebinInto(dst, series []float64, factor int) []float64 {
 		dst = make([]float64, n)
 	}
 	out := dst[:n]
-	clear(out)
-	for i, v := range series {
-		out[i/factor] += v
+	for g := range out {
+		var sum float64
+		for _, v := range series[g*factor : min(g*factor+factor, len(series))] {
+			sum += v
+		}
+		out[g] = sum
 	}
 	return out
 }

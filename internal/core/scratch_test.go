@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -169,5 +170,35 @@ func TestDetectSeriesShortInputReleasesScratch(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("undersampled path costs %v allocs/op, want <= 4: detect scratch is leaking", allocs)
+	}
+}
+
+// TestRebinIntoMatchesDividingLoop pins rebinInto's contiguous-group sum
+// to the per-sample `out[i/factor] += v` loop it replaced: both add each
+// group's samples to a zero in index order, so the results are
+// bit-identical, short last group included.
+func TestRebinIntoMatchesDividingLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var dst []float64
+	for _, n := range []int{1, 7, 64, 1000, 86400} {
+		series := make([]float64, n)
+		for i := range series {
+			series[i] = float64(rng.Intn(3)) + rng.Float64()*1e-3
+		}
+		for _, factor := range []int{2, 3, 11, 32, 97} {
+			want := make([]float64, (n+factor-1)/factor)
+			for i, v := range series {
+				want[i/factor] += v
+			}
+			dst = rebinInto(dst, series, factor)
+			if len(dst) != len(want) {
+				t.Fatalf("n=%d factor=%d: %d groups, want %d", n, factor, len(dst), len(want))
+			}
+			for g := range want {
+				if math.Float64bits(dst[g]) != math.Float64bits(want[g]) {
+					t.Fatalf("n=%d factor=%d group %d: %v, want %v", n, factor, g, dst[g], want[g])
+				}
+			}
+		}
 	}
 }

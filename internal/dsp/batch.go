@@ -11,8 +11,9 @@ import (
 // series, and batch detection transforms thousands of series bucketed
 // into a handful of lengths — in both cases the same plan is applied
 // back-to-back. Running those transforms as one batch amortizes the plan
-// and twiddle-table lookups and, for power-of-two lengths, executes the
-// radix-2 butterflies across the whole batch in an interleaved layout:
+// and twiddle-table lookups and executes the radix-2 butterflies across
+// the whole batch (every series padded to one power-of-two length) in an
+// interleaved layout:
 // sample i of series j lives at x[i*b+j], so one butterfly's twiddle
 // factor is loaded once and applied to b adjacent complex values. The
 // per-series floating-point operations and their order are exactly those
@@ -58,20 +59,6 @@ func (p *fftPlan) batchTransform(x []complex128, b int, inverse bool) {
 	}
 }
 
-// unpackSpectrumAt is unpackSpectrum over an interleaved batch buffer:
-// series j of a b-wide batch has its packed half-length spectrum at
-// z[i*b+j], i < h. The arithmetic is identical to unpackSpectrum, so the
-// recovered bins are bit-identical to the single-series path.
-func unpackSpectrumAt(z []complex128, h, b, j int, w []complex128, k int) (xk, xkh complex128) {
-	zk := z[k*b+j]
-	zc := z[((h-k)&(h-1))*b+j]
-	zc = complex(real(zc), -imag(zc))
-	e := (zk + zc) * complex(0.5, 0)
-	o := (zk - zc) * complex(0, -0.5)
-	wo := w[k] * o
-	return e + wo, e - wo
-}
-
 // batchTile bounds how many series one interleaved tile holds: the tile
 // buffer (h complex samples per series) is kept around half a megabyte so
 // it stays cache-resident, with at least one series per tile.
@@ -87,10 +74,10 @@ func batchTile(h, b int) int {
 }
 
 // SetInterleave selects the batch layout of PeriodogramRowsInto: enabled
-// (the default) runs power-of-two batches through the interleaved tile
-// transform; disabled processes rows one at a time through the packed
-// single-series path. Both layouts produce bit-identical results — the
-// toggle exists for measurement and for the differential tests.
+// (the default) runs batches through the interleaved tile transform;
+// disabled processes rows one at a time through the packed single-series
+// path. Both layouts produce bit-identical results — the toggle exists for
+// measurement and for the differential tests.
 func (s *Scratch) SetInterleave(enabled bool) {
 	s.noInterleave = !enabled
 }
@@ -98,25 +85,22 @@ func (s *Scratch) SetInterleave(enabled bool) {
 // PeriodogramRowsInto estimates the power spectra of b same-length series
 // stored row-major in rows (series j occupies rows[j*n:(j+1)*n]), writing
 // spectrum j into pgs[j] exactly as PeriodogramInto would. b is len(pgs)
-// and len(rows) must be b*n. Power-of-two lengths run tiles of the batch
+// and len(rows) must be b*n. Every row is centred and zero-padded to the
+// next power of two as PeriodogramInto does, and tiles of the batch run
 // through one interleaved packed-real transform per tile (one plan
-// lookup, shared twiddle loads); other lengths fall back to the cached
-// per-series path. Each pgs[j].Power is owned by the caller and shares no
-// storage with the Scratch.
+// lookup, shared twiddle loads). Each pgs[j].Power is owned by the caller
+// and shares no storage with the Scratch.
 //
 //bw:noalloc steady-state batch spectrum path; covered by TestPeriodogramRowsIntoAllocs
 func (s *Scratch) PeriodogramRowsInto(pgs []Periodogram, rows []float64, n int, sampleInterval float64) error {
-	if n < 4 {
-		return fmt.Errorf("%w: n=%d", ErrShortSeries, n)
-	}
-	if sampleInterval <= 0 {
-		return fmt.Errorf("dsp: sample interval must be positive, got %v", sampleInterval)
+	if err := checkSpectrumInput(n, sampleInterval); err != nil {
+		return err
 	}
 	b := len(pgs)
 	if len(rows) != b*n {
 		return fmt.Errorf("dsp: batch shape mismatch: %d samples for %d series of length %d", len(rows), b, n)
 	}
-	if !IsPowerOfTwo(n) || b < 2 || s.noInterleave {
+	if b < 2 || s.noInterleave {
 		for j := 0; j < b; j++ {
 			if err := s.PeriodogramInto(&pgs[j], rows[j*n:(j+1)*n], sampleInterval); err != nil {
 				return err
@@ -125,11 +109,9 @@ func (s *Scratch) PeriodogramRowsInto(pgs []Periodogram, rows []float64, n int, 
 		return nil
 	}
 
-	h := n / 2
-	half := h + 1
-	w := s.planFor(n).w
+	h := NextPowerOfTwo(n) / 2
+	w := s.planFor(2 * h).w
 	hp := s.planFor(h)
-	inv := 1 / float64(n)
 	tile := batchTile(h, b)
 	z := complexScratch(&s.ix, h*tile)
 	for lo := 0; lo < b; lo += tile {
@@ -137,36 +119,14 @@ func (s *Scratch) PeriodogramRowsInto(pgs []Periodogram, rows []float64, n int, 
 		if lo+t > b {
 			t = b - lo
 		}
-		// Pack each series of the tile interleaved: z[i*t+j] holds packed
-		// sample i of tile series j, mean-centered exactly as packReal does.
+		zt := z[:h*t]
 		for j := 0; j < t; j++ {
 			x := rows[(lo+j)*n : (lo+j+1)*n]
-			var mean float64
-			for _, v := range x {
-				mean += v
-			}
-			mean /= float64(n)
-			for i := 0; i < h; i++ {
-				z[i*t+j] = complex(x[2*i]-mean, x[2*i+1]-mean)
-			}
+			packReal(zt, t, j, x, meanOf(x))
 		}
-		hp.batchTransform(z[:h*t], t, false)
+		hp.batchTransform(zt, t, false)
 		for j := 0; j < t; j++ {
-			pg := &pgs[lo+j]
-			if cap(pg.Power) < half {
-				pg.Power = make([]float64, half)
-			}
-			pg.Power = pg.Power[:half]
-			for k := 0; k < h; k++ {
-				xk, _ := unpackSpectrumAt(z[:h*t], h, t, j, w, k)
-				re, im := real(xk), imag(xk)
-				pg.Power[k] = (re*re + im*im) * inv
-			}
-			_, xh := unpackSpectrumAt(z[:h*t], h, t, j, w, 0)
-			re, im := real(xh), imag(xh)
-			pg.Power[h] = (re*re + im*im) * inv
-			pg.N = n
-			pg.SampleInterval = sampleInterval
+			powerInto(&pgs[lo+j], zt, h, t, j, w, n, sampleInterval)
 		}
 	}
 	return nil

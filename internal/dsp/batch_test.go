@@ -30,12 +30,15 @@ func batchRows(seed int64, b, n int) []float64 {
 // TestPeriodogramRowsDifferential pins the batch contract: every spectrum
 // of an interleaved batch must be bit-identical to running the same row
 // through the single-series PeriodogramInto, across power-of-two and
-// Bluestein lengths and batch sizes that exercise partial tiles.
+// zero-padded lengths (odd ones included, whose last packed sample is
+// half pad) and batch sizes that exercise partial tiles. 3600 is an hour
+// at 1 s; 7855 is a one-day series after the detector's decimation.
 func TestPeriodogramRowsDifferential(t *testing.T) {
 	s := NewScratch()
 	ref := NewScratch()
 	for _, tc := range []struct{ b, n int }{
 		{1, 64}, {2, 64}, {7, 256}, {3, 4096}, {20, 4096}, {5, 100}, {4, 1985},
+		{20, 3600}, {20, 7855}, {3, 7855},
 	} {
 		rows := batchRows(int64(tc.b*tc.n), tc.b, tc.n)
 		pgs := make([]Periodogram, tc.b)
@@ -136,21 +139,23 @@ func TestPeriodogramRowsShapeErrors(t *testing.T) {
 
 // TestPeriodogramRowsIntoAllocs is the //bw:noalloc proof: once the tile
 // buffer and the caller's Power buffers are warm, batch spectra touch no
-// heap.
+// heap — at a power-of-two length and at one the batch zero-pads.
 func TestPeriodogramRowsIntoAllocs(t *testing.T) {
 	s := NewScratch()
-	const b, n = 20, 4096
-	rows := batchRows(3, b, n)
-	pgs := make([]Periodogram, b)
-	if err := s.PeriodogramRowsInto(pgs, rows, n, 1); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
+	const b = 20
+	for _, n := range []int{4096, 7855} {
+		rows := batchRows(3, b, n)
+		pgs := make([]Periodogram, b)
 		if err := s.PeriodogramRowsInto(pgs, rows, n, 1); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs/op in warm batch periodogram, want 0", allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := s.PeriodogramRowsInto(pgs, rows, n, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: %v allocs/op in warm batch periodogram, want 0", n, allocs)
+		}
 	}
 }

@@ -1,7 +1,15 @@
 // Package dsp provides the signal-processing primitives BAYWATCH's
-// periodicity detector is built on: a fast Fourier transform (radix-2 with a
-// Bluestein fallback for arbitrary lengths), periodogram estimation, and
-// circular autocorrelation via the Wiener–Khinchin theorem.
+// periodicity detector is built on: a radix-2 fast Fourier transform,
+// periodogram estimation, and circular autocorrelation via the
+// Wiener–Khinchin theorem.
+//
+// Every transform runs at a power-of-two length. Sect. IV of the paper
+// fixes the statistic (periodogram against a permutation null, then the
+// ACF), not the transform length, so a series of any length n is
+// mean-centred and zero-padded to NextPowerOfTwo(n) before its spectrum is
+// taken; the permutation null pads its shuffles the same way, so the
+// observed spectrum and the null share one definition. No arbitrary-length
+// (chirp-z) transform is needed.
 //
 // The Go standard library ships no FFT, so the transform is implemented here
 // from scratch. All routines are deterministic and allocation-conscious;
@@ -11,6 +19,7 @@ package dsp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -18,6 +27,10 @@ import (
 
 // ErrEmptyInput is returned by transforms that require at least one sample.
 var ErrEmptyInput = errors.New("dsp: empty input")
+
+// ErrNotPowerOfTwo is returned by the FFT entry points for a length that
+// is not a power of two; zero-pad the input to NextPowerOfTwo first.
+var ErrNotPowerOfTwo = errors.New("dsp: transform length is not a power of two")
 
 // IsPowerOfTwo reports whether n is a positive power of two.
 func IsPowerOfTwo(n int) bool {
@@ -33,36 +46,25 @@ func NextPowerOfTwo(n int) int {
 	return 1 << uint(bits.Len(uint(n-1)))
 }
 
-// FFT computes the discrete Fourier transform of x and returns a new slice.
-// Any input length is accepted: power-of-two lengths use the iterative
-// radix-2 Cooley–Tukey algorithm; other lengths use Bluestein's chirp-z
-// algorithm, which reduces the problem to a power-of-two convolution. Both
-// run over cached per-size plans (twiddle factors, bit-reversal tables,
-// chirp kernels) shared with the Scratch-based paths, so repeated
-// transforms of the same size skip all size-dependent setup.
+// FFT computes the discrete Fourier transform of x, whose length must be a
+// power of two, and returns a new slice. It runs the iterative radix-2
+// Cooley–Tukey algorithm over the cached per-size plan (twiddle factors,
+// bit-reversal table) shared with the Scratch-based paths.
 func FFT(x []complex128) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptyInput
+	out := append([]complex128(nil), x...)
+	if err := transformInPlace(out, false); err != nil {
+		return nil, err
 	}
-	out := make([]complex128, len(x))
-	copy(out, x)
-	s := borrowScratch()
-	defer releaseScratch(s)
-	s.fftInPlace(out, false)
 	return out, nil
 }
 
-// IFFT computes the inverse discrete Fourier transform of x, including the
-// 1/N normalization, and returns a new slice.
+// IFFT computes the inverse discrete Fourier transform of x (length a
+// power of two), including the 1/N normalization, and returns a new slice.
 func IFFT(x []complex128) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptyInput
+	out := append([]complex128(nil), x...)
+	if err := transformInPlace(out, true); err != nil {
+		return nil, err
 	}
-	out := make([]complex128, len(x))
-	copy(out, x)
-	s := borrowScratch()
-	defer releaseScratch(s)
-	s.fftInPlace(out, true)
 	n := complex(float64(len(out)), 0)
 	for i := range out {
 		out[i] /= n
@@ -70,20 +72,30 @@ func IFFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// FFTReal transforms a real-valued series. It is a convenience wrapper used
-// by the periodogram code path.
+// FFTReal transforms a real-valued series whose length is a power of two.
 func FFTReal(x []float64) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptyInput
-	}
 	cx := make([]complex128, len(x))
 	for i, v := range x {
 		cx[i] = complex(v, 0)
 	}
-	s := borrowScratch()
-	defer releaseScratch(s)
-	s.fftInPlace(cx, false)
+	if err := transformInPlace(cx, false); err != nil {
+		return nil, err
+	}
 	return cx, nil
+}
+
+// transformInPlace validates x's length and runs the radix-2 transform over
+// it in place (unnormalized when inverse).
+func transformInPlace(x []complex128, inverse bool) error {
+	switch n := len(x); {
+	case n == 0:
+		return ErrEmptyInput
+	case !IsPowerOfTwo(n):
+		return fmt.Errorf("%w: n=%d", ErrNotPowerOfTwo, n)
+	case n > 1:
+		sharedPlanFor(n).transform(x, inverse)
+	}
+	return nil
 }
 
 // NaiveDFT computes the DFT by direct O(n^2) summation. It exists as a

@@ -10,11 +10,18 @@ import (
 var ErrShortSeries = errors.New("dsp: series too short for spectral analysis")
 
 // Periodogram holds the one-sided power spectral density estimate of a
-// real-valued series sampled at a fixed interval.
+// real-valued series of n samples taken at a fixed interval. The spectrum
+// is evaluated on the grid of the series zero-padded to N =
+// NextPowerOfTwo(n) samples: padding interpolates between the n-point
+// DFT's bins (it adds no information and removes none), and it lets every
+// length run through one radix-2 transform.
 type Periodogram struct {
-	// Power[k] is |X(k)|^2 / N for k = 0..N/2 (DC term included at index 0).
+	// Power[k] is |X(k)|^2 / n for k = 0..N/2 (DC term included at index
+	// 0), where X is the N-point DFT of the mean-centred, zero-padded
+	// series and n the number of real samples.
 	Power []float64
-	// N is the length of the underlying series.
+	// N is the padded transform length, which fixes the bin grid:
+	// bin k is the frequency k/(N·SampleInterval).
 	N int
 	// SampleInterval is the spacing between consecutive samples, in seconds.
 	SampleInterval float64
@@ -23,7 +30,8 @@ type Periodogram struct {
 // ComputePeriodogram estimates the power spectrum of x, whose samples are
 // sampleInterval seconds apart. The mean is removed first so that the DC
 // component does not dominate the spectrum; the detector is interested in
-// oscillations around the mean rate, not the rate itself.
+// oscillations around the mean rate, not the rate itself. The centred
+// series is then zero-padded to the next power of two (see Periodogram).
 func ComputePeriodogram(x []float64, sampleInterval float64) (*Periodogram, error) {
 	pg := &Periodogram{}
 	s := borrowScratch()

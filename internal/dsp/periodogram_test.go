@@ -92,10 +92,11 @@ func TestPeriodBounds(t *testing.T) {
 	if !(lo < period && period < hi) {
 		t.Errorf("PeriodBounds(4) = (%v, %v) does not bracket Period(4) = %v", lo, hi, period)
 	}
-	// k=1 upper bound extends to the full window length.
+	// k=1 upper bound extends to the full length of the padded grid: 100
+	// samples transform at N = 128.
 	_, hi1 := p.PeriodBounds(1)
-	if hi1 != 100 {
-		t.Errorf("PeriodBounds(1) high = %v, want 100", hi1)
+	if hi1 != 128 {
+		t.Errorf("PeriodBounds(1) high = %v, want 128 (the padded window)", hi1)
 	}
 	lo0, hi0 := p.PeriodBounds(0)
 	if !math.IsInf(lo0, 1) || !math.IsInf(hi0, 1) {
@@ -137,8 +138,11 @@ func TestBinsAboveEmpty(t *testing.T) {
 	}
 }
 
-// Property: total periodogram power equals the series variance times N
-// (Parseval for the mean-removed series, one-sided accounting).
+// Property: Parseval for the padded definition. The two-sided spectrum of
+// the mean-removed series zero-padded to N samples carries N times its
+// energy; Power is normalised by the n real samples, so the total power
+// times n/N equals the energy (one-sided accounting, bins 1..N/2-1
+// mirrored).
 func TestPeriodogramEnergyConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -158,14 +162,15 @@ func TestPeriodogramEnergyConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Sum the full two-sided spectrum: bins 1..n-1 mirror around n/2.
+		// Sum the full two-sided spectrum: bins 1..N-1 mirror around N/2.
 		var total float64
 		for k := 1; k < len(p.Power); k++ {
 			total += p.Power[k]
-			if k != 0 && !(n%2 == 0 && k == n/2) {
+			if k != p.N/2 {
 				total += p.Power[k] // mirrored bin
 			}
 		}
+		total *= float64(n) / float64(p.N)
 		return math.Abs(total-energy) < 1e-6*(1+energy)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 	"sync"
 )
 
@@ -12,9 +11,9 @@ import (
 //
 // The detector runs the same FFT sizes millions of times per day (every
 // permutation of the threshold test re-transforms a series of the same
-// length), so the size-dependent work — twiddle factors, bit-reversal
-// permutations, and Bluestein chirp kernels — is computed once per size and
-// shared process-wide. Per-call buffers live in a Scratch, a per-worker
+// length), so the size-dependent work — twiddle factors and bit-reversal
+// permutations — is computed once per power-of-two size and shared
+// process-wide. Per-call buffers live in a Scratch, a per-worker
 // workspace that makes the steady-state hot path allocation-free.
 //
 // Ownership contract: slices returned by Scratch methods (or written into
@@ -106,70 +105,6 @@ func (p *fftPlan) transform(x []complex128, inverse bool) {
 	}
 }
 
-// bluesteinKey identifies a chirp-z plan: the transform length and
-// direction (the chirp's sign flips for the inverse transform).
-type bluesteinKey struct {
-	n       int
-	inverse bool
-}
-
-// bluesteinPlan caches the length-dependent kernels of the chirp-z
-// transform: the chirp sequence and the forward FFT of the convolution
-// kernel b (which the naive implementation recomputed on every call).
-type bluesteinPlan struct {
-	n, m  int
-	chirp []complex128
-	bFFT  []complex128
-}
-
-var (
-	bluMu    sync.RWMutex
-	bluCache = map[bluesteinKey]*bluesteinPlan{}
-)
-
-func sharedBluesteinFor(n int, inverse bool) *bluesteinPlan {
-	key := bluesteinKey{n: n, inverse: inverse}
-	bluMu.RLock()
-	p := bluCache[key]
-	bluMu.RUnlock()
-	if p != nil {
-		return p
-	}
-	bluMu.Lock()
-	defer bluMu.Unlock()
-	if p = bluCache[key]; p != nil {
-		return p
-	}
-	p = newBluesteinPlan(n, inverse)
-	bluCache[key] = p
-	return p
-}
-
-func newBluesteinPlan(n int, inverse bool) *bluesteinPlan {
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	m := NextPowerOfTwo(2*n - 1)
-	// chirp[k] = exp(sign * i*pi*k^2/n). k^2 mod 2n avoids precision loss
-	// from huge arguments to sin/cos.
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		k2 := (int64(k) * int64(k)) % int64(2*n)
-		s, c := math.Sincos(sign * math.Pi * float64(k2) / float64(n))
-		chirp[k] = complex(c, s)
-	}
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		b[k] = cmplx.Conj(chirp[k])
-	}
-	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(chirp[k])
-	}
-	sharedPlanFor(m).transform(b, false)
-	return &bluesteinPlan{n: n, m: m, chirp: chirp, bFFT: b}
-}
-
 // Scratch is a reusable per-worker workspace for the spectral hot paths.
 // It memoizes transform plans locally (skipping the shared cache's lock on
 // repeat sizes) and recycles the complex work buffers, so steady-state
@@ -177,9 +112,7 @@ func newBluesteinPlan(n int, inverse bool) *bluesteinPlan {
 // concurrent use; give each worker its own (they are cheap when idle).
 type Scratch struct {
 	plans map[int]*fftPlan
-	blu   map[bluesteinKey]*bluesteinPlan
 	cx    []complex128 // primary transform buffer
-	conv  []complex128 // Bluestein convolution buffer
 	re    []float64    // real intermediate buffer (packed-real paths)
 	ix    []complex128 // interleaved tile buffer (batch transforms)
 
@@ -191,10 +124,7 @@ type Scratch struct {
 // NewScratch returns an empty workspace. Buffers and plan memos grow on
 // first use and are reused afterward.
 func NewScratch() *Scratch {
-	return &Scratch{
-		plans: make(map[int]*fftPlan),
-		blu:   make(map[bluesteinKey]*bluesteinPlan),
-	}
+	return &Scratch{plans: make(map[int]*fftPlan)}
 }
 
 func (s *Scratch) planFor(n int) *fftPlan {
@@ -203,16 +133,6 @@ func (s *Scratch) planFor(n int) *fftPlan {
 	}
 	p := sharedPlanFor(n)
 	s.plans[n] = p
-	return p
-}
-
-func (s *Scratch) bluesteinFor(n int, inverse bool) *bluesteinPlan {
-	key := bluesteinKey{n: n, inverse: inverse}
-	if p := s.blu[key]; p != nil {
-		return p
-	}
-	p := sharedBluesteinFor(n, inverse)
-	s.blu[key] = p
 	return p
 }
 
@@ -235,68 +155,46 @@ func floatScratch(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// fftInPlace transforms x in place: radix-2 for power-of-two lengths,
-// chirp-z (Bluestein) otherwise. inverse computes the unnormalized inverse
-// transform.
-func (s *Scratch) fftInPlace(x []complex128, inverse bool) {
-	n := len(x)
-	if n <= 1 {
-		return
+// meanOf is the arithmetic mean of x, summed in index order (every
+// spectral path centres its input with exactly this value).
+func meanOf(x []float64) float64 {
+	var m float64
+	for _, v := range x {
+		m += v
 	}
-	if IsPowerOfTwo(n) {
-		s.planFor(n).transform(x, inverse)
-		return
-	}
-	s.bluestein(x, inverse)
+	return m / float64(len(x))
 }
 
-// bluestein runs the chirp-z transform over cached kernels: an
-// arbitrary-length DFT expressed as a circular convolution of length
-// m >= 2n-1, m a power of two.
-func (s *Scratch) bluestein(x []complex128, inverse bool) {
-	n := len(x)
-	bp := s.bluesteinFor(n, inverse)
-	a := complexScratch(&s.conv, bp.m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * bp.chirp[k]
-	}
-	clear(a[n:])
-	p := s.planFor(bp.m)
-	p.transform(a, false)
-	for i := range a {
-		a[i] *= bp.bFFT[i]
-	}
-	p.transform(a, true)
-	scale := complex(1/float64(bp.m), 0)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * scale * bp.chirp[k]
-	}
-}
-
-// packReal loads the mean-centered real series src (zero-padded to length
-// 2h) into z as h packed complex samples: z[j] = (src[2j]-mean) +
-// i·(src[2j+1]-mean). This is the classic "real FFT via half-length
-// complex FFT" layout; unpackSpectrum recovers the true spectrum.
-func packReal(z []complex128, src []float64, mean float64) {
+// packReal loads the mean-centred real series src, zero-padded to 2h
+// samples, as h packed complex samples into series j of the b-wide
+// interleaved buffer z (len(z) = h*b): z[i*b+j] = (src[2i]-mean) +
+// i·(src[2i+1]-mean). This is the classic "real FFT via half-length
+// complex FFT" layout; unpackSpectrum recovers the true spectrum. b = 1,
+// j = 0 is the plain single-series layout. The pads are written as exact
+// zeros after centring, so they carry no mean offset.
+func packReal(z []complex128, b, j int, src []float64, mean float64) {
 	n := len(src)
-	full := n / 2
-	for j := 0; j < full; j++ {
-		z[j] = complex(src[2*j]-mean, src[2*j+1]-mean)
+	at := j
+	for i := 1; i < n; i += 2 {
+		z[at] = complex(src[i-1]-mean, src[i]-mean)
+		at += b
 	}
 	if n%2 == 1 {
-		z[full] = complex(src[n-1]-mean, 0)
-		full++
+		z[at] = complex(src[n-1]-mean, 0)
+		at += b
 	}
-	clear(z[full:])
+	for ; at < len(z); at += b {
+		z[at] = 0
+	}
 }
 
-// unpackSpectrum recovers bin k of the length-2h spectrum of the packed
-// real series from z = FFT_h(pack) and the length-2h twiddle table w
+// unpackSpectrum recovers bin k of the length-2h spectrum of packed series
+// j of a b-wide interleaved buffer z (its h packed samples at z[i*b+j],
+// already transformed by FFT_h) from the length-2h twiddle table w
 // (w[k] = exp(-2πik/2h), k < h). It returns X[k] and X[k+h].
-func unpackSpectrum(z []complex128, w []complex128, k int) (xk, xkh complex128) {
-	h := len(z)
-	zk := z[k]
-	zc := z[(h-k)&(h-1)]
+func unpackSpectrum(z []complex128, h, b, j int, w []complex128, k int) (xk, xkh complex128) {
+	zk := z[k*b+j]
+	zc := z[((h-k)&(h-1))*b+j]
 	zc = complex(real(zc), -imag(zc))
 	e := (zk + zc) * complex(0.5, 0)
 	o := (zk - zc) * complex(0, -0.5)
@@ -304,66 +202,57 @@ func unpackSpectrum(z []complex128, w []complex128, k int) (xk, xkh complex128) 
 	return e + wo, e - wo
 }
 
-// PeriodogramInto estimates the power spectrum of x into pg, reusing
-// pg.Power's backing array. It is the allocation-free equivalent of
-// ComputePeriodogram; see that function for the estimator's definition.
-// Power-of-two lengths run a packed real FFT at half the series length;
-// other lengths fall back to the cached Bluestein transform. pg.Power is
-// owned by the caller and shares no storage with the Scratch.
-//
-//bw:noalloc steady-state spectrum path; covered by TestPeriodogramIntoAllocs
-func (s *Scratch) PeriodogramInto(pg *Periodogram, x []float64, sampleInterval float64) error {
-	if len(x) < 4 {
-		return fmt.Errorf("%w: n=%d", ErrShortSeries, len(x))
+// powerInto writes the one-sided periodogram of packed series j of the
+// transformed b-wide buffer z into pg: bins 0..h of the 2h-point grid,
+// normalised by the n real samples the series held before padding.
+func powerInto(pg *Periodogram, z []complex128, h, b, j int, w []complex128, n int, sampleInterval float64) {
+	if cap(pg.Power) < h+1 {
+		pg.Power = make([]float64, h+1)
+	}
+	power := pg.Power[:h+1]
+	inv := 1 / float64(n)
+	for k := 0; k < h; k++ {
+		xk, _ := unpackSpectrum(z, h, b, j, w, k)
+		re, im := real(xk), imag(xk)
+		power[k] = (re*re + im*im) * inv
+	}
+	// Nyquist bin: X[h] = E[0] - O[0].
+	_, xh := unpackSpectrum(z, h, b, j, w, 0)
+	re, im := real(xh), imag(xh)
+	power[h] = (re*re + im*im) * inv
+	pg.Power = power
+	pg.N = 2 * h
+	pg.SampleInterval = sampleInterval
+}
+
+// checkSpectrumInput validates a periodogram request of n samples.
+func checkSpectrumInput(n int, sampleInterval float64) error {
+	if n < 4 {
+		return fmt.Errorf("%w: n=%d", ErrShortSeries, n)
 	}
 	if sampleInterval <= 0 {
 		return fmt.Errorf("dsp: sample interval must be positive, got %v", sampleInterval)
 	}
-	n := len(x)
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
+	return nil
+}
 
-	half := n/2 + 1
-	if cap(pg.Power) < half {
-		pg.Power = make([]float64, half)
+// PeriodogramInto estimates the power spectrum of x into pg, reusing
+// pg.Power's backing array. It is the allocation-free equivalent of
+// ComputePeriodogram; see that function for the estimator's definition.
+// The mean-centred series is zero-padded to the next power of two and
+// runs one packed real FFT at half that length. pg.Power is owned by the
+// caller and shares no storage with the Scratch.
+//
+//bw:noalloc steady-state spectrum path; covered by TestPeriodogramIntoAllocs
+func (s *Scratch) PeriodogramInto(pg *Periodogram, x []float64, sampleInterval float64) error {
+	if err := checkSpectrumInput(len(x), sampleInterval); err != nil {
+		return err
 	}
-	pg.Power = pg.Power[:half]
-
-	if IsPowerOfTwo(n) {
-		// Packed real path: one complex FFT of length n/2 yields the full
-		// spectrum of the real series.
-		h := n / 2
-		z := complexScratch(&s.cx, h)
-		packReal(z, x, mean)
-		s.planFor(h).transform(z, false)
-		w := s.planFor(n).w
-		inv := 1 / float64(n)
-		for k := 0; k < h; k++ {
-			xk, _ := unpackSpectrum(z, w, k)
-			re, im := real(xk), imag(xk)
-			pg.Power[k] = (re*re + im*im) * inv
-		}
-		// Nyquist bin: X[h] = E[0] - O[0].
-		_, xh := unpackSpectrum(z, w, 0)
-		re, im := real(xh), imag(xh)
-		pg.Power[h] = (re*re + im*im) * inv
-	} else {
-		cx := complexScratch(&s.cx, n)
-		for i, v := range x {
-			cx[i] = complex(v-mean, 0)
-		}
-		s.bluestein(cx, false)
-		for k := 0; k < half; k++ {
-			re := real(cx[k])
-			im := imag(cx[k])
-			pg.Power[k] = (re*re + im*im) / float64(n)
-		}
-	}
-	pg.N = n
-	pg.SampleInterval = sampleInterval
+	h := NextPowerOfTwo(len(x)) / 2
+	z := complexScratch(&s.cx, h)
+	packReal(z, 1, 0, x, meanOf(x))
+	s.planFor(h).transform(z, false)
+	powerInto(pg, z, h, 1, 0, s.planFor(2*h).w, len(x), sampleInterval)
 	return nil
 }
 
@@ -380,11 +269,6 @@ func (s *Scratch) AutocorrelationInto(dst []float64, x []float64) ([]float64, er
 	if n < 2 {
 		return nil, fmt.Errorf("%w: n=%d", ErrShortSeries, n)
 	}
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
 
 	// Zero-pad to m >= 2n (power of two) for the linear-ACF estimate; the
 	// padded series is real, so both the forward spectrum and the inverse
@@ -393,7 +277,7 @@ func (s *Scratch) AutocorrelationInto(dst []float64, x []float64) ([]float64, er
 	m := NextPowerOfTwo(2 * n)
 	h := m / 2
 	z := complexScratch(&s.cx, h)
-	packReal(z, x, mean)
+	packReal(z, 1, 0, x, meanOf(x))
 	p := s.planFor(h)
 	p.transform(z, false)
 
@@ -401,7 +285,7 @@ func (s *Scratch) AutocorrelationInto(dst []float64, x []float64) ([]float64, er
 	w := s.planFor(m).w
 	power := floatScratch(&s.re, m)
 	for k := 0; k < h; k++ {
-		xk, xkh := unpackSpectrum(z, w, k)
+		xk, xkh := unpackSpectrum(z, h, 1, 0, w, k)
 		re, im := real(xk), imag(xk)
 		power[k] = re*re + im*im
 		re, im = real(xkh), imag(xkh)
@@ -419,14 +303,14 @@ func (s *Scratch) AutocorrelationInto(dst []float64, x []float64) ([]float64, er
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	x0, _ := unpackSpectrum(z, w, 0)
+	x0, _ := unpackSpectrum(z, h, 1, 0, w, 0)
 	norm := real(x0)
 	if norm <= 0 || math.IsNaN(norm) {
 		clear(dst)
 		return dst, nil // zero-variance series: ACF identically zero
 	}
 	for t := 0; t < n; t++ {
-		xt, _ := unpackSpectrum(z, w, t)
+		xt, _ := unpackSpectrum(z, h, 1, 0, w, t)
 		dst[t] = real(xt) / norm
 	}
 	dst[0] = 1
@@ -434,7 +318,7 @@ func (s *Scratch) AutocorrelationInto(dst []float64, x []float64) ([]float64, er
 }
 
 // sharedScratch lends Scratch workspaces to the plain package-level entry
-// points (FFT, ComputePeriodogram, Autocorrelation, ...) so one-shot
+// points (ComputePeriodogram, Autocorrelation) so one-shot
 // callers still hit the cached plans and reuse transform buffers.
 var sharedScratch = sync.Pool{New: func() any { return NewScratch() }}
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -73,11 +74,24 @@ func FitGMM(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadComponentCount, k, n)
 	}
-	cfg = cfg.withDefaults(xs)
+	return fitGMM(xs, sortedCopy(xs), k, cfg.withDefaults(xs), make([]float64, k*(n+2))), nil
+}
 
+func sortedCopy(xs []float64) []float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return sorted
+}
 
+// halfLog2Pi is ½·log(2π), the constant term of a Gaussian log-density.
+var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
+
+// fitGMM runs EM for 1 <= k <= len(xs) components. sorted is xs in
+// ascending order, cfg has its defaults applied, and work holds at least
+// k*(len(xs)+2) floats (the responsibilities and two per-component
+// constants); FitBestGMM shares sorted and work across its fits.
+func fitGMM(xs, sorted []float64, k int, cfg GMMConfig, work []float64) *GMM {
+	n := len(xs)
 	g := &GMM{
 		Weights: make([]float64, k),
 		Means:   make([]float64, k),
@@ -101,47 +115,31 @@ func FitGMM(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 		g.StdDevs[j] = sd
 	}
 
-	resp := make([][]float64, k)
-	for j := range resp {
-		resp[j] = make([]float64, n)
-	}
-	logW := make([]float64, k)
+	// resp[i*k+j] is point i's responsibility under component j. logC[j]
+	// and halfPrec[j] hold the per-iteration constants of component j's
+	// weighted log-density: log w − log σ − ½ log 2π and 1/(2σ²).
+	resp := work[:k*n]
+	logC := work[k*n : k*n+k]
+	halfPrec := work[k*n+k : k*n+2*k]
 
 	prevLL := math.Inf(-1)
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
 		g.Iterations = iter
 		for j := 0; j < k; j++ {
-			logW[j] = math.Log(math.Max(g.Weights[j], 1e-300))
+			sd := g.StdDevs[j]
+			logC[j] = math.Log(math.Max(g.Weights[j], 1e-300)) - math.Log(sd) - halfLog2Pi
+			halfPrec[j] = 1 / (2 * sd * sd)
 		}
-		// E-step with log-sum-exp for numerical stability.
-		var ll float64
-		for i, x := range xs {
-			maxLp := math.Inf(-1)
-			for j := 0; j < k; j++ {
-				lp := logW[j] + LogNormalPDF(x, g.Means[j], g.StdDevs[j])
-				resp[j][i] = lp
-				if lp > maxLp {
-					maxLp = lp
-				}
-			}
-			var sum float64
-			for j := 0; j < k; j++ {
-				sum += math.Exp(resp[j][i] - maxLp)
-			}
-			logSum := maxLp + math.Log(sum)
-			ll += logSum
-			for j := 0; j < k; j++ {
-				resp[j][i] = math.Exp(resp[j][i] - logSum)
-			}
-		}
+		ll := eStep(xs, g.Means, logC, halfPrec, resp)
 		g.LogLikelihood = ll
 
 		// M-step.
 		for j := 0; j < k; j++ {
 			var nj, mu float64
 			for i, x := range xs {
-				nj += resp[j][i]
-				mu += resp[j][i] * x
+				r := resp[i*k+j]
+				nj += r
+				mu += r * x
 			}
 			if nj < 1e-10 {
 				// Dead component: re-seed it on the most extreme point to
@@ -155,7 +153,7 @@ func FitGMM(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 			var va float64
 			for i, x := range xs {
 				d := x - mu
-				va += resp[j][i] * d * d
+				va += resp[i*k+j] * d * d
 			}
 			va /= nj
 			g.Weights[j] = nj / float64(n)
@@ -175,7 +173,54 @@ func FitGMM(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 
 	p := float64(3*k - 1)
 	g.BIC = -2*g.LogLikelihood + p*math.Log(float64(n))
-	return g, nil
+	return g
+}
+
+// eStep writes every point's responsibilities into resp (point-major,
+// k = len(means) per point) and returns the data's log-likelihood. Point
+// i's log-sum-exp is max_j lp_j + log s_i with s_i = Σ_j exp(lp_j − max):
+// the lp_j take no transcendental (logC and halfPrec are hoisted), each
+// term's exp is taken once and reused as the unnormalised
+// responsibility, and since every s_i lies in [1, k] the log s_i are
+// summed as the log of a running product, one log per chunk of points.
+// The chunk is 256 points, fewer once k^256 could pass 2^1023.
+func eStep(xs, means, logC, halfPrec, resp []float64) float64 {
+	k := len(means)
+	chunk := 256
+	if c := 1023 / bits.Len(uint(k)); c < chunk {
+		chunk = c
+	}
+	var ll float64
+	prod, left := 1.0, chunk
+	for i, x := range xs {
+		r := resp[i*k : i*k+k]
+		maxLp := math.Inf(-1)
+		for j, mu := range means {
+			d := x - mu
+			lp := logC[j] - halfPrec[j]*d*d
+			r[j] = lp
+			if lp > maxLp {
+				maxLp = lp
+			}
+		}
+		var sum float64
+		for j, lp := range r {
+			e := math.Exp(lp - maxLp)
+			r[j] = e
+			sum += e
+		}
+		inv := 1 / sum
+		for j := range r {
+			r[j] *= inv
+		}
+		ll += maxLp
+		prod *= sum
+		if left--; left == 0 {
+			ll += math.Log(prod)
+			prod, left = 1, chunk
+		}
+	}
+	return ll + math.Log(prod)
 }
 
 // GMMSelection is the result of BIC-based model selection across component
@@ -202,12 +247,14 @@ func FitBestGMM(xs []float64, maxK int, cfg GMMConfig) (*GMMSelection, error) {
 	if maxK > len(xs) {
 		maxK = len(xs)
 	}
+	// The fits share one sorted copy, one set of defaults and one
+	// responsibility buffer sized for the largest k.
+	sorted := sortedCopy(xs)
+	cfg = cfg.withDefaults(xs)
+	work := make([]float64, maxK*(len(xs)+2))
 	sel := &GMMSelection{BICs: make([]float64, 0, maxK)}
 	for k := 1; k <= maxK; k++ {
-		g, err := FitGMM(xs, k, cfg)
-		if err != nil {
-			return nil, err
-		}
+		g := fitGMM(xs, sorted, k, cfg, work)
 		sel.BICs = append(sel.BICs, g.BIC)
 		if sel.Best == nil || g.BIC < sel.Best.BIC {
 			sel.Best = g

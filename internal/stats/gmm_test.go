@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -207,6 +209,207 @@ func TestFitBestGMMClampsK(t *testing.T) {
 	}
 	if sel.K != 1 {
 		t.Errorf("maxK=0 should clamp to 1, got k=%d", sel.K)
+	}
+}
+
+// fitGMMReference is FitGMM as it stood before the E-step was cut to its
+// arithmetic floor: a LogNormalPDF (two logs) per point×component, two
+// exps per term, one log per point, and fresh k×n responsibility rows per
+// fit. TestFitGMMMatchesReference holds the production fit to it.
+func fitGMMReference(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
+	n := len(xs)
+	if k < 1 || k > n {
+		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadComponentCount, k, n)
+	}
+	cfg = cfg.withDefaults(xs)
+
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+
+	g := &GMM{
+		Weights: make([]float64, k),
+		Means:   make([]float64, k),
+		StdDevs: make([]float64, k),
+	}
+	for j := 0; j < k; j++ {
+		lo := j * n / k
+		hi := (j + 1) * n / k
+		if hi <= lo {
+			hi = lo + 1
+		}
+		seg := sorted[lo:hi]
+		g.Weights[j] = float64(len(seg)) / float64(n)
+		g.Means[j] = Mean(seg)
+		sd := StdDev(seg)
+		if sd < cfg.MinStdDev {
+			sd = cfg.MinStdDev
+		}
+		g.StdDevs[j] = sd
+	}
+
+	resp := make([][]float64, k)
+	for j := range resp {
+		resp[j] = make([]float64, n)
+	}
+	logW := make([]float64, k)
+
+	prevLL := math.Inf(-1)
+	for iter := 1; iter <= cfg.MaxIterations; iter++ {
+		g.Iterations = iter
+		for j := 0; j < k; j++ {
+			logW[j] = math.Log(math.Max(g.Weights[j], 1e-300))
+		}
+		// E-step with log-sum-exp for numerical stability.
+		var ll float64
+		for i, x := range xs {
+			maxLp := math.Inf(-1)
+			for j := 0; j < k; j++ {
+				lp := logW[j] + LogNormalPDF(x, g.Means[j], g.StdDevs[j])
+				resp[j][i] = lp
+				if lp > maxLp {
+					maxLp = lp
+				}
+			}
+			var sum float64
+			for j := 0; j < k; j++ {
+				sum += math.Exp(resp[j][i] - maxLp)
+			}
+			logSum := maxLp + math.Log(sum)
+			ll += logSum
+			for j := 0; j < k; j++ {
+				resp[j][i] = math.Exp(resp[j][i] - logSum)
+			}
+		}
+		g.LogLikelihood = ll
+
+		// M-step.
+		for j := 0; j < k; j++ {
+			var nj, mu float64
+			for i, x := range xs {
+				nj += resp[j][i]
+				mu += resp[j][i] * x
+			}
+			if nj < 1e-10 {
+				g.Weights[j] = 1e-6
+				g.Means[j] = sorted[n-1]
+				g.StdDevs[j] = cfg.MinStdDev
+				continue
+			}
+			mu /= nj
+			var va float64
+			for i, x := range xs {
+				d := x - mu
+				va += resp[j][i] * d * d
+			}
+			va /= nj
+			g.Weights[j] = nj / float64(n)
+			g.Means[j] = mu
+			sd := math.Sqrt(va)
+			if sd < cfg.MinStdDev {
+				sd = cfg.MinStdDev
+			}
+			g.StdDevs[j] = sd
+		}
+
+		if ll-prevLL < cfg.Tolerance*float64(n) && iter > 1 {
+			break
+		}
+		prevLL = ll
+	}
+
+	p := float64(3*k - 1)
+	g.BIC = -2*g.LogLikelihood + p*math.Log(float64(n))
+	return g, nil
+}
+
+// gmmSweep builds the seeded inputs TestFitGMMMatchesReference runs:
+// 1–3 component mixtures at sizes from 8 to 2048 points (periods of
+// seconds to hours, tight and loose), heavily duplicated integer
+// intervals, all-identical points, and a far outlier cluster too small to
+// keep its component alive.
+func gmmSweep() map[string][]float64 {
+	cases := map[string][]float64{}
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{8, 13, 64, 257, 1000, 2048} {
+		for comps := 1; comps <= 3; comps++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				c := i % comps
+				mean := []float64{60, 300, 3600}[c] * (1 + 0.2*rng.Float64())
+				xs[i] = mean + rng.NormFloat64()*mean*[]float64{0.01, 0.05, 0.2}[(i+c)%3]
+			}
+			cases[fmt.Sprintf("mixture/k=%d/n=%d", comps, n)] = xs
+		}
+		dup := make([]float64, n)
+		for i := range dup {
+			dup[i] = float64(59 + rng.Intn(3)) // 59, 60, 61 s: binned beacon intervals
+		}
+		cases[fmt.Sprintf("duplicated/n=%d", n)] = dup
+	}
+	same := make([]float64, 50)
+	for i := range same {
+		same[i] = 42
+	}
+	cases["identical"] = same
+	outlier := make([]float64, 0, 500)
+	for i := 0; i < 499; i++ {
+		outlier = append(outlier, 30+rng.NormFloat64())
+	}
+	cases["outlier"] = append(outlier, 1e7)
+	// Two values and three components: the middle component's
+	// responsibilities vanish and the M-step re-seeds it (weight 1e-6).
+	cases["dead-component"] = []float64{62, 62, 62, 60, 60, 62, 62, 62, 60, 60}
+	return cases
+}
+
+// TestFitGMMMatchesReference holds the floor-arithmetic E-step to the
+// reference: for every sweep input and every k, weights, means, σ and BIC
+// agree within 1e-9 relative, and FitBestGMM selects the K the reference
+// fits would.
+func TestFitGMMMatchesReference(t *testing.T) {
+	const rel = 1e-9
+	near := func(a, b float64) bool {
+		return math.Abs(a-b) <= rel*math.Max(math.Abs(a), math.Abs(b))
+	}
+	for name, xs := range gmmSweep() {
+		maxK := 3
+		if maxK > len(xs) {
+			maxK = len(xs)
+		}
+		sel, err := FitBestGMM(xs, maxK, GMMConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var wantK int
+		wantBIC := math.Inf(1)
+		for k := 1; k <= maxK; k++ {
+			want, err := fitGMMReference(xs, k, GMMConfig{})
+			if err != nil {
+				t.Fatalf("%s k=%d: reference: %v", name, k, err)
+			}
+			got, err := FitGMM(xs, k, GMMConfig{})
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", name, k, err)
+			}
+			if !near(got.BIC, want.BIC) || got.BIC != sel.BICs[k-1] {
+				t.Errorf("%s k=%d: BIC %v (FitBestGMM %v), reference %v", name, k, got.BIC, sel.BICs[k-1], want.BIC)
+			}
+			for j := 0; j < k; j++ {
+				if !near(got.Weights[j], want.Weights[j]) || !near(got.Means[j], want.Means[j]) || !near(got.StdDevs[j], want.StdDevs[j]) {
+					t.Errorf("%s k=%d component %d: (w, μ, σ) = (%v, %v, %v), reference (%v, %v, %v)", name, k, j,
+						got.Weights[j], got.Means[j], got.StdDevs[j], want.Weights[j], want.Means[j], want.StdDevs[j])
+				}
+			}
+			if want.BIC < wantBIC {
+				wantBIC, wantK = want.BIC, k
+			}
+		}
+		if sel.K != wantK {
+			t.Errorf("%s: FitBestGMM selected K=%d, reference fits select %d", name, sel.K, wantK)
+		}
+	}
+	if g, _ := FitGMM(gmmSweep()["dead-component"], 3, GMMConfig{}); slices.Min(g.Weights) > 1e-5 {
+		t.Errorf("dead-component case no longer kills a component: weights %v", g.Weights)
 	}
 }
 
