@@ -8,7 +8,7 @@ GO ?= go
 # and the daemon's file-follow tail path (source).
 # -benchtime is kept short so ten repetitions stay affordable in CI; the
 # gate compares medians, which tolerates short per-repetition runs.
-BENCH_PATTERN ?= Periodogram|Autocorrelation|FitGMM|Detector|IngestParse|IngestToSummaries|BatchToSummaries|FollowTail|QueryRankedCached
+BENCH_PATTERN ?= Periodogram|LagACF|FitGMM|Detector|IngestParse|IngestToSummaries|BatchToSummaries|FollowTail|QueryRankedCached
 BENCH_PKGS    ?= ./internal/dsp ./internal/stats ./internal/core ./internal/ingest ./internal/source
 BENCH_FLAGS   ?= -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -count=10 -benchtime=300x -timeout=20m
 

@@ -18,7 +18,11 @@ import (
 //
 // Revision 2: every spectrum is taken on the zero-padded power-of-two
 // grid, and the GMM E-step is reassociated (last-bit differences).
-const ResultCodecRevision = 2
+// Revision 3: step 3's ACF is summed over nonzero bins at the lags it
+// tests instead of taken by FFT, and EM runs over distinct interval values
+// (last-bit differences; exact ties between ACF lags now go to the lower
+// lag).
+const ResultCodecRevision = 3
 
 // ErrResultCorrupt is wrapped by every DecodeResult failure.
 var ErrResultCorrupt = errors.New("core: malformed encoded result")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 
 	"baywatch/internal/dsp"
@@ -228,9 +229,9 @@ func (d *Detector) DetectSeries(series []float64, sampleInterval float64, interv
 }
 
 // detectSeries is DetectSeries running over a borrowed scratch; every
-// intermediate buffer (shuffles, periodograms, interval lists, rebinned
-// series, ACF cache) comes from sc, so the steady-state path allocates only
-// the returned Result.
+// intermediate buffer (shuffles, spectra, interval lists, nonzero bins,
+// rebinned series, ACF lags) comes from sc, so the steady-state path
+// allocates only the returned Result.
 func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInterval float64, intervals []float64, memo *ThresholdMemo) (*Result, error) {
 	cfg := d.cfg
 	res := &Result{SeriesLen: len(series), EventCount: countEvents(series)}
@@ -253,11 +254,14 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 		return nil, fmt.Errorf("periodogram: %w", err)
 	}
 	pg := &sc.pg
-	res.PowerThreshold = d.permutationThreshold(sc, series, sampleInterval, memo)
+	res.PowerThreshold = d.permutationThreshold(sc, series, memo)
 	sc.bins = pg.BinsAboveInto(sc.bins, res.PowerThreshold)
 	bins := sc.bins
 	if len(bins) > cfg.MaxCandidates {
 		bins = bins[:cfg.MaxCandidates]
+	}
+	if len(bins) > 0 { // room for the GMM's candidates too: one allocation
+		res.Candidates = make([]Candidate, 0, len(bins)+cfg.GMMMaxComponents)
 	}
 	for _, k := range bins {
 		res.Candidates = append(res.Candidates, Candidate{
@@ -301,7 +305,9 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 			// be pruned (e.g. by bin-quantization at the min-interval
 			// boundary), and the final dedupe pass removes genuine
 			// duplicates among survivors.
-			for _, mean := range sel.Best.DominantComponents(cfg.GMMMinWeight) {
+			doms := sel.Best.DominantComponents(cfg.GMMMinWeight)
+			res.Candidates = slices.Grow(res.Candidates, len(doms))
+			for _, mean := range doms {
 				if mean <= 0 {
 					continue
 				}
@@ -363,6 +369,8 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 	// peak across many lags and dilutes it below any sensible threshold;
 	// rebinning concentrates the peak while preserving the periodic
 	// structure (this mirrors the paper's multi-scale rescaling phase).
+	// Both bases are rebinned from their nonzero bins, each extracted once.
+	loaded := [2]bool{}
 	for i := range res.Candidates {
 		c := &res.Candidates[i]
 		if c.Reason != RejectNone {
@@ -370,11 +378,16 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 		}
 		// Periods too short for the decimated series verify against the
 		// original fine-grained series instead.
-		basis, basisInterval, cacheSign := series, sampleInterval, 1
+		b, basisSeries, basisInterval := 0, series, sampleInterval
 		if c.Period < 4*sampleInterval && origInterval < sampleInterval {
-			basis, basisInterval, cacheSign = origSeries, origInterval, -1
+			b, basisSeries, basisInterval = 1, origSeries, origInterval
 		}
-		factor := rebinFactor(c.Period, basisInterval, len(basis))
+		basis := &sc.basis[b]
+		if !loaded[b] {
+			basis.load(basisSeries)
+			loaded[b] = true
+		}
+		factor := rebinFactor(c.Period, basisInterval, basis.n)
 		// Adapt the verification bin width to the observed timing jitter:
 		// the ACF peak of a jittered beacon is smeared over ~sigma seconds,
 		// so bins narrower than sigma dilute it below any usable threshold.
@@ -389,26 +402,19 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 				factor = want
 			}
 		}
-		acf, ok := sc.acf[cacheSign*factor]
-		if !ok {
-			rebinned := rebinInto(sc.rebinned, basis, factor)
-			if factor > 1 {
-				sc.rebinned = rebinned
-			}
-			var err error
-			acf, err = sc.dsp.AutocorrelationInto(sc.acfBuffer(), rebinned)
-			if err != nil {
-				return nil, fmt.Errorf("autocorrelation: %w", err)
-			}
-			sc.acf[cacheSign*factor] = acf
-		}
+		rebinned := basis.rebin(&sc.rebinned, factor)
 		binWidth := basisInterval * float64(factor)
 		lag := c.Period / binWidth
 		margin := int(math.Max(2, 0.15*lag))
 		lo, hi := int(lag)-margin, int(lag)+margin
-		if maxLag := len(acf) / 2; hi > maxLag {
+		if maxLag := rebinned.n / 2; hi > maxLag {
 			hi = maxLag
 		}
+		// The hill test reads lags up to hi, and the trough test up to
+		// twice the peak lag plus its window (hasTroughAfterPeak), so the
+		// ACF is evaluated at those lags only.
+		sc.acf = dsp.LagACFInto(sc.acf, rebinned.idx, rebinned.val, rebinned.n, 2*hi+max(1, hi/6))
+		acf := sc.acf
 		hill := dsp.ValidateHill(acf, lo, hi)
 		c.ACFScore = hill.PeakValue
 		// The acceptance threshold adapts to the ACF noise floor: for a
@@ -416,7 +422,7 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 		// ~N(0, 1/B), so anything below ~4/sqrt(B) is indistinguishable
 		// from noise no matter what the configured minimum is.
 		minScore := cfg.MinACFScore
-		if floor := 4 / math.Sqrt(float64(len(acf))); floor > minScore {
+		if floor := 4 / math.Sqrt(float64(rebinned.n)); floor > minScore {
 			minScore = floor
 		}
 		if !hill.OnHill || hill.PeakValue < minScore {
@@ -514,14 +520,13 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 // is what lets DetectBatch memoize one threshold per (seed, length, event
 // count, multiset) bucket while staying bit-identical to per-pair Detect.
 //
-// The m shuffles are materialized row-major into sc.permRows and their
-// spectra computed in one PeriodogramRowsInto batch, so all m transforms
-// share a single plan lookup and (for power-of-two lengths) run interleaved
-// through cache-resident tiles. The shuffle buffer, rng, rows, periodograms,
-// and maxima list all live on sc, so the dominant cost of the detector per
+// Each of the m shuffles is packed straight into the batch transform's
+// interleaved tile, and each spectrum is reduced to its non-DC maximum
+// without being stored (dsp.MaxPowersInto). The shuffle buffer, rng and
+// maxima list live on sc, so the dominant cost of the detector per
 // Vlachos et al. runs without heap allocations (memo misses insert one map
 // entry; Detect passes memo=nil and stays allocation-free).
-func (d *Detector) permutationThreshold(sc *detectScratch, series []float64, sampleInterval float64, memo *ThresholdMemo) float64 {
+func (d *Detector) permutationThreshold(sc *detectScratch, series []float64, memo *ThresholdMemo) float64 {
 	cfg := d.cfg
 	sc.shuffled = append(sc.shuffled[:0], series...)
 	shuffled := sc.shuffled
@@ -537,31 +542,12 @@ func (d *Detector) permutationThreshold(sc *detectScratch, series []float64, sam
 	// Reseeding the pooled rng reproduces rand.New(rand.NewSource(seed))
 	// exactly: both paths reset the same generator state.
 	sc.rng.Seed(cfg.Seed ^ int64(hash))
-	n := len(series)
-	m := cfg.Permutations
-	if cap(sc.permRows) < m*n {
-		sc.permRows = make([]float64, m*n)
-	}
-	rows := sc.permRows[:m*n]
-	for p := 0; p < m; p++ {
-		sc.rng.Shuffle(n, func(i, j int) {
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
-		copy(rows[p*n:(p+1)*n], shuffled)
-	}
-	if cap(sc.permPGs) < m {
-		sc.permPGs = make([]dsp.Periodogram, m)
-	}
-	pgs := sc.permPGs[:cap(sc.permPGs)][:m]
-	maxima := sc.maxima[:0]
-	if err := sc.dsp.PeriodogramRowsInto(pgs, rows, n, sampleInterval); err == nil {
-		for p := range pgs {
-			mx, _ := pgs[p].MaxPower()
-			maxima = append(maxima, mx)
-		}
-	}
+	maxima, err := sc.dsp.MaxPowersInto(sc.maxima[:0], len(series), cfg.Permutations, func() []float64 {
+		shuffleInto(sc.rng, shuffled)
+		return shuffled
+	})
 	sc.maxima = maxima
-	if len(maxima) == 0 {
+	if err != nil || len(maxima) == 0 {
 		return math.Inf(1)
 	}
 	slices.Sort(maxima)
@@ -577,6 +563,32 @@ func (d *Detector) permutationThreshold(sc *detectScratch, series []float64, sam
 		memo.store(key, t)
 	}
 	return t
+}
+
+// shuffleInto permutes xs in place exactly as r.Shuffle(len(xs), swap)
+// would: the same Fisher–Yates walk from the top index down, drawing each
+// index through Uint32 with the same Lemire multiply-and-reject (Int63n
+// above 2³¹), so it makes the same draws in the same order and leaves r
+// in the same state — without a call through a swap closure per element.
+func shuffleInto(r *rand.Rand, xs []float64) {
+	i := len(xs) - 1
+	for ; i > 1<<31-1-1; i-- {
+		j := int(r.Int63n(int64(i + 1)))
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+	for ; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(r.Uint32()) * uint64(n)
+		if low := uint32(prod); low < n {
+			thresh := -n % n
+			for low < thresh {
+				prod = uint64(r.Uint32()) * uint64(n)
+				low = uint32(prod)
+			}
+		}
+		j := int(prod >> 32)
+		xs[i], xs[j] = xs[j], xs[i]
+	}
 }
 
 // intervalPValue runs the one-sample t-test of candidate period P against

@@ -16,10 +16,8 @@ type detectScratch struct {
 	dsp *dsp.Scratch
 	rng *rand.Rand
 
-	pg      dsp.Periodogram   // Step 1 periodogram of the analyzed series
-	permPGs []dsp.Periodogram // per-permutation periodograms (threshold loop)
+	pg dsp.Periodogram // Step 1 periodogram of the analyzed series
 
-	permRows  []float64 // m materialized shuffles, row-major (batch spectrum input)
 	shuffled  []float64 // in-place shuffle buffer for the permutation test
 	maxima    []float64 // per-permutation spectral maxima
 	bins      []int     // candidate bins above the power threshold
@@ -29,19 +27,20 @@ type detectScratch struct {
 	nonzero   []float64 // nonzero interval list
 	sample    []float64 // t-test / GMM subsample buffer
 	near      []float64 // intervals near a candidate period (jitter estimate)
-	rebinned  []float64 // candidate-adapted rebinned series (Step 3)
 
-	// acf caches the autocorrelation per rebin factor within one
-	// DetectSeries call; acfFree recycles the value buffers across calls.
-	acf     map[int][]float64
-	acfFree [][]float64
+	// Step 3 works on the nonzero bins of its two bases, the analyzed
+	// series and the undecimated one, each extracted at most once per
+	// call; a candidate's rebinned series and its ACF lags reuse one
+	// buffer each.
+	basis    [2]sparseSeries
+	rebinned sparseSeries
+	acf      []float64
 }
 
 var detectScratchPool = sync.Pool{New: func() any {
 	return &detectScratch{
 		dsp: dsp.NewScratch(),
 		rng: rand.New(rand.NewSource(1)),
-		acf: make(map[int][]float64),
 	}
 }}
 
@@ -54,25 +53,49 @@ func borrowDetectScratch() *detectScratch {
 }
 
 func releaseDetectScratch(sc *detectScratch) {
-	// Recycle the per-call ACF buffers into the freelist so the next call
-	// reuses their backing arrays, then empty the cache (its keys are only
-	// meaningful within one DetectSeries call).
-	for k, buf := range sc.acf {
-		sc.acfFree = append(sc.acfFree, buf)
-		delete(sc.acf, k)
-	}
 	detectScratchPool.Put(sc)
 }
 
-// acfBuffer hands out a recycled ACF buffer, or nil to let the dsp layer
-// allocate one that will be recycled on release.
-func (sc *detectScratch) acfBuffer() []float64 {
-	if n := len(sc.acfFree); n > 0 {
-		buf := sc.acfFree[n-1]
-		sc.acfFree = sc.acfFree[:n-1]
-		return buf
+// sparseSeries is a binned series held as its nonzero bins: bin idx[i]
+// holds val[i], and every other of its n bins is zero. Step 3's series
+// are mostly empty bins, so rebinning and the ACF run over this list.
+type sparseSeries struct {
+	idx []int
+	val []float64
+	n   int
+}
+
+// load replaces s with the nonzero bins of series.
+func (s *sparseSeries) load(series []float64) {
+	s.idx, s.val, s.n = s.idx[:0], s.val[:0], len(series)
+	for i, v := range series {
+		if v != 0 {
+			s.idx = append(s.idx, i)
+			s.val = append(s.val, v)
+		}
 	}
-	return nil
+}
+
+// rebin sums consecutive groups of factor bins of s into dst (the last
+// group may be short) and returns it; for factor <= 1 it returns s
+// itself. Each group adds its nonzero bins in index order, which is the
+// sum rebinInto takes of the dense series (adding its zeros changes
+// nothing), so the two are bit-identical.
+func (s *sparseSeries) rebin(dst *sparseSeries, factor int) *sparseSeries {
+	if factor <= 1 {
+		return s
+	}
+	dst.idx, dst.val, dst.n = dst.idx[:0], dst.val[:0], (s.n+factor-1)/factor
+	for i, at := range s.idx {
+		g := at / factor
+		if last := len(dst.idx) - 1; last >= 0 && dst.idx[last] == g {
+			dst.val[last] += s.val[i]
+			continue
+		}
+		dst.idx = append(dst.idx, g)
+		dst.val = append(dst.val, s.val[i])
+	}
+	return dst
 }
 
 // appendNonzero appends the positive entries of intervals to dst.

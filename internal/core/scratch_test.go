@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"baywatch/internal/stats"
 	"baywatch/internal/timeseries"
 )
 
@@ -87,9 +88,9 @@ func TestPermutationThresholdAllocs(t *testing.T) {
 	}
 	sc := borrowDetectScratch()
 	defer releaseDetectScratch(sc)
-	det.permutationThreshold(sc, series, 1, nil) // warm plans + buffers
+	det.permutationThreshold(sc, series, nil) // warm plans + buffers
 	allocs := testing.AllocsPerRun(5, func() {
-		det.permutationThreshold(sc, series, 1, nil)
+		det.permutationThreshold(sc, series, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs/op in the permutation loop, want 0", allocs)
@@ -106,10 +107,10 @@ func TestPermutationThresholdDeterministic(t *testing.T) {
 		series[i] = rng.Float64()
 	}
 	sc1 := borrowDetectScratch()
-	first := det.permutationThreshold(sc1, series, 1, nil)
+	first := det.permutationThreshold(sc1, series, nil)
 	releaseDetectScratch(sc1)
 	sc2 := borrowDetectScratch()
-	second := det.permutationThreshold(sc2, series, 1, nil)
+	second := det.permutationThreshold(sc2, series, nil)
 	releaseDetectScratch(sc2)
 	if first != second {
 		t.Errorf("threshold not deterministic: %g vs %g", first, second)
@@ -129,7 +130,7 @@ func BenchmarkDetectorPermutationThreshold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.permutationThreshold(sc, series, 1, nil)
+		det.permutationThreshold(sc, series, nil)
 	}
 }
 
@@ -158,7 +159,7 @@ func BenchmarkDetectorSeries_4096(b *testing.B) {
 // contract of the public wrappers: DetectSeries now defers the scratch
 // release, so even the earliest exit (undersampled input) must reuse the
 // pooled scratch instead of abandoning it. A leak would cost a full
-// detectScratch (dsp plans, rng, ACF cache) per call and blow well past
+// detectScratch (dsp plans, rng, buffers) per call and blow well past
 // the small budget of the undersampled Result itself.
 func TestDetectSeriesShortInputReleasesScratch(t *testing.T) {
 	det := NewDetector(DefaultConfig())
@@ -176,15 +177,21 @@ func TestDetectSeriesShortInputReleasesScratch(t *testing.T) {
 // TestRebinIntoMatchesDividingLoop pins rebinInto's contiguous-group sum
 // to the per-sample `out[i/factor] += v` loop it replaced: both add each
 // group's samples to a zero in index order, so the results are
-// bit-identical, short last group included.
+// bit-identical, short last group included. Step 3's rebinning of a
+// basis's nonzero bins (sparseSeries.rebin) must give the same groups.
 func TestRebinIntoMatchesDividingLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var dst []float64
+	var basis, rebinned sparseSeries
 	for _, n := range []int{1, 7, 64, 1000, 86400} {
 		series := make([]float64, n)
 		for i := range series {
 			series[i] = float64(rng.Intn(3)) + rng.Float64()*1e-3
+			if rng.Intn(4) > 0 {
+				series[i] = 0 // mostly empty bins, as binned counts are
+			}
 		}
+		basis.load(series)
 		for _, factor := range []int{2, 3, 11, 32, 97} {
 			want := make([]float64, (n+factor-1)/factor)
 			for i, v := range series {
@@ -199,6 +206,89 @@ func TestRebinIntoMatchesDividingLoop(t *testing.T) {
 					t.Fatalf("n=%d factor=%d group %d: %v, want %v", n, factor, g, dst[g], want[g])
 				}
 			}
+			sparse := basis.rebin(&rebinned, factor)
+			dense := make([]float64, sparse.n)
+			for i, g := range sparse.idx {
+				dense[g] = sparse.val[i]
+			}
+			if sparse.n != len(want) || !reflect.DeepEqual(dense, want) {
+				t.Fatalf("n=%d factor=%d: sparse rebin differs from the dense groups", n, factor)
+			}
 		}
+	}
+}
+
+// TestShuffleIntoMatchesRandShuffle pins the inlined Fisher–Yates walk to
+// rand.Shuffle: from the same seed, the same permutation, and the same
+// generator state afterwards (the next draws agree).
+func TestShuffleIntoMatchesRandShuffle(t *testing.T) {
+	sizes := []int{4096, 7855, 8192, 65536, 100000}
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		seed := int64(n)*7919 + 1
+		got := make([]float64, n)
+		want := make([]float64, n)
+		for i := range got {
+			got[i], want[i] = float64(i), float64(i)
+		}
+		rg, rw := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		shuffleInto(rg, got)
+		rw.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: permutation differs from rand.Shuffle", n)
+		}
+		for k := 0; k < 4; k++ {
+			if a, b := rg.Int63(), rw.Int63(); a != b {
+				t.Fatalf("n=%d: rng state differs after the shuffle (draw %d: %d vs %d)", n, k, a, b)
+			}
+		}
+	}
+}
+
+// TestDetectSeriesAllocs pins the steady-state detector to allocating only
+// its Result: the Result, its candidate list (one allocation for all of
+// them), its one kept candidate, and the interval GMM selection it
+// carries — nothing for the permutation null, the nonzero bins of either
+// basis, rebinning or the ACF lags. It runs DetectSeries' body over one
+// held scratch. The pair is a day of 30 s beacons at 1 s: 86,400 bins
+// decimate by 11, so the 30 s candidate (below four decimated bins)
+// verifies on the undecimated basis.
+func TestDetectSeriesAllocs(t *testing.T) {
+	series := make([]float64, 86400)
+	var intervals []float64
+	for i := 0; i < len(series); i += 30 {
+		series[i] = 1
+		if i > 0 {
+			intervals = append(intervals, 30)
+		}
+	}
+	det := NewDetector(DefaultConfig())
+	cfg := det.Config()
+	res, err := det.DetectSeries(series, 1, intervals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Kept) != 1 || math.Abs(res.Kept[0].BestPeriod()-30) > 0.5 || res.Kept[0].Period >= 4*11 {
+		t.Fatalf("want one verified ~30 s candidate (fine basis), got %+v", res.Kept)
+	}
+	sc := borrowDetectScratch() // held, not pooled: the race detector drops pooled items
+	defer releaseDetectScratch(sc)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := det.detectSeries(sc, series, 1, intervals, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sample := subsampleInto(nil, appendNonzero(nil, intervals), cfg.GMMMaxIntervalSample)
+	gmmAllocs := testing.AllocsPerRun(5, func() {
+		sel, err := stats.FitBestGMM(sample, cfg.GMMMaxComponents, stats.GMMConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel.Best.DominantComponents(cfg.GMMMinWeight)
+	})
+	if want := 3 + gmmAllocs; allocs != want {
+		t.Errorf("%v allocs/op, want %v: the Result, its candidate and kept lists and %v for the GMM selection", allocs, want, gmmAllocs)
 	}
 }

@@ -4,21 +4,62 @@ import (
 	"math"
 )
 
-// Autocorrelation computes the normalized circular autocorrelation function
-// of x using the Wiener–Khinchin theorem: ACF = IFFT(|FFT(x)|^2). The series
-// is mean-centered before transforming and the result is normalized so that
-// ACF[0] == 1 (unless the series has zero variance, in which case all lags
-// are zero). The returned slice has the same length as x; only lags up to
-// len(x)/2 are meaningful for period verification.
+// LagACFInto evaluates the normalised autocorrelation of a series of n
+// samples at lags 0..maxLag (clamped to n-1) into dst, grown as needed and
+// returned. The estimator is the biased linear one: the series is
+// mean-centred, r[t] = Σ_{i<n-t} (x_i - m)(x_{i+t} - m), and the result
+// is r[t]/r[0], so lag 0 is 1 — or every lag is 0 when the series has zero
+// variance.
 //
-// To avoid the wrap-around bias of a purely circular estimate, the series is
-// zero-padded to at least twice its length (rounded up to a power of two)
-// before transforming, which yields the standard biased linear ACF estimate
-// in O(n log n).
-func Autocorrelation(x []float64) ([]float64, error) {
-	s := borrowScratch()
-	defer releaseScratch(s)
-	return s.AutocorrelationInto(nil, x)
+// The series is given by its nonzero samples: x[idx[i]] = val[i] with idx
+// strictly increasing, every other sample zero. Expanding the centred
+// product, r[t] = Σ x_i x_{i+t} - m·(Σ_{i<n-t} x_i + Σ_{i≥t} x_i) +
+// (n-t)·m²: the products run over pairs of nonzero samples at most maxLag
+// apart, and the two partial sums are the total less the first or last t
+// samples. The cost is O(nonzero pairs within maxLag + maxLag), not
+// O(n log n), which is what lets the detector's step 3 evaluate only the
+// lags its hill and trough tests read on series that are mostly empty
+// bins. Integer counts give exact products and sums, so lags whose
+// nonzero pairs match tie exactly.
+func LagACFInto(dst []float64, idx []int, val []float64, n, maxLag int) []float64 {
+	if maxLag > n-1 {
+		maxLag = n - 1
+	}
+	if maxLag < 0 {
+		return dst[:0]
+	}
+	r := floatScratch(&dst, maxLag+1)
+	clear(r)
+	var sum float64
+	for a, i := range idx {
+		va := val[a]
+		sum += va
+		for b := a; b < len(idx) && idx[b]-i <= maxLag; b++ {
+			r[idx[b]-i] += va * val[b]
+		}
+	}
+	mean := sum / float64(n)
+	var head, tail float64 // sums of the first t and the last t samples
+	h, tl := 0, len(idx)-1
+	for t := range r {
+		for ; h < len(idx) && idx[h] < t; h++ {
+			head += val[h]
+		}
+		for ; tl >= 0 && idx[tl] >= n-t; tl-- {
+			tail += val[tl]
+		}
+		r[t] += mean * (float64(n-t)*mean - (2*sum - head - tail))
+	}
+	norm := r[0]
+	if norm <= 0 || math.IsNaN(norm) {
+		clear(r)
+		return r // zero-variance series: ACF identically zero
+	}
+	for t := 1; t < len(r); t++ {
+		r[t] /= norm
+	}
+	r[0] = 1
+	return r
 }
 
 // HillResult describes the outcome of validating a candidate lag on the ACF.

@@ -1,19 +1,16 @@
 package dsp
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Batched spectral transforms: plan-at-a-time scheduling over many
 // same-length series.
 //
 // The detector's permutation threshold transforms m shuffles of one
-// series, and batch detection transforms thousands of series bucketed
-// into a handful of lengths — in both cases the same plan is applied
-// back-to-back. Running those transforms as one batch amortizes the plan
-// and twiddle-table lookups and executes the radix-2 butterflies across
-// the whole batch (every series padded to one power-of-two length) in an
-// interleaved layout:
+// series through the same plan back-to-back, and keeps one number from
+// each spectrum: its largest non-DC power. Running those transforms as one
+// batch amortizes the plan and twiddle-table lookups and executes the
+// radix-2 butterflies across the whole batch (every series padded to one
+// power-of-two length) in an interleaved layout:
 // sample i of series j lives at x[i*b+j], so one butterfly's twiddle
 // factor is loaded once and applied to b adjacent complex values. The
 // per-series floating-point operations and their order are exactly those
@@ -24,7 +21,7 @@ import (
 // of plan length n: x[i*b+j] is sample i of series j, len(x) = n*b. The
 // butterfly schedule per series is identical to transform, so each
 // series' output is bit-identical to transforming it alone.
-func (p *fftPlan) batchTransform(x []complex128, b int, inverse bool) {
+func (p *fftPlan) batchTransform(x []complex128, b int) {
 	n := p.n
 	for i, r := range p.rev {
 		if int(r) > i {
@@ -35,17 +32,13 @@ func (p *fftPlan) batchTransform(x []complex128, b int, inverse bool) {
 			}
 		}
 	}
-	tw := p.w
-	if inverse {
-		tw = p.wInv
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		stride := n / size
 		for start := 0; start < n; start += size {
 			ti := 0
 			for k := start; k < start+half; k++ {
-				w := tw[ti]
+				w := p.w[ti]
 				ka, kb := k*b, (k+half)*b
 				for j := 0; j < b; j++ {
 					a := x[ka+j]
@@ -73,61 +66,61 @@ func batchTile(h, b int) int {
 	return t
 }
 
-// SetInterleave selects the batch layout of PeriodogramRowsInto: enabled
-// (the default) runs batches through the interleaved tile transform;
-// disabled processes rows one at a time through the packed single-series
-// path. Both layouts produce bit-identical results — the toggle exists for
-// measurement and for the differential tests.
-func (s *Scratch) SetInterleave(enabled bool) {
-	s.noInterleave = !enabled
-}
-
-// PeriodogramRowsInto estimates the power spectra of b same-length series
-// stored row-major in rows (series j occupies rows[j*n:(j+1)*n]), writing
-// spectrum j into pgs[j] exactly as PeriodogramInto would. b is len(pgs)
-// and len(rows) must be b*n. Every row is centred and zero-padded to the
-// next power of two as PeriodogramInto does, and tiles of the batch run
-// through one interleaved packed-real transform per tile (one plan
-// lookup, shared twiddle loads). Each pgs[j].Power is owned by the caller
-// and shares no storage with the Scratch.
+// MaxPowersInto appends to dst, for each of m series of n samples, the
+// largest non-DC power of its periodogram: the value Periodogram.MaxPower
+// returns after PeriodogramInto over that series, bit for bit. next is
+// called m times, in order, and returns the next series (n samples); the
+// kernel reads it before calling next again, so next may return the same
+// buffer each time.
 //
-//bw:noalloc steady-state batch spectrum path; covered by TestPeriodogramRowsIntoAllocs
-func (s *Scratch) PeriodogramRowsInto(pgs []Periodogram, rows []float64, n int, sampleInterval float64) error {
-	if err := checkSpectrumInput(n, sampleInterval); err != nil {
-		return err
+// Tiles of the m series are centred, zero-padded and packed into one
+// interleaved buffer, transformed together, and each unpacked spectrum is
+// reduced straight to its maximum: no per-series Periodogram is built.
+// The maximum is taken over the unnormalised |X_k|² and divided by n once;
+// rounding is monotone, so that equals the maximum of the normalised
+// powers PeriodogramInto stores.
+func (s *Scratch) MaxPowersInto(dst []float64, n, m int, next func() []float64) ([]float64, error) {
+	if n < 4 {
+		return dst, fmt.Errorf("%w: n=%d", ErrShortSeries, n)
 	}
-	b := len(pgs)
-	if len(rows) != b*n {
-		return fmt.Errorf("dsp: batch shape mismatch: %d samples for %d series of length %d", len(rows), b, n)
-	}
-	if b < 2 || s.noInterleave {
-		for j := 0; j < b; j++ {
-			if err := s.PeriodogramInto(&pgs[j], rows[j*n:(j+1)*n], sampleInterval); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	h := NextPowerOfTwo(n) / 2
 	w := s.planFor(2 * h).w
 	hp := s.planFor(h)
-	tile := batchTile(h, b)
-	z := complexScratch(&s.ix, h*tile)
-	for lo := 0; lo < b; lo += tile {
-		t := tile
-		if lo+t > b {
-			t = b - lo
-		}
+	tile := batchTile(h, m)
+	z := complexScratch(&s.cx, h*tile)
+	inv := 1 / float64(n)
+	for lo := 0; lo < m; lo += tile {
+		t := min(tile, m-lo)
 		zt := z[:h*t]
 		for j := 0; j < t; j++ {
-			x := rows[(lo+j)*n : (lo+j+1)*n]
+			x := next()
 			packReal(zt, t, j, x, meanOf(x))
 		}
-		hp.batchTransform(zt, t, false)
+		hp.batchTransform(zt, t)
 		for j := 0; j < t; j++ {
-			powerInto(&pgs[lo+j], zt, h, t, j, w, n, sampleInterval)
+			dst = append(dst, maxPower(zt, h, t, j, w)*inv)
 		}
 	}
-	return nil
+	return dst, nil
+}
+
+// maxPower is the largest |X_k|², k = 1..h, of packed series j of the
+// transformed b-wide buffer z, each term computed exactly as powerInto
+// computes it and compared in MaxPower's order (strictly greater, from
+// zero).
+func maxPower(z []complex128, h, b, j int, w []complex128) float64 {
+	var best float64
+	for k := 1; k < h; k++ {
+		xk, _ := unpackSpectrum(z, h, b, j, w, k)
+		re, im := real(xk), imag(xk)
+		if p := re*re + im*im; p > best {
+			best = p
+		}
+	}
+	_, xh := unpackSpectrum(z, h, b, j, w, 0)
+	re, im := real(xh), imag(xh)
+	if p := re*re + im*im; p > best {
+		best = p
+	}
+	return best
 }

@@ -1,6 +1,8 @@
 package dsp
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -27,72 +29,57 @@ func batchRows(seed int64, b, n int) []float64 {
 	return rows
 }
 
-// TestPeriodogramRowsDifferential pins the batch contract: every spectrum
-// of an interleaved batch must be bit-identical to running the same row
-// through the single-series PeriodogramInto, across power-of-two and
-// zero-padded lengths (odd ones included, whose last packed sample is
-// half pad) and batch sizes that exercise partial tiles. 3600 is an hour
-// at 1 s; 7855 is a one-day series after the detector's decimation.
-func TestPeriodogramRowsDifferential(t *testing.T) {
-	s := NewScratch()
-	ref := NewScratch()
-	for _, tc := range []struct{ b, n int }{
-		{1, 64}, {2, 64}, {7, 256}, {3, 4096}, {20, 4096}, {5, 100}, {4, 1985},
-		{20, 3600}, {20, 7855}, {3, 7855},
-	} {
-		rows := batchRows(int64(tc.b*tc.n), tc.b, tc.n)
-		pgs := make([]Periodogram, tc.b)
-		if err := s.PeriodogramRowsInto(pgs, rows, tc.n, 1); err != nil {
-			t.Fatalf("b=%d n=%d: %v", tc.b, tc.n, err)
-		}
-		for j := 0; j < tc.b; j++ {
-			var want Periodogram
-			if err := ref.PeriodogramInto(&want, rows[j*tc.n:(j+1)*tc.n], 1); err != nil {
-				t.Fatalf("reference b=%d n=%d j=%d: %v", tc.b, tc.n, j, err)
-			}
-			if pgs[j].N != want.N || pgs[j].SampleInterval != want.SampleInterval {
-				t.Fatalf("b=%d n=%d j=%d: metadata mismatch", tc.b, tc.n, j)
-			}
-			if len(pgs[j].Power) != len(want.Power) {
-				t.Fatalf("b=%d n=%d j=%d: %d power bins, want %d", tc.b, tc.n, j, len(pgs[j].Power), len(want.Power))
-			}
-			for k := range want.Power {
-				if pgs[j].Power[k] != want.Power[k] { // exact: bit-identity is the contract under test
-					t.Fatalf("b=%d n=%d j=%d bin %d: %g != %g", tc.b, tc.n, j, k, pgs[j].Power[k], want.Power[k])
-				}
-			}
-		}
+// rowFeed returns a MaxPowersInto callback handing out the rows in order
+// through one reused buffer, as the detector's shuffle does.
+func rowFeed(rows []float64, n int) func() []float64 {
+	buf := make([]float64, n)
+	next := 0
+	return func() []float64 {
+		copy(buf, rows[next*n:(next+1)*n])
+		next++
+		return buf
 	}
 }
 
-// TestPeriodogramRowsLayoutsAgree pins that the interleaved and
-// sequential layouts are interchangeable bit-for-bit, so SetInterleave is
-// purely a measurement knob.
-func TestPeriodogramRowsLayoutsAgree(t *testing.T) {
-	inter := NewScratch()
-	seq := NewScratch()
-	seq.SetInterleave(false)
-	const b, n = 9, 1024
-	rows := batchRows(42, b, n)
-	a := make([]Periodogram, b)
-	c := make([]Periodogram, b)
-	if err := inter.PeriodogramRowsInto(a, rows, n, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.PeriodogramRowsInto(c, rows, n, 2); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < b; j++ {
-		for k := range a[j].Power {
-			if a[j].Power[k] != c[j].Power[k] { // exact: bit-identity is the contract under test
-				t.Fatalf("row %d bin %d: interleaved %g != sequential %g", j, k, a[j].Power[k], c[j].Power[k])
+// TestPeriodogramRowsDifferential pins the batch maxima contract: the
+// maximum MaxPowersInto reports for every row of an interleaved batch must
+// be bit-identical to PeriodogramInto + MaxPower over that row alone,
+// across power-of-two and zero-padded lengths (odd ones included, whose
+// last packed sample is half pad) and batch sizes that exercise partial
+// tiles. 3600 is an hour at 1 s; 7855 is a one-day series after the
+// detector's decimation; 8192 is the full analysis length.
+func TestPeriodogramRowsDifferential(t *testing.T) {
+	s := NewScratch()
+	ref := NewScratch()
+	var maxima []float64
+	for _, tc := range []struct{ b, n int }{
+		{1, 64}, {2, 64}, {20, 64}, {7, 256}, {3, 4096}, {20, 4096}, {5, 100}, {4, 1985},
+		{20, 3600}, {20, 7855}, {3, 7855}, {20, 8192},
+	} {
+		rows := batchRows(int64(tc.b*tc.n), tc.b, tc.n)
+		var err error
+		maxima, err = s.MaxPowersInto(maxima[:0], tc.n, tc.b, rowFeed(rows, tc.n))
+		if err != nil {
+			t.Fatalf("b=%d n=%d: %v", tc.b, tc.n, err)
+		}
+		if len(maxima) != tc.b {
+			t.Fatalf("b=%d n=%d: %d maxima", tc.b, tc.n, len(maxima))
+		}
+		for j := 0; j < tc.b; j++ {
+			var pg Periodogram
+			if err := ref.PeriodogramInto(&pg, rows[j*tc.n:(j+1)*tc.n], 1); err != nil {
+				t.Fatalf("reference b=%d n=%d j=%d: %v", tc.b, tc.n, j, err)
+			}
+			want, _ := pg.MaxPower()
+			if math.Float64bits(maxima[j]) != math.Float64bits(want) {
+				t.Fatalf("b=%d n=%d j=%d: max power %g != %g", tc.b, tc.n, j, maxima[j], want)
 			}
 		}
 	}
 }
 
 // TestBatchTransformMatchesTransform checks the interleaved butterfly
-// schedule against the single-series plan transform, forward and inverse.
+// schedule against the single-series plan transform.
 func TestBatchTransformMatchesTransform(t *testing.T) {
 	const b, n = 5, 512
 	rng := rand.New(rand.NewSource(7))
@@ -107,55 +94,52 @@ func TestBatchTransformMatchesTransform(t *testing.T) {
 			batch[i*b+j] = v
 		}
 	}
-	for _, inverse := range []bool{false, true} {
-		sb := append([]complex128(nil), batch...)
-		p.batchTransform(sb, b, inverse)
-		for j := 0; j < b; j++ {
-			ss := append([]complex128(nil), single[j]...)
-			p.transform(ss, inverse)
-			for i := 0; i < n; i++ {
-				if sb[i*b+j] != ss[i] { // exact: bit-identity is the contract under test
-					t.Fatalf("inverse=%v series %d sample %d: %v != %v", inverse, j, i, sb[i*b+j], ss[i])
-				}
+	p.batchTransform(batch, b)
+	for j := 0; j < b; j++ {
+		p.transform(single[j])
+		for i := 0; i < n; i++ {
+			if batch[i*b+j] != single[j][i] { // exact: bit-identity is the contract under test
+				t.Fatalf("series %d sample %d: %v != %v", j, i, batch[i*b+j], single[j][i])
 			}
 		}
 	}
 }
 
-// TestPeriodogramRowsShapeErrors pins the input validation.
+// TestPeriodogramRowsShapeErrors pins the batch kernel's input
+// validation: series too short for a spectrum fail without consuming a
+// row.
 func TestPeriodogramRowsShapeErrors(t *testing.T) {
 	s := NewScratch()
-	pgs := make([]Periodogram, 2)
-	if err := s.PeriodogramRowsInto(pgs, make([]float64, 129), 64, 1); err == nil {
-		t.Error("mismatched rows length should fail")
-	}
-	if err := s.PeriodogramRowsInto(pgs, make([]float64, 4), 2, 1); err == nil {
-		t.Error("short series should fail")
-	}
-	if err := s.PeriodogramRowsInto(pgs, make([]float64, 128), 64, 0); err == nil {
-		t.Error("zero sample interval should fail")
+	_, err := s.MaxPowersInto(nil, 3, 2, func() []float64 {
+		t.Fatal("next called for a short series")
+		return nil
+	})
+	if !errors.Is(err, ErrShortSeries) {
+		t.Errorf("n=3: err = %v, want ErrShortSeries", err)
 	}
 }
 
-// TestPeriodogramRowsIntoAllocs is the //bw:noalloc proof: once the tile
-// buffer and the caller's Power buffers are warm, batch spectra touch no
-// heap — at a power-of-two length and at one the batch zero-pads.
+// TestPeriodogramRowsIntoAllocs: once the tile buffer and the caller's
+// maxima buffer are warm, batch maxima touch no heap — at a power-of-two
+// length and at one the batch zero-pads.
 func TestPeriodogramRowsIntoAllocs(t *testing.T) {
 	s := NewScratch()
 	const b = 20
 	for _, n := range []int{4096, 7855} {
 		rows := batchRows(3, b, n)
-		pgs := make([]Periodogram, b)
-		if err := s.PeriodogramRowsInto(pgs, rows, n, 1); err != nil {
+		row := rows[:n]
+		next := func() []float64 { return row }
+		maxima, err := s.MaxPowersInto(nil, n, b, next)
+		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if err := s.PeriodogramRowsInto(pgs, rows, n, 1); err != nil {
+			if maxima, err = s.MaxPowersInto(maxima[:0], n, b, next); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("n=%d: %v allocs/op in warm batch periodogram, want 0", n, allocs)
+			t.Errorf("n=%d: %v allocs/op in warm batch maxima, want 0", n, allocs)
 		}
 	}
 }

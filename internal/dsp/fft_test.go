@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -10,6 +11,90 @@ import (
 )
 
 const eps = 1e-9
+
+// The detector transforms only through the packed real paths of a Scratch;
+// these whole-array entry points over the same plans exist to test the
+// transform itself.
+
+var (
+	errEmptyInput    = errors.New("dsp: empty input")
+	errNotPowerOfTwo = errors.New("dsp: transform length is not a power of two")
+)
+
+// isPowerOfTwo reports whether n is a positive power of two.
+func isPowerOfTwo(n int) bool {
+	return n > 0 && n&(n-1) == 0
+}
+
+// transformInPlace validates x's length and runs the forward radix-2
+// transform over it in place.
+func transformInPlace(x []complex128) error {
+	switch n := len(x); {
+	case n == 0:
+		return errEmptyInput
+	case !isPowerOfTwo(n):
+		return fmt.Errorf("%w: n=%d", errNotPowerOfTwo, n)
+	case n > 1:
+		sharedPlanFor(n).transform(x)
+	}
+	return nil
+}
+
+// fft is the discrete Fourier transform of x (length a power of two), as a
+// new slice.
+func fft(x []complex128) ([]complex128, error) {
+	out := append([]complex128(nil), x...)
+	if err := transformInPlace(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ifft is the inverse transform with its 1/N normalisation, taken as
+// conj(fft(conj(x)))/N.
+func ifft(x []complex128) ([]complex128, error) {
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = cmplx.Conj(v)
+	}
+	if err := transformInPlace(out); err != nil {
+		return nil, err
+	}
+	n := complex(float64(len(out)), 0)
+	for i := range out {
+		out[i] = cmplx.Conj(out[i]) / n
+	}
+	return out, nil
+}
+
+// fftReal transforms a real-valued series whose length is a power of two.
+func fftReal(x []float64) ([]complex128, error) {
+	cx := make([]complex128, len(x))
+	for i, v := range x {
+		cx[i] = complex(v, 0)
+	}
+	if err := transformInPlace(cx); err != nil {
+		return nil, err
+	}
+	return cx, nil
+}
+
+// naiveDFT computes the DFT by direct O(n^2) summation: the reference the
+// transform is checked against, and the convention it follows (negative
+// exponent forward transform).
+func naiveDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			theta := -2 * math.Pi * float64(k) * float64(t) / float64(n)
+			sum += x[t] * cmplx.Exp(complex(0, theta))
+		}
+		out[k] = sum
+	}
+	return out
+}
 
 func complexSliceClose(t *testing.T, got, want []complex128, tol float64) {
 	t.Helper()
@@ -24,19 +109,19 @@ func complexSliceClose(t *testing.T, got, want []complex128, tol float64) {
 }
 
 func TestFFTEmptyInput(t *testing.T) {
-	if _, err := FFT(nil); err == nil {
+	if _, err := fft(nil); err == nil {
 		t.Fatal("expected error for empty input")
 	}
-	if _, err := IFFT(nil); err == nil {
+	if _, err := ifft(nil); err == nil {
 		t.Fatal("expected error for empty IFFT input")
 	}
-	if _, err := FFTReal(nil); err == nil {
+	if _, err := fftReal(nil); err == nil {
 		t.Fatal("expected error for empty FFTReal input")
 	}
 }
 
 func TestFFTSingleElement(t *testing.T) {
-	got, err := FFT([]complex128{complex(3, -2)})
+	got, err := fft([]complex128{complex(3, -2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +130,14 @@ func TestFFTSingleElement(t *testing.T) {
 
 func TestFFTKnownValues(t *testing.T) {
 	// DFT of [1, 0, 0, 0] is [1, 1, 1, 1].
-	got, err := FFT([]complex128{1, 0, 0, 0})
+	got, err := fft([]complex128{1, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	complexSliceClose(t, got, []complex128{1, 1, 1, 1}, eps)
 
 	// DFT of [1, 1, 1, 1] is [4, 0, 0, 0].
-	got, err = FFT([]complex128{1, 1, 1, 1})
+	got, err = fft([]complex128{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +151,11 @@ func TestFFTMatchesNaiveDFTPowerOfTwo(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		got, err := FFT(x)
+		got, err := fft(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := NaiveDFT(x)
+		want := naiveDFT(x)
 		complexSliceClose(t, got, want, 1e-7*float64(n))
 	}
 }
@@ -80,14 +165,14 @@ func TestFFTMatchesNaiveDFTPowerOfTwo(t *testing.T) {
 // no arbitrary-length transform exists and other lengths are an error.
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{3, 5, 6, 7, 12, 17, 100, 101, 255, 1000} {
-		if _, err := FFT(make([]complex128, n)); !errors.Is(err, ErrNotPowerOfTwo) {
-			t.Errorf("FFT n=%d: err = %v, want ErrNotPowerOfTwo", n, err)
+		if _, err := fft(make([]complex128, n)); !errors.Is(err, errNotPowerOfTwo) {
+			t.Errorf("FFT n=%d: err = %v, want errNotPowerOfTwo", n, err)
 		}
-		if _, err := IFFT(make([]complex128, n)); !errors.Is(err, ErrNotPowerOfTwo) {
-			t.Errorf("IFFT n=%d: err = %v, want ErrNotPowerOfTwo", n, err)
+		if _, err := ifft(make([]complex128, n)); !errors.Is(err, errNotPowerOfTwo) {
+			t.Errorf("IFFT n=%d: err = %v, want errNotPowerOfTwo", n, err)
 		}
-		if _, err := FFTReal(make([]float64, n)); !errors.Is(err, ErrNotPowerOfTwo) {
-			t.Errorf("FFTReal n=%d: err = %v, want ErrNotPowerOfTwo", n, err)
+		if _, err := fftReal(make([]float64, n)); !errors.Is(err, errNotPowerOfTwo) {
+			t.Errorf("FFTReal n=%d: err = %v, want errNotPowerOfTwo", n, err)
 		}
 	}
 }
@@ -99,11 +184,11 @@ func TestIFFTRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		spec, err := FFT(x)
+		spec, err := fft(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := IFFT(spec)
+		back, err := ifft(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +199,7 @@ func TestIFFTRoundTrip(t *testing.T) {
 func TestFFTDoesNotMutateInput(t *testing.T) {
 	x := []complex128{1, 2, 3, 4, 5, 6, 7, 8}
 	orig := append([]complex128(nil), x...)
-	if _, err := FFT(x); err != nil {
+	if _, err := fft(x); err != nil {
 		t.Fatal(err)
 	}
 	complexSliceClose(t, x, orig, 0)
@@ -131,9 +216,9 @@ func TestFFTLinearity(t *testing.T) {
 		b[i] = complex(rng.NormFloat64(), 0)
 		sum[i] = 2*a[i] + 3*b[i]
 	}
-	fa, _ := FFT(a)
-	fb, _ := FFT(b)
-	fsum, _ := FFT(sum)
+	fa, _ := fft(a)
+	fb, _ := fft(b)
+	fsum, _ := fft(sum)
 	want := make([]complex128, n)
 	for i := range want {
 		want[i] = 2*fa[i] + 3*fb[i]
@@ -152,7 +237,7 @@ func TestFFTParseval(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			timeEnergy += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
 		}
-		spec, err := FFT(x)
+		spec, err := fft(x)
 		if err != nil {
 			return false
 		}
@@ -177,7 +262,7 @@ func TestFFTImpulseShift(t *testing.T) {
 		shift := rng.Intn(n)
 		x := make([]complex128, n)
 		x[shift] = 1
-		spec, err := FFT(x)
+		spec, err := fft(x)
 		if err != nil {
 			return false
 		}
@@ -207,13 +292,13 @@ func TestNextPowerOfTwo(t *testing.T) {
 
 func TestIsPowerOfTwo(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 1024} {
-		if !IsPowerOfTwo(n) {
-			t.Errorf("IsPowerOfTwo(%d) = false, want true", n)
+		if !isPowerOfTwo(n) {
+			t.Errorf("isPowerOfTwo(%d) = false, want true", n)
 		}
 	}
 	for _, n := range []int{0, -1, 3, 6, 1000} {
-		if IsPowerOfTwo(n) {
-			t.Errorf("IsPowerOfTwo(%d) = true, want false", n)
+		if isPowerOfTwo(n) {
+			t.Errorf("isPowerOfTwo(%d) = true, want false", n)
 		}
 	}
 }
@@ -225,7 +310,7 @@ func TestFFTRealPureTone(t *testing.T) {
 	for i := range x {
 		x[i] = math.Cos(2 * math.Pi * 5 * float64(i) / float64(n))
 	}
-	spec, err := FFTReal(x)
+	spec, err := fftReal(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +334,7 @@ func BenchmarkFFTPow2_1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FFT(x); err != nil {
+		if _, err := fft(x); err != nil {
 			b.Fatal(err)
 		}
 	}

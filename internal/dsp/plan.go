@@ -22,14 +22,13 @@ import (
 // package-level entry points always return freshly allocated results.
 
 // fftPlan caches the size-dependent tables of the radix-2 transform: the
-// bit-reversal permutation and the twiddle factors w[j] = exp(-2πi·j/n)
-// (wInv holds the conjugates for the inverse transform). Plans are
-// immutable after construction and safe to share across goroutines.
+// bit-reversal permutation and the twiddle factors w[j] = exp(-2πi·j/n).
+// Plans are immutable after construction and safe to share across
+// goroutines.
 type fftPlan struct {
-	n    int
-	rev  []int32
-	w    []complex128
-	wInv []complex128
+	n   int
+	rev []int32
+	w   []complex128
 }
 
 var (
@@ -58,10 +57,9 @@ func sharedPlanFor(n int) *fftPlan {
 
 func newFFTPlan(n int) *fftPlan {
 	p := &fftPlan{
-		n:    n,
-		rev:  make([]int32, n),
-		w:    make([]complex128, n/2),
-		wInv: make([]complex128, n/2),
+		n:   n,
+		rev: make([]int32, n),
+		w:   make([]complex128, n/2),
 	}
 	shift := uint(64 - bits.Len(uint(n-1)))
 	for i := range p.rev {
@@ -70,23 +68,17 @@ func newFFTPlan(n int) *fftPlan {
 	for j := range p.w {
 		s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
 		p.w[j] = complex(c, s)
-		p.wInv[j] = complex(c, -s)
 	}
 	return p
 }
 
-// transform runs the in-place radix-2 FFT over the cached tables. When
-// inverse is true it computes the unnormalized inverse transform.
-func (p *fftPlan) transform(x []complex128, inverse bool) {
+// transform runs the in-place forward radix-2 FFT over the cached tables.
+func (p *fftPlan) transform(x []complex128) {
 	n := p.n
 	for i, r := range p.rev {
 		if int(r) > i {
 			x[i], x[r] = x[r], x[i]
 		}
-	}
-	tw := p.w
-	if inverse {
-		tw = p.wInv
 	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
@@ -94,7 +86,7 @@ func (p *fftPlan) transform(x []complex128, inverse bool) {
 		for start := 0; start < n; start += size {
 			ti := 0
 			for k := start; k < start+half; k++ {
-				w := tw[ti]
+				w := p.w[ti]
 				a := x[k]
 				b := x[k+half] * w
 				x[k] = a + b
@@ -112,13 +104,7 @@ func (p *fftPlan) transform(x []complex128, inverse bool) {
 // concurrent use; give each worker its own (they are cheap when idle).
 type Scratch struct {
 	plans map[int]*fftPlan
-	cx    []complex128 // primary transform buffer
-	re    []float64    // real intermediate buffer (packed-real paths)
-	ix    []complex128 // interleaved tile buffer (batch transforms)
-
-	// noInterleave forces PeriodogramRowsInto through the per-series
-	// path; see SetInterleave.
-	noInterleave bool
+	cx    []complex128 // transform buffer: one packed series, or a tile of them
 }
 
 // NewScratch returns an empty workspace. Buffers and plan memos grow on
@@ -251,75 +237,14 @@ func (s *Scratch) PeriodogramInto(pg *Periodogram, x []float64, sampleInterval f
 	h := NextPowerOfTwo(len(x)) / 2
 	z := complexScratch(&s.cx, h)
 	packReal(z, 1, 0, x, meanOf(x))
-	s.planFor(h).transform(z, false)
+	s.planFor(h).transform(z)
 	powerInto(pg, z, h, 1, 0, s.planFor(2*h).w, len(x), sampleInterval)
 	return nil
 }
 
-// AutocorrelationInto computes the normalized autocorrelation of x into
-// dst (grown as needed, reusing its backing array) and returns it. It is
-// the allocation-free equivalent of Autocorrelation; see that function for
-// the estimator's definition. Both transforms of the Wiener–Khinchin
-// round-trip run as packed real FFTs at half the padded length. dst must
-// not alias x.
-//
-//bw:noalloc steady-state ACF path; covered by TestAutocorrelationIntoAllocs
-func (s *Scratch) AutocorrelationInto(dst []float64, x []float64) ([]float64, error) {
-	n := len(x)
-	if n < 2 {
-		return nil, fmt.Errorf("%w: n=%d", ErrShortSeries, n)
-	}
-
-	// Zero-pad to m >= 2n (power of two) for the linear-ACF estimate; the
-	// padded series is real, so both the forward spectrum and the inverse
-	// transform of the (real, even) power sequence pack into half-length
-	// complex FFTs.
-	m := NextPowerOfTwo(2 * n)
-	h := m / 2
-	z := complexScratch(&s.cx, h)
-	packReal(z, 1, 0, x, meanOf(x))
-	p := s.planFor(h)
-	p.transform(z, false)
-
-	// Power spectrum P[k] = |X[k]|^2 for k = 0..m-1 (even: P[m-k] = P[k]).
-	w := s.planFor(m).w
-	power := floatScratch(&s.re, m)
-	for k := 0; k < h; k++ {
-		xk, xkh := unpackSpectrum(z, h, 1, 0, w, k)
-		re, im := real(xk), imag(xk)
-		power[k] = re*re + im*im
-		re, im = real(xkh), imag(xkh)
-		power[k+h] = re*re + im*im
-	}
-
-	// ACF[t] ∝ Re(FFT_m(P)[t]); P is real, so pack it the same way. The
-	// unnormalized transform suffices: normalization divides by lag 0.
-	for j := 0; j < h; j++ {
-		z[j] = complex(power[2*j], power[2*j+1])
-	}
-	p.transform(z, false)
-
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	x0, _ := unpackSpectrum(z, h, 1, 0, w, 0)
-	norm := real(x0)
-	if norm <= 0 || math.IsNaN(norm) {
-		clear(dst)
-		return dst, nil // zero-variance series: ACF identically zero
-	}
-	for t := 0; t < n; t++ {
-		xt, _ := unpackSpectrum(z, h, 1, 0, w, t)
-		dst[t] = real(xt) / norm
-	}
-	dst[0] = 1
-	return dst, nil
-}
-
 // sharedScratch lends Scratch workspaces to the plain package-level entry
-// points (ComputePeriodogram, Autocorrelation) so one-shot
-// callers still hit the cached plans and reuse transform buffers.
+// point ComputePeriodogram so one-shot callers still hit the cached plans
+// and reuse transform buffers.
 var sharedScratch = sync.Pool{New: func() any { return NewScratch() }}
 
 // borrowScratch hands the pooled workspace to its caller, who must

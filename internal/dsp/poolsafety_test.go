@@ -22,16 +22,3 @@ func TestComputePeriodogramErrorPathReleasesScratch(t *testing.T) {
 		t.Errorf("error path costs %v allocs/op (budget %d): scratch is leaking back to the allocator", allocs, errPathAllocBudget)
 	}
 }
-
-func TestAutocorrelationErrorPathReleasesScratch(t *testing.T) {
-	short := []float64{1}
-	if _, err := Autocorrelation(short); err == nil {
-		t.Fatal("short series should fail")
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		_, _ = Autocorrelation(short)
-	})
-	if allocs > errPathAllocBudget {
-		t.Errorf("error path costs %v allocs/op (budget %d): scratch is leaking back to the allocator", allocs, errPathAllocBudget)
-	}
-}

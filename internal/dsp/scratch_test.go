@@ -20,7 +20,7 @@ func randSeries(rng *rand.Rand, n int, period int) []float64 {
 }
 
 // naivePeriodogram is the periodogram's definition evaluated directly:
-// NaiveDFT of the mean-centred series zero-padded to NextPowerOfTwo(n),
+// naiveDFT of the mean-centred series zero-padded to NextPowerOfTwo(n),
 // |X_k|^2 / n for k = 0..N/2 — the reference the fast paths must agree
 // with.
 func naivePeriodogram(x []float64) []float64 {
@@ -34,7 +34,7 @@ func naivePeriodogram(x []float64) []float64 {
 	for i, v := range x {
 		padded[i] = complex(v-mean, 0)
 	}
-	spec := NaiveDFT(padded)
+	spec := naiveDFT(padded)
 	out := make([]float64, len(padded)/2+1)
 	for k := range out {
 		re, im := real(spec[k]), imag(spec[k])
@@ -123,63 +123,35 @@ func TestPeriodogramMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
-// TestScratchAutocorrelationMatchesPublic asserts the Scratch path and the
-// package-level entry point agree bit-for-bit.
-func TestScratchAutocorrelationMatchesPublic(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	s := NewScratch()
-	var dst []float64
-	for _, n := range []int{2, 5, 16, 100, 255, 1024, 4096} {
-		x := randSeries(rng, n, 30)
-		want, err := Autocorrelation(x)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		var got []float64
-		got, err = s.AutocorrelationInto(dst, x)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		dst = got // reuse the buffer across sizes, as the detector does
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: length %d != %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d lag %d: scratch %g != public %g", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestAutocorrelationMatchesNaive validates the packed-real Wiener–Khinchin
-// round-trip against direct O(n^2) summation.
+// TestAutocorrelationMatchesNaive validates both the lag kernel and the
+// packed-real Wiener–Khinchin reference it is held to against direct
+// O(n^2) summation.
 func TestAutocorrelationMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, n := range []int{2, 3, 8, 50, 100, 127} {
 		x := randSeries(rng, n, 9)
 		want := naiveACF(x)
-		got, err := Autocorrelation(x)
+		ref, err := autocorrelation(x)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		kernel := lagACF(x, n)
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("n=%d lag %d: fast %g, naive %g", n, i, got[i], want[i])
+			if math.Abs(ref[i]-want[i]) > 1e-8 || math.Abs(kernel[i]-want[i]) > 1e-8 {
+				t.Fatalf("n=%d lag %d: reference %g, kernel %g, naive %g", n, i, ref[i], kernel[i], want[i])
 			}
 		}
 	}
 }
 
 // TestScratchZeroVariance covers the all-equal input: the ACF must be
-// identically zero (no NaNs from the 0/0 normalization).
+// identically zero (no NaNs from the 0/0 normalization), including into a
+// reused buffer that held another series' lags.
 func TestScratchZeroVariance(t *testing.T) {
-	s := NewScratch()
-	x := []float64{3, 3, 3, 3, 3, 3, 3, 3}
-	acf, err := s.AutocorrelationInto(nil, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	val := []float64{3, 3, 3, 3, 3, 3, 3, 3}
+	acf := LagACFInto(nil, []int{2, 5}, []float64{1, 1}, 8, 7)
+	acf = LagACFInto(acf, idx, val, 8, 7)
 	for i, v := range acf {
 		if v != 0 {
 			t.Fatalf("lag %d: got %g, want 0", i, v)
@@ -210,20 +182,14 @@ func TestPeriodogramIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestAutocorrelationIntoAllocs asserts the steady-state ACF path is
-// allocation-free.
+// TestAutocorrelationIntoAllocs asserts the steady-state ACF path
+// (LagACFInto into a warm buffer) is allocation-free.
 func TestAutocorrelationIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	s := NewScratch()
-	x := randSeries(rng, 4096, 60)
-	dst, err := s.AutocorrelationInto(nil, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx, val := nonzeroOf(randSeries(rng, 4096, 60))
+	dst := LagACFInto(nil, idx, val, 4096, 200)
 	allocs := testing.AllocsPerRun(10, func() {
-		if dst, err = s.AutocorrelationInto(dst, x); err != nil {
-			t.Fatal(err)
-		}
+		dst = LagACFInto(dst, idx, val, 4096, 200)
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs/op on the steady-state path, want 0", allocs)
@@ -259,22 +225,6 @@ func BenchmarkPeriodogramScratch_4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.PeriodogramInto(&pg, x, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAutocorrelationScratch_4096 measures the scratch-reusing ACF
-// path the detector runs in steady state.
-func BenchmarkAutocorrelationScratch_4096(b *testing.B) {
-	x := benchSeries(4096, 60)
-	s := NewScratch()
-	var dst []float64
-	var err error
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dst, err = s.AutocorrelationInto(dst, x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,6 +58,66 @@ func TestShorten(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/<experiment>.golden from this run")
+
+// goldenRows renders every table's header and rows, one tab-separated line
+// each, for the golden files. Columns whose header names a runtime hold
+// wall time, which no two runs share, so their cells are masked.
+func goldenRows(tables []*Table) string {
+	var sb strings.Builder
+	for _, tb := range tables {
+		fmt.Fprintf(&sb, "# %s — %s\n", tb.ID, tb.Title)
+		var wall []bool
+		for _, h := range tb.Header {
+			wall = append(wall, strings.Contains(h, "runtime"))
+		}
+		sb.WriteString(strings.Join(tb.Header, "\t") + "\n")
+		for _, row := range tb.Rows {
+			cells := append([]string(nil), row...)
+			for i := range cells {
+				if i < len(wall) && wall[i] {
+					cells[i] = "<wall time>"
+				}
+			}
+			sb.WriteString(strings.Join(cells, "\t") + "\n")
+		}
+	}
+	return sb.String()
+}
+
+// checkGolden holds an experiment's quick-mode tables to
+// testdata/<name>.golden; go test -run <Test> -update rewrites the file.
+func checkGolden(t *testing.T, name string, tables []*Table) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	got := goldenRows(tables)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("%s line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			}
+		}
+	}
+}
+
 // fastExperiments run in well under a second each in Quick mode.
 var fastExperiments = []string{"fig2", "fig5", "fig6", "fig7"}
 
@@ -76,6 +140,7 @@ func TestFastExperiments(t *testing.T) {
 					t.Errorf("table metadata incomplete: %+v", tb)
 				}
 			}
+			checkGolden(t, name, tables)
 		})
 	}
 }
@@ -94,6 +159,7 @@ func TestSlowExperiments(t *testing.T) {
 			if len(tables) == 0 || len(tables[0].Rows) == 0 {
 				t.Fatal("experiment produced no data")
 			}
+			checkGolden(t, name, tables)
 		})
 	}
 }

@@ -74,24 +74,56 @@ func FitGMM(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("%w: k=%d, n=%d", ErrBadComponentCount, k, n)
 	}
-	return fitGMM(xs, sortedCopy(xs), k, cfg.withDefaults(xs), make([]float64, k*(n+2))), nil
+	return newGMMSample(xs, k).fit(k, cfg.withDefaults(xs)), nil
 }
 
-func sortedCopy(xs []float64) []float64 {
+// gmmSample is a sample prepared for EM. Intervals are whole seconds, so a
+// pair's few hundred of them take a few dozen distinct values: EM runs
+// over the distinct values (vals) weighted by their multiplicities
+// (counts), which is the same likelihood and the same fixed point with
+// far fewer point×component terms. sorted keeps every point for the
+// quantile initialisation and the dead-component re-seed, and work holds
+// the responsibilities and per-component constants for up to the k the
+// sample was prepared for.
+type gmmSample struct {
+	sorted, vals, counts, work []float64
+}
+
+func newGMMSample(xs []float64, maxK int) gmmSample {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return sorted
+	// Distinct means bit-identical: exact duplicates, nothing within a
+	// tolerance.
+	distinct := func(i int) bool {
+		return i == 0 || math.Float64bits(sorted[i]) != math.Float64bits(sorted[i-1])
+	}
+	d := 0
+	for i := range sorted {
+		if distinct(i) {
+			d++
+		}
+	}
+	buf := make([]float64, 2*d+maxK*(d+2))
+	s := gmmSample{sorted: sorted, vals: buf[:0:d], counts: buf[d : d : 2*d], work: buf[2*d:]}
+	for i, x := range sorted {
+		if distinct(i) {
+			s.vals = append(s.vals, x)
+			s.counts = append(s.counts, 0)
+		}
+		s.counts[len(s.counts)-1]++
+	}
+	return s
 }
 
 // halfLog2Pi is ½·log(2π), the constant term of a Gaussian log-density.
 var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 
-// fitGMM runs EM for 1 <= k <= len(xs) components. sorted is xs in
-// ascending order, cfg has its defaults applied, and work holds at least
-// k*(len(xs)+2) floats (the responsibilities and two per-component
-// constants); FitBestGMM shares sorted and work across its fits.
-func fitGMM(xs, sorted []float64, k int, cfg GMMConfig, work []float64) *GMM {
-	n := len(xs)
+// fit runs EM for 1 <= k <= len(s.sorted) components; cfg has its
+// defaults applied. The log-likelihood, weights, BIC and the convergence
+// test count points, not distinct values.
+func (s gmmSample) fit(k int, cfg GMMConfig) *GMM {
+	sorted, vals := s.sorted, s.vals
+	n, d := len(sorted), len(vals)
 	g := &GMM{
 		Weights: make([]float64, k),
 		Means:   make([]float64, k),
@@ -115,12 +147,13 @@ func fitGMM(xs, sorted []float64, k int, cfg GMMConfig, work []float64) *GMM {
 		g.StdDevs[j] = sd
 	}
 
-	// resp[i*k+j] is point i's responsibility under component j. logC[j]
-	// and halfPrec[j] hold the per-iteration constants of component j's
-	// weighted log-density: log w − log σ − ½ log 2π and 1/(2σ²).
-	resp := work[:k*n]
-	logC := work[k*n : k*n+k]
-	halfPrec := work[k*n+k : k*n+2*k]
+	// resp[u*k+j] is the summed responsibility of component j for the
+	// counts[u] points at vals[u]. logC[j] and halfPrec[j] hold the
+	// per-iteration constants of component j's weighted log-density:
+	// log w − log σ − ½ log 2π and 1/(2σ²).
+	resp := s.work[:k*d]
+	logC := s.work[k*d : k*d+k]
+	halfPrec := s.work[k*d+k : k*d+2*k]
 
 	prevLL := math.Inf(-1)
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
@@ -130,14 +163,14 @@ func fitGMM(xs, sorted []float64, k int, cfg GMMConfig, work []float64) *GMM {
 			logC[j] = math.Log(math.Max(g.Weights[j], 1e-300)) - math.Log(sd) - halfLog2Pi
 			halfPrec[j] = 1 / (2 * sd * sd)
 		}
-		ll := eStep(xs, g.Means, logC, halfPrec, resp)
+		ll := eStep(vals, s.counts, g.Means, logC, halfPrec, resp)
 		g.LogLikelihood = ll
 
 		// M-step.
 		for j := 0; j < k; j++ {
 			var nj, mu float64
-			for i, x := range xs {
-				r := resp[i*k+j]
+			for u, x := range vals {
+				r := resp[u*k+j]
 				nj += r
 				mu += r * x
 			}
@@ -151,9 +184,9 @@ func fitGMM(xs, sorted []float64, k int, cfg GMMConfig, work []float64) *GMM {
 			}
 			mu /= nj
 			var va float64
-			for i, x := range xs {
-				d := x - mu
-				va += resp[i*k+j] * d * d
+			for u, x := range vals {
+				dx := x - mu
+				va += resp[u*k+j] * dx * dx
 			}
 			va /= nj
 			g.Weights[j] = nj / float64(n)
@@ -176,15 +209,16 @@ func fitGMM(xs, sorted []float64, k int, cfg GMMConfig, work []float64) *GMM {
 	return g
 }
 
-// eStep writes every point's responsibilities into resp (point-major,
-// k = len(means) per point) and returns the data's log-likelihood. Point
-// i's log-sum-exp is max_j lp_j + log s_i with s_i = Σ_j exp(lp_j − max):
-// the lp_j take no transcendental (logC and halfPrec are hoisted), each
-// term's exp is taken once and reused as the unnormalised
-// responsibility, and since every s_i lies in [1, k] the log s_i are
-// summed as the log of a running product, one log per chunk of points.
-// The chunk is 256 points, fewer once k^256 could pass 2^1023.
-func eStep(xs, means, logC, halfPrec, resp []float64) float64 {
+// eStep writes the responsibilities of every distinct value, scaled by its
+// count, into resp (value-major, k = len(means) per value) and returns the
+// log-likelihood of all the points. Value u's log-sum-exp is
+// max_j lp_j + log s_u with s_u = Σ_j exp(lp_j − max): the lp_j take no
+// transcendental (logC and halfPrec are hoisted), each term's exp is taken
+// once and reused as the unnormalised responsibility, and since every s_u
+// lies in [1, k] the counts[u]·log s_u are summed as the log of a running
+// product with s_u taken once per point, one log per chunk of points. The
+// chunk is 256 points, fewer once k^256 could pass 2^1023.
+func eStep(vals, counts, means, logC, halfPrec, resp []float64) float64 {
 	k := len(means)
 	chunk := 256
 	if c := 1023 / bits.Len(uint(k)); c < chunk {
@@ -192,8 +226,8 @@ func eStep(xs, means, logC, halfPrec, resp []float64) float64 {
 	}
 	var ll float64
 	prod, left := 1.0, chunk
-	for i, x := range xs {
-		r := resp[i*k : i*k+k]
+	for u, x := range vals {
+		r := resp[u*k : u*k+k]
 		maxLp := math.Inf(-1)
 		for j, mu := range means {
 			d := x - mu
@@ -209,15 +243,18 @@ func eStep(xs, means, logC, halfPrec, resp []float64) float64 {
 			r[j] = e
 			sum += e
 		}
-		inv := 1 / sum
+		c := counts[u]
+		scale := c / sum
 		for j := range r {
-			r[j] *= inv
+			r[j] *= scale
 		}
-		ll += maxLp
-		prod *= sum
-		if left--; left == 0 {
-			ll += math.Log(prod)
-			prod, left = 1, chunk
+		ll += c * maxLp
+		for m := int(c); m > 0; m-- {
+			prod *= sum
+			if left--; left == 0 {
+				ll += math.Log(prod)
+				prod, left = 1, chunk
+			}
 		}
 	}
 	return ll + math.Log(prod)
@@ -247,14 +284,14 @@ func FitBestGMM(xs []float64, maxK int, cfg GMMConfig) (*GMMSelection, error) {
 	if maxK > len(xs) {
 		maxK = len(xs)
 	}
-	// The fits share one sorted copy, one set of defaults and one
-	// responsibility buffer sized for the largest k.
-	sorted := sortedCopy(xs)
+	// The fits share one prepared sample (sorted copy, distinct values,
+	// responsibility buffer sized for the largest k) and one set of
+	// defaults.
+	s := newGMMSample(xs, maxK)
 	cfg = cfg.withDefaults(xs)
-	work := make([]float64, maxK*(len(xs)+2))
 	sel := &GMMSelection{BICs: make([]float64, 0, maxK)}
 	for k := 1; k <= maxK; k++ {
-		g := fitGMM(xs, sorted, k, cfg, work)
+		g := s.fit(k, cfg)
 		sel.BICs = append(sel.BICs, g.BIC)
 		if sel.Best == nil || g.BIC < sel.Best.BIC {
 			sel.Best = g

@@ -213,9 +213,10 @@ func TestFitBestGMMClampsK(t *testing.T) {
 }
 
 // fitGMMReference is FitGMM as it stood before the E-step was cut to its
-// arithmetic floor: a LogNormalPDF (two logs) per point×component, two
-// exps per term, one log per point, and fresh k×n responsibility rows per
-// fit. TestFitGMMMatchesReference holds the production fit to it.
+// arithmetic floor and EM moved to distinct values: a LogNormalPDF (two
+// logs) per point×component, two exps per term, one log per point, and
+// fresh k×n responsibility rows per fit. TestFitGMMMatchesReference holds
+// the production fit to it.
 func fitGMMReference(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 	n := len(xs)
 	if k < 1 || k > n {
@@ -325,8 +326,9 @@ func fitGMMReference(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 // gmmSweep builds the seeded inputs TestFitGMMMatchesReference runs:
 // 1–3 component mixtures at sizes from 8 to 2048 points (periods of
 // seconds to hours, tight and loose), heavily duplicated integer
-// intervals, all-identical points, and a far outlier cluster too small to
-// keep its component alive.
+// intervals (beacons, missed beacons, Poisson arrivals — the samples EM
+// collapses to a few dozen distinct values), all-identical points, and a
+// far outlier cluster too small to keep its component alive.
 func gmmSweep() map[string][]float64 {
 	cases := map[string][]float64{}
 	rng := rand.New(rand.NewSource(29))
@@ -345,6 +347,23 @@ func gmmSweep() map[string][]float64 {
 			dup[i] = float64(59 + rng.Intn(3)) // 59, 60, 61 s: binned beacon intervals
 		}
 		cases[fmt.Sprintf("duplicated/n=%d", n)] = dup
+		// Whole-second intervals as a pair's summary yields them: a 300 s
+		// beacon jittered by up to ±3 s, the same with one beacon in six
+		// missed (a 600 s interval), and Poisson arrivals at a 60 s mean.
+		beacon := make([]float64, n)
+		missed := make([]float64, n)
+		poisson := make([]float64, n)
+		for i := range beacon {
+			beacon[i] = float64(297 + rng.Intn(7))
+			missed[i] = beacon[i]
+			if rng.Intn(6) == 0 {
+				missed[i] = float64(597 + rng.Intn(7))
+			}
+			poisson[i] = math.Max(1, math.Round(rng.ExpFloat64()*60))
+		}
+		cases[fmt.Sprintf("beacon-300±3/n=%d", n)] = beacon
+		cases[fmt.Sprintf("beacon-missed-600/n=%d", n)] = missed
+		cases[fmt.Sprintf("poisson-integer/n=%d", n)] = poisson
 	}
 	same := make([]float64, 50)
 	for i := range same {
@@ -362,10 +381,10 @@ func gmmSweep() map[string][]float64 {
 	return cases
 }
 
-// TestFitGMMMatchesReference holds the floor-arithmetic E-step to the
-// reference: for every sweep input and every k, weights, means, σ and BIC
-// agree within 1e-9 relative, and FitBestGMM selects the K the reference
-// fits would.
+// TestFitGMMMatchesReference holds the floor-arithmetic E-step over
+// distinct values to the per-point reference: for every sweep input and
+// every k, weights, means, σ and BIC agree within 1e-9 relative, and
+// FitBestGMM selects the K the reference fits would.
 func TestFitGMMMatchesReference(t *testing.T) {
 	const rel = 1e-9
 	near := func(a, b float64) bool {
