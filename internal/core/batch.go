@@ -13,7 +13,7 @@ import (
 // series cluster into a handful of (length, event count) shapes — short
 // pow2-bucketed windows dominated by the m-permutation threshold loop. Two
 // amortizations apply. First, the permutation spectra of one series batch
-// through a single cached FFT plan (see dsp.PeriodogramRowsInto). Second,
+// through a single cached FFT plan (see dsp.MaxPowersInto). Second,
 // the permutation threshold itself is a pure function of the configured
 // seed and the series' value multiset (permutationThreshold canonicalizes
 // the shuffle start by sorting), so one threshold serves every pair in a

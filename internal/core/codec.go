@@ -22,7 +22,9 @@ import (
 // tests instead of taken by FFT, and EM runs over distinct interval values
 // (last-bit differences; exact ties between ACF lags now go to the lower
 // lag).
-const ResultCodecRevision = 3
+// Revision 4: the permutation null runs on a radix-4 kernel with a paired
+// unpack and centres every shuffle by one mean (last-bit differences).
+const ResultCodecRevision = 4
 
 // ErrResultCorrupt is wrapped by every DecodeResult failure.
 var ErrResultCorrupt = errors.New("core: malformed encoded result")

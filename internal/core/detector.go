@@ -520,21 +520,22 @@ func (d *Detector) detectSeries(sc *detectScratch, series []float64, sampleInter
 // is what lets DetectBatch memoize one threshold per (seed, length, event
 // count, multiset) bucket while staying bit-identical to per-pair Detect.
 //
-// Each of the m shuffles is packed straight into the batch transform's
-// interleaved tile, and each spectrum is reduced to its non-DC maximum
-// without being stored (dsp.MaxPowersInto). The shuffle buffer, rng and
-// maxima list live on sc, so the dominant cost of the detector per
-// Vlachos et al. runs without heap allocations (memo misses insert one map
-// entry; Detect passes memo=nil and stays allocation-free).
+// The set-up is O(nonzeros) (canonicalize), and the mean every shuffle
+// is centred by is summed once: the multiset is fixed, and counts sum
+// exactly in any order. Each of the m shuffles is packed straight into
+// the batch transform's interleaved tile, and each spectrum is reduced to
+// its non-DC maximum without being stored (dsp.MaxPowersInto). The
+// shuffle buffer, rng and maxima list live on sc, so the dominant cost of
+// the detector per Vlachos et al. runs without heap allocations (memo
+// misses insert one map entry; Detect passes memo=nil and stays
+// allocation-free).
 func (d *Detector) permutationThreshold(sc *detectScratch, series []float64, memo *ThresholdMemo) float64 {
 	cfg := d.cfg
-	sc.shuffled = append(sc.shuffled[:0], series...)
-	shuffled := sc.shuffled
-	slices.Sort(shuffled)
-	hash := uint64(seriesSeed(shuffled))
+	n := len(series)
+	hash, events, mean := sc.canonicalize(series)
 	var key ThresholdKey
 	if memo != nil {
-		key = ThresholdKey{Seed: cfg.Seed, SeriesLen: len(series), Events: countEvents(series), Hash: hash}
+		key = ThresholdKey{Seed: cfg.Seed, SeriesLen: n, Events: events, Hash: hash}
 		if t, ok := memo.lookup(key); ok {
 			return t
 		}
@@ -542,9 +543,9 @@ func (d *Detector) permutationThreshold(sc *detectScratch, series []float64, mem
 	// Reseeding the pooled rng reproduces rand.New(rand.NewSource(seed))
 	// exactly: both paths reset the same generator state.
 	sc.rng.Seed(cfg.Seed ^ int64(hash))
-	maxima, err := sc.dsp.MaxPowersInto(sc.maxima[:0], len(series), cfg.Permutations, func() []float64 {
-		shuffleInto(sc.rng, shuffled)
-		return shuffled
+	maxima, err := sc.dsp.MaxPowersInto(sc.maxima[:0], n, cfg.Permutations, mean, func() []float64 {
+		shuffleInto(sc.rng, sc.shuffled)
+		return sc.shuffled
 	})
 	sc.maxima = maxima
 	if err != nil || len(maxima) == 0 {
@@ -563,6 +564,38 @@ func (d *Detector) permutationThreshold(sc *detectScratch, series []float64, mem
 		memo.store(key, t)
 	}
 	return t
+}
+
+// canonicalize loads series' values into sc.shuffled in their sorted
+// order — the shuffles' canonical start — and returns the buffer's FNV-1a
+// hash, the event count countEvents reports, and the values' mean, all
+// in O(nonzeros) beyond one pass over series: only the nonzero values are
+// sorted, and the zeros (-0 included, written back as +0) are slotted in
+// where a full sort puts them, their run hashed in O(log n) by zerosFNV.
+func (sc *detectScratch) canonicalize(series []float64) (hash uint64, events int, mean float64) {
+	n := len(series)
+	buf := slices.Grow(sc.shuffled[:0], n)[:n]
+	sc.shuffled = buf
+	k := 0 // nonzero values, gathered at the front
+	var total float64
+	for _, v := range series {
+		if v != 0 {
+			buf[k] = v
+			k++
+			total += v
+		}
+	}
+	nonzero := buf[:k]
+	slices.Sort(nonzero)
+	neg := 0 // nonzeros a full sort puts before the zeros
+	for neg < k && !(nonzero[neg] > 0) {
+		neg++
+	}
+	pos := buf[n-(k-neg):]
+	copy(pos, nonzero[neg:])
+	clear(buf[neg : n-len(pos)])
+	hash = fnvFloats(zerosFNV(fnvFloats(fnvOffset, buf[:neg]), n-k), pos)
+	return hash, int(total), total / float64(n)
 }
 
 // shuffleInto permutes xs in place exactly as r.Shuffle(len(xs), swap)
@@ -843,16 +876,34 @@ func countEvents(series []float64) int {
 	return int(n)
 }
 
-// seriesSeed derives a deterministic seed component from the series content
-// so that identical inputs shuffle identically across runs.
-func seriesSeed(series []float64) int64 {
-	var h uint64 = 1469598103934665603 // FNV-1a offset basis
-	for _, v := range series {
+// FNV-1a (64-bit) over the little-endian bytes of float64 values: the
+// permutation null's seed component, a fingerprint of the canonical
+// shuffle buffer.
+const (
+	fnvOffset uint64 = 1469598103934665603
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnvFloats continues FNV-1a state h over the bytes of vs.
+func fnvFloats(h uint64, vs []float64) uint64 {
+	for _, v := range vs {
 		bits := math.Float64bits(v)
 		for s := 0; s < 64; s += 8 {
 			h ^= (bits >> s) & 0xff
-			h *= 1099511628211
+			h *= fnvPrime
 		}
 	}
-	return int64(h)
+	return h
+}
+
+// zerosFNV continues FNV-1a state h over z zero values: each zero byte
+// leaves the xor a no-op, so the run multiplies h by fnvPrime^(8z)
+// (mod 2⁶⁴), taken by squaring.
+func zerosFNV(h uint64, z int) uint64 {
+	for p, e := fnvPrime, uint(8*z); e > 0; p, e = p*p, e>>1 {
+		if e&1 == 1 {
+			h *= p
+		}
+	}
+	return h
 }

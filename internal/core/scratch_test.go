@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +135,25 @@ func BenchmarkDetectorPermutationThreshold(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectorPermutationThreshold_Day is the permutation loop in
+// the shape batch-detection feeds it: a day decimated to 7,855 bins
+// holding about 300 sparse counts.
+func BenchmarkDetectorPermutationThreshold_Day(b *testing.B) {
+	det := NewDetector(DefaultConfig())
+	rng := rand.New(rand.NewSource(3))
+	series := make([]float64, 7855)
+	for i := 0; i < 300; i++ {
+		series[rng.Intn(len(series))] += float64(1 + rng.Intn(3))
+	}
+	sc := borrowDetectScratch()
+	defer releaseDetectScratch(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det.permutationThreshold(sc, series, nil)
+	}
+}
+
 // BenchmarkDetectorSeries_4096 measures one full three-step detection over
 // a clean 4096-bin beacon series, the steady-state unit of pipeline work.
 func BenchmarkDetectorSeries_4096(b *testing.B) {
@@ -243,6 +263,76 @@ func TestShuffleIntoMatchesRandShuffle(t *testing.T) {
 			if a, b := rg.Int63(), rw.Int63(); a != b {
 				t.Fatalf("n=%d: rng state differs after the shuffle (draw %d: %d vs %d)", n, k, a, b)
 			}
+		}
+	}
+}
+
+// denseFNV is the seed hash taken the dense way, byte by byte over every
+// value of the buffer: the reference zerosFNV's run skipping must equal.
+func denseFNV(xs []float64) uint64 {
+	h := uint64(1469598103934665603)
+	for _, v := range xs {
+		bits := math.Float64bits(v)
+		for s := 0; s < 64; s += 8 {
+			h ^= (bits >> s) & 0xff
+			h *= 1099511628211
+		}
+	}
+	return h
+}
+
+// TestCanonicalizeMatchesDenseSort pins the O(nonzeros) set-up of the
+// permutation null to the dense one it replaced: the canonical buffer is
+// slices.Sort's order, its hash the byte-wise FNV of that buffer, the
+// event count countEvents', all bit for bit — over all-zero and no-zero
+// series, one nonzero, zero runs of every length up to 300, negative and
+// non-integer values.
+func TestCanonicalizeMatchesDenseSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	series := [][]float64{
+		make([]float64, 64),         // all zero
+		{3, 1, 2, 1, 5, 4, 1, 1},    // no zero
+		{0, 0, 0, 7, 0, 0, 0, 0, 0}, // one nonzero
+		{-1.5, 0, 2.25, 0, -3, 0.1, 0, 0, 1e-300, -0.5},
+	}
+	for z := 0; z <= 300; z++ {
+		x := make([]float64, z+2)
+		x[rng.Intn(len(x))] = float64(1 + rng.Intn(4))
+		x[rng.Intn(len(x))] += rng.Float64()
+		series = append(series, x)
+	}
+	for i := 0; i < 50; i++ {
+		x := make([]float64, 1+rng.Intn(2000))
+		for j := range x {
+			if rng.Intn(8) == 0 {
+				x[j] = float64(rng.Intn(5)) + rng.NormFloat64()*float64(i%2)
+			}
+		}
+		series = append(series, x)
+	}
+	sc := borrowDetectScratch()
+	defer releaseDetectScratch(sc)
+	for i, x := range series {
+		want := append([]float64(nil), x...)
+		slices.Sort(want)
+		hash, events, mean := sc.canonicalize(x)
+		for j := range want {
+			if math.Float64bits(sc.shuffled[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("series %d: canonical buffer %v, want %v", i, sc.shuffled, want)
+			}
+		}
+		if h := denseFNV(want); hash != h {
+			t.Fatalf("series %d: hash %#x, dense FNV %#x", i, hash, h)
+		}
+		if events != countEvents(x) {
+			t.Fatalf("series %d: %d events, want %d", i, events, countEvents(x))
+		}
+		var sum float64
+		for _, v := range want {
+			sum += v
+		}
+		if m := sum / float64(len(x)); math.Abs(mean-m) > 1e-12*math.Abs(m) {
+			t.Fatalf("series %d: mean %g, want %g", i, mean, m)
 		}
 	}
 }

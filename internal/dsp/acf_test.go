@@ -21,19 +21,16 @@ func autocorrelation(x []float64) ([]float64, error) {
 	m := NextPowerOfTwo(2 * n)
 	h := m / 2
 	z := make([]complex128, h)
-	packReal(z, 1, 0, x, meanOf(x))
-	p := sharedPlanFor(h)
-	p.transform(z)
+	packNatural(z, x, meanOf(x))
+	radix2Transform(z)
 
 	// Power spectrum P[k] = |X[k]|^2 for k = 0..m-1 (even: P[m-k] = P[k]).
-	w := sharedPlanFor(m).w
+	w := radix2Twiddles(m)
 	power := make([]float64, m)
 	for k := 0; k < h; k++ {
-		xk, xkh := unpackSpectrum(z, h, 1, 0, w, k)
-		re, im := real(xk), imag(xk)
-		power[k] = re*re + im*im
-		re, im = real(xkh), imag(xkh)
-		power[k+h] = re*re + im*im
+		xk, xkh := unpackSpectrum(z, w, k)
+		power[k] = abs2(xk)
+		power[k+h] = abs2(xkh)
 	}
 
 	// ACF[t] ∝ Re(FFT_m(P)[t]); P is real, so pack it the same way. The
@@ -41,16 +38,16 @@ func autocorrelation(x []float64) ([]float64, error) {
 	for j := 0; j < h; j++ {
 		z[j] = complex(power[2*j], power[2*j+1])
 	}
-	p.transform(z)
+	radix2Transform(z)
 
 	dst := make([]float64, n)
-	x0, _ := unpackSpectrum(z, h, 1, 0, w, 0)
+	x0, _ := unpackSpectrum(z, w, 0)
 	norm := real(x0)
 	if norm <= 0 || math.IsNaN(norm) {
 		return dst, nil // zero-variance series: ACF identically zero
 	}
 	for t := 0; t < n; t++ {
-		xt, _ := unpackSpectrum(z, h, 1, 0, w, t)
+		xt, _ := unpackSpectrum(z, w, t)
 		dst[t] = real(xt) / norm
 	}
 	dst[0] = 1

@@ -1,5 +1,5 @@
 // Package dsp provides the signal-processing primitives BAYWATCH's
-// periodicity detector is built on: a radix-2 fast Fourier transform,
+// periodicity detector is built on: a radix-4 fast Fourier transform,
 // periodogram estimation and the permutation null's spectral maxima
 // (step 1), and the autocorrelation at the few lags step 3 tests, with
 // the ACF hill test itself.

@@ -26,8 +26,8 @@ func isPowerOfTwo(n int) bool {
 	return n > 0 && n&(n-1) == 0
 }
 
-// transformInPlace validates x's length and runs the forward radix-2
-// transform over it in place.
+// transformInPlace validates x's length and runs the forward transform
+// over it in place: natural order in, natural order out.
 func transformInPlace(x []complex128) error {
 	switch n := len(x); {
 	case n == 0:
@@ -35,9 +35,108 @@ func transformInPlace(x []complex128) error {
 	case !isPowerOfTwo(n):
 		return fmt.Errorf("%w: n=%d", errNotPowerOfTwo, n)
 	case n > 1:
-		sharedPlanFor(n).transform(x)
+		p := sharedPlanFor(n)
+		bitReverse(x, p.rev)
+		p.transform(x, 1)
 	}
 	return nil
+}
+
+// bitReverse permutes x into the bit-reversed order transform takes (the
+// packers load their samples that way instead).
+func bitReverse(x []complex128, rev []int32) {
+	for i, r := range rev {
+		if int(r) > i {
+			x[i], x[r] = x[r], x[i]
+		}
+	}
+}
+
+// The radix-2 path the detector ran before the radix-4 kernel, kept as the
+// reference the kernel and the packed real spectra are checked against:
+// a natural-order pack, a swap pass, one butterfly stage per bit, and an
+// unpack that takes each bin from its own twiddle.
+
+// radix2Twiddles is the table w[j] = exp(-2πi·j/m), j < m/2.
+func radix2Twiddles(m int) []complex128 {
+	w := make([]complex128, m/2)
+	for j := range w {
+		w[j] = cis(-2 * math.Pi * float64(j) / float64(m))
+	}
+	return w
+}
+
+// radix2Transform is the in-place forward radix-2 FFT of x, whose length
+// is a power of two, in natural order in and out.
+func radix2Transform(x []complex128) {
+	n := len(x)
+	if n < 2 {
+		return
+	}
+	bitReverse(x, sharedPlanFor(n).rev)
+	w := radix2Twiddles(n)
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		stride := n / size
+		for start := 0; start < n; start += size {
+			ti := 0
+			for k := start; k < start+half; k++ {
+				a := x[k]
+				b := x[k+half] * w[ti]
+				x[k] = a + b
+				x[k+half] = a - b
+				ti += stride
+			}
+		}
+	}
+}
+
+// packNatural loads the mean-centred real series src, zero-padded to
+// 2·len(z) samples, into z as z[i] = (src[2i]-mean) + i·(src[2i+1]-mean).
+func packNatural(z []complex128, src []float64, mean float64) {
+	for i := range z {
+		var v complex128
+		switch j := 2 * i; {
+		case j+1 < len(src):
+			v = complex(src[j]-mean, src[j+1]-mean)
+		case j < len(src):
+			v = complex(src[j]-mean, 0)
+		}
+		z[i] = v
+	}
+}
+
+// unpackSpectrum recovers bins k and k+h of the length-2h spectrum of the
+// transformed packed series z (h = len(z)) from the table
+// w = radix2Twiddles(2h).
+func unpackSpectrum(z, w []complex128, k int) (xk, xkh complex128) {
+	h := len(z)
+	zk := z[k]
+	zc := cmplx.Conj(z[(h-k)&(h-1)])
+	e := (zk + zc) * complex(0.5, 0)
+	o := (zk - zc) * complex(0, -0.5)
+	wo := w[k] * o
+	return e + wo, e - wo
+}
+
+func abs2(v complex128) float64 { return real(v)*real(v) + imag(v)*imag(v) }
+
+// radix2Periodogram is PeriodogramInto's powers taken the radix-2 way.
+func radix2Periodogram(x []float64) []float64 {
+	h := NextPowerOfTwo(len(x)) / 2
+	z := make([]complex128, h)
+	packNatural(z, x, meanOf(x))
+	radix2Transform(z)
+	w := radix2Twiddles(2 * h)
+	power := make([]float64, h+1)
+	inv := 1 / float64(len(x))
+	for k := 0; k < h; k++ {
+		xk, _ := unpackSpectrum(z, w, k)
+		power[k] = abs2(xk) * inv
+	}
+	_, xh := unpackSpectrum(z, w, 0)
+	power[h] = abs2(xh) * inv
+	return power
 }
 
 // fft is the discrete Fourier transform of x (length a power of two), as a
@@ -83,17 +182,33 @@ func fftReal(x []float64) ([]complex128, error) {
 // transform is checked against, and the convention it follows (negative
 // exponent forward transform).
 func naiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			theta := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * cmplx.Exp(complex(0, theta))
-		}
-		out[k] = sum
+	roots := unitRoots(len(x))
+	out := make([]complex128, len(x))
+	for k := range out {
+		out[k] = naiveBin(x, roots, k)
 	}
 	return out
+}
+
+// unitRoots is the table exp(-2πi·m/n), m < n.
+func unitRoots(n int) []complex128 {
+	roots := make([]complex128, n)
+	for m := range roots {
+		roots[m] = cis(-2 * math.Pi * float64(m) / float64(n))
+	}
+	return roots
+}
+
+// naiveBin is bin k of x's DFT by direct summation over the roots of
+// unity of len(x). The exponent k·t is reduced mod n in integers, so every
+// term's phase is accurate to the last bit at any length.
+func naiveBin(x, roots []complex128, k int) complex128 {
+	n := len(x)
+	var sum complex128
+	for t, v := range x {
+		sum += v * roots[k*t%n]
+	}
+	return sum
 }
 
 func complexSliceClose(t *testing.T, got, want []complex128, tol float64) {

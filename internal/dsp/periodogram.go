@@ -14,7 +14,7 @@ var ErrShortSeries = errors.New("dsp: series too short for spectral analysis")
 // is evaluated on the grid of the series zero-padded to N =
 // NextPowerOfTwo(n) samples: padding interpolates between the n-point
 // DFT's bins (it adds no information and removes none), and it lets every
-// length run through one radix-2 transform.
+// length run through one power-of-two transform.
 type Periodogram struct {
 	// Power[k] is |X(k)|^2 / n for k = 0..N/2 (DC term included at index
 	// 0), where X is the N-point DFT of the mean-centred, zero-padded

@@ -182,9 +182,9 @@ func TestPeriodogramIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestAutocorrelationIntoAllocs asserts the steady-state ACF path
+// TestLagACFIntoAllocs asserts the steady-state ACF path
 // (LagACFInto into a warm buffer) is allocation-free.
-func TestAutocorrelationIntoAllocs(t *testing.T) {
+func TestLagACFIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	idx, val := nonzeroOf(randSeries(rng, 4096, 60))
 	dst := LagACFInto(nil, idx, val, 4096, 200)

@@ -254,7 +254,7 @@ func (j *Job[I, K, V, O]) Run(ctx context.Context, inputs []I) (*Result[O], erro
 	// Strided assignment keeps the work distribution deterministic, and —
 	// because sourceFor hands out a fresh iterator per call — lets the
 	// shuffle re-execute a single map shard to regenerate a spill file
-	// that fails validation (rerunnable=true).
+	// that fails validation.
 	return j.run(ctx, func(w int) func() (I, int, bool) {
 		i := w - j.cfg.Mappers
 		return func() (I, int, bool) {
@@ -265,47 +265,15 @@ func (j *Job[I, K, V, O]) Run(ctx context.Context, inputs []I) (*Result[O], erro
 			}
 			return inputs[i], i, true
 		}
-	}, true)
+	})
 }
 
-// RunStream executes the job over a pull iterator instead of a
-// materialized input slice: map workers draw inputs from next until it
-// reports exhaustion, so multi-GB input streams (e.g. sharded log scans)
-// flow through the job without ever being held in memory at once. next is
-// called under an internal lock — it need not be safe for concurrent use —
-// and must be cheap; do heavy per-input work in the map function, which
-// runs in parallel. Retries, failure budgets, combiners, spilling and
-// counters behave exactly as in Run; the only semantic difference is that
-// input-to-worker assignment follows pull order rather than the
-// deterministic stride (output determinism is unaffected: the shuffle
-// orders by partition, then first-emission key order per shard merge, and
-// shard merges follow worker index as in Run).
-func (j *Job[I, K, V, O]) RunStream(ctx context.Context, next func() (I, bool)) (*Result[O], error) {
-	var mu sync.Mutex
-	idx := -1
-	pull := func() (I, int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		in, ok := next()
-		if !ok {
-			var zero I
-			return zero, 0, false
-		}
-		idx++
-		return in, idx, true
-	}
-	// The shared pull iterator is consumed as it goes, so a corrupt spill
-	// cannot be regenerated by re-running its shard (rerunnable=false).
-	return j.run(ctx, func(int) func() (I, int, bool) { return pull }, false)
-}
-
-// run is the engine shared by Run and RunStream. sourceFor returns worker
-// w's input fetcher: each call yields the next input with its global
-// index, or ok=false when the worker's share is exhausted. rerunnable
-// promises that sourceFor(w) yields the same sequence on every call,
-// allowing the shuffle to re-execute a map shard whose spill file fails
-// validation instead of aborting the job.
-func (j *Job[I, K, V, O]) run(ctx context.Context, sourceFor func(w int) func() (I, int, bool), rerunnable bool) (*Result[O], error) {
+// run is Run's engine. sourceFor returns worker w's input fetcher: each
+// call yields the next input with its global index, or ok=false when the
+// worker's share is exhausted. sourceFor(w) yields the same sequence on
+// every call, which lets the shuffle re-execute a map shard whose spill
+// file fails validation instead of aborting the job.
+func (j *Job[I, K, V, O]) run(ctx context.Context, sourceFor func(w int) func() (I, int, bool)) (*Result[O], error) {
 	nParts := 1 << j.cfg.PartitionBits
 
 	// Optional disk spill: one temp dir per run, removed on return.
@@ -530,10 +498,10 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, sourceFor func(w int) func() 
 	// Spill files replay first (in flush order), then each shard's
 	// in-memory remainder, keeping key order deterministic.
 	//
-	// A spill file that fails validation is not fatal on the rerunnable
-	// path: the file is quarantined (moved into SpillDir, outside the
-	// ephemeral per-run root, so it survives the run for forensics) and
-	// its producing shard is re-executed once into a fresh directory. Flush
+	// A spill file that fails validation is not fatal: the file is
+	// quarantined (moved into SpillDir, outside the ephemeral per-run
+	// root, so it survives the run for forensics) and its producing shard
+	// is re-executed once into a fresh directory. Flush
 	// boundaries are a pure function of input order and SpillThreshold, so
 	// the rerun regenerates the same file sequence and only the corrupt
 	// file's replacement is replayed; the original shard's intact files
@@ -575,7 +543,7 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, sourceFor func(w int) func() 
 					if err == nil {
 						continue
 					}
-					if !rerunnable || !errors.Is(err, ErrSpillCorrupt) {
+					if !errors.Is(err, ErrSpillCorrupt) {
 						return nil, fmt.Errorf("%s: %w", j.name(), err)
 					}
 					counters.CorruptSpills++

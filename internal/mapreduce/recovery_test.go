@@ -152,38 +152,3 @@ func TestSpillPersistentCorruptionFails(t *testing.T) {
 		t.Fatalf("err = %v, want the bounded-rerun failure", err)
 	}
 }
-
-// TestRunStreamSpillCorruptionFails: the streaming path cannot re-run a
-// shard (the pull iterator is consumed), so corruption stays fatal there.
-func TestRunStreamSpillCorruptionFails(t *testing.T) {
-	dir := t.TempDir()
-	var once sync.Once
-	SetFaultHook(func(point string) error {
-		if point == string(faultinject.PointMapreduceSpillReplay) {
-			once.Do(func() {
-				paths := spillFiles(t, dir)
-				if len(paths) > 0 {
-					truncateFile(t, paths[0], 5)
-				}
-			})
-		}
-		return nil
-	})
-	defer SetFaultHook(nil)
-
-	i := 0
-	next := func() (string, bool) {
-		if i >= len(corruptionLines) {
-			return "", false
-		}
-		i++
-		return corruptionLines[i-1], true
-	}
-	_, err := wordCountJob(corruptionCfg(dir)).RunStream(context.Background(), next)
-	if !errors.Is(err, ErrSpillCorrupt) {
-		t.Fatalf("RunStream corruption: err = %v, want ErrSpillCorrupt", err)
-	}
-	if strings.Contains(err.Error(), "again") {
-		t.Fatalf("RunStream attempted a shard rerun: %v", err)
-	}
-}
