@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -92,55 +91,43 @@ func TestSingleWorkerMatchesParallel(t *testing.T) {
 	}
 }
 
+// TestDeterministicOutputOrder pins Run's documented order: by partition,
+// then by first emission, taking map worker 0's keys first, then worker
+// 1's new ones, and so on, where worker w maps inputs w, w+Mappers, ...
 func TestDeterministicOutputOrder(t *testing.T) {
 	var lines []string
 	for i := 0; i < 300; i++ {
-		lines = append(lines, fmt.Sprintf("k%d", i%50))
+		lines = append(lines, fmt.Sprintf("k%d k%d", (i*7)%50, (i*13)%61))
 	}
-	job := wordCountJob(JobConfig{Mappers: 4, Reducers: 4})
-	first, err := job.Run(context.Background(), lines)
-	if err != nil {
-		t.Fatal(err)
+	const mappers, bits = 4, 3
+	var want []string
+	seen := map[string]bool{}
+	for p := uint64(0); p < 1<<bits; p++ {
+		for w := 0; w < mappers; w++ {
+			for i := w; i < len(lines); i += mappers {
+				for _, word := range strings.Fields(lines[i]) {
+					if keyHash(word)%(1<<bits) == p && !seen[word] {
+						seen[word] = true
+						want = append(want, word)
+					}
+				}
+			}
+		}
 	}
+
+	job := wordCountJob(JobConfig{Mappers: mappers, Reducers: 4, PartitionBits: bits})
 	for run := 0; run < 5; run++ {
 		res, err := job.Run(context.Background(), lines)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Outputs, first.Outputs) {
-			t.Fatalf("run %d produced different output order", run)
+		got := make([]string, len(res.Outputs))
+		for i, o := range res.Outputs {
+			got[i] = o.Key
 		}
-	}
-}
-
-func TestCombinerReducesShuffleVolume(t *testing.T) {
-	var lines []string
-	for i := 0; i < 1000; i++ {
-		lines = append(lines, "same same same")
-	}
-	plain, err := wordCountJob(JobConfig{Mappers: 2}).Run(context.Background(), lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := wordCountJob(JobConfig{Mappers: 2}).
-		WithCombiner(func(_ string, values []int) []int {
-			total := 0
-			for _, v := range values {
-				total += v
-			}
-			return []int{total}
-		}).
-		Run(context.Background(), lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combined.Counters.ShufflePairs >= plain.Counters.ShufflePairs {
-		t.Errorf("combiner did not reduce shuffle: %d vs %d",
-			combined.Counters.ShufflePairs, plain.Counters.ShufflePairs)
-	}
-	// Results identical.
-	if len(combined.Outputs) != 1 || combined.Outputs[0].Count != 3000 {
-		t.Errorf("combined outputs = %v", combined.Outputs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: output order\ngot  %v\nwant %v", run, got, want)
+		}
 	}
 }
 
@@ -342,14 +329,6 @@ func TestWordCountConservation(t *testing.T) {
 	}
 }
 
-func TestSortOutputs(t *testing.T) {
-	outs := []kv{{"b", 2}, {"a", 1}, {"c", 3}}
-	SortOutputs(outs, func(x, y kv) bool { return x.Key < y.Key })
-	if outs[0].Key != "a" || outs[2].Key != "c" {
-		t.Errorf("sorted = %v", outs)
-	}
-}
-
 func BenchmarkWordCount10k(b *testing.B) {
 	var lines []string
 	for i := 0; i < 10000; i++ {
@@ -362,77 +341,5 @@ func BenchmarkWordCount10k(b *testing.B) {
 		if _, err := job.Run(context.Background(), lines); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSpillMatchesInMemory(t *testing.T) {
-	var lines []string
-	for i := 0; i < 2000; i++ {
-		lines = append(lines, fmt.Sprintf("w%d w%d", i%97, i%31))
-	}
-	inMem := runWordCount(t, JobConfig{Mappers: 4}, lines)
-	spillDir := t.TempDir()
-	spilled := runWordCount(t, JobConfig{Mappers: 4, SpillDir: spillDir, SpillThreshold: 64}, lines)
-	if !reflect.DeepEqual(inMem, spilled) {
-		t.Error("spilled run differs from in-memory run")
-	}
-	// The run's temporary spill directory must be cleaned up.
-	entries, err := os.ReadDir(spillDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("spill dir not cleaned: %v", entries)
-	}
-}
-
-func TestSpillWithCombiner(t *testing.T) {
-	var lines []string
-	for i := 0; i < 1000; i++ {
-		lines = append(lines, "same same")
-	}
-	job := wordCountJob(JobConfig{Mappers: 2, SpillDir: t.TempDir(), SpillThreshold: 50}).
-		WithCombiner(func(_ string, values []int) []int {
-			total := 0
-			for _, v := range values {
-				total += v
-			}
-			return []int{total}
-		})
-	res, err := job.Run(context.Background(), lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outputs) != 1 || res.Outputs[0].Count != 2000 {
-		t.Errorf("outputs = %v", res.Outputs)
-	}
-}
-
-func TestSpillDeterministicOrder(t *testing.T) {
-	var lines []string
-	for i := 0; i < 500; i++ {
-		lines = append(lines, fmt.Sprintf("k%d", i%40))
-	}
-	cfg := JobConfig{Mappers: 3, SpillDir: t.TempDir(), SpillThreshold: 32}
-	job := wordCountJob(cfg)
-	first, err := job.Run(context.Background(), lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		res, err := job.Run(context.Background(), lines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Outputs, first.Outputs) {
-			t.Fatal("spilled runs are not deterministic")
-		}
-	}
-}
-
-func TestSpillBadDir(t *testing.T) {
-	job := wordCountJob(JobConfig{SpillDir: "/nonexistent/path/zzz"})
-	if _, err := job.Run(context.Background(), []string{"a"}); err == nil {
-		t.Error("expected error for unusable spill dir")
 	}
 }

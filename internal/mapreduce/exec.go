@@ -3,17 +3,14 @@ package mapreduce
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
-	"baywatch/internal/faultinject"
 	"baywatch/internal/mrx"
 )
 
@@ -21,14 +18,14 @@ import (
 // and the untyped internal/mrx coordinator. RegisterExec names a job and
 // teaches worker processes to rebuild it from an opaque parameter blob;
 // RunExec shards the input, drives mrx.Run, and reassembles a Result that
-// is bit-identical to the in-process engine's:
+// is bit-identical to the in-process engine's, because workers run Run's
+// own map and reduce loops:
 //
-//   - map task w receives exactly the inputs in-process map worker w
-//     would take (the same stride), and spills every pair — threshold
-//     flushes plus a final flush — so the spill-file sequence equals the
-//     in-process "spills, then in-memory remainder" replay order;
+//   - map task w maps in-process map worker w's share through mapShare
+//     and writes each non-empty partition group as one spill file;
 //   - reduce task p replays partition p's spill files in map-task order,
-//     reproducing the in-process shuffle's first-emission key order;
+//     which is the in-process shuffle's merge, and reduces through
+//     reduceGroup;
 //   - outputs are concatenated in partition order, as in the engine.
 //
 // Semantics that intentionally differ from the in-process engine:
@@ -111,21 +108,16 @@ func (j *Job[I, K, V, O]) RunExec(ctx context.Context, name string, params []byt
 		return nil, fmt.Errorf("%s: scratch dir: %w", j.name(), err)
 	}
 
-	// Shard the input exactly as Run strides it across map workers, so
-	// map task w reproduces in-process worker w's share byte for byte.
-	nParts := 1 << j.cfg.PartitionBits
+	// Map task w maps in-process worker w's share.
+	nParts := j.partitions()
 	inDir := filepath.Join(scratch, "inputs")
 	if err := os.MkdirAll(inDir, 0o755); err != nil {
 		return nil, fmt.Errorf("%s: input dir: %w", j.name(), err)
 	}
 	shardPaths := make([]string, j.cfg.Mappers)
 	for w := 0; w < j.cfg.Mappers; w++ {
-		var shard []I
-		for i := w; i < len(inputs); i += j.cfg.Mappers {
-			shard = append(shard, inputs[i])
-		}
 		path := filepath.Join(inDir, fmt.Sprintf("input-%03d.gob", w))
-		if err := writeRecordsFile(path, shard); err != nil {
+		if err := writeRecords(path, j.share(inputs, w)); err != nil {
 			return nil, fmt.Errorf("%s: %w", j.name(), err)
 		}
 		shardPaths[w] = path
@@ -178,33 +170,28 @@ func (j *Job[I, K, V, O]) RunExec(ctx context.Context, name string, params []byt
 		if res.ReduceOutputs[p] == "" {
 			continue
 		}
-		recs, rerr := readRecordsFile[O](res.ReduceOutputs[p])
+		recs, rerr := readRecords[O](res.ReduceOutputs[p])
 		if rerr != nil {
 			return nil, fmt.Errorf("%s: partition %d output: %w", j.name(), p, rerr)
 		}
 		out.Outputs = append(out.Outputs, recs...)
 	}
 	out.Counters.OutputRecords = int64(len(out.Outputs))
-	out.Counters.CorruptSpills += int64(res.Stats.CorruptSpills)
-	out.Counters.ShardReruns += int64(res.Stats.ShardReruns)
+	out.Counters.CorruptSpills = int64(res.Stats.CorruptSpills)
+	out.Counters.ShardReruns = int64(res.Stats.ShardReruns)
 	// The run is complete; its scratch must not survive to be mistaken
 	// for resumable state by the next job pointed at the same directory.
 	os.RemoveAll(scratch)
 	return out, nil
 }
 
-// add accumulates another task's counter deltas.
+// add accumulates the counters one task reports.
 func (c *Counters) add(o Counters) {
 	c.InputRecords += o.InputRecords
 	c.MapOutputPairs += o.MapOutputPairs
-	c.ShufflePairs += o.ShufflePairs
 	c.DistinctKeys += o.DistinctKeys
-	c.OutputRecords += o.OutputRecords
-	c.Retries += o.Retries
 	c.FailedInputs += o.FailedInputs
 	c.FailedKeys += o.FailedKeys
-	c.CorruptSpills += o.CorruptSpills
-	c.ShardReruns += o.ShardReruns
 }
 
 // execRunner executes this job's tasks inside a worker process.
@@ -225,117 +212,37 @@ func (r *execRunner[I, K, V, O]) RunTask(spec mrx.TaskSpec) (mrx.TaskResult, err
 	}
 }
 
-// mapTask runs one map shard: consume the shard's input file, emit into
-// per-partition groups with first-emission key order, spill at the
-// threshold and once more at the end, so every pair reaches disk in the
-// order the in-process shuffle would see it.
+// mapTask runs one map task through the map loop Run uses and writes one
+// spill file per non-empty partition: the same groups, in the same key
+// order, that in-process map worker Index would hand the shuffle.
 func (r *execRunner[I, K, V, O]) mapTask(spec mrx.TaskSpec) (mrx.TaskResult, error) {
 	j := r.job
-	cfg := j.cfg
-	inputs, err := readRecordsFile[I](spec.Inputs[0])
+	share, err := readRecords[I](spec.Inputs[0])
 	if err != nil {
 		return mrx.TaskResult{}, fmt.Errorf("%s: map shard %d input: %w", j.name(), spec.Index, err)
 	}
-	nParts := 1 << cfg.PartitionBits
+	s := newMapShard[K, V](j.partitions())
+	var failed atomic.Int64
+	if err := j.mapShare(taskEnv{}, spec.Index, share, s, &failed); err != nil {
+		return mrx.TaskResult{}, err
+	}
+
 	dir := filepath.Join(r.scratch, fmt.Sprintf("map-%03d", spec.Index))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return mrx.TaskResult{}, fmt.Errorf("%s: map shard %d: %w", j.name(), spec.Index, err)
 	}
-	sw := newSpillWriter[K, V](dir, spec.Index, nParts)
-	groups := make([]map[K][]V, nParts)
-	order := make([][]K, nParts)
-	for p := range groups {
-		groups[p] = make(map[K][]V)
-	}
-
-	var c Counters
-	var buffered int64
-	emit := func(key K, value V) {
-		p := int(keyHash(key) % uint64(nParts))
-		if _, seen := groups[p][key]; !seen {
-			order[p] = append(order[p], key)
-		}
-		groups[p][key] = append(groups[p][key], value)
-		c.MapOutputPairs++
-		buffered++
-	}
-	applyCombiner := func() {
-		if j.combine == nil {
-			return
-		}
-		for p := range groups {
-			for k, vs := range groups[p] {
-				groups[p][k] = j.combine(k, vs)
-			}
-		}
-	}
-	runMap := func(in I, em Emitter[K, V]) (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				err = fmt.Errorf("map panic: %v", rec)
-			}
-		}()
-		if err := faultCheck(faultinject.PointMapreduceMapTask); err != nil {
-			return err
-		}
-		return j.mapFn(in, em)
-	}
-
-	type stagedPair struct {
-		key   K
-		value V
-	}
-	var staged []stagedPair
-	for i, in := range inputs {
-		c.InputRecords++
-		// The shard holds in-process worker Index's stride, so input i's
-		// global index (used for deterministic retry jitter, matching the
-		// engine) is Index + i*Mappers.
-		gi := spec.Index + i*cfg.Mappers
-		var err error
-		for attempt := 0; ; attempt++ {
-			staged = staged[:0]
-			err = runMap(in, func(k K, v V) {
-				staged = append(staged, stagedPair{key: k, value: v})
-			})
-			if err == nil {
-				for _, sp := range staged {
-					emit(sp.key, sp.value)
-				}
-				break
-			}
-			if attempt >= cfg.MaxRetries || finalFailure(err) {
-				break
-			}
-			c.Retries++
-			time.Sleep(retryDelay(cfg, j.name(), gi, attempt+1))
-		}
-		if err != nil {
-			if c.FailedInputs++; c.FailedInputs <= int64(cfg.MaxFailedInputs) {
-				continue // poisoned record skipped, within the per-task budget
-			}
-			return mrx.TaskResult{}, fmt.Errorf("%s: map input %d: %w", j.name(), gi, err)
-		}
-		if buffered >= int64(cfg.SpillThreshold) {
-			applyCombiner()
-			if err := sw.flush(groups, order); err != nil {
-				return mrx.TaskResult{}, fmt.Errorf("%s: %w", j.name(), err)
-			}
-			buffered = 0
-		}
-	}
-	applyCombiner()
-	if err := sw.flush(groups, order); err != nil {
-		return mrx.TaskResult{}, fmt.Errorf("%s: %w", j.name(), err)
-	}
-
 	var refs []mrx.SpillRef
-	for p := 0; p < nParts; p++ {
-		for _, path := range sw.files[p] {
-			refs = append(refs, mrx.SpillRef{Partition: p, Path: path})
+	for p := range s.parts {
+		if len(s.parts[p].order) == 0 {
+			continue
 		}
+		path := filepath.Join(dir, fmt.Sprintf("spill-w%d-p%d.gob", spec.Index, p))
+		if err := writeSpillFile(path, &s.parts[p]); err != nil {
+			return mrx.TaskResult{}, fmt.Errorf("%s: %w", j.name(), err)
+		}
+		refs = append(refs, mrx.SpillRef{Partition: p, Path: path})
 	}
-	blob, err := encodeCounters(c)
+	blob, err := encodeCounters(Counters{InputRecords: s.inputs, MapOutputPairs: s.pairs, FailedInputs: failed.Load()})
 	if err != nil {
 		return mrx.TaskResult{}, err
 	}
@@ -344,67 +251,28 @@ func (r *execRunner[I, K, V, O]) mapTask(spec mrx.TaskSpec) (mrx.TaskResult, err
 
 // reduceTask reduces one partition: replay the spill files in map-task
 // order (reporting a corrupt file to the coordinator for quarantine and
-// producer re-execution), run the reduce function per key in
-// first-emission order, and write the partition's output file.
+// producer re-execution), run the reduce loop Run uses, and write the
+// partition's output file.
 func (r *execRunner[I, K, V, O]) reduceTask(spec mrx.TaskSpec) (mrx.TaskResult, error) {
 	j := r.job
-	cfg := j.cfg
-	p := spec.Index
-	group := make(map[K][]V)
-	var order []K
+	var g group[K, V]
 	for _, path := range spec.Inputs {
-		if err := replaySpill(path, group, &order); err != nil {
+		if err := replaySpill(path, &g); err != nil {
 			if errors.Is(err, ErrSpillCorrupt) {
 				return mrx.TaskResult{}, &mrx.CorruptInputError{Path: path, Err: err}
 			}
-			return mrx.TaskResult{}, fmt.Errorf("%s: reduce partition %d: %w", j.name(), p, err)
+			return mrx.TaskResult{}, fmt.Errorf("%s: reduce partition %d: %w", j.name(), spec.Index, err)
 		}
 	}
-
-	var c Counters
-	for _, vs := range group {
-		c.ShufflePairs += int64(len(vs))
+	var failed atomic.Int64
+	outs, err := j.reduceGroup(taskEnv{}, &g, &failed)
+	if err != nil {
+		return mrx.TaskResult{}, err
 	}
-	c.DistinctKeys = int64(len(group))
-
-	runReduce := func(k K, vs []V, em func(O)) (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				err = fmt.Errorf("reduce panic: %v", rec)
-			}
-		}()
-		if err := faultCheck(faultinject.PointMapreduceReduceTask); err != nil {
-			return err
-		}
-		return j.reduce(k, vs, em)
-	}
-
-	var outs []O
-	for ki, k := range order {
-		var kouts []O
-		var err error
-		for attempt := 0; ; attempt++ {
-			kouts = nil
-			err = runReduce(k, group[k], func(o O) { kouts = append(kouts, o) })
-			if err == nil || attempt >= cfg.MaxRetries || finalFailure(err) {
-				break
-			}
-			c.Retries++
-			time.Sleep(retryDelay(cfg, j.name(), p<<16|ki, attempt+1))
-		}
-		if err != nil {
-			if c.FailedKeys++; c.FailedKeys <= int64(cfg.MaxFailedKeys) {
-				continue // key dropped, within the per-task budget
-			}
-			return mrx.TaskResult{}, fmt.Errorf("%s: reduce key %v: %w", j.name(), k, err)
-		}
-		outs = append(outs, kouts...)
-	}
-	c.OutputRecords = int64(len(outs))
-	if err := writeRecordsFile(spec.Output, outs); err != nil {
+	if err := writeRecords(spec.Output, outs); err != nil {
 		return mrx.TaskResult{}, fmt.Errorf("%s: %w", j.name(), err)
 	}
-	blob, err := encodeCounters(c)
+	blob, err := encodeCounters(Counters{DistinctKeys: int64(len(g.order)), FailedKeys: failed.Load()})
 	if err != nil {
 		return mrx.TaskResult{}, err
 	}
@@ -428,85 +296,4 @@ func decodeCounters(blob []byte) (Counters, error) {
 		return c, fmt.Errorf("mapreduce: decode counters: %w", err)
 	}
 	return c, nil
-}
-
-// Record files carry input shards and partition outputs across process
-// boundaries with the same footer discipline as spill files: gob records
-// followed by magic | count | payloadLen | crc32, so a torn write is
-// detected before any record is trusted.
-
-func writeRecordsFile[T any](path string, recs []T) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("mapreduce: create records file: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	cw := &countingWriter{w: io.MultiWriter(f, crc)}
-	enc := gob.NewEncoder(cw)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			f.Close()
-			return fmt.Errorf("mapreduce: encode record: %w", err)
-		}
-	}
-	var footer [spillFooterLen]byte
-	copy(footer[:], spillMagic)
-	binary.LittleEndian.PutUint32(footer[4:], uint32(len(recs)))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(cw.n))
-	binary.LittleEndian.PutUint32(footer[16:], crc.Sum32())
-	if _, err := f.Write(footer[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("mapreduce: write records footer: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("mapreduce: close records file: %w", err)
-	}
-	return nil
-}
-
-func readRecordsFile[T any](path string) ([]T, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: open records file: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: stat records file: %w", err)
-	}
-	if fi.Size() < spillFooterLen {
-		return nil, fmt.Errorf("%w: %s: %d bytes, shorter than footer", ErrSpillCorrupt, path, fi.Size())
-	}
-	var footer [spillFooterLen]byte
-	if _, err := f.ReadAt(footer[:], fi.Size()-spillFooterLen); err != nil {
-		return nil, fmt.Errorf("mapreduce: read records footer: %w", err)
-	}
-	if string(footer[:4]) != spillMagic {
-		return nil, fmt.Errorf("%w: %s: bad footer magic", ErrSpillCorrupt, path)
-	}
-	count := binary.LittleEndian.Uint32(footer[4:])
-	payloadLen := binary.LittleEndian.Uint64(footer[8:])
-	wantCRC := binary.LittleEndian.Uint32(footer[16:])
-	if payloadLen != uint64(fi.Size()-spillFooterLen) {
-		return nil, fmt.Errorf("%w: %s: payload length %d does not match file size %d",
-			ErrSpillCorrupt, path, payloadLen, fi.Size())
-	}
-	crc := crc32.NewIEEE()
-	tee := io.TeeReader(io.LimitReader(f, int64(payloadLen)), crc)
-	dec := gob.NewDecoder(tee)
-	recs := make([]T, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var rec T
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("%w: %s: decode record %d/%d: %v", ErrSpillCorrupt, path, i, count, err)
-		}
-		recs = append(recs, rec)
-	}
-	if _, err := io.Copy(io.Discard, tee); err != nil {
-		return nil, fmt.Errorf("mapreduce: drain records file: %w", err)
-	}
-	if got := crc.Sum32(); got != wantCRC {
-		return nil, fmt.Errorf("%w: %s: checksum mismatch (got %08x, want %08x)", ErrSpillCorrupt, path, got, wantCRC)
-	}
-	return recs, nil
 }

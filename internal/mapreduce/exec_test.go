@@ -35,41 +35,18 @@ const execTestJob = "mapreduce.test.wordcount"
 // it in buildExecWordCount. Coordinator and workers must build identical
 // jobs or the differential guarantees are void.
 type execParams struct {
-	Mappers        int
-	Reducers       int
-	PartitionBits  int
-	SpillThreshold int
-	MaxRetries     int
-	Combiner       bool
-	// SpillDir is only ever set on in-process baseline runs (workers
-	// always spill into the coordinator's scratch regardless).
-	SpillDir string
-}
-
-func (p execParams) cfg() JobConfig {
-	return JobConfig{
-		Name:           "exec-wordcount",
-		Mappers:        p.Mappers,
-		Reducers:       p.Reducers,
-		PartitionBits:  p.PartitionBits,
-		SpillThreshold: p.SpillThreshold,
-		MaxRetries:     p.MaxRetries,
-		SpillDir:       p.SpillDir,
-	}
+	Mappers       int
+	Reducers      int
+	PartitionBits int
 }
 
 func (p execParams) job() *Job[string, string, int, kv] {
-	j := wordCountJob(p.cfg())
-	if p.Combiner {
-		j = j.WithCombiner(func(key string, values []int) []int {
-			total := 0
-			for _, v := range values {
-				total += v
-			}
-			return []int{total}
-		})
-	}
-	return j
+	return wordCountJob(JobConfig{
+		Name:          "exec-wordcount",
+		Mappers:       p.Mappers,
+		Reducers:      p.Reducers,
+		PartitionBits: p.PartitionBits,
+	})
 }
 
 func buildExecWordCount(params []byte) (*Job[string, string, int, kv], error) {
@@ -101,7 +78,7 @@ func execTestLines(n int) []string {
 }
 
 func baseExecParams() execParams {
-	return execParams{Mappers: 3, Reducers: 2, PartitionBits: 2, SpillThreshold: 4}
+	return execParams{Mappers: 3, Reducers: 2, PartitionBits: 2}
 }
 
 func fastExec(workers int) ExecConfig {
@@ -112,36 +89,27 @@ func fastExec(workers int) ExecConfig {
 	}
 }
 
-// TestExecDifferential pins the tentpole guarantee: the distributed run
-// produces a bit-identical Result — outputs, order, and counters — to the
-// in-process engine.
+// TestExecDifferential pins the shared-loop guarantee: the distributed
+// run produces a bit-identical Result — outputs, order, and counters — to
+// a plain in-process Run. The job has no combiner stage, which the case
+// name records.
 func TestExecDifferential(t *testing.T) {
-	for _, combiner := range []bool{false, true} {
-		t.Run(fmt.Sprintf("combiner=%v", combiner), func(t *testing.T) {
-			p := baseExecParams()
-			p.Combiner = combiner
-			inputs := execTestLines(40)
-			// The distributed path always spills (spill files ARE the
-			// shuffle handoff), so the combiner runs once per flush. Give
-			// the in-process baseline the same spill behavior: flush
-			// boundaries are a pure function of input order and
-			// SpillThreshold, so every counter must then match exactly.
-			base := p
-			base.SpillDir = t.TempDir()
-			want, err := base.job().Run(context.Background(), inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.job().RunExec(context.Background(), execTestJob,
-				encodeExecParams(t, p), fastExec(3), inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("distributed result differs from in-process:\ngot  %+v\nwant %+v", got, want)
-			}
-		})
-	}
+	t.Run("combiner=false", func(t *testing.T) {
+		p := baseExecParams()
+		inputs := execTestLines(40)
+		want, err := p.job().Run(context.Background(), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.job().RunExec(context.Background(), execTestJob,
+			encodeExecParams(t, p), fastExec(3), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("distributed result differs from in-process:\ngot  %+v\nwant %+v", got, want)
+		}
+	})
 }
 
 func TestExecEmptyInput(t *testing.T) {

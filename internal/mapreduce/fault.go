@@ -2,8 +2,9 @@ package mapreduce
 
 import "baywatch/internal/faultinject"
 
-// faultHook, when non-nil, is consulted at internal failure points (spill
-// writes and replays) so tests can inject deterministic I/O errors.
+// faultHook, when non-nil, is consulted at internal failure points (map
+// and reduce calls, spill writes and replays) so tests can inject
+// deterministic failures.
 // Production runs leave it nil.
 var faultHook func(point string) error
 

@@ -10,61 +10,20 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
-// TestMapRetryRecoversTransientFailure: an input that fails twice and
-// succeeds on the third attempt completes with MaxRetries=2, its output
-// intact and the retries counted.
-func TestMapRetryRecoversTransientFailure(t *testing.T) {
-	var attempts atomic.Int64
-	job := NewJob[string, string, int, kv](JobConfig{Mappers: 2, MaxRetries: 2},
-		func(line string, emit Emitter[string, int]) error {
-			if line == "flaky" && attempts.Add(1) <= 2 {
-				return errors.New("transient")
-			}
-			for _, w := range strings.Fields(line) {
-				emit(w, 1)
-			}
-			return nil
-		},
-		func(key string, values []int, emit func(kv)) error {
-			emit(kv{Key: key, Count: len(values)})
-			return nil
-		},
-	)
-	res, err := job.Run(context.Background(), []string{"a b", "flaky", "a"})
-	if err != nil {
-		t.Fatalf("transient failure should be retried away: %v", err)
-	}
-	counts := map[string]int{}
-	for _, o := range res.Outputs {
-		counts[o.Key] = o.Count
-	}
-	want := map[string]int{"a": 2, "b": 1, "flaky": 1}
-	if !reflect.DeepEqual(counts, want) {
-		t.Fatalf("counts = %v, want %v (emissions from failed attempts must not leak)", counts, want)
-	}
-	if res.Counters.Retries != 2 {
-		t.Errorf("Retries = %d, want 2", res.Counters.Retries)
-	}
-	if res.Counters.FailedInputs != 0 {
-		t.Errorf("FailedInputs = %d, want 0", res.Counters.FailedInputs)
-	}
-}
-
-// TestPoisonedInputSkippedWithinBudget: a persistently failing input is
-// skipped and counted when MaxFailedInputs allows it; the rest of the job
-// completes.
+// TestPoisonedInputSkippedWithinBudget: a failing input is skipped and
+// counted when MaxFailedInputs allows it, and whatever it emitted before
+// failing does not leak; the rest of the job completes.
 func TestPoisonedInputSkippedWithinBudget(t *testing.T) {
-	job := NewJob[string, string, int, kv](JobConfig{Mappers: 3, MaxRetries: 1, MaxFailedInputs: 1},
+	job := NewJob[string, string, int, kv](JobConfig{Mappers: 3, MaxFailedInputs: 1},
 		func(line string, emit Emitter[string, int]) error {
-			if line == "poison" {
-				return errors.New("always fails")
-			}
 			for _, w := range strings.Fields(line) {
 				emit(w, 1)
+			}
+			if line == "poison" {
+				return errors.New("fails after emitting")
 			}
 			return nil
 		},
@@ -87,9 +46,6 @@ func TestPoisonedInputSkippedWithinBudget(t *testing.T) {
 	}
 	if res.Counters.FailedInputs != 1 {
 		t.Errorf("FailedInputs = %d, want 1", res.Counters.FailedInputs)
-	}
-	if res.Counters.Retries != 1 {
-		t.Errorf("Retries = %d, want 1", res.Counters.Retries)
 	}
 }
 
@@ -165,39 +121,6 @@ func TestMapPanicWithoutBudgetAborts(t *testing.T) {
 	}
 }
 
-// TestReduceRetryDoesNotDuplicateOutput: a reduce key that fails after
-// emitting must retry without duplicating the partial emissions.
-func TestReduceRetryDoesNotDuplicateOutput(t *testing.T) {
-	var attempts atomic.Int64
-	job := NewJob[int, int, int, int](JobConfig{Reducers: 1, MaxRetries: 1},
-		func(n int, emit Emitter[int, int]) error {
-			emit(n%2, n)
-			return nil
-		},
-		func(key int, values []int, emit func(int)) error {
-			for _, v := range values {
-				emit(v)
-			}
-			// Fail the first attempt of key 0 AFTER emitting, to prove the
-			// partial output is rolled back.
-			if key == 0 && attempts.Add(1) == 1 {
-				return errors.New("post-emission failure")
-			}
-			return nil
-		},
-	)
-	res, err := job.Run(context.Background(), []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatalf("reduce retry should recover: %v", err)
-	}
-	if len(res.Outputs) != 4 {
-		t.Fatalf("outputs = %v, want 4 values (no duplicates from the failed attempt)", res.Outputs)
-	}
-	if res.Counters.Retries != 1 {
-		t.Errorf("Retries = %d, want 1", res.Counters.Retries)
-	}
-}
-
 // TestReducePanicSurfacesAsError: reduce panics become job errors.
 func TestReducePanicSurfacesAsError(t *testing.T) {
 	job := NewJob[int, int, int, int](JobConfig{},
@@ -246,115 +169,159 @@ func TestCancellationMidReduce(t *testing.T) {
 	}
 }
 
-// --- spill integrity ---------------------------------------------------
+// --- footed-file integrity ---------------------------------------------
 
-func writeTestSpill(t *testing.T) (path string, group map[string][]int, order []string) {
+// footedFile is one kind of file RunExec passes between processes: spill
+// files, and the record files that carry input shards and partition
+// outputs. Both go through the one footer codec, and every corruption
+// test runs over both.
+type footedFile struct {
+	name  string
+	write func(path string) error
+	// read decodes path; a corrupt file must decode to the zero value.
+	read func(path string) (any, error)
+	want any
+}
+
+func footedFiles() []footedFile {
+	var g group[string, int]
+	g.add("a", 1)
+	g.add("b", 3)
+	g.add("a", 2)
+	recs := []kv{{"a", 1}, {"b", 2}, {"c", 3}}
+	return []footedFile{
+		{
+			name:  "spill",
+			write: func(path string) error { return writeSpillFile(path, &g) },
+			read: func(path string) (any, error) {
+				var got group[string, int]
+				err := replaySpill(path, &got)
+				return got, err
+			},
+			want: g,
+		},
+		{
+			name:  "records",
+			write: func(path string) error { return writeRecords(path, recs) },
+			read: func(path string) (any, error) {
+				got, err := readRecords[kv](path)
+				return got, err
+			},
+			want: recs,
+		},
+	}
+}
+
+// writeFooted writes f's known file and returns its path and bytes.
+func writeFooted(t *testing.T, f footedFile) (string, []byte) {
 	t.Helper()
-	dir := t.TempDir()
-	path = filepath.Join(dir, "spill-test.gob")
-	group = map[string][]int{"a": {1, 2}, "b": {3}}
-	order = []string{"a", "b"}
-	if err := writeSpillFile(path, group, order); err != nil {
+	path := filepath.Join(t.TempDir(), f.name+".gob")
+	if err := f.write(path); err != nil {
 		t.Fatal(err)
 	}
-	return path, group, order
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// expectCorrupt stores data at path and asserts that f's reader rejects
+// it with ErrSpillCorrupt and returns nothing.
+func expectCorrupt(t *testing.T, f footedFile, path string, data []byte, what string) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.read(path)
+	if !errors.Is(err, ErrSpillCorrupt) {
+		t.Fatalf("%s: err = %v, want ErrSpillCorrupt", what, err)
+	}
+	if !reflect.ValueOf(got).IsZero() {
+		t.Fatalf("%s: corrupt file leaked data: %v", what, got)
+	}
 }
 
 func TestSpillRoundTripValidates(t *testing.T) {
-	path, group, order := writeTestSpill(t)
-	got := map[string][]int{}
-	var gotOrder []string
-	if err := replaySpill(path, got, &gotOrder); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, group) || !reflect.DeepEqual(gotOrder, order) {
-		t.Fatalf("replay = %v/%v, want %v/%v", got, gotOrder, group, order)
+	for _, f := range footedFiles() {
+		t.Run(f.name, func(t *testing.T) {
+			path, _ := writeFooted(t, f)
+			got, err := f.read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, f.want) {
+				t.Fatalf("read = %v, want %v", got, f.want)
+			}
+		})
 	}
 }
 
 func TestSpillTruncationDetected(t *testing.T) {
-	path, _, _ := writeTestSpill(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, keep := range []int{len(data) - 1, len(data) - spillFooterLen - 1, spillFooterLen - 1, 0} {
-		if err := os.WriteFile(path, data[:keep], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got := map[string][]int{}
-		var order []string
-		err := replaySpill(path, got, &order)
-		if !errors.Is(err, ErrSpillCorrupt) {
-			t.Fatalf("truncation to %d bytes: err = %v, want ErrSpillCorrupt", keep, err)
-		}
-		if len(got) != 0 || len(order) != 0 {
-			t.Fatalf("corrupt replay leaked data: %v %v", got, order)
-		}
+	for _, f := range footedFiles() {
+		t.Run(f.name, func(t *testing.T) {
+			path, data := writeFooted(t, f)
+			// Into the footer, just before it, shorter than it, and empty.
+			for _, keep := range []int{len(data) - 1, len(data) - footerLen - 1, footerLen - 1, 0} {
+				expectCorrupt(t, f, path, data[:keep], fmt.Sprintf("truncation to %d bytes", keep))
+			}
+		})
 	}
 }
 
 func TestSpillBitflipDetected(t *testing.T) {
-	path, _, _ := writeTestSpill(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload byte; the checksum must catch it even when the gob
-	// stream still decodes.
-	data[len(data)-spillFooterLen-3] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string][]int{}
-	var order []string
-	if err := replaySpill(path, got, &order); !errors.Is(err, ErrSpillCorrupt) {
-		t.Fatalf("bitflip: err = %v, want ErrSpillCorrupt", err)
+	for _, f := range footedFiles() {
+		t.Run(f.name, func(t *testing.T) {
+			path, data := writeFooted(t, f)
+			// Flip a payload byte; the checksum must catch it even when the
+			// gob stream still decodes.
+			data[len(data)-footerLen-3] ^= 0x40
+			expectCorrupt(t, f, path, data, "bitflip")
+		})
 	}
 }
 
 func TestSpillBadMagicDetected(t *testing.T) {
-	path, _, _ := writeTestSpill(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(data[len(data)-spillFooterLen:], "XXXX")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string][]int{}
-	var order []string
-	if err := replaySpill(path, got, &order); !errors.Is(err, ErrSpillCorrupt) {
-		t.Fatalf("bad magic: err = %v, want ErrSpillCorrupt", err)
+	for _, f := range footedFiles() {
+		t.Run(f.name, func(t *testing.T) {
+			path, data := writeFooted(t, f)
+			copy(data[len(data)-footerLen:], "XXXX")
+			expectCorrupt(t, f, path, data, "bad magic")
+		})
 	}
 }
 
-// TestSpillFaultInjection: injected spill-write and spill-replay failures
-// abort the job cleanly through the fault seam.
+// TestSpillFaultInjection: an injected failure at the spill-write or
+// spill-replay fault point surfaces from the codec as the injected error,
+// and a failed replay merges nothing.
 func TestSpillFaultInjection(t *testing.T) {
-	for _, point := range []faultinject.Point{
-		faultinject.PointMapreduceSpillWrite,
-		faultinject.PointMapreduceSpillReplay,
+	var g, replayed group[string, int]
+	g.add("a", 1)
+	path := filepath.Join(t.TempDir(), "spill.gob")
+	if err := writeSpillFile(path, &g); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		point faultinject.Point
+		op    func() error
+	}{
+		{faultinject.PointMapreduceSpillWrite, func() error { return writeSpillFile(path, &g) }},
+		{faultinject.PointMapreduceSpillReplay, func() error { return replaySpill(path, &replayed) }},
 	} {
-		t.Run(string(point), func(t *testing.T) {
+		t.Run(string(tc.point), func(t *testing.T) {
 			injected := errors.New("disk full")
 			SetFaultHook(func(p string) error {
-				if p == string(point) {
+				if p == string(tc.point) {
 					return injected
 				}
 				return nil
 			})
 			t.Cleanup(func() { SetFaultHook(nil) })
-
-			var lines []string
-			for i := 0; i < 500; i++ {
-				lines = append(lines, fmt.Sprintf("w%d", i%7))
+			if err := tc.op(); !errors.Is(err, injected) {
+				t.Fatalf("expected injected error at %s, got %v", tc.point, err)
 			}
-			_, err := wordCountJob(JobConfig{Mappers: 2, SpillDir: t.TempDir(), SpillThreshold: 16}).
-				Run(context.Background(), lines)
-			if !errors.Is(err, injected) {
-				t.Fatalf("expected injected spill error at %s, got %v", point, err)
+			if len(replayed.order) != 0 {
+				t.Fatalf("failed replay merged %v", replayed.order)
 			}
 		})
 	}

@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"baywatch/internal/faultinject"
-
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -10,73 +8,28 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"baywatch/internal/faultinject"
 )
 
-// Spill support: when a job's intermediate state would exceed memory, map
-// workers serialize their per-partition groups to temporary gob files and
-// reset; the shuffle replays the spill files before the in-memory
-// remainder. This mirrors Hadoop's map-side spill and keeps month-scale
-// analyses within a bounded footprint.
+// Every file RunExec passes between processes — input shards, spill files
+// and partition outputs — is a run of gob records followed by a fixed
+// 20-byte footer, so a reader can tell a complete file from one truncated
+// or corrupted after it was written:
 //
-// Spilling is enabled through JobConfig.SpillDir and tuned with
-// JobConfig.SpillThreshold (map-output pairs buffered per worker before a
-// flush). Keys and values must be gob-encodable when spilling is on.
-
-// Spill files carry a fixed 20-byte footer so the shuffle can tell a
-// complete file from one truncated or corrupted between flush and replay:
-//
-//	magic "BWSP" | entryCount uint32 | payloadLen uint64 | crc32 uint32
+//	magic "BWSP" | recordCount uint32 | payloadLen uint64 | crc32 uint32
 //
 // (all little-endian; the CRC32-IEEE covers the gob payload only).
+// writeRecords is the one writer and readRecords the one validator.
 const (
-	spillMagic     = "BWSP"
-	spillFooterLen = 20
+	footerMagic = "BWSP"
+	footerLen   = 20
 )
 
-// ErrSpillCorrupt reports a spill file that failed validation on replay:
+// ErrSpillCorrupt reports a spill or record file that failed validation:
 // missing or mangled footer, length mismatch, checksum mismatch, or a gob
-// stream that does not decode to the recorded entry count.
+// stream that does not decode to exactly the recorded record count.
 var ErrSpillCorrupt = errors.New("mapreduce: spill file corrupt")
-
-// spillEntry is the on-disk unit: one key's buffered values, in
-// first-emission order.
-type spillEntry[K comparable, V any] struct {
-	Key    K
-	Values []V
-}
-
-// spillWriter flushes a map shard's partitions to disk.
-type spillWriter[K comparable, V any] struct {
-	dir    string
-	worker int
-	seq    int
-	// files[p] lists partition p's spill files in flush order.
-	files [][]string
-}
-
-func newSpillWriter[K comparable, V any](dir string, worker, partitions int) *spillWriter[K, V] {
-	return &spillWriter[K, V]{dir: dir, worker: worker, files: make([][]string, partitions)}
-}
-
-// flush writes every non-empty partition of the shard to its own spill
-// file and clears the in-memory groups.
-func (w *spillWriter[K, V]) flush(groups []map[K][]V, order [][]K) error {
-	for p := range groups {
-		if len(groups[p]) == 0 {
-			continue
-		}
-		path := filepath.Join(w.dir, fmt.Sprintf("spill-w%d-p%d-s%d.gob", w.worker, p, w.seq))
-		if err := writeSpillFile(path, groups[p], order[p]); err != nil {
-			return err
-		}
-		w.files[p] = append(w.files[p], path)
-		groups[p] = make(map[K][]V)
-		order[p] = order[p][:0]
-	}
-	w.seq++
-	return nil
-}
 
 // countingWriter tracks how many bytes pass through it (the payload
 // length recorded in the footer).
@@ -91,104 +44,126 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func writeSpillFile[K comparable, V any](path string, group map[K][]V, order []K) error {
-	if err := faultCheck(faultinject.PointMapreduceSpillWrite); err != nil {
-		return fmt.Errorf("mapreduce: write spill: %w", err)
-	}
+// writeRecords writes recs to path as gob records plus the footer.
+func writeRecords[T any](path string, recs []T) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("mapreduce: create spill: %w", err)
+		return fmt.Errorf("mapreduce: create records file: %w", err)
 	}
 	crc := crc32.NewIEEE()
 	cw := &countingWriter{w: io.MultiWriter(f, crc)}
 	enc := gob.NewEncoder(cw)
-	for _, k := range order {
-		if err := enc.Encode(spillEntry[K, V]{Key: k, Values: group[k]}); err != nil {
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
 			f.Close()
-			return fmt.Errorf("mapreduce: encode spill: %w", err)
+			return fmt.Errorf("mapreduce: encode record: %w", err)
 		}
 	}
-	var footer [spillFooterLen]byte
-	copy(footer[:], spillMagic)
-	binary.LittleEndian.PutUint32(footer[4:], uint32(len(order)))
+	var footer [footerLen]byte
+	copy(footer[:], footerMagic)
+	binary.LittleEndian.PutUint32(footer[4:], uint32(len(recs)))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(cw.n))
 	binary.LittleEndian.PutUint32(footer[16:], crc.Sum32())
 	if _, err := f.Write(footer[:]); err != nil {
 		f.Close()
-		return fmt.Errorf("mapreduce: write spill footer: %w", err)
+		return fmt.Errorf("mapreduce: write records footer: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("mapreduce: close spill: %w", err)
+		return fmt.Errorf("mapreduce: close records file: %w", err)
 	}
 	return nil
 }
 
-// replaySpill merges one spill file into the partition's groups,
-// preserving first-emission key order. The file's footer is validated
-// (length, entry count and checksum) before any decoded data is trusted;
-// a file that fails validation yields ErrSpillCorrupt and contributes
-// nothing.
-func replaySpill[K comparable, V any](path string, group map[K][]V, order *[]K) error {
-	if err := faultCheck(faultinject.PointMapreduceSpillReplay); err != nil {
-		return fmt.Errorf("mapreduce: replay spill: %w", err)
-	}
+// readRecords reads a file writeRecords wrote. The footer, the record
+// count, the absence of trailing data and the checksum are all validated
+// before any record is returned; a file that fails validation yields
+// ErrSpillCorrupt and no records.
+func readRecords[T any](path string) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("mapreduce: open spill: %w", err)
+		return nil, fmt.Errorf("mapreduce: open records file: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("mapreduce: stat spill: %w", err)
+		return nil, fmt.Errorf("mapreduce: stat records file: %w", err)
 	}
-	if fi.Size() < spillFooterLen {
-		return fmt.Errorf("%w: %s: %d bytes, shorter than footer", ErrSpillCorrupt, path, fi.Size())
+	if fi.Size() < footerLen {
+		return nil, fmt.Errorf("%w: %s: %d bytes, shorter than footer", ErrSpillCorrupt, path, fi.Size())
 	}
-	var footer [spillFooterLen]byte
-	if _, err := f.ReadAt(footer[:], fi.Size()-spillFooterLen); err != nil {
-		return fmt.Errorf("mapreduce: read spill footer: %w", err)
+	var footer [footerLen]byte
+	if _, err := f.ReadAt(footer[:], fi.Size()-footerLen); err != nil {
+		return nil, fmt.Errorf("mapreduce: read records footer: %w", err)
 	}
-	if string(footer[:4]) != spillMagic {
-		return fmt.Errorf("%w: %s: bad footer magic", ErrSpillCorrupt, path)
+	if string(footer[:4]) != footerMagic {
+		return nil, fmt.Errorf("%w: %s: bad footer magic", ErrSpillCorrupt, path)
 	}
-	entryCount := binary.LittleEndian.Uint32(footer[4:])
+	count := binary.LittleEndian.Uint32(footer[4:])
 	payloadLen := binary.LittleEndian.Uint64(footer[8:])
 	wantCRC := binary.LittleEndian.Uint32(footer[16:])
-	if payloadLen != uint64(fi.Size()-spillFooterLen) {
-		return fmt.Errorf("%w: %s: payload length %d does not match file size %d",
+	if payloadLen != uint64(fi.Size()-footerLen) {
+		return nil, fmt.Errorf("%w: %s: payload length %d does not match file size %d",
 			ErrSpillCorrupt, path, payloadLen, fi.Size())
 	}
 
-	// Stream-decode the payload while checksumming every byte read. The
-	// decoded entries are staged and merged only after validation, so a
-	// corrupt file contributes nothing.
+	// Stream-decode the payload while checksumming every byte read.
 	crc := crc32.NewIEEE()
 	tee := io.TeeReader(io.LimitReader(f, int64(payloadLen)), crc)
 	dec := gob.NewDecoder(tee)
-	staged := make([]spillEntry[K, V], 0, entryCount)
-	for i := uint32(0); i < entryCount; i++ {
-		var e spillEntry[K, V]
-		if err := dec.Decode(&e); err != nil {
-			return fmt.Errorf("%w: %s: decode entry %d/%d: %v", ErrSpillCorrupt, path, i, entryCount, err)
+	recs := make([]T, 0, count)
+	for i := uint32(0); i < count; i++ {
+		var rec T
+		if err := dec.Decode(&rec); err != nil {
+			return nil, fmt.Errorf("%w: %s: decode record %d/%d: %v", ErrSpillCorrupt, path, i, count, err)
 		}
-		staged = append(staged, e)
+		recs = append(recs, rec)
 	}
-	var extra spillEntry[K, V]
+	var extra T
 	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
-		return fmt.Errorf("%w: %s: trailing entries beyond recorded count %d", ErrSpillCorrupt, path, entryCount)
+		return nil, fmt.Errorf("%w: %s: trailing records beyond recorded count %d", ErrSpillCorrupt, path, count)
 	}
 	if _, err := io.Copy(io.Discard, tee); err != nil {
-		return fmt.Errorf("mapreduce: drain spill: %w", err)
+		return nil, fmt.Errorf("mapreduce: drain records file: %w", err)
 	}
 	if got := crc.Sum32(); got != wantCRC {
-		return fmt.Errorf("%w: %s: checksum mismatch (got %08x, want %08x)", ErrSpillCorrupt, path, got, wantCRC)
+		return nil, fmt.Errorf("%w: %s: checksum mismatch (got %08x, want %08x)", ErrSpillCorrupt, path, got, wantCRC)
 	}
+	return recs, nil
+}
 
-	for _, e := range staged {
-		if _, seen := group[e.Key]; !seen {
-			*order = append(*order, e.Key)
-		}
-		group[e.Key] = append(group[e.Key], e.Values...)
+// spillEntry is a spill file's record: one key's values, in emission
+// order.
+type spillEntry[K comparable, V any] struct {
+	Key    K
+	Values []V
+}
+
+// writeSpillFile writes one partition group of a map task, its keys in
+// first-emission order.
+func writeSpillFile[K comparable, V any](path string, g *group[K, V]) error {
+	if err := faultCheck(faultinject.PointMapreduceSpillWrite); err != nil {
+		return fmt.Errorf("mapreduce: write spill: %w", err)
+	}
+	entries := make([]spillEntry[K, V], len(g.order))
+	for i, k := range g.order {
+		entries[i] = spillEntry[K, V]{Key: k, Values: g.vals[k]}
+	}
+	return writeRecords(path, entries)
+}
+
+// replaySpill merges one spill file into g, preserving first-emission key
+// order. The whole file validates before anything is merged, so a corrupt
+// file yields ErrSpillCorrupt and contributes nothing.
+func replaySpill[K comparable, V any](path string, g *group[K, V]) error {
+	if err := faultCheck(faultinject.PointMapreduceSpillReplay); err != nil {
+		return fmt.Errorf("mapreduce: replay spill: %w", err)
+	}
+	entries, err := readRecords[spillEntry[K, V]](path)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		g.merge(e.Key, e.Values)
 	}
 	return nil
 }

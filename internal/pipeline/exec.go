@@ -34,20 +34,16 @@ func init() {
 		detectJobName, buildDetectJob)
 }
 
-// wireConfig is the gob-transportable subset of mapreduce.JobConfig.
-// SpillDir and Watchdog are coordinator-side concerns that must not leak
-// into workers: workers always spill into the coordinator's scratch.
+// wireConfig is the subset of mapreduce.JobConfig a worker reads. The
+// watchdog and TaskTimeout stay with the coordinator: a worker runs every
+// call inline, and its liveness is the coordinator's heartbeat.
 type wireConfig struct {
 	Name            string
 	Mappers         int
 	Reducers        int
 	PartitionBits   int
-	SpillThreshold  int
-	MaxRetries      int
 	MaxFailedInputs int
 	MaxFailedKeys   int
-	MaxBackoff      time.Duration
-	TaskTimeout     time.Duration
 }
 
 func wireJobConfig(cfg mapreduce.JobConfig) wireConfig {
@@ -56,12 +52,8 @@ func wireJobConfig(cfg mapreduce.JobConfig) wireConfig {
 		Mappers:         cfg.Mappers,
 		Reducers:        cfg.Reducers,
 		PartitionBits:   cfg.PartitionBits,
-		SpillThreshold:  cfg.SpillThreshold,
-		MaxRetries:      cfg.MaxRetries,
 		MaxFailedInputs: cfg.MaxFailedInputs,
 		MaxFailedKeys:   cfg.MaxFailedKeys,
-		MaxBackoff:      cfg.MaxBackoff,
-		TaskTimeout:     cfg.TaskTimeout,
 	}
 }
 
@@ -71,12 +63,8 @@ func (w wireConfig) jobConfig() mapreduce.JobConfig {
 		Mappers:         w.Mappers,
 		Reducers:        w.Reducers,
 		PartitionBits:   w.PartitionBits,
-		SpillThreshold:  w.SpillThreshold,
-		MaxRetries:      w.MaxRetries,
 		MaxFailedInputs: w.MaxFailedInputs,
 		MaxFailedKeys:   w.MaxFailedKeys,
-		MaxBackoff:      w.MaxBackoff,
-		TaskTimeout:     w.TaskTimeout,
 	}
 }
 
