@@ -121,11 +121,11 @@ func run() error {
 	allowDegraded := flag.Bool("allow-degraded", false, "exit 0 even when the run completes degraded")
 	stageTimeout := flag.Duration("stage-timeout", 0, "wall-clock bound per pipeline stage (0 = unbounded)")
 	candidateTimeout := flag.Duration("candidate-timeout", 0, "wall-clock bound per candidate's detection/indication; overruns are parked as errors (0 = unbounded)")
-	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per MapReduce task of the detect and rescale-merge jobs; log ingest is bounded by -stage-timeout (0 = unbounded)")
-	stallTimeout := flag.Duration("stall-timeout", 0, "watchdog bound on the detect and rescale-merge jobs and the indication analysis: a worker silent this long has its task cancelled (0 = no watchdog)")
+	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per pair in the detect and rescale-merge jobs; an overrun drops the pair within -failure-budget; log ingest is bounded by -stage-timeout (0 = unbounded)")
+	stallTimeout := flag.Duration("stall-timeout", 0, "watchdog bound per pair in the detect and rescale-merge jobs and the indication analysis: a worker silent this long has its pair cancelled (0 = no watchdog)")
 	maxEventsPerPair := flag.Int("max-events-per-pair", 0, "truncate pairs above this many events to their earliest events (0 = uncapped)")
 	maxInFlight := flag.Int("max-inflight", 0, "bound on candidates admitted to detection concurrently (0 = unlimited)")
-	failureBudget := flag.Int("failure-budget", 0, "poisoned-input/key budget of the detect and rescale-merge jobs before a job aborts; log ingest sheds only through -max-events-per-pair (0 = abort on first)")
+	failureBudget := flag.Int("failure-budget", 0, "failure budget of the detect and rescale-merge jobs, counted per pair (failed, timed out or stalled): pairs within it are dropped, one more aborts the job; log ingest sheds only through -max-events-per-pair (0 = abort on first)")
 	mrWorkers := flag.Int("mr-workers", 0, "run the detect stage's MapReduce job across this many exec'd worker processes (0 = in-process)")
 	mrExec := flag.Bool("mr-exec", false, "require multi-process execution: fail instead of falling back in-process when workers cannot be spawned (implies -mr-workers GOMAXPROCS when unset)")
 	shards := flag.Int("shards", 0, "byte-range splits per log file (0 or 1 = one whole-file shard per file; gzip files always scan as one shard)")
@@ -407,8 +407,8 @@ func runOps(stateDir string, entries []string, corr *proxylog.Correlator, cfg pi
 // filtering funnel, shed-load accounting and the ranked cases.
 func printReport(res *pipeline.Result, top int) {
 	if res.Degraded {
-		fmt.Fprintf(os.Stderr, "warning: run degraded: %d candidate(s) isolated, %d pair(s) truncated, %d input(s)/%d key(s) failed within budget\n",
-			len(res.Errors), res.Stats.TruncatedPairs, res.Stats.FailedInputs, res.Stats.FailedKeys)
+		fmt.Fprintf(os.Stderr, "warning: run degraded: %d candidate(s) isolated, %d pair(s) truncated, %d pair(s) failed within budget\n",
+			len(res.Errors), res.Stats.TruncatedPairs, res.Stats.FailedPairs)
 		for _, ce := range res.Errors {
 			fmt.Fprintf(os.Stderr, "warning:   %s -> %s (%s): %s\n", ce.Source, ce.Destination, ce.Stage, ce.Err)
 		}

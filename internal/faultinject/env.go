@@ -7,15 +7,15 @@ import (
 )
 
 // Env-transportable fault schedules: the multi-process MapReduce executor
-// (internal/mrx) runs map and reduce tasks in exec'd child OS processes,
-// so a test that wants to kill a worker mid-shuffle cannot install a
-// Scheduler hook directly — the hook lives in the parent's address space.
+// (internal/mrx) runs a job's tasks in exec'd child OS processes, so a
+// test that wants to kill a worker mid-task cannot install a Scheduler
+// hook directly — the hook lives in the parent's address space.
 // Instead the test encodes a schedule as JSON, the coordinator forwards it
 // to every worker through the EnvSchedule environment variable, and the
 // worker-mode entrypoint decodes it and installs a fresh Scheduler behind
 // its fault seams. Per-point hit counts are therefore per-process: each
 // worker counts its own traversals, which is exactly the "this process
-// dies at its first spill write" semantics worker-death tests need.
+// dies before acking its first task" semantics worker-death tests need.
 //
 // A schedule may target a single worker by index (the coordinator numbers
 // workers 0,1,2,... and never reuses an index, including across respawns),

@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic, seed-driven fault scheduler for
 // crash-safety and degraded-mode testing. Production packages expose a
 // fault hook — a nil-able `func(point string) error` consulted at named
-// injection points (file writes, fsyncs, renames, spill I/O) — and tests
+// injection points (file writes, fsyncs, renames, task calls) — and tests
 // install a Scheduler behind it to script failures:
 //
 //   - FailAt / FailTransient return injected errors at exact per-point hit

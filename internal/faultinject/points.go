@@ -44,11 +44,9 @@ const (
 	PointOpsloopNoveltySave Point = "opsloop.novelty.save"
 	PointOpsloopCommitDone  Point = "opsloop.commit.done"
 
-	// mapreduce task execution and spill I/O.
-	PointMapreduceMapTask     Point = "mapreduce.map.task"
-	PointMapreduceReduceTask  Point = "mapreduce.reduce.task"
-	PointMapreduceSpillWrite  Point = "mapreduce.spill.write"
-	PointMapreduceSpillReplay Point = "mapreduce.spill.replay"
+	// mapreduce per-input call, keyed by the job's key of the input
+	// ("src|dst" for both pipeline jobs).
+	PointMapreduceTask Point = "mapreduce.task"
 
 	// pipeline per-candidate isolation points, keyed by "src|dst".
 	PointPipelineDetect     Point = "pipeline.detect"
@@ -63,17 +61,16 @@ const (
 	PointIngestAggregate Point = "ingest.aggregate"
 
 	// mrx multi-process executor, coordinator side: worker spawn, task
-	// assignment, task completion (before journaling), the map->reduce
-	// shuffle barrier, and the recovery-journal commit.
-	PointMrxSpawn          Point = "mrx.spawn"
-	PointMrxAssign         Point = "mrx.assign"
-	PointMrxComplete       Point = "mrx.complete"
-	PointMrxShuffleBarrier Point = "mrx.shuffle.barrier"
-	PointMrxJournalWrite   Point = "mrx.journal.write"
+	// assignment, task completion (before journaling), and the
+	// recovery-journal commit.
+	PointMrxSpawn        Point = "mrx.spawn"
+	PointMrxAssign       Point = "mrx.assign"
+	PointMrxComplete     Point = "mrx.complete"
+	PointMrxJournalWrite Point = "mrx.journal.write"
 
 	// mrx worker side (traversed inside exec'd worker processes; schedule
 	// these through the EnvScheduleVar transport): task start, the ack
-	// gap between finishing a task (spills durable) and sending
+	// gap between finishing a task (output written) and sending
 	// task-done, and each heartbeat send.
 	PointMrxWorkerTask      Point = "mrx.worker.task"
 	PointMrxWorkerAck       Point = "mrx.worker.ack"
@@ -131,10 +128,7 @@ func Points() []Point {
 		PointOpsloopDayDirsync,
 		PointOpsloopNoveltySave,
 		PointOpsloopCommitDone,
-		PointMapreduceMapTask,
-		PointMapreduceReduceTask,
-		PointMapreduceSpillWrite,
-		PointMapreduceSpillReplay,
+		PointMapreduceTask,
 		PointPipelineDetect,
 		PointPipelineIndication,
 		PointGuardWatchdogStall,
@@ -143,7 +137,6 @@ func Points() []Point {
 		PointMrxSpawn,
 		PointMrxAssign,
 		PointMrxComplete,
-		PointMrxShuffleBarrier,
 		PointMrxJournalWrite,
 		PointMrxWorkerTask,
 		PointMrxWorkerAck,

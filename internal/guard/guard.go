@@ -49,9 +49,8 @@ type Config struct {
 	// analysis; a candidate that overruns is parked as StageError and the
 	// run completes Degraded. 0 disables.
 	CandidateTimeout time.Duration
-	// TaskTimeout bounds each MapReduce map-input and reduce-key call
-	// (forwarded to mapreduce.JobConfig.TaskTimeout when that is unset).
-	// 0 disables.
+	// TaskTimeout bounds each MapReduce job's call on one pair
+	// (mapreduce.JobConfig.TaskTimeout). 0 disables.
 	TaskTimeout time.Duration
 	// StallTimeout enables the watchdog: a worker that publishes no
 	// progress heartbeat for this long has its current task cancelled
@@ -68,9 +67,9 @@ type Config struct {
 	// events with explicit accounting (pipeline Result.Truncated). 0
 	// means uncapped.
 	MaxEventsPerPair int
-	// FailureBudget, when > 0, is forwarded to the MapReduce jobs'
-	// MaxFailedInputs/MaxFailedKeys (where unset), so timed-out or
-	// stalled tasks degrade the run instead of failing it.
+	// FailureBudget, when > 0, is the MapReduce jobs' per-pair failure
+	// budget (mapreduce.JobConfig.MaxFailed), so timed-out or stalled
+	// pairs degrade the run instead of failing it.
 	FailureBudget int
 }
 

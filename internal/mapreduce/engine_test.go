@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,39 +15,24 @@ type kv struct {
 	Count int
 }
 
-func wordCountJob(cfg JobConfig) *Job[string, string, int, kv] {
-	return NewJob[string, string, int, kv](cfg,
-		func(line string, emit Emitter[string, int]) error {
-			for _, w := range strings.Fields(line) {
-				emit(w, 1)
-			}
-			return nil
-		},
-		func(key string, values []int, emit func(kv)) error {
-			total := 0
-			for _, v := range values {
-				total += v
-			}
-			emit(kv{Key: key, Count: total})
-			return nil
+// wordCountJob counts the words of each line: one output per line, keyed
+// by the line itself.
+func wordCountJob(cfg JobConfig) *Job[string, kv] {
+	return NewJob(cfg,
+		func(line string) string { return line },
+		func(line string) (kv, error) {
+			return kv{Key: line, Count: len(strings.Fields(line))}, nil
 		},
 	)
 }
 
-func runWordCount(t *testing.T, cfg JobConfig, lines []string) map[string]int {
+func runWordCount(t *testing.T, cfg JobConfig, lines []string) *Result[kv] {
 	t.Helper()
 	res, err := wordCountJob(cfg).Run(context.Background(), lines)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]int, len(res.Outputs))
-	for _, o := range res.Outputs {
-		if _, dup := out[o.Key]; dup {
-			t.Fatalf("key %q reduced twice", o.Key)
-		}
-		out[o.Key] = o.Count
-	}
-	return out
+	return res
 }
 
 func TestWordCount(t *testing.T) {
@@ -57,65 +41,62 @@ func TestWordCount(t *testing.T) {
 		"the lazy dog",
 		"the quick dog",
 	}
-	got := runWordCount(t, JobConfig{}, lines)
-	want := map[string]int{
-		"the": 3, "quick": 2, "brown": 1, "fox": 1, "lazy": 1, "dog": 2,
+	got := map[string]int{}
+	for _, o := range runWordCount(t, JobConfig{}, lines).Outputs {
+		if _, dup := got[o.Key]; dup {
+			t.Fatalf("line %q counted twice", o.Key)
+		}
+		got[o.Key] = o.Count
 	}
+	want := map[string]int{"the quick brown fox": 4, "the lazy dog": 3, "the quick dog": 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	res, err := wordCountJob(JobConfig{}).Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runWordCount(t, JobConfig{}, nil)
 	if len(res.Outputs) != 0 {
 		t.Errorf("outputs = %v, want empty", res.Outputs)
 	}
-	if res.Counters.InputRecords != 0 || res.Counters.DistinctKeys != 0 {
+	if res.Counters != (Counters{}) {
 		t.Errorf("counters = %+v", res.Counters)
 	}
 }
 
+// TestSingleWorkerMatchesParallel: the result — outputs, their order and
+// the counters — does not depend on how many workers run the partitions.
 func TestSingleWorkerMatchesParallel(t *testing.T) {
 	var lines []string
 	for i := 0; i < 500; i++ {
 		lines = append(lines, fmt.Sprintf("w%d w%d w%d", i%7, i%13, i%29))
 	}
-	serial := runWordCount(t, JobConfig{Mappers: 1, Reducers: 1}, lines)
-	parallel := runWordCount(t, JobConfig{Mappers: 8, Reducers: 8}, lines)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("parallel result differs from serial")
+	serial := runWordCount(t, JobConfig{Workers: 1}, lines)
+	for _, workers := range []int{2, 4, 8} {
+		if parallel := runWordCount(t, JobConfig{Workers: workers}, lines); !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("%d workers: result differs from one worker", workers)
+		}
 	}
 }
 
-// TestDeterministicOutputOrder pins Run's documented order: by partition,
-// then by first emission, taking map worker 0's keys first, then worker
-// 1's new ones, and so on, where worker w maps inputs w, w+Mappers, ...
+// TestDeterministicOutputOrder pins Run's documented order: by partition
+// (FNV-1a of the key modulo 2^PartitionBits), then by input.
 func TestDeterministicOutputOrder(t *testing.T) {
 	var lines []string
 	for i := 0; i < 300; i++ {
 		lines = append(lines, fmt.Sprintf("k%d k%d", (i*7)%50, (i*13)%61))
 	}
-	const mappers, bits = 4, 3
+	const bits = 3
 	var want []string
-	seen := map[string]bool{}
-	for p := uint64(0); p < 1<<bits; p++ {
-		for w := 0; w < mappers; w++ {
-			for i := w; i < len(lines); i += mappers {
-				for _, word := range strings.Fields(lines[i]) {
-					if keyHash(word)%(1<<bits) == p && !seen[word] {
-						seen[word] = true
-						want = append(want, word)
-					}
-				}
+	for p := 0; p < 1<<bits; p++ {
+		for _, line := range lines {
+			if partitionOf(line, bits) == p {
+				want = append(want, line)
 			}
 		}
 	}
 
-	job := wordCountJob(JobConfig{Mappers: mappers, Reducers: 4, PartitionBits: bits})
+	job := wordCountJob(JobConfig{Workers: 4, PartitionBits: bits})
 	for run := 0; run < 5; run++ {
 		res, err := job.Run(context.Background(), lines)
 		if err != nil {
@@ -132,37 +113,33 @@ func TestDeterministicOutputOrder(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
-	lines := []string{"a b", "a"}
-	res, err := wordCountJob(JobConfig{}).Run(context.Background(), lines)
+	job := NewJob(JobConfig{MaxFailed: 1},
+		func(line string) string { return line },
+		func(line string) (int, error) {
+			if line == "bad" {
+				return 0, errors.New("bad line")
+			}
+			return len(line), nil
+		})
+	res, err := job.Run(context.Background(), []string{"a b", "bad", "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Counters
-	if c.InputRecords != 2 {
-		t.Errorf("InputRecords = %d, want 2", c.InputRecords)
-	}
-	if c.MapOutputPairs != 3 {
-		t.Errorf("MapOutputPairs = %d, want 3", c.MapOutputPairs)
-	}
-	if c.DistinctKeys != 2 {
-		t.Errorf("DistinctKeys = %d, want 2", c.DistinctKeys)
-	}
-	if c.OutputRecords != 2 {
-		t.Errorf("OutputRecords = %d, want 2", c.OutputRecords)
+	if want := (Counters{Inputs: 3, Outputs: 2, Failed: 1}); res.Counters != want {
+		t.Errorf("counters = %+v, want %+v", res.Counters, want)
 	}
 }
 
 func TestMapError(t *testing.T) {
 	sentinel := errors.New("boom")
-	job := NewJob[int, int, int, int](JobConfig{Name: "failing"},
-		func(in int, emit Emitter[int, int]) error {
+	job := NewJob(JobConfig{Name: "failing"},
+		func(in int) string { return fmt.Sprint(in) },
+		func(in int) (int, error) {
 			if in == 7 {
-				return sentinel
+				return 0, sentinel
 			}
-			emit(in, in)
-			return nil
+			return in, nil
 		},
-		func(k int, vs []int, emit func(int)) error { emit(k); return nil },
 	)
 	inputs := make([]int, 20)
 	for i := range inputs {
@@ -177,22 +154,25 @@ func TestMapError(t *testing.T) {
 	}
 }
 
+// TestReduceError: a failing call's error names the input's key, so a
+// pair that aborts a job is identifiable from the error alone.
 func TestReduceError(t *testing.T) {
-	sentinel := errors.New("reduce boom")
-	job := NewJob[int, int, int, int](JobConfig{},
-		func(in int, emit Emitter[int, int]) error { emit(in%3, in); return nil },
-		func(k int, vs []int, emit func(int)) error {
-			if k == 1 {
-				return sentinel
+	sentinel := errors.New("call boom")
+	job := NewJob(JobConfig{},
+		func(in int) string { return fmt.Sprintf("k=%d", in) },
+		func(in int) (int, error) {
+			if in == 1 {
+				return 0, sentinel
 			}
-			emit(k)
-			return nil
+			return in, nil
 		},
 	)
-	inputs := []int{0, 1, 2, 3, 4, 5}
-	_, err := job.Run(context.Background(), inputs)
+	_, err := job.Run(context.Background(), []int{0, 1, 2, 3, 4, 5})
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v, want wrapped sentinel", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), `"k=1"`) {
+		t.Errorf("error should name the failing input's key: %v", err)
 	}
 }
 
@@ -200,9 +180,9 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	inputs := make([]int, 1000)
-	job := NewJob[int, int, int, int](JobConfig{},
-		func(in int, emit Emitter[int, int]) error { emit(in, 1); return nil },
-		func(k int, vs []int, emit func(int)) error { emit(k); return nil },
+	job := NewJob(JobConfig{},
+		func(in int) string { return fmt.Sprint(in) },
+		func(in int) (int, error) { return in, nil },
 	)
 	if _, err := job.Run(ctx, inputs); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -210,79 +190,34 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestPartitionBitsControlFanout(t *testing.T) {
-	// All keys must appear exactly once regardless of partition count —
+	// Every input is called exactly once regardless of partition count —
 	// the paper's H(s,d) hash controls fan-out, not correctness.
 	var lines []string
 	for i := 0; i < 200; i++ {
 		lines = append(lines, fmt.Sprintf("key%d", i))
 	}
 	for _, bits := range []int{1, 3, 5, 8} {
-		got := runWordCount(t, JobConfig{PartitionBits: bits}, lines)
-		if len(got) != 200 {
-			t.Errorf("bits=%d: %d distinct keys, want 200", bits, len(got))
+		job := wordCountJob(JobConfig{PartitionBits: bits})
+		if n := len(job.partition(lines)); n != 1<<bits {
+			t.Errorf("bits=%d: %d partitions, want %d", bits, n, 1<<bits)
 		}
-	}
-}
-
-func TestReduceSeesAllValuesOfKey(t *testing.T) {
-	job := NewJob[int, string, int, []int](JobConfig{Mappers: 7},
-		func(in int, emit Emitter[string, int]) error {
-			emit("all", in)
-			return nil
-		},
-		func(_ string, vs []int, emit func([]int)) error {
-			sorted := append([]int(nil), vs...)
-			sort.Ints(sorted)
-			emit(sorted)
-			return nil
-		},
-	)
-	inputs := []int{5, 3, 9, 1, 7}
-	res, err := job.Run(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outputs) != 1 || !reflect.DeepEqual(res.Outputs[0], []int{1, 3, 5, 7, 9}) {
-		t.Errorf("outputs = %v", res.Outputs)
-	}
-}
-
-func TestJobChaining(t *testing.T) {
-	// Job 1: word count. Job 2: histogram of counts. Chained without
-	// reprocessing raw input — the paper's modular job design.
-	lines := []string{"a b c", "a b", "a"}
-	res1, err := wordCountJob(JobConfig{}).Run(context.Background(), lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job2 := NewJob[kv, int, int, kv](JobConfig{},
-		func(in kv, emit Emitter[int, int]) error {
-			emit(in.Count, 1)
-			return nil
-		},
-		func(count int, vs []int, emit func(kv)) error {
-			emit(kv{Key: fmt.Sprintf("count=%d", count), Count: len(vs)})
-			return nil
-		},
-	)
-	res2, err := job2.Run(context.Background(), res1.Outputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int{}
-	for _, o := range res2.Outputs {
-		got[o.Key] = o.Count
-	}
-	// counts: a=3, b=2, c=1 -> one word each with count 1, 2, 3.
-	want := map[string]int{"count=1": 1, "count=2": 1, "count=3": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
+		res, err := job.Run(context.Background(), lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, o := range res.Outputs {
+			seen[o.Key] = true
+		}
+		if len(seen) != 200 {
+			t.Errorf("bits=%d: %d distinct keys, want 200", bits, len(seen))
+		}
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := JobConfig{}.withDefaults()
-	if cfg.Mappers <= 0 || cfg.Reducers <= 0 {
+	if cfg.Workers <= 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if cfg.PartitionBits != 5 {
@@ -294,7 +229,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// Property: for any input multiset, the sum of all word counts equals the
+// Property: for any input multiset, the per-line word counts sum to the
 // number of words, under arbitrary worker/partition configurations.
 func TestWordCountConservation(t *testing.T) {
 	f := func(seed int64) bool {
@@ -310,8 +245,7 @@ func TestWordCountConservation(t *testing.T) {
 			total += 2
 		}
 		cfg := JobConfig{
-			Mappers:       1 + s%8,
-			Reducers:      1 + s%4,
+			Workers:       1 + s%8,
 			PartitionBits: 1 + s%6,
 		}
 		res, err := wordCountJob(cfg).Run(context.Background(), lines)

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -18,12 +17,12 @@ import (
 	"baywatch/internal/mrx"
 )
 
-// TestMain registers the distributable test jobs and then lets the test
+// TestMain registers the distributable test job and then lets the test
 // binary serve as a worker process when a coordinator test re-execs it.
 // Registration must precede MaybeWorker so exec'd workers can resolve
-// the jobs.
+// the job.
 func TestMain(m *testing.M) {
-	RegisterExec[string, string, int, kv](execTestJob, buildExecWordCount)
+	RegisterExec(execTestJob, buildExecWordCount)
 	mrx.MaybeWorker()
 	os.Exit(m.Run())
 }
@@ -35,21 +34,26 @@ const execTestJob = "mapreduce.test.wordcount"
 // it in buildExecWordCount. Coordinator and workers must build identical
 // jobs or the differential guarantees are void.
 type execParams struct {
-	Mappers       int
-	Reducers      int
+	Workers       int
 	PartitionBits int
+	MaxFailed     int
 }
 
-func (p execParams) job() *Job[string, string, int, kv] {
-	return wordCountJob(JobConfig{
-		Name:          "exec-wordcount",
-		Mappers:       p.Mappers,
-		Reducers:      p.Reducers,
-		PartitionBits: p.PartitionBits,
-	})
+// job counts each line's words; a line starting with "poison" fails.
+func (p execParams) job() *Job[string, kv] {
+	return NewJob(
+		JobConfig{Name: "exec-wordcount", Workers: p.Workers, PartitionBits: p.PartitionBits, MaxFailed: p.MaxFailed},
+		func(line string) string { return line },
+		func(line string) (kv, error) {
+			if strings.HasPrefix(line, "poison") {
+				return kv{}, fmt.Errorf("poisoned line %q", line)
+			}
+			return kv{Key: line, Count: len(strings.Fields(line))}, nil
+		},
+	)
 }
 
-func buildExecWordCount(params []byte) (*Job[string, string, int, kv], error) {
+func buildExecWordCount(params []byte) (*Job[string, kv], error) {
 	var p execParams
 	if err := gob.NewDecoder(bytes.NewReader(params)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("exec wordcount params: %w", err)
@@ -66,19 +70,20 @@ func encodeExecParams(t *testing.T, p execParams) []byte {
 	return buf.Bytes()
 }
 
-// execTestLines generates deterministic word-count input.
+// execTestLines generates deterministic, distinct input lines.
 func execTestLines(n int) []string {
 	words := []string{"beacon", "host", "dns", "c2", "ping", "poll", "jitter", "tick"}
 	lines := make([]string, n)
 	for i := range lines {
-		lines[i] = fmt.Sprintf("%s %s %s",
+		lines[i] = fmt.Sprintf("%d %s %s %s", i,
 			words[i%len(words)], words[(i*3+1)%len(words)], words[(i*7+2)%len(words)])
 	}
 	return lines
 }
 
+// baseExecParams spreads the test inputs over up to eight tasks.
 func baseExecParams() execParams {
-	return execParams{Mappers: 3, Reducers: 2, PartitionBits: 2}
+	return execParams{Workers: 2, PartitionBits: 3}
 }
 
 func fastExec(workers int) ExecConfig {
@@ -130,42 +135,51 @@ func TestExecEmptyInput(t *testing.T) {
 
 // TestExecWorkerKillEveryPointConverges kills worker 0 at every
 // registered worker-side fault point, one run per point, and asserts the
-// job converges to the exact in-process Result every time — the ISSUE's
-// acceptance criterion for worker-death recovery.
+// job converges to the exact in-process Result every time. The task point
+// is keyed, so it is scheduled at the first input of task 0, the task
+// worker 0 is handed first.
 func TestExecWorkerKillEveryPointConverges(t *testing.T) {
-	points := []faultinject.Point{
-		faultinject.PointMrxWorkerTask,
-		faultinject.PointMrxWorkerAck,
-		faultinject.PointMrxWorkerHeartbeat,
-		faultinject.PointMapreduceMapTask,
-		faultinject.PointMapreduceReduceTask,
-		faultinject.PointMapreduceSpillWrite,
-		faultinject.PointMapreduceSpillReplay,
-	}
 	p := baseExecParams()
 	inputs := execTestLines(30)
 	want, err := p.job().Run(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pt := range points {
+	var first string
+	for _, part := range p.job().partition(inputs) {
+		if len(part) > 0 {
+			first = part[0]
+			break
+		}
+	}
+	for _, pt := range []faultinject.Point{
+		faultinject.PointMrxWorkerTask,
+		faultinject.PointMrxWorkerAck,
+		faultinject.PointMrxWorkerHeartbeat,
+		faultinject.PointMapreduceTask,
+	} {
 		t.Run(string(pt), func(t *testing.T) {
+			point := pt
+			if pt == faultinject.PointMapreduceTask {
+				point = pt.Keyed(first)
+			}
 			enc, err := faultinject.Schedule{
 				Worker: 0,
-				Rules:  []faultinject.EnvRule{{Point: string(pt), From: 1, Crash: true}},
+				Rules:  []faultinject.EnvRule{{Point: string(point), From: 1, Crash: true}},
 			}.Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
 			ec := fastExec(3)
 			ec.Env = []string{faultinject.EnvScheduleVar + "=" + enc}
+			ec.Logf = t.Logf
 			got, err := p.job().RunExec(context.Background(), execTestJob,
 				encodeExecParams(t, p), ec, inputs)
 			if err != nil {
-				t.Fatalf("job did not survive worker kill at %s: %v", pt, err)
+				t.Fatalf("job did not survive worker kill at %s: %v", point, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("kill at %s: result diverged:\ngot  %+v\nwant %+v", pt, got, want)
+				t.Fatalf("kill at %s: result diverged:\ngot  %+v\nwant %+v", point, got, want)
 			}
 		})
 	}
@@ -173,9 +187,8 @@ func TestExecWorkerKillEveryPointConverges(t *testing.T) {
 
 // TestExecCoordinatorCrashEveryHitResumes crashes the coordinator at
 // every coordinator-side fault-point traversal in turn (spawn, assign,
-// complete, shuffle barrier, journal write), restarts it on the same
-// scratch directory, and asserts each resumed run converges to the
-// in-process Result — the ISSUE's crash-safe-coordinator criterion.
+// complete, journal write), restarts it on the same scratch directory,
+// and asserts each resumed run converges to the in-process Result.
 func TestExecCoordinatorCrashEveryHitResumes(t *testing.T) {
 	p := baseExecParams()
 	inputs := execTestLines(24)
@@ -235,19 +248,20 @@ func TestExecCoordinatorCrashEveryHitResumes(t *testing.T) {
 }
 
 // TestExecResumeSkipsCompletedTasks restarts a mid-job-crashed
-// coordinator and proves journalled map tasks are not re-executed: their
-// spill files' modification times do not change across the resumed run.
+// coordinator and proves journalled tasks are not re-executed: their
+// output files' modification times do not change across the resumed run.
 func TestExecResumeSkipsCompletedTasks(t *testing.T) {
 	p := baseExecParams()
 	inputs := execTestLines(24)
 	scratch := t.TempDir()
-	ec := fastExec(2)
+	ec := fastExec(1)
 	ec.ScratchDir = scratch
 
-	// Crash at the shuffle barrier: every map task is complete and
-	// journalled, no reduce has run.
+	// One worker runs the tasks in index order, and each is journalled
+	// before the next is assigned: a crash at the third assignment leaves
+	// exactly tasks 0 and 1 complete, journalled and on disk.
 	s := faultinject.New(0)
-	s.CrashAt(faultinject.PointMrxShuffleBarrier, 1)
+	s.CrashAt(faultinject.PointMrxAssign, 3)
 	mrx.SetFaultHook(s.Hook())
 	crash, _ := faultinject.Run(func() error {
 		_, err := p.job().RunExec(context.Background(), execTestJob,
@@ -259,13 +273,13 @@ func TestExecResumeSkipsCompletedTasks(t *testing.T) {
 		t.Fatal("scripted coordinator crash did not fire")
 	}
 
-	spills, err := filepath.Glob(filepath.Join(scratch, "map-*", "spill-*.gob"))
-	if err != nil || len(spills) == 0 {
-		t.Fatalf("no spill files survived the crash (err=%v)", err)
+	// The coordinator names task outputs task-NNN.out in its scratch.
+	outputs, err := filepath.Glob(filepath.Join(scratch, "task-*.out"))
+	if err != nil || len(outputs) != 2 {
+		t.Fatalf("want the two journalled task outputs after the crash, got %v (err=%v)", outputs, err)
 	}
-	sort.Strings(spills)
-	before := make(map[string]time.Time, len(spills))
-	for _, path := range spills {
+	before := make(map[string]time.Time, len(outputs))
+	for _, path := range outputs {
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -279,12 +293,12 @@ func TestExecResumeSkipsCompletedTasks(t *testing.T) {
 	}
 
 	// RunExec removes its scratch once the job succeeds, so snapshot the
-	// spill mtimes mid-resume — at the shuffle barrier, when every map is
-	// done but the scratch still exists.
+	// output mtimes mid-resume — at the first assignment, when the resumed
+	// run is under way but the scratch still exists.
 	during := make(map[string]time.Time)
 	var snapErr error
 	mrx.SetFaultHook(func(point string) error {
-		if point == string(faultinject.PointMrxShuffleBarrier) && len(during) == 0 {
+		if point == string(faultinject.PointMrxAssign) && len(during) == 0 {
 			for path := range before {
 				fi, err := os.Stat(path)
 				if err != nil {
@@ -307,103 +321,86 @@ func TestExecResumeSkipsCompletedTasks(t *testing.T) {
 		t.Fatalf("resumed result diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 	if snapErr != nil {
-		t.Fatalf("journalled spill vanished during resume: %v", snapErr)
+		t.Fatalf("journalled output vanished during resume: %v", snapErr)
 	}
 	if len(during) != len(before) {
-		t.Fatalf("mtime snapshot incomplete: %d/%d spills seen at the barrier", len(during), len(before))
+		t.Fatalf("mtime snapshot incomplete: %d/%d outputs seen", len(during), len(before))
 	}
 	for path, mtime := range before {
 		if !during[path].Equal(mtime) {
-			t.Fatalf("journalled map task re-ran during resume: %s was rewritten", path)
+			t.Fatalf("journalled task re-ran during resume: %s was rewritten", path)
 		}
 	}
 }
 
-// TestExecDistributedCorruptSpillRecovered truncates one spill file at
-// the shuffle barrier (maps done, reduces not yet assigned): the reduce
-// replay reports it, the coordinator quarantines the file and re-executes
-// the producing map shard, and the job converges.
-func TestExecDistributedCorruptSpillRecovered(t *testing.T) {
-	p := baseExecParams()
-	inputs := execTestLines(30)
-	want, err := p.job().Run(context.Background(), inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scratch := t.TempDir()
-	ec := fastExec(2)
-	ec.ScratchDir = scratch
-	var corrupted string
-	mrx.SetFaultHook(func(point string) error {
-		if point == string(faultinject.PointMrxShuffleBarrier) && corrupted == "" {
-			paths, _ := filepath.Glob(filepath.Join(scratch, "map-*", "spill-*.gob"))
-			sort.Strings(paths)
-			if len(paths) > 0 {
-				corrupted = paths[0]
-				fi, err := os.Stat(corrupted)
-				if err == nil {
-					os.Truncate(corrupted, fi.Size()-5)
+// TestExecCorruptTaskFileFailsLoudly: a task input or output that fails
+// its checksum fails the distributed job with ErrCorrupt; nothing is
+// silently re-derived.
+func TestExecCorruptTaskFileFailsLoudly(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		point   faultinject.Point // where the coordinator's hook corrupts
+		pattern string
+	}{
+		{"input", faultinject.PointMrxSpawn, "input-*.gob"},
+		{"output", faultinject.PointMrxComplete, "task-*.out"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := baseExecParams()
+			scratch := t.TempDir()
+			ec := fastExec(2)
+			ec.ScratchDir = scratch
+			var corrupted []string
+			mrx.SetFaultHook(func(point string) error {
+				if point == string(tc.point) && len(corrupted) == 0 {
+					corrupted, _ = filepath.Glob(filepath.Join(scratch, tc.pattern))
+					for _, path := range corrupted {
+						if fi, err := os.Stat(path); err == nil {
+							os.Truncate(path, fi.Size()-5)
+						}
+					}
 				}
+				return nil
+			})
+			defer mrx.SetFaultHook(nil)
+			_, err := p.job().RunExec(context.Background(), execTestJob,
+				encodeExecParams(t, p), ec, execTestLines(30))
+			if len(corrupted) == 0 {
+				t.Fatal("no file was corrupted; test exercised nothing")
 			}
-		}
-		return nil
-	})
-	defer mrx.SetFaultHook(nil)
-
-	got, err := p.job().RunExec(context.Background(), execTestJob,
-		encodeExecParams(t, p), ec, inputs)
-	if err != nil {
-		t.Fatalf("distributed corruption not recovered: %v", err)
-	}
-	if corrupted == "" {
-		t.Fatal("no spill file was corrupted; test exercised nothing")
-	}
-	if got.Counters.CorruptSpills != 1 || got.Counters.ShardReruns != 1 {
-		t.Fatalf("recovery counters: CorruptSpills=%d ShardReruns=%d, want 1/1",
-			got.Counters.CorruptSpills, got.Counters.ShardReruns)
-	}
-	got.Counters.CorruptSpills, got.Counters.ShardReruns = 0, 0
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered distributed result diverged:\ngot  %+v\nwant %+v", got, want)
+			if err == nil || !strings.Contains(err.Error(), ErrCorrupt.Error()) {
+				t.Fatalf("err = %v, want the corruption reported", err)
+			}
+		})
 	}
 }
 
-// TestExecDistributedPersistentCorruptionFails re-corrupts the spill file
-// every time a task is assigned, so the one bounded shard re-execution
-// cannot help: the job must fail, not loop.
-func TestExecDistributedPersistentCorruptionFails(t *testing.T) {
+// TestExecFailureBudgetIsJobWide: a worker checks the budget against its
+// own task, and RunExec charges the job's total against it, so a
+// distributed run accepts exactly the failures an in-process run does.
+func TestExecFailureBudgetIsJobWide(t *testing.T) {
 	p := baseExecParams()
-	inputs := execTestLines(30)
-	scratch := t.TempDir()
-	ec := fastExec(2)
-	ec.ScratchDir = scratch
-	var target string
-	mrx.SetFaultHook(func(point string) error {
-		switch point {
-		case string(faultinject.PointMrxShuffleBarrier):
-			paths, _ := filepath.Glob(filepath.Join(scratch, "map-*", "spill-*.gob"))
-			sort.Strings(paths)
-			if len(paths) > 0 {
-				target = paths[0]
-			}
+	// Two poisoned lines in different partitions: neither task alone
+	// exceeds a budget of one.
+	poisoned := []string{"poison 0"}
+	for i := 1; len(poisoned) < 2; i++ {
+		line := fmt.Sprintf("poison %d", i)
+		if partitionOf(line, p.PartitionBits) != partitionOf(poisoned[0], p.PartitionBits) {
+			poisoned = append(poisoned, line)
 		}
-		if target != "" {
-			if fi, err := os.Stat(target); err == nil && fi.Size() > 10 {
-				os.Truncate(target, 10)
-			}
-		}
-		return nil
-	})
-	defer mrx.SetFaultHook(nil)
-
-	_, err := p.job().RunExec(context.Background(), execTestJob,
-		encodeExecParams(t, p), ec, inputs)
-	if err == nil {
-		t.Fatal("persistently corrupt spill did not fail the distributed job")
 	}
-	if !strings.Contains(err.Error(), "corrupted its spills again") {
-		t.Fatalf("err = %v, want the bounded-rerun failure", err)
+	inputs := append(execTestLines(30), poisoned...)
+	for _, budget := range []int{1, 2} {
+		p.MaxFailed = budget
+		want, wantErr := p.job().Run(context.Background(), inputs)
+		got, err := p.job().RunExec(context.Background(), execTestJob,
+			encodeExecParams(t, p), fastExec(2), inputs)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("budget %d: distributed err = %v, in-process err = %v", budget, err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("budget %d: distributed result differs:\ngot  %+v\nwant %+v", budget, got, want)
+		}
 	}
 }
 

@@ -1,20 +1,34 @@
 package mapreduce
 
-import "baywatch/internal/faultinject"
+import (
+	"sync/atomic"
 
-// faultHook, when non-nil, is consulted at internal failure points (map
-// and reduce calls, spill writes and replays) so tests can inject
-// deterministic failures.
-// Production runs leave it nil.
-var faultHook func(point string) error
+	"baywatch/internal/faultinject"
+)
+
+// faultHook, when non-nil, is consulted before every call of a job's
+// function, at the task point keyed by the input's key, so tests can
+// inject deterministic failures. Production runs leave it nil. It is
+// atomic because a timed-out call, abandoned to drain on its own, may
+// still be reading it when the next test installs its hook.
+var faultHook atomic.Pointer[func(point string) error]
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook.
-// Not safe to call while a job is running.
-func SetFaultHook(hook func(point string) error) { faultHook = hook }
+// Testing only.
+func SetFaultHook(hook func(point string) error) {
+	if hook == nil {
+		faultHook.Store(nil)
+		return
+	}
+	faultHook.Store(&hook)
+}
 
-func faultCheck(point faultinject.Point) error {
-	if faultHook == nil {
+// faultCheck traverses the task point for one input; the key is rendered
+// only when a hook is installed.
+func faultCheck[I any](key func(I) string, in I) error {
+	h := faultHook.Load()
+	if h == nil {
 		return nil
 	}
-	return faultHook(string(point))
+	return (*h)(string(faultinject.PointMapreduceTask.Keyed(key(in))))
 }

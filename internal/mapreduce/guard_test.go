@@ -3,7 +3,9 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,12 +15,11 @@ import (
 	"baywatch/internal/guard"
 )
 
-// identityJob maps each int to itself and reduces by summing; handy for
-// asserting which inputs survived.
-func identityJob(cfg JobConfig) *Job[int, int, int, int] {
-	return NewJob[int, int, int, int](cfg,
-		func(i int, emit Emitter[int, int]) error { emit(i, i); return nil },
-		func(k int, vs []int, emit func(int)) error { emit(k); return nil },
+// identityJob returns each int; handy for asserting which inputs survived.
+func identityJob(cfg JobConfig) *Job[int, int] {
+	return NewJob(cfg,
+		func(i int) string { return fmt.Sprint(i) },
+		func(i int) (int, error) { return i, nil },
 	)
 }
 
@@ -43,17 +44,15 @@ func waitGoroutines(t *testing.T, limit int) {
 func TestTaskTimeoutSkipsHungInput(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	release := make(chan struct{})
-	job := NewJob[int, int, int, int](
-		JobConfig{Name: "hung-map", Mappers: 2, Reducers: 2,
-			TaskTimeout: 50 * time.Millisecond, MaxFailedInputs: 1},
-		func(i int, emit Emitter[int, int]) error {
+	job := NewJob(
+		JobConfig{Name: "hung-call", Workers: 2, TaskTimeout: 50 * time.Millisecond, MaxFailed: 1},
+		func(i int) string { return fmt.Sprint(i) },
+		func(i int) (int, error) {
 			if i == 3 {
 				<-release // wedged far beyond the task deadline
 			}
-			emit(i, i)
-			return nil
+			return i, nil
 		},
-		func(k int, vs []int, emit func(int)) error { emit(k); return nil },
 	)
 	start := time.Now()
 	res, err := job.Run(context.Background(), []int{1, 2, 3, 4, 5})
@@ -66,8 +65,8 @@ func TestTaskTimeoutSkipsHungInput(t *testing.T) {
 	if got := sortedInts(t, res); len(got) != 4 || got[0] != 1 || got[3] != 5 {
 		t.Fatalf("outputs = %v, want the 4 non-hung inputs", got)
 	}
-	if res.Counters.FailedInputs != 1 {
-		t.Fatalf("FailedInputs = %d, want 1", res.Counters.FailedInputs)
+	if res.Counters.Failed != 1 {
+		t.Fatalf("Failed = %d, want 1", res.Counters.Failed)
 	}
 	close(release)
 	waitGoroutines(t, baseline)
@@ -76,107 +75,78 @@ func TestTaskTimeoutSkipsHungInput(t *testing.T) {
 func TestWatchdogCancelsStalledMapTask(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	sched := faultinject.New(0)
-	sched.HangAt(faultinject.PointMapreduceMapTask, 2)
+	sched.HangAt(faultinject.PointMapreduceTask.Keyed("2"), 1)
 	SetFaultHook(sched.Hook())
 	t.Cleanup(func() { SetFaultHook(nil); sched.ReleaseHangs() })
 
 	wd := guard.NewWatchdog(50*time.Millisecond, 5*time.Millisecond)
 	defer wd.Stop()
-	job := identityJob(JobConfig{Name: "stalled-map", Mappers: 1, Reducers: 1,
-		Watchdog: wd, MaxFailedInputs: 1})
+	job := identityJob(JobConfig{Name: "stalled-call", Workers: 1, Watchdog: wd, MaxFailed: 1})
 	res, err := job.Run(context.Background(), []int{1, 2, 3, 4})
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	if res.Counters.FailedInputs != 1 {
-		t.Fatalf("FailedInputs = %d, want 1", res.Counters.FailedInputs)
+	if res.Counters.Failed != 1 {
+		t.Fatalf("Failed = %d, want 1", res.Counters.Failed)
 	}
-	if len(res.Outputs) != 3 {
-		t.Fatalf("outputs = %v, want 3 surviving inputs", res.Outputs)
+	if got := sortedInts(t, res); !slices.Equal(got, []int{1, 3, 4}) {
+		t.Fatalf("outputs = %v, want the 3 inputs that did not stall", got)
 	}
 	stalls := wd.Stalls()
-	if len(stalls) == 0 || !strings.HasPrefix(stalls[0].Worker, "stalled-map/map-") {
-		t.Fatalf("watchdog recorded no map stall: %+v", stalls)
+	if len(stalls) == 0 || !strings.HasPrefix(stalls[0].Worker, "stalled-call/task-") {
+		t.Fatalf("watchdog recorded no task stall: %+v", stalls)
 	}
 	sched.ReleaseHangs()
 	wd.Stop() // idempotent; stop before the leak check so the monitor exits
 	waitGoroutines(t, baseline)
 }
 
-func TestWatchdogCancelsStalledReduceTask(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	sched := faultinject.New(0)
-	sched.HangAt(faultinject.PointMapreduceReduceTask, 2)
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil); sched.ReleaseHangs() })
-
-	wd := guard.NewWatchdog(50*time.Millisecond, 5*time.Millisecond)
-	defer wd.Stop()
-	job := identityJob(JobConfig{Name: "stalled-reduce", Mappers: 1, Reducers: 1,
-		Watchdog: wd, MaxFailedKeys: 1})
-	res, err := job.Run(context.Background(), []int{1, 2, 3, 4})
-	if err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	if res.Counters.FailedKeys != 1 {
-		t.Fatalf("FailedKeys = %d, want 1", res.Counters.FailedKeys)
-	}
-	if len(res.Outputs) != 3 {
-		t.Fatalf("outputs = %v, want 3 surviving keys", res.Outputs)
-	}
-	sched.ReleaseHangs()
-	wd.Stop()
-	waitGoroutines(t, baseline)
-}
-
-// TestReduceFailedKeysBudget: a key whose reduce call emits and then
-// fails is dropped within the budget, and its partial output must not
-// leak into the result.
+// TestReduceFailedKeysBudget: a call that returns an output together with
+// an error is dropped within the budget, and that output must not leak
+// into the result.
 func TestReduceFailedKeysBudget(t *testing.T) {
-	job := NewJob[int, int, int, int](
-		JobConfig{Name: "bad-key", MaxFailedKeys: 1},
-		func(i int, emit Emitter[int, int]) error { emit(i, i); return nil },
-		func(k int, vs []int, emit func(int)) error {
-			emit(k)
-			if k == 2 {
-				return errors.New("poisoned key after emitting")
+	job := NewJob(
+		JobConfig{Name: "bad-key", MaxFailed: 1},
+		func(i int) string { return fmt.Sprint(i) },
+		func(i int) (int, error) {
+			if i == 2 {
+				return i, errors.New("poisoned input after producing output")
 			}
-			return nil
+			return i, nil
 		},
 	)
 	res, err := job.Run(context.Background(), []int{1, 2, 3})
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	if got := sortedInts(t, res); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+	if got := sortedInts(t, res); !slices.Equal(got, []int{1, 3}) {
 		t.Fatalf("outputs = %v, want [1 3]", got)
 	}
-	if res.Counters.FailedKeys != 1 {
-		t.Fatalf("FailedKeys = %d, want 1", res.Counters.FailedKeys)
+	if res.Counters.Failed != 1 {
+		t.Fatalf("Failed = %d, want 1", res.Counters.Failed)
 	}
 }
 
 func TestReduceFailureOverBudgetAborts(t *testing.T) {
-	job := NewJob[int, int, int, int](
+	job := NewJob(
 		JobConfig{Name: "bad-keys"},
-		func(i int, emit Emitter[int, int]) error { emit(i, i); return nil },
-		func(k int, vs []int, emit func(int)) error {
-			if k%2 == 0 {
-				return errors.New("poisoned key")
+		func(i int) string { return fmt.Sprint(i) },
+		func(i int) (int, error) {
+			if i%2 == 0 {
+				return 0, errors.New("poisoned input")
 			}
-			emit(k)
-			return nil
+			return i, nil
 		},
 	)
 	if _, err := job.Run(context.Background(), []int{1, 2, 3}); err == nil {
-		t.Fatal("zero budget must abort on first reduce failure")
+		t.Fatal("zero budget must abort on the first failure")
 	}
 }
 
 func TestCancellationMidRunReturnsPromptly(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	sched := faultinject.New(0)
-	sched.HangAt(faultinject.PointMapreduceMapTask, 1)
+	sched.HangAt(faultinject.PointMapreduceTask.Keyed("1"), 1)
 	SetFaultHook(sched.Hook())
 	t.Cleanup(func() { SetFaultHook(nil); sched.ReleaseHangs() })
 
@@ -185,7 +155,7 @@ func TestCancellationMidRunReturnsPromptly(t *testing.T) {
 	// very long stall bound, so it never fires).
 	wd := guard.NewWatchdog(time.Hour, time.Millisecond)
 	defer wd.Stop()
-	job := identityJob(JobConfig{Name: "cancelled", Mappers: 1, Reducers: 1, Watchdog: wd})
+	job := identityJob(JobConfig{Name: "cancelled", Workers: 1, Watchdog: wd})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

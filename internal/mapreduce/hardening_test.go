@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"baywatch/internal/faultinject"
-
 	"context"
 	"errors"
 	"fmt"
@@ -13,26 +11,18 @@ import (
 	"testing"
 )
 
-// TestPoisonedInputSkippedWithinBudget: a failing input is skipped and
-// counted when MaxFailedInputs allows it, and whatever it emitted before
-// failing does not leak; the rest of the job completes.
+// TestPoisonedInputSkippedWithinBudget: a failing input is dropped and
+// counted when MaxFailed allows it, and the rest of the job completes.
 func TestPoisonedInputSkippedWithinBudget(t *testing.T) {
-	job := NewJob[string, string, int, kv](JobConfig{Mappers: 3, MaxFailedInputs: 1},
-		func(line string, emit Emitter[string, int]) error {
-			for _, w := range strings.Fields(line) {
-				emit(w, 1)
-			}
+	res, err := NewJob(JobConfig{Workers: 3, MaxFailed: 1},
+		func(line string) string { return line },
+		func(line string) (kv, error) {
 			if line == "poison" {
-				return errors.New("fails after emitting")
+				return kv{Key: line}, errors.New("fails after producing output")
 			}
-			return nil
+			return kv{Key: line, Count: len(strings.Fields(line))}, nil
 		},
-		func(key string, values []int, emit func(kv)) error {
-			emit(kv{Key: key, Count: len(values)})
-			return nil
-		},
-	)
-	res, err := job.Run(context.Background(), []string{"a", "poison", "a b"})
+	).Run(context.Background(), []string{"a", "poison", "a b"})
 	if err != nil {
 		t.Fatalf("poisoned input within budget should be skipped: %v", err)
 	}
@@ -40,29 +30,25 @@ func TestPoisonedInputSkippedWithinBudget(t *testing.T) {
 	for _, o := range res.Outputs {
 		counts[o.Key] = o.Count
 	}
-	want := map[string]int{"a": 2, "b": 1}
+	want := map[string]int{"a": 1, "a b": 2}
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("counts = %v, want %v", counts, want)
 	}
-	if res.Counters.FailedInputs != 1 {
-		t.Errorf("FailedInputs = %d, want 1", res.Counters.FailedInputs)
+	if res.Counters.Failed != 1 {
+		t.Errorf("Failed = %d, want 1", res.Counters.Failed)
 	}
 }
 
-// TestPoisonedInputsBeyondBudgetAbort: one failure more than
-// MaxFailedInputs aborts the job with the underlying error.
+// TestPoisonedInputsBeyondBudgetAbort: one failure more than MaxFailed
+// aborts the job with the underlying error.
 func TestPoisonedInputsBeyondBudgetAbort(t *testing.T) {
-	job := NewJob[int, int, int, int](JobConfig{Mappers: 1, MaxFailedInputs: 1},
-		func(n int, emit Emitter[int, int]) error {
+	job := NewJob(JobConfig{Workers: 1, MaxFailed: 1},
+		func(n int) string { return fmt.Sprint(n) },
+		func(n int) (int, error) {
 			if n < 0 {
-				return fmt.Errorf("bad record %d", n)
+				return 0, fmt.Errorf("bad record %d", n)
 			}
-			emit(n, 1)
-			return nil
-		},
-		func(key int, values []int, emit func(int)) error {
-			emit(key)
-			return nil
+			return n, nil
 		},
 	)
 	_, err := job.Run(context.Background(), []int{1, -1, 2, -2, 3})
@@ -74,29 +60,28 @@ func TestPoisonedInputsBeyondBudgetAbort(t *testing.T) {
 	}
 }
 
-// TestMapPanicIsolatedAsFailedInput: a panicking map call is converted to
-// a failure and charged against the budget instead of crashing the
-// process.
-func TestMapPanicIsolatedAsFailedInput(t *testing.T) {
-	job := NewJob[int, int, int, int](JobConfig{Mappers: 2, MaxFailedInputs: 1},
-		func(n int, emit Emitter[int, int]) error {
+// panicky panics on the input 13 and returns every other input.
+func panicky(cfg JobConfig) *Job[int, int] {
+	return NewJob(cfg,
+		func(n int) string { return fmt.Sprint(n) },
+		func(n int) (int, error) {
 			if n == 13 {
 				panic("unlucky record")
 			}
-			emit(n, 1)
-			return nil
-		},
-		func(key int, values []int, emit func(int)) error {
-			emit(key)
-			return nil
+			return n, nil
 		},
 	)
-	res, err := job.Run(context.Background(), []int{1, 13, 2})
+}
+
+// TestMapPanicIsolatedAsFailedInput: a panicking call is converted to a
+// failure and charged against the budget instead of crashing the process.
+func TestMapPanicIsolatedAsFailedInput(t *testing.T) {
+	res, err := panicky(JobConfig{Workers: 2, MaxFailed: 1}).Run(context.Background(), []int{1, 13, 2})
 	if err != nil {
 		t.Fatalf("panic should be isolated: %v", err)
 	}
-	if res.Counters.FailedInputs != 1 {
-		t.Errorf("FailedInputs = %d, want 1", res.Counters.FailedInputs)
+	if res.Counters.Failed != 1 {
+		t.Errorf("Failed = %d, want 1", res.Counters.Failed)
 	}
 	if len(res.Outputs) != 2 {
 		t.Errorf("outputs = %v, want the two surviving records", res.Outputs)
@@ -106,55 +91,35 @@ func TestMapPanicIsolatedAsFailedInput(t *testing.T) {
 // TestMapPanicWithoutBudgetAborts: with no failure budget the panic
 // surfaces as a job error (not a process crash).
 func TestMapPanicWithoutBudgetAborts(t *testing.T) {
-	job := NewJob[int, int, int, int](JobConfig{Mappers: 1},
-		func(n int, emit Emitter[int, int]) error {
-			panic("boom")
-		},
-		func(key int, values []int, emit func(int)) error {
-			emit(key)
-			return nil
-		},
-	)
-	_, err := job.Run(context.Background(), []int{1})
-	if err == nil || !strings.Contains(err.Error(), "map panic") {
-		t.Fatalf("expected map panic error, got %v", err)
+	_, err := panicky(JobConfig{Workers: 1}).Run(context.Background(), []int{13})
+	if err == nil || !strings.Contains(err.Error(), "task panic") {
+		t.Fatalf("expected task panic error, got %v", err)
 	}
 }
 
-// TestReducePanicSurfacesAsError: reduce panics become job errors.
+// TestReducePanicSurfacesAsError: a panic's job error carries the panic
+// value and the failing input's key.
 func TestReducePanicSurfacesAsError(t *testing.T) {
-	job := NewJob[int, int, int, int](JobConfig{},
-		func(n int, emit Emitter[int, int]) error {
-			emit(n, n)
-			return nil
-		},
-		func(key int, values []int, emit func(int)) error {
-			panic("reduce boom")
-		},
-	)
-	_, err := job.Run(context.Background(), []int{1, 2})
-	if err == nil || !strings.Contains(err.Error(), "reduce panic") {
-		t.Fatalf("expected reduce panic error, got %v", err)
+	_, err := panicky(JobConfig{}).Run(context.Background(), []int{1, 13, 2})
+	if err == nil || !strings.Contains(err.Error(), "unlucky record") || !strings.Contains(err.Error(), `"13"`) {
+		t.Fatalf("expected the panic value and key in the error, got %v", err)
 	}
 }
 
-// TestCancellationMidReduce: cancelling the context while reducers run
+// TestCancellationMidReduce: cancelling the context while calls run
 // returns promptly with ctx.Err.
 func TestCancellationMidReduce(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 1)
-	job := NewJob[int, int, int, int](JobConfig{Reducers: 1},
-		func(n int, emit Emitter[int, int]) error {
-			emit(n, n)
-			return nil
-		},
-		func(key int, values []int, emit func(int)) error {
+	job := NewJob(JobConfig{Workers: 1},
+		func(n int) string { return fmt.Sprint(n) },
+		func(n int) (int, error) {
 			select {
 			case started <- struct{}{}:
 			default:
 			}
 			<-ctx.Done()
-			return ctx.Err()
+			return 0, ctx.Err()
 		},
 	)
 	done := make(chan error, 1)
@@ -171,10 +136,9 @@ func TestCancellationMidReduce(t *testing.T) {
 
 // --- footed-file integrity ---------------------------------------------
 
-// footedFile is one kind of file RunExec passes between processes: spill
-// files, and the record files that carry input shards and partition
-// outputs. Both go through the one footer codec, and every corruption
-// test runs over both.
+// footedFile is one kind of file RunExec passes between processes: the
+// record files that carry a task's input partition and its outputs, all
+// through the one footer codec.
 type footedFile struct {
 	name  string
 	write func(path string) error
@@ -184,22 +148,8 @@ type footedFile struct {
 }
 
 func footedFiles() []footedFile {
-	var g group[string, int]
-	g.add("a", 1)
-	g.add("b", 3)
-	g.add("a", 2)
 	recs := []kv{{"a", 1}, {"b", 2}, {"c", 3}}
 	return []footedFile{
-		{
-			name:  "spill",
-			write: func(path string) error { return writeSpillFile(path, &g) },
-			read: func(path string) (any, error) {
-				var got group[string, int]
-				err := replaySpill(path, &got)
-				return got, err
-			},
-			want: g,
-		},
 		{
 			name:  "records",
 			write: func(path string) error { return writeRecords(path, recs) },
@@ -227,15 +177,15 @@ func writeFooted(t *testing.T, f footedFile) (string, []byte) {
 }
 
 // expectCorrupt stores data at path and asserts that f's reader rejects
-// it with ErrSpillCorrupt and returns nothing.
+// it with ErrCorrupt and returns nothing.
 func expectCorrupt(t *testing.T, f footedFile, path string, data []byte, what string) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := f.read(path)
-	if !errors.Is(err, ErrSpillCorrupt) {
-		t.Fatalf("%s: err = %v, want ErrSpillCorrupt", what, err)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: err = %v, want ErrCorrupt", what, err)
 	}
 	if !reflect.ValueOf(got).IsZero() {
 		t.Fatalf("%s: corrupt file leaked data: %v", what, got)
@@ -287,42 +237,6 @@ func TestSpillBadMagicDetected(t *testing.T) {
 			path, data := writeFooted(t, f)
 			copy(data[len(data)-footerLen:], "XXXX")
 			expectCorrupt(t, f, path, data, "bad magic")
-		})
-	}
-}
-
-// TestSpillFaultInjection: an injected failure at the spill-write or
-// spill-replay fault point surfaces from the codec as the injected error,
-// and a failed replay merges nothing.
-func TestSpillFaultInjection(t *testing.T) {
-	var g, replayed group[string, int]
-	g.add("a", 1)
-	path := filepath.Join(t.TempDir(), "spill.gob")
-	if err := writeSpillFile(path, &g); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		point faultinject.Point
-		op    func() error
-	}{
-		{faultinject.PointMapreduceSpillWrite, func() error { return writeSpillFile(path, &g) }},
-		{faultinject.PointMapreduceSpillReplay, func() error { return replaySpill(path, &replayed) }},
-	} {
-		t.Run(string(tc.point), func(t *testing.T) {
-			injected := errors.New("disk full")
-			SetFaultHook(func(p string) error {
-				if p == string(tc.point) {
-					return injected
-				}
-				return nil
-			})
-			t.Cleanup(func() { SetFaultHook(nil) })
-			if err := tc.op(); !errors.Is(err, injected) {
-				t.Fatalf("expected injected error at %s, got %v", tc.point, err)
-			}
-			if len(replayed.order) != 0 {
-				t.Fatalf("failed replay merged %v", replayed.order)
-			}
 		})
 	}
 }

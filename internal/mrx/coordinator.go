@@ -29,14 +29,11 @@ type Options struct {
 	// Params is the job's opaque construction blob, passed to the
 	// worker-side RunnerFactory via Hello.
 	Params []byte
-	// ScratchDir holds input shards, spill files, partition outputs, and
-	// the recovery journal. A re-run pointed at the same directory
-	// resumes from the journal.
+	// ScratchDir holds the task outputs and the recovery journal. A re-run
+	// pointed at the same directory resumes from the journal.
 	ScratchDir string
-	// Inputs are the map tasks' input files, one per map shard.
+	// Inputs are the tasks' input files, one per task.
 	Inputs []string
-	// Partitions is the hash partition count (reduce task fan-out).
-	Partitions int
 	// Workers is the target number of worker processes (min 1).
 	Workers int
 	// Command is the worker argv; default is this binary re-exec'd
@@ -76,38 +73,21 @@ type Stats struct {
 	Respawns     int
 	// TasksReexecuted counts task requeues caused by failures or deaths.
 	TasksReexecuted int
-	// CorruptSpills counts quarantined spill files; ShardReruns counts
-	// the bounded map-shard re-executions they triggered.
-	CorruptSpills int
-	ShardReruns   int
 }
 
-// JobResult is the coordinator's output: the durable artifact paths and
-// counter blobs of every task, for the typed layer to assemble.
+// JobResult is the coordinator's output: every task's output file, in
+// task order, for the typed layer to read.
 type JobResult struct {
-	// MapSpills and MapCounters are indexed by map shard.
-	MapSpills   [][]SpillRef
-	MapCounters [][]byte
-	// ReduceOutputs and ReduceCounters are indexed by partition; an
-	// empty partition has output "" and nil counters.
-	ReduceOutputs  []string
-	ReduceCounters [][]byte
-	Stats          Stats
+	Outputs []string
+	Stats   Stats
 }
 
-// task is one schedulable unit with its retry state and, once done, its
-// result.
+// task is one schedulable unit with its retry state.
 type task struct {
-	kind      TaskKind
 	index     int
 	attempts  int
-	reruns    int // corrupt-spill-triggered re-executions (map tasks)
 	notBefore time.Time
 	done      bool
-
-	spills   []SpillRef // map result
-	output   string     // reduce result
-	counters []byte
 }
 
 // lease ties an outstanding assignment (by sequence number) to its task,
@@ -122,7 +102,6 @@ type workerProc struct {
 	index  int
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
-	out    *frameWriter
 	hb     *guard.Heartbeat
 	busy   *task
 	seq    uint64
@@ -158,13 +137,12 @@ type coordinator struct {
 	nextSeq   uint64
 	leases    map[uint64]*lease
 
-	maps    []*task
-	reduces []*task
-	stats   Stats
+	tasks []*task
+	stats Stats
 }
 
-// Run executes the job across exec'd worker processes and returns the
-// durable artifacts of every task. It resumes from a recovery journal in
+// Run executes the job across exec'd worker processes and returns every
+// task's output file. It resumes from a recovery journal in
 // ScratchDir when one exists, re-executes tasks leased to dead workers,
 // and returns an error wrapping ErrExecUnavailable if no worker could be
 // started at all.
@@ -203,7 +181,10 @@ func Run(ctx context.Context, opts Options) (result *JobResult, err error) {
 		c.wd.Stop()
 	}()
 
-	c.buildMapTasks()
+	c.tasks = make([]*task, len(opts.Inputs))
+	for i := range c.tasks {
+		c.tasks[i] = &task{index: i}
+	}
 	c.recoverFromJournal()
 
 	started, firstErr := 0, error(nil)
@@ -220,18 +201,15 @@ func Run(ctx context.Context, opts Options) (result *JobResult, err error) {
 		return nil, fmt.Errorf("%w: %v", ErrExecUnavailable, firstErr)
 	}
 
-	if err := c.schedule(c.maps); err != nil {
-		return nil, err
-	}
-	if err := faultCheck(faultinject.PointMrxShuffleBarrier); err != nil {
-		return nil, fmt.Errorf("mrx: shuffle barrier: %w", err)
-	}
-	c.buildReduceTasks()
-	if err := c.schedule(c.reduces); err != nil {
+	if err := c.schedule(); err != nil {
 		return nil, err
 	}
 	c.shutdownWorkers()
-	return c.assemble(), nil
+	res := &JobResult{Outputs: make([]string, len(c.tasks)), Stats: c.stats}
+	for i := range c.tasks {
+		res.Outputs[i] = c.outputPath(i)
+	}
+	return res, nil
 }
 
 func applyDefaults(opts *Options) error {
@@ -243,9 +221,6 @@ func applyDefaults(opts *Options) error {
 	}
 	if len(opts.Inputs) == 0 {
 		return errors.New("mrx: Options.Inputs is empty")
-	}
-	if opts.Partitions <= 0 {
-		return errors.New("mrx: Options.Partitions must be positive")
 	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
@@ -284,28 +259,17 @@ func (c *coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (c *coordinator) buildMapTasks() {
-	c.maps = make([]*task, len(c.opts.Inputs))
-	for i := range c.opts.Inputs {
-		c.maps[i] = &task{kind: TaskMap, index: i}
-	}
-}
-
-// recoverFromJournal marks journalled tasks done when their durable
-// artifacts still exist, and drops records whose artifacts are gone.
+// recoverFromJournal marks journalled tasks done when their output files
+// still exist; a task whose output is gone runs again.
 func (c *coordinator) recoverFromJournal() {
-	for i, t := range c.maps {
-		rec, ok := c.j.state.MapDone[i]
-		if !ok {
+	for i, t := range c.tasks {
+		if !c.j.state.Done[i] {
 			continue
 		}
-		if !spillsExist(rec.Spills) {
-			c.j.dropMap(i)
+		if _, err := os.Stat(c.outputPath(i)); err != nil {
 			continue
 		}
 		t.done = true
-		t.spills = rec.Spills
-		t.counters = rec.Counters
 		c.stats.TasksRecovered++
 	}
 	if c.stats.TasksRecovered > 0 {
@@ -313,87 +277,36 @@ func (c *coordinator) recoverFromJournal() {
 	}
 }
 
-func spillsExist(refs []SpillRef) bool {
-	for _, ref := range refs {
-		if _, err := os.Stat(ref.Path); err != nil {
-			return false
-		}
-	}
-	return true
+func (c *coordinator) outputPath(i int) string {
+	return filepath.Join(c.opts.ScratchDir, fmt.Sprintf("task-%03d.out", i))
 }
 
-// buildReduceTasks creates one reduce task per partition that received at
-// least one spill, adopting journalled results whose outputs survive.
-func (c *coordinator) buildReduceTasks() {
-	c.reduces = nil
-	for p := 0; p < c.opts.Partitions; p++ {
-		if len(c.reduceInputs(p)) == 0 {
-			continue
-		}
-		t := &task{kind: TaskReduce, index: p}
-		if rec, ok := c.j.state.ReduceDone[p]; ok {
-			if _, err := os.Stat(rec.Output); err == nil {
-				t.done = true
-				t.output = rec.Output
-				t.counters = rec.Counters
-				c.stats.TasksRecovered++
-			}
-		}
-		c.reduces = append(c.reduces, t)
-	}
-}
-
-// reduceInputs lists partition p's spill files in map-task order — the
-// order that makes the distributed reduce replay byte-identical to the
-// in-process shuffle. Computed on demand so a map shard re-executed after
-// a corrupt spill feeds its fresh files into every later assignment.
-func (c *coordinator) reduceInputs(p int) []string {
-	var inputs []string
-	for _, mt := range c.maps {
-		for _, ref := range mt.spills {
-			if ref.Partition == p {
-				inputs = append(inputs, ref.Path)
-			}
-		}
-	}
-	return inputs
-}
-
-func (c *coordinator) outputPath(p int) string {
-	return filepath.Join(c.opts.ScratchDir, fmt.Sprintf("reduce-p%03d.out", p))
-}
-
-// schedule drives the given task set to completion: assigns ready tasks
-// to idle workers, processes worker events, requeues on failure or death.
-// The set may grow mid-flight (a corrupt spill requeues its producing map
-// task into the reduce phase's set).
-func (c *coordinator) schedule(tasks []*task) error {
-	active := tasks
+// schedule drives every task to completion: assigns ready tasks to idle
+// workers, processes worker events, requeues on failure or death.
+func (c *coordinator) schedule() error {
 	for {
-		pendingAll := 0
-		for _, t := range active {
+		pending := 0
+		for _, t := range c.tasks {
 			if !t.done {
-				pendingAll++
+				pending++
 			}
 		}
-		if pendingAll == 0 {
+		if pending == 0 {
 			return nil
 		}
-		if err := c.assignReady(active); err != nil {
+		if err := c.assignReady(); err != nil {
 			return err
 		}
-		timer := c.wakeTimer(active)
+		timer := c.wakeTimer()
 		select {
 		case <-c.ctx.Done():
 			stopTimer(timer)
 			return c.ctx.Err()
 		case ev := <-c.events:
 			stopTimer(timer)
-			added, err := c.handleEvent(ev)
-			if err != nil {
+			if err := c.handleEvent(ev); err != nil {
 				return err
 			}
-			active = append(active, added...)
 		case <-timerC(timer):
 			// Backoff expired: loop re-assigns.
 		}
@@ -402,9 +315,9 @@ func (c *coordinator) schedule(tasks []*task) error {
 
 // wakeTimer returns a timer for the earliest notBefore among unassigned
 // pending tasks, or nil to block on events alone.
-func (c *coordinator) wakeTimer(active []*task) *time.Timer {
+func (c *coordinator) wakeTimer() *time.Timer {
 	var earliest time.Time
-	for _, t := range active {
+	for _, t := range c.tasks {
 		if t.done || c.isLeased(t) || t.notBefore.IsZero() {
 			continue
 		}
@@ -446,47 +359,22 @@ func (c *coordinator) isLeased(t *task) bool {
 
 // assignReady hands every ready pending task to an idle worker, lowest
 // task index first for deterministic assignment order.
-func (c *coordinator) assignReady(active []*task) error {
+func (c *coordinator) assignReady() error {
 	now := time.Now()
-	var ready []*task
-	for _, t := range active {
-		if !t.done && !c.isLeased(t) && !t.notBefore.After(now) && c.depsDone(t) {
-			ready = append(ready, t)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool {
-		if ready[i].kind != ready[j].kind {
-			return ready[i].kind < ready[j].kind // maps before reduces
-		}
-		return ready[i].index < ready[j].index
-	})
 	idle := c.idleWorkers()
-	for _, t := range ready {
+	for _, t := range c.tasks {
 		if len(idle) == 0 {
 			return nil
 		}
-		w := idle[0]
-		idle = idle[1:]
-		if err := c.assign(w, t); err != nil {
+		if t.done || c.isLeased(t) || t.notBefore.After(now) {
+			continue
+		}
+		if err := c.assign(idle[0], t); err != nil {
 			return err
 		}
+		idle = idle[1:]
 	}
 	return nil
-}
-
-// depsDone gates a reduce task on its input spills being present: a map
-// shard mid-rerun (corrupt-spill recovery) holds its dependent reduce
-// back.
-func (c *coordinator) depsDone(t *task) bool {
-	if t.kind != TaskReduce {
-		return true
-	}
-	for _, mt := range c.maps {
-		if !mt.done {
-			return false
-		}
-	}
-	return true
 }
 
 func (c *coordinator) idleWorkers() []*workerProc {
@@ -505,14 +393,7 @@ func (c *coordinator) assign(w *workerProc, t *task) error {
 		return fmt.Errorf("mrx: assign: %w", err)
 	}
 	c.nextSeq++
-	spec := TaskSpec{Kind: t.kind, Seq: c.nextSeq, Index: t.index}
-	switch t.kind {
-	case TaskMap:
-		spec.Inputs = []string{c.opts.Inputs[t.index]}
-	case TaskReduce:
-		spec.Inputs = c.reduceInputs(t.index)
-		spec.Output = c.outputPath(t.index)
-	}
+	spec := TaskSpec{Seq: c.nextSeq, Index: t.index, Input: c.opts.Inputs[t.index], Output: c.outputPath(t.index)}
 	payload, err := encodeMsg(&spec)
 	if err != nil {
 		return err
@@ -528,130 +409,65 @@ func (c *coordinator) assign(w *workerProc, t *task) error {
 	return nil
 }
 
-// handleEvent processes one worker frame or death notice, returning any
-// tasks newly added to the active set (corrupt-spill map reruns).
-func (c *coordinator) handleEvent(ev event) ([]*task, error) {
+// handleEvent processes one worker frame or death notice.
+func (c *coordinator) handleEvent(ev event) error {
 	if _, live := c.workers[ev.w]; !live {
-		return nil, nil // late event from an already-buried worker
+		return nil // late event from an already-buried worker
 	}
 	if ev.err != nil {
-		return nil, c.handleDeath(ev.w, ev.err)
+		return c.handleDeath(ev.w, ev.err)
 	}
 	ev.w.hb.Beat()
 	switch ev.kind {
 	case KindReady, KindHeartbeat:
-		return nil, nil
+		return nil
 	case KindTaskDone:
 		var res TaskResult
 		if err := decodeMsg(ev.payload, &res); err != nil {
-			return nil, c.handleDeath(ev.w, err)
+			return c.handleDeath(ev.w, err)
 		}
-		return nil, c.completeTask(ev.w, &res)
+		return c.completeTask(ev.w, res.Seq)
 	case KindTaskFailed:
 		var tf TaskFailed
 		if err := decodeMsg(ev.payload, &tf); err != nil {
-			return nil, c.handleDeath(ev.w, err)
+			return c.handleDeath(ev.w, err)
 		}
-		return c.failTask(ev.w, &tf)
+		t := c.release(ev.w, tf.Seq)
+		if t == nil {
+			return nil
+		}
+		return c.requeue(t, fmt.Errorf("%s", tf.Err))
 	default:
-		return nil, c.handleDeath(ev.w, fmt.Errorf("unexpected frame %s", ev.kind))
+		return c.handleDeath(ev.w, fmt.Errorf("unexpected frame %s", ev.kind))
 	}
+}
+
+// release ends the lease seq holds on w and returns its task, or nil for a
+// stale frame from a revoked lease.
+func (c *coordinator) release(w *workerProc, seq uint64) *task {
+	l := c.leases[seq]
+	if l == nil || l.w != w {
+		return nil
+	}
+	delete(c.leases, seq)
+	w.busy = nil
+	return l.t
 }
 
 // completeTask journals and records a finished task. The completion fault
 // point sits before the journal write: a crash there re-runs the task on
 // restart (at-least-once), which is safe because task outputs are
 // deterministic files.
-func (c *coordinator) completeTask(w *workerProc, res *TaskResult) error {
-	l := c.leases[res.Seq]
-	if l == nil || l.w != w {
-		return nil // stale frame from a revoked lease
+func (c *coordinator) completeTask(w *workerProc, seq uint64) error {
+	t := c.release(w, seq)
+	if t == nil {
+		return nil
 	}
-	delete(c.leases, res.Seq)
-	w.busy = nil
 	if err := faultCheck(faultinject.PointMrxComplete); err != nil {
 		return fmt.Errorf("mrx: complete: %w", err)
 	}
-	t := l.t
 	t.done = true
-	t.counters = res.Counters
-	switch t.kind {
-	case TaskMap:
-		t.spills = res.Spills
-		return c.j.recordMap(t.index, mapRecord{Spills: t.spills, Counters: t.counters})
-	case TaskReduce:
-		t.output = c.outputPath(t.index)
-		return c.j.recordReduce(t.index, reduceRecord{Output: t.output, Counters: t.counters})
-	}
-	return nil
-}
-
-// failTask requeues a failed task with backoff, or — for a corrupt spill
-// during reduce replay — quarantines the file and re-executes its
-// producing map shard once.
-func (c *coordinator) failTask(w *workerProc, tf *TaskFailed) ([]*task, error) {
-	l := c.leases[tf.Seq]
-	if l == nil || l.w != w {
-		return nil, nil
-	}
-	delete(c.leases, tf.Seq)
-	w.busy = nil
-	t := l.t
-	if tf.Final {
-		return nil, fmt.Errorf("mrx: %s task %d failed permanently: %s", t.kind, t.index, tf.Err)
-	}
-	if tf.CorruptInput != "" && t.kind == TaskReduce {
-		added, err := c.quarantineAndRerun(t, tf)
-		if err != nil {
-			return nil, err
-		}
-		// The reduce re-runs (without a budget hit — the corruption was
-		// not its fault) once the producing shard finishes.
-		return added, nil
-	}
-	return nil, c.requeue(t, fmt.Errorf("%s", tf.Err))
-}
-
-// quarantineAndRerun handles ErrSpillCorrupt surfacing from a reduce
-// replay: rename the corrupt spill aside (never delete), drop the
-// producing map task's journal entry, and requeue that shard — at most
-// once per shard; a second corruption from the same producer fails the
-// job.
-func (c *coordinator) quarantineAndRerun(reduce *task, tf *TaskFailed) ([]*task, error) {
-	producer := c.producerOf(tf.CorruptInput)
-	if producer == nil {
-		return nil, fmt.Errorf("mrx: reduce task %d: corrupt input %s has no producing map task: %s",
-			reduce.index, tf.CorruptInput, tf.Err)
-	}
-	c.stats.CorruptSpills++
-	if err := os.Rename(tf.CorruptInput, tf.CorruptInput+".quarantined"); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("mrx: quarantine %s: %w", tf.CorruptInput, err)
-	}
-	c.logf("mrx: quarantined corrupt spill %s (map shard %d)", tf.CorruptInput, producer.index)
-	if producer.reruns >= 1 {
-		return nil, fmt.Errorf("mrx: map shard %d corrupted its spills again after a re-execution: %s",
-			producer.index, tf.Err)
-	}
-	producer.reruns++
-	c.stats.ShardReruns++
-	if err := c.j.dropMap(producer.index); err != nil {
-		return nil, err
-	}
-	producer.done = false
-	producer.spills = nil
-	producer.notBefore = time.Time{}
-	return []*task{producer}, nil
-}
-
-func (c *coordinator) producerOf(spillPath string) *task {
-	for _, mt := range c.maps {
-		for _, ref := range mt.spills {
-			if ref.Path == spillPath {
-				return mt
-			}
-		}
-	}
-	return nil
+	return c.j.record(t.index)
 }
 
 // requeue schedules a task for re-execution with capped-exponential
@@ -659,8 +475,8 @@ func (c *coordinator) producerOf(spillPath string) *task {
 func (c *coordinator) requeue(t *task, cause error) error {
 	t.attempts++
 	if t.attempts > c.opts.MaxTaskRetries {
-		return fmt.Errorf("mrx: %s task %d failed after %d attempts: %w",
-			t.kind, t.index, t.attempts, cause)
+		return fmt.Errorf("mrx: task %d failed after %d attempts: %w",
+			t.index, t.attempts, cause)
 	}
 	delay := c.opts.RetryBase << (t.attempts - 1)
 	if delay > c.opts.RetryCap {
@@ -668,8 +484,8 @@ func (c *coordinator) requeue(t *task, cause error) error {
 	}
 	t.notBefore = time.Now().Add(delay)
 	c.stats.TasksReexecuted++
-	c.logf("mrx: requeue %s task %d (attempt %d, backoff %v): %v",
-		t.kind, t.index, t.attempts, delay, cause)
+	c.logf("mrx: requeue task %d (attempt %d, backoff %v): %v",
+		t.index, t.attempts, delay, cause)
 	return nil
 }
 
@@ -739,7 +555,6 @@ func (c *coordinator) spawnWorker() (*workerProc, error) {
 	hello := Hello{
 		Job:         c.opts.Job,
 		Params:      c.opts.Params,
-		ScratchDir:  c.opts.ScratchDir,
 		HeartbeatMS: c.opts.HeartbeatEvery.Milliseconds(),
 	}
 	payload, err := encodeMsg(&hello)
@@ -800,25 +615,6 @@ func (c *coordinator) shutdownWorkers() {
 		}
 		w.stdin.Close()
 	}
-}
-
-func (c *coordinator) assemble() *JobResult {
-	res := &JobResult{
-		MapSpills:      make([][]SpillRef, len(c.maps)),
-		MapCounters:    make([][]byte, len(c.maps)),
-		ReduceOutputs:  make([]string, c.opts.Partitions),
-		ReduceCounters: make([][]byte, c.opts.Partitions),
-		Stats:          c.stats,
-	}
-	for i, t := range c.maps {
-		res.MapSpills[i] = t.spills
-		res.MapCounters[i] = t.counters
-	}
-	for _, t := range c.reduces {
-		res.ReduceOutputs[t.index] = t.output
-		res.ReduceCounters[t.index] = t.counters
-	}
-	return res
 }
 
 // tailBuffer keeps the first chunk of a worker's stderr for post-mortem

@@ -4,9 +4,9 @@ import "baywatch/internal/faultinject"
 
 // faultHook is the package's fault-injection seam: when non-nil it is
 // consulted at coordinator-side failure points (worker spawn, task
-// assignment, completion, the shuffle barrier, journal writes). Worker
-// processes receive their schedules through the faultinject env transport
-// instead (see worker.go). Installed only by tests.
+// assignment, completion, journal writes). Worker processes receive their
+// schedules through the faultinject env transport instead (see
+// worker.go). Installed only by tests.
 var faultHook func(point string) error
 
 // SetFaultHook installs (or, with nil, clears) the fault-injection hook.

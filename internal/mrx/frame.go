@@ -1,24 +1,25 @@
-// Package mrx is the multi-process MapReduce executor: a coordinator that
-// runs map and reduce tasks in exec'd child OS processes, surviving
-// worker death the way the paper's Hadoop deployment survives task
-// failure — by re-executing the dead worker's leased tasks on surviving
-// workers (Sect. V runs BAYWATCH on a 13-node cluster; this package makes
-// -shards mean machine-level processes, not just goroutines).
+// Package mrx is the multi-process job executor: a coordinator that runs
+// a job's tasks — one input file in, one output file out — in exec'd
+// child OS processes, surviving worker death the way the paper's Hadoop
+// deployment survives task failure — by re-executing the dead worker's
+// leased tasks on surviving workers (Sect. V runs BAYWATCH on a 13-node
+// cluster; this package makes -mr-workers mean machine-level processes,
+// not just goroutines).
 //
 // The package is deliberately untyped: it moves opaque task specs and
-// file paths. The typed layer — generic map/reduce execution, spill-file
-// encoding, input/output codecs — lives in internal/mapreduce (exec.go),
-// which registers per-job worker-side runners with RegisterJob and drives
-// the coordinator with Run. Layering:
+// file paths. The typed layer — the partition loop and the record codec
+// of task files — lives in internal/mapreduce (exec.go), which registers
+// per-job worker-side runners with RegisterJob and drives the coordinator
+// with Run. Layering:
 //
 //	coordinator process                    worker process (exec'd)
 //	┌──────────────────────────┐  frames   ┌──────────────────────────┐
 //	│ mapreduce.Job.RunExec    │──────────▶│ mrx.WorkerMain           │
-//	│  └─ mrx.Run (leases,     │  stdin/   │  └─ registered TaskRunner│
-//	│      journal, watchdog)  │◀──────────│      (map/reduce + spill)│
+//	│  └─ mrx.Run (leases,     │  stdin/   │  └─ registered Runner    │
+//	│      journal, watchdog)  │◀──────────│      (partition loop)    │
 //	└──────────────────────────┘  stdout   └──────────────────────────┘
-//	            │ durable handoff: checksummed spill files │
-//	            └────────────── shared scratch dir ────────┘
+//	        │ durable handoff: checksummed input and output files │
+//	        └──────────────────── shared scratch dir ──────────────┘
 //
 // Fault model (DESIGN.md 5g): every task is leased to exactly one worker;
 // a worker proves liveness by the frames it sends (heartbeats during long
@@ -51,7 +52,7 @@ const (
 	frameMagic = 0x52465742 // "BWFR" little-endian
 	frameHdr   = 9          // magic + kind + length
 	// MaxFramePayload bounds one frame's payload. Task specs and results
-	// are file paths and counters — kilobytes — so anything near the cap
+	// are file paths — kilobytes — so anything near the cap
 	// is corruption, not data.
 	MaxFramePayload = 16 << 20
 )

@@ -17,27 +17,12 @@ import (
 // rename → dirsync, so a coordinator killed at any instruction restarts
 // into either the previous or the next journal state, never a torn one.
 // A restarted coordinator replays the journal, verifies that each
-// recorded task's durable artifacts (spill files, partition outputs)
-// still exist, and re-runs only what is missing.
+// recorded task's output file still exists, and re-runs only what is
+// missing.
 
-// journalVersion guards against reading a future layout.
-const journalVersion = 1
-
-// mapRecord journals one completed map task.
-type mapRecord struct {
-	// Spills are the task's spill files, one per non-empty partition.
-	Spills []SpillRef `json:"spills"`
-	// Counters is the task's serialized counter deltas.
-	Counters []byte `json:"counters,omitempty"`
-}
-
-// reduceRecord journals one completed reduce task.
-type reduceRecord struct {
-	// Output is the partition's output file ("" for an empty partition).
-	Output string `json:"output"`
-	// Counters is the task's serialized counter deltas.
-	Counters []byte `json:"counters,omitempty"`
-}
+// journalVersion guards against reading a layout this coordinator does
+// not write; a journal of another version is quarantined, not adopted.
+const journalVersion = 2
 
 // journalState is the serialized journal.
 type journalState struct {
@@ -45,9 +30,8 @@ type journalState struct {
 	// Job is the registered job name; a journal for a different job is
 	// stale scratch and is discarded.
 	Job string `json:"job"`
-	// MapDone and ReduceDone record completed tasks by index.
-	MapDone    map[int]mapRecord    `json:"mapDone"`
-	ReduceDone map[int]reduceRecord `json:"reduceDone"`
+	// Done holds the indices of the completed tasks.
+	Done map[int]bool `json:"done"`
 }
 
 // journal is the coordinator's handle on the recovery journal.
@@ -62,17 +46,12 @@ func journalPath(scratchDir string) string {
 
 // openJournal loads the journal from the scratch directory, or starts a
 // fresh one. resumed reports whether a usable prior journal was found; a
-// corrupt or foreign-job journal is quarantined (renamed aside), not
-// fatal — the job then runs from scratch.
+// corrupt, foreign-job or other-version journal is quarantined (renamed
+// aside), not fatal — the job then runs from scratch.
 func openJournal(scratchDir, job string) (*journal, bool, error) {
 	j := &journal{
-		path: journalPath(scratchDir),
-		state: journalState{
-			Version:    journalVersion,
-			Job:        job,
-			MapDone:    make(map[int]mapRecord),
-			ReduceDone: make(map[int]reduceRecord),
-		},
+		path:  journalPath(scratchDir),
+		state: journalState{Version: journalVersion, Job: job, Done: make(map[int]bool)},
 	}
 	data, err := os.ReadFile(j.path)
 	if os.IsNotExist(err) {
@@ -87,41 +66,21 @@ func openJournal(scratchDir, job string) (*journal, bool, error) {
 		os.Rename(j.path, j.path+".quarantined")
 		return j, false, nil
 	}
-	if prior.MapDone == nil {
-		prior.MapDone = make(map[int]mapRecord)
-	}
-	if prior.ReduceDone == nil {
-		prior.ReduceDone = make(map[int]reduceRecord)
+	if prior.Done == nil {
+		prior.Done = make(map[int]bool)
 	}
 	j.state = prior
 	return j, true, nil
 }
 
-// recordMap journals a completed map task write-ahead.
-func (j *journal) recordMap(index int, rec mapRecord) error {
-	j.state.MapDone[index] = rec
+// record journals a completed task write-ahead.
+func (j *journal) record(index int) error {
+	j.state.Done[index] = true
 	if err := j.commit(); err != nil {
-		delete(j.state.MapDone, index)
+		delete(j.state.Done, index)
 		return err
 	}
 	return nil
-}
-
-// recordReduce journals a completed reduce task write-ahead.
-func (j *journal) recordReduce(index int, rec reduceRecord) error {
-	j.state.ReduceDone[index] = rec
-	if err := j.commit(); err != nil {
-		delete(j.state.ReduceDone, index)
-		return err
-	}
-	return nil
-}
-
-// dropMap forgets a journalled map task (its artifacts were found corrupt
-// or missing and the task will re-run).
-func (j *journal) dropMap(index int) error {
-	delete(j.state.MapDone, index)
-	return j.commit()
 }
 
 // commit rewrites the journal atomically. The single PointMrxJournalWrite

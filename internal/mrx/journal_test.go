@@ -2,7 +2,6 @@ package mrx
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"baywatch/internal/faultinject"
@@ -17,12 +16,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if resumed {
 		t.Fatal("fresh directory reported resumed")
 	}
-	spill := filepath.Join(dir, "m0-p1.spill")
-	if err := j.recordMap(0, mapRecord{Spills: []SpillRef{{Partition: 1, Path: spill}}, Counters: []byte("c0")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.recordReduce(1, reduceRecord{Output: filepath.Join(dir, "r1.out"), Counters: []byte("c1")}); err != nil {
-		t.Fatal(err)
+	for _, task := range []int{0, 2} {
+		if err := j.record(task); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	j2, resumed, err := openJournal(dir, "jobA")
@@ -32,24 +29,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !resumed {
 		t.Fatal("journalled directory not reported resumed")
 	}
-	mrec, ok := j2.state.MapDone[0]
-	if !ok || len(mrec.Spills) != 1 || mrec.Spills[0].Path != spill || string(mrec.Counters) != "c0" {
-		t.Fatalf("map record not recovered: %+v", j2.state.MapDone)
-	}
-	rrec, ok := j2.state.ReduceDone[1]
-	if !ok || string(rrec.Counters) != "c1" {
-		t.Fatalf("reduce record not recovered: %+v", j2.state.ReduceDone)
-	}
-
-	if err := j2.dropMap(0); err != nil {
-		t.Fatal(err)
-	}
-	j3, _, err := openJournal(dir, "jobA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := j3.state.MapDone[0]; ok {
-		t.Fatal("dropped map record survived reopen")
+	if len(j2.state.Done) != 2 || !j2.state.Done[0] || !j2.state.Done[2] {
+		t.Fatalf("task records not recovered: %+v", j2.state.Done)
 	}
 }
 
@@ -59,7 +40,7 @@ func TestJournalForeignJobQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.recordMap(0, mapRecord{}); err != nil {
+	if err := j.record(0); err != nil {
 		t.Fatal(err)
 	}
 	j2, resumed, err := openJournal(dir, "jobB")
@@ -69,7 +50,7 @@ func TestJournalForeignJobQuarantined(t *testing.T) {
 	if resumed {
 		t.Fatal("foreign-job journal reported resumed")
 	}
-	if len(j2.state.MapDone) != 0 {
+	if len(j2.state.Done) != 0 {
 		t.Fatal("foreign-job records adopted")
 	}
 	if _, err := os.Stat(journalPath(dir) + ".quarantined"); err != nil {
@@ -109,14 +90,14 @@ func TestJournalCommitRollsBackOnFault(t *testing.T) {
 		return nil
 	})
 	defer SetFaultHook(nil)
-	if err := j.recordMap(3, mapRecord{}); err == nil {
-		t.Fatal("recordMap succeeded despite journal-write fault")
+	if err := j.record(3); err == nil {
+		t.Fatal("record succeeded despite journal-write fault")
 	}
-	if _, ok := j.state.MapDone[3]; ok {
-		t.Fatal("failed commit left map record in memory")
+	if j.state.Done[3] {
+		t.Fatal("failed commit left the task record in memory")
 	}
 	SetFaultHook(nil)
-	if err := j.recordMap(3, mapRecord{}); err != nil {
+	if err := j.record(3); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,70 +23,28 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The stub job sums integers: each map input file holds one integer n,
-// map routes it to partition n % partitions via a one-line spill file,
-// reduce sums its partition's spill files into the output file. It
-// exercises the executor's machinery (leases, spill handoff, journal)
-// without the typed engine, which has its own differential tests in
-// internal/mapreduce.
-const stubJob = "mrx.test.sum"
+// The stub job doubles integers: each task's input file holds one integer
+// n, and the task writes 2n to its output file. It exercises the
+// executor's machinery (leases, file handoff, journal) without the typed
+// engine, which has its own differential tests in internal/mapreduce.
+const stubJob = "mrx.test.double"
 
-type stubRunner struct {
-	scratch    string
-	partitions int
-}
-
-func stubFactory(h Hello) (Runner, error) {
-	parts, err := strconv.Atoi(string(h.Params))
-	if err != nil {
-		return nil, fmt.Errorf("stub params: %w", err)
-	}
-	return &stubRunner{scratch: h.ScratchDir, partitions: parts}, nil
-}
-
-func (r *stubRunner) RunTask(spec TaskSpec) (TaskResult, error) {
-	switch spec.Kind {
-	case TaskMap:
-		data, err := os.ReadFile(spec.Inputs[0])
+func stubFactory(params []byte) (Runner, error) {
+	return func(input, output string) error {
+		data, err := os.ReadFile(input)
 		if err != nil {
-			return TaskResult{}, err
+			return err
 		}
 		n, err := strconv.Atoi(strings.TrimSpace(string(data)))
 		if err != nil {
-			return TaskResult{}, &FinalError{Err: err}
+			return err
 		}
-		p := n % r.partitions
-		path := filepath.Join(r.scratch, fmt.Sprintf("stub-m%03d-p%03d.spill", spec.Index, p))
-		if err := os.WriteFile(path, []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
-			return TaskResult{}, err
-		}
-		return TaskResult{Spills: []SpillRef{{Partition: p, Path: path}}}, nil
-	case TaskReduce:
-		sum := 0
-		for _, in := range spec.Inputs {
-			data, err := os.ReadFile(in)
-			if err != nil {
-				return TaskResult{}, err
-			}
-			for _, line := range strings.Fields(string(data)) {
-				n, err := strconv.Atoi(line)
-				if err != nil {
-					return TaskResult{}, err
-				}
-				sum += n
-			}
-		}
-		if err := os.WriteFile(spec.Output, []byte(strconv.Itoa(sum)), 0o644); err != nil {
-			return TaskResult{}, err
-		}
-		return TaskResult{}, nil
-	default:
-		return TaskResult{}, &FinalError{Err: fmt.Errorf("unknown kind %v", spec.Kind)}
-	}
+		return os.WriteFile(output, []byte(strconv.Itoa(2*n)), 0o644)
+	}, nil
 }
 
 // stubOpts builds a run over the given values with fast test timings.
-func stubOpts(t *testing.T, values []int, workers, partitions int) Options {
+func stubOpts(t *testing.T, values []int, workers int) Options {
 	t.Helper()
 	scratch := t.TempDir()
 	inputs := make([]string, len(values))
@@ -99,10 +57,8 @@ func stubOpts(t *testing.T, values []int, workers, partitions int) Options {
 	}
 	return Options{
 		Job:            stubJob,
-		Params:         []byte(strconv.Itoa(partitions)),
 		ScratchDir:     scratch,
 		Inputs:         inputs,
-		Partitions:     partitions,
 		Workers:        workers,
 		RetryBase:      5 * time.Millisecond,
 		HeartbeatEvery: 50 * time.Millisecond,
@@ -110,65 +66,32 @@ func stubOpts(t *testing.T, values []int, workers, partitions int) Options {
 	}
 }
 
-// partitionSums reads the run's reduce outputs back.
-func partitionSums(t *testing.T, res *JobResult) map[int]int {
+// checkOutputs reads the run's task outputs back: task i must hold twice
+// values[i].
+func checkOutputs(t *testing.T, res *JobResult, values []int) {
 	t.Helper()
-	sums := make(map[int]int)
-	for p, out := range res.ReduceOutputs {
-		if out == "" {
-			continue
-		}
+	if len(res.Outputs) != len(values) {
+		t.Fatalf("%d outputs, want %d", len(res.Outputs), len(values))
+	}
+	for i, out := range res.Outputs {
 		data, err := os.ReadFile(out)
 		if err != nil {
-			t.Fatalf("partition %d output: %v", p, err)
+			t.Fatalf("task %d output: %v", i, err)
 		}
-		n, err := strconv.Atoi(strings.TrimSpace(string(data)))
-		if err != nil {
-			t.Fatalf("partition %d output: %v", p, err)
-		}
-		sums[p] = n
-	}
-	return sums
-}
-
-// wantSums computes the expected per-partition sums.
-func wantSums(values []int, partitions int) map[int]int {
-	want := make(map[int]int)
-	for _, v := range values {
-		want[v%partitions] += v
-	}
-	return want
-}
-
-func checkSums(t *testing.T, res *JobResult, values []int, partitions int) {
-	t.Helper()
-	got, want := partitionSums(t, res), wantSums(values, partitions)
-	if len(got) != len(want) {
-		t.Fatalf("partition outputs: got %v, want %v", got, want)
-	}
-	for p, w := range want {
-		if got[p] != w {
-			t.Fatalf("partition %d: got %d, want %d (all: got %v want %v)", p, got[p], w, got, want)
+		if got := strings.TrimSpace(string(data)); got != strconv.Itoa(2*values[i]) {
+			t.Fatalf("task %d output %q, want %d", i, got, 2*values[i])
 		}
 	}
 }
 
 func TestCoordinatorBasic(t *testing.T) {
 	values := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	opts := stubOpts(t, values, 2, 4)
+	opts := stubOpts(t, values, 2)
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, res, values, 4)
-	if len(res.MapSpills) != len(values) {
-		t.Fatalf("MapSpills: got %d shards, want %d", len(res.MapSpills), len(values))
-	}
-	for i, spills := range res.MapSpills {
-		if len(spills) != 1 {
-			t.Fatalf("map shard %d: %d spills, want 1", i, len(spills))
-		}
-	}
+	checkOutputs(t, res, values)
 	if res.Stats.WorkerDeaths != 0 || res.Stats.TasksReexecuted != 0 {
 		t.Fatalf("fault-free run reported faults: %+v", res.Stats)
 	}
@@ -190,14 +113,14 @@ func withWorkerSchedule(t *testing.T, opts *Options, worker int, rules ...faulti
 // revoked and the task re-executed to a correct result.
 func TestWorkerDiesBeforeTask(t *testing.T) {
 	values := []int{10, 11, 12, 13, 14, 15}
-	opts := stubOpts(t, values, 2, 3)
+	opts := stubOpts(t, values, 2)
 	withWorkerSchedule(t, &opts, 0,
 		faultinject.EnvRule{Point: string(faultinject.PointMrxWorkerTask), From: 1, Crash: true})
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, res, values, 3)
+	checkOutputs(t, res, values)
 	if res.Stats.WorkerDeaths < 1 {
 		t.Fatalf("no worker death recorded: %+v", res.Stats)
 	}
@@ -206,20 +129,20 @@ func TestWorkerDiesBeforeTask(t *testing.T) {
 	}
 }
 
-// TestWorkerDiesAfterSpillBeforeAck kills worker 0 at PointMrxWorkerAck:
-// the task's spill files are durable on disk but the coordinator never
-// hears task-done — the canonical mid-shuffle death. The lease must be
-// revoked and the task re-run (regenerating the same spill paths).
-func TestWorkerDiesAfterSpillBeforeAck(t *testing.T) {
+// TestWorkerDiesAfterOutputBeforeAck kills worker 0 at PointMrxWorkerAck:
+// the task's output file is on disk but the coordinator never hears
+// task-done. The lease must be revoked and the task re-run (rewriting the
+// same output path).
+func TestWorkerDiesAfterOutputBeforeAck(t *testing.T) {
 	values := []int{20, 21, 22, 23, 24, 25, 26, 27}
-	opts := stubOpts(t, values, 3, 4)
+	opts := stubOpts(t, values, 3)
 	withWorkerSchedule(t, &opts, 0,
 		faultinject.EnvRule{Point: string(faultinject.PointMrxWorkerAck), From: 1, Crash: true})
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, res, values, 4)
+	checkOutputs(t, res, values)
 	if res.Stats.WorkerDeaths < 1 || res.Stats.TasksReexecuted < 1 {
 		t.Fatalf("ack-crash not recovered via re-execution: %+v", res.Stats)
 	}
@@ -230,7 +153,7 @@ func TestWorkerDiesAfterSpillBeforeAck(t *testing.T) {
 // coordinator's watchdog kills it and the task completes elsewhere.
 func TestWorkerStallKilledByWatchdog(t *testing.T) {
 	values := []int{30, 31, 32, 33}
-	opts := stubOpts(t, values, 2, 2)
+	opts := stubOpts(t, values, 2)
 	opts.StallAfter = 400 * time.Millisecond
 	withWorkerSchedule(t, &opts, 0,
 		faultinject.EnvRule{Point: string(faultinject.PointMrxWorkerTask), From: 1, DelayMS: 60_000},
@@ -240,7 +163,7 @@ func TestWorkerStallKilledByWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, res, values, 2)
+	checkOutputs(t, res, values)
 	if res.Stats.WorkerDeaths < 1 {
 		t.Fatalf("stalled worker not killed: %+v", res.Stats)
 	}
@@ -255,7 +178,7 @@ func TestWorkerStallKilledByWatchdog(t *testing.T) {
 // completed task and converge to the correct result.
 func TestCoordinatorResumesFromJournal(t *testing.T) {
 	values := []int{40, 41, 42, 43, 44, 45}
-	opts := stubOpts(t, values, 2, 3)
+	opts := stubOpts(t, values, 2)
 
 	s := faultinject.New(0)
 	s.CrashAt(faultinject.PointMrxComplete, 3)
@@ -273,7 +196,7 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, res, values, 3)
+	checkOutputs(t, res, values)
 	if !res.Stats.Resumed {
 		t.Fatal("restart did not adopt the journal")
 	}
@@ -286,7 +209,7 @@ func TestCoordinatorResumesFromJournal(t *testing.T) {
 // fault point: a persistent scripted error there must surface, not hang.
 func TestCoordinatorAssignFaultFailsJob(t *testing.T) {
 	values := []int{50, 51}
-	opts := stubOpts(t, values, 1, 2)
+	opts := stubOpts(t, values, 1)
 	s := faultinject.New(0)
 	s.FailAt(faultinject.PointMrxAssign, 1, errors.New("scripted assign failure"))
 	SetFaultHook(s.Hook())
@@ -297,27 +220,12 @@ func TestCoordinatorAssignFaultFailsJob(t *testing.T) {
 	}
 }
 
-// TestCoordinatorShuffleBarrierFault covers the barrier between phases:
-// a fault there aborts the job after maps but before reduces.
-func TestCoordinatorShuffleBarrierFault(t *testing.T) {
-	values := []int{60, 61}
-	opts := stubOpts(t, values, 1, 2)
-	s := faultinject.New(0)
-	s.FailAt(faultinject.PointMrxShuffleBarrier, 1, errors.New("scripted barrier failure"))
-	SetFaultHook(s.Hook())
-	defer SetFaultHook(nil)
-	if _, err := Run(context.Background(), opts); err == nil ||
-		!strings.Contains(err.Error(), "scripted barrier failure") {
-		t.Fatalf("barrier fault not surfaced: %v", err)
-	}
-}
-
 // TestExecUnavailable: when no worker can be spawned at all (scripted
 // PointMrxSpawn failures), Run reports ErrExecUnavailable so callers can
 // degrade to the in-process engine.
 func TestExecUnavailable(t *testing.T) {
 	values := []int{70, 71}
-	opts := stubOpts(t, values, 2, 2)
+	opts := stubOpts(t, values, 2)
 	s := faultinject.New(0)
 	s.FailTransient(faultinject.PointMrxSpawn, 1, 2, errors.New("scripted spawn failure"))
 	SetFaultHook(s.Hook())
@@ -333,14 +241,14 @@ func TestExecUnavailable(t *testing.T) {
 // exactly one process lifetime.
 func TestWorkerIndexNeverReused(t *testing.T) {
 	values := []int{80, 81, 82, 83}
-	opts := stubOpts(t, values, 1, 2)
+	opts := stubOpts(t, values, 1)
 	withWorkerSchedule(t, &opts, 0,
 		faultinject.EnvRule{Point: string(faultinject.PointMrxWorkerTask), From: 1, Crash: true})
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSums(t, res, values, 2)
+	checkOutputs(t, res, values)
 	// Worker 0 dies once; its replacement (index 1) is untargeted and
 	// finishes the job. A reused index 0 would crash-loop past the
 	// respawn budget and fail the run.

@@ -10,29 +10,6 @@ import (
 // payloads; both ends decode strictly by the frame's kind, never by
 // sniffing the payload.
 
-// TaskKind distinguishes map from reduce tasks.
-type TaskKind uint8
-
-const (
-	// TaskMap runs one map shard over its assigned input file, spilling
-	// every partition's pairs to the scratch directory.
-	TaskMap TaskKind = iota + 1
-	// TaskReduce reduces one partition by replaying the map tasks' spill
-	// files in task order and writing one output file.
-	TaskReduce
-)
-
-func (k TaskKind) String() string {
-	switch k {
-	case TaskMap:
-		return "map"
-	case TaskReduce:
-		return "reduce"
-	default:
-		return fmt.Sprintf("taskkind(%d)", uint8(k))
-	}
-}
-
 // Hello is the coordinator's first frame to a freshly exec'd worker. It
 // names the registered job the worker must instantiate and carries the
 // job's opaque parameter blob (decoded by the RunnerFactory).
@@ -41,8 +18,6 @@ type Hello struct {
 	Job string
 	// Params is the job's serialized construction parameters.
 	Params []byte
-	// ScratchDir is the shared spill/output directory.
-	ScratchDir string
 	// HeartbeatMS is how often the worker must heartbeat while a task
 	// runs, in milliseconds.
 	HeartbeatMS int64
@@ -50,41 +25,22 @@ type Hello struct {
 
 // TaskSpec assigns one task to a worker.
 type TaskSpec struct {
-	// Kind is map or reduce.
-	Kind TaskKind
 	// Seq is the coordinator's task sequence number; the worker echoes it
 	// in TaskResult/TaskFailed so late frames from a revoked lease are
 	// discarded rather than misattributed.
 	Seq uint64
-	// Index is the map shard index (Kind==TaskMap) or the partition index
-	// (Kind==TaskReduce).
+	// Index is the task's position in Options.Inputs.
 	Index int
-	// Inputs: for a map task, the shard's input file; for a reduce task,
-	// the spill files to replay, in map-task order.
-	Inputs []string
-	// Output: for a reduce task, the partition output file path. Map
-	// tasks derive their spill paths from ScratchDir and Index.
+	// Input is the task's input file; Output is where the worker writes
+	// the task's result.
+	Input  string
 	Output string
 }
 
-// TaskResult reports a completed task.
+// TaskResult reports a completed task: its output file is written.
 type TaskResult struct {
 	// Seq echoes the TaskSpec.
 	Seq uint64
-	// Spills lists the spill files the task produced (map tasks; one per
-	// non-empty partition), relative ordering preserved.
-	Spills []SpillRef
-	// Counters is the task's serialized counter deltas, merged by the
-	// typed layer.
-	Counters []byte
-}
-
-// SpillRef names one spill file a map task produced.
-type SpillRef struct {
-	// Partition is the hash partition the file belongs to.
-	Partition int
-	// Path is the file's absolute path in the scratch directory.
-	Path string
 }
 
 // TaskFailed reports a task that failed without killing the worker.
@@ -93,13 +49,6 @@ type TaskFailed struct {
 	Seq uint64
 	// Err is the failure message.
 	Err string
-	// Final marks a non-retryable failure (the job must abort rather
-	// than requeue).
-	Final bool
-	// CorruptInput names the corrupt input file when the failure unwraps
-	// to *CorruptInputError ("" otherwise); the coordinator quarantines
-	// it and re-executes the producing map shard.
-	CorruptInput string
 }
 
 // Heartbeat is the worker's periodic liveness proof, busy or idle.

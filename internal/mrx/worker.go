@@ -1,7 +1,6 @@
 package mrx
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -29,18 +28,14 @@ const (
 	EnvWorkerIndex = "BAYWATCH_MRX_WORKER_INDEX"
 )
 
-// Runner executes tasks inside a worker process. Implementations live in
-// the typed layer (internal/mapreduce) and reuse the engine's spill codec.
-type Runner interface {
-	// RunTask executes one task and returns its result. An error is
-	// reported to the coordinator as a retryable failure unless it
-	// unwraps to *CorruptInputError (quarantine path) or FinalError.
-	RunTask(spec TaskSpec) (TaskResult, error)
-}
+// Runner executes one task inside a worker process: it reads the task's
+// input file and writes its output file. Implementations live in the
+// typed layer (internal/mapreduce) and reuse its record codec.
+type Runner func(input, output string) error
 
-// RunnerFactory instantiates a job's Runner from the coordinator's Hello
-// (job parameters and scratch directory).
-type RunnerFactory func(h Hello) (Runner, error)
+// RunnerFactory instantiates a job's Runner from the coordinator's
+// parameter blob (Hello.Params).
+type RunnerFactory func(params []byte) (Runner, error)
 
 var (
 	jobsMu sync.Mutex
@@ -135,31 +130,6 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// CorruptInputError marks a task failure caused by a corrupt input file
-// (a spill that fails checksum verification during reduce replay). The
-// coordinator quarantines the file and re-executes its producing map
-// shard once instead of failing the job.
-type CorruptInputError struct {
-	// Path is the corrupt file.
-	Path string
-	// Err is the underlying verification failure.
-	Err error
-}
-
-func (e *CorruptInputError) Error() string {
-	return fmt.Sprintf("mrx: corrupt input %s: %v", e.Path, e.Err)
-}
-
-func (e *CorruptInputError) Unwrap() error { return e.Err }
-
-// FinalError marks a task failure that must abort the job rather than be
-// requeued (the task would fail identically on any worker — a logic
-// error, not an environmental one).
-type FinalError struct{ Err error }
-
-func (e *FinalError) Error() string { return e.Err.Error() }
-func (e *FinalError) Unwrap() error { return e.Err }
-
 // frameWriter serializes concurrent frame writes (task loop + heartbeat
 // goroutine share the worker's stdout).
 type frameWriter struct {
@@ -196,7 +166,7 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("mrx worker: unknown job %q (registered: %v)", hello.Job, RegisteredJobs())
 	}
-	runner, err := factory(hello)
+	runner, err := factory(hello.Params)
 	if err != nil {
 		return fmt.Errorf("mrx worker: job %q: %w", hello.Job, err)
 	}
@@ -236,35 +206,24 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 // runTask executes one task with heartbeats running, traversing the
 // worker-side fault points: PointMrxWorkerTask before the task body (a
 // crash here dies before any work) and PointMrxWorkerAck after the body
-// but before task-done is sent (a crash here dies with the task's spills
-// durable but unacknowledged — the canonical mid-shuffle death).
+// but before task-done is sent (a crash here dies with the task's output
+// written but unacknowledged).
 func runTask(runner Runner, spec TaskSpec, out *frameWriter, hb *heartbeater) error {
 	hb.start(spec.Seq)
 	defer hb.idle()
 	fail := func(err error) error {
-		msg := &TaskFailed{Seq: spec.Seq, Err: err.Error()}
-		var corrupt *CorruptInputError
-		if errors.As(err, &corrupt) {
-			msg.CorruptInput = corrupt.Path
-		}
-		var final *FinalError
-		if errors.As(err, &final) {
-			msg.Final = true
-		}
-		return out.send(KindTaskFailed, msg)
+		return out.send(KindTaskFailed, &TaskFailed{Seq: spec.Seq, Err: err.Error()})
 	}
 	if err := faultCheck(faultinject.PointMrxWorkerTask); err != nil {
 		return fail(err)
 	}
-	res, err := runner.RunTask(spec)
-	if err != nil {
+	if err := runner(spec.Input, spec.Output); err != nil {
 		return fail(err)
 	}
-	res.Seq = spec.Seq
 	if err := faultCheck(faultinject.PointMrxWorkerAck); err != nil {
 		return fail(err)
 	}
-	return out.send(KindTaskDone, &res)
+	return out.send(KindTaskDone, &TaskResult{Seq: spec.Seq})
 }
 
 // heartbeater sends periodic heartbeat frames — busy or idle — so the

@@ -11,8 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"baywatch/internal/corpus"
 	"baywatch/internal/guard"
+	"baywatch/internal/langmodel"
+	"baywatch/internal/mapreduce"
 	"baywatch/internal/pipeline"
+	"baywatch/internal/proxylog"
 )
 
 // TestCancellationMidIngestRollsBack cancels an ingest while its daily
@@ -133,5 +137,75 @@ func TestCancelledBeforeStartNoSideEffects(t *testing.T) {
 	if loop.DaysIngested() != 0 || loop.HistoryPairs() != 0 {
 		t.Fatalf("cancelled ingest left state: days=%d history=%d",
 			loop.DaysIngested(), loop.HistoryPairs())
+	}
+}
+
+// beaconRecords emits count requests from src to dst every period seconds.
+func beaconRecords(src, dst string, count int, period int64) []*proxylog.Record {
+	recs := make([]*proxylog.Record, count)
+	for i := range recs {
+		recs[i] = &proxylog.Record{
+			Timestamp: 1700000000 + int64(i)*period,
+			ClientIP:  src, Method: "GET", Scheme: "http",
+			Host: dst, Path: "/ping", Status: 200,
+		}
+	}
+	return recs
+}
+
+// TestCoarsePassRescaleMergeBounded: the coarse pass's rescale-merge runs
+// under the pipeline's guard like the detect job does. A pair whose merge
+// overruns TaskTimeout is dropped within the failure budget, and the pass
+// comes back Degraded with the pair counted.
+func TestCoarsePassRescaleMergeBounded(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	lm, err := langmodel.Train(corpus.PopularDomains(2000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{StateDir: t.TempDir(), WeeklyEvery: 1}
+	cfg.Pipeline = pipeline.Config{LM: lm, LocalTau: 0.99}
+	cfg.Pipeline.Guard.TaskTimeout = 500 * time.Millisecond
+	cfg.Pipeline.Guard.FailureBudget = 1
+	loop, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The stuck pair's first task call is its daily detection; its second
+	// is the weekly pass's rescale-merge, which hangs.
+	sched := faultinject.New(0)
+	sched.HangAt(faultinject.PointMapreduceTask.Keyed("10.0.0.1|alpha.example"), 2)
+	mapreduce.SetFaultHook(sched.Hook())
+	t.Cleanup(func() { mapreduce.SetFaultHook(nil); sched.ReleaseHangs() })
+
+	records := append(beaconRecords("10.0.0.1", "alpha.example", 60, 60),
+		beaconRecords("10.0.0.2", "bravo.example", 60, 90)...)
+	rep, err := loop.IngestDay(context.Background(), records)
+	if err != nil {
+		t.Fatalf("a pair within the failure budget must not fail the pass: %v", err)
+	}
+	if rep.Daily.Degraded {
+		t.Fatalf("daily run degraded: %+v", rep.Daily.Stats)
+	}
+	if rep.Weekly == nil {
+		t.Fatal("weekly pass never ran")
+	}
+	if !rep.Weekly.Degraded || rep.Weekly.Stats.FailedPairs != 1 {
+		t.Fatalf("weekly degraded=%v failed pairs=%d, want the stuck pair counted",
+			rep.Weekly.Degraded, rep.Weekly.Stats.FailedPairs)
+	}
+	if rep.Weekly.Stats.Pairs != 1 {
+		t.Fatalf("weekly pass analyzed %d pairs, want only the healthy one", rep.Weekly.Stats.Pairs)
+	}
+
+	sched.ReleaseHangs()
+	deadline := time.Now().Add(10 * time.Second)
+	for guard.Abandoned() != 0 || runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines not drained: abandoned=%d goroutines=%d (baseline %d)",
+				guard.Abandoned(), runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

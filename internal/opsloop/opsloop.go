@@ -240,9 +240,11 @@ func (l *Loop) finishDay(ctx context.Context, day int, daily *pipeline.Result, s
 // granularity and runs detection + indication analysis over pairs with
 // enough events. The coarse pass shares the in-memory novelty store (the
 // ingest commit persists it), so a slow beacon already reported by a
-// daily run is not re-reported.
+// daily run is not re-reported. Both jobs run under the pipeline's guard;
+// pairs the rescale-merge drops within the failure budget degrade the
+// pass like those the detect job drops.
 func (l *Loop) coarsePass(ctx context.Context, scale int64) (*pipeline.Result, error) {
-	merged, err := pipeline.RescaleAndMerge(ctx, l.history, scale, l.cfg.Pipeline.MapReduce)
+	merged, failed, err := pipeline.RescaleAndMerge(ctx, l.history, scale, l.cfg.Pipeline.Guard)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +271,13 @@ func (l *Loop) coarsePass(ctx context.Context, scale int64) (*pipeline.Result, e
 	cfg := l.cfg.Pipeline
 	cfg.Novelty = l.store
 	cfg.Scale = scale
-	return pipeline.RunEvents(ctx, events, cfg)
+	res, err := pipeline.RunEvents(ctx, events, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.FailedPairs += failed
+	res.Degraded = res.Degraded || failed > 0
+	return res, nil
 }
 
 // HistoryPairs reports how many summaries are currently held.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"baywatch/internal/core"
@@ -61,27 +62,81 @@ func batchSummaries(t *testing.T, n int) []*timeseries.ActivitySummary {
 	return out
 }
 
-// TestDetectBatchDifferentialPipeline pins the detect stage's batch
-// scheduling to the per-pair reference: DetectBeacons (bucket-keyed job,
-// shared threshold memo, pre-merge) must return exactly the Detections a
-// sequential per-pair core.Detect over the merged summaries produces,
-// sorted by pair.
-func TestDetectBatchDifferentialPipeline(t *testing.T) {
-	cfg := core.DefaultConfig()
-	det := core.NewDetector(cfg)
-	summaries := batchSummaries(t, 24)
+// premergePairs merges duplicate summaries of the same pair in input
+// order: the reference for what the analysis core must reduce duplicate
+// input to. The result keeps first-seen pair order; a pair whose merge
+// fails comes back as a parked Detection on its first summary — where
+// Incremental parks it — and is excluded from the merged list.
+func premergePairs(summaries []*timeseries.ActivitySummary) ([]*timeseries.ActivitySummary, []Detection) {
+	idx := make(map[pairKey]int, len(summaries))
+	var merged, firsts []*timeseries.ActivitySummary
+	var failed []Detection
+	for _, as := range summaries {
+		key := pairKey{Src: as.Source, Dst: as.Destination}
+		i, seen := idx[key]
+		if !seen {
+			idx[key] = len(merged)
+			merged = append(merged, as)
+			firsts = append(firsts, as)
+			continue
+		}
+		if merged[i] == nil {
+			continue // the pair already failed
+		}
+		m, err := safeMerge(merged[i], as)
+		if err != nil {
+			failed = append(failed, Detection{Summary: firsts[i], Err: err})
+			merged[i] = nil
+			continue
+		}
+		merged[i] = m
+	}
+	out := merged[:0]
+	for _, as := range merged {
+		if as != nil {
+			out = append(out, as)
+		}
+	}
+	return out, failed
+}
 
-	got, err := DetectBeacons(context.Background(), summaries, det, mapreduce.JobConfig{})
+// sortDetections orders detections canonically by (source, destination).
+func sortDetections(ds []Detection) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i].Summary, ds[j].Summary
+		if a.Source != b.Source {
+			return a.Source < b.Source
+		}
+		return a.Destination < b.Destination
+	})
+}
+
+// runDetect is detectBeacons in-process with no bounds and a fresh
+// threshold memo.
+func runDetect(t *testing.T, summaries []*timeseries.ActivitySummary, cfg core.Config) []Detection {
+	t.Helper()
+	ds, _, err := detectBeacons(context.Background(), summaries, cfg, mapreduce.JobConfig{}, mapreduce.ExecConfig{}, 0, 0, core.NewThresholdMemo(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sortDetections(ds)
+	return ds
+}
 
-	// Reference: merge duplicates per pair in input order, detect each pair
-	// solo, sort by pair.
-	merged, failed := premergePairs(summaries)
+// TestDetectBatchDifferentialPipeline pins the detect job to the per-pair
+// reference: detectBeacons (one call per pair, partitioned by H(s,d),
+// sharing one threshold memo) over the pre-merged summaries must return
+// exactly the Detections a sequential per-pair core.Detect produces.
+func TestDetectBatchDifferentialPipeline(t *testing.T) {
+	cfg := core.DefaultConfig()
+	det := core.NewDetector(cfg)
+	merged, failed := premergePairs(batchSummaries(t, 24))
 	if len(failed) != 0 {
 		t.Fatalf("fixture should premerge cleanly, got %d failures", len(failed))
 	}
+	got := runDetect(t, merged, cfg)
+
+	// Reference: detect each pair solo, sort by pair.
 	var want []Detection
 	for _, as := range merged {
 		r, derr := det.Detect(as)
@@ -114,11 +169,13 @@ func TestDetectBatchDifferentialPipeline(t *testing.T) {
 	}
 }
 
-// TestPremergeFailureParksPair pins the pre-merge error path: a pair whose
-// duplicate summaries cannot merge (scale mismatch) comes back as a parked
-// Detection carrying the pair's first summary, while other pairs detect
-// normally.
+// TestPremergeFailureParksPair pins the reference pre-merge to the
+// pipeline's own parking: a pair whose duplicate summaries cannot merge
+// (scale mismatch) is parked on its first summary — by premergePairs
+// ahead of detectBeacons as by a tick — while the other pair is detected
+// identically by both.
 func TestPremergeFailureParksPair(t *testing.T) {
+	h := newIncHarness(t)
 	good, err := timeseries.FromTimestamps("h1", "ok.example", []int64{0, 60, 120, 180, 240, 300, 360, 420, 480}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -131,42 +188,29 @@ func TestPremergeFailureParksPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := DetectBeacons(context.Background(), []*timeseries.ActivitySummary{badA, good, badB}, core.NewDetector(core.DefaultConfig()), mapreduce.JobConfig{})
+	input := []*timeseries.ActivitySummary{badA, good, badB}
+
+	merged, parked := premergePairs(input)
+	if len(parked) != 1 || parked[0].Summary != badA || parked[0].Err == nil {
+		t.Fatalf("failed-merge pair should be parked on its first summary: %+v", parked)
+	}
+	ds := runDetect(t, merged, h.cfg.Detector)
+	if len(ds) != 1 || ds[0].Summary != good || ds[0].Err != nil || ds[0].Result == nil {
+		t.Fatalf("good pair mishandled: %+v", ds)
+	}
+
+	res, err := h.inc.Tick(context.Background(), input, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != 2 {
-		t.Fatalf("%d detections, want 2", len(ds))
+	if len(res.Candidates) != 2 {
+		t.Fatalf("%d candidates, want 2", len(res.Candidates))
 	}
-	// Sorted by pair: h1 before h2.
-	if ds[0].Summary.Source != "h1" || ds[0].Err != nil || ds[0].Result == nil {
-		t.Errorf("good pair mishandled: %+v", ds[0])
+	// Candidates come in pair order: h1 before h2.
+	if c := res.Candidates[0]; c.Summary != good || !reflect.DeepEqual(c.Detection, ds[0].Result) {
+		t.Errorf("tick detected the good pair differently: %+v", c)
 	}
-	if ds[1].Summary.Source != "h2" || ds[1].Err == nil {
-		t.Errorf("failed-merge pair should be parked with its error: %+v", ds[1])
-	}
-	if ds[1].Summary != badA {
-		t.Error("parked detection should carry the pair's first summary")
-	}
-}
-
-// TestDetectSlotStable pins the slot function's determinism and range.
-func TestDetectSlotStable(t *testing.T) {
-	a := detectSlot("host", "dest")
-	for i := 0; i < 3; i++ {
-		if detectSlot("host", "dest") != a {
-			t.Fatal("slot not deterministic")
-		}
-	}
-	seen := map[uint8]bool{}
-	for i := 0; i < 256; i++ {
-		s := detectSlot(fmt.Sprintf("h%d", i), "d")
-		if int(s) >= detectSlots {
-			t.Fatalf("slot %d out of range", s)
-		}
-		seen[s] = true
-	}
-	if len(seen) < detectSlots/2 {
-		t.Errorf("slots poorly distributed: only %d of %d used", len(seen), detectSlots)
+	if c := res.Candidates[1]; c.Summary != badA || c.SuppressedBy != StageError || res.Errors[0].Err != parked[0].Err.Error() {
+		t.Errorf("tick parked the pair differently: %+v, errors %+v", c, res.Errors)
 	}
 }

@@ -5,7 +5,7 @@ package pipeline
 // the multi-process executor (internal/mrx + mapreduce.RunExec). The
 // coordinator serializes the job's construction recipe (detectParams)
 // into the Hello; each worker process rebuilds an identical job from it,
-// so both sides run the same map/reduce code and the distributed run is
+// so both sides run the same per-pair code and the distributed run is
 // bit-identical to the in-process engine. Enabled through Config.Exec;
 // when spawning workers fails the stage degrades to the in-process path
 // unless Config.Exec.DisableFallback is set.
@@ -30,50 +30,19 @@ import (
 const detectJobName = string(faultinject.PointPipelineDetect)
 
 func init() {
-	mapreduce.RegisterExec[*timeseries.ActivitySummary, detectKey, *timeseries.ActivitySummary, Detection](
-		detectJobName, buildDetectJob)
-}
-
-// wireConfig is the subset of mapreduce.JobConfig a worker reads. The
-// watchdog and TaskTimeout stay with the coordinator: a worker runs every
-// call inline, and its liveness is the coordinator's heartbeat.
-type wireConfig struct {
-	Name            string
-	Mappers         int
-	Reducers        int
-	PartitionBits   int
-	MaxFailedInputs int
-	MaxFailedKeys   int
-}
-
-func wireJobConfig(cfg mapreduce.JobConfig) wireConfig {
-	return wireConfig{
-		Name:            cfg.Name,
-		Mappers:         cfg.Mappers,
-		Reducers:        cfg.Reducers,
-		PartitionBits:   cfg.PartitionBits,
-		MaxFailedInputs: cfg.MaxFailedInputs,
-		MaxFailedKeys:   cfg.MaxFailedKeys,
-	}
-}
-
-func (w wireConfig) jobConfig() mapreduce.JobConfig {
-	return mapreduce.JobConfig{
-		Name:            w.Name,
-		Mappers:         w.Mappers,
-		Reducers:        w.Reducers,
-		PartitionBits:   w.PartitionBits,
-		MaxFailedInputs: w.MaxFailedInputs,
-		MaxFailedKeys:   w.MaxFailedKeys,
-	}
+	mapreduce.RegisterExec(detectJobName, buildDetectJob)
 }
 
 // detectParams is the construction recipe the coordinator ships to
 // workers. Coordinator and worker must build identical jobs from it or
-// the differential guarantee (distributed == in-process) is void.
+// the differential guarantee (distributed == in-process) is void. Of the
+// job's config a worker reads only the failure budget: the coordinator
+// partitions the pairs, and the watchdog and TaskTimeout stay with it — a
+// worker runs every call inline, and its liveness is the coordinator's
+// heartbeat.
 type detectParams struct {
 	Detector         core.Config
-	MR               wireConfig
+	MaxFailed        int
 	CandidateTimeout time.Duration
 	MaxInFlight      int
 }
@@ -88,7 +57,7 @@ func encodeDetectParams(p detectParams) ([]byte, error) {
 
 // buildDetectJob is the worker-side factory: it rebuilds the detect job
 // from the coordinator's params blob.
-func buildDetectJob(params []byte) (*mapreduce.Job[*timeseries.ActivitySummary, detectKey, *timeseries.ActivitySummary, Detection], error) {
+func buildDetectJob(params []byte) (*mapreduce.Job[*timeseries.ActivitySummary, Detection], error) {
 	var p detectParams
 	if err := gob.NewDecoder(bytes.NewReader(params)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("pipeline: decode detect params: %w", err)
@@ -99,7 +68,8 @@ func buildDetectJob(params []byte) (*mapreduce.Job[*timeseries.ActivitySummary, 
 	// worker-local (a memo hit is bit-identical to a cold computation, so
 	// per-worker caches never diverge from the in-process run).
 	ctx := context.Background() //bw:guarded worker-process root; cancellation is the coordinator killing the process
-	return detectJob(ctx, core.NewDetector(p.Detector), p.MR.jobConfig(), p.CandidateTimeout, p.MaxInFlight, core.NewThresholdMemo(0)), nil
+	jobCfg := mapreduce.JobConfig{MaxFailed: p.MaxFailed}
+	return detectJob(ctx, core.NewDetector(p.Detector), jobCfg, p.CandidateTimeout, p.MaxInFlight, core.NewThresholdMemo(0)), nil
 }
 
 // detectionWire is Detection's gob shape. Err is an interface value the

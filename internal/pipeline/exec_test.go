@@ -49,9 +49,9 @@ func TestRunExecDetectMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestRunExecDetectSurvivesWorkerKill injects a mid-shuffle worker death
-// (worker 0 dies at its first spill write) and asserts the pipeline still
-// converges to the in-process result.
+// TestRunExecDetectSurvivesWorkerKill injects a mid-task worker death
+// (worker 0 dies after writing its first task's output, before acking it)
+// and asserts the pipeline still converges to the in-process result.
 func TestRunExecDetectSurvivesWorkerKill(t *testing.T) {
 	env := newTestEnv(t, []synthetic.Infection{zbotInfection(3)})
 	want, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
@@ -62,7 +62,7 @@ func TestRunExecDetectSurvivesWorkerKill(t *testing.T) {
 	sched, err := faultinject.Schedule{
 		Worker: 0,
 		Rules: []faultinject.EnvRule{
-			{Point: string(faultinject.PointMapreduceSpillWrite), From: 1, Crash: true},
+			{Point: string(faultinject.PointMrxWorkerAck), From: 1, Crash: true},
 		},
 	}.Encode()
 	if err != nil {

@@ -165,15 +165,14 @@ func TestWatchdogDetectsMapreduceHangDegraded(t *testing.T) {
 	records = append(records, beaconRecords("10.0.0.3", "charlie.example", 60, 120)...)
 
 	sched := faultinject.New(0)
-	sched.HangAt(faultinject.PointMapreduceMapTask, 3)
+	sched.HangAt(faultinject.PointMapreduceTask.Keyed("10.0.0.3|charlie.example"), 1)
 	mapreduce.SetFaultHook(sched.Hook())
 	t.Cleanup(func() { mapreduce.SetFaultHook(nil); sched.ReleaseHangs() })
 
 	cfg := smallConfig(t)
-	cfg.MapReduce.Mappers = 1 // single mapper: deterministic hit ordering
-	// The stall bound must exceed any healthy task's duration (heartbeats
-	// only happen at task boundaries) while still catching the infinite
-	// injected hang; these tasks run in microseconds.
+	// The stall bound must exceed any healthy pair's detection (heartbeats
+	// only happen between pairs) while still catching the infinite
+	// injected hang; these detections run in milliseconds.
 	cfg.Guard.StallTimeout = 500 * time.Millisecond
 	cfg.Guard.PollInterval = 20 * time.Millisecond
 	cfg.Guard.FailureBudget = 2
@@ -189,8 +188,8 @@ func TestWatchdogDetectsMapreduceHangDegraded(t *testing.T) {
 	if !res.Degraded {
 		t.Fatal("run with a stalled task must be Degraded")
 	}
-	if res.Stats.FailedInputs != 1 {
-		t.Fatalf("FailedInputs = %d, want 1", res.Stats.FailedInputs)
+	if res.Stats.FailedPairs != 1 {
+		t.Fatalf("FailedPairs = %d, want 1", res.Stats.FailedPairs)
 	}
 	if res.Stats.Stalls < 1 {
 		t.Fatalf("Stalls = %d, want >= 1", res.Stats.Stalls)

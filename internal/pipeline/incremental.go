@@ -217,7 +217,7 @@ func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySu
 // everything else about the delta runs as usual. A pair with several
 // summaries in the delta is merged and detected afresh.
 func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeseries.ActivitySummary, known []*core.Result, removed []PairRef) (*Result, error) {
-	env, cleanup := newGuardEnv(i.cfg)
+	env, cleanup := newGuardEnv(i.cfg.Guard)
 	defer cleanup()
 	i.tick++
 
@@ -332,7 +332,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	if len(detList) > 0 {
 		detCtx, detDone := stageCtx(ctx, env.g, "detect")
 		detections, counters, err := detectBeacons(
-			detCtx, detList, i.cfg.Detector, env.mrCfg, i.cfg.Exec,
+			detCtx, detList, i.cfg.Detector, env.job, i.cfg.Exec,
 			env.g.CandidateTimeout, env.g.MaxInFlight, i.cfg.Thresholds)
 		detDone()
 		if err != nil {
@@ -428,12 +428,11 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 		bookFunnel(&res.Stats, out.suppressed)
 	}
 	res.Stats.Errored = len(res.Errors)
-	res.Stats.FailedInputs = detCounters.FailedInputs
-	res.Stats.FailedKeys = detCounters.FailedKeys
+	res.Stats.FailedPairs = detCounters.Failed
 	if env.wd != nil {
 		res.Stats.Stalls = len(env.wd.Stalls())
 	}
-	res.Degraded = len(res.Errors) > 0 || res.Stats.FailedInputs > 0 || res.Stats.FailedKeys > 0
+	res.Degraded = len(res.Errors) > 0 || res.Stats.FailedPairs > 0
 
 	rankAndReport(res, i.cfg)
 	res.Stats.RankTime = time.Since(rankStart)

@@ -420,11 +420,10 @@ func TestIncrementalBulkDeltasScale(t *testing.T) {
 // TestDetectBudgetDropsPairWithoutVerdict: a pair the detect job sheds to
 // its failure budget has no detection result, so it must not surface as
 // a candidate (let alone a reported one) — the run is Degraded through
-// FailedInputs, and a standing pipeline detects the pair at the next tick.
+// FailedPairs, and a standing pipeline detects the pair at the next tick.
 func TestDetectBudgetDropsPairWithoutVerdict(t *testing.T) {
 	h := newIncHarness(t)
 	cfg := h.cfg
-	cfg.MapReduce.Mappers = 1 // one mapper: the first map task is the first pair
 	cfg.Guard.FailureBudget = 1
 	inc, err := NewIncremental(cfg)
 	if err != nil {
@@ -436,7 +435,7 @@ func TestDetectBudgetDropsPairWithoutVerdict(t *testing.T) {
 		sparseSummary(t, "hostC", "bg.example", base, 5),
 	}
 	sched := faultinject.New(0)
-	sched.FailAt(faultinject.PointMapreduceMapTask, 1, errors.New("injected map failure"))
+	sched.FailAt(faultinject.PointMapreduceTask.Keyed("hostA|beacon-dst.example"), 1, errors.New("injected task failure"))
 	mapreduce.SetFaultHook(sched.Hook())
 	t.Cleanup(func() { mapreduce.SetFaultHook(nil) })
 
@@ -444,8 +443,8 @@ func TestDetectBudgetDropsPairWithoutVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || res.Stats.FailedInputs != 1 {
-		t.Fatalf("degraded=%v failed inputs=%d, want the shed pair accounted", res.Degraded, res.Stats.FailedInputs)
+	if !res.Degraded || res.Stats.FailedPairs != 1 {
+		t.Fatalf("degraded=%v failed pairs=%d, want the shed pair accounted", res.Degraded, res.Stats.FailedPairs)
 	}
 	if res.Stats.AfterLocalWhitelist != 2 || len(res.Candidates) != 1 || len(res.Errors) != 0 {
 		t.Fatalf("after whitelists %d, candidates %d, errors %d: want 2 pairs, 1 with a verdict",
@@ -469,7 +468,7 @@ func TestDetectBudgetDropsPairWithoutVerdict(t *testing.T) {
 
 // TestTickParksUnmergeablePair: summaries of one pair that cannot merge
 // (scale mismatch) isolate that pair under StageError on its first
-// summary — as DetectBeacons parks it — while other pairs are analyzed
+// summary while other pairs are analyzed
 // normally; the pair stays parked, not re-detected on a partial history,
 // until its next delta.
 func TestTickParksUnmergeablePair(t *testing.T) {

@@ -77,8 +77,6 @@ type Config struct {
 	// Weights configures the ranking combination; zero value uses
 	// DefaultWeights.
 	Weights ranking.Weights
-	// MapReduce configures the underlying jobs.
-	MapReduce mapreduce.JobConfig
 	// Exec runs the detect stage's MapReduce job across exec'd worker OS
 	// processes (internal/mrx) instead of in-process goroutines. The zero
 	// value keeps everything in-process; see mapreduce.ExecConfig.
@@ -87,8 +85,9 @@ type Config struct {
 	// deadlines, watchdog stall detection, in-flight admission control and
 	// the per-pair event cap. The zero value disables every bound.
 	// TaskTimeout, StallTimeout and FailureBudget bound the MapReduce jobs
-	// (detect, rescale-merge) only; the front half is bounded by the
-	// extract stage deadline and ctx, and sheds through MaxEventsPerPair.
+	// (detect, and rescale-merge through RescaleAndMerge) per pair; the
+	// front half is bounded by the extract stage deadline and ctx, and
+	// sheds through MaxEventsPerPair.
 	Guard guard.Config
 	// Thresholds, when non-nil, carries memoized permutation thresholds
 	// across runs: same-shape series share one cached null distribution
@@ -212,11 +211,10 @@ type Stats struct {
 	// DroppedEvents the events discarded across them.
 	TruncatedPairs int
 	DroppedEvents  int
-	// FailedInputs and FailedKeys total the MapReduce failure budgets
-	// spent across the run's jobs (poisoned inputs skipped, reduce keys
-	// dropped).
-	FailedInputs int64
-	FailedKeys   int64
+	// FailedPairs counts the pairs the MapReduce jobs dropped within their
+	// failure budget (guard.Config.FailureBudget): the run has no verdict
+	// for them.
+	FailedPairs int64
 	// Stalls counts watchdog interventions (tasks cancelled after their
 	// worker stopped making progress).
 	Stalls int
@@ -281,39 +279,26 @@ type IngestStats struct {
 	FirstSkipped string
 }
 
-// guardEnv is the resilience environment a tick executes under: the guard
-// bounds threaded into the MapReduce config, and a watchdog.
+// guardEnv is the resilience environment a MapReduce job executes under:
+// the guard bounds threaded into the job config, and a watchdog.
 type guardEnv struct {
-	g     guard.Config
-	mrCfg mapreduce.JobConfig
-	wd    *guard.Watchdog
+	g   guard.Config
+	job mapreduce.JobConfig
+	wd  *guard.Watchdog
 }
 
-// newGuardEnv threads the guard config's deadlines, watchdog and failure
-// budgets into the tick's job config; a zero config leaves it unbounded.
+// newGuardEnv threads the guard config's per-pair deadline, watchdog and
+// failure budget into a job config; a zero config leaves it unbounded.
 // The returned cleanup stops the watchdog (if one was created) and must be
 // deferred by the caller.
-func newGuardEnv(cfg Config) (*guardEnv, func()) {
-	env := &guardEnv{g: cfg.Guard, mrCfg: cfg.MapReduce}
-	g := env.g
-	if g.TaskTimeout > 0 && env.mrCfg.TaskTimeout == 0 {
-		env.mrCfg.TaskTimeout = g.TaskTimeout
+func newGuardEnv(g guard.Config) (*guardEnv, func()) {
+	env := &guardEnv{g: g, job: mapreduce.JobConfig{TaskTimeout: g.TaskTimeout, MaxFailed: g.FailureBudget}}
+	if g.StallTimeout <= 0 {
+		return env, func() {}
 	}
-	if g.FailureBudget > 0 {
-		if env.mrCfg.MaxFailedInputs == 0 {
-			env.mrCfg.MaxFailedInputs = g.FailureBudget
-		}
-		if env.mrCfg.MaxFailedKeys == 0 {
-			env.mrCfg.MaxFailedKeys = g.FailureBudget
-		}
-	}
-	cleanup := func() {}
-	if g.StallTimeout > 0 && env.mrCfg.Watchdog == nil {
-		env.wd = guard.NewWatchdog(g.StallTimeout, g.PollInterval)
-		cleanup = env.wd.Stop
-		env.mrCfg.Watchdog = env.wd
-	}
-	return env, cleanup
+	env.wd = guard.NewWatchdog(g.StallTimeout, g.PollInterval)
+	env.job.Watchdog = env.wd
+	return env, env.wd.Stop
 }
 
 // stageCtx bounds one pipeline stage by the guard's StageTimeout; a zero

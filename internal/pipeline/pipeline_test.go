@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"baywatch/internal/corpus"
+	"baywatch/internal/guard"
 	"baywatch/internal/langmodel"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/novelty"
 	"baywatch/internal/proxylog"
 	"baywatch/internal/synthetic"
@@ -290,9 +293,9 @@ func TestRescaleAndMerge(t *testing.T) {
 		mk([]int64{0, 60, 120}),
 		mk([]int64{86400, 86460}),
 	}
-	merged, err := RescaleAndMerge(context.Background(), sums, 60, defaultMRCfg())
-	if err != nil {
-		t.Fatal(err)
+	merged, failed, err := RescaleAndMerge(context.Background(), sums, 60, guard.Config{})
+	if err != nil || failed != 0 {
+		t.Fatalf("failed=%d err=%v", failed, err)
 	}
 	if len(merged) != 1 {
 		t.Fatalf("merged = %d summaries, want 1", len(merged))
@@ -306,6 +309,44 @@ func TestRescaleAndMerge(t *testing.T) {
 	}
 }
 
+// TestRescaleAndMergeIndependentOfWorkers: a pair's summaries merge in
+// input order and the merged pairs come back in one order, whatever the
+// parallelism — the URL paths a coarse pass tags events with included.
+func TestRescaleAndMergeIndependentOfWorkers(t *testing.T) {
+	var sums []*timeseries.ActivitySummary
+	for day := int64(0); day < 3; day++ {
+		for _, src := range []string{"a", "b", "s", "c"} {
+			as, err := timeseries.FromTimestamps(src, "d", []int64{day * 86400, day*86400 + 60}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			as.AddURLPath(fmt.Sprintf("/day%d", day))
+			sums = append(sums, as)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []*timeseries.ActivitySummary
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs) // the job's default worker count
+		merged, _, err := RescaleAndMerge(context.Background(), sums, 60, guard.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = merged
+			for _, m := range merged {
+				if got := fmt.Sprint(m.URLPaths); got != "[/day0 /day1 /day2]" {
+					t.Fatalf("%s|%s: URL paths %s, want the days in input order", m.Source, m.Destination, got)
+				}
+			}
+			continue
+		}
+		if !reflect.DeepEqual(merged, want) {
+			t.Fatalf("%d workers: merged summaries differ from 1 worker's", procs)
+		}
+	}
+}
+
 func TestFilterStageStrings(t *testing.T) {
 	for s := StageNone; s <= StageRankThreshold; s++ {
 		if s.String() == "" {
@@ -316,5 +357,3 @@ func TestFilterStageStrings(t *testing.T) {
 		t.Error("unknown stage should stringify")
 	}
 }
-
-func defaultMRCfg() mapreduce.JobConfig { return mapreduce.JobConfig{} }

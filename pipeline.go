@@ -6,7 +6,6 @@ import (
 	"baywatch/internal/corpus"
 	"baywatch/internal/guard"
 	"baywatch/internal/langmodel"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/novelty"
 	"baywatch/internal/pipeline"
 	"baywatch/internal/proxylog"
@@ -133,5 +132,7 @@ func ExtractActivitySummaries(ctx context.Context, records []*Record, corr *Corr
 // rescaled to the (coarser) newScale and histories of the same pair are
 // merged, enabling weekly/monthly analysis without reprocessing raw logs.
 func RescaleAndMerge(ctx context.Context, summaries []*ActivitySummary, newScale int64) ([]*ActivitySummary, error) {
-	return pipeline.RescaleAndMerge(ctx, summaries, newScale, mapreduce.JobConfig{})
+	// No failure budget: a failing pair aborts the job, so none is dropped.
+	merged, _, err := pipeline.RescaleAndMerge(ctx, summaries, newScale, guard.Config{})
+	return merged, err
 }
