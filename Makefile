@@ -109,8 +109,9 @@ test-race:
 	$(GO) test -race -timeout=5m ./...
 
 # A few seconds of coverage-guided fuzzing over each untrusted decoder —
-# the batch record parser, the zero-copy view parser, the sharded-ingest
-# line path built on it, the mrx frame decoder that coordinator and
+# the batch record parser, the zero-copy view parser, the whole-file
+# readers built on it (against the sequential Scanner reader), the
+# sharded-ingest line path, the mrx frame decoder that coordinator and
 # workers speak over pipes, the detection-result codec, and the daemon's
 # checkpoint-log replay that embeds it — cheap enough to run routinely.
 # The patterns are anchored: -fuzz errors out when it matches more than
@@ -119,6 +120,7 @@ test-race:
 fuzz-smoke:
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecord$$' -fuzztime=5s
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecordView$$' -fuzztime=5s
+	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzReadAll$$' -fuzztime=5s
 	$(GO) test ./internal/ingest -run='^$$' -fuzz='FuzzIngestLine$$' -fuzztime=5s
 	$(GO) test ./internal/mrx -run='^$$' -fuzz='FuzzFrameDecode$$' -fuzztime=5s
 	$(GO) test ./internal/core -run='^$$' -fuzz='FuzzResultCodec$$' -fuzztime=5s

@@ -3,10 +3,10 @@ package ingest
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -125,9 +125,24 @@ func borrowEventBufs(parts int) *eventBufs {
 	return eb
 }
 
-// flatPool recycles the per-partition scatter buffers of the aggregation
-// phase.
-var flatPool = sync.Pool{New: func() any { return new([]pairEvent) }}
+// aggScratch is one partition aggregation's scratch: the flat scatter
+// buffer, each event's group index, the pair-to-group map, and each
+// group's event count and start.
+type aggScratch struct {
+	flat   []pairEvent
+	group  []int32
+	idx    map[PairID]int32
+	counts []int
+	starts []int
+}
+
+// aggPool recycles the aggregation phase's scratch across partitions and
+// runs.
+var aggPool = sync.Pool{New: func() any { return &aggScratch{idx: make(map[PairID]int32, 64)} }}
+
+// urlPathSample is timeseries' per-summary URL path cap (maxURLPathSample):
+// once a pair has that many distinct paths, later ones are not looked up.
+const urlPathSample = 32
 
 // Event is the source-agnostic input of data extraction: one observed
 // interaction of one communication pair. Web-proxy, DNS and NetFlow
@@ -203,7 +218,8 @@ func IngestEvents(ctx context.Context, n int, at func(i int) Event, cfg Config) 
 // no locks beyond the symbol table's sharded read locks. Aggregation
 // phase: each partition gathers its slice of every worker's buffers and
 // builds its pairs' summaries. The first failing unit (in unit order)
-// fails the run.
+// fails the run; a unit stopped only by the cancellation that failure
+// triggered did not fail, so it cannot mask the real error.
 func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *scanWorker, unit int) error) (*Result, error) {
 	workers := cfg.workers()
 	scale := cfg.Scale
@@ -226,6 +242,7 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 	// still spreads the partitions over the configured count.
 	scanWorkers := min(workers, units)
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -269,7 +286,13 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 			}
 			for u := range unitCh {
 				if err := scan(&sw, u); err != nil {
-					scanErrs[u] = err
+					// A unit stopped by the cancellation a sibling's
+					// failure triggered did not fail; recording it would
+					// mask that failure whenever it sits earlier in unit
+					// order.
+					if !(errors.Is(err, context.Canceled) && ctx.Err() != nil && parent.Err() == nil) {
+						scanErrs[u] = err
+					}
 					cancel()
 					return
 				}
@@ -327,19 +350,11 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 		res.Summaries = append(res.Summaries, r.sums...)
 		res.Truncated = append(res.Truncated, r.truncs...)
 	}
-	sort.Slice(res.Summaries, func(i, j int) bool {
-		a, b := res.Summaries[i], res.Summaries[j]
-		if a.Source != b.Source {
-			return a.Source < b.Source
-		}
-		return a.Destination < b.Destination
+	slices.SortFunc(res.Summaries, func(a, b *timeseries.ActivitySummary) int {
+		return cmp.Or(cmp.Compare(a.Source, b.Source), cmp.Compare(a.Destination, b.Destination))
 	})
-	sort.Slice(res.Truncated, func(i, j int) bool {
-		a, b := res.Truncated[i], res.Truncated[j]
-		if a.Source != b.Source {
-			return a.Source < b.Source
-		}
-		return a.Destination < b.Destination
+	slices.SortFunc(res.Truncated, func(a, b Truncation) int {
+		return cmp.Or(cmp.Compare(a.Source, b.Source), cmp.Compare(a.Destination, b.Destination))
 	})
 	return res, nil
 }
@@ -477,38 +492,54 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 	// O(n log n) sort of the whole partition: count each pair's events,
 	// carve a flat buffer into per-pair segments, scatter events into
 	// place, then sort each (much smaller) segment by timestamp alone.
-	idx := make(map[PairID]int, 64)
-	var counts []int
+	// The counting pass is the only one that probes the pair map: it
+	// records each event's group for the scatter pass.
+	sc := aggPool.Get().(*aggScratch)
+	defer aggPool.Put(sc)
+	if cap(sc.flat) < total {
+		sc.flat = make([]pairEvent, total)
+		sc.group = make([]int32, total)
+	}
+	flat, group := sc.flat[:total], sc.group[:total]
+	idx := sc.idx
+	clear(idx)
+	counts := sc.counts[:0]
+	i := 0
 	for _, eb := range workerBufs {
 		for _, e := range eb.bufs[p] {
 			gi, ok := idx[e.pair]
 			if !ok {
-				gi = len(counts)
+				gi = int32(len(counts))
 				idx[e.pair] = gi
 				counts = append(counts, 0)
 			}
 			counts[gi]++
+			group[i] = gi
+			i++
 		}
 	}
-	starts := make([]int, len(counts)+1)
+	sc.counts = counts
+	// starts holds each group's start, then its scatter cursor.
+	if cap(sc.starts) < 2*len(counts)+1 {
+		sc.starts = make([]int, 2*len(counts)+1)
+	}
+	starts := sc.starts[:2*len(counts)+1]
+	starts[0] = 0
 	for gi, n := range counts {
 		starts[gi+1] = starts[gi] + n
 	}
-	fp := flatPool.Get().(*[]pairEvent)
-	defer flatPool.Put(fp)
-	if cap(*fp) < total {
-		*fp = make([]pairEvent, total)
-	}
-	flat := (*fp)[:total]
-	cursor := make([]int, len(counts))
+	cursor := starts[len(counts)+1:]
 	copy(cursor, starts)
+	i = 0
 	for _, eb := range workerBufs {
 		for _, e := range eb.bufs[p] {
-			gi := idx[e.pair]
+			gi := group[i]
+			i++
 			flat[cursor[gi]] = e
 			cursor[gi]++
 		}
 	}
+	sums = make([]*timeseries.ActivitySummary, 0, len(counts))
 	for gi := range counts {
 		run := flat[starts[gi]:starts[gi+1]]
 		slices.SortFunc(run, func(a, b pairEvent) int {
@@ -523,9 +554,15 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 			run = run[:maxEvents]
 		}
 		b := timeseries.NewBuilder(src, dst, scale, len(run))
+		// Interned IDs are distinct exactly when paths are, so the sample
+		// dedups by ID and looks up only the paths the summary keeps.
+		var sample [urlPathSample]uint32
+		n := 0
 		for _, e := range run {
 			b.Add(e.ts)
-			if e.path != pathNone {
+			if e.path != pathNone && n < len(sample) && !slices.Contains(sample[:n], e.path) {
+				sample[n] = e.path
+				n++
 				b.AddURLPath(syms.Lookup(e.path))
 			}
 		}

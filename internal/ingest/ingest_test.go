@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -320,6 +321,82 @@ func TestIngestCancellation(t *testing.T) {
 	cancel()
 	if _, err := Ingest(ctx, shards, Config{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestIngestReportsFailingShardNotCancelledSibling: a malformed line in
+// one shard cancels the shard still scanning beside it; the run must
+// report the malformed line, not the cancellation it caused, even though
+// the cancelled shard comes first in plan order.
+func TestIngestReportsFailingShardNotCancelledSibling(t *testing.T) {
+	dir := t.TempDir()
+	line := testLine(1425300000, "10.0.0.1", "a.example", "/a") + "\n"
+	a := filepath.Join(dir, "a.log")
+	if err := os.WriteFile(a, []byte(strings.Repeat(line, 400_000)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := writeShard(t, dir, "b.log", []string{"garbage line"})
+	shards := []proxylog.Split{{Path: a, Length: -1}, {Path: b, Length: -1}}
+	for run := 0; run < 20; run++ {
+		_, err := Ingest(context.Background(), shards, Config{Workers: 2})
+		if err == nil || !strings.Contains(err.Error(), "b.log line 1: ") {
+			t.Fatalf("run %d: err = %v, want b.log's line 1", run, err)
+		}
+	}
+}
+
+// TestURLPathSampleKeepsFirstDistinct: a pair with more distinct paths
+// than a summary keeps gets the first 32 of them (timeseries' cap) in
+// timestamp order, through repeats and path-less events, from either
+// adapter.
+func TestURLPathSampleKeepsFirstDistinct(t *testing.T) {
+	const keep = 32
+	var events []refEvent
+	for i := 0; i < 200; i++ {
+		path := fmt.Sprintf("/p/%d", i/2) // each path twice in a row
+		switch i % 5 {
+		case 3:
+			path = ""
+		case 4:
+			path = "/p/0"
+		}
+		events = append(events, refEvent{src: "10.0.0.1", dst: "many.example", path: path, ts: 1425300000 + int64(i)})
+	}
+	var want []string
+	for _, e := range events {
+		if e.path != "" && len(want) < keep && !slices.Contains(want, e.path) {
+			want = append(want, e.path)
+		}
+	}
+	if len(want) != keep {
+		t.Fatalf("fixture has %d distinct paths, want at least %d", len(want), keep)
+	}
+	// Arrival order is the reverse of timestamp order.
+	slices.Reverse(events)
+	lines := make([]string, len(events))
+	for i, e := range events {
+		lines[i] = testLine(e.ts, e.src, e.dst, e.path)
+	}
+	path := writeShard(t, t.TempDir(), "paths.log", lines)
+	shards, err := PlanShards([]string{path}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := Config{Workers: workers}
+		fromLines, err := Ingest(context.Background(), shards, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromEvents, err := IngestEvents(context.Background(), len(events), eventAt(events), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*Result{fromLines, fromEvents} {
+			if len(res.Summaries) != 1 || !slices.Equal(res.Summaries[0].URLPaths, want) {
+				t.Fatalf("workers=%d: URLPaths = %v, want %v", workers, res.Summaries[0].URLPaths, want)
+			}
+		}
 	}
 }
 

@@ -3,11 +3,15 @@ package proxylog
 import (
 	"bufio"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 )
 
 // Writer streams records to an (optionally gzip-compressed) log file.
@@ -72,22 +76,11 @@ func (w *Writer) Close() error {
 }
 
 // ReadAll parses every record in the file at path (gzip-decoded when the
-// name ends in ".gz"). Malformed lines abort with an error carrying the
-// line number.
+// name ends in ".gz"). A malformed line aborts with an error carrying its
+// line number; the records before it are returned with the error.
 func ReadAll(path string) ([]*Record, error) {
-	var out []*Record
-	err := ForEach(path, func(r *Record) error {
-		out = append(out, r)
-		return nil
-	})
-	return out, err
-}
-
-// ForEach streams records from the file at path to fn, stopping at the
-// first error.
-func ForEach(path string, fn func(*Record) error) error {
-	_, err := forEach(path, fn, 0)
-	return err
+	recs, _, err := readAll(path, 0)
+	return recs, err
 }
 
 // ReadStats reports what a lenient read skipped.
@@ -101,81 +94,201 @@ type ReadStats struct {
 	FirstSkipped string
 }
 
-// ForEachLenient streams records to fn, skipping malformed lines instead
-// of aborting, up to maxBad of them (maxBad <= 0 means unlimited). The
-// returned stats report how much was skipped; truly broken files — more
-// than maxBad bad lines, or a truncated/corrupt gzip stream — still error.
-// Use this when a day of logs must be processed even if a log shipper
-// wrote garbage into it.
-func ForEachLenient(path string, maxBad int, fn func(*Record) error) (ReadStats, error) {
+// ReadAllLenient is ReadAll skipping malformed lines instead of aborting,
+// up to maxBad of them (maxBad <= 0 means unlimited). The returned stats
+// report how much was skipped; truly broken files — more than maxBad bad
+// lines, or a truncated/corrupt gzip stream — still error. Use this when
+// a day of logs must be processed even if a log shipper wrote garbage
+// into it.
+func ReadAllLenient(path string, maxBad int) ([]*Record, ReadStats, error) {
 	if maxBad <= 0 {
-		maxBad = int(^uint(0) >> 1)
+		maxBad = math.MaxInt
 	}
-	return forEach(path, fn, maxBad)
+	return readAll(path, maxBad)
 }
 
-// ReadAllLenient is ReadAll with ForEachLenient's skip-and-count
-// semantics.
-func ReadAllLenient(path string, maxBad int) ([]*Record, ReadStats, error) {
-	var out []*Record
-	stats, err := ForEachLenient(path, maxBad, func(r *Record) error {
-		out = append(out, r)
+// minReadSplit is the smallest byte range a whole-file read parses on a
+// goroutine of its own.
+const minReadSplit = 1 << 20
+
+// readAll is the shared whole-file reader: maxBad == 0 is strict mode
+// (the first malformed line aborts), maxBad > 0 tolerates up to maxBad
+// malformed lines. A plain file is cut into up to GOMAXPROCS splits of at
+// least minReadSplit bytes; a gzip file is one split.
+func readAll(path string, maxBad int) ([]*Record, ReadStats, error) {
+	// A stat failure leaves one split, whose open reports it.
+	n := 1
+	if fi, err := os.Stat(path); err == nil {
+		n = min(runtime.GOMAXPROCS(0), int(fi.Size()/minReadSplit))
+	}
+	splits, err := SplitFile(path, n)
+	if err != nil {
+		return nil, ReadStats{}, err
+	}
+	return readSplits(splits, maxBad)
+}
+
+// readSplits parses the contiguous splits of one file in parallel, each
+// through the sharded scan's line splitter and view parser, and merges
+// them into the result of one sequential read. Splits do not cancel one
+// another: which failure comes first is a question of file order, which
+// only the merge can answer. I/O-level failures (unreadable file, corrupt
+// gzip, overlong line) always abort: they mean lost data, not a dirty
+// line.
+func readSplits(splits []Split, maxBad int) ([]*Record, ReadStats, error) {
+	parts := make([]splitRecords, len(splits))
+	if len(splits) == 1 {
+		parts[0].scan(splits[0], maxBad)
+	} else {
+		var wg sync.WaitGroup
+		for i := range splits {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				parts[i].scan(splits[i], maxBad)
+			}()
+		}
+		wg.Wait()
+	}
+	return mergeSplits(parts, maxBad)
+}
+
+// Record slabs grow geometrically from minSlab to maxSlab records
+// (32 KiB to 512 KiB), so a small file does not pay for a large slab and
+// a large one allocates once per maxSlab records.
+const (
+	minSlab = 256
+	maxSlab = 4096
+)
+
+// errSplitDone stops a split whose malformed lines alone exceed the
+// budget: nothing after them can be part of the result.
+var errSplitDone = errors.New("proxylog: split over budget")
+
+// splitRecords is one split's share of a whole-file read.
+type splitRecords struct {
+	// slabs hold the split's records in line order.
+	slabs [][]Record
+	// n is the number of records parsed.
+	n int
+	// lines is the number of lines the split consumed, blank ones
+	// included; the merge numbers the next split's lines after them.
+	lines int64
+	// skips[i] is the number of records before the split's i-th
+	// malformed line; the scan stops at the one that exceeds maxBad.
+	skips []int
+	// firstLine and firstErr are the first malformed line's split-relative
+	// number and ParseRecord error.
+	firstLine int64
+	firstErr  error
+	// err is the I/O failure that ended the split.
+	err error
+}
+
+func (sr *splitRecords) scan(sp Split, maxBad int) {
+	var view RecordView
+	sr.slabs = make([][]Record, 0, 8) // 8 slabs hold ~20k records
+	sr.lines, sr.err = scanSplitLines(sp, func(line []byte, lineNo int64) error {
+		if perr := ParseRecordView(line, &view); perr != nil {
+			if len(sr.skips) == 0 {
+				sr.firstLine, sr.firstErr = lineNo, badRecordDetail(line, perr)
+			}
+			sr.skips = append(sr.skips, sr.n)
+			if len(sr.skips) > maxBad {
+				return errSplitDone
+			}
+			return nil
+		}
+		sr.add(line, &view)
 		return nil
 	})
-	return out, stats, err
+	if sr.err == errSplitDone {
+		sr.err = nil
+	}
 }
 
-// forEach is the shared reader: maxBad == 0 is strict mode (first
-// malformed line aborts), maxBad > 0 tolerates up to maxBad malformed
-// lines. I/O-level failures (unreadable file, corrupt gzip) always abort:
-// they mean lost data, not a dirty line.
-func forEach(path string, fn func(*Record) error, maxBad int) (ReadStats, error) {
-	var stats ReadStats
-	f, err := os.Open(path)
-	if err != nil {
-		return stats, fmt.Errorf("proxylog: open: %w", err)
+// add materializes the parsed line as the split's next Record with one
+// string copy of the line: every field is a substring of it.
+func (sr *splitRecords) add(line []byte, v *RecordView) {
+	last := len(sr.slabs) - 1
+	if last < 0 || len(sr.slabs[last]) == cap(sr.slabs[last]) {
+		size := minSlab
+		if last >= 0 {
+			size = min(2*cap(sr.slabs[last]), maxSlab)
+		}
+		sr.slabs = append(sr.slabs, make([]Record, 0, size))
+		last++
 	}
-	defer f.Close()
+	s := string(line)
+	sr.slabs[last] = append(sr.slabs[last], Record{
+		Timestamp: v.Timestamp,
+		ClientIP:  substr(s, line, v.ClientIP),
+		Method:    substr(s, line, v.Method),
+		Scheme:    substr(s, line, v.Scheme),
+		Host:      substr(s, line, v.Host),
+		Path:      substr(s, line, v.Path),
+		Status:    v.Status,
+		BytesOut:  v.BytesOut,
+		BytesIn:   v.BytesIn,
+		UserAgent: substr(s, line, v.UserAgent),
+	})
+	sr.n++
+}
 
-	var src io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return stats, fmt.Errorf("proxylog: gzip open: %w", err)
+// substr returns the part of s, a copy of line, that field — a subslice
+// of line — covers.
+func substr(s string, line, field []byte) string {
+	off := cap(line) - cap(field)
+	return s[off : off+len(field)]
+}
+
+// mergeSplits turns per-split results into one sequential read's: line
+// numbers become file-global, the budget applies to the skips in file
+// order, and the first failure in file order — the malformed line that
+// breaks the budget, or an I/O error — ends the read with the records
+// before it.
+func mergeSplits(parts []splitRecords, maxBad int) ([]*Record, ReadStats, error) {
+	var stats ReadStats
+	var err error
+	var lineBase int64
+	for i := range parts {
+		sr := &parts[i]
+		if stats.FirstSkipped == "" && len(sr.skips) > 0 {
+			stats.FirstSkipped = fmt.Sprintf("line %d: %v", lineBase+sr.firstLine, sr.firstErr)
 		}
-		defer gz.Close()
-		src = gz
-	}
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		rec, err := ParseRecord(line)
-		if err != nil {
+		if over := stats.SkippedLines + len(sr.skips) - maxBad; over > 0 {
+			k := len(sr.skips) - over // the skip that breaks the budget
+			sr.n = sr.skips[k]
+			stats.SkippedLines += k + 1
 			if maxBad == 0 {
-				return stats, fmt.Errorf("proxylog: line %d: %w", lineNo, err)
+				err = fmt.Errorf("proxylog: line %d: %w", lineBase+sr.firstLine, sr.firstErr)
+			} else {
+				err = fmt.Errorf("proxylog: more than %d malformed lines (first: %s)", maxBad, stats.FirstSkipped)
 			}
-			stats.SkippedLines++
-			if stats.FirstSkipped == "" {
-				stats.FirstSkipped = fmt.Sprintf("line %d: %v", lineNo, err)
-			}
-			if stats.SkippedLines > maxBad {
-				return stats, fmt.Errorf("proxylog: more than %d malformed lines (first: %s)", maxBad, stats.FirstSkipped)
-			}
-			continue
+		} else {
+			stats.SkippedLines += len(sr.skips)
+			err = sr.err
 		}
-		stats.Records++
-		if err := fn(rec); err != nil {
-			return stats, err
+		stats.Records += sr.n
+		if err != nil {
+			parts = parts[:i+1]
+			break
+		}
+		lineBase += sr.lines
+	}
+	if stats.Records == 0 {
+		return nil, stats, err
+	}
+	out := make([]*Record, 0, stats.Records)
+	for _, sr := range parts {
+		left := sr.n
+		for _, slab := range sr.slabs {
+			slab = slab[:min(len(slab), left)]
+			for k := range slab {
+				out = append(out, &slab[k])
+			}
+			left -= len(slab)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return stats, fmt.Errorf("proxylog: scan: %w", err)
-	}
-	return stats, nil
+	return out, stats, err
 }

@@ -132,26 +132,17 @@ func TestWriterReaderGzip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	if err := ForEach(path, func(r *Record) error {
-		count++
-		return nil
-	}); err != nil {
+	got, err := ReadAll(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 1000 {
-		t.Errorf("read %d records, want 1000", count)
+	if len(got) != 1000 {
+		t.Fatalf("read %d records, want 1000", len(got))
 	}
-}
-
-func TestForEachPropagatesCallbackError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.log")
-	w, _ := NewWriter(path)
-	_ = w.Write(sampleRecord())
-	_ = w.Close()
-	sentinel := errors.New("stop")
-	if err := ForEach(path, func(*Record) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want sentinel", err)
+	for i, r := range got {
+		if r.Timestamp != sampleRecord().Timestamp+int64(i) {
+			t.Fatalf("record %d has timestamp %d: out of file order", i, r.Timestamp)
+		}
 	}
 }
 

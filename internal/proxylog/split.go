@@ -70,10 +70,14 @@ func SplitFile(path string, n int) ([]Split, error) {
 	return splits, nil
 }
 
-// maxLineBytes bounds one line's length, matching the 1 MiB token cap of
-// the whole-file readers (ForEach's bufio.Scanner buffer): a longer line
-// is an I/O-level failure in both paths, not a skippable dirty line.
+// maxLineBytes bounds one line: its content (before the newline) must be
+// shorter, the cap a 1 MiB bufio.Scanner token buffer puts on a line and
+// its newline. A longer line is an I/O-level failure, not a skippable
+// dirty line.
 const maxLineBytes = 1 << 20
+
+// errLineTooLong reports a line over the maxLineBytes bound.
+var errLineTooLong = fmt.Errorf("line longer than %d bytes", maxLineBytes-1)
 
 // readerPool recycles split-scan read-ahead buffers across shards: a
 // sharded ingest opens many short-lived scans, and a fresh 64 KiB buffer
@@ -84,12 +88,12 @@ var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<
 // line zero-copy into a reused RecordView. The view (and every field of
 // it) is only valid for the duration of the callback. maxBad == 0 is
 // strict mode — the first malformed line aborts; maxBad > 0 skips up to
-// maxBad malformed lines with the same accounting as ForEachLenient.
+// maxBad malformed lines with the same accounting as ReadAllLenient.
 // Line numbers in errors and stats are split-relative.
 func ForEachSplit(sp Split, maxBad int, fn func(*RecordView) error) (ReadStats, error) {
 	var stats ReadStats
 	var view RecordView
-	err := scanSplitLines(sp, func(line []byte, lineNo int64) error {
+	_, err := scanSplitLines(sp, func(line []byte, lineNo int64) error {
 		if perr := ParseRecordView(line, &view); perr != nil {
 			if maxBad == 0 {
 				return fmt.Errorf("proxylog: %s line %d: %w", sp, lineNo, badRecordDetail(line, perr))
@@ -123,33 +127,36 @@ func badRecordDetail(line []byte, bare error) error {
 
 // scanSplitLines delivers the raw lines owned by sp (newline and trailing
 // CR stripped, empty lines skipped) with split-relative 1-based line
-// numbers. Lines alias the read buffer and are only valid during the
-// callback. The boundary protocol: a split with Offset > 0 discards
-// everything through the first newline at or after Offset (that content
-// belongs to the previous split), and every bounded split reads past its
-// end until it has consumed the line starting at Offset+Length — so the
-// next split's discarded prefix is exactly this split's overrun.
-func scanSplitLines(sp Split, fn func(line []byte, lineNo int64) error) error {
+// numbers, and returns how many lines it consumed, empty ones included.
+// Lines alias the read buffer and are only valid during the callback.
+// The line treatment is bufio.Scanner's with ScanLines: a read error
+// still delivers the partial line before it. The boundary protocol: a
+// split with Offset > 0 discards everything through the first newline at
+// or after Offset (that content belongs to the previous split), and every
+// bounded split reads past its end until it has consumed the line
+// starting at Offset+Length — so the next split's discarded prefix is
+// exactly this split's overrun.
+func scanSplitLines(sp Split, fn func(line []byte, lineNo int64) error) (int64, error) {
 	f, err := os.Open(sp.Path)
 	if err != nil {
-		return fmt.Errorf("proxylog: open: %w", err)
+		return 0, fmt.Errorf("proxylog: open: %w", err)
 	}
 	defer f.Close()
 
 	var src io.Reader = f
 	if !Splittable(sp.Path) {
 		if sp.Offset != 0 || sp.Length >= 0 {
-			return fmt.Errorf("proxylog: %s: gzip files only support the whole-file split", sp.Path)
+			return 0, fmt.Errorf("proxylog: %s: gzip files only support the whole-file split", sp.Path)
 		}
 		gz, err := gzip.NewReader(f)
 		if err != nil {
-			return fmt.Errorf("proxylog: gzip open: %w", err)
+			return 0, fmt.Errorf("proxylog: gzip open: %w", err)
 		}
 		defer gz.Close()
 		src = gz
 	} else if sp.Offset > 0 {
 		if _, err := f.Seek(sp.Offset, io.SeekStart); err != nil {
-			return fmt.Errorf("proxylog: seek: %w", err)
+			return 0, fmt.Errorf("proxylog: seek: %w", err)
 		}
 	}
 
@@ -172,10 +179,10 @@ func scanSplitLines(sp Split, fn func(line []byte, lineNo int64) error) error {
 		n, err := discardLine(br)
 		pos += n
 		if err == io.EOF {
-			return nil
+			return 0, nil
 		}
 		if err != nil {
-			return fmt.Errorf("proxylog: scan: %w", err)
+			return 0, fmt.Errorf("proxylog: scan: %w", err)
 		}
 	}
 
@@ -186,30 +193,31 @@ func scanSplitLines(sp Split, fn func(line []byte, lineNo int64) error) error {
 	var lineNo int64
 	for {
 		if stopAt >= 0 && pos > stopAt {
-			return nil
+			return lineNo, nil
 		}
 		line, n, err := readLine(br, &lineBuf)
-		if n == 0 && err == io.EOF {
-			return nil
-		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("proxylog: scan: %w", err)
+		if n == 0 || err == errLineTooLong {
+			if err == io.EOF {
+				return lineNo, nil
+			}
+			return lineNo, fmt.Errorf("proxylog: scan: %w", err)
 		}
 		pos += n
 		lineNo++
-		// Strip the newline and any trailing CR, mirroring
-		// bufio.ScanLines in the whole-file readers.
+		// Strip the newline and any trailing CR, as bufio.ScanLines does.
 		if len(line) > 0 && line[len(line)-1] == '\n' {
 			line = line[:len(line)-1]
 		}
 		if len(line) > 0 && line[len(line)-1] == '\r' {
 			line = line[:len(line)-1]
 		}
-		if len(line) == 0 {
-			continue
+		if len(line) > 0 {
+			if cbErr := fn(line, lineNo); cbErr != nil {
+				return lineNo, cbErr
+			}
 		}
-		if cbErr := fn(line, lineNo); cbErr != nil {
-			return cbErr
+		if err != nil && err != io.EOF {
+			return lineNo, fmt.Errorf("proxylog: scan: %w", err)
 		}
 	}
 }
@@ -217,7 +225,8 @@ func scanSplitLines(sp Split, fn func(line []byte, lineNo int64) error) error {
 // readLine returns the next line including its newline (when present),
 // and the number of raw bytes consumed. The returned slice aliases the
 // reader's internal buffer when the line fits in one read, and *buf
-// otherwise.
+// otherwise. A line whose content reaches maxLineBytes is
+// errLineTooLong, with no line.
 func readLine(br *bufio.Reader, buf *[]byte) ([]byte, int64, error) {
 	chunk, err := br.ReadSlice('\n')
 	if err != bufio.ErrBufferFull {
@@ -227,15 +236,19 @@ func readLine(br *bufio.Reader, buf *[]byte) ([]byte, int64, error) {
 	*buf = append((*buf)[:0], chunk...)
 	total := int64(len(chunk))
 	for err == bufio.ErrBufferFull {
-		if len(*buf) > maxLineBytes {
-			return nil, total, fmt.Errorf("line longer than %d bytes", maxLineBytes)
+		if len(*buf) >= maxLineBytes {
+			return nil, total, errLineTooLong
 		}
 		chunk, err = br.ReadSlice('\n')
 		*buf = append(*buf, chunk...)
 		total += int64(len(chunk))
 	}
-	if len(*buf) > maxLineBytes {
-		return nil, total, fmt.Errorf("line longer than %d bytes", maxLineBytes)
+	content := len(*buf)
+	if content > 0 && (*buf)[content-1] == '\n' {
+		content--
+	}
+	if content >= maxLineBytes {
+		return nil, total, errLineTooLong
 	}
 	return *buf, total, err
 }

@@ -25,7 +25,7 @@ func writeLines(t *testing.T, name, content string) string {
 func collectSplit(t *testing.T, sp Split) []string {
 	t.Helper()
 	var lines []string
-	err := scanSplitLines(sp, func(line []byte, lineNo int64) error {
+	_, err := scanSplitLines(sp, func(line []byte, lineNo int64) error {
 		lines = append(lines, string(line))
 		return nil
 	})
@@ -172,7 +172,7 @@ func TestForEachSplitLenient(t *testing.T) {
 
 // TestForEachSplitNamesBadField: the zero-copy parser only says "malformed
 // record"; a line the scan reports — the strict abort, the first lenient
-// skip — must name the offending field the way ForEach's errors do.
+// skip — must name the offending field the way ParseRecord's errors do.
 func TestForEachSplitNamesBadField(t *testing.T) {
 	good := sampleRecord().Format()
 	badEpoch := strings.Replace(good, " 1425303901 ", " 14253o3901 ", 1)
