@@ -111,8 +111,7 @@ test-race:
 # A few seconds of coverage-guided fuzzing over each untrusted decoder —
 # the batch record parser, the zero-copy view parser, the whole-file
 # readers built on it (against the sequential Scanner reader), the
-# sharded-ingest line path, the mrx frame decoder that coordinator and
-# workers speak over pipes, the detection-result codec, and the daemon's
+# sharded-ingest line path, the detection-result codec, and the daemon's
 # checkpoint-log replay that embeds it — cheap enough to run routinely.
 # The patterns are anchored: -fuzz errors out when it matches more than
 # one target. The replay target's workers each build and tick a log before
@@ -122,7 +121,6 @@ fuzz-smoke:
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzParseRecordView$$' -fuzztime=5s
 	$(GO) test ./internal/proxylog -run='^$$' -fuzz='FuzzReadAll$$' -fuzztime=5s
 	$(GO) test ./internal/ingest -run='^$$' -fuzz='FuzzIngestLine$$' -fuzztime=5s
-	$(GO) test ./internal/mrx -run='^$$' -fuzz='FuzzFrameDecode$$' -fuzztime=5s
 	$(GO) test ./internal/core -run='^$$' -fuzz='FuzzResultCodec$$' -fuzztime=5s
 	$(GO) test ./internal/source -run='^$$' -fuzz='FuzzCheckpointReplay$$' -fuzztime=10s
 

@@ -16,15 +16,6 @@
 //
 //	baywatch -logs traces/demo -shards 4 -ingest-workers 4
 //
-// -mr-workers N runs the detect stage's MapReduce job across N exec'd
-// worker OS processes (this same binary re-exec'd in worker mode), with
-// task leases, heartbeat liveness and a crash-safe coordinator journal;
-// dead workers have their tasks re-executed on survivors. -mr-exec makes
-// distributed execution mandatory — without it, a failure to spawn
-// workers degrades to the in-process engine:
-//
-//	baywatch -logs traces/demo -mr-workers 4
-//
 // Operations mode treats each log file as one ingested day and commits it
 // through the crash-safe operations loop:
 //
@@ -59,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -72,8 +62,6 @@ import (
 	"baywatch/internal/guard"
 	"baywatch/internal/ingest"
 	"baywatch/internal/langmodel"
-	"baywatch/internal/mapreduce"
-	"baywatch/internal/mrx"
 	"baywatch/internal/novelty"
 	"baywatch/internal/opsloop"
 	"baywatch/internal/pipeline"
@@ -88,10 +76,6 @@ var (
 )
 
 func main() {
-	// Worker mode: when the multi-process MapReduce coordinator re-execs
-	// this binary as a task worker, serve tasks and exit before any CLI
-	// handling.
-	mrx.MaybeWorker()
 	err := run()
 	if err == nil {
 		return
@@ -126,8 +110,6 @@ func run() error {
 	maxEventsPerPair := flag.Int("max-events-per-pair", 0, "truncate pairs above this many events to their earliest events (0 = uncapped)")
 	maxInFlight := flag.Int("max-inflight", 0, "bound on candidates admitted to detection concurrently (0 = unlimited)")
 	failureBudget := flag.Int("failure-budget", 0, "failure budget of the detect and rescale-merge jobs, counted per pair (failed, timed out or stalled): pairs within it are dropped, one more aborts the job; log ingest sheds only through -max-events-per-pair (0 = abort on first)")
-	mrWorkers := flag.Int("mr-workers", 0, "run the detect stage's MapReduce job across this many exec'd worker processes (0 = in-process)")
-	mrExec := flag.Bool("mr-exec", false, "require multi-process execution: fail instead of falling back in-process when workers cannot be spawned (implies -mr-workers GOMAXPROCS when unset)")
 	shards := flag.Int("shards", 0, "byte-range splits per log file (0 or 1 = one whole-file shard per file; gzip files always scan as one shard)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "parallel shard-scan and summary-aggregation workers (0 = GOMAXPROCS)")
 	serve := flag.Bool("serve", false, "run as an always-on streaming daemon; sources come from -follow/-listen/-http-ingest instead of -logs")
@@ -165,15 +147,6 @@ func run() error {
 			MaxInFlight:      *maxInFlight,
 			FailureBudget:    *failureBudget,
 		},
-	}
-	if *mrExec && *mrWorkers <= 0 {
-		*mrWorkers = runtime.GOMAXPROCS(0)
-	}
-	if *mrWorkers > 0 {
-		cfg.Exec = mapreduce.ExecConfig{
-			Workers:         *mrWorkers,
-			DisableFallback: *mrExec,
-		}
 	}
 
 	if *serve {

@@ -11,14 +11,13 @@ import (
 )
 
 // GuardedPackages are the package basenames running concurrent,
-// long-lived or distributed work under internal/guard supervision: the
+// long-lived or partitioned work under internal/guard supervision: the
 // daemon/executor layer of the system. guardgo, ctxflow's loop rule and
 // lockorder's blocking-while-locked rule all scope to this set.
 var GuardedPackages = map[string]bool{
 	"pipeline":  true,
 	"mapreduce": true,
 	"opsloop":   true,
-	"mrx":       true,
 	"source":    true,
 }
 

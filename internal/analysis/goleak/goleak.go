@@ -1,7 +1,6 @@
 // Package goleak flags goroutine- and timer-leak shapes that only hurt
-// in long-lived processes — exactly the deployments PR 7's always-on
-// daemon and PR 6's exec'd workers run as. Two families are checked in
-// production files, tree-wide:
+// in long-lived processes — exactly the deployment the always-on daemon
+// runs as. Two families are checked in production files, tree-wide:
 //
 //   - timer pile-up: time.After inside a loop allocates a new timer
 //     every iteration, and each one survives until it fires even when

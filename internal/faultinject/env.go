@@ -6,30 +6,20 @@ import (
 	"time"
 )
 
-// Env-transportable fault schedules: the multi-process MapReduce executor
-// (internal/mrx) runs a job's tasks in exec'd child OS processes, so a
-// test that wants to kill a worker mid-task cannot install a Scheduler
-// hook directly — the hook lives in the parent's address space.
-// Instead the test encodes a schedule as JSON, the coordinator forwards it
-// to every worker through the EnvSchedule environment variable, and the
-// worker-mode entrypoint decodes it and installs a fresh Scheduler behind
-// its fault seams. Per-point hit counts are therefore per-process: each
-// worker counts its own traversals, which is exactly the "this process
-// dies before acking its first task" semantics worker-death tests need.
-//
-// A schedule may target a single worker by index (the coordinator numbers
-// workers 0,1,2,... and never reuses an index, including across respawns),
-// so "kill worker 0 at point X" leaves the surviving workers — and any
-// respawned replacement — fault-free, letting convergence tests assert
-// that the job completes identically after the death.
+// Env-transportable fault schedules: a test harness that runs for a
+// configurable time (the daemon soak, TestDaemonSoak in internal/source)
+// can replay an explicit, reproducible schedule instead of its seeded
+// random one. The schedule is JSON in the EnvScheduleVar environment
+// variable; the harness decodes it and installs a fresh Scheduler behind
+// its fault seams, so per-point hit counts start at zero for the run.
 
-// EnvSchedule is the name of the environment variable carrying an encoded
-// schedule to exec'd worker processes.
+// EnvScheduleVar is the name of the environment variable carrying an
+// encoded schedule.
 const EnvScheduleVar = "BAYWATCH_FAULT_SCHEDULE"
 
-// EnvRule scripts one fault for transport to a child process. The zero
-// Kind fields compose like Scheduler rules: Crash wins over Err, Err over
-// Delay; hits in [From, To] (1-based, inclusive) trigger the fault.
+// EnvRule scripts one fault. The Kind fields compose like Scheduler
+// rules: Crash wins over Err, Err over Delay; hits in [From, To] (1-based,
+// inclusive) trigger the fault.
 type EnvRule struct {
 	// Point is the injection point's name (a registered Point, possibly
 	// keyed).
@@ -38,7 +28,7 @@ type EnvRule struct {
 	// To == 0 means To = From.
 	From int `json:"from"`
 	To   int `json:"to,omitempty"`
-	// Crash panics with *Crash at the hit, killing the worker process.
+	// Crash panics with *Crash at the hit.
 	Crash bool `json:"crash,omitempty"`
 	// Err injects an error with this message at the hit.
 	Err string `json:"err,omitempty"`
@@ -46,34 +36,16 @@ type EnvRule struct {
 	DelayMS int64 `json:"delayMs,omitempty"`
 }
 
-// Schedule is an env-transportable set of fault rules, optionally
-// targeted at one worker process.
+// Schedule is an env-transportable set of fault rules.
 type Schedule struct {
-	// Worker targets the schedule at the worker with this index; -1 (or
-	// omitted via AllWorkers) applies it to every worker.
-	Worker int `json:"worker"`
 	// Rules are the scripted faults.
 	Rules []EnvRule `json:"rules"`
 }
 
-// AllWorkers is the Schedule.Worker value that applies the schedule to
-// every worker process.
-const AllWorkers = -1
-
-// Encode serializes the schedule for the EnvScheduleVar environment
-// variable.
-func (s Schedule) Encode() (string, error) {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return "", fmt.Errorf("faultinject: encode schedule: %w", err)
-	}
-	return string(data), nil
-}
-
-// DecodeSchedule parses a schedule produced by Encode. An empty string
-// decodes to an empty schedule targeting no rules.
+// DecodeSchedule parses a JSON schedule. An empty string decodes to an
+// empty schedule.
 func DecodeSchedule(val string) (Schedule, error) {
-	s := Schedule{Worker: AllWorkers}
+	var s Schedule
 	if val == "" {
 		return s, nil
 	}
@@ -94,13 +66,9 @@ func DecodeSchedule(val string) (Schedule, error) {
 	return s, nil
 }
 
-// Scheduler materializes the schedule for the worker with the given
-// index: nil when the schedule targets a different worker or scripts
-// nothing, otherwise a fresh Scheduler with every rule installed.
-func (s Schedule) Scheduler(workerIndex int) *Scheduler {
-	if len(s.Rules) == 0 || (s.Worker != AllWorkers && s.Worker != workerIndex) {
-		return nil
-	}
+// Scheduler materializes the schedule: a fresh Scheduler with every rule
+// installed.
+func (s Schedule) Scheduler() *Scheduler {
 	sched := New(0)
 	for _, r := range s.Rules {
 		to := r.To

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,18 +10,17 @@ import (
 
 func TestScheduleEncodeDecodeRoundTrip(t *testing.T) {
 	s := Schedule{
-		Worker: 2,
 		Rules: []EnvRule{
-			{Point: string(PointMrxWorkerTask), From: 1, Crash: true},
-			{Point: string(PointMrxWorkerAck), From: 2, To: 4, Err: "scripted"},
-			{Point: string(PointMrxWorkerHeartbeat), From: 1, DelayMS: 50},
+			{Point: string(PointSourceCommitDone), From: 1, Crash: true},
+			{Point: string(PointSourceCheckpointAppendsync.Keyed("checkpoint")), From: 2, To: 4, Err: "scripted"},
+			{Point: string(PointSourceFollowRead.Keyed("proxy.log")), From: 1, DelayMS: 50},
 		},
 	}
-	enc, err := s.Encode()
+	enc, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSchedule(enc)
+	got, err := DecodeSchedule(string(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestScheduleDecodeEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Worker != AllWorkers || len(s.Rules) != 0 {
+	if len(s.Rules) != 0 {
 		t.Fatalf("empty schedule decoded to %+v", s)
 	}
 }
@@ -44,9 +44,9 @@ func TestScheduleDecodeRejectsMalformed(t *testing.T) {
 		name, val, want string
 	}{
 		{"bad json", "{not json", "decode schedule"},
-		{"no point", `{"worker":-1,"rules":[{"from":1}]}`, "has no point"},
-		{"zero from", `{"worker":-1,"rules":[{"point":"p","from":0}]}`, "from must be >= 1"},
-		{"inverted range", `{"worker":-1,"rules":[{"point":"p","from":3,"to":2}]}`, "to 2 < from 3"},
+		{"no point", `{"rules":[{"from":1}]}`, "has no point"},
+		{"zero from", `{"rules":[{"point":"p","from":0}]}`, "from must be >= 1"},
+		{"inverted range", `{"rules":[{"point":"p","from":3,"to":2}]}`, "to 2 < from 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,29 +57,12 @@ func TestScheduleDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestScheduleWorkerTargeting(t *testing.T) {
-	s := Schedule{Worker: 1, Rules: []EnvRule{{Point: "p", From: 1, Err: "x"}}}
-	if s.Scheduler(0) != nil {
-		t.Fatal("schedule targeting worker 1 materialized for worker 0")
-	}
-	if s.Scheduler(1) == nil {
-		t.Fatal("schedule did not materialize for its target worker")
-	}
-	s.Worker = AllWorkers
-	if s.Scheduler(7) == nil {
-		t.Fatal("AllWorkers schedule did not materialize")
-	}
-	if (Schedule{Worker: AllWorkers}).Scheduler(0) != nil {
-		t.Fatal("rule-less schedule materialized a scheduler")
-	}
-}
-
 func TestScheduleSchedulerErrAndCrashRules(t *testing.T) {
-	s := Schedule{Worker: AllWorkers, Rules: []EnvRule{
+	s := Schedule{Rules: []EnvRule{
 		{Point: "p.err", From: 2, To: 3, Err: "scripted failure"},
 		{Point: "p.crash", From: 1, Crash: true},
 	}}
-	sched := s.Scheduler(0)
+	sched := s.Scheduler()
 	hook := sched.Hook()
 
 	if err := hook("p.err"); err != nil {
@@ -101,10 +84,10 @@ func TestScheduleSchedulerErrAndCrashRules(t *testing.T) {
 }
 
 func TestScheduleSchedulerDelayRule(t *testing.T) {
-	s := Schedule{Worker: AllWorkers, Rules: []EnvRule{
+	s := Schedule{Rules: []EnvRule{
 		{Point: "p.slow", From: 1, DelayMS: 30},
 	}}
-	hook := s.Scheduler(0).Hook()
+	hook := s.Scheduler().Hook()
 	start := time.Now()
 	if err := hook("p.slow"); err != nil {
 		t.Fatalf("delay rule errored: %v", err)

@@ -60,22 +60,6 @@ const (
 	PointIngestShardScan Point = "ingest.shard.scan"
 	PointIngestAggregate Point = "ingest.aggregate"
 
-	// mrx multi-process executor, coordinator side: worker spawn, task
-	// assignment, task completion (before journaling), and the
-	// recovery-journal commit.
-	PointMrxSpawn        Point = "mrx.spawn"
-	PointMrxAssign       Point = "mrx.assign"
-	PointMrxComplete     Point = "mrx.complete"
-	PointMrxJournalWrite Point = "mrx.journal.write"
-
-	// mrx worker side (traversed inside exec'd worker processes; schedule
-	// these through the EnvScheduleVar transport): task start, the ack
-	// gap between finishing a task (output written) and sending
-	// task-done, and each heartbeat send.
-	PointMrxWorkerTask      Point = "mrx.worker.task"
-	PointMrxWorkerAck       Point = "mrx.worker.ack"
-	PointMrxWorkerHeartbeat Point = "mrx.worker.heartbeat"
-
 	// source live-source connectors (internal/source), keyed by source
 	// name: the file follower's open/read cycle plus the rotation and
 	// truncation transitions (the race windows where a tail can lose or
@@ -134,13 +118,6 @@ func Points() []Point {
 		PointGuardWatchdogStall,
 		PointIngestShardScan,
 		PointIngestAggregate,
-		PointMrxSpawn,
-		PointMrxAssign,
-		PointMrxComplete,
-		PointMrxJournalWrite,
-		PointMrxWorkerTask,
-		PointMrxWorkerAck,
-		PointMrxWorkerHeartbeat,
 		PointSourceFollowOpen,
 		PointSourceFollowRead,
 		PointSourceFollowRotate,

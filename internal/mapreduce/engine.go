@@ -2,9 +2,8 @@
 // on: beaconing detection and the rescale/merge of Sect. VII-B. It keeps
 // what the paper's Hadoop implementation needs from the model — hash
 // partitioning by H(s,d) to size the fan-out, one guarded call per pair
-// under a failure budget, counters — with goroutine workers (Run) or
-// exec'd worker processes (RunExec) standing in for cluster nodes. Both
-// run the same partition loop.
+// under a failure budget, counters — with goroutine workers on one host
+// standing in for cluster nodes.
 //
 // A job is a key function and a per-input function:
 //
@@ -53,9 +52,6 @@ type JobConfig struct {
 	// a worker that stops progressing between calls has its current call
 	// cancelled (a failure, like a timeout). The engine registers and
 	// deregisters its workers itself.
-	//
-	// Exec'd workers (RunExec) apply neither TaskTimeout nor Watchdog:
-	// their liveness is the coordinator's heartbeat.
 	Watchdog *guard.Watchdog
 }
 
@@ -124,26 +120,10 @@ func (j *Job[I, O]) partition(inputs []I) [][]I {
 	return parts
 }
 
-// collect concatenates per-partition outputs in partition order and counts
-// them. Every successful call yields one output, so the failed inputs are
-// the rest.
-func collect[O any](parts [][]O, inputs int) *Result[O] {
-	res := &Result[O]{}
-	for _, outs := range parts {
-		res.Outputs = append(res.Outputs, outs...)
-	}
-	res.Counters = Counters{
-		Inputs:  int64(inputs),
-		Outputs: int64(len(res.Outputs)),
-		Failed:  int64(inputs - len(res.Outputs)),
-	}
-	return res
-}
-
 // Run executes the job over the inputs in-process: Workers goroutines,
 // each registered with the job's watchdog as <name>/task-<w>, take the
 // partitions one at a time. Outputs are ordered by partition and, within
-// a partition, by input; RunExec returns the same order. The first
+// a partition, by input, whichever worker ran which partition. The first
 // failure past the budget cancels the other tasks and is returned; so is
 // ctx's cancellation.
 func (j *Job[I, O]) Run(ctx context.Context, inputs []I) (*Result[O], error) {
@@ -159,10 +139,9 @@ func (j *Job[I, O]) Run(ctx context.Context, inputs []I) (*Result[O], error) {
 			defer wg.Done()
 			wk := j.cfg.Watchdog.Worker(fmt.Sprintf("%s/task-%d", j.name(), w))
 			defer wk.Done()
-			e := taskEnv{ctx: tctx, timeout: j.cfg.TaskTimeout, wk: wk}
 			for p := int(next.Add(1) - 1); p < len(parts); p = int(next.Add(1) - 1) {
 				var err error
-				if outs[p], err = j.runPartition(e, parts[p], &failed); err != nil {
+				if outs[p], err = j.runPartition(tctx, wk, parts[p], &failed); err != nil {
 					cancel(err)
 					return
 				}
@@ -173,54 +152,45 @@ func (j *Job[I, O]) Run(ctx context.Context, inputs []I) (*Result[O], error) {
 	if err := context.Cause(tctx); err != nil {
 		return nil, err
 	}
-	return collect(outs, len(inputs)), nil
-}
-
-// taskEnv is what the partition loop needs from the worker running it: the
-// job's cancellation and the bounds on each call. An exec'd worker passes
-// the zero value: nothing cancels it but the coordinator killing its
-// process, and it runs every call inline.
-type taskEnv struct {
-	ctx     context.Context // nil in an exec'd worker
-	timeout time.Duration
-	wk      *guard.Worker
-}
-
-// err returns the job's cancellation cause, or nil while the job runs.
-func (e taskEnv) err() error {
-	if e.ctx == nil {
-		return nil
+	// Every successful call yields one output, so the failed inputs are the
+	// rest.
+	res := &Result[O]{}
+	for _, o := range outs {
+		res.Outputs = append(res.Outputs, o...)
 	}
-	return context.Cause(e.ctx)
-}
-
-// callTask runs fn inline, or under guard.BoundWork — on a goroutine that a
-// deadline or the watchdog may abandon — when e bounds its calls. fn must
-// communicate only through its return values.
-func callTask[T any](e taskEnv, fn func() (T, error)) (T, error) {
-	if e.timeout <= 0 && e.wk == nil {
-		return fn()
+	res.Counters = Counters{
+		Inputs:  int64(len(inputs)),
+		Outputs: int64(len(res.Outputs)),
+		Failed:  int64(len(inputs) - len(res.Outputs)),
 	}
-	return guard.BoundWork(e.ctx, e.wk, e.timeout, fn)
+	return res, nil
 }
 
-// runPartition is the one task loop: it calls fn on each input of one
+// runPartition is the task loop: it calls fn on each input of one
 // partition, in order, and keeps the outputs of the calls that succeed.
-// Run calls it once per partition, an exec'd worker once per task. A
-// failed input is dropped while failed stays within MaxFailed, and aborts
-// the loop past that.
-func (j *Job[I, O]) runPartition(e taskEnv, part []I, failed *atomic.Int64) ([]O, error) {
+// A call runs inline, or under guard.BoundWork — on a goroutine that a
+// deadline or the watchdog may abandon — when the job bounds its calls.
+// A failed input is dropped while failed stays within MaxFailed, and
+// aborts the loop past that.
+func (j *Job[I, O]) runPartition(ctx context.Context, wk *guard.Worker, part []I, failed *atomic.Int64) ([]O, error) {
+	bounded := j.cfg.TaskTimeout > 0 || wk != nil
 	outs := make([]O, 0, len(part))
 	for _, in := range part {
-		if err := e.err(); err != nil {
+		if err := context.Cause(ctx); err != nil {
 			return nil, err
 		}
-		out, err := callTask(e, func() (O, error) { return j.call(in) })
+		var out O
+		var err error
+		if bounded {
+			out, err = guard.BoundWork(ctx, wk, j.cfg.TaskTimeout, func() (O, error) { return j.call(in) })
+		} else {
+			out, err = j.call(in)
+		}
 		if err == nil {
 			outs = append(outs, out)
 			continue
 		}
-		if cerr := e.err(); cerr != nil {
+		if cerr := context.Cause(ctx); cerr != nil {
 			return nil, cerr // the job was cancelled; this input did not fail
 		}
 		if failed.Add(1) <= int64(j.cfg.MaxFailed) {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,112 +129,5 @@ func TestCancellationMidReduce(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
-	}
-}
-
-// --- footed-file integrity ---------------------------------------------
-
-// footedFile is one kind of file RunExec passes between processes: the
-// record files that carry a task's input partition and its outputs, all
-// through the one footer codec.
-type footedFile struct {
-	name  string
-	write func(path string) error
-	// read decodes path; a corrupt file must decode to the zero value.
-	read func(path string) (any, error)
-	want any
-}
-
-func footedFiles() []footedFile {
-	recs := []kv{{"a", 1}, {"b", 2}, {"c", 3}}
-	return []footedFile{
-		{
-			name:  "records",
-			write: func(path string) error { return writeRecords(path, recs) },
-			read: func(path string) (any, error) {
-				got, err := readRecords[kv](path)
-				return got, err
-			},
-			want: recs,
-		},
-	}
-}
-
-// writeFooted writes f's known file and returns its path and bytes.
-func writeFooted(t *testing.T, f footedFile) (string, []byte) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), f.name+".gob")
-	if err := f.write(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path, data
-}
-
-// expectCorrupt stores data at path and asserts that f's reader rejects
-// it with ErrCorrupt and returns nothing.
-func expectCorrupt(t *testing.T, f footedFile, path string, data []byte, what string) {
-	t.Helper()
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.read(path)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("%s: err = %v, want ErrCorrupt", what, err)
-	}
-	if !reflect.ValueOf(got).IsZero() {
-		t.Fatalf("%s: corrupt file leaked data: %v", what, got)
-	}
-}
-
-func TestSpillRoundTripValidates(t *testing.T) {
-	for _, f := range footedFiles() {
-		t.Run(f.name, func(t *testing.T) {
-			path, _ := writeFooted(t, f)
-			got, err := f.read(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, f.want) {
-				t.Fatalf("read = %v, want %v", got, f.want)
-			}
-		})
-	}
-}
-
-func TestSpillTruncationDetected(t *testing.T) {
-	for _, f := range footedFiles() {
-		t.Run(f.name, func(t *testing.T) {
-			path, data := writeFooted(t, f)
-			// Into the footer, just before it, shorter than it, and empty.
-			for _, keep := range []int{len(data) - 1, len(data) - footerLen - 1, footerLen - 1, 0} {
-				expectCorrupt(t, f, path, data[:keep], fmt.Sprintf("truncation to %d bytes", keep))
-			}
-		})
-	}
-}
-
-func TestSpillBitflipDetected(t *testing.T) {
-	for _, f := range footedFiles() {
-		t.Run(f.name, func(t *testing.T) {
-			path, data := writeFooted(t, f)
-			// Flip a payload byte; the checksum must catch it even when the
-			// gob stream still decodes.
-			data[len(data)-footerLen-3] ^= 0x40
-			expectCorrupt(t, f, path, data, "bitflip")
-		})
-	}
-}
-
-func TestSpillBadMagicDetected(t *testing.T) {
-	for _, f := range footedFiles() {
-		t.Run(f.name, func(t *testing.T) {
-			path, data := writeFooted(t, f)
-			copy(data[len(data)-footerLen:], "XXXX")
-			expectCorrupt(t, f, path, data, "bad magic")
-		})
 	}
 }

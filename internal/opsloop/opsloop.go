@@ -112,13 +112,6 @@ func New(cfg Config, corr *proxylog.Correlator) (*Loop, error) {
 	if err := os.MkdirAll(historyDir(cfg.StateDir), 0o755); err != nil {
 		return nil, fmt.Errorf("opsloop: state dir: %w", err)
 	}
-	// Anchor the distributed executor's scratch inside the state
-	// directory so a coordinator crash-restart across process lifetimes
-	// finds its recovery journal (a fresh per-run temp dir would orphan
-	// it).
-	if cfg.Pipeline.Exec.Enabled() && cfg.Pipeline.Exec.ScratchDir == "" {
-		cfg.Pipeline.Exec.ScratchDir = filepath.Join(cfg.StateDir, "mrx")
-	}
 	l := &Loop{cfg: cfg, corr: corr}
 	if err := l.recover(); err != nil {
 		return nil, err

@@ -115,7 +115,7 @@ func sortDetections(ds []Detection) {
 // threshold memo.
 func runDetect(t *testing.T, summaries []*timeseries.ActivitySummary, cfg core.Config) []Detection {
 	t.Helper()
-	ds, _, err := detectBeacons(context.Background(), summaries, cfg, mapreduce.JobConfig{}, mapreduce.ExecConfig{}, 0, 0, core.NewThresholdMemo(0))
+	ds, _, err := detectBeacons(context.Background(), summaries, cfg, mapreduce.JobConfig{}, 0, 0, core.NewThresholdMemo(0))
 	if err != nil {
 		t.Fatal(err)
 	}

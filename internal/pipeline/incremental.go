@@ -332,7 +332,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	if len(detList) > 0 {
 		detCtx, detDone := stageCtx(ctx, env.g, "detect")
 		detections, counters, err := detectBeacons(
-			detCtx, detList, i.cfg.Detector, env.job, i.cfg.Exec,
+			detCtx, detList, i.cfg.Detector, env.job,
 			env.g.CandidateTimeout, env.g.MaxInFlight, i.cfg.Thresholds)
 		detDone()
 		if err != nil {

@@ -124,46 +124,12 @@ func safeDetectOne(det *core.Detector, thrMemo *core.ThresholdMemo, as *timeseri
 // candidateTimeout > 0 bounds each pair's detection in wall-clock time (an
 // overrun parks the pair as a Detection with Err wrapping guard.ErrTimeout
 // instead of wedging its worker), and maxInFlight > 0 bounds the number of
-// pairs admitted to detection concurrently. When ec enables the
-// multi-process executor, the job runs distributed across exec'd workers
-// (see exec.go) and takes the detector's Config rather than a live
-// Detector so workers can rebuild it; each worker keeps its own threshold
-// memo, which is harmless for identity (a memo hit equals a cold
-// computation bit for bit).
-func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, jobCfg mapreduce.JobConfig, ec mapreduce.ExecConfig, candidateTimeout time.Duration, maxInFlight int, thrMemo *core.ThresholdMemo) ([]Detection, mapreduce.Counters, error) {
-	job := detectJob(ctx, core.NewDetector(detCfg), jobCfg, candidateTimeout, maxInFlight, thrMemo)
-	var res *mapreduce.Result[Detection]
-	var err error
-	if ec.Enabled() {
-		params, perr := encodeDetectParams(detectParams{
-			Detector:         detCfg,
-			MaxFailed:        jobCfg.MaxFailed,
-			CandidateTimeout: candidateTimeout,
-			MaxInFlight:      maxInFlight,
-		})
-		if perr != nil {
-			return nil, mapreduce.Counters{}, perr
-		}
-		res, err = job.RunExec(ctx, detectJobName, params, ec, summaries)
-	} else {
-		res, err = job.Run(ctx, summaries)
-	}
-	if err != nil {
-		return nil, mapreduce.Counters{}, err
-	}
-	return res.Outputs, res.Counters, nil
-}
-
-// detectJob builds the beaconing-detection job around a live detector.
-// Both execution paths share it: the in-process engine runs it directly,
-// and worker processes rebuild it from detectParams (exec.go, with a fresh
-// worker-local threshold memo). Inputs must hold one summary per pair;
-// each call detects one pair under the admission bound, the candidate
-// timeout and fault isolation.
-func detectJob(ctx context.Context, det *core.Detector, jobCfg mapreduce.JobConfig, candidateTimeout time.Duration, maxInFlight int, thrMemo *core.ThresholdMemo) *mapreduce.Job[*timeseries.ActivitySummary, Detection] {
+// pairs admitted to detection concurrently.
+func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, jobCfg mapreduce.JobConfig, candidateTimeout time.Duration, maxInFlight int, thrMemo *core.ThresholdMemo) ([]Detection, mapreduce.Counters, error) {
+	det := core.NewDetector(detCfg)
 	jobCfg.Name = "beaconing-detection"
 	sem := guard.NewSemaphore(maxInFlight)
-	return mapreduce.NewJob(jobCfg, jobKey, func(as *timeseries.ActivitySummary) (Detection, error) {
+	job := mapreduce.NewJob(jobCfg, jobKey, func(as *timeseries.ActivitySummary) (Detection, error) {
 		if err := sem.Acquire(ctx); err != nil {
 			return Detection{}, err
 		}
@@ -185,6 +151,11 @@ func detectJob(ctx context.Context, det *core.Detector, jobCfg mapreduce.JobConf
 		}
 		return d, err
 	})
+	res, err := job.Run(ctx, summaries)
+	if err != nil {
+		return nil, mapreduce.Counters{}, err
+	}
+	return res.Outputs, res.Counters, nil
 }
 
 // RescaleAndMerge is the rescaling/merging job of Sect. VII-B: it rescales

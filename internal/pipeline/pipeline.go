@@ -77,10 +77,6 @@ type Config struct {
 	// Weights configures the ranking combination; zero value uses
 	// DefaultWeights.
 	Weights ranking.Weights
-	// Exec runs the detect stage's MapReduce job across exec'd worker OS
-	// processes (internal/mrx) instead of in-process goroutines. The zero
-	// value keeps everything in-process; see mapreduce.ExecConfig.
-	Exec mapreduce.ExecConfig
 	// Guard bounds the run in time and memory: stage and per-candidate
 	// deadlines, watchdog stall detection, in-flight admission control and
 	// the per-pair event cap. The zero value disables every bound.

@@ -204,11 +204,7 @@ func TestDaemonSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", faultinject.EnvScheduleVar, err)
 		}
-		sched = schedule.Scheduler(0)
-		if sched == nil {
-			t.Fatalf("%s targets worker %d with %d rule(s); the soak runs as worker 0",
-				faultinject.EnvScheduleVar, schedule.Worker, len(schedule.Rules))
-		}
+		sched = schedule.Scheduler()
 		t.Logf("soak: using %s (%d rules)", faultinject.EnvScheduleVar, len(schedule.Rules))
 	} else {
 		sched = faultinject.New(20260807)

@@ -114,9 +114,6 @@ func FromTimestamps(source, destination string, ts []int64, scale int64) (*Activ
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 
 	first := (sorted[0] / scale) * scale
-	// A single-event pair gets nil Intervals, not an empty slice: gob
-	// decodes empty slices as nil, and the distributed detect job must
-	// round-trip summaries through gob without changing them.
 	var intervals []int64
 	if len(sorted) > 1 {
 		intervals = make([]int64, 0, len(sorted)-1)
