@@ -120,7 +120,7 @@ func run() error {
 	serveState := flag.String("serve-state", "", "serve mode: state directory for the crash-safe checkpoint (required with -serve)")
 	queryAddr := flag.String("query", "", "serve mode: serve /ranked, /host and /status on this address")
 	tickInterval := flag.Duration("tick", 30*time.Second, "serve mode: incremental-detection cadence")
-	commitEvery := flag.Int("commit-every", 5000, "serve mode: checkpoint after this many ingested events (<0 disables count-based commits)")
+	commitEvery := flag.Int("commit-every", 5000, "serve mode: request a checkpoint after this many ingested events; a source that gets twice this far ahead commits inline (<0 disables count-based commits)")
 	lateness := flag.Int64("lateness", 0, "serve mode: allowed event lateness in seconds; events behind the committed watermark are dropped (0 = accept any lateness)")
 	retainWindows := flag.Int("retain-windows", 0, "serve mode: evict pairs idle longer than this many lateness windows, bounding memory and checkpoint size to active traffic (0 = retain forever; requires -lateness)")
 	caseLabels := flag.String("casefile", "", "serve mode: bwtriage labels file; /ranked and /host responses carry each labeled pair's verdict, re-read when the file changes")

@@ -21,7 +21,8 @@
 //	             sample entries and the sources new to it, each an index
 //	             into this frame's sources table; a delta frame writes the
 //	             pairs in the order they were first touched since the
-//	             previous commit, a snapshot in (src, dst) order
+//	             previous commit, a snapshot in the order the pairs were
+//	             created
 //	detections   fingerprint u64 LE,
 //	             n × (src, dst, events covered, core.AppendResult bytes)
 //	             in (src, dst) order; the pairs a tick detected since the
@@ -131,9 +132,10 @@ const (
 // entries and sources not yet durable and for each of detected the pair's
 // detection, if it still covers the pair's history — or, with full, the
 // whole of each of pairs and every such detection among them (detected is
-// then not consulted). pairs are written in the order given; evicted and
-// detected are sorted. Pairs that skip reports are left out of both.
-// sizeHint presizes the buffer. e.mu must be held.
+// then not consulted). pairs are written in the order given — first touch
+// for a delta, creation for a snapshot; evicted and detected are sorted.
+// Pairs that skip reports are left out of both. sizeHint presizes the
+// buffer. e.mu must be held.
 func (e *Engine) encodeFrame(watermark, evictedCount int64, evicted, pairs, detected []*pairHistory, skip func(*pairHistory) bool, full bool, sizeHint int64) ([]byte, error) {
 	buf := make([]byte, frameHdrLen, frameHdrLen+256+int(sizeHint))
 	names := make([]string, 0, len(e.pos))
@@ -340,8 +342,7 @@ func (e *Engine) replayFrame(payload []byte) error {
 	for n := r.count(); n > 0 && r.err == nil; n-- {
 		k := pairKey{Src: r.str(), Dst: r.str()}
 		if h := e.pairs[k]; h != nil && r.err == nil {
-			e.events -= int64(len(h.ts))
-			delete(e.pairs, k)
+			e.drop(h)
 		}
 	}
 
@@ -358,8 +359,7 @@ func (e *Engine) replayFrame(payload []byte) error {
 		}
 		h := e.pairs[k]
 		if h == nil {
-			h = &pairHistory{key: k, ts: make([]int64, 0, events)}
-			e.pairs[k] = h
+			h = e.newPair(k, events)
 		}
 		ts := int64(0)
 		for i := 0; i < events && r.err == nil; i++ {

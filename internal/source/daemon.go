@@ -20,8 +20,12 @@ type DaemonConfig struct {
 	Connectors []Connector
 	// TickInterval is the incremental-detection cadence (default 30s).
 	TickInterval time.Duration
-	// CommitEvery checkpoints after this many applied events (default
-	// 5000; <0 disables count-based commits).
+	// CommitEvery requests a checkpoint once this many applied events are
+	// uncommitted (default 5000; <0 disables count-based commits). The
+	// daemon loop takes the checkpoint, so a connector does not wait on it;
+	// a connector that gets twice this far ahead while the request is
+	// pending commits inline, which bounds uncommitted events at
+	// 2×CommitEvery plus one batch.
 	CommitEvery int
 	// CommitInterval checkpoints on a timer regardless of volume (default
 	// TickInterval; <0 disables timer-based commits).
@@ -92,6 +96,9 @@ type Daemon struct {
 	snap         atomic.Pointer[TickResult]
 	tickFailures atomic.Int64
 	commitFails  atomic.Int64
+	// commitReq carries maybeCommit's checkpoint requests to Run's loop;
+	// one slot, so a pending request absorbs the rest.
+	commitReq chan struct{}
 
 	// Query-layer state: every tick generation publishes one immutable
 	// querySnapshot that the handlers serve without touching the engine;
@@ -119,7 +126,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Daemon{cfg: cfg, eng: eng}
+	d := &Daemon{cfg: cfg, eng: eng, commitReq: make(chan struct{}, 1)}
 	if cfg.MaxQueries > 0 {
 		d.querySem = guard.NewSemaphore(cfg.MaxQueries)
 	}
@@ -160,14 +167,24 @@ func (d *Daemon) Degraded() bool {
 	return false
 }
 
-// maybeCommit checkpoints when the count-based threshold is reached;
-// called from connector sinks after every applied batch.
+// maybeCommit asks Run's loop for a checkpoint once CommitEvery events are
+// uncommitted, without waiting for it; called from connector sinks after
+// every applied batch. A connector that reaches twice that while the
+// request is still pending — the loop is ticking, or its commit is slow —
+// commits inline, so uncommitted events stay under 2×CommitEvery plus one
+// batch.
 func (d *Daemon) maybeCommit() {
 	if d.cfg.CommitEvery <= 0 {
 		return
 	}
-	if d.eng.Uncommitted() >= int64(d.cfg.CommitEvery) {
+	switch n, every := d.eng.Uncommitted(), int64(d.cfg.CommitEvery); {
+	case n >= 2*every:
 		d.commit()
+	case n >= every:
+		select {
+		case d.commitReq <- struct{}{}:
+		default: // a request is already pending
+		}
 	}
 }
 
@@ -181,8 +198,10 @@ func (d *Daemon) commit() {
 	}
 }
 
-// Run starts the supervisors and drives the commit/tick cadence until ctx
-// ends; it then drains the connectors, takes a final commit, and returns.
+// Run starts the supervisors and drives the commit/tick cadence — the
+// tick, the commit timer and the connectors' count-triggered requests —
+// until ctx ends; it then drains the connectors, takes a final commit, and
+// returns.
 // The daemon's crash contract does not depend on the drain — a SIGKILL at
 // any instant loses only uncommitted events, which the checkpointed
 // positions let the sources replay.
@@ -230,6 +249,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 		case <-ctx.Done():
 		case <-commitC:
 			if d.eng.Uncommitted() > 0 {
+				d.commit()
+			}
+		case <-d.commitReq:
+			// A tick's commit or an inline one may have come first.
+			if d.eng.Uncommitted() >= int64(d.cfg.CommitEvery) {
 				d.commit()
 			}
 		case <-tick.C:

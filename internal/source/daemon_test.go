@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,8 +139,13 @@ func TestDaemonEndToEndQueryAndRestart(t *testing.T) {
 	}
 
 	d, base, cancel, done := start()
-	waitStatus(t, base, "full ingest and a published tick", func(p statusPayload) bool {
+	full := waitStatus(t, base, "full ingest and a published tick", func(p statusPayload) bool {
 		return p.Stats.Events == total && p.LastTick > 0
+	})
+	// A generation counts the events applied by the time it published, not
+	// only those its tick saw; the next tick's ranking covers them all.
+	waitStatus(t, base, "a tick over the full ingest", func(p statusPayload) bool {
+		return p.LastTick > full.LastTick
 	})
 	checkRanked(base)
 	var tl []TimelineEntry
@@ -343,4 +352,262 @@ func TestDaemonTicksOnRestart(t *testing.T) {
 			t.Fatalf("%s: %d commit(s) wrote a frame, want %d", start.what, got, start.commit)
 		}
 	}
+}
+
+// burstConn delivers one seed batch, then, once released, a burst of
+// batches as fast as the sink takes them, noting the engine's uncommitted
+// count after each delivery; it then idles until cancelled.
+type burstConn struct {
+	eng           func() *Engine
+	seed          []Event
+	batches, size int
+	release, done chan struct{}
+	peak          atomic.Int64
+}
+
+func (c *burstConn) Name() string { return "burst" }
+
+func (c *burstConn) Run(ctx context.Context, resume Position, sink Sink) error {
+	pos := resume
+	if pos.Records == 0 {
+		pos.Records = int64(len(c.seed))
+		sink.Deliver(Batch{Source: "burst", Events: c.seed, Pos: pos})
+	}
+	select {
+	case <-c.release:
+	case <-ctx.Done():
+		return ctxCause(ctx)
+	}
+	for i := 0; i < c.batches; i++ {
+		events := make([]Event, c.size)
+		for j := range events {
+			n := pos.Records + int64(j)
+			events[j] = Event{Source: fmt.Sprintf("h%d", n%40), Destination: "burst.example", TS: 10_000 + n}
+		}
+		pos.Records += int64(c.size)
+		sink.Deliver(Batch{Source: "burst", Events: events, Pos: pos})
+		notePeak(&c.peak, c.eng().Uncommitted())
+	}
+	close(c.done)
+	<-ctx.Done()
+	return ctxCause(ctx)
+}
+
+// notePeak raises peak to n when n is higher.
+func notePeak(peak *atomic.Int64, n int64) {
+	for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+	}
+}
+
+// TestCountCommitBoundWhileLoopBusy: count-triggered commits are requests
+// to the daemon loop, so a connector never waits for one — and when the
+// loop cannot serve them, here because it is parked in a tick's detection
+// job, the connector keeps delivering and commits inline at twice
+// CommitEvery, holding uncommitted events under 2×CommitEvery plus one
+// batch. Once the loop runs again every event commits, and a restart
+// reads back exactly the live store.
+func TestCountCommitBoundWhileLoopBusy(t *testing.T) {
+	const every, size, batches = 100, 7, 150
+	sched := faultinject.New(1)
+	sched.HangAt(faultinject.PointPipelineDetect, 1)
+	// Every pair's detection is one traversal of the bare point, so the
+	// first detection of the first tick hangs whichever pair it is.
+	pipeline.SetFaultHook(func(point string) error {
+		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
+			return sched.Hook()(string(faultinject.PointPipelineDetect))
+		}
+		return nil
+	})
+	defer pipeline.SetFaultHook(nil)
+	defer sched.ReleaseHangs()
+
+	var seed []Event
+	for i := int64(0); i < 30; i++ {
+		seed = append(seed, Event{Source: "h-seed", Destination: "seed.example", TS: 1000 + 60*i})
+	}
+	cfg := Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)}
+	conn := &burstConn{seed: seed, batches: batches, size: size, release: make(chan struct{}), done: make(chan struct{})}
+	d, err := NewDaemon(DaemonConfig{
+		Engine:         cfg,
+		Connectors:     []Connector{conn},
+		TickInterval:   10 * time.Millisecond,
+		CommitEvery:    every,
+		CommitInterval: -1,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := d.Engine()
+	conn.eng = d.Engine
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	// bounded goroutine: daemon run under test, cancelled by the test and awaited on done
+	go func() { done <- d.Run(ctx) }()
+	stop := sync.OnceValue(func() error {
+		sched.ReleaseHangs()
+		cancel()
+		return <-done
+	})
+	defer stop()
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("never reached: %s", what)
+			}
+		}
+	}
+	waitFor("the loop parked in a tick", func() bool { return sched.ActiveHangs() == 1 })
+	before := eng.Stats().Commits
+	close(conn.release)
+	polled := make(chan struct{})
+	var peak atomic.Int64
+	// bounded goroutine: samples Uncommitted until the burst is delivered, awaited on polled
+	go func() {
+		defer close(polled)
+		for {
+			notePeak(&peak, eng.Uncommitted())
+			select {
+			case <-conn.done:
+				return
+			default:
+			}
+		}
+	}()
+	select {
+	case <-polled:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the burst was not delivered while the loop was parked")
+	}
+	notePeak(&peak, conn.peak.Load())
+
+	if sched.ActiveHangs() != 1 {
+		t.Fatal("the tick finished during the burst; the test never had the loop busy")
+	}
+	inline := eng.Stats().Commits - before
+	if inline < batches*size/(2*every)-1 {
+		t.Fatalf("%d inline commit(s) during a %d-event burst with the loop parked, want about one per %d events",
+			inline, batches*size, 2*every)
+	}
+	if p := peak.Load(); p >= 2*every+size || p < every {
+		t.Fatalf("uncommitted events peaked at %d, want within [%d, %d)", p, every, 2*every+size)
+	}
+
+	sched.ReleaseHangs()
+	total := int64(len(seed) + batches*size)
+	waitFor("every event committed", func() bool {
+		return eng.Position("burst").Records == total && eng.Uncommitted() == 0
+	})
+	if err := stop(); err != nil {
+		t.Fatalf("daemon run: %v", err)
+	}
+	if d.commitFails.Load() != 0 {
+		t.Fatal("a commit failed")
+	}
+	want := stateOf(t, eng)
+	if want.Events != total {
+		t.Fatalf("store holds %d events, want %d", want.Events, total)
+	}
+	requireSameState(t, "restart after the burst", stateOf(t, reopenCopy(t, cfg)), want)
+}
+
+// stepConn delivers one batch of n events per value received on step and
+// reports each delivery's return on delivered.
+type stepConn struct {
+	n               int
+	step, delivered chan struct{}
+}
+
+func (c *stepConn) Name() string { return "step" }
+
+func (c *stepConn) Run(ctx context.Context, resume Position, sink Sink) error {
+	pos := resume
+	for {
+		select {
+		case <-c.step:
+		case <-ctx.Done():
+			return ctxCause(ctx)
+		}
+		events := make([]Event, c.n)
+		for j := range events {
+			n := pos.Records + int64(j)
+			events[j] = Event{Source: fmt.Sprintf("h%d", n%7), Destination: "step.example", TS: 1000 + 30*n}
+		}
+		pos.Records += int64(c.n)
+		sink.Deliver(Batch{Source: "step", Events: events, Pos: pos})
+		select {
+		case c.delivered <- struct{}{}:
+		case <-ctx.Done():
+			return ctxCause(ctx)
+		}
+	}
+}
+
+// TestCountCommitRunsOnDaemonLoop: the delivery that reaches CommitEvery
+// returns at once and the checkpoint is written by the daemon loop — a
+// hang in its fsync parks the loop, not the connector. When the hang
+// releases as an error the commit fails, and the next request rewrites
+// the checkpoint, which a restart reads back as the live store.
+func TestCountCommitRunsOnDaemonLoop(t *testing.T) {
+	sched := faultinject.New(1)
+	sched.HangAt(faultinject.PointSourceCheckpointSync.Keyed("checkpoint"), 1) // the first commit is a snapshot
+	SetFaultHook(sched.Hook())
+	defer SetFaultHook(nil)
+	defer sched.ReleaseHangs()
+
+	cfg := Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)}
+	conn := &stepConn{n: 100, step: make(chan struct{}), delivered: make(chan struct{})}
+	d, err := NewDaemon(DaemonConfig{
+		Engine:         cfg,
+		Connectors:     []Connector{conn},
+		TickInterval:   time.Hour,
+		CommitEvery:    100,
+		CommitInterval: -1,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	// bounded goroutine: daemon run under test, cancelled by the test and awaited on done
+	go func() { done <- d.Run(ctx) }()
+	stop := sync.OnceValue(func() error {
+		sched.ReleaseHangs()
+		cancel()
+		return <-done
+	})
+	defer stop()
+
+	conn.step <- struct{}{}
+	select {
+	case <-conn.delivered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the delivery that reached CommitEvery did not return: the connector waited on the checkpoint")
+	}
+	for deadline := time.Now().Add(30 * time.Second); sched.ActiveHangs() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon loop never took the requested commit")
+		}
+	}
+	sched.ReleaseHangs()
+	for deadline := time.Now().Add(30 * time.Second); d.commitFails.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the released hang did not fail the commit")
+		}
+	}
+	conn.step <- struct{}{}
+	<-conn.delivered
+	eng := d.Engine()
+	for deadline := time.Now().Add(30 * time.Second); eng.Uncommitted() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second request never committed")
+		}
+	}
+	if st := eng.Stats(); st.Commits != 1 || st.Compactions != 1 || st.Events != 200 {
+		t.Fatalf("stats %+v, want the 200 events in one rewritten checkpoint", st)
+	}
+	requireSameState(t, "restart after the retried commit", stateOf(t, reopenCopy(t, cfg)), stateOf(t, eng))
 }

@@ -93,6 +93,9 @@ type pairHistory struct {
 	// pair only while detN == len(ts).
 	det  *core.Result
 	detN int
+	// dirty is set while the pair is on the engine's dirty list; gone once
+	// retention evicted it, after which the engine's lists shed it.
+	dirty, gone bool
 }
 
 // detection returns the stored detection if it covers the whole history.
@@ -146,7 +149,6 @@ type Engine struct {
 	mu       sync.Mutex
 	cfg      Config
 	pairs    map[pairKey]*pairHistory
-	dirty    map[pairKey]struct{}
 	pos      map[string]Position
 	health   map[string]bool // false = circuit open / flapping
 	rec      Recovery
@@ -154,6 +156,15 @@ type Engine struct {
 	events   int64 // events in the store: the sum of len(ts) over pairs
 	applied  int64 // events applied since open (not persisted)
 	uncommit int64 // events applied since the last successful commit
+
+	// order lists the pairs in the order they were created, the order a
+	// snapshot writes them; dirty lists the pairs whose history changed
+	// since the last tick, each once (pairHistory.dirty). Evicted pairs are
+	// marked gone and shed lazily: from order at the next compaction or once
+	// they are half of it (gone counts them), from dirty at the next tick.
+	order []*pairHistory
+	dirty []*pairHistory
+	gone  int
 
 	// Checkpoint log state. touched lists the pairs holding events no
 	// frame has yet (len(ts) > committed), each once and in the order they
@@ -271,8 +282,9 @@ func OpenEngine(cfg Config) (*Engine, error) {
 // is dropped here.
 func (e *Engine) replayed() {
 	e.rememberDurable()
-	for k, h := range e.pairs {
-		e.dirty[k] = struct{}{}
+	e.pruneOrder()
+	for _, h := range e.order {
+		e.markDirty(h)
 		switch {
 		case h.detN == 0:
 		case h.detection() != nil:
@@ -292,7 +304,6 @@ func newEngine(cfg Config) *Engine {
 	return &Engine{
 		cfg:     cfg,
 		pairs:   make(map[pairKey]*pairHistory),
-		dirty:   make(map[pairKey]struct{}),
 		unsaved: make(map[pairKey]struct{}),
 		pos:     make(map[string]Position),
 		health:  make(map[string]bool),
@@ -370,8 +381,7 @@ func (e *Engine) Apply(b Batch) int {
 		k := pairKey{Src: ev.Source, Dst: ev.Destination}
 		h := e.pairs[k]
 		if h == nil {
-			h = &pairHistory{key: k}
-			e.pairs[k] = h
+			h = e.newPair(k, 0)
 		}
 		if len(h.ts) == h.committed {
 			e.touched = append(e.touched, h)
@@ -382,7 +392,7 @@ func (e *Engine) Apply(b Batch) int {
 		if ev.TS > e.maxTS {
 			e.maxTS = ev.TS
 		}
-		e.dirty[k] = struct{}{}
+		e.markDirty(h)
 		applied++
 	}
 	if b.Pos.Records >= cur.Records {
@@ -456,14 +466,15 @@ func (e *Engine) Commit() error {
 	// A delta frame holds the touched pairs' new events, sample entries and
 	// sources in the order the pairs were first touched, the evictions and
 	// the unsaved detections. A snapshot is a delta from empty: every
-	// surviving pair in full with its detection, in (src, dst) order, and
-	// no eviction list, since the evicted pairs are simply absent. It
-	// merges the log with what is uncommitted, so it is about their size.
+	// surviving pair in full with its detection, in creation order, and no
+	// eviction list, since the evicted pairs are simply absent. It merges
+	// the log with what is uncommitted, so it is about their size.
 	named, pairs := evict, e.touched
 	sizeHint := touchedSizeHint*int64(len(e.touched)) + eventSizeHint*e.uncommit
 	var detected []*pairHistory
 	if compact {
-		named, pairs, sizeHint = nil, e.sortedPairs(), e.logLen+eventSizeHint*e.uncommit
+		e.pruneOrder()
+		named, pairs, sizeHint = nil, e.order, e.logLen+eventSizeHint*e.uncommit
 	} else if len(e.unsaved) > 0 {
 		detected = make([]*pairHistory, 0, len(e.unsaved))
 		for k := range e.unsaved {
@@ -503,10 +514,11 @@ func (e *Engine) Commit() error {
 	e.watermark = wm
 	e.uncommit = 0
 	for _, h := range evict {
-		e.events -= int64(len(h.ts))
-		delete(e.pairs, h.key)
-		delete(e.dirty, h.key)
 		e.evicted = append(e.evicted, pipeline.PairRef{Source: h.key.Src, Destination: h.key.Dst})
+		e.drop(h)
+	}
+	if 2*e.gone > len(e.order) {
+		e.pruneOrder()
 	}
 	e.evictedCount = evictedCount
 	if len(evict) > 0 {
@@ -528,27 +540,52 @@ func (e *Engine) rememberDurable() {
 	e.durable.maxTS, e.durable.lateDropped = e.maxTS, e.lateDropped
 }
 
-// comparePairKeys orders pair keys by (src, dst): the order of snapshots,
-// evict and detected lists, and the tick's dirty keys.
+// newPair creates the pair k with room for events timestamps and appends
+// it to the creation order; e.mu must be held.
+func (e *Engine) newPair(k pairKey, events int) *pairHistory {
+	h := &pairHistory{key: k, ts: make([]int64, 0, events)}
+	e.pairs[k] = h
+	e.order = append(e.order, h)
+	return h
+}
+
+// markDirty queues h for the next tick, once however many events it gains
+// meanwhile; e.mu must be held.
+func (e *Engine) markDirty(h *pairHistory) {
+	if !h.dirty {
+		h.dirty = true
+		e.dirty = append(e.dirty, h)
+	}
+}
+
+// drop removes an evicted pair from the store and releases its history, so
+// the order and dirty lists that still point at it keep only the husk
+// until they shed it; e.mu must be held.
+func (e *Engine) drop(h *pairHistory) {
+	e.events -= int64(len(h.ts))
+	delete(e.pairs, h.key)
+	h.gone = true
+	h.ts, h.paths, h.srcs, h.det, h.detN = nil, nil, nil, nil, 0
+	e.gone++
+}
+
+// pruneOrder sheds evicted pairs from the creation order; e.mu must be
+// held.
+func (e *Engine) pruneOrder() {
+	if e.gone > 0 {
+		e.order = slices.DeleteFunc(e.order, func(h *pairHistory) bool { return h.gone })
+		e.gone = 0
+	}
+}
+
+// comparePairKeys orders pair keys by (src, dst): the order of evict and
+// detected lists and of the tick's dirty pairs.
 func comparePairKeys(a, b pairKey) int {
 	return cmp.Or(strings.Compare(a.Src, b.Src), strings.Compare(a.Dst, b.Dst))
 }
 
-func sortPairKeys(keys []pairKey) {
-	slices.SortFunc(keys, comparePairKeys)
-}
-
 func sortPairs(pairs []*pairHistory) {
 	slices.SortFunc(pairs, func(a, b *pairHistory) int { return comparePairKeys(a.key, b.key) })
-}
-
-func (e *Engine) sortedPairs() []*pairHistory {
-	pairs := make([]*pairHistory, 0, len(e.pairs))
-	for _, h := range e.pairs {
-		pairs = append(pairs, h)
-	}
-	sortPairs(pairs)
-	return pairs
 }
 
 // TickResult is one incremental detection pass.
@@ -601,21 +638,15 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 		}
 		e.inc = inc
 	}
-	dirtyKeys := make([]pairKey, 0, len(e.dirty))
-	for k := range e.dirty {
-		dirtyKeys = append(dirtyKeys, k)
-	}
-	sortPairKeys(dirtyKeys)
-	changed := make([]*timeseries.ActivitySummary, 0, len(dirtyKeys))
-	known := make([]*core.Result, 0, len(dirtyKeys))
-	for _, k := range dirtyKeys {
-		h := e.pairs[k]
-		if h == nil {
-			// Dirty mark survived the pair's eviction; the removal below
-			// already unwinds it.
-			continue
-		}
-		as, err := e.buildSummary(k, h)
+	// An evicted pair leaves the list here; the removals below already
+	// unwind it from the standing analysis.
+	dirty := slices.DeleteFunc(e.dirty, func(h *pairHistory) bool { return h.gone })
+	e.dirty = dirty
+	sortPairs(dirty)
+	changed := make([]*timeseries.ActivitySummary, 0, len(dirty))
+	known := make([]*core.Result, 0, len(dirty))
+	for _, h := range dirty {
+		as, err := e.buildSummary(h)
 		if err != nil {
 			// No mark is consumed: the pairs before this one stay dirty.
 			e.mu.Unlock()
@@ -624,7 +655,10 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 		changed = append(changed, as)
 		known = append(known, h.detection())
 	}
-	clear(e.dirty)
+	for _, h := range dirty {
+		h.dirty = false
+	}
+	e.dirty = nil
 	removed := e.evicted
 	e.evicted = nil
 	stale := e.staleLocked()
@@ -638,10 +672,9 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 		// The delta was consumed even though the tick failed; re-dirty the
 		// changed pairs and re-queue the removals so the next tick retries
 		// the same delta instead of silently dropping it.
-		for _, as := range changed {
-			k := pairKey{Src: as.Source, Dst: as.Destination}
-			if _, live := e.pairs[k]; live {
-				e.dirty[k] = struct{}{}
+		for _, h := range dirty {
+			if !h.gone {
+				e.markDirty(h)
 			}
 		}
 		e.evicted = append(removed, e.evicted...)
@@ -684,7 +717,11 @@ func (e *Engine) recordDetections(res *pipeline.Result) {
 }
 
 // staleLocked lists pairs fed by an unhealthy source; e.mu must be held.
+// With every source healthy it answers without walking the store.
 func (e *Engine) staleLocked() []pipeline.PairRef {
+	if !e.unhealthyLocked() {
+		return nil
+	}
 	var stale []pipeline.PairRef
 	for k, h := range e.pairs {
 		if e.pairStaleLocked(h) {
@@ -700,8 +737,20 @@ func (e *Engine) staleLocked() []pipeline.PairRef {
 	return stale
 }
 
+// unhealthyLocked reports whether any tracked source is currently
+// unhealthy, in O(sources); e.mu must be held.
+func (e *Engine) unhealthyLocked() bool {
+	for _, healthy := range e.health {
+		if !healthy {
+			return true
+		}
+	}
+	return false
+}
+
 // pairStaleLocked reports whether any source of the pair is currently
-// unhealthy; e.mu must be held.
+// unhealthy; e.mu must be held. Callers walking many pairs consult
+// unhealthyLocked once first.
 func (e *Engine) pairStaleLocked(h *pairHistory) bool {
 	for _, name := range h.srcs {
 		if healthy, tracked := e.health[name]; tracked && !healthy {
@@ -713,10 +762,10 @@ func (e *Engine) pairStaleLocked(h *pairHistory) bool {
 
 // buildSummary materializes one pair's ActivitySummary, with a copy of the
 // pair's path sample; e.mu must be held.
-func (e *Engine) buildSummary(k pairKey, h *pairHistory) (*timeseries.ActivitySummary, error) {
-	as, err := timeseries.FromTimestamps(k.Src, k.Dst, h.ts, e.cfg.Scale)
+func (e *Engine) buildSummary(h *pairHistory) (*timeseries.ActivitySummary, error) {
+	as, err := timeseries.FromTimestamps(h.key.Src, h.key.Dst, h.ts, e.cfg.Scale)
 	if err != nil {
-		return nil, fmt.Errorf("source: summarize %s: %w", k, err)
+		return nil, fmt.Errorf("source: summarize %s: %w", h.key, err)
 	}
 	as.URLPaths = slices.Clone(h.paths)
 	return as, nil
@@ -815,26 +864,11 @@ type TimelineEntry struct {
 	Case string `json:"case,omitempty"`
 }
 
-// timelineEntryLocked builds one pair's timeline entry; e.mu must be held.
-func (e *Engine) timelineEntryLocked(k pairKey, h *pairHistory) TimelineEntry {
-	return TimelineEntry{Destination: k.Dst, Events: len(h.ts), First: h.minTS, Last: h.maxTS, Stale: e.pairStaleLocked(h)}
-}
-
-// HostTimeline returns the per-destination history of one source host,
-// sorted by destination. O(pairs): first/last come from the maintained
-// per-pair bounds, never from an event scan.
-func (e *Engine) HostTimeline(src string) []TimelineEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var out []TimelineEntry
-	for k, h := range e.pairs {
-		if k.Src != src || len(h.ts) == 0 {
-			continue
-		}
-		out = append(out, e.timelineEntryLocked(k, h))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Destination < out[j].Destination })
-	return out
+// timelineEntryLocked builds one pair's timeline entry; unhealthy is
+// unhealthyLocked's answer, taken once per walk. e.mu must be held.
+func (e *Engine) timelineEntryLocked(h *pairHistory, unhealthy bool) TimelineEntry {
+	return TimelineEntry{Destination: h.key.Dst, Events: len(h.ts), First: h.minTS, Last: h.maxTS,
+		Stale: unhealthy && e.pairStaleLocked(h)}
 }
 
 // Timelines returns every host's timeline in one pass — the query
@@ -844,11 +878,12 @@ func (e *Engine) Timelines() map[string][]TimelineEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make(map[string][]TimelineEntry)
+	unhealthy := e.unhealthyLocked()
 	for k, h := range e.pairs {
 		if len(h.ts) == 0 {
 			continue
 		}
-		out[k.Src] = append(out[k.Src], e.timelineEntryLocked(k, h))
+		out[k.Src] = append(out[k.Src], e.timelineEntryLocked(h, unhealthy))
 	}
 	for _, entries := range out {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Destination < entries[j].Destination })

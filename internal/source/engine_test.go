@@ -279,10 +279,9 @@ func TestTickSummarizeFailureKeepsDirtyMarks(t *testing.T) {
 			Event{Source: "z", Destination: "z.example", TS: 1000 + i*45})
 	}
 	eng.Apply(Batch{Source: "s", Events: events, Pos: Position{Records: int64(len(events))}})
-	bad := pairKey{Src: "m", Dst: "m.example"} // sorts between the two; no event, so no summary
 	eng.mu.Lock()
-	eng.pairs[bad] = &pairHistory{key: bad}
-	eng.dirty[bad] = struct{}{}
+	bad := eng.newPair(pairKey{Src: "m", Dst: "m.example"}, 0) // sorts between the two; no event, so no summary
+	eng.markDirty(bad)
 	eng.mu.Unlock()
 
 	if _, err := eng.Tick(context.Background()); err == nil {
@@ -290,7 +289,7 @@ func TestTickSummarizeFailureKeepsDirtyMarks(t *testing.T) {
 	}
 	eng.mu.Lock()
 	marks := len(eng.dirty)
-	delete(eng.pairs, bad)
+	eng.drop(bad)
 	eng.mu.Unlock()
 	if marks != 3 {
 		t.Fatalf("%d dirty mark(s) left after the failed tick, want all 3", marks)
@@ -334,4 +333,72 @@ func TestHostTimelineAndStaleMarking(t *testing.T) {
 	if !tl[0].Stale || !tl[1].Stale {
 		t.Fatal("pairs of an unhealthy source not marked stale")
 	}
+}
+
+// TestStaleEmptyWhileSourcesHealthy: with every tracked source healthy —
+// never reported, reported healthy, or recovered — a tick lists no stale
+// pair and no timeline entry reads stale.
+func TestStaleEmptyWhileSourcesHealthy(t *testing.T) {
+	eng, err := OpenEngine(Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"feed", "other"} {
+		eng.Apply(Batch{Source: name, Events: []Event{
+			{Source: "h1", Destination: "a.example", TS: 100 + int64(i)},
+			{Source: "h2", Destination: "b.example", TS: 150 + int64(i)},
+		}, Pos: Position{Records: 2}})
+	}
+	requireNoStale := func(what string) {
+		t.Helper()
+		if got := mustTick(t, eng).Stale; got != nil {
+			t.Fatalf("%s: tick marks %v stale, want nil", what, got)
+		}
+		for host, entries := range eng.Timelines() {
+			for _, e := range entries {
+				if e.Stale {
+					t.Fatalf("%s: %s timeline entry %+v reads stale", what, host, e)
+				}
+			}
+		}
+	}
+	requireNoStale("untracked sources")
+	eng.SetSourceHealth("feed", true)
+	requireNoStale("healthy source")
+	eng.SetSourceHealth("other", false)
+	if got := mustTick(t, eng).Stale; len(got) != 2 {
+		t.Fatalf("unhealthy source: tick marks %v stale, want both pairs", got)
+	}
+	eng.SetSourceHealth("other", true)
+	requireNoStale("recovered source")
+}
+
+// TestFailedTickRedirtiesItsPairs: a tick whose pipeline run fails —
+// here because its context is already cancelled — has consumed the dirty
+// list, so it marks every pair it took again, and the next tick analyzes
+// all of them once more and agrees with a batch run.
+func TestFailedTickRedirtiesItsPairs(t *testing.T) {
+	tr := smallTrace(t)
+	eng, err := OpenEngine(Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, tr.Catalog[:50])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAll(eng, "proxy", recordsToEvents(tr.Records), 500)
+	pairs := eng.Stats().Pairs
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.Tick(ctx); err == nil {
+		t.Fatal("a tick under a cancelled context succeeded")
+	}
+	eng.mu.Lock()
+	marks := len(eng.dirty)
+	eng.mu.Unlock()
+	if marks != pairs {
+		t.Fatalf("%d dirty mark(s) after the failed tick, want all %d pairs", marks, pairs)
+	}
+	got := mustTick(t, eng)
+	if got.Dirty != pairs {
+		t.Fatalf("tick after the failure analyzed %d pair(s), want all %d", got.Dirty, pairs)
+	}
+	sameAnalysis(t, "tick after the failure vs batch", got.Result, batchOver(t, eng))
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"os"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -157,7 +159,7 @@ func (e *Engine) sortedPairKeys() []pairKey {
 	for k := range e.pairs {
 		keys = append(keys, k)
 	}
-	sortPairKeys(keys)
+	slices.SortFunc(keys, comparePairKeys)
 	return keys
 }
 
@@ -274,5 +276,22 @@ func (c *collectSink) tsOf() []int64 {
 	for i, ev := range c.events {
 		out[i] = ev.TS
 	}
+	return out
+}
+
+// HostTimeline returns the per-destination history of one source host,
+// sorted by destination: the one-host cut of Engine.Timelines.
+func (e *Engine) HostTimeline(src string) []TimelineEntry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var out []TimelineEntry
+	unhealthy := e.unhealthyLocked()
+	for k, h := range e.pairs {
+		if k.Src != src || len(h.ts) == 0 {
+			continue
+		}
+		out = append(out, e.timelineEntryLocked(h, unhealthy))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Destination < out[j].Destination })
 	return out
 }

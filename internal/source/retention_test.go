@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -368,5 +370,108 @@ func TestDaemonSoakRetention(t *testing.T) {
 		t.Error("soak exercised no fault points")
 	} else {
 		t.Logf("retention soak: %d fault-point hits, %d evicted, %d ticks", hits, st.Evicted, st.Ticks)
+	}
+}
+
+// TestSnapshotCreationOrderSurvivesChurn: pairs go idle, are evicted and
+// come back under the same key, round after round, with a compaction every
+// few commits. Every commit reopens to the live store, and a reopened
+// engine rebuilds the live creation order; an evicted pair's history is
+// released at once, the husks left in the creation order never outnumber
+// the live pairs, and a compaction drops every husk but its own evictions'.
+func TestSnapshotCreationOrderSurvivesChurn(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir(), Lateness: 100, RetainWindows: 2, Pipeline: testPipelineCfg(t, nil)}
+	eng, err := OpenEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveOrder := func(e *Engine) []pairKey {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		var keys []pairKey
+		for _, h := range e.order {
+			if !h.gone {
+				keys = append(keys, h.key)
+			}
+		}
+		return keys
+	}
+	const keys, rounds = 12, 48
+	var husks []*pairHistory
+	evictions := map[pairKey]int{}
+	records, clock := int64(0), int64(10_000)
+	for round := 0; round < rounds; round++ {
+		// Key i is active five rounds in ten, from a phase of its own; idle
+		// for five rounds of 50 s, it trails the 200 s horizon and goes.
+		var events []Event
+		for i := 0; i < keys; i++ {
+			if (round+i)/5%2 != 0 {
+				continue
+			}
+			for j := int64(0); j < 3; j++ {
+				ev := Event{Source: fmt.Sprintf("h%d", i%4), Destination: fmt.Sprintf("d%d.example", i), TS: clock + 10*j + int64(i)}
+				if j == 1 {
+					ev.Path = fmt.Sprintf("/p%d", round%3)
+				}
+				events = append(events, ev)
+			}
+		}
+		clock += 50
+		records += int64(len(events))
+		eng.Apply(Batch{Source: "feed", Events: events, Pos: Position{Records: records}})
+
+		compact := round%4 == 3
+		eng.mu.Lock()
+		before := maps.Clone(eng.pairs)
+		eng.suspect = compact
+		eng.mu.Unlock()
+		if err := eng.Commit(); err != nil {
+			t.Fatalf("round %d: commit: %v", round, err)
+		}
+		eng.mu.Lock()
+		for k, h := range before {
+			if eng.pairs[k] == nil {
+				husks = append(husks, h)
+				evictions[k]++
+			}
+		}
+		for _, h := range husks {
+			if !h.gone || h.ts != nil || h.paths != nil || h.srcs != nil || h.det != nil {
+				t.Fatalf("round %d: evicted pair %s still holds its history (%d events)", round, h.key, len(h.ts))
+			}
+		}
+		if 2*eng.gone > len(eng.order) || len(eng.order)-eng.gone != len(eng.pairs) {
+			t.Fatalf("round %d: creation order holds %d entries, %d of them evicted, for %d live pairs",
+				round, len(eng.order), eng.gone, len(eng.pairs))
+		}
+		for _, h := range eng.order {
+			if compact && h.gone && before[h.key] != h {
+				t.Fatalf("round %d: the compaction kept an older husk of %s", round, h.key)
+			}
+		}
+		eng.mu.Unlock()
+
+		re := reopenCopy(t, cfg)
+		requireSameState(t, fmt.Sprintf("round %d: reopen", round), stateOf(t, re), stateOf(t, eng))
+		if got, want := liveOrder(re), liveOrder(eng); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: reopened creation order %v, live %v", round, got, want)
+		}
+		if round%6 == 5 {
+			mustTick(t, eng)
+			eng.mu.Lock()
+			if len(eng.dirty) != 0 {
+				t.Fatalf("round %d: %d dirty mark(s) survive a tick", round, len(eng.dirty))
+			}
+			eng.mu.Unlock()
+		}
+	}
+	again := 0
+	for _, n := range evictions {
+		if n >= 2 {
+			again++
+		}
+	}
+	if st := eng.Stats(); again < keys/2 || st.Compactions < rounds/4 {
+		t.Fatalf("churn too tame: %d key(s) evicted twice or more, stats %+v", again, st)
 	}
 }

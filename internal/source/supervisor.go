@@ -142,7 +142,7 @@ func (s *supervisor) status() SourceStatus {
 }
 
 // superSink is the sink the supervisor hands its connector: it beats the
-// watchdog, applies batches to the engine, books progress, and triggers
+// watchdog, applies batches to the engine, books progress, and requests
 // record-count commits.
 type superSink struct{ s *supervisor }
 

@@ -55,7 +55,7 @@ func fullRecompute(ctx context.Context, e *Engine) (*pipeline.Result, error) {
 	keys := e.sortedPairKeys()
 	summaries := make([]*timeseries.ActivitySummary, 0, len(keys))
 	for _, k := range keys {
-		as, err := e.buildSummary(k, e.pairs[k])
+		as, err := e.buildSummary(e.pairs[k])
 		if err != nil {
 			e.mu.Unlock()
 			return nil, err

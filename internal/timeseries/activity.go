@@ -11,7 +11,7 @@ package timeseries
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ErrNoEvents is returned when building a summary from an empty timestamp
@@ -110,8 +110,13 @@ func FromTimestamps(source, destination string, ts []int64, scale int64) (*Activ
 	if scale <= 0 {
 		return nil, fmt.Errorf("timeseries: scale must be positive, got %d", scale)
 	}
-	sorted := append([]int64(nil), ts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// Arrival order is almost always time order already; only an
+	// out-of-order history pays for a copy and a sort.
+	sorted := ts
+	if !slices.IsSorted(ts) {
+		sorted = slices.Clone(ts)
+		slices.Sort(sorted)
+	}
 
 	first := (sorted[0] / scale) * scale
 	var intervals []int64

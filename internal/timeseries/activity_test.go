@@ -60,6 +60,57 @@ func TestFromTimestampsUnsortedInput(t *testing.T) {
 	}
 }
 
+// TestFromTimestampsMatchesSortReference: already-sorted, shuffled and
+// duplicate-heavy inputs build the summary a sort-then-difference
+// reference builds, at several scales, and the input is never reordered.
+func TestFromTimestampsMatchesSortReference(t *testing.T) {
+	reference := func(ts []int64, scale int64) *ActivitySummary {
+		sorted := append([]int64(nil), ts...)
+		for i := 1; i < len(sorted); i++ { // insertion sort: no shared code with the function under test
+			for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
+				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+			}
+		}
+		var intervals []int64
+		for i := 1; i < len(sorted); i++ {
+			intervals = append(intervals, sorted[i]/scale-sorted[i-1]/scale)
+		}
+		return &ActivitySummary{Source: "s", Destination: "d", Scale: scale, First: sorted[0] / scale * scale, Intervals: intervals}
+	}
+	rng := rand.New(rand.NewSource(7))
+	inputs := map[string][]int64{"single": {42}}
+	sorted := make([]int64, 300)
+	for i := range sorted {
+		sorted[i] = 1_000_000 + int64(i)*60 + rng.Int63n(5)
+	}
+	inputs["sorted"] = sorted
+	shuffled := append([]int64(nil), sorted...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	inputs["shuffled"] = shuffled
+	dups := make([]int64, 400)
+	for i := range dups {
+		dups[i] = 5000 + rng.Int63n(4)*30
+	}
+	inputs["duplicate-heavy"] = dups
+	inputs["sorted-duplicates"] = []int64{7, 7, 7, 8, 8, 120, 120}
+	inputs["one-late"] = append(append([]int64(nil), sorted[:200]...), sorted[10])
+	for name, ts := range inputs {
+		before := append([]int64(nil), ts...)
+		for _, scale := range []int64{1, 7, 60} {
+			got, err := FromTimestamps("s", "d", ts, scale)
+			if err != nil {
+				t.Fatalf("%s scale %d: %v", name, scale, err)
+			}
+			if want := reference(ts, scale); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s scale %d:\n got %+v\nwant %+v", name, scale, got, want)
+			}
+		}
+		if !reflect.DeepEqual(ts, before) {
+			t.Fatalf("%s: input reordered", name)
+		}
+	}
+}
+
 func TestFromTimestampsQuantization(t *testing.T) {
 	// Scale 60: 100->1, 130->2... timestamps quantized to minute buckets.
 	ts := []int64{100, 130, 190, 400}
