@@ -313,6 +313,11 @@ func (r *frameReader) u64() uint64 {
 	return v
 }
 
+// minPairEntryLen is the fewest bytes a frame's pair entry takes: two
+// string lengths, an event count, one event and two more counts, each at
+// least a byte.
+const minPairEntryLen = 6
+
 // replayFrame applies one frame's payload to the engine: the header
 // replaces the accounting, evicted pairs leave the store, and each pair
 // delta goes through pairHistory.add, addPath and addSource — the appends
@@ -346,7 +351,18 @@ func (e *Engine) replayFrame(payload []byte) error {
 		}
 	}
 
-	for n := r.count(); n > 0 && r.err == nil; n-- {
+	n := r.count()
+	if n > len(r.buf)/minPairEntryLen {
+		r.fail("pair count exceeds frame")
+	}
+	if r.err == nil && len(e.pairs) == 0 && len(e.order) == 0 {
+		// The first frame of a log is a snapshot: size the store for it
+		// once instead of growing it a pair at a time. The check above
+		// bounds the allocation by the frame's length.
+		e.pairs = make(map[pairKey]*pairHistory, n)
+		e.order = make([]*pairHistory, 0, n)
+	}
+	for ; n > 0 && r.err == nil; n-- {
 		k := pairKey{Src: r.str(), Dst: r.str()}
 		events := r.count()
 		if r.err == nil && events == 0 {

@@ -8,7 +8,6 @@ import (
 	"maps"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -96,6 +95,21 @@ type pairHistory struct {
 	// dirty is set while the pair is on the engine's dirty list; gone once
 	// retention evicted it, after which the engine's lists shed it.
 	dirty, gone bool
+	// shown is set while the published /host timelines show the pair's
+	// current history; host is the index entry the publisher filed the
+	// pair under (nil until it first publishes after the pair's creation).
+	shown bool
+	host  *hostPairs
+}
+
+// hostPairs is one source host's entry in the publisher's index: the
+// host's pairs, in no particular order and possibly holding evicted husks
+// until the host's next rebuild, and whether the host is queued on the
+// engine's changedHosts list.
+type hostPairs struct {
+	name    string
+	pairs   []*pairHistory
+	changed bool
 }
 
 // detection returns the stored detection if it covers the whole history.
@@ -165,6 +179,17 @@ type Engine struct {
 	order []*pairHistory
 	dirty []*pairHistory
 	gone  int
+
+	// Host index for the query publisher (publishTimelines), built on the
+	// publisher's side so Apply only tests one flag. order[:indexed] are
+	// filed in hosts; changedHosts lists the hosts with a pair changed,
+	// evicted or newly filed since the last publish, each once
+	// (hostPairs.changed). pubUnhealthy is whether a source was unhealthy
+	// at the last publish, whose stale marks are then out of date.
+	hosts        map[string]*hostPairs
+	changedHosts []*hostPairs
+	indexed      int
+	pubUnhealthy bool
 
 	// Checkpoint log state. touched lists the pairs holding events no
 	// frame has yet (len(ts) > committed), each once and in the order they
@@ -304,6 +329,7 @@ func newEngine(cfg Config) *Engine {
 	return &Engine{
 		cfg:     cfg,
 		pairs:   make(map[pairKey]*pairHistory),
+		hosts:   make(map[string]*hostPairs),
 		unsaved: make(map[pairKey]struct{}),
 		pos:     make(map[string]Position),
 		health:  make(map[string]bool),
@@ -393,6 +419,10 @@ func (e *Engine) Apply(b Batch) int {
 			e.maxTS = ev.TS
 		}
 		e.markDirty(h)
+		if h.shown {
+			h.shown = false
+			e.markHost(h.host)
+		}
 		applied++
 	}
 	if b.Pos.Records >= cur.Records {
@@ -558,24 +588,47 @@ func (e *Engine) markDirty(h *pairHistory) {
 	}
 }
 
+// markHost queues hp for the next publish's rebuild; e.mu must be held.
+func (e *Engine) markHost(hp *hostPairs) {
+	if !hp.changed {
+		hp.changed = true
+		e.changedHosts = append(e.changedHosts, hp)
+	}
+}
+
 // drop removes an evicted pair from the store and releases its history, so
-// the order and dirty lists that still point at it keep only the husk
-// until they shed it; e.mu must be held.
+// the order, dirty and host lists that still point at it keep only the
+// husk until they shed it; e.mu must be held.
 func (e *Engine) drop(h *pairHistory) {
 	e.events -= int64(len(h.ts))
 	delete(e.pairs, h.key)
 	h.gone = true
 	h.ts, h.paths, h.srcs, h.det, h.detN = nil, nil, nil, nil, 0
 	e.gone++
+	if h.host != nil {
+		e.markHost(h.host)
+	}
 }
 
-// pruneOrder sheds evicted pairs from the creation order; e.mu must be
+// pruneOrder sheds evicted pairs from the creation order, keeping the
+// publisher's cursor on the first pair it has not filed; e.mu must be
 // held.
 func (e *Engine) pruneOrder() {
-	if e.gone > 0 {
-		e.order = slices.DeleteFunc(e.order, func(h *pairHistory) bool { return h.gone })
-		e.gone = 0
+	if e.gone == 0 {
+		return
 	}
+	kept, indexed := e.order[:0], 0
+	for i, h := range e.order {
+		if h.gone {
+			continue
+		}
+		if i < e.indexed {
+			indexed++
+		}
+		kept = append(kept, h)
+	}
+	clear(e.order[len(kept):])
+	e.order, e.indexed, e.gone = kept, indexed, 0
 }
 
 // comparePairKeys orders pair keys by (src, dst): the order of evict and
@@ -728,11 +781,8 @@ func (e *Engine) staleLocked() []pipeline.PairRef {
 			stale = append(stale, pipeline.PairRef{Source: k.Src, Destination: k.Dst})
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool {
-		if stale[i].Source != stale[j].Source {
-			return stale[i].Source < stale[j].Source
-		}
-		return stale[i].Destination < stale[j].Destination
+	slices.SortFunc(stale, func(a, b pipeline.PairRef) int {
+		return comparePairKeys(pairKey{Src: a.Source, Dst: a.Destination}, pairKey{Src: b.Source, Dst: b.Destination})
 	})
 	return stale
 }
@@ -760,14 +810,17 @@ func (e *Engine) pairStaleLocked(h *pairHistory) bool {
 	return false
 }
 
-// buildSummary materializes one pair's ActivitySummary, with a copy of the
-// pair's path sample; e.mu must be held.
+// buildSummary materializes one pair's ActivitySummary; e.mu must be held.
+// The summary shares the pair's path sample instead of copying it: the
+// sample only ever grows by appending, a summary is never modified once
+// Tick has it, and the slice is handed over at full capacity, so an append
+// on either side reallocates rather than writing into the other's view.
 func (e *Engine) buildSummary(h *pairHistory) (*timeseries.ActivitySummary, error) {
 	as, err := timeseries.FromTimestamps(h.key.Src, h.key.Dst, h.ts, e.cfg.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("source: summarize %s: %w", h.key, err)
 	}
-	as.URLPaths = slices.Clone(h.paths)
+	as.URLPaths = h.paths[:len(h.paths):len(h.paths)]
 	return as, nil
 }
 
@@ -871,9 +924,13 @@ func (e *Engine) timelineEntryLocked(h *pairHistory, unhealthy bool) TimelineEnt
 		Stale: unhealthy && e.pairStaleLocked(h)}
 }
 
-// Timelines returns every host's timeline in one pass — the query
-// layer's per-generation snapshot source, so a scrape never walks the
-// store once per host.
+// byDestination orders one host's timeline entries.
+func byDestination(a, b TimelineEntry) int { return strings.Compare(a.Destination, b.Destination) }
+
+// Timelines returns every host's timeline, materialized from the whole
+// store in one pass. It is the reference the daemon's incremental publish
+// (publishTimelines) must equal, and what bench's traced `driver` times as
+// its publish step; the daemon itself never calls it.
 func (e *Engine) Timelines() map[string][]TimelineEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -886,7 +943,70 @@ func (e *Engine) Timelines() map[string][]TimelineEntry {
 		out[k.Src] = append(out[k.Src], e.timelineEntryLocked(h, unhealthy))
 	}
 	for _, entries := range out {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Destination < entries[j].Destination })
+		slices.SortFunc(entries, byDestination)
 	}
 	return out
+}
+
+// publishTimelines returns the next query generation's host timelines:
+// prev, the map the previous call returned, with the hosts whose pairs
+// changed since then rebuilt from the live store and every other host's
+// slice shared. rebuilt names the hosts whose slices are new (a host left
+// with no pair is absent from the map); only those may be written, and
+// only before the map is published. Every host is rebuilt when prev is nil
+// or when a source is unhealthy now or was at the previous call, since
+// stale marks follow health rather than pair changes. The engine keeps one
+// publisher's marks: prev must be nil or the previous call's result.
+func (e *Engine) publishTimelines(prev map[string][]TimelineEntry) (next map[string][]TimelineEntry, rebuilt []string) {
+	// The copy of the shared slice headers is O(hosts) and reads nothing
+	// of the engine's, so it is made before taking the lock.
+	next = maps.Clone(prev)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, h := range e.order[e.indexed:] {
+		if h.gone {
+			continue
+		}
+		hp := e.hosts[h.key.Src]
+		if hp == nil {
+			hp = &hostPairs{name: h.key.Src}
+			e.hosts[hp.name] = hp
+		}
+		hp.pairs = append(hp.pairs, h)
+		h.host = hp
+		e.markHost(hp)
+	}
+	e.indexed = len(e.order)
+
+	unhealthy := e.unhealthyLocked()
+	hosts := e.changedHosts
+	if next == nil || unhealthy || e.pubUnhealthy {
+		next = make(map[string][]TimelineEntry, len(e.hosts))
+		hosts = hosts[:0]
+		for _, hp := range e.hosts {
+			hosts = append(hosts, hp)
+		}
+	}
+	e.pubUnhealthy = unhealthy
+	rebuilt = make([]string, 0, len(hosts))
+	for _, hp := range hosts {
+		hp.changed = false
+		hp.pairs = slices.DeleteFunc(hp.pairs, func(h *pairHistory) bool { return h.gone })
+		if len(hp.pairs) == 0 {
+			delete(e.hosts, hp.name)
+			delete(next, hp.name)
+			continue
+		}
+		entries := make([]TimelineEntry, len(hp.pairs))
+		for i, h := range hp.pairs {
+			h.shown = true
+			entries[i] = e.timelineEntryLocked(h, unhealthy)
+		}
+		slices.SortFunc(entries, byDestination)
+		next[hp.name] = entries
+		rebuilt = append(rebuilt, hp.name)
+	}
+	clear(hosts)
+	e.changedHosts = hosts[:0]
+	return next, rebuilt
 }

@@ -183,7 +183,6 @@ func (f *FileFollower) tail(ctx context.Context, file *os.File, name string, sin
 				if err := sink.Deliver(Batch{Source: name, Events: events, Skipped: skipped, Pos: *pos}); err != nil {
 					return false, err
 				}
-				events = make([]Event, 0, maxBatch)
 			}
 			continue
 		}

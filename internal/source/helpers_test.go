@@ -5,7 +5,6 @@ import (
 	"os"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -292,6 +291,6 @@ func (e *Engine) HostTimeline(src string) []TimelineEntry {
 		}
 		out = append(out, e.timelineEntryLocked(h, unhealthy))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Destination < out[j].Destination })
+	slices.SortFunc(out, byDestination)
 	return out
 }

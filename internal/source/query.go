@@ -65,11 +65,16 @@ type statusPayload struct {
 // atomically. Handlers only ever read from it — a scrape storm costs
 // zero recomputation and never touches the engine mutex.
 type querySnapshot struct {
-	gen       int64
-	etag      string // strong ETag: `"<generation>"`
-	ranked    []RankedEntry
+	gen    int64
+	etag   string // strong ETag: `"<generation>"`
+	ranked []RankedEntry
+	// timelines shares every host's slice that did not change with the
+	// previous generation's map; none is written once published.
 	timelines map[string][]TimelineEntry
-	status    statusPayload
+	// labelsAt is the casefile reload count the timelines were labelled
+	// under.
+	labelsAt int64
+	status   statusPayload
 }
 
 // caseLabelCache re-reads the casefile labels only when the file
@@ -80,29 +85,32 @@ type caseLabelCache struct {
 	size    int64
 	loaded  bool
 	labels  map[string]int
+	reloads int64 // successful reads so far
 	lastErr string
 }
 
-// labels returns the current casefile verdicts (nil when unconfigured or
-// unreadable). A read failure keeps the previous labels and logs once
-// per distinct error.
-func (d *Daemon) caseLabels() map[string]int {
+// caseLabels returns the current casefile verdicts (nil when unconfigured
+// or unreadable) and how many times they have been read, which changes
+// exactly when the verdicts may have. A read failure keeps the previous
+// labels and logs once per distinct error.
+func (d *Daemon) caseLabels() (map[string]int, int64) {
 	path := d.cfg.CasefilePath
 	if path == "" {
-		return nil
+		return nil, 0
 	}
 	c := &d.cases
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fi, err := os.Stat(path)
 	if err == nil && c.loaded && fi.ModTime().Equal(c.mtime) && fi.Size() == c.size {
-		return c.labels
+		return c.labels, c.reloads
 	}
 	if err == nil {
 		labels, lerr := casefile.ReadLabels(path)
 		if lerr == nil {
 			c.labels, c.mtime, c.size, c.loaded, c.lastErr = labels, fi.ModTime(), fi.Size(), true, ""
-			return c.labels
+			c.reloads++
+			return c.labels, c.reloads
 		}
 		err = lerr
 	}
@@ -110,7 +118,7 @@ func (d *Daemon) caseLabels() map[string]int {
 		c.lastErr = msg
 		d.logf("casefile labels unavailable: %v", err)
 	}
-	return c.labels
+	return c.labels, c.reloads
 }
 
 func caseVerdict(labels map[string]int, src, dst string) string {
@@ -131,11 +139,13 @@ func caseVerdict(labels map[string]int, src, dst string) string {
 
 // publishQuerySnapshot computes the next query generation from the
 // latest tick result and current engine accounting, and swaps it in.
-// Called once at daemon construction and once per tick interval.
+// Called once at daemon construction and then once per tick interval from
+// the daemon loop, never concurrently: each generation's timelines are
+// the previous one's with only the changed hosts rebuilt.
 func (d *Daemon) publishQuerySnapshot() {
 	gen := d.gen.Add(1)
-	labels := d.caseLabels()
-	qs := &querySnapshot{gen: gen, etag: `"` + strconv.FormatInt(gen, 10) + `"`}
+	labels, reloads := d.caseLabels()
+	qs := &querySnapshot{gen: gen, etag: `"` + strconv.FormatInt(gen, 10) + `"`, labelsAt: reloads}
 
 	snap := d.Snapshot()
 	if snap != nil {
@@ -165,9 +175,16 @@ func (d *Daemon) publishQuerySnapshot() {
 		}
 	}
 
-	qs.timelines = d.eng.Timelines()
+	// A reload may change any host's labels, so it rebuilds them all.
+	var prev map[string][]TimelineEntry
+	if last := d.querySnap(); last != nil && last.labelsAt == reloads {
+		prev = last.timelines
+	}
+	var rebuilt []string
+	qs.timelines, rebuilt = d.eng.publishTimelines(prev)
 	if labels != nil {
-		for src, entries := range qs.timelines {
+		for _, src := range rebuilt {
+			entries := qs.timelines[src]
 			for i := range entries {
 				entries[i].Case = caseVerdict(labels, src, entries[i].Destination)
 			}

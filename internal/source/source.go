@@ -88,7 +88,9 @@ type Batch struct {
 // forwarding batches to the engine.
 type Sink interface {
 	// Deliver hands one batch over; a non-nil error aborts the
-	// connector's current run (the supervisor restarts it).
+	// connector's current run (the supervisor restarts it). Deliver must
+	// not retain b.Events after it returns: a connector reuses the slice
+	// for its next batch.
 	Deliver(b Batch) error
 	// Alive reports liveness without data — an idle poll cycle, a quiet
 	// connection — so the watchdog distinguishes an idle source from a
