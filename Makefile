@@ -85,7 +85,57 @@ BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch
 	-noise 'BenchmarkCommitDelta:0.35' -noise 'BenchmarkCommitFull:0.35' \
 	-noise 'BenchmarkRestartFirstTick/warm:0.35' -noise 'BenchmarkRestartFirstTick/cold:0.25'
 
-.PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke
+.PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke \
+	named-runs-exist test-front-half test-stored-detections
+
+# The named re-runs: test lists CI runs again by name after make check, so
+# a divergence shows as its own line in the CI summary (see ci.yml for
+# what each list pins). Each list runs as one unanchored -run alternation
+# over its packages. A -run regex that matches nothing passes silently,
+# so named-runs-exist fails when a name here is no test of its packages.
+FRONT_HALF_TESTS := TestGoldenFunnel TestGoldenSummaries TestRunStreamMatchesRun \
+	TestRunSeparatorPairsStayDistinct TestWholeFileReadersMatchReference \
+	TestIngestReportsFailingShardNotCancelledSibling
+FRONT_HALF_PKGS := ./internal/pipeline ./internal/proxylog ./internal/ingest
+STORED_DETECTION_TESTS := TestDeltaLogMatchesCompaction TestRestartDetectsOncePerHistory \
+	TestEvictedPairNeverInheritsDetection TestRestoredPairsMarkedStale \
+	TestReplayRejectsBadSampleOrSource TestInternRepeatedLinesAllocateOnlyPaths \
+	TestInternSlotCollision TestInternSkipsLongFields TestDeliveredEventsOutliveReadBuffer \
+	TestHTTPIngestConcurrentProducers TestResultCodecRoundTrip TestCountCommitBoundWhileLoopBusy \
+	TestCountCommitRunsOnDaemonLoop TestSnapshotCreationOrderSurvivesChurn \
+	TestStaleEmptyWhileSourcesHealthy TestFromTimestampsMatchesSortReference \
+	TestPublishMatchesTimelines TestPublishedGenerationsImmutable \
+	TestPublishAllocsIndependentOfStoreSize TestSummaryPathSampleNotAliased \
+	TestReplayPairCountBoundedByFrame TestLineFramerChunkingInvariant \
+	TestSocketOverlongLineBounded TestFollowIdleBackoffSchedule TestFollowMissingPathBackoff \
+	TestFollowRotationReadsOldFileToEnd TestFollowWakeOnAppend TestFollowWakeAfterRename
+STORED_DETECTION_PKGS := ./internal/source ./internal/core ./internal/timeseries
+
+empty :=
+space := $(empty) $(empty)
+# runregex joins a list of test names into one -run alternation.
+runregex = $(subst $(space),|,$(strip $(1)))
+
+# names_exist fails, naming each, when a test name in $(1) is not listed
+# by go test -list in the packages $(2).
+define names_exist
+listed=$$($(GO) test -list '.*' $(2)) || exit 1; \
+missing=0; \
+for name in $(strip $(1)); do \
+	printf '%s\n' "$$listed" | grep -qx "$$name" || { echo "named re-run $$name matches no test in $(2)"; missing=1; }; \
+done; \
+exit $$missing
+endef
+
+named-runs-exist:
+	@$(call names_exist,$(FRONT_HALF_TESTS),$(FRONT_HALF_PKGS))
+	@$(call names_exist,$(STORED_DETECTION_TESTS),$(STORED_DETECTION_PKGS))
+
+test-front-half:
+	$(GO) test -count=1 -run '$(call runregex,$(FRONT_HALF_TESTS))' $(FRONT_HALF_PKGS)
+
+test-stored-detections:
+	$(GO) test -count=1 -run '$(call runregex,$(STORED_DETECTION_TESTS))' $(STORED_DETECTION_PKGS)
 
 # check is the CI entry point: vet, build, the full test suite under the
 # race detector (the fault-injection and crash-recovery tests exercise real

@@ -38,7 +38,13 @@ type FileFollower struct {
 	Path string
 	// SourceName overrides the connector name (default: base of Path).
 	SourceName string
-	// PollInterval is the idle re-check cadence at EOF (default 200ms).
+	// PollInterval is the longest idle re-check at EOF (default 200ms).
+	// The follower backs off to it: after a read that returned bytes the
+	// next check comes PollInterval/16 later, and each consecutive empty
+	// check doubles the wait up to PollInterval, so a growing file is read
+	// within PollInterval/16 of an append and an idle one costs at most
+	// four checks more than a fixed PollInterval would. A path missing
+	// after a rotation is re-checked on the same schedule.
 	PollInterval time.Duration
 	// MaxLineBytes bounds one line (default 1 MiB); an overlong line is
 	// discarded up to its newline and counted as skipped.
@@ -66,6 +72,32 @@ func fileID(fi os.FileInfo) (dev, ino uint64, ok bool) {
 	return uint64(st.Dev), uint64(st.Ino), true
 }
 
+// idleBackoff is the follower's wait between checks at EOF: it starts at
+// a sixteenth of the poll interval and doubles with each consecutive empty
+// check up to the interval itself; a read that returned bytes, or a
+// reopen, starts it over.
+type idleBackoff struct {
+	max, next time.Duration
+}
+
+func newIdleBackoff(max time.Duration) idleBackoff {
+	return idleBackoff{max: max, next: max / 16}
+}
+
+// reset starts the schedule over at its floor.
+func (b *idleBackoff) reset() { b.next = b.max / 16 }
+
+// wait returns the next idle wait and advances the schedule.
+func (b *idleBackoff) wait() time.Duration {
+	d := b.next
+	b.next = min(2*d, b.max)
+	return d
+}
+
+// followSleep is the follower's idle wait; tests swap it to record the
+// backoff schedule without sleeping.
+var followSleep = sleepCtx
+
 // Run implements Connector. It returns ctx's cause when asked to stop and
 // the underlying failure otherwise; the supervisor restarts it with the
 // engine's current position either way.
@@ -77,19 +109,21 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 	}
 	maxLine := f.MaxLineBytes
 	if maxLine <= 0 {
-		maxLine = 1 << 20
+		maxLine = maxLineBytes
 	}
 	maxBatch := f.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = 4096
 	}
 
-	pos := resume
-	chunk := make([]byte, 64<<10)
-	var pending []byte
-	lines := new(lineParser)
-	discarding := false // inside an overlong line, dropping until its newline
-
+	t := &tailer{
+		path: f.Path, name: name, sink: sink, pos: resume,
+		chunk:  make([]byte, 64<<10),
+		events: make([]Event, 0, maxBatch),
+		lines:  new(lineParser),
+		framer: lineFramer{max: maxLine},
+		idle:   newIdleBackoff(poll),
+	}
 	for {
 		if ctx.Err() != nil {
 			return ctxCause(ctx)
@@ -104,26 +138,28 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 				// Rotation race: the old file is gone and the new one has
 				// not appeared yet. Wait it out.
 				sink.Alive()
-				if err := sleepCtx(ctx, poll); err != nil {
+				if err := followSleep(ctx, t.idle.wait()); err != nil {
 					return err
 				}
 				continue
 			}
 			return fmt.Errorf("source: open %s: %w", f.Path, err)
 		}
+		t.idle.reset()
 		fi, err := file.Stat()
 		if err != nil {
 			file.Close()
 			return fmt.Errorf("source: stat %s: %w", f.Path, err)
 		}
 		dev, ino, idOK := fileID(fi)
+		pos := &t.pos
 		sameFile := idOK && pos.Dev == dev && pos.Inode == ino
 		if !idOK {
 			// No identity available: trust the offset while the file is at
 			// least as large as it (the size-shrink heuristic).
 			sameFile = pos.Offset > 0 && fi.Size() >= pos.Offset
 		}
-		var readOff int64
+		t.readOff = 0
 		if sameFile && pos.Offset > 0 {
 			if fi.Size() < pos.Offset {
 				// Truncated while we were away; the committed tail is gone.
@@ -136,17 +172,16 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 				file.Close()
 				return fmt.Errorf("source: seek %s: %w", f.Path, err)
 			} else {
-				readOff = pos.Offset
+				t.readOff = pos.Offset
 			}
 		} else {
 			pos.Offset = 0
 		}
 		pos.Dev, pos.Inode = dev, ino
-		pending = pending[:0]
-		discarding = false
+		t.framer.reset()
 
 		// ---- tail loop over the open handle -----------------------------
-		reopen, err := f.tail(ctx, file, name, sink, &pos, &readOff, &pending, &discarding, chunk, lines, poll, maxLine, maxBatch)
+		reopen, err := t.tail(ctx, file)
 		file.Close()
 		if err != nil {
 			return err
@@ -157,127 +192,117 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 	}
 }
 
+// tailer is one Run's read state, kept across the reopens of a rotating
+// file.
+type tailer struct {
+	path string
+	name string
+	sink Sink
+	pos  Position
+	// readOff is the open handle's read offset; the delivered position
+	// trails it by the unterminated tail the framer holds.
+	readOff int64
+	chunk   []byte
+	events  []Event
+	lines   *lineParser
+	framer  lineFramer
+	idle    idleBackoff
+}
+
+// consume frames the n bytes just read into chunk and delivers them.
+func (t *tailer) consume(n int) error {
+	t.readOff += int64(n)
+	var skipped int
+	t.events, skipped = t.framer.scan(t.chunk[:n], t.events[:0], t.lines)
+	return t.deliver(skipped)
+}
+
+// deliver hands the sink the events and skips of one read, if any.
+func (t *tailer) deliver(skipped int) error {
+	if len(t.events) == 0 && skipped == 0 {
+		return nil
+	}
+	t.pos.Records += int64(len(t.events))
+	t.pos.Skipped += int64(skipped)
+	t.pos.Offset = t.readOff - int64(len(t.framer.pending))
+	return t.sink.Deliver(Batch{Source: t.name, Events: t.events, Skipped: skipped, Pos: t.pos})
+}
+
 // tail reads the open handle to EOF repeatedly, delivering complete
 // lines, until the context ends (reopen=false), the file is rotated or
 // truncated (reopen=true), or a read/deliver fails (err != nil).
-func (f *FileFollower) tail(ctx context.Context, file *os.File, name string, sink Sink,
-	pos *Position, readOff *int64, pending *[]byte, discarding *bool,
-	chunk []byte, lines *lineParser, poll time.Duration, maxLine, maxBatch int) (reopen bool, err error) {
-	events := make([]Event, 0, maxBatch)
+func (t *tailer) tail(ctx context.Context, file *os.File) (reopen bool, err error) {
+	path, pos := t.path, &t.pos
 	for {
 		if ctx.Err() != nil {
 			return false, ctxCause(ctx)
 		}
-		if err := faultCheck(faultinject.PointSourceFollowRead, name); err != nil {
-			return false, fmt.Errorf("source: read %s: %w", f.Path, err)
+		if err := faultCheck(faultinject.PointSourceFollowRead, t.name); err != nil {
+			return false, fmt.Errorf("source: read %s: %w", path, err)
 		}
-		n, rerr := file.Read(chunk)
+		n, rerr := file.Read(t.chunk)
 		if n > 0 {
-			*readOff += int64(n)
-			events = events[:0]
-			skipped := f.scanLines(chunk[:n], &events, pending, discarding, lines, maxLine)
-			if len(events) > 0 || skipped > 0 {
-				pos.Records += int64(len(events))
-				pos.Skipped += int64(skipped)
-				pos.Offset = *readOff - int64(len(*pending))
-				if err := sink.Deliver(Batch{Source: name, Events: events, Skipped: skipped, Pos: *pos}); err != nil {
-					return false, err
-				}
+			// The writer is active: the next empty check comes soon, even
+			// when these bytes end mid-line.
+			t.idle.reset()
+			if err := t.consume(n); err != nil {
+				return false, err
 			}
 			continue
 		}
 		if rerr != nil && rerr != io.EOF {
-			return false, fmt.Errorf("source: read %s: %w", f.Path, rerr)
+			return false, fmt.Errorf("source: read %s: %w", path, rerr)
 		}
 		// EOF: decide between idle wait, rotation and truncation.
-		cur, serr := os.Stat(f.Path)
+		cur, serr := os.Stat(path)
 		curDev, curIno, curOK := uint64(0), uint64(0), false
 		if serr == nil {
 			curDev, curIno, curOK = fileID(cur)
 		}
 		rotated := serr != nil || (curOK && (curDev != pos.Dev || curIno != pos.Inode))
 		if rotated {
-			if err := faultCheck(faultinject.PointSourceFollowRotate, name); err != nil {
-				return false, fmt.Errorf("source: rotate %s: %w", f.Path, err)
+			if err := faultCheck(faultinject.PointSourceFollowRotate, t.name); err != nil {
+				return false, fmt.Errorf("source: rotate %s: %w", path, err)
 			}
-			// The writer finished with this file; its unterminated tail is
-			// the final line.
-			if len(*pending) > 0 && !*discarding {
-				events = events[:0]
-				var skipped int
-				events, skipped = lines.appendLineEvents(events, *pending)
-				pos.Records += int64(len(events))
-				pos.Skipped += int64(skipped)
-				pos.Offset = *readOff
-				if err := sink.Deliver(Batch{Source: name, Events: events, Skipped: skipped, Pos: *pos}); err != nil {
+			// The writer may have appended between the last read and the
+			// stat: read the old file to its end before leaving it.
+			for {
+				// A read error ends the drain as EOF does: the file is being
+				// left either way.
+				n, _ := file.Read(t.chunk)
+				if n == 0 {
+					break
+				}
+				if err := t.consume(n); err != nil {
 					return false, err
 				}
 			}
-			*pending = (*pending)[:0]
-			*discarding = false
+			// The writer finished with this file; its unterminated tail is
+			// the final line.
+			var skipped int
+			t.events, skipped = t.framer.flush(t.events[:0], t.lines)
+			if err := t.deliver(skipped); err != nil {
+				return false, err
+			}
 			pos.Offset, pos.Dev, pos.Inode = 0, 0, 0
+			t.idle.reset() // a successor not there yet is re-checked from the floor
 			return true, nil
 		}
-		if serr == nil && cur.Size() < *readOff-int64(len(*pending)) {
+		if serr == nil && cur.Size() < t.readOff-int64(len(t.framer.pending)) {
 			// Shrunk in place below the last committed line boundary:
 			// copytruncate. The partial tail is unrecoverable.
-			if err := faultCheck(faultinject.PointSourceFollowTruncate, name); err != nil {
-				return false, fmt.Errorf("source: truncate %s: %w", f.Path, err)
+			if err := faultCheck(faultinject.PointSourceFollowTruncate, t.name); err != nil {
+				return false, fmt.Errorf("source: truncate %s: %w", path, err)
 			}
-			*pending = (*pending)[:0]
-			*discarding = false
+			t.framer.reset()
 			pos.Offset = 0
 			return true, nil
 		}
-		sink.Alive()
-		if err := sleepCtx(ctx, poll); err != nil {
+		t.sink.Alive()
+		if err := followSleep(ctx, t.idle.wait()); err != nil {
 			return false, err
 		}
 	}
-}
-
-// scanLines splits data into complete lines (carrying the partial tail in
-// pending across calls), parses each into events, and returns the number
-// of lines skipped (malformed or overlong).
-func (f *FileFollower) scanLines(data []byte, events *[]Event, pending *[]byte, discarding *bool, lines *lineParser, maxLine int) int {
-	skipped := 0
-	for len(data) > 0 {
-		nl := -1
-		for i, b := range data {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			if *discarding {
-				return skipped
-			}
-			*pending = append(*pending, data...)
-			if len(*pending) > maxLine {
-				// Overlong line: drop what we have and skip to its newline.
-				*pending = (*pending)[:0]
-				*discarding = true
-				skipped++
-			}
-			return skipped
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if *discarding {
-			// The tail of the overlong line, already counted.
-			*discarding = false
-			continue
-		}
-		if len(*pending) > 0 {
-			line = append(*pending, line...)
-		}
-		var skip int
-		*events, skip = lines.appendLineEvents(*events, line)
-		skipped += skip
-		*pending = (*pending)[:0]
-	}
-	return skipped
 }
 
 // sleepCtx sleeps d or until ctx ends, returning the cancellation cause

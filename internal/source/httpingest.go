@@ -114,20 +114,8 @@ func (h *HTTPIngest) serveIngest(w http.ResponseWriter, r *http.Request) {
 	var events []Event
 	skipped := 0
 	for len(body) > 0 {
-		nl := -1
-		for i, b := range body {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		line := body
-		if nl >= 0 {
-			line = body[:nl]
-			body = body[nl+1:]
-		} else {
-			body = nil
-		}
+		var line []byte
+		line, body, _ = cutLine(body)
 		var skip int
 		events, skip = lines.appendLineEvents(events, line)
 		skipped += skip

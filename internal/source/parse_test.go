@@ -94,15 +94,13 @@ func TestDeliveredEventsOutliveReadBuffer(t *testing.T) {
 	text := logLine(1000, "10.0.0.1", "evil.example", "/cb") +
 		logLine(1060, "10.0.0.9", "other.example", "/x") +
 		logLine(1120, "10.0.0.1", "evil.example", "/cb")
-	f := &FileFollower{}
+	framer := lineFramer{max: maxLineBytes}
 	lines := new(lineParser)
 	var delivered [][]Event
 	for round := 0; round < 2; round++ { // a miss for every string, then a hit
 		chunk := []byte(text)
-		var events []Event
-		var pending []byte
-		discarding := false
-		if skipped := f.scanLines(chunk, &events, &pending, &discarding, lines, 1<<20); skipped != 0 || len(events) != 3 {
+		events, skipped := framer.scan(chunk, nil, lines)
+		if skipped != 0 || len(events) != 3 {
 			t.Fatalf("round %d: %d event(s), %d skipped; want 3 and 0", round, len(events), skipped)
 		}
 		delivered = append(delivered, events)

@@ -124,41 +124,18 @@ func (s *SocketSource) Run(ctx context.Context, resume Position, sink Sink) erro
 // serveConn reads one producer connection to EOF. A read error on the
 // connection (reset, broken pipe) is routine — the producer reconnects —
 // and ends the connection, not the source; only sink/fault failures
-// propagate.
+// propagate. A line longer than maxLineBytes is discarded up to its
+// newline and counted skipped, so a producer that sends no newline holds
+// at most that much of the heap.
 func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn, name string, sink Sink, pos *Position, lines *lineParser) error {
 	maxBatch := s.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = 4096
 	}
 	chunk := make([]byte, 64<<10)
-	var pending []byte
+	framer := lineFramer{max: maxLineBytes}
 	events := make([]Event, 0, maxBatch)
-	flush := func(final []byte) error {
-		events = events[:0]
-		skipped := 0
-		data := final
-		for len(data) > 0 {
-			nl := -1
-			for i, b := range data {
-				if b == '\n' {
-					nl = i
-					break
-				}
-			}
-			if nl < 0 {
-				pending = append(pending, data...)
-				break
-			}
-			line := data[:nl]
-			data = data[nl+1:]
-			if len(pending) > 0 {
-				line = append(pending, line...)
-				pending = pending[:0]
-			}
-			var skip int
-			events, skip = lines.appendLineEvents(events, line)
-			skipped += skip
-		}
+	deliver := func(skipped int) error {
 		if len(events) == 0 && skipped == 0 {
 			return nil
 		}
@@ -175,7 +152,9 @@ func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn, name string
 		}
 		n, err := conn.Read(chunk)
 		if n > 0 {
-			if derr := flush(chunk[:n]); derr != nil {
+			var skipped int
+			events, skipped = framer.scan(chunk[:n], events[:0], lines)
+			if derr := deliver(skipped); derr != nil {
 				return derr
 			}
 		}
@@ -183,13 +162,10 @@ func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn, name string
 			// EOF or a connection fault: deliver the unterminated final
 			// line (the producer finished it, the newline never landed),
 			// then hand control back to the accept loop.
-			if len(pending) > 0 {
-				last := append([]byte(nil), pending...)
-				pending = pending[:0]
-				last = append(last, '\n')
-				if derr := flush(last); derr != nil {
-					return derr
-				}
+			var skipped int
+			events, skipped = framer.flush(events[:0], lines)
+			if derr := deliver(skipped); derr != nil {
+				return derr
 			}
 			if ctx.Err() != nil && errors.Is(err, net.ErrClosed) {
 				return ctxCause(ctx)
