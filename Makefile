@@ -95,7 +95,8 @@ BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch
 # so named-runs-exist fails when a name here is no test of its packages.
 FRONT_HALF_TESTS := TestGoldenFunnel TestGoldenSummaries TestRunStreamMatchesRun \
 	TestRunSeparatorPairsStayDistinct TestWholeFileReadersMatchReference \
-	TestIngestReportsFailingShardNotCancelledSibling
+	TestIngestReportsFailingShardNotCancelledSibling TestIngestCountsListedPairs \
+	TestCountPathMatchesSummaryPath TestIncrementalListedPairsAsCounts
 FRONT_HALF_PKGS := ./internal/pipeline ./internal/proxylog ./internal/ingest
 STORED_DETECTION_TESTS := TestDeltaLogMatchesCompaction TestRestartDetectsOncePerHistory \
 	TestEvictedPairNeverInheritsDetection TestRestoredPairsMarkedStale \
@@ -108,7 +109,8 @@ STORED_DETECTION_TESTS := TestDeltaLogMatchesCompaction TestRestartDetectsOncePe
 	TestPublishAllocsIndependentOfStoreSize TestSummaryPathSampleNotAliased \
 	TestReplayPairCountBoundedByFrame TestLineFramerChunkingInvariant \
 	TestSocketOverlongLineBounded TestFollowIdleBackoffSchedule TestFollowMissingPathBackoff \
-	TestFollowRotationReadsOldFileToEnd TestFollowWakeOnAppend TestFollowWakeAfterRename
+	TestFollowRotationReadsOldFileToEnd TestFollowWakeOnAppend TestFollowWakeAfterRename \
+	TestTickCommitSavesDetections TestStatusFunnelMatchesBatch TestTickCountsListedPairs
 STORED_DETECTION_PKGS := ./internal/source ./internal/core ./internal/timeseries
 
 empty :=

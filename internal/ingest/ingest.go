@@ -45,6 +45,19 @@ type Config struct {
 	// symbol IDs warm and the steady state allocation-free. Nil means a
 	// fresh table, returned in Result.Symbols.
 	Symbols *SymbolTable
+	// Listed, when non-nil, is filter 1's verdict on a destination (the
+	// global whitelist). A pair to a listed destination is counted, not
+	// summarized: it comes back in Result.Counted, with the same
+	// Truncation accounting a summary would have had.
+	Listed func(destination string) bool
+}
+
+// PairCount is a pair the analysis needs only the event count of: one to
+// a globally whitelisted destination, which filter 1 stops before any
+// time-series analysis.
+type PairCount struct {
+	Source, Destination string
+	Events              int
 }
 
 // Truncation records one pair whose event volume exceeded
@@ -75,9 +88,11 @@ type Stats struct {
 }
 
 // Result is the output of an ingest: per-pair activity summaries built
-// directly from the stream, sorted by (Source, Destination).
+// directly from the stream, sorted by (Source, Destination), and the event
+// counts of the pairs Config.Listed names, in no particular order.
 type Result struct {
 	Summaries []*timeseries.ActivitySummary
+	Counted   []PairCount
 	Truncated []Truncation
 	Stats     Stats
 	// Symbols is the table the run interned through (Config.Symbols, or
@@ -126,14 +141,22 @@ func borrowEventBufs(parts int) *eventBufs {
 }
 
 // aggScratch is one partition aggregation's scratch: the flat scatter
-// buffer, each event's group index, the pair-to-group map, and each
-// group's event count and start.
+// buffer, each event's group index, the pair-to-group map, the groups and
+// each group's start.
 type aggScratch struct {
 	flat   []pairEvent
 	group  []int32
 	idx    map[PairID]int32
-	counts []int
+	groups []aggGroup
 	starts []int
+}
+
+// aggGroup is one pair of a partition: its identity, its event count, and
+// whether filter 1 lists its destination.
+type aggGroup struct {
+	pair   PairID
+	events int
+	listed bool
 }
 
 // aggPool recycles the aggregation phase's scratch across partitions and
@@ -307,9 +330,10 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 	}
 
 	type partResult struct {
-		sums   []*timeseries.ActivitySummary
-		truncs []Truncation
-		err    error
+		sums    []*timeseries.ActivitySummary
+		counted []PairCount
+		truncs  []Truncation
+		err     error
 	}
 	partRes := make([]partResult, parts)
 	aggWorkers := min(workers, parts)
@@ -323,7 +347,7 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 					return
 				}
 				r := &partRes[p]
-				r.sums, r.truncs, r.err = aggregatePartition(p, workerBufs, syms, scale, cfg.MaxEventsPerPair)
+				r.sums, r.counted, r.truncs, r.err = aggregatePartition(p, workerBufs, syms, scale, cfg.MaxEventsPerPair, cfg.Listed)
 				if r.err != nil {
 					cancel()
 					return
@@ -344,6 +368,7 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 
 	for _, r := range partRes {
 		res.Summaries = append(res.Summaries, r.sums...)
+		res.Counted = append(res.Counted, r.counted...)
 		res.Truncated = append(res.Truncated, r.truncs...)
 	}
 	slices.SortFunc(res.Summaries, func(a, b *timeseries.ActivitySummary) int {
@@ -466,23 +491,24 @@ func (sw *scanWorker) sourceID(v *proxylog.RecordView) uint32 {
 // aggregatePartition builds the summaries of one partition: concatenate
 // every worker's buffer for it, sort by (pair, timestamp), and walk the
 // runs, feeding each pair's ordered timestamps straight into a summary
-// builder. Truncation keeps the earliest maxEvents events (the beaconing
-// onset) with explicit accounting.
-func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale int64, maxEvents int) (sums []*timeseries.ActivitySummary, truncs []Truncation, err error) {
+// builder. A pair whose destination listed names is only counted: its
+// events are never scattered, sorted or summarized. Truncation keeps the
+// earliest maxEvents events (the beaconing onset) with explicit accounting.
+func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale int64, maxEvents int, listed func(string) bool) (sums []*timeseries.ActivitySummary, counted []PairCount, truncs []Truncation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("aggregate panic: %v", r)
 		}
 	}()
 	if ferr := faultCheck(faultinject.PointIngestAggregate, strconv.Itoa(p)); ferr != nil {
-		return nil, nil, ferr
+		return nil, nil, nil, ferr
 	}
 	total := 0
 	for _, eb := range workerBufs {
 		total += len(eb.bufs[p])
 	}
 	if total == 0 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	// Group by pair with a two-pass counting scatter rather than one
 	// O(n log n) sort of the whole partition: count each pair's events,
@@ -499,56 +525,82 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 	flat, group := sc.flat[:total], sc.group[:total]
 	idx := sc.idx
 	clear(idx)
-	counts := sc.counts[:0]
+	groups := sc.groups[:0]
 	i := 0
 	for _, eb := range workerBufs {
 		for _, e := range eb.bufs[p] {
 			gi, ok := idx[e.pair]
 			if !ok {
-				gi = int32(len(counts))
+				gi = int32(len(groups))
 				idx[e.pair] = gi
-				counts = append(counts, 0)
+				groups = append(groups, aggGroup{pair: e.pair})
 			}
-			counts[gi]++
+			groups[gi].events++
 			group[i] = gi
 			i++
 		}
 	}
-	sc.counts = counts
-	// starts holds each group's start, then its scatter cursor.
-	if cap(sc.starts) < 2*len(counts)+1 {
-		sc.starts = make([]int, 2*len(counts)+1)
+	sc.groups = groups
+	nListed := 0
+	if listed != nil {
+		for gi := range groups {
+			if listed(syms.Lookup(groups[gi].pair.Dst)) {
+				groups[gi].listed = true
+				nListed++
+			}
+		}
 	}
-	starts := sc.starts[:2*len(counts)+1]
+	// starts holds each group's start, then its scatter cursor; a counted
+	// group takes no room.
+	if cap(sc.starts) < 2*len(groups)+1 {
+		sc.starts = make([]int, 2*len(groups)+1)
+	}
+	starts := sc.starts[:2*len(groups)+1]
 	starts[0] = 0
-	for gi, n := range counts {
+	for gi, g := range groups {
+		n := g.events
+		if g.listed {
+			n = 0
+		}
 		starts[gi+1] = starts[gi] + n
 	}
-	cursor := starts[len(counts)+1:]
+	cursor := starts[len(groups)+1:]
 	copy(cursor, starts)
 	i = 0
 	for _, eb := range workerBufs {
 		for _, e := range eb.bufs[p] {
 			gi := group[i]
 			i++
+			if groups[gi].listed {
+				continue
+			}
 			flat[cursor[gi]] = e
 			cursor[gi]++
 		}
 	}
-	sums = make([]*timeseries.ActivitySummary, 0, len(counts))
-	for gi := range counts {
+	sums = make([]*timeseries.ActivitySummary, 0, len(groups)-nListed)
+	if nListed > 0 {
+		counted = make([]PairCount, 0, nListed)
+	}
+	for gi, g := range groups {
+		src, dst := syms.Lookup(g.pair.Src), syms.Lookup(g.pair.Dst)
+		kept := g.events
+		if maxEvents > 0 && kept > maxEvents {
+			truncs = append(truncs, Truncation{
+				Source: src, Destination: dst,
+				Kept: maxEvents, Dropped: kept - maxEvents,
+			})
+			kept = maxEvents
+		}
+		if g.listed {
+			counted = append(counted, PairCount{Source: src, Destination: dst, Events: kept})
+			continue
+		}
 		run := flat[starts[gi]:starts[gi+1]]
 		slices.SortFunc(run, func(a, b pairEvent) int {
 			return cmp.Compare(a.ts, b.ts)
 		})
-		src, dst := syms.Lookup(run[0].pair.Src), syms.Lookup(run[0].pair.Dst)
-		if maxEvents > 0 && len(run) > maxEvents {
-			truncs = append(truncs, Truncation{
-				Source: src, Destination: dst,
-				Kept: maxEvents, Dropped: len(run) - maxEvents,
-			})
-			run = run[:maxEvents]
-		}
+		run = run[:kept]
 		b := timeseries.NewBuilder(src, dst, scale, len(run))
 		// Interned IDs are distinct exactly when paths are, so the sample
 		// dedups by ID and looks up only the paths the summary keeps.
@@ -564,9 +616,9 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 		}
 		as, serr := b.Summary()
 		if serr != nil {
-			return nil, nil, serr
+			return nil, nil, nil, serr
 		}
 		sums = append(sums, as)
 	}
-	return sums, truncs, nil
+	return sums, counted, truncs, nil
 }

@@ -709,3 +709,57 @@ func TestPlanShards(t *testing.T) {
 		t.Error("empty plan did not error")
 	}
 }
+
+// TestIngestCountsListedPairs: a pair whose destination Config.Listed
+// names comes back as its event count instead of a summary — with the
+// truncation accounting its summary would have had — through either
+// adapter, while every other pair's summary is the reference's.
+func TestIngestCountsListedPairs(t *testing.T) {
+	dir := t.TempDir()
+	paths, events := testCorpus(t, dir, 2)
+	shards, err := PlanShards(paths, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxEvents, parts = 30, 3
+	refSums, refTruncs := refSummaries(t, events, 1, maxEvents)
+	isListed := func(dst string) bool { return dst == "alpha.example" || dst == "gamma.example" }
+	var want []*timeseries.ActivitySummary
+	var wantCounted []PairCount
+	for _, as := range refSums {
+		if isListed(as.Destination) {
+			wantCounted = append(wantCounted, PairCount{Source: as.Source, Destination: as.Destination, Events: as.EventCount()})
+		} else {
+			want = append(want, as)
+		}
+	}
+	if len(refTruncs) == 0 || len(wantCounted) == 0 || len(want) == 0 {
+		t.Fatal("corpus needs truncated, listed and unlisted pairs")
+	}
+
+	for _, run := range []struct {
+		name   string
+		ingest func(Config) (*Result, error)
+	}{
+		{"shards", func(cfg Config) (*Result, error) { return Ingest(context.Background(), shards, cfg) }},
+		{"events", func(cfg Config) (*Result, error) {
+			return IngestEvents(context.Background(), len(events), eventAt(events), cfg)
+		}},
+	} {
+		res, err := run.ingest(Config{Workers: 2, Partitions: parts, MaxEventsPerPair: maxEvents, Listed: isListed})
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		assertSummariesEqual(t, res.Summaries, want)
+		counted := slices.Clone(res.Counted)
+		slices.SortFunc(counted, func(a, b PairCount) int {
+			return strings.Compare(a.Source+"\x00"+a.Destination, b.Source+"\x00"+b.Destination)
+		})
+		if !slices.Equal(counted, wantCounted) {
+			t.Errorf("%s: counted %+v, want %+v", run.name, counted, wantCounted)
+		}
+		if !slices.Equal(res.Truncated, refTruncs) {
+			t.Errorf("%s: truncated %+v, want %+v", run.name, res.Truncated, refTruncs)
+		}
+	}
+}

@@ -3,7 +3,9 @@
 // indication outcome — plus the destination and source counts the local
 // whitelist derives from, and each Tick applies a delta of changed and
 // removed pairs and recomputes exactly the pairs whose stage inputs
-// changed:
+// changed. A pair to a globally whitelisted destination is held as its
+// event count alone: filter 1 is a verdict on the destination, so no later
+// stage reads such a pair's history. Past filter 1:
 //
 //   - a changed pair re-runs detection — unless the caller already holds
 //     the detection of exactly that history (TickWithDetections) — and
@@ -37,6 +39,7 @@ import (
 
 	"baywatch/internal/core"
 	"baywatch/internal/guard"
+	"baywatch/internal/ingest"
 	"baywatch/internal/mapreduce"
 	"baywatch/internal/timeseries"
 	"baywatch/internal/whitelist"
@@ -51,12 +54,17 @@ type PairRef struct {
 }
 
 // incPair is one pair's standing state: its summary (which names the
-// pair) and the cached outputs of every stage.
+// pair) and the cached outputs of every stage. A globally listed pair
+// holds its event count and nothing else.
 type incPair struct {
+	// summary is nil for a globally listed pair.
 	summary *timeseries.ActivitySummary
-	// seen is the tick that last delivered a summary of the pair: a second
-	// summary inside one delta merges into the first instead of replacing
-	// it.
+	// events is the pair's event count: its summary's, or, for a globally
+	// listed pair, the count its delta delivered.
+	events int
+	// seen is the tick that last delivered the pair: a second summary
+	// inside one delta merges into the first, and a second count adds to
+	// it, instead of replacing it.
 	seen int64
 	// det/detErr cache the detect stage (filters 3-5). A nil det with nil
 	// detErr means detection has not run for the current summary; detErr
@@ -86,13 +94,14 @@ type incPair struct {
 // Incremental maintains the pipeline's standing state across ticks. It
 // is not safe for concurrent use: the streaming engine serializes ticks.
 type Incremental struct {
-	cfg    Config
-	tick   int64
+	cfg  Config
+	tick int64
+	// states holds every known pair, globally listed ones included.
 	states map[pairKey]*incPair
-	// order is every known pair sorted by (source, destination) — the
-	// canonical candidate order. A tick appends its new pairs, sorts them
-	// and merges them in with one pass, and compacts removals in one pass,
-	// so no delta size costs a slice shift per pair.
+	// order is every pair past filter 1 sorted by (source, destination) —
+	// the canonical candidate order. A tick appends its new pairs, sorts
+	// them and merges them in with one pass, and compacts removals in one
+	// pass, so no delta size costs a slice shift per pair.
 	order []*incPair
 	// The popularity counts of Sect. VII-C, maintained instead of computed
 	// per run: srcPairs counts pairs per source, so the distinct-source
@@ -105,7 +114,7 @@ type Incremental struct {
 	srcPairs  map[string]int
 	destPairs map[string]int
 	byDest    map[string][]*incPair
-	// inputEvents is the running event total across cached summaries.
+	// inputEvents is the running event total across every pair.
 	inputEvents int
 }
 
@@ -132,8 +141,9 @@ func NewIncremental(cfg Config) (*Incremental, error) {
 	}, nil
 }
 
-// Pairs reports the number of pairs currently held.
-func (i *Incremental) Pairs() int { return len(i.order) }
+// Pairs reports the number of pairs currently held, globally listed ones
+// included.
+func (i *Incremental) Pairs() int { return len(i.states) }
 
 func comparePairs(a, b *incPair) int {
 	if c := strings.Compare(a.summary.Source, b.summary.Source); c != 0 {
@@ -166,23 +176,53 @@ func (i *Incremental) admit(n int) {
 	i.order = append(append(merged, old...), fresh...)
 }
 
+// newPair starts the state of a pair the analysis has not held, taking
+// filter 1's verdict on it, and counts its source.
+func (i *Incremental) newPair(k pairKey, listed bool) *incPair {
+	st := &incPair{globalListed: listed}
+	i.states[k] = st
+	i.srcPairs[k.Src]++
+	if !listed {
+		i.order = append(i.order, st)
+		i.destPairs[k.Dst]++
+		i.byDest[k.Dst] = append(i.byDest[k.Dst], st)
+	}
+	return st
+}
+
+// listed is filter 1's verdict on a destination.
+func (i *Incremental) listed(dst string) bool {
+	return i.cfg.Global != nil && i.cfg.Global.Contains(dst)
+}
+
+// count delivers a globally listed pair's event count: it replaces the
+// pair's count from an earlier delta and adds to one from this delta.
+func (i *Incremental) count(st *incPair, events int) {
+	if st.seen != i.tick {
+		i.inputEvents -= st.events
+		st.events, st.seen = 0, i.tick
+	}
+	st.events += events
+	i.inputEvents += events
+}
+
 // dropPair forgets one pair and unwinds its aggregate contributions; the
-// caller compacts order afterwards.
-func (i *Incremental) dropPair(k pairKey, impacted map[string]struct{}) {
+// caller compacts order afterwards if it reports that the pair was in it.
+func (i *Incremental) dropPair(k pairKey, impacted map[string]struct{}) (inOrder bool) {
 	st := i.states[k]
 	if st == nil {
-		return
+		return false
 	}
 	delete(i.states, k)
 	st.gone = true
-	i.inputEvents -= st.summary.EventCount()
+	i.inputEvents -= st.events
 	if n := i.srcPairs[k.Src] - 1; n <= 0 {
 		delete(i.srcPairs, k.Src)
 	} else {
 		i.srcPairs[k.Src] = n
 	}
 	if st.globalListed {
-		return
+		return false
 	}
 	if n := i.destPairs[k.Dst] - 1; n <= 0 {
 		delete(i.destPairs, k.Dst)
@@ -196,27 +236,46 @@ func (i *Incremental) dropPair(k pairKey, impacted map[string]struct{}) {
 		i.byDest[k.Dst] = peers[:n]
 	}
 	impacted[k.Dst] = struct{}{}
+	return true
 }
 
 // Tick applies one delta — changed holds the fresh summary of every pair
 // whose history changed (new or updated), removed the pairs evicted by
 // retention — and returns the full standing Result. changed may be in any
 // order; several summaries of one pair in the same delta are merged (a
-// pair whose summaries cannot merge is isolated under StageError).
-// Summaries must never be mutated after being passed in.
+// pair whose summaries cannot merge is isolated under StageError). A
+// summary of a globally listed pair is reduced to its event count (see
+// TickWithDetections). Summaries must never be mutated after being passed
+// in.
 func (i *Incremental) Tick(ctx context.Context, changed []*timeseries.ActivitySummary, removed []PairRef) (*Result, error) {
-	return i.TickWithDetections(ctx, changed, nil, removed)
+	return i.TickWithDetections(ctx, changed, nil, nil, removed)
 }
 
 // TickWithDetections is Tick for a caller that kept detections from an
-// earlier run: known, when non-nil, is parallel to changed, and a non-nil
-// known[j] is the detector's result for exactly the history changed[j]
-// summarizes, under this pipeline's detector configuration and scale. Such
-// a pair skips the detect job — detection is a pure function of (history,
-// configuration), so the Result is the one a plain Tick returns — and
-// everything else about the delta runs as usual. A pair with several
-// summaries in the delta is merged and detected afresh.
-func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeseries.ActivitySummary, known []*core.Result, removed []PairRef) (*Result, error) {
+// earlier run, or that took filter 1's verdict itself. known, when
+// non-nil, is parallel to changed, and a non-nil known[j] is the
+// detector's result for exactly the history changed[j] summarizes, under
+// this pipeline's detector configuration and scale. Such a pair skips the
+// detect job — detection is a pure function of (history, configuration),
+// so the Result is the one a plain Tick returns — and everything else
+// about the delta runs as usual. A pair with several summaries in the
+// delta is merged and detected afresh.
+//
+// counted carries pairs to globally whitelisted destinations as event
+// counts, which is all the analysis reads of them; a count for a pair the
+// global whitelist does not list is an error. A listed pair delivered as
+// a summary is held as its count too, and within one delta a pair's
+// counts add, whichever way each arrived.
+func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeseries.ActivitySummary, known []*core.Result, counted []ingest.PairCount, removed []PairRef) (*Result, error) {
+	// Refused before anything is applied, so the standing state never
+	// holds part of a delta. A held pair's verdict was taken when the
+	// analysis first held it; only a new pair's is taken here.
+	for _, c := range counted {
+		st := i.states[pairKey{Src: c.Source, Dst: c.Destination}]
+		if st != nil && !st.globalListed || st == nil && !i.listed(c.Destination) {
+			return nil, fmt.Errorf("pipeline: counted pair %s -> %s is not globally whitelisted", c.Source, c.Destination)
+		}
+	}
 	env, cleanup := newGuardEnv(i.cfg.Guard)
 	defer cleanup()
 	i.tick++
@@ -225,27 +284,36 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	popStart := time.Now()
 	impacted := make(map[string]struct{})
 	prevTotal := len(i.srcPairs)
-	held := len(i.states)
+	compact := false
 	for _, r := range removed {
-		i.dropPair(pairKey{Src: r.Source, Dst: r.Destination}, impacted)
+		if i.dropPair(pairKey{Src: r.Source, Dst: r.Destination}, impacted) {
+			compact = true
+		}
 	}
-	if len(i.states) < held {
+	if compact {
 		i.order = slices.DeleteFunc(i.order, func(st *incPair) bool { return st.gone })
 	}
-	if len(i.states) == 0 && len(changed) > 0 {
+	if len(i.states) == 0 && len(changed)+len(counted) > 0 {
 		// Loading from empty: size the containers once.
-		i.states = make(map[pairKey]*incPair, len(changed))
+		i.states = make(map[pairKey]*incPair, len(changed)+len(counted))
 		i.order = make([]*incPair, 0, len(changed))
 	}
 	standing := len(i.order)
 	for j, as := range changed {
 		k := pairKey{Src: as.Source, Dst: as.Destination}
 		st := i.states[k]
+		if st == nil {
+			st = i.newPair(k, i.listed(k.Dst))
+		}
+		if st.globalListed {
+			i.count(st, as.EventCount())
+			continue
+		}
 		var det *core.Result
 		if known != nil {
 			det = known[j]
 		}
-		if st != nil && st.seen == i.tick {
+		if st.seen == i.tick {
 			det = nil // the merged history is not the one known[j] covers
 			if st.parked {
 				continue
@@ -257,30 +325,24 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 			}
 			as = m
 		}
-		if st == nil {
-			st = &incPair{globalListed: i.cfg.Global != nil && i.cfg.Global.Contains(k.Dst)}
-			i.states[k] = st
-			i.order = append(i.order, st)
-			i.srcPairs[k.Src]++
-			if !st.globalListed {
-				i.destPairs[k.Dst]++
-				i.byDest[k.Dst] = append(i.byDest[k.Dst], st)
-			}
-		} else {
-			i.inputEvents -= st.summary.EventCount()
-		}
-		i.inputEvents += as.EventCount()
-		st.summary, st.seen = as, i.tick
+		i.inputEvents += as.EventCount() - st.events
+		st.summary, st.events, st.seen = as, as.EventCount(), i.tick
 		st.det, st.detErr, st.parked = det, nil, false
 		st.ind, st.indErr = nil, nil
+	}
+	for _, c := range counted {
+		k := pairKey{Src: c.Source, Dst: c.Destination}
+		st := i.states[k]
+		if st == nil {
+			st = i.newPair(k, true)
+		}
+		i.count(st, c.Events)
 	}
 	fresh := i.order[standing:]
 	totalSources := len(i.srcPairs)
 	if totalSources == prevTotal {
 		for _, st := range fresh {
-			if !st.globalListed {
-				impacted[st.summary.Destination] = struct{}{}
-			}
+			impacted[st.summary.Destination] = struct{}{}
 		}
 	}
 	i.admit(standing)
@@ -292,11 +354,8 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 
 	// ---- Filter 2 re-evaluation for popularity-impacted pairs -----------
 	// A globally whitelisted pair never reads filter 2's verdict or the
-	// popularity inputs, so it has nothing to re-evaluate.
+	// popularity inputs, so it is in neither list walked here.
 	reEval := func(st *incPair) {
-		if st.globalListed {
-			return
-		}
 		st.localListed = local.Contains(st.summary.Destination)
 		// Popularity and similar-sources feed the indication outcome.
 		st.ind = nil
@@ -323,7 +382,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	detStart := time.Now()
 	var detList []*timeseries.ActivitySummary
 	for _, st := range i.order {
-		if st.globalListed || st.localListed || st.det != nil || st.parked {
+		if st.localListed || st.det != nil || st.parked {
 			continue
 		}
 		detList = append(detList, st.summary)
@@ -359,7 +418,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	for _, st := range i.order {
 		nd := st.noveltyDirty
 		st.noveltyDirty = false
-		if st.globalListed || st.localListed || st.det == nil {
+		if st.localListed || st.det == nil {
 			continue
 		}
 		if st.ind != nil && !nd {
@@ -385,14 +444,11 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	// mutate SuppressedBy, so cached state is never aliased into a Result.
 	res := &Result{Detected: len(detList)}
 	res.Stats.InputEvents = i.inputEvents
-	res.Stats.Pairs = len(i.order)
+	res.Stats.Pairs = len(i.states)
+	res.Stats.AfterGlobalWhitelist = len(i.order)
 	res.Stats.PopularityTime = popTime
 	res.Stats.DetectTime = detTime
 	for _, st := range i.order {
-		if st.globalListed {
-			continue
-		}
-		res.Stats.AfterGlobalWhitelist++
 		if st.localListed {
 			continue
 		}

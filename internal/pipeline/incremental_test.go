@@ -1,12 +1,12 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,6 +14,7 @@ import (
 	"baywatch/internal/core"
 	"baywatch/internal/corpus"
 	"baywatch/internal/faultinject"
+	"baywatch/internal/ingest"
 	"baywatch/internal/langmodel"
 	"baywatch/internal/mapreduce"
 	"baywatch/internal/novelty"
@@ -23,9 +24,9 @@ import (
 )
 
 // incHarness drives a standing Incremental and, after every tick, runs
-// the full-recompute reference — RunSummaries, i.e. a fresh Incremental
-// ticked once from empty — over the complete current pair set with an
-// identically-historied novelty store, then asserts the two results are
+// the full-recompute reference — a fresh Incremental ticked once from
+// empty, which is RunSummaries — over the complete current pair set with
+// an identically-historied novelty store, then asserts the two results are
 // bit-identical: candidates, detections, errors, reported ranking and the
 // whole funnel. This is the differential test that pins the dirty-only
 // tick contract.
@@ -34,8 +35,17 @@ type incHarness struct {
 	cfg   Config
 	inc   *Incremental
 	store *novelty.Store
-	sums  map[PairRef]*timeseries.ActivitySummary
-	tick  int
+	// last holds, per pair, what the latest delta that named it delivered:
+	// one summary or count, or several when a delta named it more than once.
+	last map[PairRef]*delivery
+	tick int
+}
+
+// delivery is what one delta delivered for one pair.
+type delivery struct {
+	seen   int
+	sums   []*timeseries.ActivitySummary
+	counts []ingest.PairCount
 }
 
 func newIncHarness(t *testing.T) *incHarness {
@@ -62,8 +72,19 @@ func newIncHarness(t *testing.T) *incHarness {
 		cfg:   cfg,
 		inc:   inc,
 		store: store,
-		sums:  make(map[PairRef]*timeseries.ActivitySummary),
+		last:  make(map[PairRef]*delivery),
 	}
+}
+
+// deliveryOf returns the pair's delivery for the current delta, replacing
+// an earlier delta's.
+func (h *incHarness) deliveryOf(ref PairRef) *delivery {
+	d := h.last[ref]
+	if d == nil || d.seen != h.tick {
+		d = &delivery{seen: h.tick}
+		h.last[ref] = d
+	}
+	return d
 }
 
 // step applies one delta through both paths and compares the results.
@@ -72,31 +93,49 @@ func newIncHarness(t *testing.T) *incHarness {
 // the histories stay converged for the next tick).
 func (h *incHarness) step(changed []*timeseries.ActivitySummary, removed []PairRef) *Result {
 	h.t.Helper()
+	return h.stepCounted(changed, nil, removed)
+}
+
+// stepCounted is step with globally listed pairs also delivered as counts.
+func (h *incHarness) stepCounted(changed []*timeseries.ActivitySummary, counted []ingest.PairCount, removed []PairRef) *Result {
+	h.t.Helper()
 	h.tick++
 	for _, r := range removed {
-		delete(h.sums, r)
+		delete(h.last, r)
 	}
 	for _, as := range changed {
-		h.sums[PairRef{Source: as.Source, Destination: as.Destination}] = as
+		d := h.deliveryOf(PairRef{Source: as.Source, Destination: as.Destination})
+		d.sums = append(d.sums, as)
+	}
+	for _, c := range counted {
+		d := h.deliveryOf(PairRef{Source: c.Source, Destination: c.Destination})
+		d.counts = append(d.counts, c)
 	}
 
 	fullCfg := h.cfg
 	fullCfg.Novelty = h.store.Clone()
-	var all []*timeseries.ActivitySummary
-	for _, as := range h.sums {
-		all = append(all, as)
+	refs := make([]PairRef, 0, len(h.last))
+	for ref := range h.last {
+		refs = append(refs, ref)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Source != all[j].Source {
-			return all[i].Source < all[j].Source
-		}
-		return all[i].Destination < all[j].Destination
+	slices.SortFunc(refs, func(a, b PairRef) int {
+		return cmp.Or(strings.Compare(a.Source, b.Source), strings.Compare(a.Destination, b.Destination))
 	})
-	want, err := RunSummaries(context.Background(), all, fullCfg)
+	var allSums []*timeseries.ActivitySummary
+	var allCounts []ingest.PairCount
+	for _, ref := range refs {
+		allSums = append(allSums, h.last[ref].sums...)
+		allCounts = append(allCounts, h.last[ref].counts...)
+	}
+	full, err := NewIncremental(fullCfg)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	want, err := full.TickWithDetections(context.Background(), allSums, nil, allCounts, nil)
 	if err != nil {
 		h.t.Fatalf("tick %d: full recompute: %v", h.tick, err)
 	}
-	got, err := h.inc.Tick(context.Background(), changed, removed)
+	got, err := h.inc.TickWithDetections(context.Background(), changed, nil, counted, removed)
 	if err != nil {
 		h.t.Fatalf("tick %d: incremental: %v", h.tick, err)
 	}
@@ -246,8 +285,86 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	// Tick 6 — quiescent: verdicts have settled, nothing is dirty.
 	h.step(nil, nil)
 
-	if got := h.inc.Pairs(); got != len(h.sums) {
-		t.Errorf("standing pairs = %d, want %d", got, len(h.sums))
+	if got := h.inc.Pairs(); got != len(h.last) {
+		t.Errorf("standing pairs = %d, want %d", got, len(h.last))
+	}
+}
+
+// TestIncrementalListedPairsAsCounts extends the differential to pairs
+// the global whitelist lists, which the analysis holds as event counts:
+// delivered as summaries, as counts, twice in one delta, and removed. A
+// listed pair's deliveries in one delta add, whether they are summaries
+// that would not merge, counts, or one of each; a later delta replaces
+// them. A count for a pair the whitelist does not list is an error.
+func TestIncrementalListedPairsAsCounts(t *testing.T) {
+	h := newIncHarness(t)
+	base := int64(1_700_000_000)
+	count := func(src, dst string, n int) ingest.PairCount {
+		return ingest.PairCount{Source: src, Destination: dst, Events: n}
+	}
+	coarse, err := timeseries.FromTimestamps("hostA", "allowed.example", []int64{base, base + 600, base + 1200}, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := func(res *Result, want int) {
+		t.Helper()
+		if res.Stats.InputEvents != want {
+			t.Fatalf("tick %d: input events %d, want %d", h.tick, res.Stats.InputEvents, want)
+		}
+	}
+
+	// Tick 1: beacons and background past filter 1, a listed pair as a
+	// summary, and listed pairs as counts — one from a source with no
+	// other pair, so it moves the distinct-source population.
+	bulk := []*timeseries.ActivitySummary{
+		beaconSummary(t, "hostA", "beacon-dst.example", base, 60, 64, "/gate.php?x=1"),
+		beaconSummary(t, "hostB", "beacon-dst.example", base+7, 60, 64, "/gate.php?x=2"),
+		beaconSummary(t, "hostA", "allowed.example", base, 60, 64),
+	}
+	for i := 0; i < 8; i++ {
+		bulk = append(bulk, sparseSummary(t, fmt.Sprintf("host%02d", i), fmt.Sprintf("bg%d.example", i), base, 5))
+	}
+	res := h.stepCounted(bulk, []ingest.PairCount{
+		count("hostB", "cdn.allowed.example", 40),
+		count("lonely", "allowed.example", 7),
+	}, nil)
+	if len(res.Reported) == 0 || res.Stats.Pairs != 13 || res.Stats.AfterGlobalWhitelist != 10 || h.inc.Pairs() != 13 {
+		t.Fatalf("bulk tick: reported %d, funnel %+v, standing %d", len(res.Reported), res.Stats, h.inc.Pairs())
+	}
+	events(res, 2*64+8*5+64+40+7)
+
+	// Tick 2: a listed pair twice as summaries that cannot merge (scale
+	// mismatch), and another as a summary and a count.
+	res = h.stepCounted([]*timeseries.ActivitySummary{
+		beaconSummary(t, "hostA", "allowed.example", base, 60, 70),
+		coarse,
+		beaconSummary(t, "hostB", "cdn.allowed.example", base, 30, 20),
+	}, []ingest.PairCount{count("hostB", "cdn.allowed.example", 5)}, nil)
+	events(res, 2*64+8*5+(70+3)+(20+5)+7)
+	if res.Degraded {
+		t.Fatalf("listed deliveries degraded the run: %+v", res.Errors)
+	}
+
+	// Tick 3: a later delta replaces a count, whichever form it takes.
+	res = h.stepCounted(nil, []ingest.PairCount{count("hostA", "allowed.example", 2)}, nil)
+	events(res, 2*64+8*5+2+25+7)
+
+	// Tick 4: removing the lonely source's only pair shrinks the source
+	// population, so every pair's popularity is re-evaluated.
+	res = h.stepCounted(nil, nil, []PairRef{
+		{Source: "lonely", Destination: "allowed.example"},
+		{Source: "hostB", Destination: "cdn.allowed.example"},
+	})
+	events(res, 2*64+8*5+2)
+	if res.Stats.Pairs != 11 || h.inc.Pairs() != 11 {
+		t.Fatalf("after removals: %d pairs (standing %d), want 11", res.Stats.Pairs, h.inc.Pairs())
+	}
+
+	// A count for a pair past filter 1 is refused, new or standing.
+	for _, c := range []ingest.PairCount{count("hostZ", "unlisted.example", 3), count("hostA", "beacon-dst.example", 3)} {
+		if _, err := h.inc.TickWithDetections(context.Background(), nil, nil, []ingest.PairCount{c}, nil); err == nil {
+			t.Errorf("count for %s -> %s accepted", c.Source, c.Destination)
+		}
 	}
 }
 
@@ -380,21 +497,23 @@ func TestIncrementalIdleTickRunsNoDetection(t *testing.T) {
 // the survivors: each of these is O(n log n). An implementation that
 // shifts the canonical order once per inserted or removed pair moves on
 // the order of 10^10 slice elements here and does not finish inside the
-// package's test timeout.
+// package's test timeout. The destinations are past filter 1, so every
+// pair is in the canonical order, and popular enough that filter 2 stops
+// them before detection.
 func TestIncrementalBulkDeltasScale(t *testing.T) {
-	const n = 200000
+	const n, dests = 200000, 50
 	sums := make([]*timeseries.ActivitySummary, n)
 	var evict []PairRef
 	var reload []*timeseries.ActivitySummary
 	for j := range sums {
-		src := fmt.Sprintf("h%06d", n-1-j)
-		as, err := timeseries.FromTimestamps(src, "allowed.example", []int64{1, 2}, 1)
+		src, dst := fmt.Sprintf("h%06d", n-1-j), fmt.Sprintf("popular%02d.example", j%dests)
+		as, err := timeseries.FromTimestamps(src, dst, []int64{1, 2}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sums[j] = as
 		if j%2 == 0 {
-			evict = append(evict, PairRef{Source: src, Destination: "allowed.example"})
+			evict = append(evict, PairRef{Source: src, Destination: dst})
 			reload = append(reload, as)
 		}
 	}
@@ -408,8 +527,11 @@ func TestIncrementalBulkDeltasScale(t *testing.T) {
 		if res.Stats.Pairs != wantPairs || h.inc.Pairs() != wantPairs || res.Stats.InputEvents != 2*wantPairs {
 			t.Fatalf("pairs = %d (standing %d), events = %d, want %d pairs", res.Stats.Pairs, h.inc.Pairs(), res.Stats.InputEvents, wantPairs)
 		}
-		if !slices.IsSortedFunc(h.inc.order, comparePairs) {
-			t.Fatal("standing order is not in pair order")
+		if len(h.inc.order) != wantPairs || !slices.IsSortedFunc(h.inc.order, comparePairs) {
+			t.Fatalf("standing order holds %d pairs, want %d in pair order", len(h.inc.order), wantPairs)
+		}
+		if res.Detected != 0 {
+			t.Fatalf("%d pair(s) reached detection past the local whitelist", res.Detected)
 		}
 	}
 	tick(sums, nil, n)

@@ -14,7 +14,8 @@
 //	  8. weighted ranking (language model, popularity, periodicity)
 //	Phase D — investigation (see package triage)
 //
-// Every mode is a front half that produces per-pair activity summaries
+// Every mode is a front half that produces per-pair activity summaries —
+// or, for a pair the global whitelist lists, just its event count —
 // feeding the one back half that runs filters 1-8: Incremental (see
 // incremental.go). There is one batch front half, internal/ingest's
 // scatter/aggregate, entered through two adapters — record slices and
@@ -309,10 +310,12 @@ func stageCtx(ctx context.Context, g guard.Config, stage string) (context.Contex
 
 // runExtracted is every one-shot mode: run the front half — one of the
 // ingest adapters, under the extract stage deadline and the per-pair
-// event cap — tick a fresh Incremental once with every summary changed,
-// and book the truncation into the Result. The front half's result comes
-// back too, for callers that keep its summaries or scan stats.
-func runExtracted(ctx context.Context, cfg Config, front func(context.Context, ingest.Config) (*ingest.Result, error)) (*Result, *ingest.Result, error) {
+// event cap — tick a fresh Incremental once with every pair changed, and
+// book the truncation into the Result. Unless keepSummaries is set, the
+// front half takes filter 1's verdict and hands globally listed pairs over
+// as counts; the Result is the same either way. The front half's result
+// comes back too, for callers that keep its summaries or scan stats.
+func runExtracted(ctx context.Context, cfg Config, keepSummaries bool, front func(context.Context, ingest.Config) (*ingest.Result, error)) (*Result, *ingest.Result, error) {
 	inc, err := NewIncremental(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -321,14 +324,18 @@ func runExtracted(ctx context.Context, cfg Config, front func(context.Context, i
 
 	start := time.Now()
 	extCtx, extDone := stageCtx(ctx, cfg.Guard, "extract")
-	ext, err := front(extCtx, ingest.Config{Scale: cfg.Scale, MaxEventsPerPair: cfg.Guard.MaxEventsPerPair})
+	icfg := ingest.Config{Scale: cfg.Scale, MaxEventsPerPair: cfg.Guard.MaxEventsPerPair}
+	if !keepSummaries {
+		icfg.Listed = inc.listed
+	}
+	ext, err := front(extCtx, icfg)
 	extDone()
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: ingest: %w", err)
 	}
 	extractTime := time.Since(start)
 
-	res, err := inc.Tick(ctx, ext.Summaries, nil)
+	res, err := inc.TickWithDetections(ctx, ext.Summaries, nil, ext.Counted, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -348,27 +355,27 @@ func runExtracted(ctx context.Context, cfg Config, front func(context.Context, i
 // Run executes the full pipeline over proxy log records. corr may be nil,
 // in which case raw client IPs identify sources.
 func Run(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correlator, cfg Config) (*Result, error) {
-	res, _, err := RunWithSummaries(ctx, records, corr, cfg)
+	res, _, err := runEvents(ctx, len(records), func(i int) PairEvent { return recordEvent(records[i], corr) }, cfg, false)
 	return res, err
 }
 
 // RunWithSummaries is Run, additionally returning the extracted per-pair
-// summaries (sorted by source, destination), so a caller that keeps them
-// — the ops loop persists them as the day's history — does not pay a
-// second extraction pass.
+// summaries (sorted by source, destination), globally whitelisted pairs'
+// included, so a caller that keeps them — the ops loop persists them as
+// the day's history — does not pay a second extraction pass.
 func RunWithSummaries(ctx context.Context, records []*proxylog.Record, corr *proxylog.Correlator, cfg Config) (*Result, []*timeseries.ActivitySummary, error) {
-	return runEvents(ctx, len(records), func(i int) PairEvent { return recordEvent(records[i], corr) }, cfg)
+	return runEvents(ctx, len(records), func(i int) PairEvent { return recordEvent(records[i], corr) }, cfg, true)
 }
 
 // RunEvents is Run over source-agnostic pair events (sources already
 // resolved); the ops loop's coarse passes enter here.
 func RunEvents(ctx context.Context, events []PairEvent, cfg Config) (*Result, error) {
-	res, _, err := runEvents(ctx, len(events), func(i int) PairEvent { return events[i] }, cfg)
+	res, _, err := runEvents(ctx, len(events), func(i int) PairEvent { return events[i] }, cfg, false)
 	return res, err
 }
 
-func runEvents(ctx context.Context, n int, at func(i int) PairEvent, cfg Config) (*Result, []*timeseries.ActivitySummary, error) {
-	res, ext, err := runExtracted(ctx, cfg, func(ctx context.Context, icfg ingest.Config) (*ingest.Result, error) {
+func runEvents(ctx context.Context, n int, at func(i int) PairEvent, cfg Config, keepSummaries bool) (*Result, []*timeseries.ActivitySummary, error) {
+	res, ext, err := runExtracted(ctx, cfg, keepSummaries, func(ctx context.Context, icfg ingest.Config) (*ingest.Result, error) {
 		return ingest.IngestEvents(ctx, n, at, icfg)
 	})
 	if err != nil {

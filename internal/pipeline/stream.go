@@ -29,15 +29,19 @@ type StreamOptions struct {
 // differential tests pin this). corr may be nil, in which case raw client
 // IPs identify sources.
 func RunStream(ctx context.Context, shards []proxylog.Split, corr *proxylog.Correlator, cfg Config, opt StreamOptions) (*Result, error) {
-	res, _, err := RunStreamSummaries(ctx, shards, corr, cfg, opt)
+	res, _, err := runStream(ctx, shards, corr, cfg, opt, false)
 	return res, err
 }
 
 // RunStreamSummaries is RunStream, additionally returning the extracted
-// per-pair summaries (sorted by source, destination); see
-// RunWithSummaries.
+// per-pair summaries (sorted by source, destination), globally
+// whitelisted pairs' included; see RunWithSummaries.
 func RunStreamSummaries(ctx context.Context, shards []proxylog.Split, corr *proxylog.Correlator, cfg Config, opt StreamOptions) (*Result, []*timeseries.ActivitySummary, error) {
-	res, ext, err := runExtracted(ctx, cfg, func(ctx context.Context, icfg ingest.Config) (*ingest.Result, error) {
+	return runStream(ctx, shards, corr, cfg, opt, true)
+}
+
+func runStream(ctx context.Context, shards []proxylog.Split, corr *proxylog.Correlator, cfg Config, opt StreamOptions, keepSummaries bool) (*Result, []*timeseries.ActivitySummary, error) {
+	res, ext, err := runExtracted(ctx, cfg, keepSummaries, func(ctx context.Context, icfg ingest.Config) (*ingest.Result, error) {
 		icfg.Workers, icfg.MaxBadLines = opt.Workers, opt.MaxBadLines
 		icfg.Correlator, icfg.Symbols = corr, opt.Symbols
 		return ingest.Ingest(ctx, shards, icfg)

@@ -445,3 +445,61 @@ func TestRunSeparatorPairsStayDistinct(t *testing.T) {
 		t.Errorf("candidates collapsed: %d distinct pairs, want 2", len(seen))
 	}
 }
+
+// TestCountPathMatchesSummaryPath: Run and RunStream hand globally listed
+// pairs to the analysis as counts, RunWithSummaries and
+// RunStreamSummaries as summaries; the Results must be identical, with a
+// per-pair cap that truncates a listed pair, and the …Summaries entry
+// points must still return every pair's summary.
+func TestCountPathMatchesSummaryPath(t *testing.T) {
+	env := newTestEnv(t, []synthetic.Infection{zbotInfection(2)})
+	ctx := context.Background()
+	sums, _, err := ExtractSummaries(ctx, RecordEvents(env.trace.Records, env.corr), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busiest := 0
+	for _, as := range sums {
+		if env.cfg.Global.Contains(as.Destination) {
+			busiest = max(busiest, as.EventCount())
+		}
+	}
+	cfg := env.cfg
+	cfg.Guard.MaxEventsPerPair = busiest - 1
+
+	counted, err := Run(ctx, env.trace.Records, env.corr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summarized, all, err := RunWithSummaries(ctx, env.trace.Records, env.corr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listedTruncated := false
+	for _, tp := range counted.Truncated {
+		listedTruncated = listedTruncated || cfg.Global.Contains(tp.Destination)
+	}
+	if !listedTruncated || counted.Stats.AfterGlobalWhitelist == counted.Stats.Pairs || counted.Stats.AfterGlobalWhitelist == 0 {
+		t.Fatalf("trace needs listed and unlisted pairs and a truncated listed one: %+v", counted.Stats)
+	}
+	if len(all) != summarized.Stats.Pairs {
+		t.Fatalf("RunWithSummaries returned %d summaries for %d pairs", len(all), summarized.Stats.Pairs)
+	}
+	sameResult(t, counted, summarized)
+
+	shards := writeShardedLogs(t, env.trace.Records, 2, 2)
+	opt := StreamOptions{Workers: 2}
+	streamCounted, err := RunStream(ctx, shards, env.corr, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamSummarized, streamAll, err := RunStreamSummaries(ctx, shards, env.corr, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamAll) != streamSummarized.Stats.Pairs {
+		t.Fatalf("RunStreamSummaries returned %d summaries for %d pairs", len(streamAll), streamSummarized.Stats.Pairs)
+	}
+	sameResult(t, streamCounted, streamSummarized)
+	sameResult(t, counted, streamCounted)
+}

@@ -232,8 +232,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 	// After a restart every recovered pair is dirty: analyze them now
 	// instead of idling a full TickInterval before the first ranking.
 	if d.eng.Stats().Pairs > 0 {
-		d.commit()
 		d.runTick(ctx)
+		d.commit()
 	}
 
 	tick := time.NewTicker(d.cfg.TickInterval)
@@ -257,8 +257,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 				d.commit()
 			}
 		case <-tick.C:
-			d.commit()
+			// Publish first, then checkpoint: the fsync stays off the path
+			// from an applied event to /ranked, and the commit saves the
+			// tick's fresh detections in the same loop turn.
 			d.runTick(ctx)
+			d.commit()
 		}
 	}
 

@@ -611,3 +611,139 @@ func TestCountCommitRunsOnDaemonLoop(t *testing.T) {
 	}
 	requireSameState(t, "restart after the retried commit", stateOf(t, reopenCopy(t, cfg)), stateOf(t, eng))
 }
+
+// TestTickCommitSavesDetections: the daemon commits after a tick, not
+// before it, so a tick's fresh detections are durable in the same loop
+// turn — here with no timer commit and no new event to trigger one.
+func TestTickCommitSavesDetections(t *testing.T) {
+	tr := smallTrace(t)
+	cfg := testPipelineCfg(t, tr.Catalog[:50])
+	state := t.TempDir()
+	eng, err := OpenEngine(Config{StateDir: state, Pipeline: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAll(eng, "proxy", recordsToEvents(tr.Records), 500)
+	if err := eng.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := NewDaemon(DaemonConfig{
+		Engine: Config{StateDir: state, Pipeline: cfg},
+		Connectors: []Connector{
+			&FileFollower{Path: filepath.Join(t.TempDir(), "absent.log"), SourceName: "proxy", PollInterval: time.Millisecond},
+		},
+		TickInterval:   time.Hour,
+		CommitInterval: -1,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	// bounded goroutine: daemon run under test, cancelled by the test and awaited on done
+	go func() { done <- d.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("daemon run: %v", err)
+		}
+	}()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for d.Snapshot() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	snap := d.Snapshot()
+	if snap == nil || snap.Detected == 0 {
+		t.Fatalf("restart tick = %+v, want one that detects the recovered pairs", snap)
+	}
+	for d.Engine().Stats().Commits == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if d.Engine().Stats().Commits == 0 {
+		t.Fatal("no commit followed the tick; its detections wait for shutdown")
+	}
+
+	// The running daemon writes nothing more, so its checkpoint can be
+	// copied as it stands.
+	data, err := os.ReadFile(checkpointPath(state))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyDir := t.TempDir()
+	writeFile(t, checkpointPath(copyDir), string(data))
+	re, err := OpenEngine(Config{StateDir: copyDir, Pipeline: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Stats().DetectionsRestored; got != int64(snap.Detected) {
+		t.Fatalf("the copied state restores %d detection(s), want the tick's %d", got, snap.Detected)
+	}
+}
+
+// TestStatusFunnelMatchesBatch: /status carries the published tick's
+// filtering funnel — absent before the first tick — and once the daemon
+// has drained a log, it is the batch pipeline's funnel over the same
+// records.
+func TestStatusFunnelMatchesBatch(t *testing.T) {
+	tr := smallTrace(t)
+	cfg := testPipelineCfg(t, tr.Catalog[:50])
+	want, err := pipeline.Run(context.Background(), tr.Records, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(t.TempDir(), "proxy.log")
+	writeFile(t, logPath, recordLines(tr.Records))
+	d, err := NewDaemon(DaemonConfig{
+		Engine: Config{StateDir: t.TempDir(), Pipeline: cfg},
+		Connectors: []Connector{
+			&FileFollower{Path: logPath, SourceName: "proxy", PollInterval: time.Millisecond},
+		},
+		TickInterval: 20 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := func() (statusPayload, map[string]json.RawMessage) {
+		t.Helper()
+		body := queryGet(t, d.QueryHandler(), "/status", "").Body.Bytes()
+		var p statusPayload
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		return p, fields
+	}
+	if _, fields := status(); fields["funnel"] != nil {
+		t.Fatalf("/status shows a funnel before the first tick: %s", fields["funnel"])
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	// bounded goroutine: daemon run under test, cancelled by the test and awaited on done
+	go func() { done <- d.Run(ctx) }()
+	deadline := time.Now().Add(30 * time.Second)
+	var p statusPayload
+	for time.Now().Before(deadline) {
+		if p, _ = status(); p.Funnel != nil && p.Funnel.InputEvents == len(tr.Records) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("daemon run: %v", err)
+	}
+	if p.Funnel == nil {
+		t.Fatal("/status never showed a funnel")
+	}
+	if *p.Funnel != *funnelOf(want.Stats) {
+		t.Fatalf("/status funnel after the drain:\n got %+v\nwant %+v", *p.Funnel, *funnelOf(want.Stats))
+	}
+}

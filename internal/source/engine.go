@@ -13,6 +13,7 @@ import (
 
 	"baywatch/internal/core"
 	"baywatch/internal/faultinject"
+	"baywatch/internal/ingest"
 	"baywatch/internal/pipeline"
 	"baywatch/internal/timeseries"
 )
@@ -695,10 +696,13 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 	// unwind it from the standing analysis.
 	dirty := slices.DeleteFunc(e.dirty, func(h *pairHistory) bool { return h.gone })
 	e.dirty = dirty
-	sortPairs(dirty)
-	changed := make([]*timeseries.ActivitySummary, 0, len(dirty))
-	known := make([]*core.Result, 0, len(dirty))
-	for _, h := range dirty {
+	// Only the pairs past filter 1 are sorted and summarized: the rest
+	// reach the standing analysis as counts.
+	summarize, listed := e.partitionListed(dirty)
+	sortPairs(summarize)
+	changed := make([]*timeseries.ActivitySummary, 0, len(summarize))
+	known := make([]*core.Result, 0, len(summarize))
+	for _, h := range summarize {
 		as, err := e.buildSummary(h)
 		if err != nil {
 			// No mark is consumed: the pairs before this one stay dirty.
@@ -707,6 +711,13 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 		}
 		changed = append(changed, as)
 		known = append(known, h.detection())
+	}
+	var counted []ingest.PairCount
+	if len(listed) > 0 {
+		counted = make([]ingest.PairCount, len(listed))
+		for j, h := range listed {
+			counted[j] = ingest.PairCount{Source: h.key.Src, Destination: h.key.Dst, Events: len(h.ts)}
+		}
 	}
 	for _, h := range dirty {
 		h.dirty = false
@@ -718,7 +729,7 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 	tick := e.ticks + 1
 	e.mu.Unlock()
 
-	res, err := e.inc.TickWithDetections(ctx, changed, known, removed)
+	res, err := e.inc.TickWithDetections(ctx, changed, known, counted, removed)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err != nil {
@@ -735,7 +746,25 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 	}
 	e.ticks = tick
 	e.recordDetections(res)
-	return &TickResult{Result: res, Dirty: len(changed), Detected: res.Detected, Stale: stale, Tick: tick}, nil
+	return &TickResult{Result: res, Dirty: len(dirty), Detected: res.Detected, Stale: stale, Tick: tick}, nil
+}
+
+// partitionListed reorders pairs in place so that those to destinations
+// the global whitelist does not list come first, and returns the two
+// parts; e.mu must be held.
+func (e *Engine) partitionListed(pairs []*pairHistory) (unlisted, listed []*pairHistory) {
+	global := e.cfg.Pipeline.Global
+	if global == nil {
+		return pairs, nil
+	}
+	n := 0
+	for j, h := range pairs {
+		if !global.Contains(h.key.Dst) {
+			pairs[n], pairs[j] = pairs[j], pairs[n]
+			n++
+		}
+	}
+	return pairs[:n], pairs[n:]
 }
 
 // recordDetections notes, for every candidate whose standing detection is

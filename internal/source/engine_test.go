@@ -2,7 +2,9 @@ package source
 
 import (
 	"context"
+	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -401,4 +403,42 @@ func TestFailedTickRedirtiesItsPairs(t *testing.T) {
 		t.Fatalf("tick after the failure analyzed %d pair(s), want all %d", got.Dirty, pairs)
 	}
 	sameAnalysis(t, "tick after the failure vs batch", got.Result, batchOver(t, eng))
+}
+
+// TestTickCountsListedPairs: a tick hands pairs to globally whitelisted
+// destinations to the standing analysis as event counts. Over 10k dirty
+// listed pairs of 200 events each, it allocates less per pair than one
+// summary's interval slice, and still accounts every pair and event.
+func TestTickCountsListedPairs(t *testing.T) {
+	const pairs, events = 10000, 200
+	eng, err := OpenEngine(Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, []string{"cdn.example"})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Event, events)
+	for i := 0; i < pairs; i++ {
+		src, dst := fmt.Sprintf("h%d", i%100), fmt.Sprintf("s%d.cdn.example", i)
+		for j := range batch {
+			batch[j] = Event{Source: src, Destination: dst, TS: 1000 + int64(j)*60}
+		}
+		eng.Apply(Batch{Source: "s", Events: batch, Pos: Position{Records: int64((i + 1) * events)}})
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := eng.Tick(context.Background())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := got.Result.Stats
+	if got.Dirty != pairs || st.Pairs != pairs || st.InputEvents != pairs*events || st.AfterGlobalWhitelist != 0 {
+		t.Fatalf("tick: dirty %d, funnel %+v; want %d listed pairs of %d events", got.Dirty, st, pairs, events)
+	}
+	perPair := (after.TotalAlloc - before.TotalAlloc) / pairs
+	const interval = 8 * (events - 1) // a summary's []int64 of intervals
+	t.Logf("tick allocated %d B per listed pair", perPair)
+	if perPair >= interval {
+		t.Fatalf("tick allocated %d B per listed pair, a summary's interval slice alone is %d B", perPair, interval)
+	}
 }

@@ -58,6 +58,32 @@ type statusPayload struct {
 	LastTick      int64 `json:"last_tick"`
 	DirtyPairs    int   `json:"dirty_pairs"`
 	DetectedPairs int   `json:"detected_pairs"`
+	// Funnel is the published tick's filtering funnel (absent before the
+	// first tick).
+	Funnel *Funnel `json:"funnel,omitempty"`
+}
+
+// Funnel is the paper's filtering funnel over the whole standing pair
+// store, as of one tick: pipeline.Stats' counters, without the timings.
+type Funnel struct {
+	InputEvents          int `json:"input_events"`
+	Pairs                int `json:"pairs"`
+	AfterGlobalWhitelist int `json:"after_global_whitelist"`
+	AfterLocalWhitelist  int `json:"after_local_whitelist"`
+	Periodic             int `json:"periodic"`
+	AfterTokenFilter     int `json:"after_token_filter"`
+	AfterNovelty         int `json:"after_novelty"`
+	Reported             int `json:"reported"`
+	Errored              int `json:"errored"`
+}
+
+func funnelOf(s pipeline.Stats) *Funnel {
+	return &Funnel{
+		InputEvents: s.InputEvents, Pairs: s.Pairs,
+		AfterGlobalWhitelist: s.AfterGlobalWhitelist, AfterLocalWhitelist: s.AfterLocalWhitelist,
+		Periodic: s.Periodic, AfterTokenFilter: s.AfterTokenFilter, AfterNovelty: s.AfterNovelty,
+		Reported: s.Reported, Errored: s.Errored,
+	}
 }
 
 // querySnapshot is one generation's immutable query state: everything
@@ -204,6 +230,7 @@ func (d *Daemon) publishQuerySnapshot() {
 		st.LastTick = snap.Tick
 		st.DirtyPairs = snap.Dirty
 		st.DetectedPairs = snap.Detected
+		st.Funnel = funnelOf(snap.Result.Stats)
 	}
 	qs.status = st
 
