@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"baywatch/internal/durable"
 )
 
 // Case is one candidate communication pair as exported by the pipeline.
@@ -29,23 +31,13 @@ type Case struct {
 	LMScore float64 `json:"lmScore"`
 }
 
-// Write stores cases as indented JSON, atomically.
+// Write stores cases as indented JSON, atomically and durably.
 func Write(path string, cases []Case) error {
 	data, err := json.MarshalIndent(cases, "", "  ")
 	if err != nil {
 		return fmt.Errorf("casefile: marshal: %w", err)
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("casefile: mkdir: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("casefile: write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("casefile: rename: %w", err)
-	}
-	return nil
+	return writeFile(path, data)
 }
 
 // Read loads a case file and validates its shape: non-empty IDs and a
@@ -92,21 +84,23 @@ func ReadLabels(path string) (map[string]int, error) {
 	return labels, nil
 }
 
-// WriteLabels stores a labels file, atomically.
+// WriteLabels stores a labels file, atomically and durably.
 func WriteLabels(path string, labels map[string]int) error {
 	data, err := json.MarshalIndent(labels, "", "  ")
 	if err != nil {
 		return fmt.Errorf("casefile: marshal labels: %w", err)
 	}
+	return writeFile(path, data)
+}
+
+// writeFile creates path's directory and replaces path with data through
+// durable.WriteFile.
+func writeFile(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("casefile: mkdir: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("casefile: write labels: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("casefile: rename labels: %w", err)
+	if err := durable.WriteFile(path, data, nil, durable.Points{}); err != nil {
+		return fmt.Errorf("casefile: %w", err)
 	}
 	return nil
 }

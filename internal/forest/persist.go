@@ -1,12 +1,15 @@
 package forest
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+
+	"baywatch/internal/durable"
 )
 
 // Persistence: a trained forest serializes to gob (gzip-compressed) so the
@@ -94,7 +97,7 @@ func unflatten(nodes []flatNode) (*node, error) {
 }
 
 // Save writes the trained forest to path (gzip-compressed gob),
-// atomically.
+// atomically and durably.
 func (f *Forest) Save(path string) error {
 	if len(f.trees) == 0 {
 		return fmt.Errorf("forest: cannot save untrained forest")
@@ -113,31 +116,19 @@ func (f *Forest) Save(path string) error {
 	if math.IsNaN(snap.OOBError) {
 		snap.OOBError = -1 // gob handles NaN, but -1 keeps the file greppable
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("forest: mkdir: %w", err)
-	}
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("forest: create: %w", err)
-	}
-	gz := gzip.NewWriter(file)
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
 	if err := gob.NewEncoder(gz).Encode(snap); err != nil {
-		file.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("forest: encode: %w", err)
 	}
 	if err := gz.Close(); err != nil {
-		file.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("forest: gzip: %w", err)
 	}
-	if err := file.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("forest: close: %w", err)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("forest: mkdir: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("forest: rename: %w", err)
+	if err := durable.WriteFile(path, buf.Bytes(), nil, durable.Points{}); err != nil {
+		return fmt.Errorf("forest: %w", err)
 	}
 	return nil
 }

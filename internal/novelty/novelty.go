@@ -8,13 +8,13 @@ package novelty
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"syscall"
+
+	"baywatch/internal/durable"
 )
 
 // Store tracks reported destinations and source/destination pairs. It is
@@ -119,8 +119,8 @@ type snapshot struct {
 	Pairs        []string `json:"pairs"`
 }
 
-// Save writes the store to path atomically and durably (write to temp
-// file, fsync, rename).
+// Save writes the store to path atomically and durably
+// (durable.WriteFile).
 func (s *Store) Save(path string) error {
 	s.mu.Lock()
 	snap := snapshot{
@@ -144,35 +144,8 @@ func (s *Store) Save(path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("novelty: mkdir: %w", err)
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("novelty: create: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("novelty: write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("novelty: sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("novelty: close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("novelty: rename: %w", err)
-	}
-	// The rename only survives power loss once the parent directory entry
-	// is durable too. Filesystems that reject directory fsync
-	// (EINVAL/ENOTSUP) are tolerated.
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("novelty: sync dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("novelty: sync dir: %w", err)
+	if err := durable.WriteFile(path, data, nil, durable.Points{}); err != nil {
+		return fmt.Errorf("novelty: %w", err)
 	}
 	return nil
 }

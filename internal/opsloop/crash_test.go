@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"baywatch/internal/faultinject"
 	"baywatch/internal/novelty"
@@ -481,5 +483,98 @@ func TestCorruptManifestQuarantinedAndRebuilt(t *testing.T) {
 	if re.DaysIngested() != 1 || re.HistoryPairs() != loop.HistoryPairs() {
 		t.Errorf("rebuilt (%d days, %d pairs), want (1, %d)",
 			re.DaysIngested(), re.HistoryPairs(), loop.HistoryPairs())
+	}
+}
+
+// TestQuarantineLongNameTerminates: an unrecognized file in summaries/
+// whose name is already in quarantine/ and too long to take a ".N" suffix
+// (a 254-byte name; NAME_MAX is 255) cannot be moved aside. Recovery
+// warns and leaves it in place instead of searching for a free name
+// forever; the deadline turns such a loop into a failure, not a hang.
+func TestQuarantineLongNameTerminates(t *testing.T) {
+	dir := t.TempDir()
+	name := strings.Repeat("n", 250) + ".bin"
+	if _, err := os.Lstat(filepath.Join(dir, name+".1")); !errors.Is(err, syscall.ENAMETOOLONG) {
+		t.Skipf("filesystem takes 256-byte names (Lstat: %v)", err)
+	}
+	for _, sub := range []string{"summaries", "quarantine"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sub, name), []byte(sub), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type opened struct {
+		loop *Loop
+		err  error
+	}
+	done := make(chan opened, 1)
+	go func() {
+		loop, err := New(Config{StateDir: dir}, nil)
+		done <- opened{loop, err}
+	}()
+	var got opened
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("New did not return: quarantine's free-name search loops on an Lstat error")
+	}
+	if got.err != nil {
+		t.Fatalf("New: %v", got.err)
+	}
+	if rec := got.loop.Recovery(); len(rec.Quarantined) != 0 || !strings.Contains(strings.Join(rec.Warnings, "\n"), "cannot quarantine") {
+		t.Fatalf("recovery = %+v, want a cannot-quarantine warning and nothing moved", rec)
+	}
+	for _, sub := range []string{"summaries", "quarantine"} {
+		if data, err := os.ReadFile(filepath.Join(dir, sub, name)); err != nil || string(data) != sub {
+			t.Fatalf("%s/%s = %q (%v), want it untouched", sub, name, data, err)
+		}
+	}
+}
+
+// TestUnquarantinableManifestKept: a corrupt manifest that cannot be
+// moved aside (quarantine/ is taken by a file) fails New. Rebuilding the
+// manifest from the directory would write over it.
+func TestUnquarantinableManifestKept(t *testing.T) {
+	dir := t.TempDir()
+	const corrupt = "{not a manifest"
+	if err := os.WriteFile(manifestPath(dir), []byte(corrupt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "quarantine"), []byte("a file where the quarantine directory goes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{StateDir: dir}, nil); err == nil {
+		t.Error("New rebuilt over a manifest it could not quarantine")
+	} else if !errors.Is(err, errManifestCorrupt) {
+		t.Errorf("New: %v, want it to name the corrupt manifest", err)
+	}
+	if data, err := os.ReadFile(manifestPath(dir)); err != nil || string(data) != corrupt {
+		t.Fatalf("manifest = %q (%v), want its bytes unchanged", data, err)
+	}
+}
+
+// TestUnquarantinableNoveltyKept: an unreadable novelty snapshot that
+// cannot be moved aside fails New. Dropped from the manifest, it would be
+// swept as a stale snapshot and deleted.
+func TestUnquarantinableNoveltyKept(t *testing.T) {
+	dir := t.TempDir()
+	nov := noveltyFileName(1)
+	if err := writeManifest(dir, &manifest{Version: 1, Days: 1, Novelty: nov}); err != nil {
+		t.Fatal(err)
+	}
+	const corrupt = "{not a snapshot"
+	if err := os.WriteFile(filepath.Join(dir, nov), []byte(corrupt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "quarantine"), []byte("a file where the quarantine directory goes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{StateDir: dir}, nil); err == nil {
+		t.Error("New went on without a novelty snapshot it could not quarantine")
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, nov)); err != nil || string(data) != corrupt {
+		t.Fatalf("%s = %q (%v), want its bytes unchanged", nov, data, err)
 	}
 }

@@ -21,9 +21,11 @@
 // Recovery (run by New) reconciles the day counter from the manifest —
 // never from a directory listing — verifies every committed day file's
 // checksum, and moves anything truncated, corrupt, or uncommitted to
-// StateDir/quarantine/ with a logged warning instead of aborting. A state
-// directory from before the manifest era is adopted as-is: its day files
-// and novelty.json become the first manifest.
+// StateDir/quarantine/ with a logged warning instead of aborting; only a
+// corrupt manifest or novelty snapshot that cannot be moved aside fails
+// New, since recovery would write over or sweep it. A state directory
+// from before the manifest era is adopted as-is: its day files and
+// novelty.json become the first manifest.
 package opsloop
 
 import (
@@ -34,8 +36,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 
+	"baywatch/internal/durable"
 	"baywatch/internal/faultinject"
 	"baywatch/internal/novelty"
 	"baywatch/internal/timeseries"
@@ -58,27 +60,22 @@ func faultCheck(point faultinject.Point) error {
 	return faultHook(string(point))
 }
 
-// atomicPoints names the injection point of each step of one atomicWrite
-// call chain; the two instances below are the registered constants for the
-// manifest and day-file writes.
-type atomicPoints struct {
-	create, write, sync, rename, dirsync faultinject.Point
-}
-
+// manifestPoints and dayPoints are the registered points of each step of
+// the manifest's and the day files' atomic writes.
 var (
-	manifestPoints = atomicPoints{
-		create:  faultinject.PointOpsloopManifestCreate,
-		write:   faultinject.PointOpsloopManifestWrite,
-		sync:    faultinject.PointOpsloopManifestSync,
-		rename:  faultinject.PointOpsloopManifestRename,
-		dirsync: faultinject.PointOpsloopManifestDirsync,
+	manifestPoints = durable.Points{
+		Create:  faultinject.PointOpsloopManifestCreate,
+		Write:   faultinject.PointOpsloopManifestWrite,
+		Sync:    faultinject.PointOpsloopManifestSync,
+		Rename:  faultinject.PointOpsloopManifestRename,
+		Dirsync: faultinject.PointOpsloopManifestDirsync,
 	}
-	dayPoints = atomicPoints{
-		create:  faultinject.PointOpsloopDayCreate,
-		write:   faultinject.PointOpsloopDayWrite,
-		sync:    faultinject.PointOpsloopDaySync,
-		rename:  faultinject.PointOpsloopDayRename,
-		dirsync: faultinject.PointOpsloopDayDirsync,
+	dayPoints = durable.Points{
+		Create:  faultinject.PointOpsloopDayCreate,
+		Write:   faultinject.PointOpsloopDayWrite,
+		Sync:    faultinject.PointOpsloopDaySync,
+		Rename:  faultinject.PointOpsloopDayRename,
+		Dirsync: faultinject.PointOpsloopDayDirsync,
 	}
 )
 
@@ -121,69 +118,7 @@ type Recovery struct {
 func manifestPath(dir string) string      { return filepath.Join(dir, "manifest.json") }
 func dayFileName(day int) string          { return fmt.Sprintf("day-%06d.bin", day) }
 func noveltyFileName(day int) string      { return fmt.Sprintf("novelty-%06d.json", day) }
-func quarantineDir(dir string) string     { return filepath.Join(dir, "quarantine") }
 func legacyNoveltyPath(dir string) string { return filepath.Join(dir, "novelty.json") }
-
-// atomicWrite persists data at path via tmp file, fsync, rename, and a
-// directory fsync, consulting the fault hook at each step under the given
-// registered point set.
-func atomicWrite(path string, data []byte, pts atomicPoints) error {
-	tmp := path + ".tmp"
-	if err := faultCheck(pts.create); err != nil {
-		return fmt.Errorf("opsloop: create %s: %w", tmp, err)
-	}
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("opsloop: create %s: %w", tmp, err)
-	}
-	if err = faultCheck(pts.write); err == nil {
-		_, err = f.Write(data)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("opsloop: write %s: %w", tmp, err)
-	}
-	if err = faultCheck(pts.sync); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("opsloop: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("opsloop: close %s: %w", tmp, err)
-	}
-	if err = faultCheck(pts.rename); err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		return fmt.Errorf("opsloop: rename %s: %w", path, err)
-	}
-	if err = faultCheck(pts.dirsync); err == nil {
-		err = syncDir(filepath.Dir(path))
-	}
-	if err != nil {
-		return fmt.Errorf("opsloop: dirsync %s: %w", filepath.Dir(path), err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Filesystems that do not support directory fsync (EINVAL/ENOTSUP) are
-// tolerated; a real I/O failure is not — the rename is the commit point
-// and pretending it is durable when the directory entry may be lost
-// would let recovery believe in state that a power cut can erase.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return err
-	}
-	return nil
-}
 
 // loadManifest reads the manifest; ok is false when none exists. A
 // malformed manifest is returned as an error wrapping errManifestCorrupt
@@ -210,7 +145,10 @@ func writeManifest(dir string, man *manifest) error {
 	if err != nil {
 		return fmt.Errorf("opsloop: marshal manifest: %w", err)
 	}
-	return atomicWrite(manifestPath(dir), data, manifestPoints)
+	if err := durable.WriteFile(manifestPath(dir), data, faultCheck, manifestPoints); err != nil {
+		return fmt.Errorf("opsloop: %w", err)
+	}
+	return nil
 }
 
 // warnf records a recovery warning and logs it.
@@ -223,41 +161,35 @@ func (l *Loop) warnf(format string, args ...any) {
 }
 
 // quarantine moves path under StateDir/quarantine/ (never deleting data)
-// and records why.
-func (l *Loop) quarantine(path, reason string) {
-	qdir := quarantineDir(l.cfg.StateDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
+// and records why. A file that cannot be moved aside stays where it is,
+// with a warning, and the error is returned.
+func (l *Loop) quarantine(path, reason string) error {
+	dst, err := durable.Quarantine(l.cfg.StateDir, path)
+	if err != nil {
 		l.warnf("cannot quarantine %s: %v", path, err)
-		return
-	}
-	dst := filepath.Join(qdir, filepath.Base(path))
-	for i := 1; ; i++ {
-		if _, err := os.Lstat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", filepath.Base(path), i))
-	}
-	if err := os.Rename(path, dst); err != nil {
-		l.warnf("cannot quarantine %s: %v", path, err)
-		return
+		return err
 	}
 	l.rec.Quarantined = append(l.rec.Quarantined, dst)
 	l.warnf("quarantined %s: %s", filepath.Base(path), reason)
+	return nil
 }
 
 // recover reconciles the loop's in-memory state with the state directory:
 // manifest, novelty snapshot, and committed history.
 func (l *Loop) recover() error {
 	dir := l.cfg.StateDir
-	removeTempFiles(dir)
-	removeTempFiles(historyDir(dir))
+	durable.RemoveTemp(dir)
+	durable.RemoveTemp(historyDir(dir))
 
 	man, ok, err := loadManifest(dir)
 	if err != nil {
 		if !errors.Is(err, errManifestCorrupt) {
 			return err
 		}
-		l.quarantine(manifestPath(dir), err.Error())
+		// A manifest that cannot be moved aside is not rebuilt over.
+		if qerr := l.quarantine(manifestPath(dir), err.Error()); qerr != nil {
+			return fmt.Errorf("%w; cannot quarantine it: %w", err, qerr)
+		}
 		ok = false
 	}
 	if ok {
@@ -277,7 +209,11 @@ func (l *Loop) recover() error {
 		path := filepath.Join(dir, l.man.Novelty)
 		store, err := novelty.Load(path)
 		if err != nil {
-			l.quarantine(path, fmt.Sprintf("unreadable novelty snapshot (%v); novelty state reset", err))
+			// Unnamed by the manifest, the snapshot would be swept as
+			// stale; one that cannot be moved aside fails New instead.
+			if qerr := l.quarantine(path, fmt.Sprintf("unreadable novelty snapshot (%v); novelty state reset", err)); qerr != nil {
+				return fmt.Errorf("opsloop: %w; cannot quarantine it: %w", err, qerr)
+			}
 			l.man.Novelty = ""
 		} else {
 			l.store = store
@@ -401,19 +337,6 @@ func (l *Loop) sweepOrphans() {
 	}
 }
 
-// removeTempFiles deletes leftover *.tmp files from interrupted writes.
-func removeTempFiles(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-}
-
 // commitDay makes one ingested day durable: day file → novelty snapshot →
 // manifest commit. On success the in-memory manifest reflects the new
 // state; on error (or crash) the durable state is unchanged as far as
@@ -422,9 +345,9 @@ func removeTempFiles(dir string) {
 func (l *Loop) commitDay(day int, sums []*timeseries.ActivitySummary) error {
 	payload := encodeDaySummaries(sums)
 	file := dayFileName(day)
-	if err := atomicWrite(filepath.Join(historyDir(l.cfg.StateDir), file),
-		timeseries.AppendChecksum(payload), dayPoints); err != nil {
-		return err
+	if err := durable.WriteFile(filepath.Join(historyDir(l.cfg.StateDir), file),
+		timeseries.AppendChecksum(payload), faultCheck, dayPoints); err != nil {
+		return fmt.Errorf("opsloop: %w", err)
 	}
 
 	if err := faultCheck(faultinject.PointOpsloopNoveltySave); err != nil {

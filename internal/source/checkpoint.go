@@ -54,7 +54,7 @@
 // the file's first frame reach that first frame's size — and whenever
 // there is no file yet, or an earlier write failed and the tail cannot be
 // trusted — it compacts instead: the snapshot frame goes tmp → write →
-// fsync → rename → dir fsync, the opsloop journal convention, with the
+// fsync → rename → dir fsync through durable.WriteFile, with the
 // rename as the commit point and every step a registered
 // source.checkpoint.* fault point. The file therefore stays under twice
 // its first frame plus one delta, and lifetime bytes written under about
@@ -80,7 +80,9 @@
 //     sources, version 2 had no detections section; a version-1 JSON
 //     checkpoint reads as a bad first frame) is corruption. The file is
 //     quarantined to <dir>/quarantine/, never deleted, and the engine
-//     starts empty and re-ingests what the sources can still replay.
+//     starts empty and re-ingests what the sources can still replay. A
+//     file that cannot be moved aside fails OpenEngine instead: an empty
+//     engine's first commit would compact over it.
 //
 // Both repairs are recorded in Recovery. A length field damaged into a
 // smaller value makes even a last frame read as "followed by bytes", so
@@ -96,10 +98,9 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
-	"syscall"
 
 	"baywatch/internal/core"
+	"baywatch/internal/durable"
 	"baywatch/internal/faultinject"
 )
 
@@ -491,62 +492,22 @@ func replayLog(data []byte, apply func(payload []byte) error) (good, first int64
 	return good, first, nil
 }
 
-// checkpointPoints is the registered point of each step of the atomic
-// checkpoint write, mirroring opsloop's atomicPoints, and of the two
-// steps of an append.
-var checkpointPoints = struct {
-	create, write, sync, rename, dirsync, appendWrite, appendSync faultinject.Point
-}{
-	create:      faultinject.PointSourceCheckpointCreate,
-	write:       faultinject.PointSourceCheckpointWrite,
-	sync:        faultinject.PointSourceCheckpointSync,
-	rename:      faultinject.PointSourceCheckpointRename,
-	dirsync:     faultinject.PointSourceCheckpointDirsync,
-	appendWrite: faultinject.PointSourceCheckpointAppend,
-	appendSync:  faultinject.PointSourceCheckpointAppendsync,
+// checkpointPoints is the registered point of each step of the
+// compaction's atomic replace.
+var checkpointPoints = durable.Points{
+	Create:  faultinject.PointSourceCheckpointCreate,
+	Write:   faultinject.PointSourceCheckpointWrite,
+	Sync:    faultinject.PointSourceCheckpointSync,
+	Rename:  faultinject.PointSourceCheckpointRename,
+	Dirsync: faultinject.PointSourceCheckpointDirsync,
 }
 
-// writeCheckpoint replaces the log with the one frame atomically: tmp
-// file, fsync, rename, directory fsync, consulting the fault hook at each
-// step.
+// writeCheckpoint replaces the log with the one frame through
+// durable.WriteFile, consulting the fault hook at each step.
 func writeCheckpoint(dir string, frame []byte) error {
-	path := checkpointPath(dir)
-	tmp := path + ".tmp"
-	if err := faultCheck(checkpointPoints.create, "checkpoint"); err != nil {
-		return fmt.Errorf("source: create %s: %w", tmp, err)
-	}
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("source: create %s: %w", tmp, err)
-	}
-	if err = faultCheck(checkpointPoints.write, "checkpoint"); err == nil {
-		_, err = f.Write(frame)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("source: write %s: %w", tmp, err)
-	}
-	if err = faultCheck(checkpointPoints.sync, "checkpoint"); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("source: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("source: close %s: %w", tmp, err)
-	}
-	if err = faultCheck(checkpointPoints.rename, "checkpoint"); err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		return fmt.Errorf("source: rename %s: %w", path, err)
-	}
-	if err = faultCheck(checkpointPoints.dirsync, "checkpoint"); err == nil {
-		err = syncDir(dir)
-	}
-	if err != nil {
-		return fmt.Errorf("source: dirsync %s: %w", dir, err)
+	check := func(p faultinject.Point) error { return faultCheck(p, "checkpoint") }
+	if err := durable.WriteFile(checkpointPath(dir), frame, check, checkpointPoints); err != nil {
+		return fmt.Errorf("source: %w", err)
 	}
 	return nil
 }
@@ -560,14 +521,14 @@ func appendCheckpoint(dir string, frame []byte, at int64) error {
 	if err != nil {
 		return fmt.Errorf("source: open %s: %w", path, err)
 	}
-	if err = faultCheck(checkpointPoints.appendWrite, "checkpoint"); err == nil {
+	if err = faultCheck(faultinject.PointSourceCheckpointAppend, "checkpoint"); err == nil {
 		_, err = f.WriteAt(frame, at)
 	}
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("source: append %s: %w", path, err)
 	}
-	if err = faultCheck(checkpointPoints.appendSync, "checkpoint"); err == nil {
+	if err = faultCheck(faultinject.PointSourceCheckpointAppendsync, "checkpoint"); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -595,51 +556,4 @@ func truncateCheckpoint(dir string, size int64) error {
 		return err
 	}
 	return f.Close()
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss;
-// filesystems without directory fsync (EINVAL/ENOTSUP) are tolerated.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return err
-	}
-	return nil
-}
-
-// quarantine moves path under dir/quarantine/ (never deleting data),
-// returning the destination or an empty string when the move failed.
-func quarantine(dir, path string) string {
-	qdir := filepath.Join(dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return ""
-	}
-	dst := filepath.Join(qdir, filepath.Base(path))
-	for i := 1; ; i++ {
-		if _, err := os.Lstat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", filepath.Base(path), i))
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return ""
-	}
-	return dst
-}
-
-// removeTempFiles deletes leftover *.tmp files from interrupted writes.
-func removeTempFiles(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
 }

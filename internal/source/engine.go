@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"baywatch/internal/core"
+	"baywatch/internal/durable"
 	"baywatch/internal/faultinject"
 	"baywatch/internal/ingest"
 	"baywatch/internal/pipeline"
@@ -252,7 +253,8 @@ type durableHeader struct {
 // checkpoint log, and returns the engine ready for Apply. A torn last
 // frame is cut off and the engine resumes from the commit before it; a
 // corrupt log is quarantined — the engine then starts empty and relies on
-// the sources replaying. Either repair is recorded in Recovery.
+// the sources replaying; a corrupt log that cannot be quarantined is an
+// error. Either repair is recorded in Recovery.
 func OpenEngine(cfg Config) (*Engine, error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("source: StateDir is required")
@@ -270,7 +272,7 @@ func OpenEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("source: create state dir: %w", err)
 	}
 	e := newEngine(cfg)
-	removeTempFiles(cfg.StateDir)
+	durable.RemoveTemp(cfg.StateDir)
 	data, err := os.ReadFile(checkpointPath(cfg.StateDir))
 	if os.IsNotExist(err) {
 		return e, nil
@@ -280,10 +282,14 @@ func OpenEngine(cfg Config) (*Engine, error) {
 	}
 	good, first, err := replayLog(data, e.replayFrame)
 	if err != nil {
-		e = newEngine(cfg) // discard whatever the frames before the bad one built
-		if dst := quarantine(cfg.StateDir, checkpointPath(cfg.StateDir)); dst != "" {
-			e.rec.Quarantined = append(e.rec.Quarantined, dst)
+		// A log that cannot be moved aside is not started over: the first
+		// commit would compact over it.
+		dst, qerr := durable.Quarantine(cfg.StateDir, checkpointPath(cfg.StateDir))
+		if qerr != nil {
+			return nil, fmt.Errorf("source: checkpoint unreadable (%v) and cannot be quarantined: %w", err, qerr)
 		}
+		e = newEngine(cfg) // discard whatever the frames before the bad one built
+		e.rec.Quarantined = append(e.rec.Quarantined, dst)
 		e.warnf("checkpoint unreadable (%v); starting from empty state", err)
 		return e, nil
 	}

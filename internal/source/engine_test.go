@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -192,6 +193,25 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 	eng.Apply(Batch{Source: "s", Events: []Event{{Source: "h", Destination: "d", TS: 1}}, Pos: Position{Records: 1}})
 	if err := eng.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnquarantinableCheckpointKept: a corrupt log that cannot be moved
+// aside (here quarantine/ is taken by a file) fails OpenEngine. Starting
+// empty would let the first commit, a compaction, replace the log.
+func TestUnquarantinableCheckpointKept(t *testing.T) {
+	dir := t.TempDir()
+	const corrupt = "not a checkpoint at all"
+	writeFile(t, checkpointPath(dir), corrupt)
+	writeFile(t, filepath.Join(dir, "quarantine"), "a file where the quarantine directory goes")
+	eng, err := OpenEngine(Config{StateDir: dir})
+	if err == nil {
+		eng.Apply(Batch{Source: "s", Events: []Event{{Source: "h", Destination: "d", TS: 1}}, Pos: Position{Records: 1}})
+		cerr := eng.Commit()
+		t.Errorf("OpenEngine started empty over a log it could not quarantine (commit: %v)", cerr)
+	}
+	if data, err := os.ReadFile(checkpointPath(dir)); err != nil || string(data) != corrupt {
+		t.Fatalf("checkpoint = %q (%v), want its bytes unchanged", data, err)
 	}
 }
 
