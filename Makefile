@@ -86,7 +86,7 @@ BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch
 	-noise 'BenchmarkRestartFirstTick/warm:0.35' -noise 'BenchmarkRestartFirstTick/cold:0.25'
 
 .PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke \
-	named-runs-exist test-front-half test-stored-detections test-durable
+	named-runs-exist test-front-half test-stored-detections test-durable test-guard
 
 # The named re-runs: test lists CI runs again by name after make check, so
 # a divergence shows as its own line in the CI summary (see ci.yml for
@@ -117,6 +117,11 @@ DURABLE_TESTS := TestDurableOwnsRenames TestWriteFileStepOrder TestWriteFileStep
 	TestUnquarantinableCheckpointKept TestQuarantineLongNameTerminates TestUnquarantinableManifestKept \
 	TestUnquarantinableNoveltyKept
 DURABLE_PKGS := ./internal/durable ./internal/source ./internal/opsloop
+GUARD_TESTS := TestRunBoundedTimeout TestRunBoundedContextCause \
+	TestCandidateTimeoutParksHungDetection TestCandidateTimeoutParksHungIndication \
+	TestTaskTimeoutSkipsHungInput TestCoarsePassRescaleMergeBounded \
+	TestStageTimeoutFailsRun TestRunCancellationPromptAndNoLeak TestCancellationMidRunReturnsPromptly
+GUARD_PKGS := ./internal/guard ./internal/mapreduce ./internal/pipeline ./internal/opsloop
 
 empty :=
 space := $(empty) $(empty)
@@ -138,6 +143,7 @@ named-runs-exist:
 	@$(call names_exist,$(FRONT_HALF_TESTS),$(FRONT_HALF_PKGS))
 	@$(call names_exist,$(STORED_DETECTION_TESTS),$(STORED_DETECTION_PKGS))
 	@$(call names_exist,$(DURABLE_TESTS),$(DURABLE_PKGS))
+	@$(call names_exist,$(GUARD_TESTS),$(GUARD_PKGS))
 
 test-front-half:
 	$(GO) test -count=1 -run '$(call runregex,$(FRONT_HALF_TESTS))' $(FRONT_HALF_PKGS)
@@ -147,6 +153,9 @@ test-stored-detections:
 
 test-durable:
 	$(GO) test -count=1 -run '$(call runregex,$(DURABLE_TESTS))' $(DURABLE_PKGS)
+
+test-guard:
+	$(GO) test -count=1 -run '$(call runregex,$(GUARD_TESTS))' $(GUARD_PKGS)
 
 # check is the CI entry point: vet, build, the full test suite under the
 # race detector (the fault-injection and crash-recovery tests exercise real

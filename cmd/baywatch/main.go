@@ -104,12 +104,9 @@ func run() error {
 	lenient := flag.Int("lenient", 0, "skip up to N malformed log lines per shard (per file unless -shards splits it) instead of aborting (0 = strict)")
 	allowDegraded := flag.Bool("allow-degraded", false, "exit 0 even when the run completes degraded")
 	stageTimeout := flag.Duration("stage-timeout", 0, "wall-clock bound per pipeline stage (0 = unbounded)")
-	candidateTimeout := flag.Duration("candidate-timeout", 0, "wall-clock bound per candidate's detection/indication; overruns are parked as errors (0 = unbounded)")
-	taskTimeout := flag.Duration("task-timeout", 0, "wall-clock bound per pair in the detect and rescale-merge jobs; an overrun drops the pair within -failure-budget; log ingest is bounded by -stage-timeout (0 = unbounded)")
-	stallTimeout := flag.Duration("stall-timeout", 0, "watchdog bound per pair in the detect and rescale-merge jobs and the indication analysis: a worker silent this long has its pair cancelled (0 = no watchdog)")
+	candidateTimeout := flag.Duration("candidate-timeout", 0, "wall-clock bound per pair's detection, indication and rescale-merge: an overrun detection or indication is parked as an error, an overrun rescale-merge drops the pair within -failure-budget; log ingest is bounded by -stage-timeout (0 = unbounded)")
 	maxEventsPerPair := flag.Int("max-events-per-pair", 0, "truncate pairs above this many events to their earliest events (0 = uncapped)")
-	maxInFlight := flag.Int("max-inflight", 0, "bound on candidates admitted to detection concurrently (0 = unlimited)")
-	failureBudget := flag.Int("failure-budget", 0, "failure budget of the detect and rescale-merge jobs, counted per pair (failed, timed out or stalled): pairs within it are dropped, one more aborts the job; log ingest sheds only through -max-events-per-pair (0 = abort on first)")
+	failureBudget := flag.Int("failure-budget", 0, "failure budget of the detect and rescale-merge jobs, counted per pair (failed or timed out): pairs within it are dropped, one more aborts the job; log ingest sheds only through -max-events-per-pair (0 = abort on first)")
 	shards := flag.Int("shards", 0, "byte-range splits per log file (0 or 1 = one whole-file shard per file; gzip files always scan as one shard)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "parallel shard-scan and summary-aggregation workers (0 = GOMAXPROCS)")
 	serve := flag.Bool("serve", false, "run as an always-on streaming daemon; sources come from -follow/-listen/-http-ingest instead of -logs")
@@ -141,10 +138,7 @@ func run() error {
 		Guard: guard.Config{
 			StageTimeout:     *stageTimeout,
 			CandidateTimeout: *candidateTimeout,
-			TaskTimeout:      *taskTimeout,
-			StallTimeout:     *stallTimeout,
 			MaxEventsPerPair: *maxEventsPerPair,
-			MaxInFlight:      *maxInFlight,
 			FailureBudget:    *failureBudget,
 		},
 	}
@@ -389,9 +383,6 @@ func printReport(res *pipeline.Result, top int) {
 			fmt.Fprintf(os.Stderr, "warning:   %s -> %s truncated to %d events (%d dropped)\n",
 				tp.Source, tp.Destination, tp.Kept, tp.Dropped)
 		}
-	}
-	if res.Stats.Stalls > 0 {
-		fmt.Fprintf(os.Stderr, "warning: watchdog cancelled %d stalled task(s)\n", res.Stats.Stalls)
 	}
 
 	s := res.Stats

@@ -33,7 +33,7 @@ func main() {
 }
 
 func run() error {
-	casesPath := flag.String("cases", "", "case file from `baywatch -cases` (required)")
+	casesPath := flag.String("cases", "", "case file from baywatch -cases (required)")
 	labelsPath := flag.String("labels", "", "JSON labels {caseID: 0|1} to train on")
 	modelPath := flag.String("model", "", "load a trained model instead of training")
 	saveModel := flag.String("save-model", "", "save the trained model here")

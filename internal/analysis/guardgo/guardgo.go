@@ -7,7 +7,7 @@
 //
 //   - spawn a bare goroutine: a `go` statement is allowed only when the
 //     spawned work references the guard package (registers a watchdog
-//     worker, runs under guard.RunBounded/guard.BoundWork, holds a
+//     worker, runs under guard.RunBounded, holds a
 //     guard.Semaphore) so its lifetime is accounted for;
 //   - call context.Background() or context.TODO(): detaching from the
 //     caller's context severs deadline and cancellation propagation, so

@@ -1,20 +1,21 @@
-// Package guard is the pipeline's resilience layer: it bounds every unit
-// of work in time and memory so one pathological (source, destination)
-// series — millions of events, a degenerate FFT or GMM fit, a wedged I/O
-// call — cannot stall a daily run indefinitely. Three mechanisms compose:
+// Package guard is the pipeline's resilience layer: it bounds work in
+// time and memory so one pathological (source, destination) series —
+// millions of events, a degenerate FFT or GMM fit, a wedged I/O call —
+// cannot stall a run indefinitely. Config holds the bounds at two scopes:
 //
-//   - deadlines: RunBounded executes a work unit with a hard timeout and
-//     full context-cancellation propagation, abandoning (not killing —
-//     goroutines cannot be killed) work that overruns;
-//   - a watchdog: workers publish progress heartbeats, and a monitor
-//     cancels the current task of any worker that stops beating;
-//   - admission control: Semaphore bounds in-flight work units and
-//     Config.MaxEventsPerPair caps per-pair input volume, shedding load
-//     with explicit accounting instead of collapsing under it.
+//   - a stage deadline (StageTimeout) cancels one pipeline stage's
+//     context and fails the run;
+//   - a per-pair deadline (CandidateTimeout) runs one pair's call under
+//     RunBounded, which abandons (not kills — goroutines cannot be killed)
+//     a call that overruns, so the pair is parked or dropped while the
+//     rest of the stage completes;
+//   - MaxEventsPerPair caps per-pair input volume and FailureBudget lets
+//     a job drop failed pairs, shedding load with explicit accounting
+//     instead of collapsing under it.
 //
-// The mapreduce engine and the pipeline consume these primitives through
-// Config; timed-out or stalled candidates are parked as StageError via
-// the degraded-mode machinery rather than wedging the run.
+// Two primitives serve the streaming daemon's connectors and query
+// endpoint: Watchdog cancels a connector that stops publishing progress
+// heartbeats, and Semaphore bounds in-flight requests.
 package guard
 
 import (
@@ -34,48 +35,29 @@ var ErrTimeout = errors.New("guard: deadline exceeded")
 // stopped publishing progress heartbeats.
 var ErrStalled = errors.New("guard: worker stalled")
 
-// ErrShed marks a work unit rejected by admission control.
-var ErrShed = errors.New("guard: admission budget exhausted")
-
 // Config bundles the resilience knobs a pipeline run threads through its
-// stages. The zero value disables every bound (no deadlines, no watchdog,
-// no caps), preserving unguarded behavior.
+// stages. The zero value disables every bound (no deadlines, no caps),
+// preserving unguarded behavior.
 type Config struct {
 	// StageTimeout bounds each pipeline stage (one MapReduce job) in
 	// wall-clock time; exceeding it cancels the stage's context and fails
 	// the run with an error wrapping ErrTimeout. 0 disables.
 	StageTimeout time.Duration
-	// CandidateTimeout bounds the per-candidate detection and indication
-	// analysis; a candidate that overruns is parked as StageError and the
-	// run completes Degraded. 0 disables.
+	// CandidateTimeout bounds one pair's call in wall-clock time: its
+	// detection and its indication analysis, where an overrun parks the
+	// pair as StageError and the run completes Degraded, and its
+	// rescale-merge (mapreduce.JobConfig.TaskTimeout), where an overrun
+	// drops the pair within FailureBudget. 0 disables.
 	CandidateTimeout time.Duration
-	// TaskTimeout bounds each MapReduce job's call on one pair
-	// (mapreduce.JobConfig.TaskTimeout). 0 disables.
-	TaskTimeout time.Duration
-	// StallTimeout enables the watchdog: a worker that publishes no
-	// progress heartbeat for this long has its current task cancelled
-	// (surfacing ErrStalled). 0 disables the watchdog.
-	StallTimeout time.Duration
-	// PollInterval is the watchdog scan cadence; defaults to
-	// StallTimeout/4.
-	PollInterval time.Duration
-	// MaxInFlight bounds the number of candidates admitted to detection
-	// concurrently (the in-flight candidate budget). 0 means unlimited.
-	MaxInFlight int
 	// MaxEventsPerPair caps the per-pair event count at extraction;
 	// pairs over the cap are truncated to their earliest MaxEventsPerPair
 	// events with explicit accounting (pipeline Result.Truncated). 0
 	// means uncapped.
 	MaxEventsPerPair int
 	// FailureBudget, when > 0, is the MapReduce jobs' per-pair failure
-	// budget (mapreduce.JobConfig.MaxFailed), so timed-out or stalled
+	// budget (mapreduce.JobConfig.MaxFailed), so failed or timed-out
 	// pairs degrade the run instead of failing it.
 	FailureBudget int
-}
-
-// Enabled reports whether any bound is configured.
-func (c Config) Enabled() bool {
-	return c != Config{}
 }
 
 // faultHook, when non-nil, is consulted at guard events (watchdog stalls)

@@ -94,6 +94,7 @@ func TestWatchdogCancelsStalledWorker(t *testing.T) {
 	defer wd.Stop()
 	cancelled := make(chan struct{})
 	var once sync.Once
+	registered := time.Now()
 	hb := wd.Register("stuck-worker", func() { once.Do(func() { close(cancelled) }) })
 	defer hb.Done()
 
@@ -102,10 +103,8 @@ func TestWatchdogCancelsStalledWorker(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("watchdog never cancelled the silent worker")
 	}
-	waitFor(t, 5*time.Second, "stall record", func() bool { return len(wd.Stalls()) >= 1 })
-	st := wd.Stalls()[0]
-	if st.Worker != "stuck-worker" || st.Idle < 20*time.Millisecond {
-		t.Fatalf("bad stall record: %+v", st)
+	if idle := time.Since(registered); idle < 20*time.Millisecond {
+		t.Fatalf("worker cancelled after %v of silence, want >= 20ms", idle)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -144,37 +143,6 @@ func TestWatchdogStopTerminatesMonitor(t *testing.T) {
 	wd.Stop()
 	wd.Stop() // idempotent
 	waitFor(t, 5*time.Second, "monitor exit", func() bool { return runtime.NumGoroutine() <= before })
-}
-
-func TestBoundWorkStallCancelsOnlyCurrentTask(t *testing.T) {
-	wd := NewWatchdog(20*time.Millisecond, 5*time.Millisecond)
-	defer wd.Stop()
-	wk := wd.Worker("task-worker")
-	defer wk.Done()
-
-	release := make(chan struct{})
-	_, err := BoundWork(context.Background(), wk, 0, func() (int, error) {
-		<-release
-		return 0, nil
-	})
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("err = %v, want ErrStalled", err)
-	}
-	close(release)
-	waitFor(t, 5*time.Second, "abandoned drain", func() bool { return Abandoned() == 0 })
-
-	// The worker recovers: the next unit runs normally.
-	v, err := BoundWork(context.Background(), wk, 0, func() (int, error) { return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("recovered unit got (%v, %v), want (7, nil)", v, err)
-	}
-}
-
-func TestBoundWorkNilWorkerNoTimeoutIsDirect(t *testing.T) {
-	v, err := BoundWork(context.Background(), nil, 0, func() (int, error) { return 3, nil })
-	if err != nil || v != 3 {
-		t.Fatalf("got (%v, %v)", v, err)
-	}
 }
 
 func TestSemaphore(t *testing.T) {
@@ -273,14 +241,5 @@ func TestSemaphoreCancelledWaitersLeakNoPermits(t *testing.T) {
 	s.Release()
 	if s.InFlight() != 0 {
 		t.Fatalf("InFlight = %d after final release, want 0", s.InFlight())
-	}
-}
-
-func TestConfigEnabled(t *testing.T) {
-	if (Config{}).Enabled() {
-		t.Fatal("zero config must be disabled")
-	}
-	if !(Config{MaxEventsPerPair: 10}).Enabled() {
-		t.Fatal("non-zero config must be enabled")
 	}
 }

@@ -32,7 +32,7 @@ func waitForGoroutines(t *testing.T, baseline int) {
 // TestWatchdogStressConcurrentBeats hammers one watchdog with many
 // workers beating, re-registering, and deregistering concurrently while
 // the monitor scans at a tight interval. Meaningful under -race: the
-// heartbeat map, stall recording, and Stop/monitor handshake all run
+// heartbeat map, stall marking, and Stop/monitor handshake all run
 // concurrently. Determinism comes from what is asserted — no worker
 // that beats continuously is ever stalled, and everything drains.
 func TestWatchdogStressConcurrentBeats(t *testing.T) {
@@ -59,9 +59,6 @@ func TestWatchdogStressConcurrentBeats(t *testing.T) {
 
 	if n := cancelled.Load(); n != 0 {
 		t.Errorf("watchdog cancelled %d continuously-beating workers; stall window is 500ms", n)
-	}
-	if got := len(wd.Stalls()); got != 0 {
-		t.Errorf("recorded %d stalls for workers that never stalled", got)
 	}
 	waitForGoroutines(t, baseline)
 }
@@ -115,9 +112,6 @@ func TestWatchdogStressStalls(t *testing.T) {
 
 	if n := liveCancelled.Load(); n != 0 {
 		t.Errorf("live worker cancelled %d times while beating every 1ms against a 10ms window", n)
-	}
-	if got := len(wd.Stalls()); got < stalled {
-		t.Errorf("recorded %d stalls, want at least %d (one per silent worker)", got, stalled)
 	}
 	waitForGoroutines(t, baseline)
 }

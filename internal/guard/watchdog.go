@@ -3,36 +3,25 @@ package guard
 import (
 	"baywatch/internal/faultinject"
 
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Stall records one watchdog intervention: a worker whose current task
-// was cancelled after it stopped publishing heartbeats.
-type Stall struct {
-	// Worker is the stalled worker's registered name.
-	Worker string
-	// Idle is how long the worker had been silent when cancelled.
-	Idle time.Duration
-}
-
 // Watchdog tracks per-worker progress heartbeats and cancels the current
 // task of any worker that stops making progress. Workers register with
-// Register (or Worker), call Beat at every unit-of-work boundary, and
-// Done when they exit; the monitor goroutine scans every PollInterval and
-// fires each worker's cancel function once per stall (a subsequent Beat
-// re-arms it). Stalls are recorded (Stalls) and surfaced through the
-// fault-hook seam at point "guard.watchdog.stall:<worker>" so tests can
-// observe them deterministically.
+// Register, call Beat at every unit-of-work boundary, and Done when they
+// exit; the monitor goroutine scans at its poll cadence and fires each
+// worker's cancel function once per stall (a subsequent Beat re-arms it).
+// Stalls surface through the fault-hook seam at point
+// "guard.watchdog.stall:<worker>" so tests can observe them
+// deterministically.
 type Watchdog struct {
 	stall time.Duration
 	poll  time.Duration
 
 	mu      sync.Mutex
 	workers map[*Heartbeat]struct{}
-	stalls  []Stall
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -108,15 +97,6 @@ func (w *Watchdog) Stop() {
 	<-w.done
 }
 
-// Stalls returns every intervention recorded so far.
-func (w *Watchdog) Stalls() []Stall {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Stall, len(w.stalls))
-	copy(out, w.stalls)
-	return out
-}
-
 func (w *Watchdog) monitor() {
 	defer close(w.done)
 	ticker := time.NewTicker(w.poll)
@@ -140,66 +120,12 @@ func (w *Watchdog) monitor() {
 				continue
 			}
 			// Surface the stall through the fault-hook seam (observation
-			// only; the returned error is irrelevant here), record it, and
-			// cancel the worker's current task.
+			// only; the returned error is irrelevant here) and cancel the
+			// worker's current task.
 			_ = faultCheck(faultinject.PointGuardWatchdogStall.Keyed(h.name))
-			w.mu.Lock()
-			w.stalls = append(w.stalls, Stall{Worker: h.name, Idle: idle})
-			w.mu.Unlock()
 			if h.cancel != nil {
 				h.cancel()
 			}
 		}
 	}
-}
-
-// Worker couples a heartbeat with a slot for the current task's cancel
-// function, so the watchdog cancels exactly the in-flight task of a
-// stalled worker. A nil *Worker is inert, letting callers wire the
-// watchdog in optionally.
-type Worker struct {
-	hb     *Heartbeat
-	cancel atomic.Value // of context.CancelCauseFunc
-}
-
-// Worker registers a named worker whose current task is cancelled (with
-// cause ErrStalled) when it stalls. Returns nil when w is nil.
-func (w *Watchdog) Worker(name string) *Worker {
-	if w == nil {
-		return nil
-	}
-	wk := &Worker{}
-	wk.hb = w.Register(name, func() {
-		if c, ok := wk.cancel.Load().(context.CancelCauseFunc); ok && c != nil {
-			c(ErrStalled)
-		}
-	})
-	return wk
-}
-
-// Done deregisters the worker from its watchdog.
-func (wk *Worker) Done() {
-	if wk == nil {
-		return
-	}
-	wk.hb.Done()
-}
-
-// BoundWork runs one unit of work bounded by the candidate/task timeout
-// and by the worker's watchdog: the worker beats at the unit boundary,
-// and a stall cancels only this unit (error wrapping ErrStalled). With a
-// nil worker and no timeout the call is direct and unbounded. fn must
-// communicate only through its return values (see RunBounded).
-func BoundWork[T any](ctx context.Context, wk *Worker, timeout time.Duration, fn func() (T, error)) (T, error) {
-	if wk == nil {
-		return RunBounded(ctx, timeout, fn)
-	}
-	wk.hb.Beat()
-	tctx, cancel := context.WithCancelCause(ctx)
-	wk.cancel.Store(cancel)
-	defer func() {
-		wk.cancel.Store(context.CancelCauseFunc(nil))
-		cancel(nil)
-	}()
-	return RunBounded(tctx, timeout, fn)
 }

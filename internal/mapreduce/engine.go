@@ -30,7 +30,7 @@ import (
 // JobConfig controls parallelism, partitioning and the per-input failure
 // bounds.
 type JobConfig struct {
-	// Name appears in error messages and watchdog worker names.
+	// Name appears in error messages.
 	Name string
 	// Workers is the number of parallel task workers; defaults to
 	// GOMAXPROCS.
@@ -40,7 +40,7 @@ type JobConfig struct {
 	// REDUCE tasks". Defaults to 5.
 	PartitionBits int
 	// MaxFailed is the failure budget: inputs whose call fails (error,
-	// panic, timeout or stall) are dropped and counted (Counters.Failed) as
+	// panic or timeout) are dropped and counted (Counters.Failed) as
 	// long as their total stays within the budget; one more aborts the job.
 	// 0 (the default) aborts on the first failure.
 	MaxFailed int
@@ -48,11 +48,6 @@ type JobConfig struct {
 	// call is a failure charged against MaxFailed; the overrunning call is
 	// abandoned to drain on its own, not killed. 0 disables.
 	TaskTimeout time.Duration
-	// Watchdog, when non-nil, receives per-worker progress heartbeats;
-	// a worker that stops progressing between calls has its current call
-	// cancelled (a failure, like a timeout). The engine registers and
-	// deregisters its workers itself.
-	Watchdog *guard.Watchdog
 }
 
 func (c JobConfig) withDefaults() JobConfig {
@@ -120,12 +115,11 @@ func (j *Job[I, O]) partition(inputs []I) [][]I {
 	return parts
 }
 
-// Run executes the job over the inputs in-process: Workers goroutines,
-// each registered with the job's watchdog as <name>/task-<w>, take the
-// partitions one at a time. Outputs are ordered by partition and, within
-// a partition, by input, whichever worker ran which partition. The first
-// failure past the budget cancels the other tasks and is returned; so is
-// ctx's cancellation.
+// Run executes the job over the inputs in-process: Workers goroutines
+// take the partitions one at a time. Outputs are ordered by partition
+// and, within a partition, by input, whichever worker ran which
+// partition. The first failure past the budget cancels the other tasks
+// and is returned; so is ctx's cancellation.
 func (j *Job[I, O]) Run(ctx context.Context, inputs []I) (*Result[O], error) {
 	parts := j.partition(inputs)
 	outs := make([][]O, len(parts))
@@ -137,11 +131,17 @@ func (j *Job[I, O]) Run(ctx context.Context, inputs []I) (*Result[O], error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := j.cfg.Watchdog.Worker(fmt.Sprintf("%s/task-%d", j.name(), w))
-			defer wk.Done()
+			// A bounded job runs each call under guard.RunBounded, on a
+			// goroutine the deadline abandons; otherwise calls run inline.
+			call := j.call
+			if j.cfg.TaskTimeout > 0 {
+				call = func(in I) (O, error) {
+					return guard.RunBounded(tctx, j.cfg.TaskTimeout, func() (O, error) { return j.call(in) })
+				}
+			}
 			for p := int(next.Add(1) - 1); p < len(parts); p = int(next.Add(1) - 1) {
 				var err error
-				if outs[p], err = j.runPartition(tctx, wk, parts[p], &failed); err != nil {
+				if outs[p], err = j.runPartition(tctx, call, parts[p], &failed); err != nil {
 					cancel(err)
 					return
 				}
@@ -166,26 +166,17 @@ func (j *Job[I, O]) Run(ctx context.Context, inputs []I) (*Result[O], error) {
 	return res, nil
 }
 
-// runPartition is the task loop: it calls fn on each input of one
+// runPartition is the task loop: it calls call on each input of one
 // partition, in order, and keeps the outputs of the calls that succeed.
-// A call runs inline, or under guard.BoundWork — on a goroutine that a
-// deadline or the watchdog may abandon — when the job bounds its calls.
 // A failed input is dropped while failed stays within MaxFailed, and
 // aborts the loop past that.
-func (j *Job[I, O]) runPartition(ctx context.Context, wk *guard.Worker, part []I, failed *atomic.Int64) ([]O, error) {
-	bounded := j.cfg.TaskTimeout > 0 || wk != nil
+func (j *Job[I, O]) runPartition(ctx context.Context, call func(I) (O, error), part []I, failed *atomic.Int64) ([]O, error) {
 	outs := make([]O, 0, len(part))
 	for _, in := range part {
 		if err := context.Cause(ctx); err != nil {
 			return nil, err
 		}
-		var out O
-		var err error
-		if bounded {
-			out, err = guard.BoundWork(ctx, wk, j.cfg.TaskTimeout, func() (O, error) { return j.call(in) })
-		} else {
-			out, err = j.call(in)
-		}
+		out, err := call(in)
 		if err == nil {
 			outs = append(outs, out)
 			continue

@@ -49,7 +49,7 @@ func runByPartition[I, O any](j *Job[I, O], inputs []I) (*Result[O], error) {
 	var failed atomic.Int64
 	res := &Result[O]{}
 	for _, part := range j.partition(inputs) {
-		outs, err := j.runPartition(context.Background(), nil, part, &failed)
+		outs, err := j.runPartition(context.Background(), j.call, part, &failed)
 		if err != nil {
 			return nil, err
 		}

@@ -154,9 +154,9 @@ func beaconRecords(src, dst string, count int, period int64) []*proxylog.Record 
 }
 
 // TestCoarsePassRescaleMergeBounded: the coarse pass's rescale-merge runs
-// under the pipeline's guard like the detect job does. A pair whose merge
-// overruns TaskTimeout is dropped within the failure budget, and the pass
-// comes back Degraded with the pair counted.
+// under the pipeline's per-pair deadline like the detect job does. A pair
+// whose merge overruns CandidateTimeout is dropped within the failure
+// budget, and the pass comes back Degraded with the pair counted.
 func TestCoarsePassRescaleMergeBounded(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	lm, err := langmodel.Train(corpus.PopularDomains(2000, 42))
@@ -165,7 +165,7 @@ func TestCoarsePassRescaleMergeBounded(t *testing.T) {
 	}
 	cfg := Config{StateDir: t.TempDir(), WeeklyEvery: 1}
 	cfg.Pipeline = pipeline.Config{LM: lm, LocalTau: 0.99}
-	cfg.Pipeline.Guard.TaskTimeout = 500 * time.Millisecond
+	cfg.Pipeline.Guard.CandidateTimeout = 500 * time.Millisecond
 	cfg.Pipeline.Guard.FailureBudget = 1
 	loop, err := New(cfg, nil)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"baywatch/internal/faultinject"
 	"baywatch/internal/guard"
 	"baywatch/internal/langmodel"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/proxylog"
 )
 
@@ -105,6 +104,22 @@ func TestUncappedRunNotTruncated(t *testing.T) {
 }
 
 func TestCandidateTimeoutParksHungDetection(t *testing.T) {
+	runHungCandidate(t, faultinject.PointPipelineDetect, "detect")
+}
+
+// TestCandidateTimeoutParksHungIndication: the per-pair deadline bounds
+// the indication analysis as it bounds detection — the hung pair is
+// parked under stage "indication", every other candidate completes, and
+// the abandoned analysis drains once the hang is released.
+func TestCandidateTimeoutParksHungIndication(t *testing.T) {
+	runHungCandidate(t, faultinject.PointPipelineIndication, "indication")
+}
+
+// runHungCandidate wedges one pair's call at point forever under a
+// one-second CandidateTimeout and checks that the run parks exactly that
+// pair as StageError in stage, carrying guard.ErrTimeout.
+func runHungCandidate(t *testing.T, point faultinject.Point, stage string) {
+	t.Helper()
 	baseline := runtime.NumGoroutine()
 	var records []*proxylog.Record
 	records = append(records, beaconRecords("10.0.0.1", "alpha.example", 60, 60)...)
@@ -115,9 +130,9 @@ func TestCandidateTimeoutParksHungDetection(t *testing.T) {
 	release := make(chan struct{})
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	t.Cleanup(releaseOnce) // even a failing test must unblock the hang
-	SetFaultHook(func(point string) error {
-		if point == string(faultinject.PointPipelineDetect.Keyed("10.0.0.3|stuck.example")) {
-			<-release // wedge this one pair's detection forever
+	SetFaultHook(func(p string) error {
+		if p == string(point.Keyed("10.0.0.3|stuck.example")) {
+			<-release // wedge this one pair's call forever
 		}
 		return nil
 	})
@@ -138,8 +153,8 @@ func TestCandidateTimeoutParksHungDetection(t *testing.T) {
 		t.Fatalf("degraded=%v errors=%d, want true/1", res.Degraded, len(res.Errors))
 	}
 	ce := res.Errors[0]
-	if ce.Stage != "detect" || ce.Destination != "stuck.example" {
-		t.Fatalf("error record %+v, want detect on stuck.example", ce)
+	if ce.Stage != stage || ce.Destination != "stuck.example" {
+		t.Fatalf("error record %+v, want %s on stuck.example", ce, stage)
 	}
 	if !strings.Contains(ce.Err, guard.ErrTimeout.Error()) {
 		t.Fatalf("error should carry the deadline cause: %q", ce.Err)
@@ -153,48 +168,10 @@ func TestCandidateTimeoutParksHungDetection(t *testing.T) {
 			t.Fatalf("healthy pair %s|%s errored", c.Source, c.Destination)
 		}
 	}
+	if guard.Abandoned() == 0 {
+		t.Fatal("the hung call should still be running, abandoned")
+	}
 	releaseOnce()
-	drainGuard(t, baseline)
-}
-
-func TestWatchdogDetectsMapreduceHangDegraded(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	var records []*proxylog.Record
-	records = append(records, beaconRecords("10.0.0.1", "alpha.example", 60, 60)...)
-	records = append(records, beaconRecords("10.0.0.2", "bravo.example", 60, 90)...)
-	records = append(records, beaconRecords("10.0.0.3", "charlie.example", 60, 120)...)
-
-	sched := faultinject.New(0)
-	sched.HangAt(faultinject.PointMapreduceTask.Keyed("10.0.0.3|charlie.example"), 1)
-	mapreduce.SetFaultHook(sched.Hook())
-	t.Cleanup(func() { mapreduce.SetFaultHook(nil); sched.ReleaseHangs() })
-
-	cfg := smallConfig(t)
-	// The stall bound must exceed any healthy pair's detection (heartbeats
-	// only happen between pairs) while still catching the infinite
-	// injected hang; these detections run in milliseconds.
-	cfg.Guard.StallTimeout = 500 * time.Millisecond
-	cfg.Guard.PollInterval = 20 * time.Millisecond
-	cfg.Guard.FailureBudget = 2
-
-	start := time.Now()
-	res, err := Run(context.Background(), records, nil, cfg)
-	if err != nil {
-		t.Fatalf("watchdog should degrade, not fail, the run: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 60*time.Second {
-		t.Fatalf("hung run not bounded: %v", elapsed)
-	}
-	if !res.Degraded {
-		t.Fatal("run with a stalled task must be Degraded")
-	}
-	if res.Stats.FailedPairs != 1 {
-		t.Fatalf("FailedPairs = %d, want 1", res.Stats.FailedPairs)
-	}
-	if res.Stats.Stalls < 1 {
-		t.Fatalf("Stalls = %d, want >= 1", res.Stats.Stalls)
-	}
-	sched.ReleaseHangs()
 	drainGuard(t, baseline)
 }
 

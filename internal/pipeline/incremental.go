@@ -276,8 +276,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 			return nil, fmt.Errorf("pipeline: counted pair %s -> %s is not globally whitelisted", c.Source, c.Destination)
 		}
 	}
-	env, cleanup := newGuardEnv(i.cfg.Guard)
-	defer cleanup()
+	g := i.cfg.Guard
 	i.tick++
 
 	// ---- Apply the delta to the standing aggregates ---------------------
@@ -389,10 +388,8 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	}
 	var detCounters mapreduce.Counters
 	if len(detList) > 0 {
-		detCtx, detDone := stageCtx(ctx, env.g, "detect")
-		detections, counters, err := detectBeacons(
-			detCtx, detList, i.cfg.Detector, env.job,
-			env.g.CandidateTimeout, env.g.MaxInFlight, i.cfg.Thresholds)
+		detCtx, detDone := stageCtx(ctx, g, "detect")
+		detections, counters, err := detectBeacons(detCtx, detList, i.cfg.Detector, g, i.cfg.Thresholds)
 		detDone()
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: detect: %w", err)
@@ -407,14 +404,12 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	detTime := time.Since(detStart)
 
 	// ---- Filters 6-8 over the pairs whose indication inputs changed -----
-	// Each candidate is analyzed in isolation: an error, panic, timeout or
-	// watchdog stall marks that candidate StageError and degrades the run
-	// instead of killing it. The analysis returns its outcome by value so
-	// a deadline can abandon an overrunning candidate without it racing on
-	// shared state (see guard.BoundWork).
+	// Each candidate is analyzed in isolation: an error, panic or timeout
+	// marks that candidate StageError and degrades the run instead of
+	// killing it. The analysis returns its outcome by value so a deadline
+	// can abandon an overrunning candidate without it racing on shared
+	// state (see guard.RunBounded).
 	rankStart := time.Now()
-	indWorker := env.wd.Worker("pipeline/indication")
-	defer indWorker.Done()
 	for _, st := range i.order {
 		nd := st.noveltyDirty
 		st.noveltyDirty = false
@@ -429,7 +424,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 		}
 		cand := &Candidate{Source: st.summary.Source, Destination: st.summary.Destination, Summary: st.summary, Detection: st.det}
 		d := Detection{Summary: st.summary, Result: st.det}
-		out, err := guard.BoundWork(ctx, indWorker, env.g.CandidateTimeout, func() (indication, error) {
+		out, err := guard.RunBounded(ctx, g.CandidateTimeout, func() (indication, error) {
 			return runIndication(i.cfg, local, i.destPairs, cand, d)
 		})
 		st.ind, st.indErr = nil, err
@@ -485,9 +480,6 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	}
 	res.Stats.Errored = len(res.Errors)
 	res.Stats.FailedPairs = detCounters.Failed
-	if env.wd != nil {
-		res.Stats.Stalls = len(env.wd.Stalls())
-	}
 	res.Degraded = len(res.Errors) > 0 || res.Stats.FailedPairs > 0
 
 	rankAndReport(res, i.cfg)

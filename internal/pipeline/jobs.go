@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"baywatch/internal/core"
 	"baywatch/internal/guard"
@@ -120,28 +119,26 @@ func safeDetectOne(det *core.Detector, thrMemo *core.ThresholdMemo, as *timeseri
 // detectBeacons is the beaconing-detection job (Sect. VII-D) the analysis
 // core runs over the pairs that need detection: one summary per pair in,
 // one Detection per pair out, in no particular order. Pairs whose
-// detection failed come back with Err set rather than failing the job:
-// candidateTimeout > 0 bounds each pair's detection in wall-clock time (an
-// overrun parks the pair as a Detection with Err wrapping guard.ErrTimeout
-// instead of wedging its worker), and maxInFlight > 0 bounds the number of
-// pairs admitted to detection concurrently.
-func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, jobCfg mapreduce.JobConfig, candidateTimeout time.Duration, maxInFlight int, thrMemo *core.ThresholdMemo) ([]Detection, mapreduce.Counters, error) {
+// detection failed come back with Err set rather than failing the job.
+// g.CandidateTimeout > 0 bounds each pair's detection in wall-clock time:
+// an overrun parks the pair as a Detection with Err wrapping
+// guard.ErrTimeout instead of wedging its worker. g.FailureBudget is the
+// job's failure budget.
+func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, g guard.Config, thrMemo *core.ThresholdMemo) ([]Detection, mapreduce.Counters, error) {
 	det := core.NewDetector(detCfg)
-	jobCfg.Name = "beaconing-detection"
-	sem := guard.NewSemaphore(maxInFlight)
+	// The job runs each call inline: the detection's one bound is the
+	// RunBounded below, which parks an overrun instead of charging it to
+	// the failure budget.
+	jobCfg := mapreduce.JobConfig{Name: "beaconing-detection", MaxFailed: g.FailureBudget}
 	job := mapreduce.NewJob(jobCfg, jobKey, func(as *timeseries.ActivitySummary) (Detection, error) {
-		if err := sem.Acquire(ctx); err != nil {
-			return Detection{}, err
-		}
-		defer sem.Release()
-		if candidateTimeout <= 0 {
+		if g.CandidateTimeout <= 0 {
 			return safeDetectOne(det, thrMemo, as), nil
 		}
 		// The detection runs on its own goroutine so an overrun can be
 		// abandoned; safeDetectOne communicates only through its return
 		// value and the mutex-guarded threshold memo, making abandonment
 		// race-free.
-		d, err := guard.RunBounded(ctx, candidateTimeout, func() (Detection, error) {
+		d, err := guard.RunBounded(ctx, g.CandidateTimeout, func() (Detection, error) {
 			return safeDetectOne(det, thrMemo, as), nil
 		})
 		if errors.Is(err, guard.ErrTimeout) {
@@ -163,13 +160,11 @@ func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary,
 // pair, so long time ranges are analyzable without reprocessing raw logs.
 // A pair's summaries merge in input order, and the merged pairs come back
 // in the job's partition order, whatever the parallelism. g bounds the
-// job as it bounds the detect job (TaskTimeout, StallTimeout and
-// FailureBudget per pair, StageTimeout for the whole job); failed counts
-// the pairs dropped within the failure budget.
+// job: StageTimeout the whole job, and CandidateTimeout each pair's call
+// (mapreduce.JobConfig.TaskTimeout). There is no candidate to park, so an
+// overrun pair is dropped within FailureBudget; failed counts the pairs
+// dropped.
 func RescaleAndMerge(ctx context.Context, summaries []*timeseries.ActivitySummary, newScale int64, g guard.Config) (merged []*timeseries.ActivitySummary, failed int64, err error) {
-	env, cleanup := newGuardEnv(g)
-	defer cleanup()
-	env.job.Name = "rescale-merge"
 
 	idx := make(map[pairKey]int)
 	var groups [][]*timeseries.ActivitySummary
@@ -184,7 +179,8 @@ func RescaleAndMerge(ctx context.Context, summaries []*timeseries.ActivitySummar
 		groups[i] = append(groups[i], as)
 	}
 
-	job := mapreduce.NewJob(env.job,
+	jobCfg := mapreduce.JobConfig{Name: "rescale-merge", TaskTimeout: g.CandidateTimeout, MaxFailed: g.FailureBudget}
+	job := mapreduce.NewJob(jobCfg,
 		func(group []*timeseries.ActivitySummary) string { return jobKey(group[0]) },
 		func(group []*timeseries.ActivitySummary) (*timeseries.ActivitySummary, error) {
 			var out *timeseries.ActivitySummary

@@ -42,7 +42,6 @@ import (
 	"baywatch/internal/guard"
 	"baywatch/internal/ingest"
 	"baywatch/internal/langmodel"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/novelty"
 	"baywatch/internal/proxylog"
 	"baywatch/internal/ranking"
@@ -78,13 +77,13 @@ type Config struct {
 	// Weights configures the ranking combination; zero value uses
 	// DefaultWeights.
 	Weights ranking.Weights
-	// Guard bounds the run in time and memory: stage and per-candidate
-	// deadlines, watchdog stall detection, in-flight admission control and
-	// the per-pair event cap. The zero value disables every bound.
-	// TaskTimeout, StallTimeout and FailureBudget bound the MapReduce jobs
-	// (detect, and rescale-merge through RescaleAndMerge) per pair; the
-	// front half is bounded by the extract stage deadline and ctx, and
-	// sheds through MaxEventsPerPair.
+	// Guard bounds the run in time and memory at two scopes. StageTimeout
+	// bounds each stage and fails the run. CandidateTimeout bounds each
+	// pair's call: an overrun detection or indication parks the pair as
+	// StageError, and an overrun rescale-merge (RescaleAndMerge) drops the
+	// pair within FailureBudget. The front half is bounded by the extract
+	// stage deadline and ctx, and sheds through MaxEventsPerPair. The
+	// zero value disables every bound.
 	Guard guard.Config
 	// Thresholds, when non-nil, carries memoized permutation thresholds
 	// across runs: same-shape series share one cached null distribution
@@ -212,9 +211,6 @@ type Stats struct {
 	// failure budget (guard.Config.FailureBudget): the run has no verdict
 	// for them.
 	FailedPairs int64
-	// Stalls counts watchdog interventions (tasks cancelled after their
-	// worker stopped making progress).
-	Stalls int
 	// Durations per phase.
 	ExtractTime, PopularityTime, DetectTime, RankTime time.Duration
 }
@@ -274,28 +270,6 @@ type IngestStats struct {
 	SkippedLines int
 	// FirstSkipped describes the first skipped line, for diagnostics.
 	FirstSkipped string
-}
-
-// guardEnv is the resilience environment a MapReduce job executes under:
-// the guard bounds threaded into the job config, and a watchdog.
-type guardEnv struct {
-	g   guard.Config
-	job mapreduce.JobConfig
-	wd  *guard.Watchdog
-}
-
-// newGuardEnv threads the guard config's per-pair deadline, watchdog and
-// failure budget into a job config; a zero config leaves it unbounded.
-// The returned cleanup stops the watchdog (if one was created) and must be
-// deferred by the caller.
-func newGuardEnv(g guard.Config) (*guardEnv, func()) {
-	env := &guardEnv{g: g, job: mapreduce.JobConfig{TaskTimeout: g.TaskTimeout, MaxFailed: g.FailureBudget}}
-	if g.StallTimeout <= 0 {
-		return env, func() {}
-	}
-	env.wd = guard.NewWatchdog(g.StallTimeout, g.PollInterval)
-	env.job.Watchdog = env.wd
-	return env, env.wd.Stop
 }
 
 // stageCtx bounds one pipeline stage by the guard's StageTimeout; a zero
@@ -398,7 +372,7 @@ func RunSummaries(ctx context.Context, summaries []*timeseries.ActivitySummary, 
 
 // indication is the outcome of filters 6-8 for one candidate, computed by
 // value so an abandoned (timed-out) analysis never races on the shared
-// candidate (see guard.BoundWork).
+// candidate (see guard.RunBounded).
 type indication struct {
 	lmScore    float64
 	popularity float64
@@ -516,7 +490,7 @@ func guardCause(ctx context.Context) error {
 }
 
 // indicatorScratch pools the interval buffer indicatorsFor needs per
-// candidate. The indication step runs under guard.BoundWork, which abandons
+// candidate. The indication step runs under guard.RunBounded, which abandons
 // timed-out computations while they are still executing, so the buffer must
 // be per-call (pooled), never shared across candidates.
 var indicatorScratch = sync.Pool{New: func() any { return new(indScratch) }}

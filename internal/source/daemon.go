@@ -43,10 +43,9 @@ type DaemonConfig struct {
 	// admission; default 16, <0 unlimited).
 	MaxQueries int
 	// StallTimeout enables the connector watchdog: a source silent this
-	// long has its run cancelled and restarted. 0 disables.
+	// long has its run cancelled and restarted. The watchdog scans every
+	// StallTimeout/4. 0 disables.
 	StallTimeout time.Duration
-	// PollInterval is the watchdog scan cadence (default StallTimeout/4).
-	PollInterval time.Duration
 	// RetryBase/RetryMax bound the reconnect backoff (defaults
 	// 100ms/15s).
 	RetryBase, RetryMax time.Duration
@@ -207,7 +206,7 @@ func (d *Daemon) commit() {
 // positions let the sources replay.
 func (d *Daemon) Run(ctx context.Context) error {
 	if d.cfg.StallTimeout > 0 {
-		d.wd = guard.NewWatchdog(d.cfg.StallTimeout, d.cfg.PollInterval)
+		d.wd = guard.NewWatchdog(d.cfg.StallTimeout, 0)
 		defer d.wd.Stop()
 	}
 	stopQuery, err := d.startQueryServer(ctx)

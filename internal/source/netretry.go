@@ -11,20 +11,18 @@ import (
 // listenRetry binds network!addr like net.Listen, but retries when the
 // address is still in use — the predecessor's socket lingering in
 // TIME_WAIT after a daemon restart, or a forwarder that has not released
-// the port yet. Retries use doubling backoff on a stopped timer bounded
+// the port yet. Retries back off by netBackoff on a stopped timer bounded
 // by ctx (the sleepCtx pattern), so cancellation during the wait returns
 // immediately. Any other listen error fails fast: a malformed address
 // never heals.
 func listenRetry(ctx context.Context, network, addr string) (net.Listener, error) {
 	const attempts = 5
-	delay := 50 * time.Millisecond
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			if err := sleepCtx(ctx, delay); err != nil {
+			if err := sleepCtx(ctx, netBackoff(i)); err != nil {
 				return nil, err
 			}
-			delay *= 2
 		}
 		ln, err := net.Listen(network, addr)
 		if err == nil {
@@ -38,12 +36,20 @@ func listenRetry(ctx context.Context, network, addr string) (net.Listener, error
 	return nil, lastErr
 }
 
-// acceptBackoff is the sleep before retrying a transient Accept failure:
+// netBackoff is the sleep before retry n (from 1) of a transient network
+// failure, a listen whose address is still in use or a failed Accept:
 // doubling from 50ms, capped at 1s.
-func acceptBackoff(consecutive int) time.Duration {
-	d := 50 * time.Millisecond << uint(consecutive-1)
-	if d > time.Second {
-		d = time.Second
+func netBackoff(n int) time.Duration {
+	return doubling(50*time.Millisecond, time.Second, n)
+}
+
+// doubling is the capped-exponential schedule every retry in this package
+// shares: base for attempt 1 (and below), doubled per further attempt up
+// to max.
+func doubling(base, max time.Duration, attempt int) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < max; i++ {
+		d *= 2
 	}
-	return d
+	return min(d, max)
 }

@@ -59,13 +59,40 @@ func TestListenRetryFailsFastOnBadAddress(t *testing.T) {
 }
 
 func TestAcceptBackoff(t *testing.T) {
-	if d := acceptBackoff(1); d != 50*time.Millisecond {
+	if d := netBackoff(1); d != 50*time.Millisecond {
 		t.Errorf("first backoff %v, want 50ms", d)
 	}
-	if d := acceptBackoff(3); d != 200*time.Millisecond {
+	if d := netBackoff(3); d != 200*time.Millisecond {
 		t.Errorf("third backoff %v, want 200ms", d)
 	}
-	if d := acceptBackoff(20); d != time.Second {
+	if d := netBackoff(20); d != time.Second {
 		t.Errorf("late backoff %v, want the 1s cap", d)
+	}
+}
+
+// TestBackoffSchedules pins the three retry schedules built on doubling,
+// delay by delay: listenRetry's sleeps before its four retries, the accept
+// loop's backoff (capped at 1s, and still capped far past any shift
+// width), and the supervisor's restart delay at its default 100ms/15s
+// bounds, whose fnv jitter must replay exactly.
+func TestBackoffSchedules(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		delay    func(attempt int) time.Duration
+		attempts []int
+		want     []time.Duration
+	}{
+		{"listen", netBackoff, []int{1, 2, 3, 4}, []time.Duration{50 * ms, 100 * ms, 200 * ms, 400 * ms}},
+		{"accept", netBackoff, []int{1, 2, 5, 6, 20, 100},
+			[]time.Duration{50 * ms, 100 * ms, 800 * ms, time.Second, time.Second, time.Second}},
+		{"restart", func(n int) time.Duration { return retryDelay("proxy", n, 0, 0) }, []int{1, 2, 3, 4, 8, 9, 20},
+			[]time.Duration{79492187, 186425781, 287890625, 526171875, 9043750000, 14912109375, 11711425781}},
+	} {
+		for i, n := range tc.attempts {
+			if got := tc.delay(n); got != tc.want[i] {
+				t.Errorf("%s attempt %d: delay %v, want %v", tc.name, n, got, tc.want[i])
+			}
+		}
 	}
 }

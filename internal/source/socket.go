@@ -98,7 +98,7 @@ func (s *SocketSource) Run(ctx context.Context, resume Position, sink Sink) erro
 			if errors.Is(err, net.ErrClosed) || acceptFails > maxAcceptRetries {
 				return fmt.Errorf("source: accept %s: %w", name, err)
 			}
-			if serr := sleepCtx(ctx, acceptBackoff(acceptFails)); serr != nil {
+			if serr := sleepCtx(ctx, netBackoff(acceptFails)); serr != nil {
 				return serr
 			}
 			continue

@@ -175,13 +175,7 @@ func retryDelay(name string, attempt int, base, max time.Duration) time.Duration
 	if max <= 0 {
 		max = 15 * time.Second
 	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
+	d := doubling(base, max, attempt)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d", name, attempt)
 	frac := float64(h.Sum64()%1024) / 1024

@@ -153,7 +153,6 @@ func TestWatchdogStallCancelsSilentConnector(t *testing.T) {
 		Connectors:   []Connector{conn},
 		TickInterval: time.Hour,
 		StallTimeout: 50 * time.Millisecond,
-		PollInterval: 10 * time.Millisecond,
 		RetryBase:    time.Millisecond,
 		RetryMax:     time.Millisecond,
 	})

@@ -30,9 +30,9 @@ type FilterStage = pipeline.FilterStage
 // degraded run; see PipelineResult.Errors.
 type CandidateError = pipeline.CandidateError
 
-// GuardConfig bounds a run's time and memory: per-stage and per-candidate
-// deadlines, a stall watchdog, admission control and per-pair event caps.
-// The zero value disables every bound; see PipelineConfig.Guard.
+// GuardConfig bounds a run's time and memory: a per-stage and a per-pair
+// deadline, a per-pair event cap and a per-pair failure budget. The zero
+// value disables every bound; see PipelineConfig.Guard.
 type GuardConfig = guard.Config
 
 // TruncatedPair records one communication pair whose events were shed to
