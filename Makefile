@@ -119,9 +119,9 @@ DURABLE_TESTS := TestDurableOwnsRenames TestWriteFileStepOrder TestWriteFileStep
 DURABLE_PKGS := ./internal/durable ./internal/source ./internal/opsloop
 GUARD_TESTS := TestRunBoundedTimeout TestRunBoundedContextCause \
 	TestCandidateTimeoutParksHungDetection TestCandidateTimeoutParksHungIndication \
-	TestTaskTimeoutSkipsHungInput TestCoarsePassRescaleMergeBounded \
-	TestStageTimeoutFailsRun TestRunCancellationPromptAndNoLeak TestCancellationMidRunReturnsPromptly
-GUARD_PKGS := ./internal/guard ./internal/mapreduce ./internal/pipeline ./internal/opsloop
+	TestRescaleAndMergeFailureBudget TestCoarsePassRescaleMergeBounded \
+	TestStageTimeoutFailsRun TestRunCancellationPromptAndNoLeak TestRescaleAndMergeCancelledMidStep
+GUARD_PKGS := ./internal/guard ./internal/pipeline ./internal/opsloop
 
 empty :=
 space := $(empty) $(empty)

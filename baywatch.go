@@ -14,8 +14,8 @@
 //
 //   - the full 8-step pipeline (RunPipeline): global and local whitelists,
 //     the detection algorithm, URL-token / novelty / language-model
-//     filters, and weighted ranking, executed over an in-process
-//     MapReduce engine mirroring the paper's Hadoop implementation;
+//     filters, and weighted ranking, with the paper's Hadoop jobs
+//     mapped onto one host's worker pools;
 //
 //   - the investigation workflow (Triage...): Table II feature extraction
 //     and a random-forest classifier with uncertainty-ordered review.

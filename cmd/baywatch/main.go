@@ -106,7 +106,7 @@ func run() error {
 	stageTimeout := flag.Duration("stage-timeout", 0, "wall-clock bound per pipeline stage (0 = unbounded)")
 	candidateTimeout := flag.Duration("candidate-timeout", 0, "wall-clock bound per pair's detection, indication and rescale-merge: an overrun detection or indication is parked as an error, an overrun rescale-merge drops the pair within -failure-budget; log ingest is bounded by -stage-timeout (0 = unbounded)")
 	maxEventsPerPair := flag.Int("max-events-per-pair", 0, "truncate pairs above this many events to their earliest events (0 = uncapped)")
-	failureBudget := flag.Int("failure-budget", 0, "failure budget of the detect and rescale-merge jobs, counted per pair (failed or timed out): pairs within it are dropped, one more aborts the job; log ingest sheds only through -max-events-per-pair (0 = abort on first)")
+	failureBudget := flag.Int("failure-budget", 0, "failure budget of the -ops coarse passes' rescale-merge, counted per pair (failed, panicked or timed out): pairs within it are dropped, one more aborts the pass; detection parks failed pairs instead, and log ingest sheds only through -max-events-per-pair (0 = abort on first)")
 	shards := flag.Int("shards", 0, "byte-range splits per log file (0 or 1 = one whole-file shard per file; gzip files always scan as one shard)")
 	ingestWorkers := flag.Int("ingest-workers", 0, "parallel shard-scan and summary-aggregation workers (0 = GOMAXPROCS)")
 	serve := flag.Bool("serve", false, "run as an always-on streaming daemon; sources come from -follow/-listen/-http-ingest instead of -logs")

@@ -15,10 +15,9 @@ import (
 // daemon/executor layer of the system. guardgo, ctxflow's loop rule and
 // lockorder's blocking-while-locked rule all scope to this set.
 var GuardedPackages = map[string]bool{
-	"pipeline":  true,
-	"mapreduce": true,
-	"opsloop":   true,
-	"source":    true,
+	"pipeline": true,
+	"opsloop":  true,
+	"source":   true,
 }
 
 // StaleDirective is one audit finding: a //bw: directive no analyzer

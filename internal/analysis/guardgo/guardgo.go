@@ -1,6 +1,6 @@
 // Package guardgo enforces the concurrency-accounting invariant of the
-// guarded packages (internal/pipeline, internal/mapreduce,
-// internal/opsloop, internal/source): work must stay
+// guarded packages (internal/pipeline, internal/opsloop,
+// internal/source): work must stay
 // visible to the deadline/watchdog machinery of internal/guard.
 //
 // Inside those packages, production code may not:

@@ -44,13 +44,11 @@ const (
 	PointOpsloopNoveltySave Point = "opsloop.novelty.save"
 	PointOpsloopCommitDone  Point = "opsloop.commit.done"
 
-	// mapreduce per-input call, keyed by the job's key of the input
-	// ("src|dst" for both pipeline jobs).
-	PointMapreduceTask Point = "mapreduce.task"
-
-	// pipeline per-candidate isolation points, keyed by "src|dst".
+	// pipeline per-pair isolation points, keyed by "src|dst": a
+	// candidate's detection and indication, and a pair's rescale-merge.
 	PointPipelineDetect     Point = "pipeline.detect"
 	PointPipelineIndication Point = "pipeline.indication"
+	PointPipelineRescale    Point = "pipeline.rescale"
 
 	// guard watchdog stall notifications, keyed by worker name.
 	PointGuardWatchdogStall Point = "guard.watchdog.stall"
@@ -112,9 +110,9 @@ func Points() []Point {
 		PointOpsloopDayDirsync,
 		PointOpsloopNoveltySave,
 		PointOpsloopCommitDone,
-		PointMapreduceTask,
 		PointPipelineDetect,
 		PointPipelineIndication,
+		PointPipelineRescale,
 		PointGuardWatchdogStall,
 		PointIngestShardScan,
 		PointIngestAggregate,

@@ -10,8 +10,8 @@
 //     a call that overruns, so the pair is parked or dropped while the
 //     rest of the stage completes;
 //   - MaxEventsPerPair caps per-pair input volume and FailureBudget lets
-//     a job drop failed pairs, shedding load with explicit accounting
-//     instead of collapsing under it.
+//     the ops loop's rescale-merge drop failed pairs, shedding load with
+//     explicit accounting instead of collapsing under it.
 //
 // Two primitives serve the streaming daemon's connectors and query
 // endpoint: Watchdog cancels a connector that stops publishing progress
@@ -39,24 +39,27 @@ var ErrStalled = errors.New("guard: worker stalled")
 // stages. The zero value disables every bound (no deadlines, no caps),
 // preserving unguarded behavior.
 type Config struct {
-	// StageTimeout bounds each pipeline stage (one MapReduce job) in
-	// wall-clock time; exceeding it cancels the stage's context and fails
-	// the run with an error wrapping ErrTimeout. 0 disables.
+	// StageTimeout bounds each pipeline stage (extraction, detection, the
+	// rescale-merge) in wall-clock time; exceeding it cancels the
+	// stage's context and fails the run with an error wrapping
+	// ErrTimeout. 0 disables.
 	StageTimeout time.Duration
 	// CandidateTimeout bounds one pair's call in wall-clock time: its
 	// detection and its indication analysis, where an overrun parks the
 	// pair as StageError and the run completes Degraded, and its
-	// rescale-merge (mapreduce.JobConfig.TaskTimeout), where an overrun
-	// drops the pair within FailureBudget. 0 disables.
+	// rescale-merge (pipeline.RescaleAndMerge), where an overrun drops
+	// the pair within FailureBudget. 0 disables.
 	CandidateTimeout time.Duration
 	// MaxEventsPerPair caps the per-pair event count at extraction;
 	// pairs over the cap are truncated to their earliest MaxEventsPerPair
 	// events with explicit accounting (pipeline Result.Truncated). 0
 	// means uncapped.
 	MaxEventsPerPair int
-	// FailureBudget, when > 0, is the MapReduce jobs' per-pair failure
-	// budget (mapreduce.JobConfig.MaxFailed), so failed or timed-out
-	// pairs degrade the run instead of failing it.
+	// FailureBudget, when > 0, is the per-pair failure budget of the ops
+	// loop's rescale-merge (pipeline.RescaleAndMerge): pairs whose merge
+	// fails, panics or times out are dropped and counted while they stay
+	// within it, degrading the coarse pass instead of failing it.
+	// Detection and indication never charge it; they park the pair.
 	FailureBudget int
 }
 
@@ -92,15 +95,16 @@ var abandoned atomic.Int64
 // past their deadline (diagnostics; tests assert it drains to zero).
 func Abandoned() int64 { return abandoned.Load() }
 
-// RunBounded executes fn bounded by the timeout and by ctx. When both
-// bounds are absent (timeout <= 0 and ctx cannot be cancelled) fn runs
-// inline. Otherwise fn runs on its own goroutine; if it overruns,
-// RunBounded returns a zero T with an error wrapping ErrTimeout (timer)
-// or the context's cancellation cause, and the goroutine is abandoned to
-// drain on its own — fn must therefore communicate only through its
-// return values, never by writing shared state.
+// RunBounded executes fn bounded by the timeout and by ctx. With no
+// timeout (timeout <= 0) fn runs inline on the caller's goroutine, and
+// ctx is the caller's to check between calls. Otherwise fn runs on its
+// own goroutine; if it overruns, RunBounded returns a zero T with an
+// error wrapping ErrTimeout (timer) or the context's cancellation cause,
+// and the goroutine is abandoned to drain on its own — fn must therefore
+// communicate only through its return values, never by writing shared
+// state.
 func RunBounded[T any](ctx context.Context, timeout time.Duration, fn func() (T, error)) (T, error) {
-	if timeout <= 0 && ctx.Done() == nil {
+	if timeout <= 0 {
 		return fn()
 	}
 	type outcome struct {
@@ -113,12 +117,8 @@ func RunBounded[T any](ctx context.Context, timeout time.Duration, fn func() (T,
 		ch <- outcome{v: v, err: err}
 	}()
 
-	var timer <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timer = t.C
-	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	// abandon marks the work unit abandoned and installs a drainer that
 	// clears the mark when the underlying call eventually returns.
 	abandon := func() {
@@ -132,7 +132,7 @@ func RunBounded[T any](ctx context.Context, timeout time.Duration, fn func() (T,
 	select {
 	case out := <-ch:
 		return out.v, out.err
-	case <-timer:
+	case <-timer.C:
 		abandon()
 		return zero, fmt.Errorf("%w after %v", ErrTimeout, timeout)
 	case <-ctx.Done():

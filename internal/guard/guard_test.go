@@ -63,12 +63,32 @@ func TestRunBoundedContextCause(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel(stallCause)
 	}()
-	_, err := RunBounded(ctx, 0, func() (int, error) { <-release; return 0, nil })
+	_, err := RunBounded(ctx, time.Hour, func() (int, error) { <-release; return 0, nil })
 	if !errors.Is(err, stallCause) {
 		t.Fatalf("err = %v, want cancellation cause", err)
 	}
 	close(release)
 	waitFor(t, 5*time.Second, "abandoned drain", func() bool { return Abandoned() == 0 })
+}
+
+// TestRunBoundedNoTimeoutRunsInline: without a timeout fn runs on the
+// caller's goroutine even when ctx can be cancelled — here it already is
+// — so its result is returned and nothing is abandoned.
+func TestRunBoundedNoTimeoutRunsInline(t *testing.T) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(errors.New("cancelled before the call"))
+	release := make(chan struct{})
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		close(release)
+	}()
+	v, err := RunBounded(ctx, 0, func() (int, error) { <-release; return 42, nil })
+	if err != nil || v != 42 {
+		t.Fatalf("got (%v, %v), want (42, nil)", v, err)
+	}
+	if n := Abandoned(); n != 0 {
+		t.Fatalf("Abandoned() = %d, want 0", n)
+	}
 }
 
 func TestRunBoundedCompletesUnderDeadline(t *testing.T) {

@@ -393,8 +393,8 @@ type scanWorker struct {
 
 // runShard scans one split, converting panics (including injected ones)
 // into errors so a pathological shard degrades the run instead of taking
-// down the process — the same containment contract as mapreduce task
-// workers.
+// down the process — the same containment contract as the pipeline's
+// per-pair calls.
 func (sw *scanWorker) runShard(sp proxylog.Split, maxBad int) (stats proxylog.ReadStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -14,7 +14,6 @@ import (
 	"baywatch/internal/corpus"
 	"baywatch/internal/guard"
 	"baywatch/internal/langmodel"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/pipeline"
 	"baywatch/internal/proxylog"
 )
@@ -154,7 +153,7 @@ func beaconRecords(src, dst string, count int, period int64) []*proxylog.Record 
 }
 
 // TestCoarsePassRescaleMergeBounded: the coarse pass's rescale-merge runs
-// under the pipeline's per-pair deadline like the detect job does. A pair
+// under the pipeline's per-pair deadline like detection does. A pair
 // whose merge overruns CandidateTimeout is dropped within the failure
 // budget, and the pass comes back Degraded with the pair counted.
 func TestCoarsePassRescaleMergeBounded(t *testing.T) {
@@ -172,12 +171,12 @@ func TestCoarsePassRescaleMergeBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The stuck pair's first task call is its daily detection; its second
-	// is the weekly pass's rescale-merge, which hangs.
+	// The stuck pair's first rescale-merge call is the weekly pass's,
+	// which hangs.
 	sched := faultinject.New(0)
-	sched.HangAt(faultinject.PointMapreduceTask.Keyed("10.0.0.1|alpha.example"), 2)
-	mapreduce.SetFaultHook(sched.Hook())
-	t.Cleanup(func() { mapreduce.SetFaultHook(nil); sched.ReleaseHangs() })
+	sched.HangAt(faultinject.PointPipelineRescale.Keyed("10.0.0.1|alpha.example"), 1)
+	pipeline.SetFaultHook(sched.Hook())
+	t.Cleanup(func() { pipeline.SetFaultHook(nil); sched.ReleaseHangs() })
 
 	records := append(beaconRecords("10.0.0.1", "alpha.example", 60, 60),
 		beaconRecords("10.0.0.2", "bravo.example", 60, 90)...)

@@ -233,9 +233,9 @@ func (l *Loop) finishDay(ctx context.Context, day int, daily *pipeline.Result, s
 // granularity and runs detection + indication analysis over pairs with
 // enough events. The coarse pass shares the in-memory novelty store (the
 // ingest commit persists it), so a slow beacon already reported by a
-// daily run is not re-reported. Both jobs run under the pipeline's guard;
-// pairs the rescale-merge drops within the failure budget degrade the
-// pass like those the detect job drops.
+// daily run is not re-reported. Both steps run under the pipeline's
+// guard; pairs the rescale-merge drops within the failure budget are
+// counted in Stats.FailedPairs and degrade the pass.
 func (l *Loop) coarsePass(ctx context.Context, scale int64) (*pipeline.Result, error) {
 	merged, failed, err := pipeline.RescaleAndMerge(ctx, l.history, scale, l.cfg.Pipeline.Guard)
 	if err != nil {

@@ -115,7 +115,7 @@ func sortDetections(ds []Detection) {
 // threshold memo.
 func runDetect(t *testing.T, summaries []*timeseries.ActivitySummary, cfg core.Config) []Detection {
 	t.Helper()
-	ds, _, err := detectBeacons(context.Background(), summaries, cfg, guard.Config{}, core.NewThresholdMemo(0))
+	ds, err := detectBeacons(context.Background(), summaries, cfg, guard.Config{}, core.NewThresholdMemo(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,9 @@ func runDetect(t *testing.T, summaries []*timeseries.ActivitySummary, cfg core.C
 	return ds
 }
 
-// TestDetectBatchDifferentialPipeline pins the detect job to the per-pair
-// reference: detectBeacons (one call per pair, partitioned by H(s,d),
-// sharing one threshold memo) over the pre-merged summaries must return
+// TestDetectBatchDifferentialPipeline pins detection to the per-pair
+// reference: detectBeacons (one call per pair on the shared per-pair
+// loop, one threshold memo) over the pre-merged summaries must return
 // exactly the Detections a sequential per-pair core.Detect produces.
 func TestDetectBatchDifferentialPipeline(t *testing.T) {
 	cfg := core.DefaultConfig()

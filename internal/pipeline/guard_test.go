@@ -3,6 +3,8 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"baywatch/internal/guard"
 	"baywatch/internal/langmodel"
 	"baywatch/internal/proxylog"
+	"baywatch/internal/timeseries"
 )
 
 // drainGuard waits for abandoned work-unit goroutines to finish after the
@@ -245,5 +248,142 @@ func TestRunCancellationPromptAndNoLeak(t *testing.T) {
 		t.Fatal("Run did not return promptly after cancellation")
 	}
 	releaseOnce()
+	drainGuard(t, baseline)
+}
+
+// rescaleInput is two days of summaries for each of the sources a, b, c
+// and e towards d, interleaved by day.
+func rescaleInput(t *testing.T) []*timeseries.ActivitySummary {
+	t.Helper()
+	var sums []*timeseries.ActivitySummary
+	for day := int64(0); day < 2; day++ {
+		for _, src := range []string{"a", "b", "c", "e"} {
+			as, err := timeseries.FromTimestamps(src, "d", []int64{day * 86400, day*86400 + 60}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums = append(sums, as)
+		}
+	}
+	return sums
+}
+
+// TestRescaleAndMergeFailureBudget: a pair whose rescale-merge fails or
+// panics is dropped and counted within FailureBudget while the other
+// pairs merge; past the budget the step fails naming the first pair over
+// it. Each case runs inline (no CandidateTimeout) and on the bounded,
+// abandonable path.
+func TestRescaleAndMergeFailureBudget(t *testing.T) {
+	injected := errors.New("injected rescale failure")
+	at := func(src string) faultinject.Point { return faultinject.PointPipelineRescale.Keyed(src + "|d") }
+	cases := []struct {
+		name    string
+		budget  int
+		arm     func(s *faultinject.Scheduler)
+		empty   bool
+		want    []string // sources merged, in order
+		failed  int64
+		wantErr string // substring naming the failing pair and its cause; "" = success
+	}{
+		{name: "clean", want: []string{"a", "b", "c", "e"}},
+		{name: "empty input", empty: true, want: []string{}},
+		{name: "error within budget", budget: 1, arm: func(s *faultinject.Scheduler) { s.FailAt(at("b"), 1, injected) },
+			want: []string{"a", "c", "e"}, failed: 1},
+		{name: "panic within budget", budget: 1, arm: func(s *faultinject.Scheduler) { s.CrashAt(at("c"), 1) },
+			want: []string{"a", "b", "e"}, failed: 1},
+		{name: "one past budget", budget: 1, arm: func(s *faultinject.Scheduler) {
+			s.FailAt(at("b"), 1, injected)
+			s.FailAt(at("e"), 1, injected)
+		}, wantErr: `pair "e|d": injected rescale failure`},
+		{name: "zero budget aborts on first", arm: func(s *faultinject.Scheduler) { s.FailAt(at("c"), 1, injected) },
+			wantErr: `pair "c|d": injected rescale failure`},
+		{name: "panic past budget", arm: func(s *faultinject.Scheduler) { s.CrashAt(at("a"), 1) },
+			wantErr: `pair "a|d": rescale-merge panic`},
+	}
+	for _, tc := range cases {
+		for _, timeout := range []time.Duration{0, time.Hour} {
+			t.Run(fmt.Sprintf("%s/timeout=%v", tc.name, timeout), func(t *testing.T) {
+				sched := faultinject.New(0)
+				if tc.arm != nil {
+					tc.arm(sched)
+				}
+				SetFaultHook(sched.Hook())
+				t.Cleanup(func() { SetFaultHook(nil) })
+
+				var sums []*timeseries.ActivitySummary
+				if !tc.empty {
+					sums = rescaleInput(t)
+				}
+				g := guard.Config{CandidateTimeout: timeout, FailureBudget: tc.budget}
+				merged, failed, err := RescaleAndMerge(context.Background(), sums, 60, g)
+				if tc.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("err = %v, want the step failed naming %s", err, tc.wantErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if failed != tc.failed {
+					t.Errorf("failed = %d, want %d", failed, tc.failed)
+				}
+				got := []string{}
+				for _, m := range merged {
+					if m.EventCount() != 4 || m.Scale != 60 {
+						t.Errorf("%s|%s: %d events at scale %d, want both days' 4 at 60", m.Source, m.Destination, m.EventCount(), m.Scale)
+					}
+					got = append(got, m.Source)
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Errorf("merged sources %v, want %v", got, tc.want)
+				}
+			})
+		}
+	}
+	if n := guard.Abandoned(); n != 0 {
+		t.Fatalf("Abandoned() = %d after every call returned", n)
+	}
+}
+
+// TestRescaleAndMergeCancelledMidStep: cancelling the context while a
+// pair's call hangs returns promptly with the cancellation cause, and the
+// abandoned call drains once released.
+func TestRescaleAndMergeCancelledMidStep(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	sched := faultinject.New(0)
+	sched.HangAt(faultinject.PointPipelineRescale.Keyed("a|d"), 1)
+	SetFaultHook(sched.Hook())
+	t.Cleanup(func() { SetFaultHook(nil); sched.ReleaseHangs() })
+
+	// A long per-pair deadline routes the call through the abandonable
+	// bounded path without ever firing itself; promptness must come from
+	// cancellation alone.
+	g := guard.Config{CandidateTimeout: time.Hour, FailureBudget: 4}
+	cause := errors.New("cancelled by test")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	sums := rescaleInput(t)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RescaleAndMerge(ctx, sums, 60, g)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for sched.ActiveHangs() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("hang never engaged")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	cancel(cause)
+	select {
+	case err := <-done:
+		if !errors.Is(err, cause) {
+			t.Fatalf("err = %v, want the cancellation cause", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RescaleAndMerge did not return after cancellation")
+	}
+	sched.ReleaseHangs()
 	drainGuard(t, baseline)
 }

@@ -24,7 +24,7 @@
 // and ticks it with each interval's dirty pairs; a batch run (Run,
 // RunStream, RunSummaries) is a fresh Incremental ticked once with every
 // pair changed. Destination popularity (the paper's Sect. VII-C job) is
-// therefore a set of maintained counts, not a per-run MapReduce job. A
+// therefore a set of maintained counts, not a per-run job. A
 // standing tick must equal a from-empty tick over the same summaries with
 // the same novelty-store history; the package's differential test pins
 // that after every kind of delta.
@@ -40,7 +40,6 @@ import (
 	"baywatch/internal/core"
 	"baywatch/internal/guard"
 	"baywatch/internal/ingest"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/timeseries"
 	"baywatch/internal/whitelist"
 )
@@ -376,8 +375,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 	// ---- Filters 3-5 over the pairs that need detection -----------------
 	// Changed pairs whose detection is not already known (det cleared
 	// above), pairs that just crossed out of a whitelist with no cached
-	// result, and pairs whose last detection errored or was dropped to a
-	// failure budget.
+	// result, and pairs whose last detection errored.
 	detStart := time.Now()
 	var detList []*timeseries.ActivitySummary
 	for _, st := range i.order {
@@ -386,15 +384,13 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 		}
 		detList = append(detList, st.summary)
 	}
-	var detCounters mapreduce.Counters
 	if len(detList) > 0 {
 		detCtx, detDone := stageCtx(ctx, g, "detect")
-		detections, counters, err := detectBeacons(detCtx, detList, i.cfg.Detector, g, i.cfg.Thresholds)
+		detections, err := detectBeacons(detCtx, detList, i.cfg.Detector, g, i.cfg.Thresholds)
 		detDone()
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: detect: %w", err)
 		}
-		detCounters = counters
 		for _, d := range detections {
 			st := i.states[pairKey{Src: d.Summary.Source, Dst: d.Summary.Destination}]
 			st.det, st.detErr = d.Result, d.Err
@@ -448,12 +444,6 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 			continue
 		}
 		res.Stats.AfterLocalWhitelist++
-		if st.det == nil && st.detErr == nil {
-			// The detect job dropped the pair to its failure budget: no
-			// verdict this tick (the counters below degrade the run), and
-			// the next tick detects it again.
-			continue
-		}
 		cand := &Candidate{Source: st.summary.Source, Destination: st.summary.Destination, Summary: st.summary, Detection: st.det}
 		res.Candidates = append(res.Candidates, cand)
 		if st.detErr != nil {
@@ -479,8 +469,7 @@ func (i *Incremental) TickWithDetections(ctx context.Context, changed []*timeser
 		bookFunnel(&res.Stats, out.suppressed)
 	}
 	res.Stats.Errored = len(res.Errors)
-	res.Stats.FailedPairs = detCounters.Failed
-	res.Degraded = len(res.Errors) > 0 || res.Stats.FailedPairs > 0
+	res.Degraded = len(res.Errors) > 0
 
 	rankAndReport(res, i.cfg)
 	res.Stats.RankTime = time.Since(rankStart)

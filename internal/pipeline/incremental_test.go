@@ -3,7 +3,6 @@ package pipeline
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -16,7 +15,6 @@ import (
 	"baywatch/internal/faultinject"
 	"baywatch/internal/ingest"
 	"baywatch/internal/langmodel"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/novelty"
 	"baywatch/internal/synthetic"
 	"baywatch/internal/timeseries"
@@ -537,55 +535,6 @@ func TestIncrementalBulkDeltasScale(t *testing.T) {
 	tick(sums, nil, n)
 	tick(nil, evict, n/2)
 	tick(reload, nil, n)
-}
-
-// TestDetectBudgetDropsPairWithoutVerdict: a pair the detect job sheds to
-// its failure budget has no detection result, so it must not surface as
-// a candidate (let alone a reported one) — the run is Degraded through
-// FailedPairs, and a standing pipeline detects the pair at the next tick.
-func TestDetectBudgetDropsPairWithoutVerdict(t *testing.T) {
-	h := newIncHarness(t)
-	cfg := h.cfg
-	cfg.Guard.FailureBudget = 1
-	inc, err := NewIncremental(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := int64(1_700_000_000)
-	sums := []*timeseries.ActivitySummary{
-		beaconSummary(t, "hostA", "beacon-dst.example", base, 60, 64, "/gate.php"),
-		sparseSummary(t, "hostC", "bg.example", base, 5),
-	}
-	sched := faultinject.New(0)
-	sched.FailAt(faultinject.PointMapreduceTask.Keyed("hostA|beacon-dst.example"), 1, errors.New("injected task failure"))
-	mapreduce.SetFaultHook(sched.Hook())
-	t.Cleanup(func() { mapreduce.SetFaultHook(nil) })
-
-	res, err := inc.Tick(context.Background(), sums, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.Stats.FailedPairs != 1 {
-		t.Fatalf("degraded=%v failed pairs=%d, want the shed pair accounted", res.Degraded, res.Stats.FailedPairs)
-	}
-	if res.Stats.AfterLocalWhitelist != 2 || len(res.Candidates) != 1 || len(res.Errors) != 0 {
-		t.Fatalf("after whitelists %d, candidates %d, errors %d: want 2 pairs, 1 with a verdict",
-			res.Stats.AfterLocalWhitelist, len(res.Candidates), len(res.Errors))
-	}
-	for _, c := range res.Candidates {
-		if c.Detection == nil {
-			t.Fatalf("candidate %s->%s carries no detection", c.Source, c.Destination)
-		}
-	}
-
-	mapreduce.SetFaultHook(nil)
-	res, err = inc.Tick(context.Background(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded || len(res.Candidates) != 2 {
-		t.Fatalf("next tick: degraded=%v candidates=%d, want the shed pair detected", res.Degraded, len(res.Candidates))
-	}
 }
 
 // TestTickParksUnmergeablePair: summaries of one pair that cannot merge

@@ -4,13 +4,15 @@ import (
 	"baywatch/internal/faultinject"
 
 	"context"
-	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"baywatch/internal/core"
 	"baywatch/internal/guard"
 	"baywatch/internal/ingest"
-	"baywatch/internal/mapreduce"
 	"baywatch/internal/proxylog"
 	"baywatch/internal/timeseries"
 )
@@ -33,9 +35,10 @@ type pairKey struct {
 	Src, Dst string
 }
 
-// jobKey is a summary's key in the MapReduce jobs and their fault points:
-// "<src>|<dst>", the paper's H(s,d) input. A separator collision only
-// shares a partition, never a call.
+// jobKey is a summary's key in the per-pair fault points and in the
+// rescale-merge's error: "<src>|<dst>". It only names a pair; the
+// analysis core's maps key on pairKey, so a separator collision never
+// shares a call.
 func jobKey(as *timeseries.ActivitySummary) string { return as.Source + "|" + as.Destination }
 
 // ExtractSummaries is data extraction (Sect. VII-A) over a materialized
@@ -93,7 +96,7 @@ func safeMerge(a, b *timeseries.ActivitySummary) (m *timeseries.ActivitySummary,
 }
 
 // safeDetectOne runs detection for one pair, converting panics into errors
-// so a single pathological history cannot take down the job. thrMemo
+// so a single pathological history cannot take down the run. thrMemo
 // shares permutation thresholds across pairs with the same null
 // distribution; results are bit-identical with or without it.
 func safeDetectOne(det *core.Detector, thrMemo *core.ThresholdMemo, as *timeseries.ActivitySummary) (d Detection) {
@@ -116,56 +119,70 @@ func safeDetectOne(det *core.Detector, thrMemo *core.ThresholdMemo, as *timeseri
 	return d
 }
 
-// detectBeacons is the beaconing-detection job (Sect. VII-D) the analysis
-// core runs over the pairs that need detection: one summary per pair in,
-// one Detection per pair out, in no particular order. Pairs whose
-// detection failed come back with Err set rather than failing the job.
-// g.CandidateTimeout > 0 bounds each pair's detection in wall-clock time:
-// an overrun parks the pair as a Detection with Err wrapping
-// guard.ErrTimeout instead of wedging its worker. g.FailureBudget is the
-// job's failure budget.
-func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, g guard.Config, thrMemo *core.ThresholdMemo) ([]Detection, mapreduce.Counters, error) {
-	det := core.NewDetector(detCfg)
-	// The job runs each call inline: the detection's one bound is the
-	// RunBounded below, which parks an overrun instead of charging it to
-	// the failure budget.
-	jobCfg := mapreduce.JobConfig{Name: "beaconing-detection", MaxFailed: g.FailureBudget}
-	job := mapreduce.NewJob(jobCfg, jobKey, func(as *timeseries.ActivitySummary) (Detection, error) {
-		if g.CandidateTimeout <= 0 {
-			return safeDetectOne(det, thrMemo, as), nil
-		}
-		// The detection runs on its own goroutine so an overrun can be
-		// abandoned; safeDetectOne communicates only through its return
-		// value and the mutex-guarded threshold memo, making abandonment
-		// race-free.
-		d, err := guard.RunBounded(ctx, g.CandidateTimeout, func() (Detection, error) {
-			return safeDetectOne(det, thrMemo, as), nil
-		})
-		if errors.Is(err, guard.ErrTimeout) {
-			// Park the pair instead of failing it: the pipeline isolates
-			// it under StageError and degrades the run.
-			return Detection{Summary: as, Err: err}, nil
-		}
-		return d, err
-	})
-	res, err := job.Run(ctx, summaries)
-	if err != nil {
-		return nil, mapreduce.Counters{}, err
+// eachPair is the analysis core's per-pair loop: it calls call(i) for
+// every i in [0, n) and returns the outcomes by index. Up to
+// min(GOMAXPROCS, n) workers take the next index from a shared counter,
+// and each call runs under guard.RunBounded(ctx, timeout, ...), so a call
+// that overruns timeout leaves a zero value and an error wrapping
+// guard.ErrTimeout at its index. A cancelled ctx stops the workers, and
+// its cause is returned.
+func eachPair[T any](ctx context.Context, timeout time.Duration, n int, call func(i int) (T, error)) ([]T, []error, error) {
+	outs, errs := make([]T, n), make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+				outs[i], errs[i] = guard.RunBounded(ctx, timeout, func() (T, error) { return call(i) })
+			}
+		}()
 	}
-	return res.Outputs, res.Counters, nil
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return nil, nil, err
+	}
+	return outs, errs, nil
 }
 
-// RescaleAndMerge is the rescaling/merging job of Sect. VII-B: it rescales
-// each summary to the new (coarser) scale and merges the summaries of each
-// pair, so long time ranges are analyzable without reprocessing raw logs.
-// A pair's summaries merge in input order, and the merged pairs come back
-// in the job's partition order, whatever the parallelism. g bounds the
-// job: StageTimeout the whole job, and CandidateTimeout each pair's call
-// (mapreduce.JobConfig.TaskTimeout). There is no candidate to park, so an
-// overrun pair is dropped within FailureBudget; failed counts the pairs
-// dropped.
-func RescaleAndMerge(ctx context.Context, summaries []*timeseries.ActivitySummary, newScale int64, g guard.Config) (merged []*timeseries.ActivitySummary, failed int64, err error) {
+// detectBeacons is beaconing detection (Sect. VII-D) over the pairs that
+// need it: one Detection per summary, in input order. A pair whose
+// detection fails (error or recovered panic) comes back with Err set
+// rather than failing the step. g.CandidateTimeout > 0 bounds each
+// pair's detection in wall-clock time: an overrun parks the pair as a
+// Detection with Err wrapping guard.ErrTimeout instead of wedging its
+// worker. safeDetectOne communicates only through its return value and
+// the mutex-guarded threshold memo, making abandonment race-free.
+func detectBeacons(ctx context.Context, summaries []*timeseries.ActivitySummary, detCfg core.Config, g guard.Config, thrMemo *core.ThresholdMemo) ([]Detection, error) {
+	det := core.NewDetector(detCfg)
+	dets, errs, err := eachPair(ctx, g.CandidateTimeout, len(summaries), func(i int) (Detection, error) {
+		return safeDetectOne(det, thrMemo, summaries[i]), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			// Park the overrun pair: the pipeline isolates it under
+			// StageError and degrades the run.
+			dets[i] = Detection{Summary: summaries[i], Err: err}
+		}
+	}
+	return dets, nil
+}
 
+// RescaleAndMerge is the rescaling/merging step of Sect. VII-B: it
+// rescales each summary to the new (coarser) scale and merges the
+// summaries of each pair, so long time ranges are analyzable without
+// reprocessing raw logs. A pair's summaries merge in input order, and
+// the merged pairs come back in the order of their first summary,
+// whatever the parallelism. g bounds the step: StageTimeout the whole
+// step, and CandidateTimeout each pair's call. There is no candidate to
+// park, so a pair whose call fails, panics or overruns is dropped within
+// FailureBudget and counted in failed; past the budget the first such
+// pair, in pair order, fails the step.
+func RescaleAndMerge(ctx context.Context, summaries []*timeseries.ActivitySummary, newScale int64, g guard.Config) (merged []*timeseries.ActivitySummary, failed int64, err error) {
 	idx := make(map[pairKey]int)
 	var groups [][]*timeseries.ActivitySummary
 	for _, as := range summaries {
@@ -179,27 +196,47 @@ func RescaleAndMerge(ctx context.Context, summaries []*timeseries.ActivitySummar
 		groups[i] = append(groups[i], as)
 	}
 
-	jobCfg := mapreduce.JobConfig{Name: "rescale-merge", TaskTimeout: g.CandidateTimeout, MaxFailed: g.FailureBudget}
-	job := mapreduce.NewJob(jobCfg,
-		func(group []*timeseries.ActivitySummary) string { return jobKey(group[0]) },
-		func(group []*timeseries.ActivitySummary) (*timeseries.ActivitySummary, error) {
-			var out *timeseries.ActivitySummary
-			for _, as := range group {
-				rescaled, err := as.Rescale(newScale)
-				if err != nil {
-					return nil, err
-				}
-				if out, err = timeseries.Merge(out, rescaled); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		})
-	jobCtx, done := stageCtx(ctx, g, "rescale-merge")
+	stepCtx, done := stageCtx(ctx, g, "rescale-merge")
 	defer done()
-	res, err := job.Run(jobCtx, groups)
+	outs, errs, err := eachPair(stepCtx, g.CandidateTimeout, len(groups), func(i int) (*timeseries.ActivitySummary, error) {
+		return rescaleMergePair(groups[i], newScale)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return res.Outputs, res.Counters.Failed, nil
+	merged = make([]*timeseries.ActivitySummary, 0, len(groups))
+	for i, err := range errs {
+		if err == nil {
+			merged = append(merged, outs[i])
+			continue
+		}
+		if failed++; failed > int64(g.FailureBudget) {
+			return nil, 0, fmt.Errorf("rescale-merge: pair %q: %w", jobKey(groups[i][0]), err)
+		}
+	}
+	return merged, failed, nil
+}
+
+// rescaleMergePair rescales one pair's summaries to newScale and merges
+// them in order, behind the pipeline.rescale fault point. A panic becomes
+// the pair's error.
+func rescaleMergePair(group []*timeseries.ActivitySummary, newScale int64) (out *timeseries.ActivitySummary, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("rescale-merge panic: %v", r)
+		}
+	}()
+	if err := faultCheck(faultinject.PointPipelineRescale, jobKey(group[0])); err != nil {
+		return nil, err
+	}
+	for _, as := range group {
+		rescaled, err := as.Rescale(newScale)
+		if err != nil {
+			return nil, err
+		}
+		if out, err = timeseries.Merge(out, rescaled); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

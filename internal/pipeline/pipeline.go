@@ -1,5 +1,5 @@
 // Package pipeline wires BAYWATCH's 8-step filtering methodology (Fig. 3
-// of the paper) into an executable data flow over the MapReduce engine:
+// of the paper) into an executable data flow:
 //
 //	Phase A — whitelist analysis
 //	  1. global whitelist (popular-domain suffix match)
@@ -22,11 +22,12 @@
 // pair events (Run, ExtractSummaries) and sharded log files (RunStream) —
 // and the daemon's event store (internal/source). The one-shot entry
 // points tick a fresh Incremental once with every pair changed; the daemon
-// keeps one standing and ticks it with deltas. Beaconing detection and
-// rescale/merge run as MapReduce jobs, mirroring the paper's modular
-// Hadoop implementation; data extraction is not one (log reduction has no
-// fallible per-record work to budget), and destination popularity is a
-// set of counts the core maintains.
+// keeps one standing and ticks it with deltas. The paper's Hadoop jobs
+// map onto one host as follows: data extraction is ingest's scatter/
+// aggregate, which hash-partitions events by pair; beaconing detection
+// and rescale/merge make one bounded call per pair on one worker loop
+// (eachPair); and destination popularity is a set of counts the core
+// maintains.
 package pipeline
 
 import (
@@ -207,9 +208,10 @@ type Stats struct {
 	// DroppedEvents the events discarded across them.
 	TruncatedPairs int
 	DroppedEvents  int
-	// FailedPairs counts the pairs the MapReduce jobs dropped within their
-	// failure budget (guard.Config.FailureBudget): the run has no verdict
-	// for them.
+	// FailedPairs counts the pairs the ops loop's rescale-merge dropped
+	// within its failure budget (guard.Config.FailureBudget) before a
+	// coarse pass: the pass has no verdict for them. Detection never
+	// drops a pair, so it is 0 outside a coarse pass.
 	FailedPairs int64
 	// Durations per phase.
 	ExtractTime, PopularityTime, DetectTime, RankTime time.Duration

@@ -172,7 +172,7 @@ func TestRunNoveltySuppressionAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: which worker detects which H(s,d) partition never
+// TestRunDeterministic: which worker detects which pair never
 // changes an answer. Runs at 1, 2 and 4 workers report the same ranked
 // cases, scores bit for bit, through the same filter funnel.
 func TestRunDeterministic(t *testing.T) {
@@ -180,7 +180,7 @@ func TestRunDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want *Result
 	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs) // the detect job's default worker count
+		runtime.GOMAXPROCS(procs) // the per-pair loop's worker count
 		res, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -344,7 +344,7 @@ func TestRescaleAndMergeIndependentOfWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []*timeseries.ActivitySummary
 	for _, procs := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(procs) // the job's default worker count
+		runtime.GOMAXPROCS(procs) // the per-pair loop's worker count
 		merged, _, err := RescaleAndMerge(context.Background(), sums, 60, guard.Config{})
 		if err != nil {
 			t.Fatal(err)

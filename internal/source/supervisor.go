@@ -14,9 +14,8 @@ import (
 // supervisor wraps one connector in the daemon's resilience policy:
 //
 //   - restart on failure with capped-exponential backoff and
-//     deterministic jitter (the mapreduce retry convention — a thundering
-//     herd of identical sources still spreads out, and tests replay the
-//     exact delays);
+//     deterministic jitter (a thundering herd of identical sources
+//     still spreads out, and tests replay the exact delays);
 //   - watchdog stall detection: the connector's sink beats a
 //     guard.Watchdog heartbeat on every delivery and idle poll, and a
 //     silent connector has its current run cancelled (guard.ErrStalled)

@@ -1,5 +1,5 @@
 // Package timeseries defines the ActivitySummary data structure that flows
-// through BAYWATCH's MapReduce jobs: the per-communication-pair request
+// through BAYWATCH's analysis: the per-communication-pair request
 // history represented as a first timestamp plus a list of inter-request
 // intervals at a given time scale. It also implements the operations the
 // paper's rescaling/merging phase performs — converting raw timestamps to

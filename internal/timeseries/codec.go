@@ -7,8 +7,8 @@ import (
 	"hash/crc32"
 )
 
-// The compact binary codec below is what the MapReduce shuffle uses to move
-// ActivitySummary values between map and reduce tasks: varint-delta encoded
+// The compact binary codec below is how the ops loop persists
+// ActivitySummary values in its per-day files: varint-delta encoded
 // intervals are typically 1–2 bytes each, an order of magnitude smaller
 // than the JSON form. Layout (all integers varint/uvarint):
 //

@@ -128,11 +128,14 @@ func ExtractActivitySummaries(ctx context.Context, records []*Record, corr *Corr
 	return ExtractFromEvents(ctx, pipeline.RecordEvents(records, corr), scale)
 }
 
-// RescaleAndMerge runs the rescaling/merging MapReduce job: summaries are
-// rescaled to the (coarser) newScale and histories of the same pair are
-// merged, enabling weekly/monthly analysis without reprocessing raw logs.
+// RescaleAndMerge runs the rescaling/merging step of Sect. VII-B:
+// summaries are rescaled to the (coarser) newScale and histories of the
+// same pair are merged, enabling weekly/monthly analysis without
+// reprocessing raw logs. A pair's summaries merge in input order, and the
+// merged pairs come back in the order of their first summary. A pair that
+// fails to merge fails the call, naming the pair.
 func RescaleAndMerge(ctx context.Context, summaries []*ActivitySummary, newScale int64) ([]*ActivitySummary, error) {
-	// No failure budget: a failing pair aborts the job, so none is dropped.
+	// No failure budget: a failing pair aborts the step, so none is dropped.
 	merged, _, err := pipeline.RescaleAndMerge(ctx, summaries, newScale, guard.Config{})
 	return merged, err
 }
