@@ -120,8 +120,10 @@ DURABLE_PKGS := ./internal/durable ./internal/source ./internal/opsloop
 GUARD_TESTS := TestRunBoundedTimeout TestRunBoundedContextCause \
 	TestCandidateTimeoutParksHungDetection TestCandidateTimeoutParksHungIndication \
 	TestRescaleAndMergeFailureBudget TestCoarsePassRescaleMergeBounded \
-	TestStageTimeoutFailsRun TestRunCancellationPromptAndNoLeak TestRescaleAndMergeCancelledMidStep
-GUARD_PKGS := ./internal/guard ./internal/pipeline ./internal/opsloop
+	TestStageTimeoutFailsRun TestRunCancellationPromptAndNoLeak TestRescaleAndMergeCancelledMidStep \
+	TestQueryShedsWhenSlotsFull TestWatchdogStallCancelsSilentConnector TestStallTimerAliveKeepsConnector \
+	TestStallTimerRearmsPerRun TestStallTimerLeavesNoGoroutine
+GUARD_PKGS := ./internal/guard ./internal/pipeline ./internal/opsloop ./internal/source
 
 empty :=
 space := $(empty) $(empty)

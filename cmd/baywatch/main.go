@@ -122,7 +122,7 @@ func run() error {
 	retainWindows := flag.Int("retain-windows", 0, "serve mode: evict pairs idle longer than this many lateness windows, bounding memory and checkpoint size to active traffic (0 = retain forever; requires -lateness)")
 	caseLabels := flag.String("casefile", "", "serve mode: bwtriage labels file; /ranked and /host responses carry each labeled pair's verdict, re-read when the file changes")
 	maxQueries := flag.Int("max-queries", 16, "serve mode: concurrent query-endpoint requests before shedding with 503 (<0 = unlimited)")
-	sourceStall := flag.Duration("source-stall", 0, "serve mode: a source silent this long is cancelled and restarted (0 = no source watchdog)")
+	sourceStall := flag.Duration("source-stall", 0, "serve mode: a source silent this long is cancelled and restarted (0 = no stall detection)")
 	flag.Parse()
 
 	lm, err := langmodel.Train(corpus.PopularDomains(20000, 42))

@@ -1,14 +1,13 @@
 // Package guardgo enforces the concurrency-accounting invariant of the
 // guarded packages (internal/pipeline, internal/opsloop,
 // internal/source): work must stay
-// visible to the deadline/watchdog machinery of internal/guard.
+// visible to the per-pair bound of internal/guard.
 //
 // Inside those packages, production code may not:
 //
 //   - spawn a bare goroutine: a `go` statement is allowed only when the
-//     spawned work references the guard package (registers a watchdog
-//     worker, runs under guard.RunBounded, holds a
-//     guard.Semaphore) so its lifetime is accounted for;
+//     spawned work runs under guard.RunBounded (it references the guard
+//     package) so its lifetime is accounted for;
 //   - call context.Background() or context.TODO(): detaching from the
 //     caller's context severs deadline and cancellation propagation, so
 //     work must carry the context it was given.
@@ -30,7 +29,7 @@ import (
 // Analyzer is the guardgo analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "guardgo",
-	Doc:  "goroutines in guarded packages must be watchdog-tracked and carry the caller's context",
+	Doc:  "goroutines in guarded packages must run under guard.RunBounded and carry the caller's context",
 	Run:  run,
 }
 
@@ -49,7 +48,7 @@ func run(pass *analysis.Pass) (any, error) {
 				// consulting first would mark a directive on an already-guarded
 				// goroutine as live and hide its staleness from the audit.
 				if !referencesGuard(pass, n) && !ds.Covers(pass.Fset, n.Pos(), directive) {
-					pass.Reportf(n.Pos(), "bare goroutine in guarded package %s: spawn through internal/guard (watchdog worker, RunBounded, Semaphore) or annotate //bw:guarded <why>", pass.Pkg.Name())
+					pass.Reportf(n.Pos(), "bare goroutine in guarded package %s: spawn through guard.RunBounded or annotate //bw:guarded <why>", pass.Pkg.Name())
 				}
 			case *ast.CallExpr:
 				if fn := calleeFunc(pass, n); fn != nil &&

@@ -3,12 +3,4 @@ package guard
 
 import "context"
 
-type Worker struct{}
-
-func (w *Worker) Done() {}
-
-type Watchdog struct{}
-
-func (wd *Watchdog) Worker(name string) *Worker { return &Worker{} }
-
 func RunBounded(ctx context.Context, fn func() error) error { return fn() }

@@ -6,14 +6,6 @@ import (
 	"guard"
 )
 
-// Allowed: the spawned goroutine registers a watchdog worker.
-func guardedSpawn(wd *guard.Watchdog) {
-	go func() {
-		wk := wd.Worker("map-1")
-		defer wk.Done()
-	}()
-}
-
 // Allowed: the goroutine runs its work under guard.RunBounded.
 func boundedSpawn(ctx context.Context) {
 	go func() {

@@ -17,9 +17,8 @@
 //
 //   - no blocking while locked (guarded packages only): channel sends
 //     and receives, selects without a default, time.Sleep, WaitGroup and
-//     Cond waits, semaphore acquisition, and known-blocking I/O calls
-//     (io/os/net/bufio/net‑http read/write/accept/flush shapes) must not
-//     run under a held mutex. A lock held across a blocking operation
+//     Cond waits, and known-blocking I/O calls (io/os/net/bufio/net‑http
+//     read/write/accept/flush shapes) must not run under a held mutex. A lock held across a blocking operation
 //     couples every other critical section to that operation's latency —
 //     in internal/source that means one slow client stalls every
 //     producer.
@@ -426,8 +425,8 @@ var blockingMethodNames = map[string]bool{
 	"Do": true, "Serve": true, "ListenAndServe": true,
 }
 
-// blockingCall classifies known-blocking calls: sleeps, sync waits,
-// semaphore acquisition, and I/O-shaped functions and methods.
+// blockingCall classifies known-blocking calls: sleeps, sync waits, and
+// I/O-shaped functions and methods.
 func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -447,9 +446,6 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	}
 	if pkg == "sync" && fn.Name() == "Wait" {
 		return "sync wait", true
-	}
-	if fn.Name() == "Acquire" && path.Base(pkg) == "guard" {
-		return "semaphore Acquire", true
 	}
 	if blockingMethodPkgs[pkg] && blockingMethodNames[fn.Name()] {
 		return fmt.Sprintf("blocking %s.(%s) call", fn.Pkg().Name(), fn.Name()), true

@@ -10,9 +10,9 @@
 //     process dying at that instruction; Run converts the panic back into
 //     a value so the test can "restart" the system and assert convergence;
 //   - DelayAt sleeps at a point, modelling a slow call (degenerate fits,
-//     saturated disks) for deadline and watchdog tests;
+//     saturated disks) for deadline tests;
 //   - HangAt blocks at a point until ReleaseHangs, modelling a call that
-//     never returns; the caller's deadline/watchdog machinery must cancel
+//     never returns; the caller's deadline machinery must cancel
 //     around it, and ReleaseHangs lets tests drain the abandoned
 //     goroutine and assert no leaks;
 //   - RandomErrors injects seed-driven pseudo-random faults that replay
@@ -119,8 +119,7 @@ func (s *Scheduler) CrashAt(point Point, hit int) {
 }
 
 // DelayAt sleeps d on the hit-th traversal of point before returning nil,
-// modelling a slow (but eventually successful) call for deadline and
-// watchdog tests.
+// modelling a slow (but eventually successful) call for deadline tests.
 func (s *Scheduler) DelayAt(point Point, hit int, d time.Duration) {
 	s.addRule(rule{point: string(point), from: hit, to: hit, delay: d})
 }
@@ -128,9 +127,9 @@ func (s *Scheduler) DelayAt(point Point, hit int, d time.Duration) {
 // HangAt blocks the hit-th traversal of point until ReleaseHangs is
 // called, modelling a call that never returns on its own. After release
 // the traversal returns an injected error (the hang was a fault, not a
-// success). The calling goroutine is parked — deadline or watchdog
-// machinery above the injection point must cancel around it, and the
-// test must call ReleaseHangs before asserting goroutine counts.
+// success). The calling goroutine is parked — deadline machinery above
+// the injection point must cancel around it, and the test must call
+// ReleaseHangs before asserting goroutine counts.
 func (s *Scheduler) HangAt(point Point, hit int) {
 	s.addRule(rule{point: string(point), from: hit, to: hit, hang: true})
 }

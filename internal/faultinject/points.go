@@ -50,9 +50,6 @@ const (
 	PointPipelineIndication Point = "pipeline.indication"
 	PointPipelineRescale    Point = "pipeline.rescale"
 
-	// guard watchdog stall notifications, keyed by worker name.
-	PointGuardWatchdogStall Point = "guard.watchdog.stall"
-
 	// ingest sharded streaming scan and aggregation, keyed by the split
 	// (scan) or partition index (aggregate).
 	PointIngestShardScan Point = "ingest.shard.scan"
@@ -113,7 +110,6 @@ func Points() []Point {
 		PointPipelineDetect,
 		PointPipelineIndication,
 		PointPipelineRescale,
-		PointGuardWatchdogStall,
 		PointIngestShardScan,
 		PointIngestAggregate,
 		PointSourceFollowOpen,

@@ -13,14 +13,11 @@
 //     the ops loop's rescale-merge drop failed pairs, shedding load with
 //     explicit accounting instead of collapsing under it.
 //
-// Two primitives serve the streaming daemon's connectors and query
-// endpoint: Watchdog cancels a connector that stops publishing progress
-// heartbeats, and Semaphore bounds in-flight requests.
+// The streaming daemon's connector stall timer and query admission are
+// internal/source's own; nothing here is specific to them.
 package guard
 
 import (
-	"baywatch/internal/faultinject"
-
 	"context"
 	"errors"
 	"fmt"
@@ -30,10 +27,6 @@ import (
 
 // ErrTimeout marks a work unit that exceeded its deadline.
 var ErrTimeout = errors.New("guard: deadline exceeded")
-
-// ErrStalled marks a work unit cancelled by the watchdog after its worker
-// stopped publishing progress heartbeats.
-var ErrStalled = errors.New("guard: worker stalled")
 
 // Config bundles the resilience knobs a pipeline run threads through its
 // stages. The zero value disables every bound (no deadlines, no caps),
@@ -61,29 +54,6 @@ type Config struct {
 	// within it, degrading the coarse pass instead of failing it.
 	// Detection and indication never charge it; they park the pair.
 	FailureBudget int
-}
-
-// faultHook, when non-nil, is consulted at guard events (watchdog stalls)
-// so tests can observe them deterministically through the same seam the
-// rest of the fault-injection harness uses. Production runs leave it nil.
-var faultHook atomic.Pointer[func(point string) error]
-
-// SetFaultHook installs (or, with nil, removes) the fault observation
-// hook. Testing only.
-func SetFaultHook(hook func(point string) error) {
-	if hook == nil {
-		faultHook.Store(nil)
-		return
-	}
-	faultHook.Store(&hook)
-}
-
-func faultCheck(point faultinject.Point) error {
-	h := faultHook.Load()
-	if h == nil {
-		return nil
-	}
-	return (*h)(string(point))
 }
 
 // abandoned counts goroutines left running after their work unit timed
@@ -148,63 +118,4 @@ func cause(ctx context.Context) error {
 		return c
 	}
 	return ctx.Err()
-}
-
-// Semaphore is a counting admission gate bounding in-flight work units. A
-// nil *Semaphore admits everything, so callers need no special casing
-// when the budget is unlimited.
-type Semaphore struct {
-	slots chan struct{}
-}
-
-// NewSemaphore returns a semaphore admitting at most n units at once; n
-// <= 0 returns nil (unlimited).
-func NewSemaphore(n int) *Semaphore {
-	if n <= 0 {
-		return nil
-	}
-	return &Semaphore{slots: make(chan struct{}, n)}
-}
-
-// Acquire blocks until a slot frees or ctx is cancelled.
-func (s *Semaphore) Acquire(ctx context.Context) error {
-	if s == nil {
-		return nil
-	}
-	select {
-	case s.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return cause(ctx)
-	}
-}
-
-// TryAcquire takes a slot without blocking, reporting whether one was
-// free.
-func (s *Semaphore) TryAcquire() bool {
-	if s == nil {
-		return true
-	}
-	select {
-	case s.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by Acquire or TryAcquire.
-func (s *Semaphore) Release() {
-	if s == nil {
-		return
-	}
-	<-s.slots
-}
-
-// InFlight reports the number of slots currently held.
-func (s *Semaphore) InFlight() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.slots)
 }

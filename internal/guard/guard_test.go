@@ -1,13 +1,8 @@
 package guard
 
 import (
-	"baywatch/internal/faultinject"
-
 	"context"
 	"errors"
-	"runtime"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -97,169 +92,4 @@ func TestRunBoundedCompletesUnderDeadline(t *testing.T) {
 		t.Fatalf("got (%q, %v)", v, err)
 	}
 	waitFor(t, 5*time.Second, "abandoned drain", func() bool { return Abandoned() == 0 })
-}
-
-func TestWatchdogCancelsStalledWorker(t *testing.T) {
-	var observed []string
-	var mu sync.Mutex
-	SetFaultHook(func(point string) error {
-		mu.Lock()
-		observed = append(observed, point)
-		mu.Unlock()
-		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
-
-	wd := NewWatchdog(20*time.Millisecond, 5*time.Millisecond)
-	defer wd.Stop()
-	cancelled := make(chan struct{})
-	var once sync.Once
-	registered := time.Now()
-	hb := wd.Register("stuck-worker", func() { once.Do(func() { close(cancelled) }) })
-	defer hb.Done()
-
-	select {
-	case <-cancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never cancelled the silent worker")
-	}
-	if idle := time.Since(registered); idle < 20*time.Millisecond {
-		t.Fatalf("worker cancelled after %v of silence, want >= 20ms", idle)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, p := range observed {
-		if strings.HasPrefix(p, string(faultinject.PointGuardWatchdogStall.Keyed("stuck-worker"))) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("stall not surfaced via fault hook; saw %v", observed)
-	}
-}
-
-func TestWatchdogBeatPreventsStall(t *testing.T) {
-	wd := NewWatchdog(50*time.Millisecond, 5*time.Millisecond)
-	defer wd.Stop()
-	var cancels int
-	var mu sync.Mutex
-	hb := wd.Register("live-worker", func() { mu.Lock(); cancels++; mu.Unlock() })
-	defer hb.Done()
-	for i := 0; i < 10; i++ {
-		hb.Beat()
-		time.Sleep(10 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if cancels != 0 {
-		t.Fatalf("beating worker was cancelled %d times", cancels)
-	}
-}
-
-func TestWatchdogStopTerminatesMonitor(t *testing.T) {
-	before := runtime.NumGoroutine()
-	wd := NewWatchdog(time.Hour, time.Millisecond)
-	wd.Stop()
-	wd.Stop() // idempotent
-	waitFor(t, 5*time.Second, "monitor exit", func() bool { return runtime.NumGoroutine() <= before })
-}
-
-func TestSemaphore(t *testing.T) {
-	var s *Semaphore // nil: unlimited
-	if err := s.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s.Release()
-	if !s.TryAcquire() || s.InFlight() != 0 {
-		t.Fatal("nil semaphore must admit everything")
-	}
-
-	s = NewSemaphore(2)
-	if err := s.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if s.TryAcquire() {
-		t.Fatal("third acquire should fail")
-	}
-	if s.InFlight() != 2 {
-		t.Fatalf("InFlight = %d, want 2", s.InFlight())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := s.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked acquire: err = %v", err)
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("released slot not reusable")
-	}
-	s.Release()
-	s.Release()
-}
-
-// TestSemaphoreCancelledWaitersLeakNoPermits queues many waiters on a
-// full semaphore, cancels some of them, and checks the invariants the
-// query endpoint's admission control relies on: a cancelled waiter
-// unblocks promptly with the cancellation cause and takes no permit with
-// it, and a waiter that stays queued still gets the permit when one
-// frees.
-func TestSemaphoreCancelledWaitersLeakNoPermits(t *testing.T) {
-	s := NewSemaphore(1)
-	if err := s.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// A batch of waiters that will all be cancelled while queued.
-	cancelCause := errors.New("caller gave up")
-	cctx, cancelWaiters := context.WithCancelCause(context.Background())
-	const cancelled = 8
-	cancelledErrs := make(chan error, cancelled)
-	for i := 0; i < cancelled; i++ {
-		go func() { cancelledErrs <- s.Acquire(cctx) }()
-	}
-	// One patient waiter that must eventually win the permit.
-	patientDone := make(chan error, 1)
-	go func() { patientDone <- s.Acquire(context.Background()) }()
-
-	cancelWaiters(cancelCause)
-	for i := 0; i < cancelled; i++ {
-		select {
-		case err := <-cancelledErrs:
-			if !errors.Is(err, cancelCause) {
-				t.Fatalf("cancelled waiter returned %v, want its cancellation cause", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("cancelled waiter did not unblock promptly")
-		}
-	}
-	select {
-	case err := <-patientDone:
-		t.Fatalf("patient waiter returned early (%v) with the permit still held", err)
-	default:
-	}
-	if s.InFlight() != 1 {
-		t.Fatalf("InFlight = %d after cancellations, want 1 (no leaked permits)", s.InFlight())
-	}
-
-	// Releasing the permit serves the surviving waiter, not a ghost.
-	s.Release()
-	select {
-	case err := <-patientDone:
-		if err != nil {
-			t.Fatalf("patient waiter: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("patient waiter never got the released permit")
-	}
-	if s.InFlight() != 1 {
-		t.Fatalf("InFlight = %d with the patient waiter admitted, want 1", s.InFlight())
-	}
-	s.Release()
-	if s.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after final release, want 0", s.InFlight())
-	}
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"baywatch/internal/guard"
 )
 
 // DaemonConfig assembles the always-on daemon.
@@ -39,12 +37,13 @@ type DaemonConfig struct {
 	// re-read when its mtime or size changes, at most once per tick
 	// generation.
 	CasefilePath string
-	// MaxQueries bounds concurrent query requests (guard.Semaphore
-	// admission; default 16, <0 unlimited).
+	// MaxQueries bounds concurrent query requests; a request that finds
+	// every slot taken is shed with 503 at once (default 16, <0
+	// unlimited).
 	MaxQueries int
-	// StallTimeout enables the connector watchdog: a source silent this
-	// long has its run cancelled and restarted. The watchdog scans every
-	// StallTimeout/4. 0 disables.
+	// StallTimeout enables stall detection: a connector run that goes
+	// this long without a delivery or an Alive call is cancelled and
+	// restarted. Each run arms its own timer. 0 disables.
 	StallTimeout time.Duration
 	// RetryBase/RetryMax bound the reconnect backoff (defaults
 	// 100ms/15s).
@@ -86,11 +85,10 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 type Daemon struct {
 	cfg  DaemonConfig
 	eng  *Engine
-	wd   *guard.Watchdog
 	sups []*supervisor
 
-	querySem   *guard.Semaphore
-	queryBound atomic.Value // of string
+	querySlots chan struct{} // one per admitted query; nil when unlimited
+	queryBound atomic.Value  // of string
 
 	snap         atomic.Pointer[TickResult]
 	tickFailures atomic.Int64
@@ -127,7 +125,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	d := &Daemon{cfg: cfg, eng: eng, commitReq: make(chan struct{}, 1)}
 	if cfg.MaxQueries > 0 {
-		d.querySem = guard.NewSemaphore(cfg.MaxQueries)
+		d.querySlots = make(chan struct{}, cfg.MaxQueries)
 	}
 	for _, c := range cfg.Connectors {
 		d.sups = append(d.sups, newSupervisor(d, c))
@@ -205,10 +203,6 @@ func (d *Daemon) commit() {
 // any instant loses only uncommitted events, which the checkpointed
 // positions let the sources replay.
 func (d *Daemon) Run(ctx context.Context) error {
-	if d.cfg.StallTimeout > 0 {
-		d.wd = guard.NewWatchdog(d.cfg.StallTimeout, 0)
-		defer d.wd.Stop()
-	}
 	stopQuery, err := d.startQueryServer(ctx)
 	if err != nil {
 		return err
@@ -219,9 +213,9 @@ func (d *Daemon) Run(ctx context.Context) error {
 	for _, s := range d.sups {
 		wg.Add(1)
 		sup := s
-		// The supervisor registers a guard.Watchdog worker on entry and
-		// returns when ctx ends; wg.Wait below bounds its lifetime.
-		//bw:guarded supervisor loop registers a guard.Watchdog worker and exits with ctx
+		// The supervisor restarts its connector until ctx ends; wg.Wait
+		// below bounds its lifetime.
+		//bw:guarded supervisor loop stall-times each connector run and exits with ctx
 		go func() {
 			defer wg.Done()
 			sup.supervise(ctx)

@@ -304,17 +304,19 @@ func (d *Daemon) QueryHandler() http.Handler {
 	return mux
 }
 
-// admitted wraps a handler in semaphore admission: a slot is held for the
-// duration of the request, a caller that gives up while queued unblocks
-// promptly, and excess load is shed with 503 rather than piling up.
+// admitted wraps a handler in admission control: a slot is held for the
+// duration of the request, and a request that finds every slot taken is
+// shed with 503 at once rather than queued.
 func (d *Daemon) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if d.querySem != nil {
-			if err := d.querySem.Acquire(r.Context()); err != nil {
+		if d.querySlots != nil {
+			select {
+			case d.querySlots <- struct{}{}:
+				defer func() { <-d.querySlots }()
+			default:
 				http.Error(w, "query capacity exhausted", http.StatusServiceUnavailable)
 				return
 			}
-			defer d.querySem.Release()
 		}
 		h(w, r)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -223,5 +224,75 @@ func TestQueryCasefileReload(t *testing.T) {
 	d.runTick(context.Background())
 	if logged != failures {
 		t.Fatalf("repeated identical casefile failure re-logged (%d -> %d)", failures, logged)
+	}
+}
+
+// stuckWriter is a ResponseWriter whose Write signals entered once and
+// then blocks until release closes: a query that holds its slot.
+type stuckWriter struct {
+	header  http.Header
+	once    sync.Once
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (w *stuckWriter) Header() http.Header { return w.header }
+func (w *stuckWriter) WriteHeader(int)     {}
+func (w *stuckWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { w.entered <- struct{}{} })
+	<-w.release
+	return len(p), nil
+}
+
+// TestQueryShedsWhenSlotsFull: with every MaxQueries slot held by an
+// in-flight request, a /ranked request with no client deadline is
+// answered 503 at once instead of queueing; once the slots drain, the
+// same request gets 200.
+func TestQueryShedsWhenSlotsFull(t *testing.T) {
+	const slots = 2
+	d, err := NewDaemon(DaemonConfig{
+		Engine:     Config{StateDir: t.TempDir()},
+		Connectors: []Connector{&wedgedConn{}},
+		MaxQueries: slots,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.QueryHandler()
+	entered := make(chan struct{}, slots)
+	release := make(chan struct{})
+	var held sync.WaitGroup
+	for i := 0; i < slots; i++ {
+		held.Add(1)
+		w := &stuckWriter{header: http.Header{}, entered: entered, release: release}
+		// bounded goroutine: a slot-holding request, released below and awaited on held
+		go func() {
+			defer held.Done()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ranked", nil))
+		}()
+	}
+	for i := 0; i < slots; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("slot-holding requests never reached their write")
+		}
+	}
+
+	code := make(chan int, 1)
+	// bounded goroutine: the probe request, answered at once or after release
+	go func() { code <- queryGet(t, h, "/ranked", "").Code }()
+	select {
+	case got := <-code:
+		if got != http.StatusServiceUnavailable {
+			t.Errorf("request with every slot taken: status %d, want 503", got)
+		}
+	case <-time.After(time.Second):
+		t.Error("request with every slot taken queued instead of being shed with 503")
+	}
+	close(release)
+	held.Wait()
+	if got := queryGet(t, h, "/ranked", "").Code; got != http.StatusOK {
+		t.Fatalf("request after the slots drained: status %d, want 200", got)
 	}
 }

@@ -16,12 +16,12 @@
 //     tick hands the dirty pairs' fresh summaries to its standing
 //     pipeline.Incremental, which re-analyzes only what they invalidate;
 //   - the supervisor wraps every connector in capped-exponential
-//     retry/backoff with deterministic jitter, watchdog stall detection
-//     and a per-source circuit breaker, so a flapping source degrades to
+//     retry/backoff with deterministic jitter, a per-run stall timer and
+//     a per-source circuit breaker, so a flapping source degrades to
 //     "its pairs are stale" instead of killing the daemon;
 //   - the Daemon composes the three, drives the commit/tick cadence, and
-//     serves queries (ranked pairs, per-host timeline) under
-//     guard.Semaphore admission control.
+//     serves queries (ranked pairs, per-host timeline) from a fixed set
+//     of slots, shedding a request with 503 when every slot is taken.
 //
 // Crash safety: every durable step and every connector race window is a
 // registered faultinject point (source.*), and the crash tests kill the

@@ -2,24 +2,27 @@ package source
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"baywatch/internal/guard"
 )
+
+// errStalled is the cause a connector run is cancelled with when it goes
+// StallTimeout without a delivery or an Alive call.
+var errStalled = errors.New("source: connector stalled")
 
 // supervisor wraps one connector in the daemon's resilience policy:
 //
 //   - restart on failure with capped-exponential backoff and
 //     deterministic jitter (a thundering herd of identical sources
 //     still spreads out, and tests replay the exact delays);
-//   - watchdog stall detection: the connector's sink beats a
-//     guard.Watchdog heartbeat on every delivery and idle poll, and a
-//     silent connector has its current run cancelled (guard.ErrStalled)
-//     and restarted;
+//   - stall detection: the connector's sink stamps a heartbeat on every
+//     delivery and idle poll, a timer armed per run checks it, and a
+//     connector silent for StallTimeout has its current run cancelled
+//     (errStalled) and restarted;
 //   - a per-source circuit breaker: after BreakerThreshold consecutive
 //     failed runs the source is marked unhealthy — its pairs read as
 //     stale in tick results — and retries slow to BreakerCooldown until
@@ -32,8 +35,7 @@ type supervisor struct {
 	c    Connector
 	name string
 
-	hb        *guard.Heartbeat
-	cancelCur atomic.Value // of context.CancelCauseFunc
+	lastBeat atomic.Int64 // UnixNano of the latest delivery or Alive
 
 	mu       sync.Mutex
 	failures int  // consecutive failed runs
@@ -46,11 +48,49 @@ func newSupervisor(d *Daemon, c Connector) *supervisor {
 	return &supervisor{d: d, c: c, name: c.Name()}
 }
 
-// stallCancel is the watchdog's intervention: cancel the connector's
-// current run with ErrStalled; the supervise loop restarts it.
-func (s *supervisor) stallCancel() {
-	if c, ok := s.cancelCur.Load().(context.CancelCauseFunc); ok && c != nil {
-		c(guard.ErrStalled)
+// beat records liveness for the stall timer; without StallTimeout there
+// is no timer and nothing to record.
+func (s *supervisor) beat() {
+	if s.d.cfg.StallTimeout > 0 {
+		s.lastBeat.Store(time.Now().UnixNano())
+	}
+}
+
+// armStall starts one run's stall timer and returns its stop function.
+// When the timer fires it re-arms for the rest of the window if a beat
+// came since, and otherwise cancels the run with errStalled. mu orders the
+// timer's creation before its first firing and keeps a stopped timer from
+// re-arming.
+func (s *supervisor) armStall(cancel context.CancelCauseFunc) (stop func()) {
+	stall := s.d.cfg.StallTimeout
+	if stall <= 0 {
+		return func() {}
+	}
+	s.beat()
+	var (
+		mu      sync.Mutex
+		t       *time.Timer
+		stopped bool
+	)
+	mu.Lock()
+	defer mu.Unlock()
+	t = time.AfterFunc(stall, func() {
+		idle := time.Since(time.Unix(0, s.lastBeat.Load()))
+		if idle >= stall {
+			cancel(errStalled)
+			return
+		}
+		mu.Lock()
+		if !stopped {
+			t.Reset(stall - idle)
+		}
+		mu.Unlock()
+	})
+	return func() {
+		mu.Lock()
+		stopped = true
+		t.Stop()
+		mu.Unlock()
 	}
 }
 
@@ -95,21 +135,17 @@ func (s *supervisor) noteFailure(err error) time.Duration {
 }
 
 // supervise runs the connector until ctx ends, restarting it per the
-// policy above. It registers its watchdog worker on entry and always
-// resumes the connector from the engine's current position.
+// policy above. Each run gets its own stall timer and resumes the
+// connector from the engine's current position.
 func (s *supervisor) supervise(ctx context.Context) {
-	if s.d.wd != nil {
-		s.hb = s.d.wd.Register("source:"+s.name, s.stallCancel)
-		defer s.hb.Done()
-	}
 	for ctx.Err() == nil {
 		runCtx, cancel := context.WithCancelCause(ctx)
-		s.cancelCur.Store(context.CancelCauseFunc(cancel))
 		s.mu.Lock()
 		s.progress = false
 		s.mu.Unlock()
+		stopStall := s.armStall(cancel)
 		err := s.c.Run(runCtx, s.d.eng.Position(s.name), superSink{s})
-		s.cancelCur.Store(context.CancelCauseFunc(nil))
+		stopStall()
 		cancel(nil)
 		if ctx.Err() != nil {
 			return
@@ -118,10 +154,6 @@ func (s *supervisor) supervise(ctx context.Context) {
 			err = fmt.Errorf("source: connector %s returned without cause", s.name)
 		}
 		delay := s.noteFailure(err)
-		if s.hb != nil {
-			// Backoff is intentional idleness, not a stall.
-			s.hb.Beat()
-		}
 		if sleepCtx(ctx, delay) != nil {
 			return
 		}
@@ -141,15 +173,13 @@ func (s *supervisor) status() SourceStatus {
 }
 
 // superSink is the sink the supervisor hands its connector: it beats the
-// watchdog, applies batches to the engine, books progress, and requests
+// stall timer, applies batches to the engine, books progress, and requests
 // record-count commits.
 type superSink struct{ s *supervisor }
 
 // Deliver implements Sink.
 func (ss superSink) Deliver(b Batch) error {
-	if ss.s.hb != nil {
-		ss.s.hb.Beat()
-	}
+	ss.s.beat()
 	ss.s.d.eng.Apply(b)
 	ss.s.noteDelivery()
 	ss.s.d.maybeCommit()
@@ -157,11 +187,7 @@ func (ss superSink) Deliver(b Batch) error {
 }
 
 // Alive implements Sink.
-func (ss superSink) Alive() {
-	if ss.s.hb != nil {
-		ss.s.hb.Beat()
-	}
-}
+func (ss superSink) Alive() { ss.s.beat() }
 
 // retryDelay is the capped-exponential backoff with deterministic jitter:
 // base doubling per attempt up to max, then jittered into [d/2, d) by an

@@ -3,11 +3,10 @@ package source
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
-
-	"baywatch/internal/guard"
 )
 
 func TestRetryDelayDeterministicAndBounded(t *testing.T) {
@@ -144,7 +143,7 @@ func (w *wedgedConn) Run(ctx context.Context, resume Position, sink Sink) error 
 }
 
 // TestWatchdogStallCancelsSilentConnector: a connector that goes silent
-// past StallTimeout has its run cancelled with guard.ErrStalled and is
+// past StallTimeout has its run cancelled with errStalled and is
 // restarted; the daemon itself stays up.
 func TestWatchdogStallCancelsSilentConnector(t *testing.T) {
 	conn := &wedgedConn{causes: make(chan error, 1)}
@@ -166,8 +165,8 @@ func TestWatchdogStallCancelsSilentConnector(t *testing.T) {
 
 	select {
 	case cause := <-conn.causes:
-		if !errors.Is(cause, guard.ErrStalled) {
-			t.Fatalf("stalled run cancelled with %v, want guard.ErrStalled", cause)
+		if !errors.Is(cause, errStalled) {
+			t.Fatalf("stalled run cancelled with %v, want errStalled", cause)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("watchdog never cancelled the silent connector")
@@ -175,5 +174,137 @@ func TestWatchdogStallCancelsSilentConnector(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("daemon run: %v", err)
+	}
+}
+
+// stallingConn calls Alive beats times, gap apart, then goes silent until
+// its run is cancelled, and reports each run on runs.
+type stallingConn struct {
+	beats int
+	gap   time.Duration
+	runs  chan stallRun
+}
+
+// stallRun is one stallingConn run: the Alive calls it made, the cause
+// its run was cancelled with, and how long it had been silent by then.
+type stallRun struct {
+	beats  int
+	cause  error
+	silent time.Duration
+}
+
+func (c *stallingConn) Name() string { return "stalling" }
+
+func (c *stallingConn) Run(ctx context.Context, resume Position, sink Sink) error {
+	run := stallRun{}
+	last := time.Now()
+	for ; run.beats < c.beats; run.beats++ {
+		if sleepCtx(ctx, c.gap) != nil {
+			break
+		}
+		last = time.Now() // before Alive, so silent never reads short
+		sink.Alive()
+	}
+	<-ctx.Done()
+	run.cause, run.silent = ctxCause(ctx), time.Since(last)
+	select {
+	case c.runs <- run:
+	default:
+	}
+	return run.cause
+}
+
+// runStallDaemon runs a daemon over conn with the given StallTimeout and
+// returns a stop function that cancels it and waits for Run to return.
+func runStallDaemon(t *testing.T, conn Connector, stall time.Duration) (stop func()) {
+	t.Helper()
+	d, err := NewDaemon(DaemonConfig{
+		Engine:       Config{StateDir: t.TempDir()},
+		Connectors:   []Connector{conn},
+		TickInterval: time.Hour,
+		StallTimeout: stall,
+		RetryBase:    time.Millisecond,
+		RetryMax:     time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	// bounded goroutine: daemon run under test, cancelled and awaited by stop
+	go func() { done <- d.Run(ctx) }()
+	return func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatalf("daemon run: %v", err)
+		}
+	}
+}
+
+// nextRun waits for conn's next reported run.
+func nextRun(t *testing.T, conn *stallingConn) stallRun {
+	t.Helper()
+	select {
+	case run := <-conn.runs:
+		return run
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stall timer never cancelled the connector's run")
+		return stallRun{}
+	}
+}
+
+// TestStallTimerAliveKeepsConnector: a connector that calls Alive every
+// StallTimeout/5 for ten StallTimeouts is never cancelled while it does;
+// the timer fires only once it goes silent.
+func TestStallTimerAliveKeepsConnector(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	conn := &stallingConn{beats: 50, gap: stall / 5, runs: make(chan stallRun, 1)}
+	stop := runStallDaemon(t, conn, stall)
+	defer stop()
+	run := nextRun(t, conn)
+	if run.beats != conn.beats {
+		t.Fatalf("run cancelled (%v) after %d of %d Alive calls", run.cause, run.beats, conn.beats)
+	}
+	if !errors.Is(run.cause, errStalled) || run.silent < stall {
+		t.Fatalf("silent run ended with %v after %v, want errStalled after >= %v", run.cause, run.silent, stall)
+	}
+}
+
+// TestStallTimerRearmsPerRun: a connector that beats, stalls, is restarted
+// and stalls again is cancelled with errStalled both times, each no
+// sooner than StallTimeout after its last beat.
+func TestStallTimerRearmsPerRun(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	conn := &stallingConn{beats: 3, gap: stall / 5, runs: make(chan stallRun, 2)}
+	stop := runStallDaemon(t, conn, stall)
+	defer stop()
+	for i := 1; i <= 2; i++ {
+		run := nextRun(t, conn)
+		if !errors.Is(run.cause, errStalled) {
+			t.Fatalf("run %d cancelled with %v, want errStalled", i, run.cause)
+		}
+		if run.beats != conn.beats || run.silent < stall {
+			t.Fatalf("run %d cancelled after %d Alive calls and %v of silence, want %d and >= %v",
+				i, run.beats, run.silent, conn.beats, stall)
+		}
+	}
+}
+
+// TestStallTimerLeavesNoGoroutine: once Daemon.Run returns, neither the
+// supervisors nor their runs' stall timers leave a goroutine behind.
+func TestStallTimerLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const stall = 20 * time.Millisecond
+	conn := &stallingConn{beats: 1, gap: stall / 5, runs: make(chan stallRun, 2)}
+	stop := runStallDaemon(t, conn, stall)
+	nextRun(t, conn)
+	nextRun(t, conn)
+	stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines did not drain: baseline %d, now %d", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
