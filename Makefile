@@ -86,7 +86,7 @@ BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch
 	-noise 'BenchmarkRestartFirstTick/warm:0.35' -noise 'BenchmarkRestartFirstTick/cold:0.25'
 
 .PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke \
-	named-runs-exist test-front-half test-stored-detections test-durable test-guard
+	named-runs-exist test-front-half test-stored-detections test-durable test-guard test-freshness
 
 # The named re-runs: test lists CI runs again by name after make check, so
 # a divergence shows as its own line in the CI summary (see ci.yml for
@@ -124,6 +124,10 @@ GUARD_TESTS := TestRunBoundedTimeout TestRunBoundedContextCause \
 	TestQueryShedsWhenSlotsFull TestWatchdogStallCancelsSilentConnector TestStallTimerAliveKeepsConnector \
 	TestStallTimerRearmsPerRun TestStallTimerLeavesNoGoroutine
 GUARD_PKGS := ./internal/guard ./internal/pipeline ./internal/opsloop ./internal/source
+FRESHNESS_TESTS := TestTickOnCaughtUpSource TestNoTickWhileBacklogged \
+	TestIdleSourceMintsNoGeneration TestOnDemandTickPacedByItsCost \
+	TestFollowWakeOnAppend TestTickCommitSavesDetections
+FRESHNESS_PKGS := ./internal/source
 
 empty :=
 space := $(empty) $(empty)
@@ -146,6 +150,7 @@ named-runs-exist:
 	@$(call names_exist,$(STORED_DETECTION_TESTS),$(STORED_DETECTION_PKGS))
 	@$(call names_exist,$(DURABLE_TESTS),$(DURABLE_PKGS))
 	@$(call names_exist,$(GUARD_TESTS),$(GUARD_PKGS))
+	@$(call names_exist,$(FRESHNESS_TESTS),$(FRESHNESS_PKGS))
 
 test-front-half:
 	$(GO) test -count=1 -run '$(call runregex,$(FRONT_HALF_TESTS))' $(FRONT_HALF_PKGS)
@@ -158,6 +163,9 @@ test-durable:
 
 test-guard:
 	$(GO) test -count=1 -run '$(call runregex,$(GUARD_TESTS))' $(GUARD_PKGS)
+
+test-freshness:
+	$(GO) test -count=1 -run '$(call runregex,$(FRESHNESS_TESTS))' $(FRESHNESS_PKGS)
 
 # check is the CI entry point: vet, build, the full test suite under the
 # race detector (the fault-injection and crash-recovery tests exercise real

@@ -24,7 +24,8 @@
 // Serve mode (-serve) runs baywatch as an always-on streaming daemon:
 // supervised sources (-follow tailed files, -listen sockets, -http-ingest
 // endpoints) feed the engine continuously, detection re-runs
-// incrementally every -tick, state checkpoints through a crash-safe
+// incrementally once a source has caught up with new data (and at least
+// every -tick), state checkpoints through a crash-safe
 // journal in -serve-state, and -query serves the latest ranked pairs:
 //
 //	baywatch -serve -follow /var/log/proxy.log \
@@ -116,7 +117,7 @@ func run() error {
 	flag.Var(&httpIngest, "http-ingest", "serve mode: accept POSTed log lines on this HTTP address (repeatable)")
 	serveState := flag.String("serve-state", "", "serve mode: state directory for the crash-safe checkpoint (required with -serve)")
 	queryAddr := flag.String("query", "", "serve mode: serve /ranked, /host and /status on this address")
-	tickInterval := flag.Duration("tick", 30*time.Second, "serve mode: incremental-detection cadence")
+	tickInterval := flag.Duration("tick", 30*time.Second, "serve mode: the longest a changed pair waits for re-detection when no source reports catching up (a followed file that reaches its end ticks at once), and the /status heartbeat")
 	commitEvery := flag.Int("commit-every", 5000, "serve mode: request a checkpoint after this many ingested events; a source that gets twice this far ahead commits inline (<0 disables count-based commits)")
 	lateness := flag.Int64("lateness", 0, "serve mode: allowed event lateness in seconds; events behind the committed watermark are dropped (0 = accept any lateness)")
 	retainWindows := flag.Int("retain-windows", 0, "serve mode: evict pairs idle longer than this many lateness windows, bounding memory and checkpoint size to active traffic (0 = retain forever; requires -lateness)")

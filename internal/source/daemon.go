@@ -16,7 +16,11 @@ type DaemonConfig struct {
 	// Connectors are the live sources to supervise; at least one, with
 	// unique names.
 	Connectors []Connector
-	// TickInterval is the incremental-detection cadence (default 30s).
+	// TickInterval is the longest a dirty pair waits for a tick when no
+	// source reports catching up (default 30s), and the cadence at which
+	// /status republishes while nothing is dirty. A source that delivered
+	// events and then reports it has caught up (Sink.Alive) starts a tick
+	// sooner, once the loop has rested as long as the previous tick took.
 	TickInterval time.Duration
 	// CommitEvery requests a checkpoint once this many applied events are
 	// uncommitted (default 5000; <0 disables count-based commits). The
@@ -96,6 +100,10 @@ type Daemon struct {
 	// commitReq carries maybeCommit's checkpoint requests to Run's loop;
 	// one slot, so a pending request absorbs the rest.
 	commitReq chan struct{}
+	// caughtUp carries the supervisors' caught-up reports (a source that
+	// delivered events has handed over everything it read) to Run's loop,
+	// where they start an on-demand tick; one slot, like commitReq.
+	caughtUp chan struct{}
 
 	// Query-layer state: every tick generation publishes one immutable
 	// querySnapshot that the handlers serve without touching the engine;
@@ -123,7 +131,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Daemon{cfg: cfg, eng: eng, commitReq: make(chan struct{}, 1)}
+	d := &Daemon{cfg: cfg, eng: eng, commitReq: make(chan struct{}, 1), caughtUp: make(chan struct{}, 1)}
 	if cfg.MaxQueries > 0 {
 		d.querySlots = make(chan struct{}, cfg.MaxQueries)
 	}
@@ -196,9 +204,18 @@ func (d *Daemon) commit() {
 }
 
 // Run starts the supervisors and drives the commit/tick cadence — the
-// tick, the commit timer and the connectors' count-triggered requests —
+// ticks, the commit timer and the connectors' count-triggered requests —
 // until ctx ends; it then drains the connectors, takes a final commit, and
 // returns.
+//
+// A tick starts on demand when a source that delivered events reports it
+// has caught up and pairs are dirty (or evictions wait), so a line is
+// ranked one follower wake and one tick body after it was written, not at
+// the next TickInterval edge. An on-demand tick starts no sooner after the
+// previous tick ended than that tick took, so ticking takes at most half
+// the loop's time however fast reports come. A backlog being drained
+// reports nothing until its end and ticks on the clock alone; TickInterval
+// stays the bound for sources that never report catching up.
 // The daemon's crash contract does not depend on the drain — a SIGKILL at
 // any instant loses only uncommitted events, which the checkpointed
 // positions let the sources replay.
@@ -222,11 +239,43 @@ func (d *Daemon) Run(ctx context.Context) error {
 		}()
 	}
 
+	// rested is when an on-demand tick may next start: the previous tick's
+	// end plus its duration. pace is the one timer that holds a waiting
+	// tick back until then; paceC is its channel while armed, nil
+	// otherwise.
+	var rested time.Time
+	pace := time.NewTimer(time.Hour)
+	pace.Stop()
+	defer pace.Stop()
+	var paceC <-chan time.Time
+	tickAndCommit := func() {
+		// Publish first, then checkpoint: the fsync stays off the path
+		// from an applied event to /ranked, and the commit saves the
+		// tick's fresh detections in the same loop turn.
+		start := time.Now()
+		d.runTick(ctx)
+		end := time.Now()
+		rested = end.Add(end.Sub(start))
+		d.commit()
+	}
+	onDemand := func() {
+		if !d.eng.pending() {
+			return
+		}
+		if wait := time.Until(rested); wait > 0 {
+			if paceC == nil {
+				pace.Reset(wait)
+				paceC = pace.C
+			}
+			return
+		}
+		tickAndCommit()
+	}
+
 	// After a restart every recovered pair is dirty: analyze them now
 	// instead of idling a full TickInterval before the first ranking.
 	if d.eng.Stats().Pairs > 0 {
-		d.runTick(ctx)
-		d.commit()
+		tickAndCommit()
 	}
 
 	tick := time.NewTicker(d.cfg.TickInterval)
@@ -249,12 +298,13 @@ func (d *Daemon) Run(ctx context.Context) error {
 			if d.eng.Uncommitted() >= int64(d.cfg.CommitEvery) {
 				d.commit()
 			}
+		case <-d.caughtUp:
+			onDemand()
+		case <-paceC:
+			paceC = nil
+			onDemand()
 		case <-tick.C:
-			// Publish first, then checkpoint: the fsync stays off the path
-			// from an applied event to /ranked, and the commit saves the
-			// tick's fresh detections in the same loop turn.
-			d.runTick(ctx)
-			d.commit()
+			tickAndCommit()
 		}
 	}
 
@@ -268,8 +318,9 @@ func (d *Daemon) Run(ctx context.Context) error {
 // runTick executes one incremental detection pass and publishes a new
 // query generation; a failed tick degrades (the previous tick snapshot
 // stays current) rather than stopping the daemon. The query snapshot is
-// republished every interval regardless, so /status reflects current
-// engine accounting even before any pair exists.
+// republished on every tick, on demand or on the clock, so /status
+// reflects current engine accounting at least once per TickInterval, even
+// before any pair exists.
 func (d *Daemon) runTick(ctx context.Context) {
 	if d.eng.Stats().Pairs > 0 {
 		tr, err := d.eng.Tick(ctx)
@@ -288,6 +339,14 @@ func (d *Daemon) runTick(ctx context.Context) {
 		}
 	}
 	d.publishQuerySnapshot()
+}
+
+// pending reports whether a tick has work: a pair marked dirty or an
+// eviction waiting to leave the standing analysis.
+func (e *Engine) pending() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.dirty) > 0 || len(e.evicted) > 0
 }
 
 // Uncommitted reports events applied since the last successful commit.

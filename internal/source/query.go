@@ -165,9 +165,10 @@ func caseVerdict(labels map[string]int, src, dst string) string {
 
 // publishQuerySnapshot computes the next query generation from the
 // latest tick result and current engine accounting, and swaps it in.
-// Called once at daemon construction and then once per tick interval from
-// the daemon loop, never concurrently: each generation's timelines are
-// the previous one's with only the changed hosts rebuilt.
+// Called once at daemon construction and then once per tick from the
+// daemon loop — on demand when a caught-up source dirtied pairs, and at
+// least once per TickInterval — never concurrently: each generation's
+// timelines are the previous one's with only the changed hosts rebuilt.
 func (d *Daemon) publishQuerySnapshot() {
 	gen := d.gen.Add(1)
 	labels, reloads := d.caseLabels()

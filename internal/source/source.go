@@ -84,8 +84,8 @@ type Batch struct {
 }
 
 // Sink receives connector deliveries. The supervisor implements it,
-// beating the connector's watchdog heartbeat on every call before
-// forwarding batches to the engine.
+// beating the connector's stall timer on every call before forwarding
+// batches to the engine.
 type Sink interface {
 	// Deliver hands one batch over; a non-nil error aborts the
 	// connector's current run (the supervisor restarts it). Deliver must
@@ -93,8 +93,11 @@ type Sink interface {
 	// for its next batch.
 	Deliver(b Batch) error
 	// Alive reports liveness without data — an idle poll cycle, a quiet
-	// connection — so the watchdog distinguishes an idle source from a
-	// wedged one.
+	// connection — so the stall timer distinguishes an idle source from a
+	// wedged one. It also means "I have handed over everything I read and
+	// am about to wait": after a delivery, the daemon takes it as the
+	// source having caught up and ticks on demand, so a connector must
+	// not call it while it still holds read data undelivered.
 	Alive()
 }
 

@@ -40,8 +40,10 @@ type supervisor struct {
 	mu       sync.Mutex
 	failures int  // consecutive failed runs
 	open     bool // circuit breaker state
-	progress bool // a delivery happened during the current run
-	restarts int64
+	// unreported is set by a delivery and cleared by the next caught-up
+	// report, which it turns into an on-demand tick request.
+	unreported bool
+	restarts   int64
 }
 
 func newSupervisor(d *Daemon, c Connector) *supervisor {
@@ -98,7 +100,7 @@ func (s *supervisor) armStall(cancel context.CancelCauseFunc) (stop func()) {
 // breaker closes (the source is healthy again).
 func (s *supervisor) noteDelivery() {
 	s.mu.Lock()
-	s.progress = true
+	s.unreported = true
 	s.failures = 0
 	wasOpen := s.open
 	s.open = false
@@ -106,6 +108,22 @@ func (s *supervisor) noteDelivery() {
 	if wasOpen {
 		s.d.eng.SetSourceHealth(s.name, true)
 		s.d.logf("source %s recovered; circuit closed", s.name)
+	}
+}
+
+// noteCaughtUp turns the connector's caught-up report into a tick request
+// for Run's loop when the source delivered since its last report; an idle
+// source's reports ask for nothing.
+func (s *supervisor) noteCaughtUp() {
+	s.mu.Lock()
+	delivered := s.unreported
+	s.unreported = false
+	s.mu.Unlock()
+	if delivered {
+		select {
+		case s.d.caughtUp <- struct{}{}:
+		default: // a request is already pending
+		}
 	}
 }
 
@@ -140,9 +158,6 @@ func (s *supervisor) noteFailure(err error) time.Duration {
 func (s *supervisor) supervise(ctx context.Context) {
 	for ctx.Err() == nil {
 		runCtx, cancel := context.WithCancelCause(ctx)
-		s.mu.Lock()
-		s.progress = false
-		s.mu.Unlock()
 		stopStall := s.armStall(cancel)
 		err := s.c.Run(runCtx, s.d.eng.Position(s.name), superSink{s})
 		stopStall()
@@ -173,8 +188,8 @@ func (s *supervisor) status() SourceStatus {
 }
 
 // superSink is the sink the supervisor hands its connector: it beats the
-// stall timer, applies batches to the engine, books progress, and requests
-// record-count commits.
+// stall timer, applies batches to the engine, books progress, requests
+// record-count commits, and passes caught-up reports on as tick requests.
 type superSink struct{ s *supervisor }
 
 // Deliver implements Sink.
@@ -187,7 +202,10 @@ func (ss superSink) Deliver(b Batch) error {
 }
 
 // Alive implements Sink.
-func (ss superSink) Alive() { ss.s.beat() }
+func (ss superSink) Alive() {
+	ss.s.beat()
+	ss.s.noteCaughtUp()
+}
 
 // retryDelay is the capped-exponential backoff with deterministic jitter:
 // base doubling per attempt up to max, then jittered into [d/2, d) by an
