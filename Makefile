@@ -86,7 +86,8 @@ BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch
 	-noise 'BenchmarkRestartFirstTick/warm:0.35' -noise 'BenchmarkRestartFirstTick/cold:0.25'
 
 .PHONY: check vet build test test-race fuzz-smoke tidy lint bench bench-ingest bench-baseline bench-check bench-smoke soak soak-smoke \
-	named-runs-exist test-front-half test-stored-detections test-durable test-guard test-freshness
+	named-runs-exist test-front-half test-stored-detections test-durable test-guard test-freshness \
+	cross-build
 
 # The named re-runs: test lists CI runs again by name after make check, so
 # a divergence shows as its own line in the CI summary (see ci.yml for
@@ -126,7 +127,9 @@ GUARD_TESTS := TestRunBoundedTimeout TestRunBoundedContextCause \
 GUARD_PKGS := ./internal/guard ./internal/pipeline ./internal/opsloop ./internal/source
 FRESHNESS_TESTS := TestTickOnCaughtUpSource TestNoTickWhileBacklogged \
 	TestIdleSourceMintsNoGeneration TestOnDemandTickPacedByItsCost \
-	TestFollowWakeOnAppend TestTickCommitSavesDetections
+	TestFollowWakeOnAppend TestTickCommitSavesDetections \
+	TestFollowWakesWithoutPolling TestFollowWatchCancelPrompt TestFollowWatchReleasedOnReopen \
+	TestHTTPIngestTicksOnDemand
 FRESHNESS_PKGS := ./internal/source
 
 empty :=
@@ -178,6 +181,17 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# cross-build compiles the module for platforms other than the host's:
+# darwin (unix without inotify), windows (no syscall.Stat_t) and freebsd,
+# so a platform-specific file missing its fallback fails here. It needs
+# only the local toolchain.
+CROSS_GOOS ?= darwin windows freebsd
+cross-build:
+	@for goos in $(CROSS_GOOS); do \
+		echo "GOOS=$$goos $(GO) build ./..."; \
+		GOOS=$$goos $(GO) build ./... || exit 1; \
+	done
 
 # The watchdog and deadline tests hang injected tasks on purpose; the
 # explicit timeout turns an escaped hang into a failure instead of a

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"baywatch/internal/faultinject"
@@ -40,11 +39,14 @@ type FileFollower struct {
 	SourceName string
 	// PollInterval is the longest idle re-check at EOF (default 200ms).
 	// The follower backs off to it: after a read that returned bytes the
-	// next check comes PollInterval/16 later, and each consecutive empty
-	// check doubles the wait up to PollInterval, so a growing file is read
-	// within PollInterval/16 of an append and an idle one costs at most
-	// four checks more than a fixed PollInterval would. A path missing
-	// after a rotation is re-checked on the same schedule.
+	// next check comes at most PollInterval/16 later, and each consecutive
+	// empty check doubles the wait up to PollInterval, so an idle file
+	// costs at most four checks more than a fixed PollInterval would.
+	// Where the platform has a change watch (inotify on Linux), a write to
+	// the file ends the wait at once, so an append is read as it lands;
+	// without one the follower wakes on the schedule alone, within
+	// PollInterval/16 of an append while the file keeps growing. A path
+	// missing after a rotation is re-checked on the same schedule.
 	PollInterval time.Duration
 	// MaxLineBytes bounds one line (default 1 MiB); an overlong line is
 	// discarded up to its newline and counted as skipped.
@@ -61,21 +63,10 @@ func (f *FileFollower) Name() string {
 	return filepath.Base(f.Path)
 }
 
-// fileID extracts the (device, inode) identity of a file; ok is false on
-// platforms without syscall.Stat_t, where rotation detection degrades to
-// the size-shrink heuristic.
-func fileID(fi os.FileInfo) (dev, ino uint64, ok bool) {
-	st, sok := fi.Sys().(*syscall.Stat_t)
-	if !sok {
-		return 0, 0, false
-	}
-	return uint64(st.Dev), uint64(st.Ino), true
-}
-
-// idleBackoff is the follower's wait between checks at EOF: it starts at
-// a sixteenth of the poll interval and doubles with each consecutive empty
-// check up to the interval itself; a read that returned bytes, or a
-// reopen, starts it over.
+// idleBackoff bounds the follower's wait between checks at EOF: it starts
+// at a sixteenth of the poll interval and doubles with each consecutive
+// empty check up to the interval itself; a read that returned bytes, or a
+// reopen, starts it over. A change watch ends a wait before its bound.
 type idleBackoff struct {
 	max, next time.Duration
 }
@@ -94,9 +85,10 @@ func (b *idleBackoff) wait() time.Duration {
 	return d
 }
 
-// followSleep is the follower's idle wait; tests swap it to record the
-// backoff schedule without sleeping.
-var followSleep = sleepCtx
+// followSleep is the follower's idle wait: until the watch (nil where
+// none is open) sees the file change or the duration passes. Tests swap it
+// to record the backoff schedule without sleeping.
+var followSleep = waitChange
 
 // Run implements Connector. It returns ctx's cause when asked to stop and
 // the underlying failure otherwise; the supervisor restarts it with the
@@ -138,7 +130,7 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 				// Rotation race: the old file is gone and the new one has
 				// not appeared yet. Wait it out.
 				sink.Alive()
-				if err := followSleep(ctx, t.idle.wait()); err != nil {
+				if err := followSleep(ctx, nil, t.idle.wait()); err != nil {
 					return err
 				}
 				continue
@@ -181,7 +173,11 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 		t.framer.reset()
 
 		// ---- tail loop over the open handle -----------------------------
-		reopen, err := t.tail(ctx, file)
+		// The watch is made before the first read, so no write after that
+		// read goes unseen; it lives as long as the handle.
+		watch := openWatch(f.Path)
+		reopen, err := t.tail(ctx, file, watch)
+		watch.close()
 		file.Close()
 		if err != nil {
 			return err
@@ -231,7 +227,7 @@ func (t *tailer) deliver(skipped int) error {
 // tail reads the open handle to EOF repeatedly, delivering complete
 // lines, until the context ends (reopen=false), the file is rotated or
 // truncated (reopen=true), or a read/deliver fails (err != nil).
-func (t *tailer) tail(ctx context.Context, file *os.File) (reopen bool, err error) {
+func (t *tailer) tail(ctx context.Context, file *os.File, watch *fileWatch) (reopen bool, err error) {
 	path, pos := t.path, &t.pos
 	for {
 		if ctx.Err() != nil {
@@ -299,7 +295,7 @@ func (t *tailer) tail(ctx context.Context, file *os.File) (reopen bool, err erro
 			return true, nil
 		}
 		t.sink.Alive()
-		if err := followSleep(ctx, t.idle.wait()); err != nil {
+		if err := followSleep(ctx, watch, t.idle.wait()); err != nil {
 			return false, err
 		}
 	}

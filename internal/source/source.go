@@ -110,7 +110,8 @@ type Sink interface {
 // avoid doing so (the engine deduplicates on Records regardless).
 type Connector interface {
 	// Name identifies the source; it keys positions, fault points and
-	// watchdog workers, and must be unique within a daemon.
+	// the source's supervisor with its stall timer, and must be unique
+	// within a daemon.
 	Name() string
 	// Run tails the source until ctx ends or the source fails.
 	Run(ctx context.Context, resume Position, sink Sink) error

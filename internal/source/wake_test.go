@@ -26,7 +26,7 @@ func TestFollowIdleBackoffSchedule(t *testing.T) {
 
 	errDone := errors.New("schedule recorded")
 	var waits []time.Duration
-	followSleep = func(ctx context.Context, d time.Duration) error {
+	followSleep = func(ctx context.Context, w *fileWatch, d time.Duration) error {
 		waits = append(waits, d)
 		switch len(waits) {
 		case 6: // idle at the cap: half a line arrives
@@ -38,7 +38,7 @@ func TestFollowIdleBackoffSchedule(t *testing.T) {
 		}
 		return nil
 	}
-	t.Cleanup(func() { followSleep = sleepCtx })
+	t.Cleanup(func() { followSleep = waitChange })
 
 	c := &collectSink{}
 	f := &FileFollower{Path: logPath, SourceName: "proxy", PollInterval: poll}
@@ -70,7 +70,7 @@ func TestFollowMissingPathBackoff(t *testing.T) {
 
 	errDone := errors.New("schedule recorded")
 	var waits []time.Duration
-	followSleep = func(ctx context.Context, d time.Duration) error {
+	followSleep = func(ctx context.Context, w *fileWatch, d time.Duration) error {
 		waits = append(waits, d)
 		switch len(waits) {
 		case 6: // idle at the cap: the file is renamed away
@@ -84,7 +84,7 @@ func TestFollowMissingPathBackoff(t *testing.T) {
 		}
 		return nil
 	}
-	t.Cleanup(func() { followSleep = sleepCtx })
+	t.Cleanup(func() { followSleep = waitChange })
 
 	c := &collectSink{}
 	f := &FileFollower{Path: logPath, SourceName: "proxy", PollInterval: poll}
@@ -111,7 +111,7 @@ func TestFollowRotationReadsOldFileToEnd(t *testing.T) {
 	writeFile(t, logPath, lineSeq(1000, 1))
 
 	renamed := false
-	followSleep = func(ctx context.Context, d time.Duration) error {
+	followSleep = func(ctx context.Context, w *fileWatch, d time.Duration) error {
 		if !renamed {
 			renamed = true
 			if err := os.Rename(logPath, logPath+".1"); err != nil {
@@ -119,9 +119,9 @@ func TestFollowRotationReadsOldFileToEnd(t *testing.T) {
 			}
 			writeFile(t, logPath, lineSeq(2000, 1))
 		}
-		return sleepCtx(ctx, d)
+		return waitChange(ctx, w, d)
 	}
-	t.Cleanup(func() { followSleep = sleepCtx })
+	t.Cleanup(func() { followSleep = waitChange })
 	// The rotation fault point sits after the stat that saw the rename and
 	// before the old file is left: the writer's last line lands there.
 	SetFaultHook(func(point string) error {
@@ -140,8 +140,9 @@ func TestFollowRotationReadsOldFileToEnd(t *testing.T) {
 }
 
 // wakeBound is how late after its write an appended line may be delivered
-// in the wake tests: well under their one-second PollInterval, well over
-// the sixteenth of it the follower waits while the file grows.
+// in the wake tests that run with a one-second PollInterval: well under
+// it, and well over the sixteenth of it the follower waits while the file
+// grows where no change watch wakes it sooner.
 const wakeBound = 400 * time.Millisecond
 
 // timedSink records when each event (by timestamp) was delivered; safe
@@ -181,11 +182,11 @@ func (s *timedSink) await(t *testing.T, ts int64) {
 	t.Fatalf("event %d never delivered", ts)
 }
 
-// startWakeFollower tails path with a one-second PollInterval and returns
-// the sink and a stop function that ends the run and waits for it.
-func startWakeFollower(t *testing.T, path string) (*timedSink, func()) {
+// startWakeFollower tails path with the given PollInterval and returns the
+// sink and a stop function that ends the run and waits for it.
+func startWakeFollower(t *testing.T, path string, poll time.Duration) (*timedSink, func()) {
 	s := &timedSink{at: make(map[int64]time.Time)}
-	f := &FileFollower{Path: path, SourceName: "proxy", PollInterval: time.Second}
+	f := &FileFollower{Path: path, SourceName: "proxy", PollInterval: poll}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	// bounded goroutine: test connector run, cancelled by stop and awaited on done
@@ -197,30 +198,37 @@ func startWakeFollower(t *testing.T, path string) (*timedSink, func()) {
 }
 
 // checkWake requires every line of written (timestamp → write time) to
-// have been delivered within wakeBound of its write.
-func checkWake(t *testing.T, s *timedSink, written map[int64]time.Time) {
+// have been delivered within bound of its write, and logs the median and
+// largest write-to-delivery lag.
+func checkWake(t *testing.T, s *timedSink, written map[int64]time.Time, bound time.Duration) {
 	t.Helper()
 	var late []string
+	lags := make([]time.Duration, 0, len(written))
 	for ts, w := range written {
 		s.await(t, ts)
 		at, _ := s.deliveredAt(ts)
-		if lag := at.Sub(w); lag > wakeBound {
+		lag := at.Sub(w)
+		lags = append(lags, lag)
+		if lag > bound {
 			late = append(late, lag.Round(time.Millisecond).String())
 		}
 	}
+	slices.Sort(lags)
+	t.Logf("write-to-delivery lag over %d lines: median %v, max %v", len(lags), lags[len(lags)/2], lags[len(lags)-1])
 	if len(late) > 0 {
 		t.Fatalf("%d of %d appended lines delivered later than %v after their write: %s",
-			len(late), len(written), wakeBound, strings.Join(late, " "))
+			len(late), len(written), bound, strings.Join(late, " "))
 	}
 }
 
 // TestFollowWakeOnAppend: with a one-second PollInterval, lines appended
-// every 20 ms are each delivered well within the interval, because a
-// growing file is re-checked at a sixteenth of it.
+// every 20 ms are each delivered well within the interval: the change
+// watch wakes the follower as each lands, and without one a growing file
+// is re-checked at a sixteenth of the interval.
 func TestFollowWakeOnAppend(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "proxy.log")
 	writeFile(t, logPath, lineSeq(1000, 1))
-	s, stop := startWakeFollower(t, logPath)
+	s, stop := startWakeFollower(t, logPath, time.Second)
 	defer stop()
 	s.await(t, 1000)
 
@@ -230,7 +238,7 @@ func TestFollowWakeOnAppend(t *testing.T) {
 		written[1000+i] = time.Now()
 		appendFile(t, logPath, lineSeq(1000+i, 1))
 	}
-	checkWake(t, s, written)
+	checkWake(t, s, written, wakeBound)
 }
 
 // TestFollowWakeAfterRename: the same holds across a rotation whose new
@@ -238,7 +246,7 @@ func TestFollowWakeOnAppend(t *testing.T) {
 func TestFollowWakeAfterRename(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "proxy.log")
 	writeFile(t, logPath, lineSeq(1000, 1))
-	s, stop := startWakeFollower(t, logPath)
+	s, stop := startWakeFollower(t, logPath, time.Second)
 	defer stop()
 	s.await(t, 1000)
 
@@ -254,5 +262,125 @@ func TestFollowWakeAfterRename(t *testing.T) {
 		written[1000+i] = time.Now()
 		appendFile(t, logPath, lineSeq(1000+i, 1))
 	}
-	checkWake(t, s, written)
+	checkWake(t, s, written, wakeBound)
+}
+
+// watchOrSkip skips a test of the change watch where none can be made on
+// path.
+func watchOrSkip(t *testing.T, path string) {
+	t.Helper()
+	w := openWatch(path)
+	if w == nil {
+		t.Skip("no file change watch on this platform")
+	}
+	w.close()
+}
+
+// TestFollowWakesWithoutPolling: with an hour-long PollInterval, whose
+// backoff floor is 225 s, lines appended every 20 ms are each delivered
+// within 100 ms of their write: the change watch wakes the follower, not
+// its timer.
+func TestFollowWakesWithoutPolling(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "proxy.log")
+	writeFile(t, logPath, lineSeq(1000, 1))
+	watchOrSkip(t, logPath)
+	s, stop := startWakeFollower(t, logPath, time.Hour)
+	defer stop()
+	s.await(t, 1000)
+
+	written := make(map[int64]time.Time)
+	for i := int64(1); i <= 50; i++ {
+		time.Sleep(20 * time.Millisecond)
+		written[1000+i] = time.Now()
+		appendFile(t, logPath, lineSeq(1000+i, 1))
+	}
+	checkWake(t, s, written, 100*time.Millisecond)
+}
+
+// TestFollowWatchCancelPrompt: a run parked in a watched wait, with an
+// hour before its timer would end it, returns within 100 ms of cancel.
+func TestFollowWatchCancelPrompt(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "proxy.log")
+	writeFile(t, logPath, lineSeq(1000, 1))
+	watchOrSkip(t, logPath)
+	parked := make(chan struct{}, 1)
+	followSleep = func(ctx context.Context, w *fileWatch, d time.Duration) error {
+		if w != nil {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+		}
+		return waitChange(ctx, w, d)
+	}
+	t.Cleanup(func() { followSleep = waitChange })
+
+	f := &FileFollower{Path: logPath, SourceName: "proxy", PollInterval: time.Hour}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	// bounded goroutine: test connector run, cancelled below and awaited on done
+	go func() { done <- f.Run(ctx, Position{}, &timedSink{at: make(map[int64]time.Time)}) }()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follower never entered a watched wait")
+	}
+	time.Sleep(20 * time.Millisecond) // let it block in the watch's read
+	cancelled := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		done <- err // for the cleanup
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run ended with %v, want cancellation", err)
+		}
+		if lag := time.Since(cancelled); lag > 100*time.Millisecond {
+			t.Fatalf("run returned %v after cancel, want within 100ms", lag)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run still parked 5s after cancel")
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
+}
+
+// TestFollowWatchReleasedOnReopen: each reopen closes the old handle's
+// watch with the handle, so after 50 rotations the process holds as many
+// descriptors as it did on the first file.
+func TestFollowWatchReleasedOnReopen(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	logPath := filepath.Join(t.TempDir(), "proxy.log")
+	writeFile(t, logPath, lineSeq(1000, 1))
+	s, stop := startWakeFollower(t, logPath, time.Second)
+	defer stop()
+	s.await(t, 1000)
+	base := openFDs(t)
+
+	for i := int64(1); i <= 50; i++ {
+		// The successor replaces the file in one rename, as a rotating
+		// writer that prepares it aside does.
+		next := logPath + ".next"
+		writeFile(t, next, lineSeq(1000+i, 1))
+		if err := os.Rename(next, logPath); err != nil {
+			t.Fatal(err)
+		}
+		s.await(t, 1000+i)
+	}
+	if got := openFDs(t); got != base {
+		t.Fatalf("%d open descriptors after 50 rotations, want the %d held on the first file", got, base)
+	}
 }
