@@ -128,8 +128,7 @@ GUARD_PKGS := ./internal/guard ./internal/pipeline ./internal/opsloop ./internal
 FRESHNESS_TESTS := TestTickOnCaughtUpSource TestNoTickWhileBacklogged \
 	TestIdleSourceMintsNoGeneration TestOnDemandTickPacedByItsCost \
 	TestFollowWakeOnAppend TestTickCommitSavesDetections \
-	TestFollowWakesWithoutPolling TestFollowWatchCancelPrompt TestFollowWatchReleasedOnReopen \
-	TestHTTPIngestTicksOnDemand
+	TestFollowWakesWithoutPolling TestFollowWatchCancelPrompt TestFollowWatchReleasedOnReopen
 FRESHNESS_PKGS := ./internal/source
 
 empty :=

@@ -301,6 +301,16 @@ func (t *tailer) tail(ctx context.Context, file *os.File, watch *fileWatch) (reo
 	}
 }
 
+// waitChange returns when w sees the file change, d passes, or ctx ends,
+// returning the cancellation cause in the last case; with no watch it
+// waits d or ctx alone.
+func waitChange(ctx context.Context, w *fileWatch, d time.Duration) error {
+	if w == nil {
+		return sleepCtx(ctx, d)
+	}
+	return w.wait(ctx, d)
+}
+
 // sleepCtx sleeps d or until ctx ends, returning the cancellation cause
 // in the latter case.
 func sleepCtx(ctx context.Context, d time.Duration) error {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -121,42 +120,6 @@ func TestTickOnCaughtUpSource(t *testing.T) {
 
 	appendFile(t, logPath, lineSeq(1020, 20))
 	waitUntil(t, 2*time.Second, "a tick covers the 20 appended lines", seen(40))
-}
-
-// TestHTTPIngestTicksOnDemand: with TickInterval an hour, lines posted to
-// the HTTP ingest endpoint after the first tick reach the tick snapshot
-// within two seconds, because a request whose batch was delivered reports
-// the source caught up.
-func TestHTTPIngestTicksOnDemand(t *testing.T) {
-	h := &HTTPIngest{Addr: "127.0.0.1:0", SourceName: "http"}
-	d, err := NewDaemon(DaemonConfig{
-		Engine:       Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)},
-		Connectors:   []Connector{h},
-		TickInterval: time.Hour,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := runDaemon(t, d)
-	defer stop()
-	waitUntil(t, 5*time.Second, "the ingest endpoint binds", func() bool { return h.BoundAddr() != "" })
-	url := "http://" + h.BoundAddr()
-	seen := func(events int) func() bool {
-		return func() bool {
-			snap := d.Snapshot()
-			return snap != nil && snap.Result.Stats.InputEvents == events
-		}
-	}
-	if code, _ := postLines(t, url, lineSeq(1000, 20)); code != http.StatusOK {
-		t.Fatalf("POST returned %d", code)
-	}
-	waitUntil(t, 10*time.Second, "a tick covers the first 20 posted lines", seen(20))
-
-	if code, _ := postLines(t, url, lineSeq(1020, 20)); code != http.StatusOK {
-		t.Fatalf("POST returned %d", code)
-	}
-	waitUntil(t, 2*time.Second, "a tick covers the 20 lines posted after it", seen(40))
 }
 
 // TestNoTickWhileBacklogged: a source that keeps delivering without

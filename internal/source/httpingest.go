@@ -137,10 +137,9 @@ func (h *HTTPIngest) serveIngest(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
+	} else {
+		h.sk.Alive()
 	}
-	// The request has handed over everything it read: report caught up,
-	// so a delivered batch is ticked on demand.
-	h.sk.Alive()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]int64{
 		"accepted": int64(len(events)),

@@ -357,8 +357,9 @@ func openFDs(t *testing.T) int {
 }
 
 // TestFollowWatchReleasedOnReopen: each reopen closes the old handle's
-// watch with the handle, so after 50 rotations the process holds as many
-// descriptors as it did on the first file.
+// watch with the handle, so after 50 rotations the process holds no more
+// descriptors than it did on the first file. Only growth fails: an earlier
+// test's keep-alive connection may close meanwhile and lower the count.
 func TestFollowWatchReleasedOnReopen(t *testing.T) {
 	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
 		t.Skip("no /proc/self/fd to count descriptors in")
@@ -380,7 +381,7 @@ func TestFollowWatchReleasedOnReopen(t *testing.T) {
 		}
 		s.await(t, 1000+i)
 	}
-	if got := openFDs(t); got != base {
-		t.Fatalf("%d open descriptors after 50 rotations, want the %d held on the first file", got, base)
+	if got := openFDs(t); got > base {
+		t.Fatalf("%d open descriptors after 50 rotations, want at most the %d held on the first file", got, base)
 	}
 }

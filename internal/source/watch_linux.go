@@ -45,15 +45,11 @@ func (w *fileWatch) close() {
 	}
 }
 
-// waitChange returns when w sees the file change, d passes, or ctx ends,
-// returning the cancellation cause in the last case; with a nil w it waits
-// d or ctx alone. An event queued since the previous wait (an append that
-// landed during the read that found EOF) ends it at once, so no append is
-// slept over.
-func waitChange(ctx context.Context, w *fileWatch, d time.Duration) error {
-	if w == nil {
-		return sleepCtx(ctx, d)
-	}
+// wait returns when the file changes, d passes, or ctx ends, returning
+// the cancellation cause in the last case. An event queued since the
+// previous wait (an append that landed during the read that found EOF)
+// ends it at once, so no append is slept over.
+func (w *fileWatch) wait(ctx context.Context, d time.Duration) error {
 	deadline := time.Now().Add(d)
 	if err := w.f.SetReadDeadline(deadline); err != nil {
 		return sleepCtx(ctx, d)

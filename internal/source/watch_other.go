@@ -16,8 +16,6 @@ func openWatch(path string) *fileWatch { return nil }
 
 func (w *fileWatch) close() {}
 
-// waitChange sleeps d or until ctx ends, returning the cancellation cause
-// in the latter case.
-func waitChange(ctx context.Context, w *fileWatch, d time.Duration) error {
-	return sleepCtx(ctx, d)
-}
+// wait is not reached, as openWatch makes no watch here; it waits d or
+// ctx all the same.
+func (w *fileWatch) wait(ctx context.Context, d time.Duration) error { return sleepCtx(ctx, d) }
