@@ -116,8 +116,9 @@ STORED_DETECTION_PKGS := ./internal/source ./internal/core ./internal/timeseries
 DURABLE_TESTS := TestDurableOwnsRenames TestWriteFileStepOrder TestWriteFileStepFaults \
 	TestQuarantineNeverOverwrites TestQuarantineReportsFailure \
 	TestUnquarantinableCheckpointKept TestQuarantineLongNameTerminates TestUnquarantinableManifestKept \
-	TestUnquarantinableNoveltyKept
-DURABLE_PKGS := ./internal/durable ./internal/source ./internal/opsloop
+	TestUnquarantinableNoveltyKept TestCrashAcrossPackagesConverges \
+	TestCheckRejectsUnregisteredPoint TestCheckNoHookAllocs
+DURABLE_PKGS := ./internal/durable ./internal/source ./internal/opsloop ./internal/faultinject
 GUARD_TESTS := TestRunBoundedTimeout TestRunBoundedContextCause \
 	TestCandidateTimeoutParksHungDetection TestCandidateTimeoutParksHungIndication \
 	TestRescaleAndMergeFailureBudget TestCoarsePassRescaleMergeBounded \
@@ -260,8 +261,9 @@ bench-baseline:
 # ~30s and checks the drained state matches a clean batch run exactly.
 # The prefix match also runs TestDaemonSoakRetention, the variant with a
 # small -retain-windows and pair churn that pins bounded state under the
-# same faults. Set BAYWATCH_FAULT_SCHEDULE (see README) to replay an
-# explicit schedule of error/delay rules instead of the seeded random one.
+# same faults. Set BAYWATCH_FAULT_SCHEDULE (see README; a source test
+# helper decodes it) to replay an explicit schedule of error/delay rules
+# instead of the seeded random one.
 soak:
 	$(GO) test ./internal/source -run='^TestDaemonSoak' -count=1 -soak=30s -timeout=5m -v
 

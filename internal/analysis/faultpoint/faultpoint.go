@@ -8,7 +8,8 @@
 //
 // Flagged:
 //   - a string literal passed where a faultinject.Point is expected
-//     (faultCheck seams, Scheduler scheduling methods, Point conversions);
+//     (the faultinject.Check seam, Scheduler scheduling methods, Point
+//     conversions);
 //   - in test files (which are not type-checked), a string literal as the
 //     point argument of a Scheduler scheduling method;
 //   - a string literal anywhere whose value equals a registered point (or
@@ -135,7 +136,7 @@ func isPointType(t types.Type) bool {
 }
 
 // checkTypedPointArgs flags string literals in positions typed as
-// faultinject.Point: arguments to faultCheck seams and Scheduler methods,
+// faultinject.Point: arguments to faultinject.Check and Scheduler methods,
 // and Point("literal") conversions.
 func checkTypedPointArgs(pass *analysis.Pass, f *ast.File, ds analysis.DirectiveSet, reported map[token.Pos]bool) {
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -2,29 +2,20 @@ package a
 
 import "faultinject"
 
-var hook func(point string) error
-
-func faultCheck(point faultinject.Point) error {
-	if hook == nil {
-		return nil
-	}
-	return hook(string(point))
-}
-
 // Allowed: registered constants, keyed instances, and variables.
-func good() error      { return faultCheck(faultinject.PointAlphaWrite) }
-func goodKeyed() error { return faultCheck(faultinject.PointBetaTask.Keyed("src|dst")) }
+func good() error      { return faultinject.Check(faultinject.PointAlphaWrite, "") }
+func goodKeyed() error { return faultinject.Check(faultinject.PointBetaTask, "src|dst") }
 func goodVar(p string) faultinject.Point {
 	return faultinject.Point(p)
 }
 
 // Flagged: bare literals in Point positions.
 func bad() error {
-	return faultCheck("alpha.write") // want `fault point written as string literal`
+	return faultinject.Check("alpha.write", "") // want `fault point written as string literal`
 }
 
 func badTypo() error {
-	return faultCheck("alpha.wirte") // want `fault point written as string literal`
+	return faultinject.Check("alpha.wirte", "") // want `fault point written as string literal`
 }
 
 func badConversion() faultinject.Point {
@@ -33,7 +24,7 @@ func badConversion() faultinject.Point {
 
 // Allowed: a deliberate, annotated literal.
 func blessed() error {
-	return faultCheck("scratch.local") //bw:faultpoint deliberately unregistered scratch point
+	return faultinject.Check("scratch.local", "") //bw:faultpoint deliberately unregistered scratch point
 }
 
 // Flagged: literals that collide with a registered point, e.g. in

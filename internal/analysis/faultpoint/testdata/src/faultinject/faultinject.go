@@ -1,6 +1,7 @@
 // Package faultinject is a miniature stand-in for the repo's fault
 // scheduler, shaped like the real package so the analyzer's type-driven
-// checks resolve: a Point type, a registry, and scheduling methods.
+// checks resolve: a Point type, a registry, the Check seam and
+// scheduling methods.
 package faultinject
 
 type Point string
@@ -18,6 +19,8 @@ func Points() []Point {
 		PointBetaTask,
 	}
 }
+
+func Check(p Point, key string) error { return nil }
 
 type Scheduler struct{}
 

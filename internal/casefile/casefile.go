@@ -99,7 +99,7 @@ func writeFile(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("casefile: mkdir: %w", err)
 	}
-	if err := durable.WriteFile(path, data, nil, durable.Points{}); err != nil {
+	if err := durable.WriteFile(path, data, durable.Points{}); err != nil {
 		return fmt.Errorf("casefile: %w", err)
 	}
 	return nil

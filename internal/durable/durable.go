@@ -10,9 +10,9 @@
 //
 // and the rename is the commit point: a crash before it leaves the old
 // file (plus a temp file the next RemoveTemp deletes), a crash after it
-// the new one. Callers with fault points name one per step in Points and
-// pass the check their package consults; the check runs before the step,
-// so an injected error or crash lands exactly where a real one would.
+// the new one. Callers with fault points name one per step in Points, and
+// faultinject.Check runs each before its step, so an injected error or
+// crash lands exactly where a real one would.
 // Nothing here cleans up in a defer: a simulated crash is a panic, and it
 // must leave the disk the way a real crash would.
 package durable
@@ -29,34 +29,35 @@ import (
 	"baywatch/internal/faultinject"
 )
 
-// Points names the fault point checked before each step of WriteFile.
+// Points names the fault point, possibly keyed, checked before each step
+// of WriteFile; an empty one checks nothing.
 type Points struct {
 	Create, Write, Sync, Rename, Dirsync faultinject.Point
 }
 
 // WriteFile replaces path with data atomically and durably: path.tmp is
 // created, written, fsynced and closed, renamed over path, and the
-// directory is fsynced. Before each of the five steps named in pts it
-// calls check with that step's point and stops with the error check
-// returns; a nil check means no hooks. On error the temp file may remain;
-// RemoveTemp sweeps it.
-func WriteFile(path string, data []byte, check func(faultinject.Point) error, pts Points) error {
+// directory is fsynced. Before each of the five steps it checks that
+// step's point in pts and stops with the error the check returns; a zero
+// pts checks nothing. On error the temp file may remain; RemoveTemp
+// sweeps it.
+func WriteFile(path string, data []byte, pts Points) error {
 	tmp := path + ".tmp"
-	if err := at(check, pts.Create); err != nil {
+	if err := faultinject.Check(pts.Create, ""); err != nil {
 		return fmt.Errorf("create %s: %w", tmp, err)
 	}
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", tmp, err)
 	}
-	if err = at(check, pts.Write); err == nil {
+	if err = faultinject.Check(pts.Write, ""); err == nil {
 		_, err = f.Write(data)
 	}
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("write %s: %w", tmp, err)
 	}
-	if err = at(check, pts.Sync); err == nil {
+	if err = faultinject.Check(pts.Sync, ""); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -66,27 +67,20 @@ func WriteFile(path string, data []byte, check func(faultinject.Point) error, pt
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("close %s: %w", tmp, err)
 	}
-	if err = at(check, pts.Rename); err == nil {
+	if err = faultinject.Check(pts.Rename, ""); err == nil {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
 		return fmt.Errorf("rename %s: %w", path, err)
 	}
 	dir := filepath.Dir(path)
-	if err = at(check, pts.Dirsync); err == nil {
+	if err = faultinject.Check(pts.Dirsync, ""); err == nil {
 		err = SyncDir(dir)
 	}
 	if err != nil {
 		return fmt.Errorf("dirsync %s: %w", dir, err)
 	}
 	return nil
-}
-
-func at(check func(faultinject.Point) error, p faultinject.Point) error {
-	if check == nil {
-		return nil
-	}
-	return check(p)
 }
 
 // SyncDir fsyncs a directory so a completed rename survives power loss.

@@ -31,11 +31,6 @@ var testPoints = Points{
 	Dirsync: faultinject.PointOpsloopDayDirsync,
 }
 
-func schedulerCheck(s *faultinject.Scheduler) func(faultinject.Point) error {
-	hook := s.Hook()
-	return func(p faultinject.Point) error { return hook(string(p)) }
-}
-
 func tempFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -55,7 +50,8 @@ func tempFiles(t *testing.T, dir string) []string {
 func TestWriteFileStepOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.bin")
 	s := faultinject.New(1)
-	if err := WriteFile(path, []byte("new"), schedulerCheck(s), testPoints); err != nil {
+	t.Cleanup(faultinject.Install(s.Hook()))
+	if err := WriteFile(path, []byte("new"), testPoints); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -94,9 +90,11 @@ func TestWriteFileStepFaults(t *testing.T) {
 			} else {
 				s.FailAt(p, 1, errInjected)
 			}
+			restore := faultinject.Install(s.Hook())
 			c, err := faultinject.Run(func() error {
-				return WriteFile(path, []byte(newData), schedulerCheck(s), testPoints)
+				return WriteFile(path, []byte(newData), testPoints)
 			})
+			restore()
 			switch {
 			case crash && c == nil:
 				t.Fatalf("%s: no crash (err %v)", name, err)
@@ -114,7 +112,7 @@ func TestWriteFileStepFaults(t *testing.T) {
 			if tmps := tempFiles(t, dir); len(tmps) != 0 {
 				t.Fatalf("%s: RemoveTemp left %v", name, tmps)
 			}
-			if err := WriteFile(path, []byte(newData), nil, Points{}); err != nil {
+			if err := WriteFile(path, []byte(newData), Points{}); err != nil {
 				t.Fatalf("%s: retry: %v", name, err)
 			}
 			if data, _ := os.ReadFile(path); string(data) != newData {

@@ -1,8 +1,9 @@
 // Package faultinject is a deterministic, seed-driven fault scheduler for
-// crash-safety and degraded-mode testing. Production packages expose a
-// fault hook — a nil-able `func(point string) error` consulted at named
-// injection points (file writes, fsyncs, renames, task calls) — and tests
-// install a Scheduler behind it to script failures:
+// crash-safety and degraded-mode testing. Production code calls Check at
+// named injection points (file writes, fsyncs, renames, task calls); it
+// consults the one process-wide hook, which only tests install
+// (t.Cleanup(Install(sched.Hook()))), so every package's points land in
+// one ordered trace. A Scheduler behind the hook scripts failures:
 //
 //   - FailAt / FailTransient return injected errors at exact per-point hit
 //     counts, modelling one-shot and transient I/O faults;
@@ -20,20 +21,74 @@
 //
 // The scheduler records every hit in order, so a test can first run a
 // workload fault-free to enumerate its injection points and then re-run it
-// once per point with a crash scheduled there (the
-// crash-at-every-injection-point loop the opsloop recovery tests use).
-// All methods are safe for concurrent use; determinism under concurrency
-// is the caller's responsibility (per-point hit counts are only
-// deterministic where the workload hits a point from one goroutine, which
-// is why hot concurrent paths use distinct point names).
+// once per hit with a fault scheduled there (At), restarting after each
+// crash Run reports. All methods are safe for concurrent use; determinism
+// under concurrency is the caller's responsibility (per-point hit counts
+// are only deterministic where the workload hits a point from one
+// goroutine, which is why hot concurrent paths use distinct keyed point
+// names).
 package faultinject
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"testing"
 	"time"
 )
+
+// hook is the installed fault hook; nil in production.
+var hook atomic.Pointer[func(point string) error]
+
+// Check is the fault seam: production code calls it at every injection
+// point. With no hook installed it is one inlined atomic load. Otherwise
+// it passes the hook p.Keyed(key), or p itself when key is empty, and
+// returns what the hook returns. The empty point is none (a zero
+// durable.Points). Under go test, a point whose unkeyed prefix is not in
+// Points() panics: a typo'd name would otherwise run unscheduled.
+func Check(p Point, key string) error {
+	if hook.Load() == nil {
+		return nil
+	}
+	return hooked(p, key)
+}
+
+func hooked(p Point, key string) error {
+	h := hook.Load()
+	if h == nil || p == "" {
+		return nil
+	}
+	if testing.Testing() && !slices.Contains(Points(), unkeyed(p)) {
+		panic(fmt.Sprintf("faultinject: point %q is not registered in Points()", p))
+	}
+	if key != "" {
+		p = p.Keyed(key)
+	}
+	return (*h)(string(p))
+}
+
+// Install makes h the process-wide fault hook (nil removes it) and returns
+// a func that reinstalls the hook it replaced: t.Cleanup(Install(h)).
+// Points in flight on other goroutines may still see the old hook.
+func Install(h func(point string) error) (restore func()) {
+	var p *func(point string) error
+	if h != nil {
+		p = &h
+	}
+	prev := hook.Swap(p)
+	return func() { hook.Store(prev) }
+}
+
+func unkeyed(p Point) Point {
+	name, _, _ := strings.Cut(string(p), ":")
+	return Point(name)
+}
 
 // Crash is the panic value raised at a scheduled crash point. It
 // deliberately does not implement error: nothing should mistake a
@@ -55,6 +110,9 @@ type Hit struct {
 	Point string
 	// N is the per-point hit count (1-based).
 	N int
+	// Watched reports whether the hit ran on a goroutine inside Run: a
+	// crash anywhere else never reaches Run.
+	Watched bool
 }
 
 // rule scripts faults for one point: inject on per-point hits in
@@ -98,9 +156,57 @@ func New(seed int64) *Scheduler {
 	}
 }
 
-// Hook returns the function production code calls at injection points;
-// install it behind a package's fault seam.
+// Hook returns the function Check consults at injection points; pass it
+// to Install.
 func (s *Scheduler) Hook() func(point string) error { return s.check }
+
+// Fatal reports whether a crash at h is a process death that Run sees:
+// h ran on the goroutine Run watches, outside the pipeline's and ingest's
+// task points.
+func (h Hit) Fatal() bool { return h.Watched && !isolated(Point(h.Point)) }
+
+// Enumerate picks the hits of a fault-free trace that an enumeration
+// faults at: every fatal hit, and the first, middle and last hit of each
+// other point, key stripped, where At injects an error. A task point's
+// failures take one path pair after pair.
+func Enumerate(trace []Hit) []Hit {
+	tasks := make(map[Point][]Hit)
+	var order []Point
+	var out []Hit
+	for _, h := range trace {
+		if h.Fatal() {
+			out = append(out, h)
+			continue
+		}
+		p := unkeyed(Point(h.Point))
+		if tasks[p] == nil {
+			order = append(order, p)
+		}
+		tasks[p] = append(tasks[p], h)
+	}
+	for _, p := range order {
+		hs := tasks[p]
+		for _, i := range slices.Compact([]int{0, len(hs) / 2, len(hs) - 1}) {
+			out = append(out, hs[i])
+		}
+	}
+	return out
+}
+
+// At returns a scheduler that faults once, at trace hit h of a fault-free
+// run: it crashes there when a crash would be a process death, and
+// injects err where a recover would turn the crash into a task's failure
+// instead — on a worker goroutine Run does not watch, or at a pipeline or
+// ingest task point, wherever it runs.
+func At(h Hit, err error) *Scheduler {
+	s := New(0)
+	if h.Fatal() {
+		s.CrashAt(Point(h.Point), h.N)
+	} else {
+		s.FailAt(Point(h.Point), h.N, err)
+	}
+	return s
+}
 
 // FailAt injects err on the hit-th traversal of point (1-based).
 func (s *Scheduler) FailAt(point Point, hit int, err error) {
@@ -181,11 +287,12 @@ func (s *Scheduler) addRule(r rule) {
 // delays and hangs execute after it so a parked goroutine never blocks
 // other injection points.
 func (s *Scheduler) check(point string) error {
+	_, watched := watching.Load(goid())
 	s.mu.Lock()
 	s.hits[point]++
 	s.globalHits++
 	n := s.hits[point]
-	s.trace = append(s.trace, Hit{Point: point, N: n})
+	s.trace = append(s.trace, Hit{Point: point, N: n, Watched: watched})
 	crash := s.crashAtN > 0 && s.globalHits == s.crashAtN
 	var err error
 	var delay time.Duration
@@ -248,8 +355,13 @@ func (s *Scheduler) TotalHits() int {
 // Run executes fn, converting a scheduled crash back into a value: a
 // non-nil *Crash means the simulated process died mid-fn and the system
 // under test should be "restarted" from its persistent state. Other
-// panics propagate.
+// panics propagate. Hits on the calling goroutine are recorded as
+// watched.
 func Run(fn func() error) (crash *Crash, err error) {
+	g := goid()
+	if _, nested := watching.LoadOrStore(g, true); !nested {
+		defer watching.Delete(g)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if c, ok := r.(*Crash); ok {
@@ -260,4 +372,16 @@ func Run(fn func() error) (crash *Crash, err error) {
 		}
 	}()
 	return nil, fn()
+}
+
+// watching holds the ids of the goroutines inside Run.
+var watching sync.Map
+
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine 18 [running]:").
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
 }

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -80,7 +81,7 @@ func TestCrashAtGlobalHitAndTrace(t *testing.T) {
 		t.Fatalf("TotalHits = %d, want 4", probe.TotalHits())
 	}
 	tr := probe.Trace()
-	want := []Hit{{"a", 1}, {"b", 1}, {"a", 2}, {"c", 1}}
+	want := []Hit{{Point: "a", N: 1}, {Point: "b", N: 1}, {Point: "a", N: 2}, {Point: "c", N: 1}}
 	for i := range want {
 		if tr[i] != want[i] {
 			t.Fatalf("trace[%d] = %+v, want %+v", i, tr[i], want[i])
@@ -206,5 +207,130 @@ func TestHangAtBlocksUntilRelease(t *testing.T) {
 	// Hits past the scripted one are clean.
 	if err := hook("wedged.op"); err != nil {
 		t.Fatalf("hit 2 should be clean, got %v", err)
+	}
+}
+
+// TestCheckRejectsUnregisteredPoint: with a hook installed, a point Points()
+// does not list panics instead of running unscheduled; a registered point,
+// keyed or not, reaches the hook under its keyed name.
+func TestCheckRejectsUnregisteredPoint(t *testing.T) {
+	var got []string
+	t.Cleanup(Install(func(point string) error {
+		got = append(got, point)
+		return nil
+	}))
+	if err := Check(PointPipelineDetect, "a|b"); err != nil {
+		t.Fatalf("keyed registered point: %v", err)
+	}
+	if err := Check(PointOpsloopCommitDone, ""); err != nil {
+		t.Fatalf("unkeyed registered point: %v", err)
+	}
+	want := []string{string(PointPipelineDetect.Keyed("a|b")), string(PointOpsloopCommitDone)}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("hook saw %q, want %q", got, want)
+	}
+	unregistered := Point("no.such.point")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unregistered point did not panic")
+		}
+	}()
+	Check(unregistered, "k")
+}
+
+// TestCheckNoHookAllocs: with no hook installed a keyed Check allocates
+// nothing; production pays one atomic load per point.
+func TestCheckNoHookAllocs(t *testing.T) {
+	t.Cleanup(Install(nil))
+	if n := testing.AllocsPerRun(1000, func() { _ = Check(PointSourceFollowRead, "proxy") }); n != 0 {
+		t.Fatalf("Check with no hook: %v allocs, want 0", n)
+	}
+}
+
+// TestInstallRestoresPrevious: restore reinstalls the hook Install
+// replaced, including none.
+func TestInstallRestoresPrevious(t *testing.T) {
+	t.Cleanup(Install(nil))
+	first := New(0)
+	restoreFirst := Install(first.Hook())
+	second := New(0)
+	restoreSecond := Install(second.Hook())
+	Check(PointSourceCommitDone, "a")
+	restoreSecond()
+	Check(PointSourceCommitDone, "b")
+	restoreFirst()
+	Check(PointSourceCommitDone, "c")
+	if second.TotalHits() != 1 || first.TotalHits() != 1 {
+		t.Fatalf("hits: second %d, first %d; want 1 each", second.TotalHits(), first.TotalHits())
+	}
+	if h := first.Trace()[0]; h.Point != string(PointSourceCommitDone.Keyed("b")) {
+		t.Fatalf("restored hook saw %q", h.Point)
+	}
+}
+
+// TestAtCrashesWatchedFailsWorker: a hit on Run's goroutine is traced as
+// watched and At crashes there; a hit on a goroutine it started is not,
+// and At injects the error instead.
+func TestAtCrashesWatchedFailsWorker(t *testing.T) {
+	workload := func(hook func(string) error) func() error {
+		return func() error {
+			var werr error
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				werr = hook("worker")
+			}()
+			wg.Wait()
+			if werr != nil {
+				return werr
+			}
+			return hook("main")
+		}
+	}
+	probe := New(0)
+	if crash, err := Run(workload(probe.Hook())); crash != nil || err != nil {
+		t.Fatal(crash, err)
+	}
+	tr := probe.Trace()
+	if len(tr) != 2 || tr[0].Watched || !tr[1].Watched {
+		t.Fatalf("trace = %+v, want an unwatched worker hit, then a watched one", tr)
+	}
+	if crash, err := Run(workload(At(tr[0], errInjected).Hook())); crash != nil || !errors.Is(err, errInjected) {
+		t.Fatalf("worker hit: crash %v err %v, want the injected error", crash, err)
+	}
+	if crash, _ := Run(workload(At(tr[1], errInjected).Hook())); crash == nil || crash.Point != "main" {
+		t.Fatalf("watched hit: crash %v, want a crash at main", crash)
+	}
+}
+
+// TestEnumerateKeepsFatalSamplesTasks: every fatal hit is kept in order;
+// a task point's hits, whatever their keys, and a worker's unwatched hits
+// are cut to their first, middle and last.
+func TestEnumerateKeepsFatalSamplesTasks(t *testing.T) {
+	var trace []Hit
+	for i := 1; i <= 5; i++ {
+		trace = append(trace,
+			Hit{Point: string(PointSourceCommitDone.Keyed("checkpoint")), N: i, Watched: true},
+			Hit{Point: string(PointPipelineDetect.Keyed(string(rune('a' + i)))), N: 1, Watched: true})
+	}
+	trace = append(trace, Hit{Point: string(PointSourceFollowRead), N: 1})
+	got := Enumerate(trace)
+	var fatal, detect, worker int
+	for _, h := range got {
+		switch {
+		case h.Fatal():
+			fatal++
+		case unkeyed(Point(h.Point)) == PointPipelineDetect:
+			detect++
+		default:
+			worker++
+		}
+	}
+	if fatal != 5 || detect != 3 || worker != 1 || len(got) != 9 {
+		t.Fatalf("Enumerate kept %d fatal, %d detect, %d worker hits (%d total), want 5, 3, 1", fatal, detect, worker, len(got))
+	}
+	if got[0] != trace[0] || got[4] != trace[8] {
+		t.Fatalf("fatal hits out of trace order: %+v", got[:5])
 	}
 }

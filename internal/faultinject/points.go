@@ -91,6 +91,18 @@ const (
 	PointSourceEvictApply  Point = "source.evict.apply"
 )
 
+// isolated reports whether p is a pipeline or ingest task point: the
+// function around it recovers a panic as that pair's or shard's failure,
+// so a crash there is no process death, whichever goroutine runs it.
+func isolated(p Point) bool {
+	switch unkeyed(p) {
+	case PointPipelineDetect, PointPipelineIndication, PointPipelineRescale,
+		PointIngestShardScan, PointIngestAggregate:
+		return true
+	}
+	return false
+}
+
 // Points returns every registered fault-injection point. Keyed points are
 // listed by their prefix (the part before the ":<key>" suffix).
 func Points() []Point {

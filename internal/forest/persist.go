@@ -127,7 +127,7 @@ func (f *Forest) Save(path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("forest: mkdir: %w", err)
 	}
-	if err := durable.WriteFile(path, buf.Bytes(), nil, durable.Points{}); err != nil {
+	if err := durable.WriteFile(path, buf.Bytes(), durable.Points{}); err != nil {
 		return fmt.Errorf("forest: %w", err)
 	}
 	return nil

@@ -401,7 +401,7 @@ func (sw *scanWorker) runShard(sp proxylog.Split, maxBad int) (stats proxylog.Re
 			err = fmt.Errorf("scan panic: %v", r)
 		}
 	}()
-	if ferr := faultCheck(faultinject.PointIngestShardScan, sp.String()); ferr != nil {
+	if ferr := faultinject.Check(faultinject.PointIngestShardScan, sp.String()); ferr != nil {
 		return stats, ferr
 	}
 	return proxylog.ForEachSplit(sp, maxBad, sw.handle)
@@ -500,7 +500,7 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 			err = fmt.Errorf("aggregate panic: %v", r)
 		}
 	}()
-	if ferr := faultCheck(faultinject.PointIngestAggregate, strconv.Itoa(p)); ferr != nil {
+	if ferr := faultinject.Check(faultinject.PointIngestAggregate, strconv.Itoa(p)); ferr != nil {
 		return nil, nil, nil, ferr
 	}
 	total := 0

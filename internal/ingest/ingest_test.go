@@ -504,13 +504,12 @@ func faultCorpus(t *testing.T) []proxylog.Split {
 func TestIngestScanFaultError(t *testing.T) {
 	shards := faultCorpus(t)
 	injected := errors.New("injected scan failure")
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointIngestShardScan)+":") {
 			return injected
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 	_, err := Ingest(context.Background(), shards, Config{Workers: 2})
 	if !errors.Is(err, injected) {
 		t.Fatalf("err = %v, want the injected error", err)
@@ -527,8 +526,7 @@ func TestIngestScanFaultCrash(t *testing.T) {
 	shards := faultCorpus(t)
 	sched := faultinject.New(1)
 	sched.CrashAt(faultinject.PointIngestShardScan.Keyed(shards[0].String()), 1)
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil) })
+	t.Cleanup(faultinject.Install(sched.Hook()))
 	_, err := Ingest(context.Background(), shards, Config{Workers: 2})
 	if err == nil {
 		t.Fatal("crashed scan did not fail the ingest")
@@ -543,13 +541,12 @@ func TestIngestScanFaultCrash(t *testing.T) {
 func TestIngestAggregateFaultError(t *testing.T) {
 	shards := faultCorpus(t)
 	injected := errors.New("injected aggregate failure")
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointIngestAggregate)+":") {
 			return injected
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 	_, err := Ingest(context.Background(), shards, Config{Workers: 2})
 	if !errors.Is(err, injected) {
 		t.Fatalf("err = %v, want the injected error", err)
@@ -565,8 +562,7 @@ func TestIngestAggregateFaultCrash(t *testing.T) {
 	shards := faultCorpus(t)
 	sched := faultinject.New(1)
 	sched.CrashAt(faultinject.PointIngestAggregate.Keyed("0"), 1)
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil) })
+	t.Cleanup(faultinject.Install(sched.Hook()))
 	_, err := Ingest(context.Background(), shards, Config{Workers: 2, Partitions: 2})
 	if err == nil {
 		t.Fatal("crashed aggregation did not fail the ingest")
@@ -603,7 +599,7 @@ func TestAggregationNotClampedByShardCount(t *testing.T) {
 	var mu sync.Mutex
 	waiting, peak := 0, 0
 	all := make(chan struct{})
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if !strings.HasPrefix(point, string(faultinject.PointIngestAggregate)+":") {
 			return nil
 		}
@@ -622,8 +618,7 @@ func TestAggregationNotClampedByShardCount(t *testing.T) {
 		waiting--
 		mu.Unlock()
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 	got, err := Ingest(context.Background(), one, cfg)
 	if err != nil {
 		t.Fatal(err)

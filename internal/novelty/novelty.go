@@ -144,7 +144,7 @@ func (s *Store) Save(path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("novelty: mkdir: %w", err)
 	}
-	if err := durable.WriteFile(path, data, nil, durable.Points{}); err != nil {
+	if err := durable.WriteFile(path, data, durable.Points{}); err != nil {
 		return fmt.Errorf("novelty: %w", err)
 	}
 	return nil

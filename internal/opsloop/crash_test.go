@@ -3,6 +3,7 @@ package opsloop
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,26 +84,35 @@ func TestCrashAtEveryInjectionPointConverges(t *testing.T) {
 		t.Fatal("baseline day 1 reported nothing; the novelty asserts below would be vacuous")
 	}
 
-	// Enumerate the injection points one day-2 ingest traverses.
+	// Enumerate the injection points each day's ingest traverses, under
+	// Run so the hits on its goroutine are traced as watched.
 	probe := mkLoop(t.TempDir())
-	if _, err := probe.IngestDay(ctx, perDay[0]); err != nil {
-		t.Fatal(err)
+	traces := make([][]faultinject.Hit, days)
+	for day := range days {
+		sched := faultinject.New(0)
+		restore := faultinject.Install(sched.Hook())
+		crash, err := faultinject.Run(func() error {
+			_, err := probe.IngestDay(ctx, perDay[day])
+			return err
+		})
+		restore()
+		if crash != nil || err != nil {
+			t.Fatalf("probe day %d: crash %v, err %v", day+1, crash, err)
+		}
+		traces[day] = sched.Trace()
 	}
-	sched := faultinject.New(0)
-	SetFaultHook(sched.Hook())
-	_, err = probe.IngestDay(ctx, perDay[1])
-	SetFaultHook(nil)
-	if err != nil {
-		t.Fatal(err)
+	trace := traces[days-1]
+	if len(trace) < 8 {
+		t.Fatalf("only %d injection points traversed; commit protocol not instrumented?", len(trace))
 	}
-	points := sched.TotalHits()
-	if points < 8 {
-		t.Fatalf("only %d injection points traversed; commit protocol not instrumented?", points)
-	}
-	t.Logf("day-2 ingest traverses %d injection points: %v", points, sched.Trace())
+	t.Logf("day-2 ingest traverses %d injection points: %v", len(trace), trace)
 
+	// Every fatal hit dies there. The pipeline's and ingest's task points
+	// fail instead (their recover makes a crash the task's failure), at a
+	// sample of their hits, and a day committed with that failure isolated
+	// is as durable as any.
 	for day := 1; day <= days; day++ {
-		for hit := 1; hit <= points; hit++ {
+		for _, h := range faultinject.Enumerate(traces[day-1]) {
 			dir := t.TempDir()
 			loop := mkLoop(dir)
 			if day == 2 {
@@ -110,73 +120,80 @@ func TestCrashAtEveryInjectionPointConverges(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s := faultinject.New(0)
-			s.CrashAtGlobalHit(hit)
-			SetFaultHook(s.Hook())
+			restore := faultinject.Install(faultinject.At(h, errInjected).Hook())
+			var rep *Report
 			crash, err := faultinject.Run(func() error {
-				_, err := loop.IngestDay(ctx, perDay[day-1])
+				var err error
+				rep, err = loop.IngestDay(ctx, perDay[day-1])
 				return err
 			})
-			SetFaultHook(nil)
-			if err != nil {
-				t.Fatalf("day %d hit %d: unexpected error instead of crash: %v", day, hit, err)
+			restore()
+			if err != nil && !errors.Is(err, errInjected) {
+				t.Fatalf("day %d fault at %s (hit %d): err = %v, want the injected fault", day, h.Point, h.N, err)
 			}
-			if crash == nil {
-				// Day 1 traverses fewer points (no novelty cleanup).
-				if day == 1 {
-					continue
+			if crash == nil && err == nil {
+				// The failure stays in the day's report, and the committed
+				// day reopens as it was written.
+				if !rep.Daily.Degraded && (rep.Weekly == nil || !rep.Weekly.Degraded) {
+					t.Fatalf("day %d fault at %s (hit %d): no crash and no isolated failure", day, h.Point, h.N)
 				}
-				t.Fatalf("day %d hit %d: no crash fired", day, hit)
+				re := mkLoop(dir)
+				if re.DaysIngested() != day || re.HistoryPairs() != loop.HistoryPairs() || len(re.Recovery().Quarantined) != 0 {
+					t.Fatalf("day %d fault at %s (hit %d): reopen diverged (%d days, %d pairs, quarantined %v)",
+						day, h.Point, h.N, re.DaysIngested(), re.HistoryPairs(), re.Recovery().Quarantined)
+				}
+				continue
 			}
 
 			// "Restart" the operator and converge.
+			what := fmt.Sprintf("%s (hit %d)", h.Point, h.N)
 			re := mkLoop(dir)
 			switch re.DaysIngested() {
 			case day - 1:
-				// The crashed day was not committed: re-ingest it and
+				// The faulted day was not committed: re-ingest it and
 				// require the full alert volume (novelty must not have
 				// run ahead of the persisted history).
 				rep, err := re.IngestDay(ctx, perDay[day-1])
 				if err != nil {
-					t.Fatalf("day %d crash at %v: re-ingest failed: %v", day, crash, err)
+					t.Fatalf("day %d fault at %s: re-ingest failed: %v", day, what, err)
 				}
 				want := rep1.Daily.Stats.Reported
 				if day == 2 {
 					want = rep2.Daily.Stats.Reported
 				}
 				if rep.Daily.Stats.Reported != want {
-					t.Errorf("day %d crash at %v: re-ingest reported %d cases, want %d (novelty ran ahead of history?)",
-						day, crash, rep.Daily.Stats.Reported, want)
+					t.Errorf("day %d fault at %s: re-ingest reported %d cases, want %d (novelty ran ahead of history?)",
+						day, what, rep.Daily.Stats.Reported, want)
 				}
 			case day:
-				// Crash after the commit point: the day must not be
+				// A crash after the commit point: the day must not be
 				// ingestable twice by the resumed operator's counter.
 			default:
-				t.Fatalf("day %d crash at %v: recovered DaysIngested = %d", day, crash, re.DaysIngested())
+				t.Fatalf("day %d fault at %s: recovered DaysIngested = %d", day, what, re.DaysIngested())
 			}
 			if re.DaysIngested() != day {
-				t.Fatalf("day %d crash at %v: converged to %d days", day, crash, re.DaysIngested())
+				t.Fatalf("day %d fault at %s: converged to %d days", day, what, re.DaysIngested())
 			}
 			wantHist, wantD, wantP := hist1, novD1, novP1
 			if day == 2 {
 				wantHist, wantD, wantP = hist2, novD2, novP2
 			}
 			if re.HistoryPairs() != wantHist {
-				t.Errorf("day %d crash at %v: history %d pairs, want %d", day, crash, re.HistoryPairs(), wantHist)
+				t.Errorf("day %d fault at %s: history %d pairs, want %d", day, what, re.HistoryPairs(), wantHist)
 			}
 			if d, p := re.store.Size(); d != wantD || p != wantP {
-				t.Errorf("day %d crash at %v: novelty (%d,%d), want (%d,%d)", day, crash, d, p, wantD, wantP)
+				t.Errorf("day %d fault at %s: novelty (%d,%d), want (%d,%d)", day, what, d, p, wantD, wantP)
 			}
 
 			// The converged state must also be durable: a second reopen
 			// sees the same thing with nothing left to repair.
 			re2 := mkLoop(dir)
 			if re2.DaysIngested() != day || re2.HistoryPairs() != wantHist {
-				t.Errorf("day %d crash at %v: second reopen diverged (%d days, %d pairs)",
-					day, crash, re2.DaysIngested(), re2.HistoryPairs())
+				t.Errorf("day %d fault at %s: second reopen diverged (%d days, %d pairs)",
+					day, what, re2.DaysIngested(), re2.HistoryPairs())
 			}
 			if q := re2.Recovery().Quarantined; len(q) != 0 {
-				t.Errorf("day %d crash at %v: second reopen still repairing: %v", day, crash, q)
+				t.Errorf("day %d fault at %s: second reopen still repairing: %v", day, what, q)
 			}
 		}
 	}
@@ -193,21 +210,27 @@ func TestInjectedErrorsRollBackAndRetry(t *testing.T) {
 	pcfg := testPipelineConfig(t, tr)
 	ctx := context.Background()
 
-	// Enumerate the distinct points of a day-1 ingest.
+	// Enumerate the distinct opsloop points of a day-1 ingest. The trace
+	// also holds the pipeline's and ingest's task points, where an error is
+	// a pair's or shard's isolated failure rather than the ingest's; the
+	// crash enumeration above covers those.
 	probe, err := New(Config{StateDir: t.TempDir(), Pipeline: pcfg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := faultinject.New(0)
-	SetFaultHook(sched.Hook())
+	restore := faultinject.Install(sched.Hook())
 	_, err = probe.IngestDay(ctx, perDay[0])
-	SetFaultHook(nil)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
 	var uniquePoints []string
 	for _, h := range sched.Trace() {
+		if !strings.HasPrefix(h.Point, "opsloop.") {
+			continue
+		}
 		if !seen[h.Point] {
 			seen[h.Point] = true
 			uniquePoints = append(uniquePoints, h.Point)
@@ -249,27 +272,27 @@ func TestInjectedErrorsRollBackAndRetry(t *testing.T) {
 		// Transient fault script: the first two traversals fail, the
 		// third succeeds.
 		s.FailTransient(faultinject.Point(point), 1, 2, errInjected)
-		SetFaultHook(s.Hook())
+		restore := faultinject.Install(s.Hook())
 		for attempt := 1; attempt <= 2; attempt++ {
 			if _, err := loop.IngestDay(ctx, perDay[0]); !errors.Is(err, errInjected) {
-				SetFaultHook(nil)
+				restore()
 				t.Fatalf("%s attempt %d: err = %v, want injected fault", point, attempt, err)
 			}
 			if loop.DaysIngested() != 0 {
-				SetFaultHook(nil)
+				restore()
 				t.Fatalf("%s: day counted despite failed ingest", point)
 			}
 			if loop.HistoryPairs() != 0 {
-				SetFaultHook(nil)
+				restore()
 				t.Fatalf("%s: history not rolled back", point)
 			}
 			if d, p := loop.store.Size(); d != 0 || p != 0 {
-				SetFaultHook(nil)
+				restore()
 				t.Fatalf("%s: novelty store not rolled back (%d,%d)", point, d, p)
 			}
 		}
 		rep, err := loop.IngestDay(ctx, perDay[0])
-		SetFaultHook(nil)
+		restore()
 		if err != nil {
 			t.Fatalf("%s: retry after transient fault failed: %v", point, err)
 		}

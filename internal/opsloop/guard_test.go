@@ -46,7 +46,7 @@ func TestCancellationMidIngestRollsBack(t *testing.T) {
 	t.Cleanup(releaseOnce)
 	engaged := make(chan struct{})
 	var once sync.Once
-	pipeline.SetFaultHook(func(point string) error {
+	restore := faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			hang := false
 			once.Do(func() { hang = true })
@@ -57,7 +57,7 @@ func TestCancellationMidIngestRollsBack(t *testing.T) {
 		}
 		return nil
 	})
-	t.Cleanup(func() { pipeline.SetFaultHook(nil) })
+	t.Cleanup(restore)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -94,7 +94,7 @@ func TestCancellationMidIngestRollsBack(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	pipeline.SetFaultHook(nil)
+	restore()
 
 	// The same day retries cleanly on the same loop...
 	rep, err := loop.IngestDay(context.Background(), days[1])
@@ -175,8 +175,8 @@ func TestCoarsePassRescaleMergeBounded(t *testing.T) {
 	// which hangs.
 	sched := faultinject.New(0)
 	sched.HangAt(faultinject.PointPipelineRescale.Keyed("10.0.0.1|alpha.example"), 1)
-	pipeline.SetFaultHook(sched.Hook())
-	t.Cleanup(func() { pipeline.SetFaultHook(nil); sched.ReleaseHangs() })
+	restore := faultinject.Install(sched.Hook())
+	t.Cleanup(func() { restore(); sched.ReleaseHangs() })
 
 	records := append(beaconRecords("10.0.0.1", "alpha.example", 60, 60),
 		beaconRecords("10.0.0.2", "bravo.example", 60, 90)...)

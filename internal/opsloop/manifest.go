@@ -43,23 +43,6 @@ import (
 	"baywatch/internal/timeseries"
 )
 
-// faultHook is the package's fault-injection seam: when non-nil it is
-// consulted before every durable file operation, and a non-nil return (or
-// a panic, for simulated crashes) is injected at that point. Installed
-// only by tests; see internal/faultinject.
-var faultHook func(point string) error
-
-// SetFaultHook installs (or, with nil, clears) the fault-injection hook.
-// Testing only; not safe to call while a loop is running.
-func SetFaultHook(h func(point string) error) { faultHook = h }
-
-func faultCheck(point faultinject.Point) error {
-	if faultHook == nil {
-		return nil
-	}
-	return faultHook(string(point))
-}
-
 // manifestPoints and dayPoints are the registered points of each step of
 // the manifest's and the day files' atomic writes.
 var (
@@ -145,7 +128,7 @@ func writeManifest(dir string, man *manifest) error {
 	if err != nil {
 		return fmt.Errorf("opsloop: marshal manifest: %w", err)
 	}
-	if err := durable.WriteFile(manifestPath(dir), data, faultCheck, manifestPoints); err != nil {
+	if err := durable.WriteFile(manifestPath(dir), data, manifestPoints); err != nil {
 		return fmt.Errorf("opsloop: %w", err)
 	}
 	return nil
@@ -346,11 +329,11 @@ func (l *Loop) commitDay(day int, sums []*timeseries.ActivitySummary) error {
 	payload := encodeDaySummaries(sums)
 	file := dayFileName(day)
 	if err := durable.WriteFile(filepath.Join(historyDir(l.cfg.StateDir), file),
-		timeseries.AppendChecksum(payload), faultCheck, dayPoints); err != nil {
+		timeseries.AppendChecksum(payload), dayPoints); err != nil {
 		return fmt.Errorf("opsloop: %w", err)
 	}
 
-	if err := faultCheck(faultinject.PointOpsloopNoveltySave); err != nil {
+	if err := faultinject.Check(faultinject.PointOpsloopNoveltySave, ""); err != nil {
 		return fmt.Errorf("opsloop: novelty save: %w", err)
 	}
 	nov := noveltyFileName(day)
@@ -370,7 +353,7 @@ func (l *Loop) commitDay(day int, sums []*timeseries.ActivitySummary) error {
 	l.man = &next
 
 	// Post-commit crash point: everything after this line is cleanup.
-	_ = faultCheck(faultinject.PointOpsloopCommitDone)
+	_ = faultinject.Check(faultinject.PointOpsloopCommitDone, "")
 	if prevNovelty != "" && prevNovelty != nov {
 		os.Remove(filepath.Join(l.cfg.StateDir, prevNovelty))
 	}

@@ -15,15 +15,14 @@ import (
 func TestDetectPanicIsolatedAsDegraded(t *testing.T) {
 	env := newTestEnv(t, nil)
 	var hit atomic.Int64 // reducers detect in parallel
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			if hit.Add(1) == 1 {
 				panic("injected detector blow-up")
 			}
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	res, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
 	if err != nil {
@@ -65,15 +64,14 @@ func TestDetectErrorIsolatedAsDegraded(t *testing.T) {
 	env := newTestEnv(t, nil)
 	injected := errors.New("injected detect failure")
 	var hit atomic.Int64
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			if hit.Add(1) <= 2 {
 				return injected
 			}
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	res, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
 	if err != nil {
@@ -92,15 +90,14 @@ func TestDetectErrorIsolatedAsDegraded(t *testing.T) {
 func TestIndicationPanicIsolated(t *testing.T) {
 	env := newTestEnv(t, nil)
 	var hit atomic.Int64
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineIndication)+":") {
 			if hit.Add(1) == 1 {
 				panic("indication exploded")
 			}
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	res, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
 	if err != nil {
@@ -144,15 +141,14 @@ func TestDegradedRunStillDetectsInfection(t *testing.T) {
 	}
 
 	var failed atomic.Int64
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") && !strings.Contains(point, malDomain) {
 			if failed.Add(1) <= 5 {
 				return errors.New("injected benign-pair failure")
 			}
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	res, err := Run(context.Background(), env.trace.Records, env.corr, env.cfg)
 	if err != nil {

@@ -121,9 +121,9 @@ func TestGoldenFunnel(t *testing.T) {
 
 	degraded := env.cfg
 	degraded.Guard.MaxEventsPerPair = 40
-	SetFaultHook(failSomeDetections)
+	restore := faultinject.Install(failSomeDetections)
 	res, err = Run(context.Background(), env.trace.Records, env.corr, degraded)
-	SetFaultHook(nil)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,13 +133,12 @@ func runHungCandidate(t *testing.T, point faultinject.Point, stage string) {
 	release := make(chan struct{})
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	t.Cleanup(releaseOnce) // even a failing test must unblock the hang
-	SetFaultHook(func(p string) error {
+	t.Cleanup(faultinject.Install(func(p string) error {
 		if p == string(point.Keyed("10.0.0.3|stuck.example")) {
 			<-release // wedge this one pair's call forever
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	cfg := smallConfig(t)
 	cfg.Guard.CandidateTimeout = time.Second
@@ -180,13 +179,12 @@ func runHungCandidate(t *testing.T, point faultinject.Point, stage string) {
 
 func TestStageTimeoutFailsRun(t *testing.T) {
 	env := newTestEnv(t, nil)
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			time.Sleep(120 * time.Millisecond) // every pair is slow
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	cfg := env.cfg
 	cfg.Guard.StageTimeout = 100 * time.Millisecond
@@ -208,7 +206,7 @@ func TestRunCancellationPromptAndNoLeak(t *testing.T) {
 	t.Cleanup(releaseOnce)
 	engaged := make(chan struct{})
 	var once sync.Once
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			hang := false
 			once.Do(func() { hang = true })
@@ -218,8 +216,7 @@ func TestRunCancellationPromptAndNoLeak(t *testing.T) {
 			}
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	cfg := env.cfg
 	// A long candidate deadline routes detection through the abandonable
@@ -307,8 +304,7 @@ func TestRescaleAndMergeFailureBudget(t *testing.T) {
 				if tc.arm != nil {
 					tc.arm(sched)
 				}
-				SetFaultHook(sched.Hook())
-				t.Cleanup(func() { SetFaultHook(nil) })
+				t.Cleanup(faultinject.Install(sched.Hook()))
 
 				var sums []*timeseries.ActivitySummary
 				if !tc.empty {
@@ -353,8 +349,8 @@ func TestRescaleAndMergeCancelledMidStep(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	sched := faultinject.New(0)
 	sched.HangAt(faultinject.PointPipelineRescale.Keyed("a|d"), 1)
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil); sched.ReleaseHangs() })
+	restore := faultinject.Install(sched.Hook())
+	t.Cleanup(func() { restore(); sched.ReleaseHangs() })
 
 	// A long per-pair deadline routes the call through the abandonable
 	// bounded path without ever firing itself; promptness must come from

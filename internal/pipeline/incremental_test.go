@@ -385,7 +385,7 @@ func TestIncrementalRetriesErroredPairs(t *testing.T) {
 	// way, so the differential comparison still holds.
 	detKey := string(faultinject.PointPipelineDetect.Keyed("hostA|beacon-dst.example"))
 	indKey := string(faultinject.PointPipelineIndication.Keyed("hostB|other-dst.example"))
-	SetFaultHook(func(point string) error {
+	restore := faultinject.Install(func(point string) error {
 		if point == detKey {
 			return fmt.Errorf("injected detect fault")
 		}
@@ -394,7 +394,7 @@ func TestIncrementalRetriesErroredPairs(t *testing.T) {
 		}
 		return nil
 	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	t.Cleanup(restore)
 
 	res := h.step(bulk, nil)
 	if !res.Degraded || len(res.Errors) != 2 {
@@ -416,7 +416,7 @@ func TestIncrementalRetriesErroredPairs(t *testing.T) {
 
 	// Fault clears: with no new dirty marks, the next tick must retry both
 	// pairs and converge with the clean recompute.
-	SetFaultHook(nil)
+	restore()
 	res = h.step(nil, nil)
 	if res.Degraded || len(res.Errors) != 0 {
 		t.Fatalf("recovered tick still degraded: %+v", res.Errors)
@@ -458,13 +458,12 @@ func TestIncrementalIdleTickRunsNoDetection(t *testing.T) {
 	}
 
 	var detections atomic.Int64
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			detections.Add(1)
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	inc, err := NewIncremental(env.cfg)
 	if err != nil {

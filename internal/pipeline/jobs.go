@@ -106,7 +106,7 @@ func safeDetectOne(det *core.Detector, thrMemo *core.ThresholdMemo, as *timeseri
 			d.Err = fmt.Errorf("detect panic: %v", r)
 		}
 	}()
-	if ferr := faultCheck(faultinject.PointPipelineDetect, jobKey(as)); ferr != nil {
+	if ferr := faultinject.Check(faultinject.PointPipelineDetect, jobKey(as)); ferr != nil {
 		d.Err = ferr
 		return d
 	}
@@ -226,7 +226,7 @@ func rescaleMergePair(group []*timeseries.ActivitySummary, newScale int64) (out 
 			out, err = nil, fmt.Errorf("rescale-merge panic: %v", r)
 		}
 	}()
-	if err := faultCheck(faultinject.PointPipelineRescale, jobKey(group[0])); err != nil {
+	if err := faultinject.Check(faultinject.PointPipelineRescale, jobKey(group[0])); err != nil {
 		return nil, err
 	}
 	for _, as := range group {

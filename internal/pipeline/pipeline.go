@@ -395,7 +395,7 @@ func runIndication(cfg Config, local *whitelist.Local, destSources map[string]in
 			err = fmt.Errorf("indication panic: %v", r)
 		}
 	}()
-	if err := faultCheck(faultinject.PointPipelineIndication, cand.Source+"|"+cand.Destination); err != nil {
+	if err := faultinject.Check(faultinject.PointPipelineIndication, cand.Source+"|"+cand.Destination); err != nil {
 		return out, err
 	}
 	out.lmScore = cfg.LM.Score(d.Summary.Destination)

@@ -391,13 +391,12 @@ func TestRunStreamScanFault(t *testing.T) {
 	env := newTestEnv(t, nil)
 	shards := writeShardedLogs(t, env.trace.Records, 2, 1)
 	boom := errors.New("disk gone")
-	ingest.SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointIngestShardScan)+":") {
 			return boom
 		}
 		return nil
-	})
-	t.Cleanup(func() { ingest.SetFaultHook(nil) })
+	}))
 	_, err := RunStream(context.Background(), shards, env.corr, env.cfg, StreamOptions{Workers: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the injected scan fault", err)

@@ -493,20 +493,19 @@ func replayLog(data []byte, apply func(payload []byte) error) (good, first int64
 }
 
 // checkpointPoints is the registered point of each step of the
-// compaction's atomic replace.
+// compaction's atomic replace, keyed like the append's.
 var checkpointPoints = durable.Points{
-	Create:  faultinject.PointSourceCheckpointCreate,
-	Write:   faultinject.PointSourceCheckpointWrite,
-	Sync:    faultinject.PointSourceCheckpointSync,
-	Rename:  faultinject.PointSourceCheckpointRename,
-	Dirsync: faultinject.PointSourceCheckpointDirsync,
+	Create:  faultinject.PointSourceCheckpointCreate.Keyed("checkpoint"),
+	Write:   faultinject.PointSourceCheckpointWrite.Keyed("checkpoint"),
+	Sync:    faultinject.PointSourceCheckpointSync.Keyed("checkpoint"),
+	Rename:  faultinject.PointSourceCheckpointRename.Keyed("checkpoint"),
+	Dirsync: faultinject.PointSourceCheckpointDirsync.Keyed("checkpoint"),
 }
 
 // writeCheckpoint replaces the log with the one frame through
-// durable.WriteFile, consulting the fault hook at each step.
+// durable.WriteFile, which checks the fault point of each step.
 func writeCheckpoint(dir string, frame []byte) error {
-	check := func(p faultinject.Point) error { return faultCheck(p, "checkpoint") }
-	if err := durable.WriteFile(checkpointPath(dir), frame, check, checkpointPoints); err != nil {
+	if err := durable.WriteFile(checkpointPath(dir), frame, checkpointPoints); err != nil {
 		return fmt.Errorf("source: %w", err)
 	}
 	return nil
@@ -521,14 +520,14 @@ func appendCheckpoint(dir string, frame []byte, at int64) error {
 	if err != nil {
 		return fmt.Errorf("source: open %s: %w", path, err)
 	}
-	if err = faultCheck(faultinject.PointSourceCheckpointAppend, "checkpoint"); err == nil {
+	if err = faultinject.Check(faultinject.PointSourceCheckpointAppend, "checkpoint"); err == nil {
 		_, err = f.WriteAt(frame, at)
 	}
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("source: append %s: %w", path, err)
 	}
-	if err = faultCheck(faultinject.PointSourceCheckpointAppendsync, "checkpoint"); err == nil {
+	if err = faultinject.Check(faultinject.PointSourceCheckpointAppendsync, "checkpoint"); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {

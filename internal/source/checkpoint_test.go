@@ -653,10 +653,10 @@ func TestCommitWriteErrorForcesCompaction(t *testing.T) {
 
 			sched := faultinject.New(1)
 			sched.FailAt(point.Keyed("checkpoint"), 1, diskFull)
-			SetFaultHook(sched.Hook())
-			defer SetFaultHook(nil)
+			restore := faultinject.Install(sched.Hook())
+			defer restore()
 			d.commit()
-			SetFaultHook(nil)
+			restore()
 			if !d.Degraded() || len(logged) != 1 || !strings.Contains(logged[0], diskFull.Error()) {
 				t.Fatalf("degraded=%v log=%q, want the daemon degraded by the injected error", d.Degraded(), logged)
 			}
@@ -700,11 +700,10 @@ func TestIdleCommitTouchesNoDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var traversed []string
-	SetFaultHook(func(point string) error {
+	defer faultinject.Install(func(point string) error {
 		traversed = append(traversed, point)
 		return nil
-	})
-	defer SetFaultHook(nil)
+	})()
 	idle := func(what string, e *Engine) {
 		t.Helper()
 		before := e.Stats()

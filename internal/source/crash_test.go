@@ -117,6 +117,34 @@ func restartUntilDone(t *testing.T, workload func() error) error {
 	}
 }
 
+var errInjected = errors.New("injected fault")
+
+// traceClean runs workload fault-free under Run, so the hits on its
+// goroutine are traced as watched, and then after, still traced, the
+// verification that reads the uncrashed state. It returns the trace.
+func traceClean(t *testing.T, workload func() error, after func()) []faultinject.Hit {
+	t.Helper()
+	clean := faultinject.New(1)
+	restore := faultinject.Install(clean.Hook())
+	defer restore()
+	if crash, err := faultinject.Run(workload); crash != nil || err != nil {
+		t.Fatalf("fault-free run: crash %v, err %v", crash, err)
+	}
+	after()
+	return clean.Trace()
+}
+
+// faultAt runs workload with At's fault at hit h of a fault-free trace: a
+// crash where h is fatal, an injected error elsewhere. It restarts after
+// each crash until a run completes, which must not fail.
+func faultAt(t *testing.T, h faultinject.Hit, workload func() error) {
+	t.Helper()
+	defer faultinject.Install(faultinject.At(h, errInjected).Hook())()
+	if err := restartUntilDone(t, workload); err != nil {
+		t.Fatalf("fault at %s (hit %d): workload failed after restart: %v", h.Point, h.N, err)
+	}
+}
+
 // TestCrashAtEveryEnginePointConverges is the convergence anchor for the
 // durable core: a workload of Apply/Commit/Tick is first run fault-free
 // to enumerate every injection point it traverses, then re-run once per
@@ -197,23 +225,18 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 	}
 
 	// Fault-free enumeration run.
-	clean := faultinject.New(1)
-	SetFaultHook(clean.Hook())
-	defer SetFaultHook(nil)
 	cleanDir := t.TempDir()
 	var noted detectionWrites
-	if err := workload(cleanDir, &noted)(); err != nil {
-		t.Fatal(err)
-	}
-	want, wantStats := finalState(cleanDir)
-	requireBothWritePaths(t, clean.Trace())
+	var want *pipeline.Result
+	var wantStats Stats
+	trace := traceClean(t, workload(cleanDir, &noted), func() { want, wantStats = finalState(cleanDir) })
+	requireBothWritePaths(t, trace)
 	noted.requireBoth(t)
-	requirePoints(t, pointsIn(clean.Trace()),
+	requirePoints(t, pointsIn(trace),
 		faultinject.PointSourceCommitDone,
 		faultinject.PointSourceDetectTick,
 	)
-	total := clean.TotalHits()
-	if total == 0 {
+	if len(trace) == 0 {
 		t.Fatal("no injection points traversed; crash enumeration is vacuous")
 	}
 	if wantStats.LateDropped == 0 {
@@ -223,23 +246,19 @@ func TestCrashAtEveryEnginePointConverges(t *testing.T) {
 		t.Fatal("the converged log restored no detection; the final tick adopts nothing")
 	}
 
-	// One run per traversal, dying exactly there.
-	for n := 1; n <= total; n++ {
-		sched := faultinject.New(1)
-		sched.CrashAtGlobalHit(n)
-		SetFaultHook(sched.Hook())
+	// One run per fatal traversal, dying exactly there, and per sampled
+	// pipeline hit, whose detection or indication fails there instead.
+	for _, h := range faultinject.Enumerate(trace) {
 		dir := t.TempDir()
-		if err := restartUntilDone(t, workload(dir, nil)); err != nil {
-			t.Fatalf("crash at hit %d: workload failed after restart: %v", n, err)
-		}
+		faultAt(t, h, workload(dir, nil))
 		// Verification reopens and ticks outside the fault schedule: the
-		// enumerated crash already fired (or the workload finished first).
-		SetFaultHook(nil)
+		// enumerated fault already fired (or the workload finished first).
 		got, gotStats := finalState(dir)
-		sameAnalysis(t, fmt.Sprintf("crash at hit %d", n), got, want)
+		what := fmt.Sprintf("fault at %s (hit %d)", h.Point, h.N)
+		sameAnalysis(t, what, got, want)
 		if gotStats.Events != wantStats.Events || gotStats.Watermark != wantStats.Watermark ||
 			gotStats.LateDropped != wantStats.LateDropped {
-			t.Fatalf("crash at hit %d: state diverged:\n got %+v\nwant %+v", n, gotStats, wantStats)
+			t.Fatalf("%s: state diverged:\n got %+v\nwant %+v", what, gotStats, wantStats)
 		}
 	}
 }
@@ -333,18 +352,14 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 	}
 
 	// Fault-free enumeration.
-	clean := faultinject.New(1)
-	SetFaultHook(clean.Hook())
-	defer SetFaultHook(nil)
 	cleanState := t.TempDir()
 	var noted detectionWrites
-	if err := workload(cleanState, t.TempDir(), &noted)(); err != nil {
-		t.Fatal(err)
-	}
-	sameAnalysis(t, "uncrashed run", finalReport(cleanState), want)
-	requireBothWritePaths(t, clean.Trace())
+	trace := traceClean(t, workload(cleanState, t.TempDir(), &noted), func() {
+		sameAnalysis(t, "uncrashed run", finalReport(cleanState), want)
+	})
+	requireBothWritePaths(t, trace)
 	noted.requireBoth(t)
-	requirePoints(t, pointsIn(clean.Trace()),
+	requirePoints(t, pointsIn(trace),
 		faultinject.PointSourceFollowOpen,
 		faultinject.PointSourceFollowRead,
 		faultinject.PointSourceFollowRotate,
@@ -353,26 +368,17 @@ func TestCrashAtEveryFollowerPointConverges(t *testing.T) {
 	// The read loop traverses source.follow.read once per read; crashing at
 	// every single hit would repeat near-identical coverage. Crash at every
 	// durability-critical hit (the whole checkpoint chain, rotation,
-	// truncation) and at the first/middle/last traversal of the rest.
-	hits := crashWorthyHits(clean.Trace())
+	// truncation) and at the first/middle/last traversal of the rest; the
+	// tick's pipeline points fail there instead.
+	hits := crashWorthyHits(trace)
 	if len(hits) == 0 {
 		t.Fatal("no crash-worthy hits enumerated")
 	}
-	totalHits := clean.TotalHits()
 	for _, n := range hits {
-		if n > totalHits {
-			continue
-		}
-		t.Logf("crash at global hit %d", n)
-		sched := faultinject.New(1)
-		sched.CrashAtGlobalHit(n)
-		SetFaultHook(sched.Hook())
+		t.Logf("fault at global hit %d", n)
 		stateDir := t.TempDir()
-		if err := restartUntilDone(t, workload(stateDir, t.TempDir(), nil)); err != nil {
-			t.Fatalf("crash at hit %d: workload failed after restart: %v", n, err)
-		}
-		SetFaultHook(nil)
-		sameAnalysis(t, fmt.Sprintf("crash at hit %d", n), finalReport(stateDir), want)
+		faultAt(t, trace[n-1], workload(stateDir, t.TempDir(), nil))
+		sameAnalysis(t, fmt.Sprintf("fault at hit %d", n), finalReport(stateDir), want)
 	}
 }
 
@@ -447,3 +453,144 @@ func (s *engineSink) Deliver(b Batch) error {
 }
 
 func (s *engineSink) Alive() {}
+
+// tickCommitSink applies each delivery, ticks, then commits, and ends the
+// run with sinkStop once stopAt events are in.
+type tickCommitSink struct {
+	eng    *Engine
+	stopAt int64
+}
+
+func (s *tickCommitSink) Deliver(b Batch) error {
+	s.eng.Apply(b)
+	if _, err := s.eng.Tick(context.Background()); err != nil {
+		return err
+	}
+	if err := s.eng.Commit(); err != nil {
+		return err
+	}
+	if s.eng.Stats().Events >= s.stopAt {
+		return sinkStop{}
+	}
+	return nil
+}
+
+func (s *tickCommitSink) Alive() {}
+
+// requireProgramOrder asserts the trace runs a follower read, then a
+// tick, then the tick's per-pair detection, then a checkpoint write, and
+// that every pipeline hit falls inside a tick: its source-side
+// predecessor is the tick, not a read or a commit.
+func requireProgramOrder(t *testing.T, trace []faultinject.Hit) {
+	t.Helper()
+	is := func(h faultinject.Hit, p faultinject.Point) bool {
+		return h.Point == string(p) || strings.HasPrefix(h.Point, string(p)+":")
+	}
+	isCheckpoint := func(h faultinject.Hit) bool {
+		for _, p := range checkpointWritePoints {
+			if is(h, p) {
+				return true
+			}
+		}
+		return false
+	}
+	steps := []func(faultinject.Hit) bool{
+		func(h faultinject.Hit) bool { return is(h, faultinject.PointSourceFollowRead) },
+		func(h faultinject.Hit) bool { return is(h, faultinject.PointSourceDetectTick) },
+		func(h faultinject.Hit) bool { return is(h, faultinject.PointPipelineDetect) },
+		isCheckpoint,
+	}
+	step := 0
+	var lastSource string
+	for i, h := range trace {
+		if step < len(steps) && steps[step](h) {
+			step++
+		}
+		if strings.HasPrefix(h.Point, "pipeline.") {
+			if !strings.HasPrefix(lastSource, string(faultinject.PointSourceDetectTick)) {
+				t.Fatalf("hit %d (%s) follows %q, not a tick", i+1, h.Point, lastSource)
+			}
+			continue
+		}
+		lastSource = h.Point
+	}
+	if step < len(steps) {
+		t.Fatalf("trace never ran follower read → tick → pipeline.detect → checkpoint write (reached step %d)", step)
+	}
+}
+
+// TestCrashAcrossPackagesConverges enumerates one workload's faults across
+// package lines under one Scheduler: a file follower delivers batches that
+// the sink applies, ticks and commits, so source.follow.*, pipeline.* and
+// source.checkpoint.* hits land in one trace in program order. The run
+// dies at every hit on its own goroutine and fails every pipeline hit
+// instead (a recover there makes a crash the pair's failure), restarting
+// from the checkpoint each time, and every case must converge to the
+// uncrashed run.
+func TestCrashAcrossPackagesConverges(t *testing.T) {
+	tr := smallTrace(t)
+	recs := tr.Records
+	if len(recs) > 600 {
+		recs = recs[:600]
+	}
+	pcfg := testPipelineCfg(t, tr.Catalog[:50])
+	total := int64(len(recs))
+	logPath := filepath.Join(t.TempDir(), "proxy.log")
+	writeFile(t, logPath, recordLines(recs))
+
+	workload := func(stateDir string) func() error {
+		return func() error {
+			eng, err := OpenEngine(Config{StateDir: stateDir, Pipeline: pcfg})
+			if err != nil {
+				return err
+			}
+			if eng.Stats().Events >= total {
+				return eng.Commit()
+			}
+			fol := &FileFollower{Path: logPath, SourceName: "proxy",
+				PollInterval: time.Millisecond, MaxBatch: 200}
+			err = fol.Run(context.Background(), eng.Position("proxy"), &tickCommitSink{eng: eng, stopAt: total})
+			if errors.Is(err, sinkStop{}) {
+				return eng.Commit()
+			}
+			return err
+		}
+	}
+	finalReport := func(stateDir string) *pipeline.Result {
+		eng, err := OpenEngine(Config{StateDir: stateDir, Pipeline: pcfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Stats().Events; got != total {
+			t.Fatalf("converged engine holds %d events, want %d", got, total)
+		}
+		res, err := eng.Tick(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Result
+	}
+
+	cleanState := t.TempDir()
+	trace := traceClean(t, workload(cleanState), func() {})
+	want := finalReport(cleanState)
+	requireProgramOrder(t, trace)
+	crashes, fails := 0, 0
+	for _, h := range trace {
+		if strings.HasPrefix(h.Point, "pipeline.") {
+			fails++
+		} else if h.Watched {
+			crashes++
+		}
+	}
+	if crashes == 0 || fails == 0 || crashes+fails != len(trace) {
+		t.Fatalf("trace of %d hits: %d watched source hits, %d pipeline hits; want both, and nothing else", len(trace), crashes, fails)
+	}
+	t.Logf("%d hits: %d crashes, %d pipeline failures", len(trace), crashes, fails)
+
+	for n, h := range trace {
+		stateDir := t.TempDir()
+		faultAt(t, h, workload(stateDir))
+		sameAnalysis(t, fmt.Sprintf("fault at hit %d (%s)", n+1, h.Point), finalReport(stateDir), want)
+	}
+}

@@ -226,6 +226,12 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}
 	defer stopQuery()
 
+	// After a restart every recovered pair is dirty: analyze them at once
+	// instead of idling a full TickInterval before the first ranking.
+	// Decide before the supervisors start, so a connector's first
+	// delivery cannot pass for recovered state.
+	restored := d.eng.Stats().Pairs > 0
+
 	var wg sync.WaitGroup
 	for _, s := range d.sups {
 		wg.Add(1)
@@ -272,9 +278,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		tickAndCommit()
 	}
 
-	// After a restart every recovered pair is dirty: analyze them now
-	// instead of idling a full TickInterval before the first ranking.
-	if d.eng.Stats().Pairs > 0 {
+	if restored {
 		tickAndCommit()
 	}
 

@@ -208,19 +208,19 @@ func TestDaemonSoak(t *testing.T) {
 	}
 
 	var sched *faultinject.Scheduler
-	if val := os.Getenv(faultinject.EnvScheduleVar); val != "" {
-		schedule, err := faultinject.DecodeSchedule(val)
+	if val := os.Getenv(EnvScheduleVar); val != "" {
+		schedule, err := DecodeSchedule(val)
 		if err != nil {
-			t.Fatalf("%s: %v", faultinject.EnvScheduleVar, err)
+			t.Fatalf("%s: %v", EnvScheduleVar, err)
 		}
 		sched = schedule.Scheduler()
-		t.Logf("soak: using %s (%d rules)", faultinject.EnvScheduleVar, len(schedule.Rules))
+		t.Logf("soak: using %s (%d rules)", EnvScheduleVar, len(schedule.Rules))
 	} else {
 		sched = faultinject.New(20260807)
 		sched.RandomErrors(0.01, errors.New("soak: injected fault"))
 	}
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil) })
+	restore := faultinject.Install(sched.Hook())
+	t.Cleanup(restore)
 
 	state := t.TempDir()
 	logPath := filepath.Join(t.TempDir(), "proxy.log")
@@ -259,7 +259,7 @@ func TestDaemonSoak(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("daemon run: %v", err)
 	}
-	SetFaultHook(nil) // nothing is running; verify without interference
+	restore() // nothing is running; verify without interference
 
 	st := d.Engine().Stats()
 	if st.Events != int64(len(recs)) {
@@ -412,13 +412,12 @@ func TestCountCommitBoundWhileLoopBusy(t *testing.T) {
 	sched.HangAt(faultinject.PointPipelineDetect, 1)
 	// Every pair's detection is one traversal of the bare point, so the
 	// first detection of the first tick hangs whichever pair it is.
-	pipeline.SetFaultHook(func(point string) error {
+	defer faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			return sched.Hook()(string(faultinject.PointPipelineDetect))
 		}
 		return nil
-	})
-	defer pipeline.SetFaultHook(nil)
+	})()
 	defer sched.ReleaseHangs()
 
 	var seed []Event
@@ -553,8 +552,7 @@ func (c *stepConn) Run(ctx context.Context, resume Position, sink Sink) error {
 func TestCountCommitRunsOnDaemonLoop(t *testing.T) {
 	sched := faultinject.New(1)
 	sched.HangAt(faultinject.PointSourceCheckpointSync.Keyed("checkpoint"), 1) // the first commit is a snapshot
-	SetFaultHook(sched.Hook())
-	defer SetFaultHook(nil)
+	defer faultinject.Install(sched.Hook())()
 	defer sched.ReleaseHangs()
 
 	cfg := Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)}

@@ -485,7 +485,7 @@ func (e *Engine) Commit() error {
 	if e.cfg.RetainWindows > 0 {
 		// Pre-plan crash point: dying here loses nothing (no state has
 		// changed, the commit just fails).
-		if err := faultCheck(faultinject.PointSourceCompactPlan, "compact"); err != nil {
+		if err := faultinject.Check(faultinject.PointSourceCompactPlan, "compact"); err != nil {
 			return fmt.Errorf("source: compact: %w", err)
 		}
 		cutoff := e.maxTS - int64(e.cfg.RetainWindows)*e.cfg.Lateness
@@ -561,11 +561,11 @@ func (e *Engine) Commit() error {
 	if len(evict) > 0 {
 		// Post-eviction crash point: the frame naming the evictions is
 		// durable and the in-memory store already dropped the pairs.
-		_ = faultCheck(faultinject.PointSourceEvictApply, "evict")
+		_ = faultinject.Check(faultinject.PointSourceEvictApply, "evict")
 	}
 	// Post-commit crash point: everything after this line is observable
 	// only in memory.
-	_ = faultCheck(faultinject.PointSourceCommitDone, "checkpoint")
+	_ = faultinject.Check(faultinject.PointSourceCommitDone, "checkpoint")
 	return nil
 }
 
@@ -684,7 +684,7 @@ func (e *Engine) Tick(ctx context.Context) (*TickResult, error) {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
 	e.mu.Lock()
-	if err := faultCheck(faultinject.PointSourceDetectTick, "tick"); err != nil {
+	if err := faultinject.Check(faultinject.PointSourceDetectTick, "tick"); err != nil {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("source: tick: %w", err)
 	}

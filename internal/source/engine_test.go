@@ -247,13 +247,12 @@ func TestStreamingMatchesBatchPipeline(t *testing.T) {
 	// Second tick with nothing new: everything answers from the standing
 	// state — no detection runs — and the result is identical.
 	var detections atomic.Int64
-	pipeline.SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if strings.HasPrefix(point, string(faultinject.PointPipelineDetect)+":") {
 			detections.Add(1)
 		}
 		return nil
-	})
-	t.Cleanup(func() { pipeline.SetFaultHook(nil) })
+	}))
 	again, err := eng.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-package faultinject
+package source
 
 import (
 	"encoding/json"
@@ -6,14 +6,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"baywatch/internal/faultinject"
 )
 
 func TestScheduleEncodeDecodeRoundTrip(t *testing.T) {
 	s := Schedule{
 		Rules: []EnvRule{
-			{Point: string(PointSourceCommitDone), From: 1, Crash: true},
-			{Point: string(PointSourceCheckpointAppendsync.Keyed("checkpoint")), From: 2, To: 4, Err: "scripted"},
-			{Point: string(PointSourceFollowRead.Keyed("proxy.log")), From: 1, DelayMS: 50},
+			{Point: string(faultinject.PointSourceCommitDone), From: 1, Crash: true},
+			{Point: string(faultinject.PointSourceCheckpointAppendsync.Keyed("checkpoint")), From: 2, To: 4, Err: "scripted"},
+			{Point: string(faultinject.PointSourceFollowRead.Keyed("proxy.log")), From: 1, DelayMS: 50},
 		},
 	}
 	enc, err := json.Marshal(s)
@@ -77,7 +79,7 @@ func TestScheduleSchedulerErrAndCrashRules(t *testing.T) {
 		t.Fatalf("hit 4 past the range errored: %v", err)
 	}
 
-	crash, err := Run(func() error { return hook("p.crash") })
+	crash, err := faultinject.Run(func() error { return hook("p.crash") })
 	if crash == nil {
 		t.Fatalf("crash rule did not crash (err=%v)", err)
 	}

@@ -1,17 +1,18 @@
-package faultinject
+package source
 
 import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"baywatch/internal/faultinject"
 )
 
-// Env-transportable fault schedules: a test harness that runs for a
-// configurable time (the daemon soak, TestDaemonSoak in internal/source)
-// can replay an explicit, reproducible schedule instead of its seeded
-// random one. The schedule is JSON in the EnvScheduleVar environment
-// variable; the harness decodes it and installs a fresh Scheduler behind
-// its fault seams, so per-point hit counts start at zero for the run.
+// Env-transportable fault schedules: the daemon soak (TestDaemonSoak) runs
+// for a configurable time and can replay an explicit, reproducible
+// schedule instead of its seeded random one. The schedule is JSON in the
+// EnvScheduleVar environment variable; the soak decodes it and installs a
+// fresh Scheduler, so per-point hit counts start at zero for the run.
 
 // EnvScheduleVar is the name of the environment variable carrying an
 // encoded schedule.
@@ -50,17 +51,17 @@ func DecodeSchedule(val string) (Schedule, error) {
 		return s, nil
 	}
 	if err := json.Unmarshal([]byte(val), &s); err != nil {
-		return s, fmt.Errorf("faultinject: decode schedule: %w", err)
+		return s, fmt.Errorf("decode schedule: %w", err)
 	}
 	for i, r := range s.Rules {
 		if r.Point == "" {
-			return s, fmt.Errorf("faultinject: decode schedule: rule %d has no point", i)
+			return s, fmt.Errorf("decode schedule: rule %d has no point", i)
 		}
 		if r.From <= 0 {
-			return s, fmt.Errorf("faultinject: decode schedule: rule %d: from must be >= 1", i)
+			return s, fmt.Errorf("decode schedule: rule %d: from must be >= 1", i)
 		}
 		if r.To != 0 && r.To < r.From {
-			return s, fmt.Errorf("faultinject: decode schedule: rule %d: to %d < from %d", i, r.To, r.From)
+			return s, fmt.Errorf("decode schedule: rule %d: to %d < from %d", i, r.To, r.From)
 		}
 	}
 	return s, nil
@@ -68,8 +69,8 @@ func DecodeSchedule(val string) (Schedule, error) {
 
 // Scheduler materializes the schedule: a fresh Scheduler with every rule
 // installed.
-func (s Schedule) Scheduler() *Scheduler {
-	sched := New(0)
+func (s Schedule) Scheduler() *faultinject.Scheduler {
+	sched := faultinject.New(0)
 	for _, r := range s.Rules {
 		to := r.To
 		if to == 0 {
@@ -78,13 +79,13 @@ func (s Schedule) Scheduler() *Scheduler {
 		switch {
 		case r.Crash:
 			for h := r.From; h <= to; h++ {
-				sched.CrashAt(Point(r.Point), h)
+				sched.CrashAt(faultinject.Point(r.Point), h)
 			}
 		case r.Err != "":
-			sched.FailTransient(Point(r.Point), r.From, to-r.From+1, fmt.Errorf("%s", r.Err))
+			sched.FailTransient(faultinject.Point(r.Point), r.From, to-r.From+1, fmt.Errorf("%s", r.Err))
 		case r.DelayMS > 0:
 			for h := r.From; h <= to; h++ {
-				sched.DelayAt(Point(r.Point), h, time.Duration(r.DelayMS)*time.Millisecond)
+				sched.DelayAt(faultinject.Point(r.Point), h, time.Duration(r.DelayMS)*time.Millisecond)
 			}
 		}
 	}

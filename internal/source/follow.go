@@ -121,7 +121,7 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 			return ctxCause(ctx)
 		}
 		// ---- open (or reopen after rotation/truncation) -----------------
-		if err := faultCheck(faultinject.PointSourceFollowOpen, name); err != nil {
+		if err := faultinject.Check(faultinject.PointSourceFollowOpen, name); err != nil {
 			return fmt.Errorf("source: open %s: %w", f.Path, err)
 		}
 		file, err := os.Open(f.Path)
@@ -155,7 +155,7 @@ func (f *FileFollower) Run(ctx context.Context, resume Position, sink Sink) erro
 		if sameFile && pos.Offset > 0 {
 			if fi.Size() < pos.Offset {
 				// Truncated while we were away; the committed tail is gone.
-				if err := faultCheck(faultinject.PointSourceFollowTruncate, name); err != nil {
+				if err := faultinject.Check(faultinject.PointSourceFollowTruncate, name); err != nil {
 					file.Close()
 					return fmt.Errorf("source: truncate %s: %w", f.Path, err)
 				}
@@ -233,7 +233,7 @@ func (t *tailer) tail(ctx context.Context, file *os.File, watch *fileWatch) (reo
 		if ctx.Err() != nil {
 			return false, ctxCause(ctx)
 		}
-		if err := faultCheck(faultinject.PointSourceFollowRead, t.name); err != nil {
+		if err := faultinject.Check(faultinject.PointSourceFollowRead, t.name); err != nil {
 			return false, fmt.Errorf("source: read %s: %w", path, err)
 		}
 		n, rerr := file.Read(t.chunk)
@@ -257,7 +257,7 @@ func (t *tailer) tail(ctx context.Context, file *os.File, watch *fileWatch) (reo
 		}
 		rotated := serr != nil || (curOK && (curDev != pos.Dev || curIno != pos.Inode))
 		if rotated {
-			if err := faultCheck(faultinject.PointSourceFollowRotate, t.name); err != nil {
+			if err := faultinject.Check(faultinject.PointSourceFollowRotate, t.name); err != nil {
 				return false, fmt.Errorf("source: rotate %s: %w", path, err)
 			}
 			// The writer may have appended between the last read and the
@@ -287,7 +287,7 @@ func (t *tailer) tail(ctx context.Context, file *os.File, watch *fileWatch) (reo
 		if serr == nil && cur.Size() < t.readOff-int64(len(t.framer.pending)) {
 			// Shrunk in place below the last committed line boundary:
 			// copytruncate. The partial tail is unrecoverable.
-			if err := faultCheck(faultinject.PointSourceFollowTruncate, t.name); err != nil {
+			if err := faultinject.Check(faultinject.PointSourceFollowTruncate, t.name); err != nil {
 				return false, fmt.Errorf("source: truncate %s: %w", path, err)
 			}
 			t.framer.reset()

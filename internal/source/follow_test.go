@@ -169,8 +169,7 @@ func TestFollowTransientFaultsResume(t *testing.T) {
 	sched := faultinject.New(7)
 	sched.FailTransient(faultinject.PointSourceFollowRead.Keyed("proxy"), 2, 1, errInjected)
 	sched.FailTransient(faultinject.PointSourceFollowOpen.Keyed("proxy"), 2, 1, errInjected)
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil) })
+	t.Cleanup(faultinject.Install(sched.Hook()))
 
 	c := &collectSink{stopAt: 6}
 	f := followerUnderTest(logPath)

@@ -232,7 +232,7 @@ func TestOnDemandTickPacedByItsCost(t *testing.T) {
 		mu           sync.Mutex
 		starts, ends []time.Time // each tick's arrival at the point, and its leaving it
 	)
-	SetFaultHook(func(point string) error {
+	defer faultinject.Install(func(point string) error {
 		if point != string(tickPoint) {
 			return nil
 		}
@@ -244,8 +244,7 @@ func TestOnDemandTickPacedByItsCost(t *testing.T) {
 		ends = append(ends, time.Now())
 		mu.Unlock()
 		return err
-	})
-	defer SetFaultHook(nil)
+	})()
 	ticks := func() int {
 		mu.Lock()
 		defer mu.Unlock()

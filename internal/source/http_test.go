@@ -192,8 +192,7 @@ func TestHTTPIngestBodyLimitAndFaultPoint(t *testing.T) {
 	errInjected := fmt.Errorf("injected")
 	sched := faultinject.New(5)
 	sched.FailAt(faultinject.PointSourceHTTPIngest.Keyed("http"), 1, errInjected)
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil) })
+	t.Cleanup(faultinject.Install(sched.Hook()))
 
 	h := &HTTPIngest{Addr: "127.0.0.1:0", SourceName: "http", MaxBodyBytes: 128}
 	sink := &faultySink{}

@@ -87,7 +87,7 @@ func (h *HTTPIngest) serveIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := h.Name()
-	if err := faultCheck(faultinject.PointSourceHTTPIngest, name); err != nil {
+	if err := faultinject.Check(faultinject.PointSourceHTTPIngest, name); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}

@@ -196,18 +196,14 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 	}
 
 	// Fault-free enumeration run.
-	clean := faultinject.New(1)
-	SetFaultHook(clean.Hook())
-	defer SetFaultHook(nil)
 	cleanDir := t.TempDir()
 	var noted detectionWrites
-	if err := workload(cleanDir, &noted)(); err != nil {
-		t.Fatal(err)
-	}
-	want, wantStats := finalState(cleanDir)
-	requireBothWritePaths(t, clean.Trace())
+	var want *pipeline.Result
+	var wantStats Stats
+	trace := traceClean(t, workload(cleanDir, &noted), func() { want, wantStats = finalState(cleanDir) })
+	requireBothWritePaths(t, trace)
 	noted.requireBoth(t)
-	requirePoints(t, pointsIn(clean.Trace()),
+	requirePoints(t, pointsIn(trace),
 		faultinject.PointSourceCompactPlan,
 		faultinject.PointSourceEvictApply,
 		faultinject.PointSourceCommitDone,
@@ -219,26 +215,20 @@ func TestCrashAtEveryRetentionPointConverges(t *testing.T) {
 	if wantStats.Pairs != 1 {
 		t.Fatalf("clean workload retained %d pairs, want 1", wantStats.Pairs)
 	}
-	total := clean.TotalHits()
-	if total == 0 {
+	if len(trace) == 0 {
 		t.Fatal("no injection points traversed; crash enumeration is vacuous")
 	}
 
-	// One run per traversal, dying exactly there.
-	for n := 1; n <= total; n++ {
-		sched := faultinject.New(1)
-		sched.CrashAtGlobalHit(n)
-		SetFaultHook(sched.Hook())
+	// One run per traversal, dying exactly there (a worker's detection
+	// fails there instead).
+	for n, h := range trace {
 		dir := t.TempDir()
-		if err := restartUntilDone(t, workload(dir, nil)); err != nil {
-			t.Fatalf("crash at hit %d: workload failed after restart: %v", n, err)
-		}
-		SetFaultHook(nil)
+		faultAt(t, h, workload(dir, nil))
 		got, gotStats := finalState(dir)
-		sameAnalysis(t, fmt.Sprintf("crash at hit %d", n), got, want)
+		sameAnalysis(t, fmt.Sprintf("fault at hit %d", n+1), got, want)
 		if gotStats.Events != wantStats.Events || gotStats.Watermark != wantStats.Watermark ||
 			gotStats.Pairs != wantStats.Pairs || gotStats.Evicted != wantStats.Evicted {
-			t.Fatalf("crash at hit %d: state diverged:\n got %+v\nwant %+v", n, gotStats, wantStats)
+			t.Fatalf("fault at hit %d: state diverged:\n got %+v\nwant %+v", n+1, gotStats, wantStats)
 		}
 	}
 }
@@ -298,8 +288,8 @@ func TestDaemonSoakRetention(t *testing.T) {
 
 	sched := faultinject.New(20260807)
 	sched.RandomErrors(0.01, errors.New("soak: injected fault"))
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil) })
+	restore := faultinject.Install(sched.Hook())
+	t.Cleanup(restore)
 
 	state := t.TempDir()
 	logPath := filepath.Join(t.TempDir(), "proxy.log")
@@ -343,7 +333,7 @@ func TestDaemonSoakRetention(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("daemon run: %v", err)
 	}
-	SetFaultHook(nil) // nothing is running; verify without interference
+	restore() // nothing is running; verify without interference
 
 	if got := d.Engine().Position("proxy").Records; got != int64(len(all)) {
 		t.Fatalf("soak drained %d records, want %d", got, len(all))

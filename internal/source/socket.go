@@ -82,7 +82,7 @@ func (s *SocketSource) Run(ctx context.Context, resume Position, sink Sink) erro
 		if ctx.Err() != nil {
 			return ctxCause(ctx)
 		}
-		if err := faultCheck(faultinject.PointSourceSocketAccept, name); err != nil {
+		if err := faultinject.Check(faultinject.PointSourceSocketAccept, name); err != nil {
 			return fmt.Errorf("source: accept %s: %w", name, err)
 		}
 		conn, err := ln.Accept()
@@ -147,7 +147,7 @@ func (s *SocketSource) serveConn(ctx context.Context, conn net.Conn, name string
 		if ctx.Err() != nil {
 			return ctxCause(ctx)
 		}
-		if err := faultCheck(faultinject.PointSourceSocketRead, name); err != nil {
+		if err := faultinject.Check(faultinject.PointSourceSocketRead, name); err != nil {
 			return fmt.Errorf("source: read %s: %w", name, err)
 		}
 		n, err := conn.Read(chunk)

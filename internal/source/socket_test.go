@@ -99,8 +99,7 @@ func TestSocketFaultPoints(t *testing.T) {
 	sched := faultinject.New(3)
 	sched.FailAt(faultinject.PointSourceSocketAccept.Keyed("sock"), 1, errInjected)
 	sched.FailAt(faultinject.PointSourceSocketRead.Keyed("sock"), 1, errInjected)
-	SetFaultHook(sched.Hook())
-	t.Cleanup(func() { SetFaultHook(nil) })
+	t.Cleanup(faultinject.Install(sched.Hook()))
 
 	s := &SocketSource{Network: "tcp", Addr: "127.0.0.1:0", SourceName: "sock"}
 	c := &collectSink{stopAt: 2}

@@ -124,13 +124,12 @@ func TestFollowRotationReadsOldFileToEnd(t *testing.T) {
 	t.Cleanup(func() { followSleep = waitChange })
 	// The rotation fault point sits after the stat that saw the rename and
 	// before the old file is left: the writer's last line lands there.
-	SetFaultHook(func(point string) error {
+	t.Cleanup(faultinject.Install(func(point string) error {
 		if point == string(faultinject.PointSourceFollowRotate.Keyed("proxy")) {
 			appendFile(t, logPath+".1", lineSeq(1001, 1))
 		}
 		return nil
-	})
-	t.Cleanup(func() { SetFaultHook(nil) })
+	}))
 
 	c := &collectSink{stopAt: 3}
 	if err := followerUnderTest(logPath).Run(context.Background(), Position{}, c); !errors.Is(err, sinkStop{}) {
