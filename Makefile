@@ -111,13 +111,15 @@ STORED_DETECTION_TESTS := TestDeltaLogMatchesCompaction TestRestartDetectsOncePe
 	TestReplayPairCountBoundedByFrame TestLineFramerChunkingInvariant \
 	TestSocketOverlongLineBounded TestFollowIdleBackoffSchedule TestFollowMissingPathBackoff \
 	TestFollowRotationReadsOldFileToEnd TestFollowWakeOnAppend TestFollowWakeAfterRename \
-	TestTickCommitSavesDetections TestStatusFunnelMatchesBatch TestTickCountsListedPairs
+	TestTickCommitSavesDetections TestStatusFunnelMatchesBatch TestTickCountsListedPairs \
+	TestCommitHangLeavesEngineLive TestEventForEvictedPairDuringCommitStartsFresh \
+	TestConcurrentApplyAndCommitReplay TestCommitAboveWaitsForFrameInFlight
 STORED_DETECTION_PKGS := ./internal/source ./internal/core ./internal/timeseries
 DURABLE_TESTS := TestDurableOwnsRenames TestWriteFileStepOrder TestWriteFileStepFaults \
 	TestQuarantineNeverOverwrites TestQuarantineReportsFailure \
 	TestUnquarantinableCheckpointKept TestQuarantineLongNameTerminates TestUnquarantinableManifestKept \
 	TestUnquarantinableNoveltyKept TestCrashAcrossPackagesConverges \
-	TestCheckRejectsUnregisteredPoint TestCheckNoHookAllocs
+	TestCheckRejectsUnregisteredPoint TestCheckNoHookAllocs TestSwallowedNamesRecoveredCrash
 DURABLE_PKGS := ./internal/durable ./internal/source ./internal/opsloop ./internal/faultinject
 GUARD_TESTS := TestRunBoundedTimeout TestRunBoundedContextCause \
 	TestCandidateTimeoutParksHungDetection TestCandidateTimeoutParksHungIndication \
@@ -129,7 +131,8 @@ GUARD_PKGS := ./internal/guard ./internal/pipeline ./internal/opsloop ./internal
 FRESHNESS_TESTS := TestTickOnCaughtUpSource TestNoTickWhileBacklogged \
 	TestIdleSourceMintsNoGeneration TestOnDemandTickPacedByItsCost \
 	TestFollowWakeOnAppend TestTickCommitSavesDetections \
-	TestFollowWakesWithoutPolling TestFollowWatchCancelPrompt TestFollowWatchReleasedOnReopen
+	TestFollowWakesWithoutPolling TestFollowWatchCancelPrompt TestFollowWatchReleasedOnReopen \
+	TestOnDemandTicksWriteNoFrame
 FRESHNESS_PKGS := ./internal/source
 
 empty :=

@@ -7,9 +7,10 @@
 //
 //   - FailAt / FailTransient return injected errors at exact per-point hit
 //     counts, modelling one-shot and transient I/O faults;
-//   - CrashAt / CrashAtGlobalHit panic with a *Crash sentinel, modelling a
-//     process dying at that instruction; Run converts the panic back into
-//     a value so the test can "restart" the system and assert convergence;
+//   - CrashAt panics with a *Crash sentinel, modelling a process dying at
+//     that instruction; Run converts the panic back into a value so the
+//     test can "restart" the system and assert convergence, and Swallowed
+//     names any crash the scheduler fired that a recover kept from Run;
 //   - DelayAt sleeps at a point, modelling a slow call (degenerate fits,
 //     saturated disks) for deadline tests;
 //   - HangAt blocks at a point until ReleaseHangs, modelling a call that
@@ -98,6 +99,8 @@ type Crash struct {
 	Point string
 	// Hit is the per-point hit count at which the crash fired.
 	Hit int
+	// reached is set once Run recovered the crash.
+	reached atomic.Bool
 }
 
 func (c *Crash) String() string {
@@ -129,15 +132,15 @@ type rule struct {
 // Scheduler scripts faults over named injection points. The zero value is
 // not usable; construct with New.
 type Scheduler struct {
-	mu         sync.Mutex
-	rng        *rand.Rand
-	rules      []rule
-	hits       map[string]int
-	globalHits int
-	crashAtN   int // crash at the nth Check call overall (0 = off)
-	randProb   float64
-	randErr    error
-	trace      []Hit
+	mu       sync.Mutex
+	rng      *rand.Rand
+	rules    []rule
+	hits     map[string]int
+	randProb float64
+	randErr  error
+	trace    []Hit
+	// fired lists the crashes raised, for Swallowed.
+	fired []*Crash
 
 	// Hang machinery: hangRelease is closed by ReleaseHangs; hangActive
 	// counts goroutines currently blocked in a hang.
@@ -197,7 +200,9 @@ func Enumerate(trace []Hit) []Hit {
 // run: it crashes there when a crash would be a process death, and
 // injects err where a recover would turn the crash into a task's failure
 // instead — on a worker goroutine Run does not watch, or at a pipeline or
-// ingest task point, wherever it runs.
+// ingest task point, wherever it runs. The second case rests on the
+// isolated list; an enumeration checks Swallowed after each run, which
+// names a crash scheduled at a recovered point that list does not hold.
 func At(h Hit, err error) *Scheduler {
 	s := New(0)
 	if h.Fatal() {
@@ -259,15 +264,6 @@ func (s *Scheduler) ActiveHangs() int {
 	return s.hangActive
 }
 
-// CrashAtGlobalHit panics with *Crash on the nth Check call overall
-// (1-based), regardless of point. Combined with a fault-free enumeration
-// run this crashes a workload at every injection point it traverses.
-func (s *Scheduler) CrashAtGlobalHit(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.crashAtN = n
-}
-
 // RandomErrors injects err at each traversal with probability p, drawn
 // from the scheduler's seeded generator: the same seed and hit sequence
 // replay the same faults.
@@ -290,29 +286,27 @@ func (s *Scheduler) check(point string) error {
 	_, watched := watching.Load(goid())
 	s.mu.Lock()
 	s.hits[point]++
-	s.globalHits++
 	n := s.hits[point]
 	s.trace = append(s.trace, Hit{Point: point, N: n, Watched: watched})
-	crash := s.crashAtN > 0 && s.globalHits == s.crashAtN
+	var crash *Crash
 	var err error
 	var delay time.Duration
 	var hang bool
-	if !crash {
-		for _, r := range s.rules {
-			if r.point != point || n < r.from || n > r.to {
-				continue
-			}
-			if r.crash {
-				crash = true
-			} else {
-				err = r.err
-				delay = r.delay
-				hang = r.hang
-			}
-			break
+	for _, r := range s.rules {
+		if r.point != point || n < r.from || n > r.to {
+			continue
 		}
+		if r.crash {
+			crash = &Crash{Point: point, Hit: n}
+			s.fired = append(s.fired, crash)
+		} else {
+			err = r.err
+			delay = r.delay
+			hang = r.hang
+		}
+		break
 	}
-	if err == nil && !crash && !hang && delay == 0 && s.randProb > 0 && s.rng.Float64() < s.randProb {
+	if err == nil && crash == nil && !hang && delay == 0 && s.randProb > 0 && s.rng.Float64() < s.randProb {
 		err = s.randErr
 	}
 	if hang {
@@ -320,8 +314,8 @@ func (s *Scheduler) check(point string) error {
 	}
 	release := s.hangRelease
 	s.mu.Unlock()
-	if crash {
-		panic(&Crash{Point: point, Hit: n})
+	if crash != nil {
+		panic(crash)
 	}
 	if delay > 0 {
 		time.Sleep(delay)
@@ -349,7 +343,23 @@ func (s *Scheduler) Trace() []Hit {
 func (s *Scheduler) TotalHits() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.globalHits
+	return len(s.trace)
+}
+
+// Swallowed returns the crashes the scheduler raised that no Run has
+// recovered: a recover between the point and Run turned each into
+// something else, so a run that scheduled it as a process death tested a
+// failure instead. Call it once the runs are over.
+func (s *Scheduler) Swallowed() []*Crash {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*Crash
+	for _, c := range s.fired {
+		if !c.reached.Load() {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // Run executes fn, converting a scheduled crash back into a value: a
@@ -365,6 +375,7 @@ func Run(fn func() error) (crash *Crash, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if c, ok := r.(*Crash); ok {
+				c.reached.Store(true)
 				crash = c
 				return
 			}

@@ -2,6 +2,8 @@ package faultinject
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -63,43 +65,67 @@ func TestCrashAtRecoveredByRun(t *testing.T) {
 	}
 }
 
-func TestCrashAtGlobalHitAndTrace(t *testing.T) {
-	// Enumerate a workload's points fault-free, then crash at each.
-	workload := func(hook func(string) error) error {
-		for _, p := range []string{"a", "b", "a", "c"} {
-			if err := hook(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// TestTraceRecordsHitsInOrder: the trace lists every hit in order with
+// its per-point count, and TotalHits counts them.
+func TestTraceRecordsHitsInOrder(t *testing.T) {
 	probe := New(0)
-	if err := workload(probe.Hook()); err != nil {
-		t.Fatal(err)
+	hook := probe.Hook()
+	for _, p := range []string{"a", "b", "a", "c"} {
+		if err := hook(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if probe.TotalHits() != 4 {
 		t.Fatalf("TotalHits = %d, want 4", probe.TotalHits())
 	}
 	tr := probe.Trace()
 	want := []Hit{{Point: "a", N: 1}, {Point: "b", N: 1}, {Point: "a", N: 2}, {Point: "c", N: 1}}
-	for i := range want {
-		if tr[i] != want[i] {
-			t.Fatalf("trace[%d] = %+v, want %+v", i, tr[i], want[i])
+	if !slices.Equal(tr, want) {
+		t.Fatalf("trace = %+v, want %+v", tr, want)
+	}
+}
+
+// TestSwallowedNamesRecoveredCrash: a crash At schedules at a watched hit
+// that a recover on the way turns into an error never reaches Run, and
+// Swallowed names it; one that reaches Run is not named.
+func TestSwallowedNamesRecoveredCrash(t *testing.T) {
+	workload := func(hook func(string) error) func() error {
+		return func() error {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("task failed: %v", r)
+					}
+				}()
+				return hook("task")
+			}()
+			if err != nil {
+				return err
+			}
+			return hook("main")
 		}
 	}
-	for n := 1; n <= probe.TotalHits(); n++ {
-		s := New(0)
-		s.CrashAtGlobalHit(n)
-		crash, err := Run(func() error { return workload(s.Hook()) })
-		if err != nil {
-			t.Fatalf("global hit %d: unexpected error %v", n, err)
-		}
-		if crash == nil {
-			t.Fatalf("global hit %d: expected crash", n)
-		}
-		if crash.Point != want[n-1].Point || crash.Hit != want[n-1].N {
-			t.Errorf("global hit %d: crashed at %+v, want %+v", n, crash, want[n-1])
-		}
+	probe := New(0)
+	if crash, err := Run(workload(probe.Hook())); crash != nil || err != nil {
+		t.Fatal(crash, err)
+	}
+	tr := probe.Trace()
+	if len(tr) != 2 || !tr[0].Fatal() || !tr[1].Fatal() {
+		t.Fatalf("trace = %+v, want two fatal hits", tr)
+	}
+	task := At(tr[0], errInjected)
+	if crash, err := Run(workload(task.Hook())); crash != nil || err == nil {
+		t.Fatalf("recovered hit: crash %v err %v, want the recover's error", crash, err)
+	}
+	if sw := task.Swallowed(); len(sw) != 1 || sw[0].Point != "task" || sw[0].Hit != 1 {
+		t.Fatalf("Swallowed = %v, want the crash at task", sw)
+	}
+	watched := At(tr[1], errInjected)
+	if crash, _ := Run(workload(watched.Hook())); crash == nil || crash.Point != "main" {
+		t.Fatalf("watched hit: crash %v, want a crash at main", crash)
+	}
+	if sw := watched.Swallowed(); len(sw) != 0 {
+		t.Fatalf("Swallowed = %v after the crash reached Run, want none", sw)
 	}
 }
 

@@ -120,7 +120,8 @@ func TestCrashAtEveryInjectionPointConverges(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			restore := faultinject.Install(faultinject.At(h, errInjected).Hook())
+			sched := faultinject.At(h, errInjected)
+			restore := faultinject.Install(sched.Hook())
 			var rep *Report
 			crash, err := faultinject.Run(func() error {
 				var err error
@@ -128,6 +129,9 @@ func TestCrashAtEveryInjectionPointConverges(t *testing.T) {
 				return err
 			})
 			restore()
+			if sw := sched.Swallowed(); len(sw) > 0 {
+				t.Fatalf("day %d fault at %s (hit %d): %v never reached Run; a recover took it for a task failure", day, h.Point, h.N, sw[0])
+			}
 			if err != nil && !errors.Is(err, errInjected) {
 				t.Fatalf("day %d fault at %s (hit %d): err = %v, want the injected fault", day, h.Point, h.N, err)
 			}

@@ -127,26 +127,71 @@ const (
 	detectionSizeHint = 1024
 )
 
-// encodeFrame renders one sealed frame: the engine's positions, maxTS and
-// late-drop count with the watermark and eviction total this commit will
-// install, the pairs it evicts, for each of pairs the events, sample
-// entries and sources not yet durable and for each of detected the pair's
-// detection, if it still covers the pair's history — or, with full, the
-// whole of each of pairs and every such detection among them (detected is
-// then not consulted). pairs are written in the order given — first touch
-// for a delta, creation for a snapshot; evicted and detected are sorted.
-// Pairs that skip reports are left out of both. sizeHint presizes the
-// buffer. e.mu must be held.
-func (e *Engine) encodeFrame(watermark, evictedCount int64, evicted, pairs, detected []*pairHistory, skip func(*pairHistory) bool, full bool, sizeHint int64) ([]byte, error) {
-	buf := make([]byte, frameHdrLen, frameHdrLen+256+int(sizeHint))
-	names := make([]string, 0, len(e.pos))
-	for name := range e.pos {
+// frameSeal is one frame as a commit's seal captured it under e.mu: the
+// header, and for each pair the frame writes the part of its history and
+// sample the frame holds and the detection it carries. encode reads only
+// this, so it runs outside e.mu while Apply keeps appending: the captured
+// slices end where the histories ended at the seal, and a history only
+// ever grows past that.
+type frameSeal struct {
+	// full is a snapshot, written by rewrite; otherwise a delta appended
+	// at byte at.
+	full bool
+	at   int64
+	// hdr is the header the frame records, installed as the durable one
+	// once the write commits; watermark and evictedCount are the values
+	// it installs, detFP keys its detections.
+	hdr                     durableHeader
+	watermark, evictedCount int64
+	detFP                   uint64
+	// evicted names the pairs a delta drops; evictions counts the pairs
+	// the seal dropped, which a snapshot simply leaves out.
+	evicted   []pairKey
+	evictions int
+	// pairs holds, in the order the frame writes them, what each pair
+	// gained since the previous frame (a snapshot: all of it); dets the
+	// detections the frame carries.
+	pairs []pairDelta
+	dets  []pairDet
+	// uncommit is the events the frame covers, which its install takes
+	// off the engine's uncommitted count; sizeHint presizes the buffer.
+	uncommit, sizeHint int64
+	// bad is the detection encode could not render, if any.
+	bad pairDet
+}
+
+// pairDelta is one pair entry of a sealed frame: the events, sample
+// entries and sources it writes.
+type pairDelta struct {
+	h     *pairHistory
+	ts    []int64
+	paths []string
+	srcs  []string
+}
+
+// pairDet is one detection record of a sealed frame, covering the first n
+// events of h's history.
+type pairDet struct {
+	h   *pairHistory
+	det *core.Result
+	n   int
+}
+
+// encode renders the sealed frame: the positions, maxTS and late-drop
+// count with the watermark and eviction total the commit will install,
+// the evicted pairs, each pair entry in the order sealed and the
+// detection records. It renders into buf's storage when that is large
+// enough.
+func (f *frameSeal) encode(buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], frameHdrLen+256+int(f.sizeHint))[:frameHdrLen]
+	names := make([]string, 0, len(f.hdr.pos))
+	for name := range f.hdr.pos {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
-		p := e.pos[name]
+		p := f.hdr.pos[name]
 		buf = appendString(buf, name)
 		buf = binary.AppendVarint(buf, p.Records)
 		buf = binary.AppendVarint(buf, p.Skipped)
@@ -154,78 +199,53 @@ func (e *Engine) encodeFrame(watermark, evictedCount int64, evicted, pairs, dete
 		buf = binary.AppendUvarint(buf, p.Dev)
 		buf = binary.AppendUvarint(buf, p.Inode)
 	}
-	buf = binary.AppendVarint(buf, watermark)
-	buf = binary.AppendVarint(buf, e.maxTS)
-	buf = binary.AppendVarint(buf, e.lateDropped)
-	buf = binary.AppendVarint(buf, evictedCount)
+	buf = binary.AppendVarint(buf, f.watermark)
+	buf = binary.AppendVarint(buf, f.hdr.maxTS)
+	buf = binary.AppendVarint(buf, f.hdr.lateDropped)
+	buf = binary.AppendVarint(buf, f.evictedCount)
 
-	buf = binary.AppendUvarint(buf, uint64(len(evicted)))
-	for _, h := range evicted {
-		buf = appendString(buf, h.key.Src)
-		buf = appendString(buf, h.key.Dst)
+	buf = binary.AppendUvarint(buf, uint64(len(f.evicted)))
+	for _, k := range f.evicted {
+		buf = appendString(buf, k.Src)
+		buf = appendString(buf, k.Dst)
 	}
 
-	// carried lists the pairs whose detection this frame holds: of a full
-	// frame, gathered while its pairs are written below.
-	var carried []*pairHistory
-	if !full {
-		for _, h := range detected {
-			if h.detection() != nil && !skip(h) {
-				carried = append(carried, h)
-			}
-		}
-	}
-	live := 0
-	for _, h := range pairs {
-		if !skip(h) {
-			live++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(live))
-	for _, h := range pairs {
-		if skip(h) {
-			continue
-		}
-		start, startPaths, startSrcs := h.committed, h.committedPaths, h.committedSrcs
-		if full {
-			start, startPaths, startSrcs = 0, 0, 0
-		}
-		buf = appendString(buf, h.key.Src)
-		buf = appendString(buf, h.key.Dst)
-		buf = binary.AppendUvarint(buf, uint64(len(h.ts)-start))
+	buf = binary.AppendUvarint(buf, uint64(len(f.pairs)))
+	for _, p := range f.pairs {
+		buf = appendString(buf, p.h.key.Src)
+		buf = appendString(buf, p.h.key.Dst)
+		buf = binary.AppendUvarint(buf, uint64(len(p.ts)))
 		prev := int64(0)
-		for _, ts := range h.ts[start:] {
+		for _, ts := range p.ts {
 			buf = binary.AppendVarint(buf, ts-prev)
 			prev = ts
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(h.paths)-startPaths))
-		for _, p := range h.paths[startPaths:] {
-			buf = appendString(buf, p)
+		buf = binary.AppendUvarint(buf, uint64(len(p.paths)))
+		for _, path := range p.paths {
+			buf = appendString(buf, path)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(h.srcs)-startSrcs))
-		for _, name := range h.srcs[startSrcs:] {
+		buf = binary.AppendUvarint(buf, uint64(len(p.srcs)))
+		for _, name := range p.srcs {
 			// Every source that delivered an event has a position, so it
 			// is in the table.
 			i, _ := slices.BinarySearch(names, name)
 			buf = binary.AppendUvarint(buf, uint64(i))
 		}
-		if full && h.detection() != nil {
-			carried = append(carried, h)
-		}
 	}
 
-	buf = binary.LittleEndian.AppendUint64(buf, e.detFP)
-	buf = binary.AppendUvarint(buf, uint64(len(carried)))
-	for _, h := range carried {
-		buf = appendString(buf, h.key.Src)
-		buf = appendString(buf, h.key.Dst)
-		buf = binary.AppendUvarint(buf, uint64(h.detN))
+	buf = binary.LittleEndian.AppendUint64(buf, f.detFP)
+	buf = binary.AppendUvarint(buf, uint64(len(f.dets)))
+	for _, d := range f.dets {
+		buf = appendString(buf, d.h.key.Src)
+		buf = appendString(buf, d.h.key.Dst)
+		buf = binary.AppendUvarint(buf, uint64(d.n))
 		var err error
-		if buf, err = core.AppendResult(buf, h.det); err != nil {
-			// Only a Result no detector builds; forget it so the commit
-			// after this one goes through, and the pair is detected afresh.
-			h.det, h.detN = nil, 0
-			return nil, fmt.Errorf("source: checkpoint: detection of %s: %w", h.key, err)
+		if buf, err = core.AppendResult(buf, d.det); err != nil {
+			// Only a Result no detector builds; the commit fails and
+			// forgets it, so the one after goes through and the pair is
+			// detected afresh.
+			f.bad = d
+			return nil, fmt.Errorf("source: checkpoint: detection of %s: %w", d.h.key, err)
 		}
 	}
 

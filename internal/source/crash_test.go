@@ -136,12 +136,17 @@ func traceClean(t *testing.T, workload func() error, after func()) []faultinject
 
 // faultAt runs workload with At's fault at hit h of a fault-free trace: a
 // crash where h is fatal, an injected error elsewhere. It restarts after
-// each crash until a run completes, which must not fail.
+// each crash until a run completes, which must not fail, and a crash it
+// scheduled must have reached Run, not a recover on the way.
 func faultAt(t *testing.T, h faultinject.Hit, workload func() error) {
 	t.Helper()
-	defer faultinject.Install(faultinject.At(h, errInjected).Hook())()
+	sched := faultinject.At(h, errInjected)
+	defer faultinject.Install(sched.Hook())()
 	if err := restartUntilDone(t, workload); err != nil {
 		t.Fatalf("fault at %s (hit %d): workload failed after restart: %v", h.Point, h.N, err)
+	}
+	if sw := sched.Swallowed(); len(sw) > 0 {
+		t.Fatalf("fault at %s (hit %d): %v never reached Run; a recover took it for a task failure", h.Point, h.N, sw[0])
 	}
 }
 

@@ -27,7 +27,9 @@ type DaemonConfig struct {
 	// daemon loop takes the checkpoint, so a connector does not wait on it;
 	// a connector that gets twice this far ahead while the request is
 	// pending commits inline, which bounds uncommitted events at
-	// 2×CommitEvery plus one batch.
+	// 2×CommitEvery plus one batch. It first waits for a commit in
+	// flight, and writes no frame of its own if that one brought the
+	// count back under the bound.
 	CommitEvery int
 	// CommitInterval checkpoints on a timer regardless of volume (default
 	// TickInterval; <0 disables timer-based commits).
@@ -184,7 +186,10 @@ func (d *Daemon) maybeCommit() {
 	}
 	switch n, every := d.eng.Uncommitted(), int64(d.cfg.CommitEvery); {
 	case n >= 2*every:
-		d.commit()
+		// A commit in flight counts its events as uncommitted until it
+		// installs; wait for it, and write another only if it did not
+		// take the count back under the bound.
+		d.commitAbove(2 * every)
 	case n >= every:
 		select {
 		case d.commitReq <- struct{}{}:
@@ -196,8 +201,12 @@ func (d *Daemon) maybeCommit() {
 // commit checkpoints, degrading (not dying) on failure: a full disk or
 // I/O error costs durability of the window since the last good commit,
 // which the sources can replay, and the next commit retries.
-func (d *Daemon) commit() {
-	if err := d.eng.Commit(); err != nil {
+func (d *Daemon) commit() { d.commitAbove(0) }
+
+// commitAbove is commit once at least limit events are uncommitted, judged
+// after any commit in flight has installed.
+func (d *Daemon) commitAbove(limit int64) {
+	if err := d.eng.commitAbove(limit); err != nil {
 		d.commitFails.Add(1)
 		d.logf("commit failed: %v", err)
 	}
@@ -216,6 +225,9 @@ func (d *Daemon) commit() {
 // the loop's time however fast reports come. A backlog being drained
 // reports nothing until its end and ticks on the clock alone; TickInterval
 // stays the bound for sources that never report catching up.
+// The restart tick and clock ticks commit right after they publish; an
+// on-demand tick does not, and the CommitEvery and CommitInterval commits
+// save what it applied and detected.
 // The daemon's crash contract does not depend on the drain — a SIGKILL at
 // any instant loses only uncommitted events, which the checkpointed
 // positions let the sources replay.
@@ -254,16 +266,22 @@ func (d *Daemon) Run(ctx context.Context) error {
 	pace.Stop()
 	defer pace.Stop()
 	var paceC <-chan time.Time
-	tickAndCommit := func() {
-		// Publish first, then checkpoint: the fsync stays off the path
-		// from an applied event to /ranked, and the commit saves the
-		// tick's fresh detections in the same loop turn.
+	paced := func() {
 		start := time.Now()
 		d.runTick(ctx)
 		end := time.Now()
 		rested = end.Add(end.Sub(start))
+	}
+	tickAndCommit := func() {
+		// Publish first, then checkpoint: the fsync stays off the path
+		// from an applied event to /ranked, and the commit saves the
+		// tick's fresh detections in the same loop turn.
+		paced()
 		d.commit()
 	}
+	// An on-demand tick leaves its events and detections to the count and
+	// timer commits: it may run many times a second, and a commit after
+	// each would hold the loop for an fsync of a few dozen events.
 	onDemand := func() {
 		if !d.eng.pending() {
 			return
@@ -275,7 +293,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 			}
 			return
 		}
-		tickAndCommit()
+		paced()
 	}
 
 	if restored {
@@ -294,14 +312,12 @@ func (d *Daemon) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 		case <-commitC:
-			if d.eng.Uncommitted() > 0 {
-				d.commit()
-			}
+			// Also saves the detections of on-demand ticks; a commit with
+			// nothing to record touches no disk.
+			d.commit()
 		case <-d.commitReq:
 			// A tick's commit or an inline one may have come first.
-			if d.eng.Uncommitted() >= int64(d.cfg.CommitEvery) {
-				d.commit()
-			}
+			d.commitAbove(int64(d.cfg.CommitEvery))
 		case <-d.caughtUp:
 			onDemand()
 		case <-paceC:

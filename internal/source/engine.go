@@ -196,9 +196,9 @@ type Engine struct {
 	// Checkpoint log state. touched lists the pairs holding events no
 	// frame has yet (len(ts) > committed), each once and in the order they
 	// were first touched, which is the order a delta frame writes them;
-	// unlike dirty, which ticks clear, only a successful commit clears
-	// it. durable is the header of the last frame committed: a commit
-	// with no touched pair and an unchanged header has nothing to write.
+	// unlike dirty, which ticks clear, only a commit's seal clears it.
+	// durable is the header of the last frame committed: a commit with no
+	// touched pair and an unchanged header has nothing to write.
 	// logLen is the byte length of the valid frames on disk — where the
 	// next frame goes — and firstLen that of the first; suspect is set
 	// when a write failed part way, so the next commit rewrites the file
@@ -212,6 +212,14 @@ type Engine struct {
 	suspect  bool
 	// Commit accounting since open, for Stats.
 	commits, commitBytes, compactions int64
+	// commitMu serializes commits, which encode, write and fsync a frame
+	// outside mu; a commit takes mu only to seal and to install it.
+	// commitMu is always acquired first. pairBuf and frameBuf hold the
+	// last commit's pair entries and frame bytes, emptied, for the next
+	// commit to fill; commitMu guards them.
+	commitMu sync.Mutex
+	pairBuf  []pairDelta
+	frameBuf []byte
 	// detFP keys the detections this engine writes and accepts (see
 	// detectionFingerprint); detRestored and detStale count what the log
 	// held at open.
@@ -232,8 +240,8 @@ type Engine struct {
 	evicted      []pipeline.PairRef
 	evictedCount int64
 
-	// Committed watermark state. The watermark only ever changes inside a
-	// successful Commit, so replay-after-crash sees exactly the drop
+	// Committed watermark state. The watermark only ever changes when a
+	// successful Commit installs its frame, so replay-after-crash sees exactly the drop
 	// decisions the committed history implies.
 	watermark   int64
 	maxTS       int64
@@ -241,8 +249,9 @@ type Engine struct {
 }
 
 // durableHeader is the part of the engine's accounting a frame header
-// records, as of the last frame committed. The watermark and the eviction
-// total only change inside a commit, so they need no copy.
+// records, as of the last frame committed, or, in a sealed frame, as of
+// its seal. The watermark and the eviction total only change inside a
+// commit, so they need no copy.
 type durableHeader struct {
 	pos         map[string]Position
 	maxTS       int64
@@ -445,128 +454,232 @@ func (e *Engine) Apply(b Batch) int {
 
 // Commit makes the current state durable by writing one checkpoint frame
 // (see checkpoint.go): normally the events applied since the last commit,
-// appended and fsynced — O(new events) under e.mu; when the log has
-// doubled since its first frame, the whole state rewritten through the
-// atomic rename chain — O(state). Either write also carries the
-// detections ticks produced since the last commit (a rewrite, every
-// detection that still covers its pair's history), so a restart need not
-// compute them again. A commit with nothing new to record returns without
-// touching the disk. The watermark advance (maxTS -
-// Lateness) is computed into the frame and installed in memory only after
-// the write commits, so drop decisions always reflect durable state and
-// replay after a crash reproduces them exactly. A failed write changes
-// nothing in memory but marks the log suspect, which makes the next
-// commit a full rewrite.
+// appended and fsynced; when the log has doubled since its first frame,
+// the whole state rewritten through the atomic rename chain. Either write
+// also carries the detections ticks produced since the last commit (a
+// rewrite, every detection that still covers its pair's history), so a
+// restart need not compute them again. A commit with nothing new to record
+// returns without touching the disk.
 //
-// When RetainWindows is set, Commit also evicts idle pairs: any pair
-// whose newest event trails the stream's high-water mark by more than
-// RetainWindows lateness windows is named in the frame being written
-// and, once the write commits, dropped from the in-memory store and (at
-// the next tick) the standing analysis. The eviction set is a pure
-// function of the committed maxTS, so every recovery replays the same
-// evictions at the same commits; and the cutoff never exceeds the new
-// watermark, so an evicted pair's events would be dropped as late on
-// replay anyway.
-func (e *Engine) Commit() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.touched) == 0 && len(e.unsaved) == 0 && e.maxTS == e.durable.maxTS &&
-		e.lateDropped == e.durable.lateDropped && maps.Equal(e.pos, e.durable.pos) {
-		// No new event or detection and no header movement. That also rules
-		// out a new eviction: the cutoff moves only with maxTS.
-		return nil
-	}
-	wm := e.watermark
-	if e.cfg.Lateness > 0 && e.maxTS-e.cfg.Lateness > wm {
-		wm = e.maxTS - e.cfg.Lateness
-	}
-	var evict []*pairHistory
-	evictable := func(*pairHistory) bool { return false }
-	if e.cfg.RetainWindows > 0 {
-		// Pre-plan crash point: dying here loses nothing (no state has
-		// changed, the commit just fails).
-		if err := faultinject.Check(faultinject.PointSourceCompactPlan, "compact"); err != nil {
-			return fmt.Errorf("source: compact: %w", err)
-		}
-		cutoff := e.maxTS - int64(e.cfg.RetainWindows)*e.cfg.Lateness
-		evictable = func(h *pairHistory) bool { return h.maxTS <= cutoff }
-		for _, h := range e.pairs {
-			if evictable(h) {
-				evict = append(evict, h)
-			}
-		}
-		sortPairs(evict)
-	}
+// A commit takes e.mu only to seal the frame and to install it, so Apply,
+// Tick and the readers never wait on its encoding, write or fsync:
+//
+//   - seal, under e.mu: decide the compaction, the evictions and the
+//     watermark, copy the header and, for every pair the frame writes,
+//     the ranges of its history and sample the frame holds and the
+//     detection it carries, then start a new touched list and clear
+//     unsaved. A pair's history only ever grows by appending, so the
+//     ranges stay valid while Apply goes on; the cost is O(frame pairs).
+//   - encode, write and fsync, outside e.mu, under commitMu, which keeps
+//     one writer. The lock order is commitMu, then e.mu.
+//   - install, under e.mu: the log length, the durable header, the
+//     committed marks and the watermark.
+//
+// The watermark advance (maxTS - Lateness) is computed into the frame and
+// installed in memory only after the write commits, so drop decisions
+// always reflect durable state and replay after a crash reproduces them
+// exactly. A failed write installs nothing and marks the log suspect,
+// which makes the next commit a full rewrite of whatever memory then
+// holds.
+//
+// When RetainWindows is set, Commit also evicts idle pairs: any pair whose
+// newest event trails the stream's high-water mark by more than
+// RetainWindows lateness windows is named in the frame being written and
+// dropped from the in-memory store at the seal (and, at the next tick,
+// from the standing analysis), so an event for it that arrives while the
+// frame is written starts a fresh pair, as it would after the commit. A
+// failed write leaves the eviction in memory; the full rewrite that
+// follows omits the pairs. The eviction set is a pure function of the
+// committed maxTS, so every recovery replays the same evictions at the
+// same commits; and the cutoff never exceeds the new watermark, so an
+// evicted pair's events would be dropped as late on replay anyway.
+func (e *Engine) Commit() error { return e.commitAbove(0) }
 
-	compact := e.logLen == 0 || e.suspect || e.logLen-e.firstLen >= e.firstLen
-	evictedCount := e.evictedCount + int64(len(evict))
-	// A delta frame holds the touched pairs' new events, sample entries and
-	// sources in the order the pairs were first touched, the evictions and
-	// the unsaved detections. A snapshot is a delta from empty: every
-	// surviving pair in full with its detection, in creation order, and no
-	// eviction list, since the evicted pairs are simply absent. It merges
-	// the log with what is uncommitted, so it is about their size.
-	named, pairs := evict, e.touched
-	sizeHint := touchedSizeHint*int64(len(e.touched)) + eventSizeHint*e.uncommit
-	var detected []*pairHistory
-	if compact {
-		e.pruneOrder()
-		named, pairs, sizeHint = nil, e.order, e.logLen+eventSizeHint*e.uncommit
-	} else if len(e.unsaved) > 0 {
-		detected = make([]*pairHistory, 0, len(e.unsaved))
-		for k := range e.unsaved {
-			detected = append(detected, e.pairs[k])
+// commitAbove is Commit once at least limit events are uncommitted,
+// judged after any commit in flight has installed: a caller that waited
+// for that one may find nothing left to do.
+func (e *Engine) commitAbove(limit int64) error {
+	e.commitMu.Lock()
+	defer e.commitMu.Unlock()
+	f, err := e.seal(limit)
+	if f == nil || err != nil {
+		return err
+	}
+	frame, err := f.encode(e.frameBuf)
+	if err == nil {
+		if f.full {
+			err = writeCheckpoint(e.cfg.StateDir, frame)
+		} else {
+			err = appendCheckpoint(e.cfg.StateDir, frame, f.at)
 		}
-		sortPairs(detected)
-		sizeHint += detectionSizeHint * int64(len(detected))
 	}
-	frame, err := e.encodeFrame(wm, evictedCount, named, pairs, detected, evictable, compact, sizeHint)
+	if err == nil {
+		e.install(f, int64(len(frame)))
+	} else {
+		e.failed(f)
+	}
+	clear(f.pairs) // drop the pointers, so an evicted pair is not kept alive
+	e.pairBuf, e.frameBuf = f.pairs[:0], frame[:0]
 	if err != nil {
 		return err
-	}
-	if compact {
-		err = writeCheckpoint(e.cfg.StateDir, frame)
-	} else {
-		err = appendCheckpoint(e.cfg.StateDir, frame, e.logLen)
-	}
-	if err != nil {
-		e.suspect = true
-		return err
-	}
-	if compact {
-		e.logLen, e.firstLen, e.suspect = int64(len(frame)), int64(len(frame)), false
-		e.compactions++
-	} else {
-		e.logLen += int64(len(frame))
-	}
-	e.commits++
-	e.commitBytes += int64(len(frame))
-	for _, h := range e.touched {
-		h.committed, h.committedPaths, h.committedSrcs = len(h.ts), len(h.paths), len(h.srcs)
-	}
-	clear(e.touched) // drop the pointers, so an evicted pair is not kept alive
-	e.touched = e.touched[:0]
-	clear(e.unsaved)
-	e.rememberDurable()
-	e.watermark = wm
-	e.uncommit = 0
-	for _, h := range evict {
-		e.evicted = append(e.evicted, pipeline.PairRef{Source: h.key.Src, Destination: h.key.Dst})
-		e.drop(h)
-	}
-	if 2*e.gone > len(e.order) {
-		e.pruneOrder()
-	}
-	e.evictedCount = evictedCount
-	if len(evict) > 0 {
-		// Post-eviction crash point: the frame naming the evictions is
-		// durable and the in-memory store already dropped the pairs.
-		_ = faultinject.Check(faultinject.PointSourceEvictApply, "evict")
 	}
 	// Post-commit crash point: everything after this line is observable
 	// only in memory.
 	_ = faultinject.Check(faultinject.PointSourceCommitDone, "checkpoint")
 	return nil
+}
+
+// seal captures the next frame and evicts the pairs it names; nil when
+// fewer than limit events are uncommitted or there is nothing to record.
+// commitMu must be held.
+func (e *Engine) seal(limit int64) (*frameSeal, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.uncommit < limit {
+		return nil, nil
+	}
+	if !e.suspect && len(e.touched) == 0 && len(e.unsaved) == 0 && e.maxTS == e.durable.maxTS &&
+		e.lateDropped == e.durable.lateDropped && maps.Equal(e.pos, e.durable.pos) {
+		// No new event or detection and no header movement. That also rules
+		// out a new eviction: the cutoff moves only with maxTS.
+		return nil, nil
+	}
+	f := &frameSeal{
+		full:      e.logLen == 0 || e.suspect || e.logLen-e.firstLen >= e.firstLen,
+		at:        e.logLen,
+		hdr:       durableHeader{pos: maps.Clone(e.pos), maxTS: e.maxTS, lateDropped: e.lateDropped},
+		watermark: e.watermark,
+		detFP:     e.detFP,
+		uncommit:  e.uncommit,
+	}
+	if e.cfg.Lateness > 0 && e.maxTS-e.cfg.Lateness > f.watermark {
+		f.watermark = e.maxTS - e.cfg.Lateness
+	}
+	var evict []*pairHistory
+	if e.cfg.RetainWindows > 0 {
+		// Pre-plan crash point: dying here loses nothing (no state has
+		// changed, the commit just fails).
+		if err := faultinject.Check(faultinject.PointSourceCompactPlan, "compact"); err != nil {
+			return nil, fmt.Errorf("source: compact: %w", err)
+		}
+		cutoff := e.maxTS - int64(e.cfg.RetainWindows)*e.cfg.Lateness
+		for _, h := range e.pairs {
+			if h.maxTS <= cutoff {
+				evict = append(evict, h)
+			}
+		}
+		sortPairs(evict)
+	}
+	f.evictions = len(evict)
+	if !f.full {
+		// A snapshot names no eviction: the evicted pairs are simply absent.
+		f.evicted = make([]pairKey, len(evict))
+	}
+	for i, h := range evict {
+		if !f.full {
+			f.evicted[i] = h.key
+		}
+		e.evicted = append(e.evicted, pipeline.PairRef{Source: h.key.Src, Destination: h.key.Dst})
+		e.drop(h)
+	}
+	e.evictedCount += int64(len(evict))
+	f.evictedCount = e.evictedCount
+
+	// A delta frame holds the touched pairs' new events, sample entries and
+	// sources in the order the pairs were first touched, and the unsaved
+	// detections. A snapshot is a delta from empty: every surviving pair in
+	// full with its detection, in creation order. It merges the log with
+	// what is uncommitted, so it is about their size.
+	if f.full || 2*e.gone > len(e.order) {
+		e.pruneOrder()
+	}
+	if f.full {
+		f.sizeHint = e.logLen + eventSizeHint*e.uncommit
+		f.pairs = slices.Grow(e.pairBuf, len(e.order))
+		for _, h := range e.order {
+			f.pairs = append(f.pairs, pairDelta{h: h, ts: h.ts, paths: h.paths, srcs: h.srcs})
+			if det := h.detection(); det != nil {
+				f.dets = append(f.dets, pairDet{h: h, det: det, n: h.detN})
+			}
+		}
+	} else {
+		f.sizeHint = touchedSizeHint*int64(len(e.touched)) + eventSizeHint*e.uncommit
+		f.pairs = slices.Grow(e.pairBuf, len(e.touched))
+		for _, h := range e.touched {
+			if !h.gone {
+				f.pairs = append(f.pairs, pairDelta{h: h, ts: h.ts[h.committed:],
+					paths: h.paths[h.committedPaths:], srcs: h.srcs[h.committedSrcs:]})
+			}
+		}
+		detected := make([]*pairHistory, 0, len(e.unsaved))
+		for k := range e.unsaved {
+			if h := e.pairs[k]; h != nil && h.detection() != nil {
+				detected = append(detected, h)
+			}
+		}
+		sortPairs(detected)
+		for _, h := range detected {
+			f.dets = append(f.dets, pairDet{h: h, det: h.det, n: h.detN})
+		}
+		f.sizeHint += detectionSizeHint * int64(len(detected))
+	}
+	clear(e.touched) // drop the pointers, so an evicted pair is not kept alive
+	e.touched = e.touched[:0]
+	clear(e.unsaved)
+	return f, nil
+}
+
+// install records a sealed frame of n bytes as written: the log length,
+// the durable header, the committed marks and the watermark. commitMu
+// must be held.
+func (e *Engine) install(f *frameSeal, n int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if f.full {
+		e.logLen, e.firstLen, e.suspect = n, n, false
+		e.compactions++
+	} else {
+		e.logLen += n
+	}
+	e.commits++
+	e.commitBytes += n
+	for _, p := range f.pairs {
+		h := p.h
+		base, basePaths, baseSrcs := h.committed, h.committedPaths, h.committedSrcs
+		if f.full {
+			base, basePaths, baseSrcs = 0, 0, 0
+		}
+		end := base + len(p.ts)
+		// Apply lists a pair as touched when it gains an event with
+		// nothing past its mark. One the frame moved the mark of had new
+		// events all through the write, so Apply never listed it: it is
+		// listed here if it gained more meanwhile.
+		if end > h.committed && len(h.ts) > end {
+			e.touched = append(e.touched, h)
+		}
+		h.committed, h.committedPaths, h.committedSrcs = end, basePaths+len(p.paths), baseSrcs+len(p.srcs)
+	}
+	e.durable = f.hdr
+	e.watermark = f.watermark
+	e.uncommit -= f.uncommit
+	if f.evictions > 0 {
+		// Post-eviction crash point: the frame naming the evictions is
+		// durable and the in-memory store already dropped the pairs.
+		_ = faultinject.Check(faultinject.PointSourceEvictApply, "evict")
+	}
+}
+
+// failed marks the log suspect after a sealed frame was not written, so
+// the next commit rewrites the whole state, and forgets a detection the
+// frame could not encode, so that rewrite goes through and the pair is
+// detected afresh. commitMu must be held.
+func (e *Engine) failed(f *frameSeal) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.suspect = true
+	if b := f.bad; b.h != nil && b.h.det == b.det {
+		b.h.det, b.h.detN = nil, 0
+	}
 }
 
 // rememberDurable records the current header as committed; e.mu must be

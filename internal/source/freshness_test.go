@@ -161,6 +161,39 @@ func TestNoTickWhileBacklogged(t *testing.T) {
 	}
 }
 
+// TestOnDemandTicksWriteNoFrame: an on-demand tick publishes and leaves
+// its events and detections to the count and timer commits. With both out
+// of reach, N on-demand ticks write no frame, and the commit at shutdown
+// is the run's only one.
+func TestOnDemandTicksWriteNoFrame(t *testing.T) {
+	const n = 5
+	conn := newScriptConn()
+	dir := t.TempDir()
+	d, err := NewDaemon(DaemonConfig{
+		Engine:         Config{StateDir: dir, Pipeline: testPipelineCfg(t, nil)},
+		Connectors:     []Connector{conn},
+		TickInterval:   time.Hour,
+		CommitEvery:    1 << 20,
+		CommitInterval: -1,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := runDaemon(t, d)
+	defer stop()
+	eng := d.Engine()
+	for i := int64(1); i <= n; i++ {
+		conn.step(t, 10)
+		conn.step(t, 0)
+		waitUntil(t, 10*time.Second, fmt.Sprintf("on-demand tick %d", i), func() bool { return eng.Stats().Ticks == i })
+	}
+	stop()
+	if st := eng.Stats(); st.Ticks != n || st.Commits != 1 || st.Uncommitted != 0 || st.Events != 10*n {
+		t.Fatalf("stats = %+v, want %d ticks, %d events and one commit, the one at shutdown", st, n, 10*n)
+	}
+}
+
 // countAlive wraps a connector, counting its Sink.Alive calls.
 type countAlive struct {
 	Connector
