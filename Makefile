@@ -112,7 +112,7 @@ STORED_DETECTION_TESTS := TestDeltaLogMatchesCompaction TestRestartDetectsOncePe
 	TestSocketOverlongLineBounded TestFollowIdleBackoffSchedule TestFollowMissingPathBackoff \
 	TestFollowRotationReadsOldFileToEnd TestFollowWakeOnAppend TestFollowWakeAfterRename \
 	TestTickCommitSavesDetections TestStatusFunnelMatchesBatch TestTickCountsListedPairs \
-	TestCommitHangLeavesEngineLive TestEventForEvictedPairDuringCommitStartsFresh \
+	TestCommitHangLeavesEngineLive TestBatchDecidedByFrameInFlightWaits \
 	TestConcurrentApplyAndCommitReplay TestCommitAboveWaitsForFrameInFlight
 STORED_DETECTION_PKGS := ./internal/source ./internal/core ./internal/timeseries
 DURABLE_TESTS := TestDurableOwnsRenames TestWriteFileStepOrder TestWriteFileStepFaults \

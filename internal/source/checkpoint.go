@@ -144,10 +144,10 @@ type frameSeal struct {
 	hdr                     durableHeader
 	watermark, evictedCount int64
 	detFP                   uint64
-	// evicted names the pairs a delta drops; evictions counts the pairs
-	// the seal dropped, which a snapshot simply leaves out.
-	evicted   []pairKey
-	evictions int
+	// evict lists the pairs the frame drops, in key order; its install
+	// drops them from the store. A delta names them; a snapshot simply
+	// leaves them out.
+	evict []*pairHistory
 	// pairs holds, in the order the frame writes them, what each pair
 	// gained since the previous frame (a snapshot: all of it); dets the
 	// detections the frame carries.
@@ -158,6 +158,8 @@ type frameSeal struct {
 	uncommit, sizeHint int64
 	// bad is the detection encode could not render, if any.
 	bad pairDet
+	// settled is closed once the frame is installed or has failed.
+	settled chan struct{}
 }
 
 // pairDelta is one pair entry of a sealed frame: the events, sample
@@ -180,10 +182,9 @@ type pairDet struct {
 // encode renders the sealed frame: the positions, maxTS and late-drop
 // count with the watermark and eviction total the commit will install,
 // the evicted pairs, each pair entry in the order sealed and the
-// detection records. It renders into buf's storage when that is large
-// enough.
-func (f *frameSeal) encode(buf []byte) ([]byte, error) {
-	buf = slices.Grow(buf[:0], frameHdrLen+256+int(f.sizeHint))[:frameHdrLen]
+// detection records.
+func (f *frameSeal) encode() ([]byte, error) {
+	buf := make([]byte, frameHdrLen, frameHdrLen+256+int(f.sizeHint))
 	names := make([]string, 0, len(f.hdr.pos))
 	for name := range f.hdr.pos {
 		names = append(names, name)
@@ -204,10 +205,14 @@ func (f *frameSeal) encode(buf []byte) ([]byte, error) {
 	buf = binary.AppendVarint(buf, f.hdr.lateDropped)
 	buf = binary.AppendVarint(buf, f.evictedCount)
 
-	buf = binary.AppendUvarint(buf, uint64(len(f.evicted)))
-	for _, k := range f.evicted {
-		buf = appendString(buf, k.Src)
-		buf = appendString(buf, k.Dst)
+	var named []*pairHistory
+	if !f.full {
+		named = f.evict
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(named)))
+	for _, h := range named {
+		buf = appendString(buf, h.key.Src)
+		buf = appendString(buf, h.key.Dst)
 	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(f.pairs)))
@@ -533,7 +538,9 @@ func writeCheckpoint(dir string, frame []byte) error {
 
 // appendCheckpoint writes frame at byte at — the end of the valid log —
 // and fsyncs. The file must already exist: its first frame came through
-// writeCheckpoint.
+// writeCheckpoint. A failed write or fsync cuts the file back to at, best
+// effort, so a process that dies before the next commit does not restart
+// from a frame its engine counted as failed.
 func appendCheckpoint(dir string, frame []byte, at int64) error {
 	path := checkpointPath(dir)
 	f, err := os.OpenFile(path, os.O_WRONLY, 0)
@@ -544,6 +551,7 @@ func appendCheckpoint(dir string, frame []byte, at int64) error {
 		_, err = f.WriteAt(frame, at)
 	}
 	if err != nil {
+		f.Truncate(at)
 		f.Close()
 		return fmt.Errorf("source: append %s: %w", path, err)
 	}
@@ -551,6 +559,7 @@ func appendCheckpoint(dir string, frame []byte, at int64) error {
 		err = f.Sync()
 	}
 	if err != nil {
+		f.Truncate(at)
 		f.Close()
 		return fmt.Errorf("source: sync %s: %w", path, err)
 	}

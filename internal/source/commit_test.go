@@ -2,6 +2,7 @@ package source
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -96,61 +97,121 @@ func TestCommitHangLeavesEngineLive(t *testing.T) {
 	}
 }
 
-// TestEventForEvictedPairDuringCommitStartsFresh: an event for a pair that
-// the frame being written evicts starts a new pair, as it would after the
-// commit — in memory at once, and across a restart once it is committed.
-func TestEventForEvictedPairDuringCommitStartsFresh(t *testing.T) {
-	cfg := Config{StateDir: t.TempDir(), Lateness: 100, RetainWindows: 2}
-	eng, err := OpenEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pos Position
-	apply := func(events ...Event) {
-		pos.Records += int64(len(events))
-		eng.Apply(Batch{Source: "s", Events: events, Pos: pos})
-	}
-	pair := pairKey{Src: "h", Dst: "old.example"}
-	apply(Event{Source: "h", Destination: "old.example", TS: 1000}, Event{Source: "h", Destination: "old.example", TS: 1100})
-	if err := eng.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// The stream moves past the retention horizon: the next commit, a
-	// delta, evicts the pair.
-	apply(Event{Source: "h2", Destination: "other.example", TS: 5000})
+// TestBatchDecidedByFrameInFlightWaits: a batch whose fate the frame
+// being written decides — an event the frame's watermark drops and the
+// current one keeps, or an event for a pair the frame evicts — waits
+// until the frame installs or fails, while a batch the frame does not
+// concern lands at once. Installed, the late event is dropped and the
+// evicted pair's event starts a fresh pair; failed, both land as they
+// would have before the commit. Either way a crash right after, with the
+// sources replayed from the checkpointed positions, rebuilds the live
+// store exactly.
+func TestBatchDecidedByFrameInFlightWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		waiting Event
+	}{
+		// W0 = 1000 < 4500 <= W1 = 4900.
+		{"late", Event{Source: "h2", Destination: "other.example", TS: 4500}},
+		// Above W1, but for the pair the frame evicts (maxTS 1100 <= 4800).
+		{"evicted", Event{Source: "h", Destination: "old.example", TS: 4950}},
+	} {
+		for _, fail := range []bool{false, true} {
+			name := tc.name + "/installed"
+			if fail {
+				name = tc.name + "/failed"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{StateDir: t.TempDir(), Lateness: 100, RetainWindows: 2}
+				eng, err := OpenEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams := map[string][]Event{
+					"s": {
+						{Source: "h", Destination: "old.example", TS: 1000},
+						{Source: "h", Destination: "old.example", TS: 1100},
+						{Source: "h2", Destination: "other.example", TS: 5000},
+						tc.waiting,
+					},
+					"t": {{Source: "h3", Destination: "new.example", TS: 5100}},
+				}
+				applyAll(eng, "s", streams["s"][:2], 2)
+				if err := eng.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				applyAll(eng, "s", streams["s"][:3], 1)
+				before := eng.Stats()
 
-	appendsync := string(faultinject.PointSourceCheckpointAppendsync.Keyed("checkpoint"))
-	parked, release := make(chan struct{}), make(chan struct{})
-	defer faultinject.Install(func(point string) error {
-		if point == appendsync {
-			close(parked)
-			<-release
+				appendsync := string(faultinject.PointSourceCheckpointAppendsync.Keyed("checkpoint"))
+				parked, release := make(chan struct{}), make(chan struct{})
+				defer faultinject.Install(func(point string) error {
+					if point != appendsync {
+						return nil
+					}
+					close(parked)
+					<-release
+					if fail {
+						return errors.New("injected fsync failure")
+					}
+					return nil
+				})()
+				committed := make(chan error, 1)
+				// bounded goroutine: the commit parked before its fsync, released by the test and awaited on committed
+				go func() { committed <- eng.Commit() }()
+				<-parked
+				landed := make(chan struct{})
+				// bounded goroutine: the batch the parked frame decides, awaited on landed
+				go func() {
+					defer close(landed)
+					applyAll(eng, "s", streams["s"], 1)
+				}()
+				applyAll(eng, "t", streams["t"], 1)
+				if got := eng.Position("t").Records; got != 1 {
+					t.Fatalf("a batch the frame does not concern is at %d while the frame is written, want 1", got)
+				}
+				select {
+				case <-landed:
+					t.Fatal("the batch the frame in flight decides landed before the frame settled")
+				case <-time.After(50 * time.Millisecond):
+				}
+				close(release)
+				err = <-committed
+				<-landed
+				if fail != (err != nil) {
+					t.Fatalf("commit = %v with the fsync failing %v", err, fail)
+				}
+
+				live := stateOf(t, eng)
+				switch got, k := live.Pairs[pairKey{Src: tc.waiting.Source, Dst: tc.waiting.Destination}].TS, tc.name+"/"+fmt.Sprint(fail); k {
+				case "late/false":
+					if len(got) != 1 || live.LateDropped != before.LateDropped+1 {
+						t.Fatalf("pair %v, %d dropped after the frame installed, want the late event dropped", got, live.LateDropped)
+					}
+				case "late/true":
+					if len(got) != 2 || live.LateDropped != before.LateDropped {
+						t.Fatalf("pair %v, %d dropped after the frame failed, want the event kept", got, live.LateDropped)
+					}
+				case "evicted/false":
+					if len(got) != 1 || live.Evicted != 1 {
+						t.Fatalf("pair %v, %d evicted after the frame installed, want a fresh pair", got, live.Evicted)
+					}
+				case "evicted/true":
+					if len(got) != 3 || live.Evicted != 0 {
+						t.Fatalf("pair %v, %d evicted after the frame failed, want the pair kept", got, live.Evicted)
+					}
+				}
+
+				// A crash now: the restart replays every source from the
+				// position its checkpoint holds.
+				restarted := reopenCopy(t, cfg)
+				for name, events := range streams {
+					applyAll(restarted, name, events, 1)
+				}
+				requireSameState(t, "restart with the sources replayed", stateOf(t, restarted), live)
+			})
 		}
-		return nil
-	})()
-	committed := make(chan error, 1)
-	// bounded goroutine: the commit parked before its fsync, released by the test and awaited on committed
-	go func() { committed <- eng.Commit() }()
-	<-parked
-	apply(Event{Source: "h", Destination: "old.example", TS: 4950})
-	if got := stateOf(t, eng).Pairs[pair].TS; len(got) != 1 || got[0] != 4950 {
-		t.Fatalf("the returning pair holds %v while its eviction is written, want only the new event", got)
 	}
-	close(release)
-	if err := <-committed; err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Stats(); st.Evicted != 1 || st.Pairs != 2 || st.Uncommitted != 1 {
-		t.Fatalf("stats after the evicting commit = %+v, want 1 evicted, 2 pairs, the returning event uncommitted", st)
-	}
-	if err := eng.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := stateOf(t, eng)
-	if got := want.Pairs[pair].TS; len(got) != 1 {
-		t.Fatalf("the returning pair holds %v after the next commit, want only the new event", got)
-	}
-	requireSameState(t, "restart after the eviction", stateOf(t, reopenCopy(t, cfg)), want)
 }
 
 // TestConcurrentApplyAndCommitReplay runs two sources' Apply against a

@@ -95,8 +95,9 @@ type pairHistory struct {
 	det  *core.Result
 	detN int
 	// dirty is set while the pair is on the engine's dirty list; gone once
-	// retention evicted it, after which the engine's lists shed it.
-	dirty, gone bool
+	// retention evicted it, after which the engine's lists shed it;
+	// evicting while the frame in flight names it for eviction.
+	dirty, gone, evicting bool
 	// shown is set while the published /host timelines show the pair's
 	// current history; host is the index entry the publisher filed the
 	// pair under (nil until it first publishes after the pair's creation).
@@ -214,12 +215,14 @@ type Engine struct {
 	commits, commitBytes, compactions int64
 	// commitMu serializes commits, which encode, write and fsync a frame
 	// outside mu; a commit takes mu only to seal and to install it.
-	// commitMu is always acquired first. pairBuf and frameBuf hold the
-	// last commit's pair entries and frame bytes, emptied, for the next
-	// commit to fill; commitMu guards them.
+	// commitMu is always acquired first. pairBuf holds the last commit's
+	// pair entries, emptied, for the next commit to fill; commitMu guards
+	// it.
 	commitMu sync.Mutex
 	pairBuf  []pairDelta
-	frameBuf []byte
+	// inflight is the frame sealed and not yet installed or failed, if
+	// any (see awaitsFrame).
+	inflight *frameSeal
 	// detFP keys the detections this engine writes and accepts (see
 	// detectionFingerprint); detRestored and detStale count what the log
 	// held at open.
@@ -390,9 +393,15 @@ func (e *Engine) warnf(format string, args ...any) {
 // and every event still counts exactly once. Events at or below the
 // committed watermark are dropped (counted in LateDropped); everything
 // else lands in its pair's history and marks the pair dirty for the next
-// tick. Returns the number of events actually applied.
+// tick. A batch whose fate the frame in flight decides waits for it (see
+// awaitsFrame). Returns the number of events actually applied.
 func (e *Engine) Apply(b Batch) int {
 	e.mu.Lock()
+	for settled := e.awaitsFrame(b.Events); settled != nil; settled = e.awaitsFrame(b.Events) {
+		e.mu.Unlock()
+		<-settled
+		e.mu.Lock()
+	}
 	defer e.mu.Unlock()
 	cur := e.pos[b.Source]
 	first := b.Pos.Records - int64(len(b.Events))
@@ -416,7 +425,7 @@ func (e *Engine) Apply(b Batch) int {
 	}
 	applied := 0
 	for _, ev := range b.Events[skip:] {
-		if e.watermark > 0 && ev.TS <= e.watermark {
+		if late(e.watermark, ev.TS) {
 			e.lateDropped++
 			continue
 		}
@@ -452,6 +461,35 @@ func (e *Engine) Apply(b Batch) int {
 	return applied
 }
 
+// late reports whether an event at ts falls behind the watermark wm.
+func late(wm, ts int64) bool { return wm > 0 && ts <= wm }
+
+// awaitsFrame returns the channel the frame in flight closes when it
+// installs or fails if that frame decides what becomes of one of events:
+// an event its watermark drops and the current one keeps, or one for a
+// pair it evicts; otherwise nil. Such a batch waits for the frame, as
+// every batch once waited behind a whole commit, so each of its events is
+// judged against the durable watermark and store: a restart from the
+// installed frame drops what the live engine dropped, and a failed frame
+// changes nothing. Any other batch lands at once. e.mu must be held.
+func (e *Engine) awaitsFrame(events []Event) <-chan struct{} {
+	f := e.inflight
+	if f == nil || (f.watermark == e.watermark && len(f.evict) == 0) {
+		return nil
+	}
+	for _, ev := range events {
+		if late(f.watermark, ev.TS) && !late(e.watermark, ev.TS) {
+			return f.settled
+		}
+		if len(f.evict) > 0 {
+			if h := e.pairs[pairKey{Src: ev.Source, Dst: ev.Destination}]; h != nil && h.evicting {
+				return f.settled
+			}
+		}
+	}
+	return nil
+}
+
 // Commit makes the current state durable by writing one checkpoint frame
 // (see checkpoint.go): normally the events applied since the last commit,
 // appended and fsynced; when the log has doubled since its first frame,
@@ -462,7 +500,7 @@ func (e *Engine) Apply(b Batch) int {
 // returns without touching the disk.
 //
 // A commit takes e.mu only to seal the frame and to install it, so Apply,
-// Tick and the readers never wait on its encoding, write or fsync:
+// Tick and the readers do not wait on its encoding, write or fsync:
 //
 //   - seal, under e.mu: decide the compaction, the evictions and the
 //     watermark, copy the header and, for every pair the frame writes,
@@ -473,26 +511,28 @@ func (e *Engine) Apply(b Batch) int {
 //   - encode, write and fsync, outside e.mu, under commitMu, which keeps
 //     one writer. The lock order is commitMu, then e.mu.
 //   - install, under e.mu: the log length, the durable header, the
-//     committed marks and the watermark.
+//     committed marks, the watermark and the evictions.
 //
 // The watermark advance (maxTS - Lateness) is computed into the frame and
 // installed in memory only after the write commits, so drop decisions
 // always reflect durable state and replay after a crash reproduces them
-// exactly. A failed write installs nothing and marks the log suspect,
-// which makes the next commit a full rewrite of whatever memory then
-// holds.
+// exactly. A batch holding an event that the new watermark would drop and
+// the old one keeps waits for the install (awaitsFrame); every other batch
+// lands while the frame is written. A failed write installs nothing and
+// marks the log suspect, which makes the next commit a full rewrite of
+// whatever memory then holds.
 //
 // When RetainWindows is set, Commit also evicts idle pairs: any pair whose
 // newest event trails the stream's high-water mark by more than
-// RetainWindows lateness windows is named in the frame being written and
-// dropped from the in-memory store at the seal (and, at the next tick,
-// from the standing analysis), so an event for it that arrives while the
-// frame is written starts a fresh pair, as it would after the commit. A
-// failed write leaves the eviction in memory; the full rewrite that
-// follows omits the pairs. The eviction set is a pure function of the
-// committed maxTS, so every recovery replays the same evictions at the
-// same commits; and the cutoff never exceeds the new watermark, so an
-// evicted pair's events would be dropped as late on replay anyway.
+// RetainWindows lateness windows is named in the frame being written and,
+// once it is installed, dropped from the in-memory store (and, at the next
+// tick, from the standing analysis). A batch with an event for such a pair
+// waits for the install too, after which the event starts a fresh pair,
+// as any event after the commit would; a failed write keeps the pair. The
+// eviction set is a pure function of the committed maxTS, so every
+// recovery replays the same evictions at the same commits; and the cutoff
+// never exceeds the new watermark, so an evicted pair's events would be
+// dropped as late on replay anyway.
 func (e *Engine) Commit() error { return e.commitAbove(0) }
 
 // commitAbove is Commit once at least limit events are uncommitted,
@@ -505,7 +545,15 @@ func (e *Engine) commitAbove(limit int64) error {
 	if f == nil || err != nil {
 		return err
 	}
-	frame, err := f.encode(e.frameBuf)
+	installed := false
+	defer func() {
+		// Also run when the write panics, so no batch waits on a frame
+		// that never settles.
+		if !installed {
+			e.failed(f)
+		}
+	}()
+	frame, err := f.encode()
 	if err == nil {
 		if f.full {
 			err = writeCheckpoint(e.cfg.StateDir, frame)
@@ -514,12 +562,11 @@ func (e *Engine) commitAbove(limit int64) error {
 		}
 	}
 	if err == nil {
+		installed = true
 		e.install(f, int64(len(frame)))
-	} else {
-		e.failed(f)
 	}
 	clear(f.pairs) // drop the pointers, so an evicted pair is not kept alive
-	e.pairBuf, e.frameBuf = f.pairs[:0], frame[:0]
+	e.pairBuf = f.pairs[:0]
 	if err != nil {
 		return err
 	}
@@ -529,7 +576,7 @@ func (e *Engine) commitAbove(limit int64) error {
 	return nil
 }
 
-// seal captures the next frame and evicts the pairs it names; nil when
+// seal captures the next frame and marks the pairs it evicts; nil when
 // fewer than limit events are uncommitted or there is nothing to record.
 // commitMu must be held.
 func (e *Engine) seal(limit int64) (*frameSeal, error) {
@@ -555,7 +602,6 @@ func (e *Engine) seal(limit int64) (*frameSeal, error) {
 	if e.cfg.Lateness > 0 && e.maxTS-e.cfg.Lateness > f.watermark {
 		f.watermark = e.maxTS - e.cfg.Lateness
 	}
-	var evict []*pairHistory
 	if e.cfg.RetainWindows > 0 {
 		// Pre-plan crash point: dying here loses nothing (no state has
 		// changed, the commit just fails).
@@ -565,25 +611,13 @@ func (e *Engine) seal(limit int64) (*frameSeal, error) {
 		cutoff := e.maxTS - int64(e.cfg.RetainWindows)*e.cfg.Lateness
 		for _, h := range e.pairs {
 			if h.maxTS <= cutoff {
-				evict = append(evict, h)
+				h.evicting = true
+				f.evict = append(f.evict, h)
 			}
 		}
-		sortPairs(evict)
+		sortPairs(f.evict)
 	}
-	f.evictions = len(evict)
-	if !f.full {
-		// A snapshot names no eviction: the evicted pairs are simply absent.
-		f.evicted = make([]pairKey, len(evict))
-	}
-	for i, h := range evict {
-		if !f.full {
-			f.evicted[i] = h.key
-		}
-		e.evicted = append(e.evicted, pipeline.PairRef{Source: h.key.Src, Destination: h.key.Dst})
-		e.drop(h)
-	}
-	e.evictedCount += int64(len(evict))
-	f.evictedCount = e.evictedCount
+	f.evictedCount = e.evictedCount + int64(len(f.evict))
 
 	// A delta frame holds the touched pairs' new events, sample entries and
 	// sources in the order the pairs were first touched, and the unsaved
@@ -597,6 +631,9 @@ func (e *Engine) seal(limit int64) (*frameSeal, error) {
 		f.sizeHint = e.logLen + eventSizeHint*e.uncommit
 		f.pairs = slices.Grow(e.pairBuf, len(e.order))
 		for _, h := range e.order {
+			if h.evicting {
+				continue
+			}
 			f.pairs = append(f.pairs, pairDelta{h: h, ts: h.ts, paths: h.paths, srcs: h.srcs})
 			if det := h.detection(); det != nil {
 				f.dets = append(f.dets, pairDet{h: h, det: det, n: h.detN})
@@ -606,14 +643,14 @@ func (e *Engine) seal(limit int64) (*frameSeal, error) {
 		f.sizeHint = touchedSizeHint*int64(len(e.touched)) + eventSizeHint*e.uncommit
 		f.pairs = slices.Grow(e.pairBuf, len(e.touched))
 		for _, h := range e.touched {
-			if !h.gone {
+			if !h.evicting {
 				f.pairs = append(f.pairs, pairDelta{h: h, ts: h.ts[h.committed:],
 					paths: h.paths[h.committedPaths:], srcs: h.srcs[h.committedSrcs:]})
 			}
 		}
 		detected := make([]*pairHistory, 0, len(e.unsaved))
 		for k := range e.unsaved {
-			if h := e.pairs[k]; h != nil && h.detection() != nil {
+			if h := e.pairs[k]; h != nil && !h.evicting && h.detection() != nil {
 				detected = append(detected, h)
 			}
 		}
@@ -626,12 +663,14 @@ func (e *Engine) seal(limit int64) (*frameSeal, error) {
 	clear(e.touched) // drop the pointers, so an evicted pair is not kept alive
 	e.touched = e.touched[:0]
 	clear(e.unsaved)
+	f.settled = make(chan struct{})
+	e.inflight = f
 	return f, nil
 }
 
 // install records a sealed frame of n bytes as written: the log length,
-// the durable header, the committed marks and the watermark. commitMu
-// must be held.
+// the durable header, the committed marks, the watermark and the
+// evictions. commitMu must be held.
 func (e *Engine) install(f *frameSeal, n int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -662,24 +701,37 @@ func (e *Engine) install(f *frameSeal, n int64) {
 	e.durable = f.hdr
 	e.watermark = f.watermark
 	e.uncommit -= f.uncommit
-	if f.evictions > 0 {
+	for _, h := range f.evict {
+		e.evicted = append(e.evicted, pipeline.PairRef{Source: h.key.Src, Destination: h.key.Dst})
+		e.drop(h)
+	}
+	e.evictedCount = f.evictedCount
+	e.inflight = nil
+	close(f.settled)
+	if len(f.evict) > 0 {
 		// Post-eviction crash point: the frame naming the evictions is
 		// durable and the in-memory store already dropped the pairs.
 		_ = faultinject.Check(faultinject.PointSourceEvictApply, "evict")
 	}
 }
 
-// failed marks the log suspect after a sealed frame was not written, so
-// the next commit rewrites the whole state, and forgets a detection the
-// frame could not encode, so that rewrite goes through and the pair is
-// detected afresh. commitMu must be held.
+// failed settles a sealed frame that was not written: it keeps the pairs
+// the frame would have evicted, marks the log suspect, so the next commit
+// rewrites the whole state, and forgets a detection the frame could not
+// encode, so that rewrite goes through and the pair is detected afresh.
+// commitMu must be held.
 func (e *Engine) failed(f *frameSeal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.suspect = true
+	for _, h := range f.evict {
+		h.evicting = false
+	}
 	if b := f.bad; b.h != nil && b.h.det == b.det {
 		b.h.det, b.h.detN = nil, 0
 	}
+	e.inflight = nil
+	close(f.settled)
 }
 
 // rememberDurable records the current header as committed; e.mu must be
