@@ -113,7 +113,7 @@ STORED_DETECTION_TESTS := TestDeltaLogMatchesCompaction TestRestartDetectsOncePe
 	TestFollowRotationReadsOldFileToEnd TestFollowWakeOnAppend TestFollowWakeAfterRename \
 	TestTickCommitSavesDetections TestStatusFunnelMatchesBatch TestTickCountsListedPairs \
 	TestCommitHangLeavesEngineLive TestBatchDecidedByFrameInFlightWaits \
-	TestConcurrentApplyAndCommitReplay TestCommitAboveWaitsForFrameInFlight
+	TestConcurrentApplyAndCommitReplay TestCommitWaitsForFrameInFlight
 STORED_DETECTION_PKGS := ./internal/source ./internal/core ./internal/timeseries
 DURABLE_TESTS := TestDurableOwnsRenames TestWriteFileStepOrder TestWriteFileStepFaults \
 	TestQuarantineNeverOverwrites TestQuarantineReportsFailure \
@@ -132,7 +132,7 @@ FRESHNESS_TESTS := TestTickOnCaughtUpSource TestNoTickWhileBacklogged \
 	TestIdleSourceMintsNoGeneration TestOnDemandTickPacedByItsCost \
 	TestFollowWakeOnAppend TestTickCommitSavesDetections \
 	TestFollowWakesWithoutPolling TestFollowWatchCancelPrompt TestFollowWatchReleasedOnReopen \
-	TestOnDemandTicksWriteNoFrame
+	TestOnDemandTicksWriteNoFrame TestClockTickIsTheCommitClock
 FRESHNESS_PKGS := ./internal/source
 
 empty :=

@@ -306,11 +306,11 @@ func TestConcurrentApplyAndCommitReplay(t *testing.T) {
 	}
 }
 
-// TestCommitAboveWaitsForFrameInFlight: a commit at a count bound — the
-// one a connector makes at twice CommitEvery — waits for the frame in
-// flight and judges the count once that frame is installed, so it writes
-// nothing when the frame took the count back under the bound.
-func TestCommitAboveWaitsForFrameInFlight(t *testing.T) {
+// TestCommitWaitsForFrameInFlight: one frame is in flight at a time. A
+// Commit that starts while another's frame is parked before its fsync
+// waits for that frame to install, then writes the events applied since
+// its seal, so the log replays to the live store.
+func TestCommitWaitsForFrameInFlight(t *testing.T) {
 	cfg := Config{StateDir: t.TempDir()}
 	eng, err := OpenEngine(cfg)
 	if err != nil {
@@ -343,29 +343,23 @@ func TestCommitAboveWaitsForFrameInFlight(t *testing.T) {
 	if got := eng.Uncommitted(); got != 150 {
 		t.Fatalf("uncommitted = %d with a 100-event frame in flight and 50 more applied, want 150", got)
 	}
-	above := make(chan error, 1)
-	// bounded goroutine: the bounded commit, awaited on above
-	go func() { above <- eng.commitAbove(100) }()
+	second := make(chan error, 1)
+	// bounded goroutine: the second commit, awaited on second
+	go func() { second <- eng.Commit() }()
 	select {
-	case err := <-above:
-		t.Fatalf("the bounded commit returned (%v) while a frame was in flight", err)
+	case err := <-second:
+		t.Fatalf("the second commit returned (%v) while a frame was in flight", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
 	if err := <-committed; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-above; err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Stats(); st.Commits != 2 || st.Uncommitted != 50 {
-		t.Fatalf("stats = %+v, want the bounded commit to write nothing once 50 events were left", st)
-	}
-	if err := eng.commitAbove(50); err != nil {
+	if err := <-second; err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.Stats(); st.Commits != 3 || st.Uncommitted != 0 {
-		t.Fatalf("stats = %+v, want a third commit at the bound", st)
+		t.Fatalf("stats = %+v, want the second commit to write the 50 events left", st)
 	}
-	requireSameState(t, "restart after the bounded commits", stateOf(t, reopenCopy(t, cfg)), stateOf(t, eng))
+	requireSameState(t, "restart after the second commit", stateOf(t, reopenCopy(t, cfg)), stateOf(t, eng))
 }

@@ -27,13 +27,9 @@ type DaemonConfig struct {
 	// daemon loop takes the checkpoint, so a connector does not wait on it;
 	// a connector that gets twice this far ahead while the request is
 	// pending commits inline, which bounds uncommitted events at
-	// 2×CommitEvery plus one batch. It first waits for a commit in
-	// flight, and writes no frame of its own if that one brought the
-	// count back under the bound.
+	// 2×CommitEvery plus one batch. Every clock tick commits too, whatever
+	// the count.
 	CommitEvery int
-	// CommitInterval checkpoints on a timer regardless of volume (default
-	// TickInterval; <0 disables timer-based commits).
-	CommitInterval time.Duration
 	// QueryAddr serves the query endpoint when non-empty (e.g.
 	// "127.0.0.1:8478").
 	QueryAddr string
@@ -69,9 +65,6 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	}
 	if c.CommitEvery == 0 {
 		c.CommitEvery = 5000
-	}
-	if c.CommitInterval == 0 {
-		c.CommitInterval = c.TickInterval
 	}
 	if c.MaxQueries == 0 {
 		c.MaxQueries = 16
@@ -186,10 +179,8 @@ func (d *Daemon) maybeCommit() {
 	}
 	switch n, every := d.eng.Uncommitted(), int64(d.cfg.CommitEvery); {
 	case n >= 2*every:
-		// A commit in flight counts its events as uncommitted until it
-		// installs; wait for it, and write another only if it did not
-		// take the count back under the bound.
-		d.commitAbove(2 * every)
+		// Waits for a commit in flight, then writes what is left.
+		d.commit()
 	case n >= every:
 		select {
 		case d.commitReq <- struct{}{}:
@@ -201,21 +192,16 @@ func (d *Daemon) maybeCommit() {
 // commit checkpoints, degrading (not dying) on failure: a full disk or
 // I/O error costs durability of the window since the last good commit,
 // which the sources can replay, and the next commit retries.
-func (d *Daemon) commit() { d.commitAbove(0) }
-
-// commitAbove is commit once at least limit events are uncommitted, judged
-// after any commit in flight has installed.
-func (d *Daemon) commitAbove(limit int64) {
-	if err := d.eng.commitAbove(limit); err != nil {
+func (d *Daemon) commit() {
+	if err := d.eng.Commit(); err != nil {
 		d.commitFails.Add(1)
 		d.logf("commit failed: %v", err)
 	}
 }
 
 // Run starts the supervisors and drives the commit/tick cadence — the
-// ticks, the commit timer and the connectors' count-triggered requests —
-// until ctx ends; it then drains the connectors, takes a final commit, and
-// returns.
+// ticks and the connectors' count-triggered commit requests — until ctx
+// ends; it then drains the connectors, takes a final commit, and returns.
 //
 // A tick starts on demand when a source that delivered events reports it
 // has caught up and pairs are dirty (or evictions wait), so a line is
@@ -225,9 +211,10 @@ func (d *Daemon) commitAbove(limit int64) {
 // the loop's time however fast reports come. A backlog being drained
 // reports nothing until its end and ticks on the clock alone; TickInterval
 // stays the bound for sources that never report catching up.
-// The restart tick and clock ticks commit right after they publish; an
-// on-demand tick does not, and the CommitEvery and CommitInterval commits
-// save what it applied and detected.
+// The restart tick and clock ticks commit right after they publish, so
+// TickInterval is also the commit clock; an on-demand tick does not
+// commit, and the CommitEvery commits and the next clock tick save what it
+// applied and detected.
 // The daemon's crash contract does not depend on the drain — a SIGKILL at
 // any instant loses only uncommitted events, which the checkpointed
 // positions let the sources replay.
@@ -280,8 +267,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 		d.commit()
 	}
 	// An on-demand tick leaves its events and detections to the count and
-	// timer commits: it may run many times a second, and a commit after
-	// each would hold the loop for an fsync of a few dozen events.
+	// clock tick commits: it may run many times a second, and a commit
+	// after each would hold the loop for an fsync of a few dozen events.
 	onDemand := func() {
 		if !d.eng.pending() {
 			return
@@ -302,22 +289,14 @@ func (d *Daemon) Run(ctx context.Context) error {
 
 	tick := time.NewTicker(d.cfg.TickInterval)
 	defer tick.Stop()
-	var commitC <-chan time.Time
-	if d.cfg.CommitInterval > 0 {
-		ct := time.NewTicker(d.cfg.CommitInterval)
-		defer ct.Stop()
-		commitC = ct.C
-	}
 	for ctx.Err() == nil {
 		select {
 		case <-ctx.Done():
-		case <-commitC:
-			// Also saves the detections of on-demand ticks; a commit with
-			// nothing to record touches no disk.
-			d.commit()
 		case <-d.commitReq:
 			// A tick's commit or an inline one may have come first.
-			d.commitAbove(int64(d.cfg.CommitEvery))
+			if d.eng.Uncommitted() >= int64(d.cfg.CommitEvery) {
+				d.commit()
+			}
 		case <-d.caughtUp:
 			onDemand()
 		case <-paceC:

@@ -427,12 +427,11 @@ func TestCountCommitBoundWhileLoopBusy(t *testing.T) {
 	cfg := Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)}
 	conn := &burstConn{seed: seed, batches: batches, size: size, release: make(chan struct{}), done: make(chan struct{})}
 	d, err := NewDaemon(DaemonConfig{
-		Engine:         cfg,
-		Connectors:     []Connector{conn},
-		TickInterval:   10 * time.Millisecond,
-		CommitEvery:    every,
-		CommitInterval: -1,
-		Logf:           t.Logf,
+		Engine:       cfg,
+		Connectors:   []Connector{conn},
+		TickInterval: 10 * time.Millisecond,
+		CommitEvery:  every,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -558,12 +557,11 @@ func TestCountCommitRunsOnDaemonLoop(t *testing.T) {
 	cfg := Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)}
 	conn := &stepConn{n: 100, step: make(chan struct{}), delivered: make(chan struct{})}
 	d, err := NewDaemon(DaemonConfig{
-		Engine:         cfg,
-		Connectors:     []Connector{conn},
-		TickInterval:   time.Hour,
-		CommitEvery:    100,
-		CommitInterval: -1,
-		Logf:           t.Logf,
+		Engine:       cfg,
+		Connectors:   []Connector{conn},
+		TickInterval: time.Hour,
+		CommitEvery:  100,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -612,7 +610,8 @@ func TestCountCommitRunsOnDaemonLoop(t *testing.T) {
 
 // TestTickCommitSavesDetections: the daemon commits after a tick, not
 // before it, so a tick's fresh detections are durable in the same loop
-// turn — here with no timer commit and no new event to trigger one.
+// turn — here with no clock tick in reach and no new event to trigger a
+// commit.
 func TestTickCommitSavesDetections(t *testing.T) {
 	tr := smallTrace(t)
 	cfg := testPipelineCfg(t, tr.Catalog[:50])
@@ -631,9 +630,8 @@ func TestTickCommitSavesDetections(t *testing.T) {
 		Connectors: []Connector{
 			&FileFollower{Path: filepath.Join(t.TempDir(), "absent.log"), SourceName: "proxy", PollInterval: time.Millisecond},
 		},
-		TickInterval:   time.Hour,
-		CommitInterval: -1,
-		Logf:           t.Logf,
+		TickInterval: time.Hour,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

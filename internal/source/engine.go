@@ -213,16 +213,12 @@ type Engine struct {
 	suspect  bool
 	// Commit accounting since open, for Stats.
 	commits, commitBytes, compactions int64
-	// commitMu serializes commits, which encode, write and fsync a frame
-	// outside mu; a commit takes mu only to seal and to install it.
-	// commitMu is always acquired first. pairBuf holds the last commit's
-	// pair entries, emptied, for the next commit to fill; commitMu guards
-	// it.
-	commitMu sync.Mutex
-	pairBuf  []pairDelta
 	// inflight is the frame sealed and not yet installed or failed, if
-	// any (see awaitsFrame).
+	// any: the one frame a commit may have in flight (see seal and
+	// awaitsFrame). pairBuf holds the pair entries of the last frame
+	// settled, emptied, for the next seal to fill.
 	inflight *frameSeal
+	pairBuf  []pairDelta
 	// detFP keys the detections this engine writes and accepts (see
 	// detectionFingerprint); detRestored and detStale count what the log
 	// held at open.
@@ -500,16 +496,17 @@ func (e *Engine) awaitsFrame(events []Event) <-chan struct{} {
 // returns without touching the disk.
 //
 // A commit takes e.mu only to seal the frame and to install it, so Apply,
-// Tick and the readers do not wait on its encoding, write or fsync:
+// Tick and the readers do not wait on its encoding, write or fsync. One
+// frame is in flight at a time: a concurrent Commit waits for it to
+// install or fail, then writes what is left.
 //
-//   - seal, under e.mu: decide the compaction, the evictions and the
-//     watermark, copy the header and, for every pair the frame writes,
-//     the ranges of its history and sample the frame holds and the
-//     detection it carries, then start a new touched list and clear
-//     unsaved. A pair's history only ever grows by appending, so the
+//   - seal, under e.mu, once no frame is in flight: decide the
+//     compaction, the evictions and the watermark, copy the header and,
+//     for every pair the frame writes, the ranges of its history and
+//     sample the frame holds and the detection it carries, then start a
+//     new touched list and clear unsaved. A pair's history only ever grows by appending, so the
 //     ranges stay valid while Apply goes on; the cost is O(frame pairs).
-//   - encode, write and fsync, outside e.mu, under commitMu, which keeps
-//     one writer. The lock order is commitMu, then e.mu.
+//   - encode, write and fsync, outside e.mu.
 //   - install, under e.mu: the log length, the durable header, the
 //     committed marks, the watermark and the evictions.
 //
@@ -533,15 +530,8 @@ func (e *Engine) awaitsFrame(events []Event) <-chan struct{} {
 // recovery replays the same evictions at the same commits; and the cutoff
 // never exceeds the new watermark, so an evicted pair's events would be
 // dropped as late on replay anyway.
-func (e *Engine) Commit() error { return e.commitAbove(0) }
-
-// commitAbove is Commit once at least limit events are uncommitted,
-// judged after any commit in flight has installed: a caller that waited
-// for that one may find nothing left to do.
-func (e *Engine) commitAbove(limit int64) error {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
-	f, err := e.seal(limit)
+func (e *Engine) Commit() error {
+	f, err := e.seal()
 	if f == nil || err != nil {
 		return err
 	}
@@ -561,15 +551,11 @@ func (e *Engine) commitAbove(limit int64) error {
 			err = appendCheckpoint(e.cfg.StateDir, frame, f.at)
 		}
 	}
-	if err == nil {
-		installed = true
-		e.install(f, int64(len(frame)))
-	}
-	clear(f.pairs) // drop the pointers, so an evicted pair is not kept alive
-	e.pairBuf = f.pairs[:0]
 	if err != nil {
 		return err
 	}
+	installed = true
+	e.install(f, int64(len(frame)))
 	// Post-commit crash point: everything after this line is observable
 	// only in memory.
 	_ = faultinject.Check(faultinject.PointSourceCommitDone, "checkpoint")
@@ -577,13 +563,17 @@ func (e *Engine) commitAbove(limit int64) error {
 }
 
 // seal captures the next frame and marks the pairs it evicts; nil when
-// fewer than limit events are uncommitted or there is nothing to record.
-// commitMu must be held.
-func (e *Engine) seal(limit int64) (*frameSeal, error) {
+// there is nothing to record. One frame is in flight at a time: seal
+// first waits, with e.mu released, for the one in flight to install or
+// fail, so a frame always follows the one before it in the log.
+func (e *Engine) seal() (*frameSeal, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.uncommit < limit {
-		return nil, nil
+	for e.inflight != nil {
+		settled := e.inflight.settled
+		e.mu.Unlock()
+		<-settled
+		e.mu.Lock()
 	}
 	if !e.suspect && len(e.touched) == 0 && len(e.unsaved) == 0 && e.maxTS == e.durable.maxTS &&
 		e.lateDropped == e.durable.lateDropped && maps.Equal(e.pos, e.durable.pos) {
@@ -670,7 +660,7 @@ func (e *Engine) seal(limit int64) (*frameSeal, error) {
 
 // install records a sealed frame of n bytes as written: the log length,
 // the durable header, the committed marks, the watermark and the
-// evictions. commitMu must be held.
+// evictions.
 func (e *Engine) install(f *frameSeal, n int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -706,8 +696,7 @@ func (e *Engine) install(f *frameSeal, n int64) {
 		e.drop(h)
 	}
 	e.evictedCount = f.evictedCount
-	e.inflight = nil
-	close(f.settled)
+	e.settle(f)
 	if len(f.evict) > 0 {
 		// Post-eviction crash point: the frame naming the evictions is
 		// durable and the in-memory store already dropped the pairs.
@@ -719,7 +708,6 @@ func (e *Engine) install(f *frameSeal, n int64) {
 // the frame would have evicted, marks the log suspect, so the next commit
 // rewrites the whole state, and forgets a detection the frame could not
 // encode, so that rewrite goes through and the pair is detected afresh.
-// commitMu must be held.
 func (e *Engine) failed(f *frameSeal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -730,6 +718,14 @@ func (e *Engine) failed(f *frameSeal) {
 	if b := f.bad; b.h != nil && b.h.det == b.det {
 		b.h.det, b.h.detN = nil, 0
 	}
+	e.settle(f)
+}
+
+// settle ends f's flight, hands its pair entries back for the next seal
+// and releases what waits on it; e.mu must be held.
+func (e *Engine) settle(f *frameSeal) {
+	clear(f.pairs) // drop the pointers, so an evicted pair is not kept alive
+	e.pairBuf = f.pairs[:0]
 	e.inflight = nil
 	close(f.settled)
 }

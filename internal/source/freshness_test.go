@@ -162,20 +162,19 @@ func TestNoTickWhileBacklogged(t *testing.T) {
 }
 
 // TestOnDemandTicksWriteNoFrame: an on-demand tick publishes and leaves
-// its events and detections to the count and timer commits. With both out
-// of reach, N on-demand ticks write no frame, and the commit at shutdown
-// is the run's only one.
+// its events and detections to the count and clock tick commits. With
+// both out of reach, N on-demand ticks write no frame, and the commit at
+// shutdown is the run's only one.
 func TestOnDemandTicksWriteNoFrame(t *testing.T) {
 	const n = 5
 	conn := newScriptConn()
 	dir := t.TempDir()
 	d, err := NewDaemon(DaemonConfig{
-		Engine:         Config{StateDir: dir, Pipeline: testPipelineCfg(t, nil)},
-		Connectors:     []Connector{conn},
-		TickInterval:   time.Hour,
-		CommitEvery:    1 << 20,
-		CommitInterval: -1,
-		Logf:           t.Logf,
+		Engine:       Config{StateDir: dir, Pipeline: testPipelineCfg(t, nil)},
+		Connectors:   []Connector{conn},
+		TickInterval: time.Hour,
+		CommitEvery:  1 << 20,
+		Logf:         t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,6 +190,37 @@ func TestOnDemandTicksWriteNoFrame(t *testing.T) {
 	stop()
 	if st := eng.Stats(); st.Ticks != n || st.Commits != 1 || st.Uncommitted != 0 || st.Events != 10*n {
 		t.Fatalf("stats = %+v, want %d ticks, %d events and one commit, the one at shutdown", st, n, 10*n)
+	}
+}
+
+// TestClockTickIsTheCommitClock: with count commits out of reach and no
+// source reporting it has caught up, only the clock ticks commit. A
+// source delivering all along gets at most one frame per clock tick, plus
+// the one at shutdown.
+func TestClockTickIsTheCommitClock(t *testing.T) {
+	const ticks = 15
+	conn := newScriptConn()
+	d, err := NewDaemon(DaemonConfig{
+		Engine:       Config{StateDir: t.TempDir(), Pipeline: testPipelineCfg(t, nil)},
+		Connectors:   []Connector{conn},
+		TickInterval: 20 * time.Millisecond,
+		CommitEvery:  1 << 20,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := runDaemon(t, d)
+	defer stop()
+	eng := d.Engine()
+	for eng.Stats().Ticks < ticks {
+		conn.step(t, 10)
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	if st := eng.Stats(); st.Commits > st.Ticks+1 {
+		t.Fatalf("stats = %+v: %d commits over %d clock ticks, want at most one per tick and the one at shutdown",
+			st, st.Commits, st.Ticks)
 	}
 }
 
