@@ -97,7 +97,7 @@ BENCH_NOISE ?= -noise 'BenchmarkDetectPerPair:0.35' -noise 'BenchmarkDetectBatch
 FRONT_HALF_TESTS := TestGoldenFunnel TestGoldenSummaries TestRunStreamMatchesRun \
 	TestRunSeparatorPairsStayDistinct TestWholeFileReadersMatchReference \
 	TestIngestReportsFailingShardNotCancelledSibling TestIngestCountsListedPairs \
-	TestCountPathMatchesSummaryPath TestIncrementalListedPairsAsCounts
+	TestCountPathMatchesSummaryPath TestIncrementalListedPairsAsCounts TestListedCountedAtScan
 FRONT_HALF_PKGS := ./internal/pipeline ./internal/proxylog ./internal/ingest
 STORED_DETECTION_TESTS := TestDeltaLogMatchesCompaction TestRestartDetectsOncePerHistory \
 	TestEvictedPairNeverInheritsDetection TestRestoredPairsMarkedStale \

@@ -46,9 +46,13 @@ type Config struct {
 	// fresh table, returned in Result.Symbols.
 	Symbols *SymbolTable
 	// Listed, when non-nil, is filter 1's verdict on a destination (the
-	// global whitelist). A pair to a listed destination is counted, not
-	// summarized: it comes back in Result.Counted, with the same
-	// Truncation accounting a summary would have had.
+	// global whitelist); it must not change during the run. Each scan
+	// worker takes the verdict once per destination symbol, right after
+	// interning the event's endpoints, and counts a listed event where it
+	// is parsed: its path is never interned and it never reaches a
+	// partition buffer or the aggregation. Such a pair comes back in
+	// Result.Counted, with the same Truncation accounting a summary would
+	// have had.
 	Listed func(destination string) bool
 }
 
@@ -89,7 +93,9 @@ type Stats struct {
 
 // Result is the output of an ingest: per-pair activity summaries built
 // directly from the stream, sorted by (Source, Destination), and the event
-// counts of the pairs Config.Listed names, in no particular order.
+// counts of the pairs Config.Listed names, in no particular order. Counted
+// is summed from the scan workers' per-partition counts, so the memory it
+// costs is bounded by the listed pairs, not by their events.
 type Result struct {
 	Summaries []*timeseries.ActivitySummary
 	Counted   []PairCount
@@ -118,18 +124,24 @@ const ctxCheckStride = 512
 // eventBufs is one scan worker's per-partition event accumulators,
 // pooled across ingests so the steady state (ops-loop daily runs,
 // benchmark iterations) re-uses fully grown buffers instead of paying
-// the growth reallocations every run.
+// the growth reallocations every run. With Config.Listed set, the set also
+// carries the worker's per-partition counts of listed pairs and its
+// verdict memo; without it they are left untouched.
 type eventBufs struct {
-	bufs [][]pairEvent
+	bufs     [][]pairEvent
+	counts   []map[PairID]int32
+	verdicts []uint8
 }
 
 var eventBufPool = sync.Pool{New: func() any { return new(eventBufs) }}
 
 // borrowEventBufs returns a pooled buffer set shaped for parts
-// partitions, every buffer emptied but with its capacity retained.
+// partitions, every buffer emptied but with its capacity retained; with
+// listed, every count map and the verdict memo too, and without it no
+// count maps at all.
 //
 //bw:pool-handoff ownership passes to Ingest, which Puts the set back after aggregation has drained it
-func borrowEventBufs(parts int) *eventBufs {
+func borrowEventBufs(parts int, listed bool) *eventBufs {
 	eb := eventBufPool.Get().(*eventBufs)
 	if len(eb.bufs) != parts {
 		eb.bufs = make([][]pairEvent, parts)
@@ -137,26 +149,50 @@ func borrowEventBufs(parts int) *eventBufs {
 	for i := range eb.bufs {
 		eb.bufs[i] = eb.bufs[i][:0]
 	}
+	if !listed {
+		// No count maps: the maps stay behind the slice for a later run.
+		eb.counts = eb.counts[:0]
+		return eb
+	}
+	if cap(eb.counts) < parts {
+		eb.counts = make([]map[PairID]int32, parts)
+	}
+	eb.counts = eb.counts[:parts]
+	for i, m := range eb.counts {
+		if m == nil {
+			eb.counts[i] = make(map[PairID]int32)
+		} else {
+			clear(m)
+		}
+	}
+	// A verdict holds for one run's Listed only.
+	clear(eb.verdicts)
 	return eb
 }
 
+// Filter 1's verdict on a destination symbol, memoized per scan worker.
+const (
+	verdictUnknown uint8 = iota
+	verdictUnlisted
+	verdictListed
+)
+
 // aggScratch is one partition aggregation's scratch: the flat scatter
-// buffer, each event's group index, the pair-to-group map, the groups and
-// each group's start.
+// buffer, each event's group index, the pair-to-group map, the groups,
+// each group's start, and the listed pairs' counts summed over workers.
 type aggScratch struct {
 	flat   []pairEvent
 	group  []int32
 	idx    map[PairID]int32
 	groups []aggGroup
 	starts []int
+	counts map[PairID]int
 }
 
-// aggGroup is one pair of a partition: its identity, its event count, and
-// whether filter 1 lists its destination.
+// aggGroup is one pair of a partition: its identity and its event count.
 type aggGroup struct {
 	pair   PairID
 	events int
-	listed bool
 }
 
 // aggPool recycles the aggregation phase's scratch across partitions and
@@ -289,7 +325,7 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 	}()
 	var wg sync.WaitGroup
 	for w := 0; w < scanWorkers; w++ {
-		set := borrowEventBufs(parts)
+		set := borrowEventBufs(parts, cfg.Listed != nil)
 		workerBufs[w] = set
 		wg.Add(1)
 		go func() {
@@ -297,12 +333,17 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 			cache := borrowSymCache(syms)
 			defer symCachePool.Put(cache)
 			sw := scanWorker{
-				ctx:   ctx,
-				syms:  syms,
-				cache: cache,
-				corr:  cfg.Correlator,
-				parts: set.bufs,
+				ctx:      ctx,
+				syms:     syms,
+				cache:    cache,
+				corr:     cfg.Correlator,
+				parts:    set.bufs,
+				listed:   cfg.Listed,
+				counts:   set.counts,
+				verdicts: set.verdicts,
 			}
+			// The memo goes back with the set, keeping what it grew to.
+			defer func() { set.verdicts = sw.verdicts }()
 			for u := range unitCh {
 				if err := scan(&sw, u); err != nil {
 					// A unit stopped by the cancellation a sibling's
@@ -347,7 +388,7 @@ func scatterGather(ctx context.Context, units int, cfg Config, scan func(sw *sca
 					return
 				}
 				r := &partRes[p]
-				r.sums, r.counted, r.truncs, r.err = aggregatePartition(p, workerBufs, syms, scale, cfg.MaxEventsPerPair, cfg.Listed)
+				r.sums, r.counted, r.truncs, r.err = aggregatePartition(p, workerBufs, syms, scale, cfg.MaxEventsPerPair)
 				if r.err != nil {
 					cancel()
 					return
@@ -389,6 +430,12 @@ type scanWorker struct {
 	parts   [][]pairEvent
 	scratch []byte
 	n       int // records since last ctx check
+	// listed is Config.Listed; counts holds, per partition, the events of
+	// each pair it lists, and verdicts its verdict per destination symbol
+	// ID (verdictUnknown until first asked).
+	listed   func(string) bool
+	counts   []map[PairID]int32
+	verdicts []uint8
 }
 
 // runShard scans one split, converting panics (including injected ones)
@@ -407,26 +454,32 @@ func (sw *scanWorker) runShard(sp proxylog.Split, maxBad int) (stats proxylog.Re
 	return proxylog.ForEachSplit(sp, maxBad, sw.handle)
 }
 
-// handle is the per-record hot path: intern endpoints, partition by pair
-// hash, append the 20-byte event tuple. No per-record heap allocation in
-// the steady state (symbols warm).
+// handle is the per-record hot path: intern endpoints, count the event if
+// filter 1 lists its destination, else intern its path, partition by pair
+// hash and append the event tuple. No per-record heap allocation in the
+// steady state (symbols and pairs warm).
 //
 //bw:noalloc per-record scan hot path; buffer growth is amortized in emit
 func (sw *scanWorker) handle(v *proxylog.RecordView) error {
 	if err := sw.poll(); err != nil {
 		return err
 	}
+	pair := PairID{Src: sw.sourceID(v), Dst: sw.cache.id(v.Host)}
+	if sw.counted(pair) {
+		return nil
+	}
 	path := pathNone
 	if len(v.Path) != 0 {
 		path = sw.cache.id(v.Path)
 	}
-	sw.emit(pairEvent{pair: PairID{Src: sw.sourceID(v), Dst: sw.cache.id(v.Host)}, ts: v.Timestamp, path: path})
+	sw.emit(pairEvent{pair: pair, ts: v.Timestamp, path: path})
 	return nil
 }
 
 // scatterEvents is handle for already-parsed input: events [lo, hi) of the
-// accessor go into the same partition buffers, interned through the same
-// cache, so aggregation cannot tell the two adapters apart.
+// accessor are counted or go into the same partition buffers, interned
+// through the same cache, so aggregation cannot tell the two adapters
+// apart.
 //
 //bw:noalloc per-event adapter hot path; buffer growth is amortized in emit
 func (sw *scanWorker) scatterEvents(lo, hi int, at func(i int) Event) error {
@@ -435,16 +488,45 @@ func (sw *scanWorker) scatterEvents(lo, hi int, at func(i int) Event) error {
 			return err
 		}
 		e := at(i)
+		pair := PairID{Src: sw.cache.idString(e.Source), Dst: sw.cache.idString(e.Destination)}
+		if sw.counted(pair) {
+			continue
+		}
 		path := pathNone
 		if e.Path != "" {
 			path = sw.cache.idString(e.Path)
 		}
-		sw.emit(pairEvent{
-			pair: PairID{Src: sw.cache.idString(e.Source), Dst: sw.cache.idString(e.Destination)},
-			ts:   e.Timestamp, path: path,
-		})
+		sw.emit(pairEvent{pair: pair, ts: e.Timestamp, path: path})
 	}
 	return nil
+}
+
+// counted books one event of pair to its partition's count and reports
+// true if filter 1 lists the pair's destination; otherwise it does
+// nothing. The verdict is taken once per destination symbol per worker:
+// after that it is one indexed load.
+func (sw *scanWorker) counted(pair PairID) bool {
+	if sw.listed == nil {
+		return false
+	}
+	if int(pair.Dst) >= len(sw.verdicts) {
+		grown := make([]uint8, max(int(pair.Dst)+1, 2*len(sw.verdicts), 1024))
+		copy(grown, sw.verdicts)
+		sw.verdicts = grown
+	}
+	v := sw.verdicts[pair.Dst]
+	if v == verdictUnknown {
+		v = verdictUnlisted
+		if sw.listed(sw.syms.Lookup(pair.Dst)) {
+			v = verdictListed
+		}
+		sw.verdicts[pair.Dst] = v
+	}
+	if v != verdictListed {
+		return false
+	}
+	sw.counts[PairHash(pair)%uint64(len(sw.counts))][pair]++
+	return true
 }
 
 // poll checks for cancellation every ctxCheckStride records.
@@ -491,10 +573,11 @@ func (sw *scanWorker) sourceID(v *proxylog.RecordView) uint32 {
 // aggregatePartition builds the summaries of one partition: concatenate
 // every worker's buffer for it, sort by (pair, timestamp), and walk the
 // runs, feeding each pair's ordered timestamps straight into a summary
-// builder. A pair whose destination listed names is only counted: its
-// events are never scattered, sorted or summarized. Truncation keeps the
-// earliest maxEvents events (the beaconing onset) with explicit accounting.
-func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale int64, maxEvents int, listed func(string) bool) (sums []*timeseries.ActivitySummary, counted []PairCount, truncs []Truncation, err error) {
+// builder. The pairs filter 1 lists never reached the buffers: their
+// counts, taken at the scan, are summed over the workers into counted.
+// Truncation keeps the earliest maxEvents events (the beaconing onset)
+// with explicit accounting, for counted pairs as for summarized ones.
+func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale int64, maxEvents int) (sums []*timeseries.ActivitySummary, counted []PairCount, truncs []Truncation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("aggregate panic: %v", r)
@@ -503,12 +586,45 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 	if ferr := faultinject.Check(faultinject.PointIngestAggregate, strconv.Itoa(p)); ferr != nil {
 		return nil, nil, nil, ferr
 	}
+	sc := aggPool.Get().(*aggScratch)
+	defer aggPool.Put(sc)
+	// truncate caps a pair's event count, recording the cut.
+	truncate := func(pair PairID, events int) (src, dst string, kept int) {
+		src, dst = syms.Lookup(pair.Src), syms.Lookup(pair.Dst)
+		if maxEvents > 0 && events > maxEvents {
+			truncs = append(truncs, Truncation{
+				Source: src, Destination: dst,
+				Kept: maxEvents, Dropped: events - maxEvents,
+			})
+			return src, dst, maxEvents
+		}
+		return src, dst, events
+	}
+
+	if len(workerBufs[0].counts) > 0 { // Config.Listed is set
+		if sc.counts == nil {
+			sc.counts = make(map[PairID]int)
+		}
+		merged := sc.counts
+		clear(merged)
+		for _, eb := range workerBufs {
+			for pair, n := range eb.counts[p] {
+				merged[pair] += int(n)
+			}
+		}
+		counted = make([]PairCount, 0, len(merged))
+		for pair, n := range merged {
+			src, dst, kept := truncate(pair, n)
+			counted = append(counted, PairCount{Source: src, Destination: dst, Events: kept})
+		}
+	}
+
 	total := 0
 	for _, eb := range workerBufs {
 		total += len(eb.bufs[p])
 	}
 	if total == 0 {
-		return nil, nil, nil, nil
+		return nil, counted, truncs, nil
 	}
 	// Group by pair with a two-pass counting scatter rather than one
 	// O(n log n) sort of the whole partition: count each pair's events,
@@ -516,8 +632,6 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 	// place, then sort each (much smaller) segment by timestamp alone.
 	// The counting pass is the only one that probes the pair map: it
 	// records each event's group for the scatter pass.
-	sc := aggPool.Get().(*aggScratch)
-	defer aggPool.Put(sc)
 	if cap(sc.flat) < total {
 		sc.flat = make([]pairEvent, total)
 		sc.group = make([]int32, total)
@@ -541,28 +655,14 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 		}
 	}
 	sc.groups = groups
-	nListed := 0
-	if listed != nil {
-		for gi := range groups {
-			if listed(syms.Lookup(groups[gi].pair.Dst)) {
-				groups[gi].listed = true
-				nListed++
-			}
-		}
-	}
-	// starts holds each group's start, then its scatter cursor; a counted
-	// group takes no room.
+	// starts holds each group's start, then its scatter cursor.
 	if cap(sc.starts) < 2*len(groups)+1 {
 		sc.starts = make([]int, 2*len(groups)+1)
 	}
 	starts := sc.starts[:2*len(groups)+1]
 	starts[0] = 0
 	for gi, g := range groups {
-		n := g.events
-		if g.listed {
-			n = 0
-		}
-		starts[gi+1] = starts[gi] + n
+		starts[gi+1] = starts[gi] + g.events
 	}
 	cursor := starts[len(groups)+1:]
 	copy(cursor, starts)
@@ -571,31 +671,13 @@ func aggregatePartition(p int, workerBufs []*eventBufs, syms *SymbolTable, scale
 		for _, e := range eb.bufs[p] {
 			gi := group[i]
 			i++
-			if groups[gi].listed {
-				continue
-			}
 			flat[cursor[gi]] = e
 			cursor[gi]++
 		}
 	}
-	sums = make([]*timeseries.ActivitySummary, 0, len(groups)-nListed)
-	if nListed > 0 {
-		counted = make([]PairCount, 0, nListed)
-	}
+	sums = make([]*timeseries.ActivitySummary, 0, len(groups))
 	for gi, g := range groups {
-		src, dst := syms.Lookup(g.pair.Src), syms.Lookup(g.pair.Dst)
-		kept := g.events
-		if maxEvents > 0 && kept > maxEvents {
-			truncs = append(truncs, Truncation{
-				Source: src, Destination: dst,
-				Kept: maxEvents, Dropped: kept - maxEvents,
-			})
-			kept = maxEvents
-		}
-		if g.listed {
-			counted = append(counted, PairCount{Source: src, Destination: dst, Events: kept})
-			continue
-		}
+		src, dst, kept := truncate(g.pair, g.events)
 		run := flat[starts[gi]:starts[gi+1]]
 		slices.SortFunc(run, func(a, b pairEvent) int {
 			return cmp.Compare(a.ts, b.ts)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -682,6 +684,47 @@ func TestHandleNoAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("idString/internStringHash allocate %.1f/op warm, want 0", allocs)
 	}
+
+	// With Config.Listed, a listed event's counted branch: once its
+	// destination's verdict is memoized and its pair is in the count map,
+	// counting allocates nothing either.
+	set := borrowEventBufs(len(parts), true)
+	defer eventBufPool.Put(set)
+	sw.listed = func(dst string) bool { return dst == "warm.example" }
+	sw.counts, sw.verdicts = set.counts, set.verdicts
+	buffered := 0
+	for _, buf := range sw.parts {
+		buffered += len(buf)
+	}
+	if err := sw.handle(&v); err != nil { // warm the verdict and the pair
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := sw.handle(&v); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("handle allocates %.1f/op counting a listed pair, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := sw.scatterEvents(0, len(events), at); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("scatterEvents allocates %.1f/op counting a listed pair, want 0", allocs)
+	}
+	pair := PairID{Src: cache.id([]byte("10.0.0.1")), Dst: cache.id([]byte("warm.example"))}
+	p := PairHash(pair) % uint64(len(sw.counts))
+	// The warm-up call, then AllocsPerRun's 1+100 runs of each loop.
+	if got, want := sw.counts[p][pair], int32(1+101+2*101); got != want {
+		t.Errorf("listed pair counted %d times, want %d", got, want)
+	}
+	for _, buf := range sw.parts {
+		buffered -= len(buf)
+	}
+	if buffered != 0 {
+		t.Errorf("%d listed event(s) reached a partition buffer", -buffered)
+	}
 }
 
 // TestPlanShards pins the planner: every file contributes at least one
@@ -755,6 +798,106 @@ func TestIngestCountsListedPairs(t *testing.T) {
 		}
 		if !slices.Equal(res.Truncated, refTruncs) {
 			t.Errorf("%s: truncated %+v, want %+v", run.name, res.Truncated, refTruncs)
+		}
+	}
+}
+
+// TestListedCountedAtScan: counting a listed pair where its events are
+// scanned, instead of in the aggregation, changes no figure. Through
+// either adapter, at every worker and partition count, and with the event
+// cap below and above a listed pair's count, Counted and Truncated are, as
+// multisets, the per-pair counts and truncations of a Listed: nil run, the
+// unlisted pairs' summaries are that run's, and Listed is asked at most
+// once per destination per scan worker.
+func TestListedCountedAtScan(t *testing.T) {
+	// A listed pair whose events two workers counted is summed, then capped.
+	syms := NewSymbolTable()
+	pair := PairID{Src: syms.InternString("10.0.0.1"), Dst: syms.InternString("alpha.example")}
+	split := []*eventBufs{
+		{bufs: make([][]pairEvent, 1), counts: []map[PairID]int32{{pair: 3}}},
+		{bufs: make([][]pairEvent, 1), counts: []map[PairID]int32{{pair: 4}}},
+	}
+	sums, counted, truncs, err := aggregatePartition(0, split, syms, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCount := []PairCount{{Source: "10.0.0.1", Destination: "alpha.example", Events: 5}}
+	wantTrunc := []Truncation{{Source: "10.0.0.1", Destination: "alpha.example", Kept: 5, Dropped: 2}}
+	if len(sums) != 0 || !slices.Equal(counted, wantCount) || !slices.Equal(truncs, wantTrunc) {
+		t.Fatalf("merged partition: %d summaries, counted %+v, truncated %+v; want 0, %+v, %+v",
+			len(sums), counted, truncs, wantCount, wantTrunc)
+	}
+
+	// Four files and two splits each: both alpha.example pairs have events
+	// in files 0 and 2, so they span shards (and, through IngestEvents,
+	// the per-worker chunks of the event range).
+	dir := t.TempDir()
+	paths, events := testCorpus(t, dir, 4)
+	shards, err := PlanShards(paths, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isListed := func(dst string) bool { return dst == "alpha.example" || dst == "gamma.example" }
+	const destinations = 5
+	var calls atomic.Int64
+	countingListed := func(dst string) bool {
+		calls.Add(1)
+		return isListed(dst)
+	}
+	byPair := func(a, b PairCount) int {
+		return cmp.Or(strings.Compare(a.Source, b.Source), strings.Compare(a.Destination, b.Destination))
+	}
+	for _, run := range []struct {
+		name   string
+		ingest func(Config) (*Result, error)
+	}{
+		{"shards", func(cfg Config) (*Result, error) { return Ingest(context.Background(), shards, cfg) }},
+		{"events", func(cfg Config) (*Result, error) {
+			return IngestEvents(context.Background(), len(events), eventAt(events), cfg)
+		}},
+	} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, parts := range []int{1, 2, 5} {
+				for _, maxEvents := range []int{30, 100} { // each pair has 40 events
+					name := fmt.Sprintf("%s/workers=%d/parts=%d/max=%d", run.name, workers, parts, maxEvents)
+					cfg := Config{Workers: workers, Partitions: parts, MaxEventsPerPair: maxEvents}
+					ref, err := run.ingest(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					var wantSums []*timeseries.ActivitySummary
+					var wantCounted []PairCount
+					for _, as := range ref.Summaries {
+						if isListed(as.Destination) {
+							wantCounted = append(wantCounted, PairCount{Source: as.Source, Destination: as.Destination, Events: as.EventCount()})
+						} else {
+							wantSums = append(wantSums, as)
+						}
+					}
+					if len(wantCounted) != 3 || (maxEvents < 40) != (len(ref.Truncated) > 0) {
+						t.Fatalf("%s: corpus gives %d listed pairs and %d truncations", name, len(wantCounted), len(ref.Truncated))
+					}
+
+					calls.Store(0)
+					cfg.Listed = countingListed
+					got, err := run.ingest(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					assertSummariesEqual(t, got.Summaries, wantSums)
+					gotCounted := slices.Clone(got.Counted)
+					slices.SortFunc(gotCounted, byPair)
+					if !slices.Equal(gotCounted, wantCounted) {
+						t.Errorf("%s: counted %+v, want %+v", name, gotCounted, wantCounted)
+					}
+					if !slices.Equal(got.Truncated, ref.Truncated) {
+						t.Errorf("%s: truncated %+v, want %+v", name, got.Truncated, ref.Truncated)
+					}
+					if n := calls.Load(); n > int64(workers*destinations) {
+						t.Errorf("%s: Listed asked %d times, want at most once per destination per worker (%d)", name, n, workers*destinations)
+					}
+				}
+			}
 		}
 	}
 }

@@ -11,8 +11,10 @@
 // ingestion sharded across thousands of Hadoop mappers) at process scale:
 // the full corpus is never materialized as records or events — the only
 // per-record state that crosses the scan/aggregate boundary is a 20-byte
-// (pairID, timestamp, pathID) tuple — so ingest saturates all cores on
-// multi-GB corpora instead of serializing on a single parse loop.
+// (pairID, timestamp, pathID) tuple, and an event to a destination
+// Config.Listed names crosses as one increment of its pair's count — so
+// ingest saturates all cores on multi-GB corpora instead of serializing on
+// a single parse loop.
 //
 // Already-parsed input (a record slice, DNS or NetFlow events) enters
 // through a second adapter, IngestEvents, that fills the same partition
@@ -155,8 +157,13 @@ func symbolShard(b []byte) uint64 {
 }
 
 // symCacheBits sizes the per-worker cache: 1024 direct-mapped entries
-// (32 KiB) comfortably hold a scan worker's working set of endpoint
-// strings (client IPs, hosts, URL paths repeat heavily within a shard).
+// (32 KiB) for the endpoint strings a scan worker repeats. With filter 1
+// counting at the scan (listed events intern no path), on the benchmark's
+// batch-scan trace (1,500 clients) the slots return 57 % of source, 92 %
+// of destination and 92 % of path lookups, 74 % overall: its clients and
+// hosts contend for the slots. On batch-detect (80 clients) they return
+// 93 %, 83 % and 91 %, 89 % overall. A miss costs a probe of the shared
+// table under its shard's read lock, never a wrong ID.
 const symCacheBits = 10
 
 type symCacheEntry struct {
